@@ -109,14 +109,10 @@ class MuMatrix:
         return -1j * self.entries
 
 
-def _pair_indices(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 @lru_cache(maxsize=None)
 def pair_indices(n: int) -> tuple[tuple[int, int], ...]:
     """Row-major upper-triangular (i, j) pairs, 0-based."""
-    return tuple(_pair_indices(n))
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
 @lru_cache(maxsize=None)
@@ -137,18 +133,43 @@ def coordinate_basis(n: int) -> np.ndarray:
     return basis
 
 
+@lru_cache(maxsize=None)
+def _gathers(n: int) -> tuple[np.ndarray, ...]:
+    """Index gathers between the coordinates and the (re, im) pairs of the n*n
+    entries: the slot and sign of each coordinate, then the coordinate and
+    factor of each slot (factor 0 for the real parts of the diagonal)."""
+    slot, sign = np.empty(n * n, dtype=int), np.ones(n * n)
+    source, factor = np.zeros((n, n, 2), dtype=int), np.zeros((n, n, 2))
+    for k in range(n):
+        slot[k] = 2 * (k * n + k) + 1
+        source[k, k, 1], factor[k, k, 1] = k, 1.0
+    for p, (i, j) in enumerate(pair_indices(n)):
+        # e[i, j] = i*(x + i*y) = -y + i*x and e[j, i] = y + i*x
+        x, y = n + 2 * p, n + 2 * p + 1
+        slot[x], slot[y], sign[y] = 2 * (i * n + j) + 1, 2 * (i * n + j), -1.0
+        source[i, j] = source[j, i] = (y, x)
+        factor[i, j], factor[j, i] = (-1.0, 1.0), (1.0, 1.0)
+    return slot, sign, source.ravel(), factor.ravel()
+
+
+def flatten_stack(entries: np.ndarray) -> np.ndarray:
+    """:func:`flatten` over the last two axes of a stack of matrix entries."""
+    n = entries.shape[-1]
+    slot, sign, _, _ = _gathers(n)
+    pairs = np.ascontiguousarray(entries, dtype=complex).view(float)
+    return pairs.reshape(entries.shape[:-2] + (2 * n * n,))[..., slot] * sign
+
+
+def unflatten_stack(v: np.ndarray, n: int) -> np.ndarray:
+    """Entries of :func:`unflatten` over the last axis of a stack of coordinate vectors."""
+    _, _, source, factor = _gathers(n)
+    pairs = np.ascontiguousarray(v[..., source] * factor)
+    return pairs.view(complex).reshape(v.shape[:-1] + (n, n))
+
+
 def flatten(mu: MuMatrix) -> np.ndarray:
     """Real coordinate vector of length n**2 (pure copying, no arithmetic)."""
-    n = mu.n
-    v = np.empty(n * n)
-    e = mu.entries
-    for k in range(n):
-        v[k] = e[k, k].imag
-    for p, (i, j) in enumerate(pair_indices(n)):
-        # e[i, j] = i*(x + i*y) = -y + i*x
-        v[n + 2 * p] = e[i, j].imag
-        v[n + 2 * p + 1] = -e[i, j].real
-    return v
+    return flatten_stack(mu.entries)
 
 
 def unflatten(v: np.ndarray, n: int) -> MuMatrix:
@@ -156,14 +177,7 @@ def unflatten(v: np.ndarray, n: int) -> MuMatrix:
     v = np.asarray(v, dtype=float)
     if v.shape != (n * n,):
         raise DimensionMismatch(f"expected length {n * n}, got {v.shape}")
-    e = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        e[k, k] = 1j * v[k]
-    for p, (i, j) in enumerate(pair_indices(n)):
-        x, y = v[n + 2 * p], v[n + 2 * p + 1]
-        e[i, j] = complex(-y, x)
-        e[j, i] = complex(y, x)
-    return MuMatrix(e)
+    return MuMatrix(unflatten_stack(v, n))
 
 
 def pairing(xi: MuMatrix, eta: MuMatrix) -> float:

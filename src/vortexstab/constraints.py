@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -30,6 +30,11 @@ from .errors import DimensionMismatch, NotInOpenSet, UnsupportedScenario
 
 RANK_THRESHOLD = 1e-8
 OPEN_SET_TOL = 1e-12
+
+
+def numerical_rank(sv: np.ndarray) -> int:
+    """Number of singular values (largest first) above RANK_THRESHOLD times the largest."""
+    return int(np.sum(sv > RANK_THRESHOLD * sv[0])) if sv.size else 0
 
 
 def casimir(mu: MuMatrix, k: CouplingMatrix, j: int) -> float:
@@ -120,94 +125,54 @@ def scenario_casimir_c1(mu: MuMatrix, circ: Circulations) -> float:
     raise UnsupportedScenario("no printed C1 fixture for this circulation set")
 
 
-@dataclass(frozen=True)
-class _Quadratic:
-    """(c1.u)(c2.u) - (c3.u)(c4.u), with exact gradient and constant Hessian."""
-
-    c1: np.ndarray
-    c2: np.ndarray
-    c3: np.ndarray
-    c4: np.ndarray
-
-    def value(self, u: np.ndarray) -> complex:
-        return (self.c1 @ u) * (self.c2 @ u) - (self.c3 @ u) * (self.c4 @ u)
-
-    def gradient(self, u: np.ndarray) -> np.ndarray:
-        return (
-            self.c1 * (self.c2 @ u)
-            + self.c2 * (self.c1 @ u)
-            - self.c3 * (self.c4 @ u)
-            - self.c4 * (self.c3 @ u)
-        )
-
-    def hessian(self) -> np.ndarray:
-        return (
-            np.outer(self.c1, self.c2)
-            + np.outer(self.c2, self.c1)
-            - np.outer(self.c3, self.c4)
-            - np.outer(self.c4, self.c3)
-        )
-
-
 class ConstraintSystem:
     """All (n-1)^2 real rank-one constraint components for n x n shapes,
-    ordered (R_1 .. R_{n-1}, Re R_12, Im R_12, ...)."""
+    ordered (R_1 .. R_{n-1}, Re R_12, Im R_12, ...).
+
+    Complex component k is the quadratic form (c1[k].u)(c2[k].u) - (c3[k].u)(c4[k].u),
+    where each row of c1..c4 is the complex linear form of one entry of M = -i mu.
+    """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("n must be positive")
         self.n = n
-        basis = coordinate_basis(n)
         # entry (a, b) of M = -i mu as a complex linear form in u
-        ell = np.einsum("mab->abm", basis)
-        components: list[_Quadratic] = []
-        labels: list[str] = []
-        for i in range(n - 1):
-            components.append(
-                _Quadratic(ell[i, i], ell[i + 1, i + 1], ell[i, i + 1], ell[i + 1, i])
-            )
-            labels.append(f"R{i + 1}")
-        for (i, j) in pair_indices(n - 1):
-            components.append(
-                _Quadratic(ell[i, j], ell[i + 1, j + 1], ell[i, j + 1], ell[i + 1, j])
-            )
-            labels.append(f"ReR{i + 1}{j + 1}")
-            labels.append(f"ImR{i + 1}{j + 1}")
-        self._components = components
+        ell = np.einsum("mab->abm", coordinate_basis(n))
+        blocks = [(i, i) for i in range(n - 1)] + list(pair_indices(n - 1))
+        i, j = np.array(blocks, dtype=int).reshape(-1, 2).T
+        self._forms = np.stack([ell[i, j], ell[i + 1, j + 1], ell[i, j + 1], ell[i + 1, j]])
+        self._forms.setflags(write=False)
+        labels = [f"R{i + 1}" for i in range(n - 1)]
+        for i, j in pair_indices(n - 1):
+            labels += [f"ReR{i + 1}{j + 1}", f"ImR{i + 1}{j + 1}"]
         self.labels = labels
         self.size = (n - 1) ** 2
-        self._hessians: list[np.ndarray] | None = None
 
-    def _expand(self, vals_c) -> np.ndarray:
+    def _expand(self, vals: np.ndarray) -> np.ndarray:
         """Split complex off-diagonal components into (Re, Im) rows."""
-        rows = []
-        for slot, v in enumerate(vals_c):
-            if slot < self.n - 1:
-                rows.append(np.real(v))
-            else:
-                rows.append(np.real(v))
-                rows.append(np.imag(v))
-        return np.asarray(rows)
+        d = self.n - 1
+        out = np.empty((self.size,) + vals.shape[1:])
+        out[:d] = vals[:d].real
+        out[d::2] = vals[d:].real
+        out[d + 1 :: 2] = vals[d:].imag
+        return out
 
     def values(self, u: np.ndarray) -> np.ndarray:
-        return self._expand([c.value(u) for c in self._components])
+        p1, p2, p3, p4 = self._forms @ u
+        return self._expand(p1 * p2 - p3 * p4)
 
     def jacobian(self, u: np.ndarray) -> np.ndarray:
-        return self._expand([c.gradient(u) for c in self._components])
+        c1, c2, c3, c4 = self._forms
+        p1, p2, p3, p4 = (self._forms @ u)[..., None]
+        return self._expand(c1 * p2 + c2 * p1 - c3 * p4 - c4 * p3)
 
-    def hessians(self) -> list[np.ndarray]:
-        """Constant Hessians of each real component, in output order."""
-        if self._hessians is None:
-            out = []
-            for slot, c in enumerate(self._components):
-                h = c.hessian()
-                if slot < self.n - 1:
-                    out.append(h.real)
-                else:
-                    out.append(h.real)
-                    out.append(h.imag)
-            self._hessians = out
-        return self._hessians
+    def hessians(self) -> tuple[np.ndarray, ...]:
+        """The constant Hessians in factored form: the linear forms (c1, c2, c3, c4),
+        each of shape (n(n-1)/2, n^2).  Complex component k has the Hessian
+        c1[k] c2[k]^T + c2[k] c1[k]^T - c3[k] c4[k]^T - c4[k] c3[k]^T; a real
+        component takes its real part, or its imaginary part for Im R_ij."""
+        return tuple(self._forms)
 
 
 @lru_cache(maxsize=None)
@@ -231,10 +196,7 @@ def in_open_set(mu: MuMatrix, tol: float = OPEN_SET_TOL) -> bool:
     n = mu.n
     if np.any(np.abs(np.diag(m).real) <= tol):
         return False
-    for (i, j) in pair_indices(n):
-        if abs(m[i, j]) <= tol:
-            return False
-    return True
+    return not np.any(np.abs(m[np.triu_indices(n, 1)]) <= tol)
 
 
 @dataclass(frozen=True)
@@ -255,8 +217,7 @@ def submersion_rank_check(mu: MuMatrix) -> RankCheck:
     expected = (n - 1) ** 2
     if expected == 0:
         return RankCheck(rank=0, full_rank=True, expected=0, nullity=n * n)
-    sv = np.linalg.svd(jac, compute_uv=False)
-    rank = int(np.sum(sv > RANK_THRESHOLD * sv[0]))
+    rank = numerical_rank(np.linalg.svd(jac, compute_uv=False))
     return RankCheck(
         rank=rank,
         full_rank=rank == expected,

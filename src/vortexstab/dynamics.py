@@ -8,11 +8,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Circulations, MuMatrix, Regime, build_coupling_matrix, flatten, unflatten
+from .algebra import flatten_stack, unflatten_stack
 from .errors import Collision, DimensionMismatch, DomainError, EmptyTrajectory
 from .hamiltonian import (
     COLLISION_TOL,
     VortexConfiguration,
     full_hamiltonian,
+    gradient_entries,
     gradient_matrix,
     reduced_system,
 )
@@ -67,6 +69,12 @@ def moment_map(z: RelativeCoordinates) -> MuMatrix:
     return MuMatrix(1j * np.outer(arr, arr.conj()))
 
 
+def _lie_poisson_entries(m: np.ndarray, g: np.ndarray, kinv: np.ndarray) -> np.ndarray:
+    """X_h = A^H - A with A = mu (dh/dmu) K^-1, skew-Hermitian to the last bit."""
+    a = m @ g @ kinv
+    return a.conj().T - a
+
+
 def lie_poisson_vector_field(mu: MuMatrix, circ: Circulations) -> MuMatrix:
     """X_h(mu) = -mu (dh/dmu) K^-1 + K^-1 (dh/dmu) mu."""
     if mu.n != circ.n:
@@ -74,8 +82,7 @@ def lie_poisson_vector_field(mu: MuMatrix, circ: Circulations) -> MuMatrix:
     sys = reduced_system(circ)
     g = gradient_matrix(sys.gradient(flatten(mu)), circ.n).entries
     kinv = build_coupling_matrix(circ).k_inv
-    m = mu.entries
-    return MuMatrix(-m @ g @ kinv + kinv @ g @ m)
+    return MuMatrix(_lie_poisson_entries(mu.entries, g, kinv))
 
 
 class Which(enum.Enum):
@@ -107,9 +114,8 @@ def _reduced_rhs(circ: Circulations):
     n = circ.n
 
     def rhs(u: np.ndarray) -> np.ndarray:
-        g = gradient_matrix(sys.gradient(u), n).entries
-        m = unflatten(u, n).entries
-        return flatten(MuMatrix(-m @ g @ kinv + kinv @ g @ m))
+        g = gradient_entries(sys.gradient(u), n)
+        return flatten_stack(_lie_poisson_entries(unflatten_stack(u, n), g, kinv))
 
     return rhs
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import Circulations, MuMatrix, Regime, pair_indices
+from .algebra import Circulations, MuMatrix, Regime, flatten, pair_indices, unflatten_stack
 from .errors import Collision, DimensionMismatch, DomainError
 
 COLLISION_TOL = 1e-9
@@ -161,6 +161,14 @@ def reduced_system(circ: Circulations) -> ReducedHamiltonian:
     return ReducedHamiltonian(circ)
 
 
+def gradient_entries(grad: np.ndarray, n: int) -> np.ndarray:
+    """Entries of :func:`gradient_matrix` over the last axis of a stack of
+    flattened gradients."""
+    scaled = np.array(grad, dtype=float)
+    scaled[..., :n] *= 2.0
+    return unflatten_stack(scaled, n)
+
+
 def gradient_matrix(grad: np.ndarray, n: int) -> MuMatrix:
     """Assemble the matrix derivative from the flattened gradient.
 
@@ -168,14 +176,7 @@ def gradient_matrix(grad: np.ndarray, n: int) -> MuMatrix:
     ``i*(dh/dx_jk + i dh/dy_jk)``.  The result pairs with any direction nu to
     give the directional derivative of h.
     """
-    e = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        e[k, k] = 2j * grad[k]
-    for p, (i, j) in enumerate(pair_indices(n)):
-        gx, gy = grad[n + 2 * p], grad[n + 2 * p + 1]
-        e[i, j] = 1j * complex(gx, gy)
-        e[j, i] = 1j * complex(gx, -gy)
-    return MuMatrix(e)
+    return MuMatrix(gradient_entries(grad, n))
 
 
 def _check_dim(mu: MuMatrix, circ: Circulations):
@@ -185,16 +186,12 @@ def _check_dim(mu: MuMatrix, circ: Circulations):
 
 def reduced_hamiltonian(mu: MuMatrix, circ: Circulations) -> float:
     """Reduced Hamiltonian h(mu); satisfies h(i z z*) = H(q)."""
-    from .algebra import flatten
-
     _check_dim(mu, circ)
     return reduced_system(circ).value(flatten(mu))
 
 
 def reduced_gradient(mu: MuMatrix, circ: Circulations) -> MuMatrix:
     """Matrix derivative of the reduced Hamiltonian at mu."""
-    from .algebra import flatten
-
     _check_dim(mu, circ)
     sys = reduced_system(circ)
     return gradient_matrix(sys.gradient(flatten(mu)), circ.n)

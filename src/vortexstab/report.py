@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from .algebra import flatten
@@ -152,6 +151,17 @@ def _sweep_point(kind: str, gamma: float, m: int | None, casimir_subset) -> Swee
         )
 
 
+def gamma_grid(gamma_min: float, gamma_max: float, step: float) -> list[float]:
+    """gamma_min + i*step for i = 0, 1, ... up to gamma_max (within 1e-12
+    relative), each rounded to 12 decimals."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    stop = gamma_max + 1e-12 * max(1.0, abs(gamma_max))
+    count = int((stop - gamma_min) // step) + 2
+    points = (gamma_min + i * step for i in range(count))
+    return [round(g, 12) for g in points if g <= stop]
+
+
 def gamma_sweep(
     kind: str,
     gamma_min: float,
@@ -159,28 +169,22 @@ def gamma_sweep(
     step: float,
     m: int | None = None,
     casimir_subset=(1,),
-    max_workers: int = 8,
 ) -> SweepTable:
-    """Certificate verdict at each grid point of the center circulation.
+    """Certificate verdict at each point of :func:`gamma_grid` for the center
+    circulation.
 
     Excluded parameter values (gamma = 0) are skipped and recorded aside;
     other per-point failures appear inline as rows with verdict ``error``.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     gammas = []
     skipped = []
-    g = gamma_min
-    while g <= gamma_max + 1e-12 * max(1.0, abs(gamma_max)):
-        gamma = round(g, 12)
+    for gamma in gamma_grid(gamma_min, gamma_max, step):
         try:
             build_scenario(kind, gamma=gamma, m=m)
             gammas.append(gamma)
         except ExcludedParameter as exc:
             skipped.append({"gamma": gamma, "note": str(exc)})
-        g += step
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        rows = list(pool.map(lambda g: _sweep_point(kind, g, m, casimir_subset), gammas))
+    rows = [_sweep_point(kind, g, m, casimir_subset) for g in gammas]
     return SweepTable(kind=kind, rows=rows, skipped=skipped)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -26,14 +27,14 @@ from .algebra import (
     build_coupling_matrix,
     coordinate_basis,
     flatten,
-    pair_indices,
-    unflatten,
+    flatten_stack,
 )
 from .constraints import (
     casimir_gradient,
     casimir_hessian,
     constraint_system,
     in_open_set,
+    numerical_rank,
 )
 from .dynamics import lie_poisson_vector_field
 from .errors import (
@@ -44,12 +45,12 @@ from .errors import (
     NotInOpenSet,
     RankDeficiency,
 )
-from .hamiltonian import FOUR_PI, gradient_matrix, reduced_system
+from .hamiltonian import FOUR_PI, gradient_entries, gradient_matrix, reduced_system
 
 FP_TOL = 1e-9
 SPEC_TOL = 1e-8
 MULTIPLIER_TOL = 1e-8
-RANK_THRESHOLD = 1e-8
+DEPENDENCE_TOL = 1e-8
 RANDOM_RETRIES = 8
 
 
@@ -69,9 +70,9 @@ def is_fixed_point(mu0: MuMatrix, circ: Circulations, tol: float = FP_TOL) -> Fi
 def linearize(mu0: MuMatrix, circ: Circulations) -> np.ndarray:
     """Jacobian of the flattened reduced vector field at mu0, exact.
 
-    Differentiates X_h = -mu G K^-1 + K^-1 G mu through the closed-form
-    Hessian of h; emits a warning (and still returns the matrix) when mu0 is
-    not a fixed point.
+    Differentiates X_h = -mu G K^-1 + K^-1 G mu, G = dh/dmu, through the
+    closed-form Hessian of h, in all n^2 coordinate directions at once; emits
+    a warning (and still returns the matrix) when mu0 is not a fixed point.
     """
     check = is_fixed_point(mu0, circ)
     if not check.ok:
@@ -85,15 +86,11 @@ def linearize(mu0: MuMatrix, circ: Circulations) -> np.ndarray:
     kinv = build_coupling_matrix(circ).k_inv
     m = mu0.entries
     g = gradient_matrix(sys.gradient(u0), n).entries
-    hess = sys.hessian(u0)
-    basis = coordinate_basis(n)
-    a = np.empty((n * n, n * n))
-    for col in range(n * n):
-        nu = 1j * basis[col]
-        p = gradient_matrix(hess[:, col], n).entries
-        deriv = -nu @ g @ kinv - m @ p @ kinv + kinv @ p @ m + kinv @ g @ nu
-        a[:, col] = flatten(MuMatrix(deriv))
-    return a
+    # direction c moves mu by nu_c = i E_c and G by p_c, from column c of the Hessian
+    nu = 1j * coordinate_basis(n)
+    p = gradient_entries(sys.hessian(u0).T, n)
+    deriv = -nu @ g @ kinv - m @ p @ kinv + kinv @ p @ m + kinv @ g @ nu
+    return np.ascontiguousarray(flatten_stack(deriv).T)
 
 
 def spectrum(a: np.ndarray) -> np.ndarray:
@@ -109,17 +106,102 @@ def spectrum(a: np.ndarray) -> np.ndarray:
     return ev[order]
 
 
-def _stacked_gradients(
-    mu0: MuMatrix, circ: Circulations, casimir_subset: Sequence[int]
-) -> np.ndarray:
-    """Rows: Casimir gradients of the subset, then all constraint gradients."""
-    k = build_coupling_matrix(circ)
-    u0 = flatten(mu0)
-    rows = [casimir_gradient(mu0, k, j) for j in casimir_subset]
-    jac = constraint_system(circ.n).jacobian(u0)
-    if jac.size:
-        rows.extend(jac)
-    return np.asarray(rows)
+class LocalModel:
+    """The linear algebra of the certificate at one fixed point and Casimir subset.
+
+    Rows of ``stack`` are the differentials of the chosen Casimirs, then those
+    of all constraint components.  One SVD of the stack gives its rank, the
+    tangent basis, the minimal-norm multipliers and their null space.  One
+    SVD of the constraint rows alone gives the row space onto which each
+    Casimir differential is projected to test its dependence.  The restricted
+    Hessian contracts the constraint linear forms, projected once per basis.
+    """
+
+    def __init__(self, mu0: MuMatrix, circ: Circulations, casimir_subset: tuple[int, ...]):
+        n = circ.n
+        self.mu0, self.circ, self.casimir_subset = mu0, circ, casimir_subset
+        self.u0 = flatten(mu0)
+        self.coupling = build_coupling_matrix(circ)
+        casimir_rows = [casimir_gradient(mu0, self.coupling, j) for j in casimir_subset]
+        jac = constraint_system(n).jacobian(self.u0)
+        self.stack = np.reshape([*casimir_rows, *jac], (-1, n * n))
+        self.energy_gradient = FOUR_PI * reduced_system(circ).gradient(self.u0)
+        u, sv, vt = np.linalg.svd(self.stack, full_matrices=True)
+        self.rank = numerical_rank(sv)
+        self.basis = vt[self.rank :]
+        self.nullity = self.stack.shape[0] - self.rank
+        # rows spanning the multipliers w with stack^T w = 0
+        self.multiplier_null = u[:, self.rank :].T
+        # minimal-norm solution of stack^T w = -energy_gradient, i.e. a0 = +1
+        r = self.rank
+        self.unit_multipliers = -u[:, :r] @ ((vt[:r] @ self.energy_gradient) / sv[:r])
+        for a in (self.stack, self.basis, self.multiplier_null, self.unit_multipliers):
+            a.setflags(write=False)
+        self._projections: dict[bytes, tuple] = {}
+
+    def multipliers(self, a0: float, w: np.ndarray) -> MultiplierSet:
+        """The coefficients (a0, w) with a fresh evaluation of ||Df(mu0)||_inf."""
+        k, n = len(self.casimir_subset), self.circ.n
+        rest = w[k:]
+        return MultiplierSet(
+            a0=a0,
+            a=tuple(w[:k]),
+            b=tuple(rest[: n - 1]),
+            c=tuple(rest[n - 1 :: 2]),
+            d=tuple(rest[n::2]),
+            residual=float(np.abs(a0 * self.energy_gradient + self.stack.T @ w).max()),
+            solution_space_dim=self.nullity,
+        )
+
+    @cached_property
+    def dependent_casimirs(self) -> tuple[int, ...]:
+        """The Casimirs C_1..C_n whose differential lies in the constraint row space."""
+        grads = np.array(
+            [casimir_gradient(self.mu0, self.coupling, j) for j in range(1, self.circ.n + 1)]
+        )
+        resid = grads
+        jac = self.stack[len(self.casimir_subset) :]
+        if jac.size:
+            _, sv, vt = np.linalg.svd(jac, full_matrices=False)
+            rows = vt[: numerical_rank(sv)]
+            resid = grads - (grads @ rows.T) @ rows
+        tol = DEPENDENCE_TOL * np.maximum(1.0, np.linalg.norm(grads, axis=1))
+        return tuple(int(j) + 1 for j in np.flatnonzero(np.linalg.norm(resid, axis=1) <= tol))
+
+    def _projection(self, basis: np.ndarray) -> tuple:
+        """Energy Hessian and constraint linear forms projected onto a basis."""
+        key = basis.tobytes()
+        if key not in self._projections:
+            hess = FOUR_PI * reduced_system(self.circ).hessian(self.u0)
+            forms = constraint_system(self.circ.n).hessians()
+            self._projections[key] = (basis @ hess @ basis.T, [c @ basis.T for c in forms])
+        return self._projections[key]
+
+    def restricted_hessian(self, mult: MultiplierSet, basis: np.ndarray) -> np.ndarray:
+        """basis H_f basis^T, with the constraint part as a weighted sum of
+        rank-one products of the projected linear forms."""
+        energy, (p1, p2, p3, p4) = self._projection(basis)
+        h = mult.a0 * energy
+        for a_i, j in zip(mult.a, self.casimir_subset):
+            if a_i != 0.0 and j > 1:
+                h = h + a_i * (basis @ casimir_hessian(self.mu0, self.coupling, j) @ basis.T)
+        # c Re R + d Im R = Re((c - i d) R)
+        w = np.concatenate([mult.b, np.asarray(mult.c) - 1j * np.asarray(mult.d)])
+        s = (p1.T * w) @ p2 - (p3.T * w) @ p4
+        return h + (s + s.T).real
+
+
+@lru_cache(maxsize=4)
+def _cached_model(entries: bytes, circ: Circulations, subset: tuple[int, ...]) -> LocalModel:
+    mu0 = MuMatrix(np.frombuffer(entries, dtype=complex).reshape(circ.n, circ.n))
+    return LocalModel(mu0, circ, subset)
+
+
+def local_model(
+    mu0: MuMatrix, circ: Circulations, casimir_subset: Sequence[int] = (1,)
+) -> LocalModel:
+    """The local model at mu0, memoised on the content of its arguments."""
+    return _cached_model(mu0.entries.tobytes(), circ, tuple(casimir_subset))
 
 
 @dataclass(frozen=True)
@@ -143,28 +225,13 @@ def independence_check(
     """
     if not in_open_set(mu0):
         raise NotInOpenSet("mu0 has a vanishing entry")
-    stack = _stacked_gradients(mu0, circ, casimir_subset)
-    sv = np.linalg.svd(stack, compute_uv=False)
-    rank = int(np.sum(sv > RANK_THRESHOLD * sv[0]))
-    expected = len(casimir_subset) + (circ.n - 1) ** 2
-
-    k = build_coupling_matrix(circ)
-    jac = constraint_system(circ.n).jacobian(flatten(mu0))
-    dependent = []
-    for j in range(1, circ.n + 1):
-        grad = casimir_gradient(mu0, k, j)
-        if jac.size:
-            coeffs, *_ = np.linalg.lstsq(jac.T, grad, rcond=None)
-            resid = np.linalg.norm(jac.T @ coeffs - grad)
-        else:
-            resid = np.linalg.norm(grad)
-        if resid <= 1e-8 * max(1.0, np.linalg.norm(grad)):
-            dependent.append(j)
+    model = local_model(mu0, circ, casimir_subset)
+    expected = model.stack.shape[0]
     return IndependenceResult(
-        independent=rank == expected,
-        rank=rank,
+        independent=model.rank == expected,
+        rank=model.rank,
         expected=expected,
-        dependent_casimirs=tuple(dependent),
+        dependent_casimirs=model.dependent_casimirs,
     )
 
 
@@ -183,41 +250,8 @@ class MultiplierSet:
     @property
     def constraint_coefficients(self) -> np.ndarray:
         """Coefficients in constraint-component order (b's, then c/d pairs)."""
-        out = list(self.b)
-        for cc, dd in zip(self.c, self.d):
-            out.extend((cc, dd))
-        return np.asarray(out)
-
-
-def _split_multipliers(
-    w: np.ndarray, a0: float, n: int, n_casimirs: int, residual: float, nullity: int
-) -> MultiplierSet:
-    a = tuple(w[:n_casimirs])
-    rest = w[n_casimirs:]
-    b = tuple(rest[: n - 1])
-    c, d = [], []
-    for p in range(len(pair_indices(n - 1))):
-        c.append(rest[n - 1 + 2 * p])
-        d.append(rest[n - 1 + 2 * p + 1])
-    return MultiplierSet(
-        a0=a0,
-        a=a,
-        b=b,
-        c=tuple(c),
-        d=tuple(d),
-        residual=residual,
-        solution_space_dim=nullity,
-    )
-
-
-def _df_norm(
-    mu0: MuMatrix, circ: Circulations, casimir_subset: Sequence[int], a0: float, w: np.ndarray
-) -> float:
-    """Fresh evaluation of ||Df(mu0)||_inf for the given coefficients."""
-    u0 = flatten(mu0)
-    df = a0 * FOUR_PI * reduced_system(circ).gradient(u0)
-    df = df + _stacked_gradients(mu0, circ, casimir_subset).T @ w
-    return float(np.abs(df).max())
+        pairs = np.column_stack([self.c, self.d]).ravel()
+        return np.concatenate([self.b, pairs])
 
 
 def solve_multiplier_system(
@@ -234,51 +268,24 @@ def solve_multiplier_system(
     if a0 == 0.0:
         raise ValueError("a0 must be nonzero")
     a0 = float(np.sign(a0))
-    u0 = flatten(mu0)
-    cols = _stacked_gradients(mu0, circ, casimir_subset).T
-    rhs = -a0 * FOUR_PI * reduced_system(circ).gradient(u0)
-    w, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
-    sv = np.linalg.svd(cols, compute_uv=False)
-    rank = int(np.sum(sv > RANK_THRESHOLD * sv[0])) if sv.size else 0
-    nullity = cols.shape[1] - rank
-    residual = _df_norm(mu0, circ, casimir_subset, a0, w)
-    if residual > MULTIPLIER_TOL:
-        raise Infeasible(f"no critical point for a0={a0:+.0f}: residual {residual:.3e}")
-    return _split_multipliers(w, a0, circ.n, len(casimir_subset), residual, nullity)
+    model = local_model(mu0, circ, casimir_subset)
+    mult = model.multipliers(a0, a0 * model.unit_multipliers)
+    if mult.residual > MULTIPLIER_TOL:
+        raise Infeasible(f"no critical point for a0={a0:+.0f}: residual {mult.residual:.3e}")
+    return mult
 
 
 def tangent_basis(
     mu0: MuMatrix, circ: Circulations, casimir_subset: Sequence[int] = (1,)
 ) -> np.ndarray:
     """Orthonormal basis (rows) of the tangent space of the joint level set."""
-    stack = _stacked_gradients(mu0, circ, casimir_subset)
-    n = circ.n
-    expected = n * n - (n - 1) ** 2 - len(casimir_subset)
-    _, sv, vt = np.linalg.svd(stack, full_matrices=True)
-    rank = int(np.sum(sv > RANK_THRESHOLD * sv[0]))
-    basis = vt[rank:]
+    basis = local_model(mu0, circ, casimir_subset).basis
+    expected = circ.n**2 - (circ.n - 1) ** 2 - len(casimir_subset)
     if basis.shape[0] != expected:
         raise RankDeficiency(
             f"nullity {basis.shape[0]}, expected {expected} (gradients not independent)"
         )
     return basis
-
-
-def certificate_hessian(
-    mu0: MuMatrix, circ: Circulations, casimir_subset: Sequence[int], mult: MultiplierSet
-) -> np.ndarray:
-    """Full Hessian of f at mu0 in flattened coordinates."""
-    u0 = flatten(mu0)
-    k = build_coupling_matrix(circ)
-    h = mult.a0 * FOUR_PI * reduced_system(circ).hessian(u0)
-    for a_i, j in zip(mult.a, casimir_subset):
-        if a_i != 0.0 and j > 1:
-            h = h + a_i * casimir_hessian(mu0, k, j)
-    chess = constraint_system(circ.n).hessians()
-    for coeff, hc in zip(mult.constraint_coefficients, chess):
-        if coeff != 0.0:
-            h = h + coeff * hc
-    return h
 
 
 def restricted_hessian(
@@ -290,8 +297,7 @@ def restricted_hessian(
 ) -> np.ndarray:
     """Project the certificate Hessian onto a tangent basis (rows)."""
     basis = np.asarray(basis, dtype=float)
-    h = certificate_hessian(mu0, circ, casimir_subset, mult)
-    restricted = basis @ h @ basis.T
+    restricted = local_model(mu0, circ, casimir_subset).restricted_hessian(mult, basis)
     scale = max(1.0, np.abs(restricted).max(initial=0.0))
     asym = np.abs(restricted - restricted.T).max(initial=0.0)
     if asym > 1e-10 * scale:
@@ -375,7 +381,7 @@ def energy_casimir_certificate(
 
     reasons = []
     rng = np.random.default_rng(rng_seed)
-    stack_t = _stacked_gradients(mu0, circ, casimir_subset).T
+    model = local_model(mu0, circ, casimir_subset)
     for a0 in (1.0, -1.0):
         try:
             mult = solve_multiplier_system(mu0, circ, casimir_subset, a0)
@@ -384,18 +390,10 @@ def energy_casimir_certificate(
             continue
         candidates = [mult]
         if mult.solution_space_dim > 0:
-            _, sv, vt = np.linalg.svd(stack_t.T, full_matrices=True)
-            rank = int(np.sum(sv > RANK_THRESHOLD * sv[0]))
-            null = vt[rank:]
             base = np.concatenate([mult.a, mult.constraint_coefficients])
             for _ in range(RANDOM_RETRIES):
-                w = base + null.T @ rng.standard_normal(null.shape[0])
-                residual = _df_norm(mu0, circ, casimir_subset, a0, w)
-                candidates.append(
-                    _split_multipliers(
-                        w, a0, circ.n, len(casimir_subset), residual, mult.solution_space_dim
-                    )
-                )
+                w = base + model.multiplier_null.T @ rng.standard_normal(model.nullity)
+                candidates.append(model.multipliers(a0, w))
         for cand in candidates:
             rh = restricted_hessian(mu0, circ, cand, basis, casimir_subset)
             syl = sylvester_verdict(rh)

@@ -10,10 +10,12 @@ from vortexstab.algebra import (
     build_coupling_matrix,
     coordinate_basis,
     flatten,
+    flatten_stack,
     lie_bracket,
     pair_indices,
     pairing,
     unflatten,
+    unflatten_stack,
 )
 def random_skew_hermitian(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -93,6 +95,16 @@ class TestFlatten:
         mu = unflatten(np.arange(1.0, 10.0), 3)
         u = flatten(mu)
         np.testing.assert_array_equal(u, np.arange(1.0, 10.0))
+
+    def test_stacked_helpers_match_single_matrices(self):
+        rng = np.random.default_rng(4)
+        n = 4
+        v = rng.standard_normal((3, 2, n * n))
+        e = unflatten_stack(v, n)
+        assert e.shape == (3, 2, n, n)
+        for idx in np.ndindex(3, 2):
+            np.testing.assert_array_equal(e[idx], unflatten(v[idx], n).entries)
+        np.testing.assert_array_equal(flatten_stack(e), v)
 
     def test_pair_ordering_row_major(self):
         assert pair_indices(3) == ((0, 1), (0, 2), (1, 2))

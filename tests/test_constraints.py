@@ -159,9 +159,16 @@ class TestConstraints:
         # every component is quadratic, so its Hessian is state-independent
         rng = np.random.default_rng(12)
         sys = constraint_system(3)
-        h = sys.hessians()
+        c1, c2, c3, c4 = sys.hessians()
         u, v = rng.standard_normal(9), rng.standard_normal(9)
-        for comp, hc in enumerate(h):
+        # u^T H v of each complex component from its factored Hessian
+        bilinear = (
+            (c1 @ u) * (c2 @ v) + (c2 @ u) * (c1 @ v) - (c3 @ u) * (c4 @ v) - (c4 @ u) * (c3 @ v)
+        )
+        # real components: R_1, R_2 (real parts), then Re R_12 and Im R_12
+        expected = [bilinear[0].real, bilinear[1].real, bilinear[2].real, bilinear[2].imag]
+        assert len(expected) == sys.size
+        for comp, uhv in enumerate(expected):
             # quadratic identity: r(u+v) - r(u) - r(v) + r(0) = u^T Hc v
             lhs = (
                 sys.values(u + v)[comp]
@@ -169,7 +176,7 @@ class TestConstraints:
                 - sys.values(v)[comp]
                 + sys.values(np.zeros(9))[comp]
             )
-            assert lhs == pytest.approx(u @ hc @ v, rel=1e-10, abs=1e-12)
+            assert lhs == pytest.approx(uhv, rel=1e-10, abs=1e-12)
 
     def test_submersion_at_random_rank_one_points(self):
         rng = np.random.default_rng(13)

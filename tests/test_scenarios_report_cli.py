@@ -11,6 +11,7 @@ from vortexstab.errors import ExcludedParameter, NotAFixedPoint, UnsupportedScen
 from vortexstab.report import (
     SWEEP_CSV_HEADER,
     analyze,
+    gamma_grid,
     gamma_sweep,
     report_from_json,
     report_to_json,
@@ -112,6 +113,13 @@ class TestReport:
         assert lines[0].split(",") == SWEEP_CSV_HEADER
         assert len(lines) == 1 + len(table.rows)
 
+    def test_sweep_grid_is_indexed_not_accumulated(self):
+        grid = gamma_grid(0, 100, 0.01)
+        assert len(grid) == 10001
+        assert grid[2111] == 21.11
+        assert grid[-1] == 100.0
+        assert gamma_grid(1.0, 0.0, 0.5) == []
+
     def test_empty_sweep_header_only(self):
         table = gamma_sweep("triangle-with-center", 0.0, 0.0, 1.0)
         assert list(table.rows) == []
@@ -157,6 +165,38 @@ class TestCli:
             )
         )
         assert main(["analyze", "--scenario", "custom", "--config", str(cfg)]) == 2
+
+    def test_readme_custom_config_certified(self, tmp_path, capsys):
+        # the custom config shown in README.md
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            '{"positions": [[1.0, 0.0], [-0.5, 0.8660254037844386], '
+            '[-0.5, -0.8660254037844386]],\n "circulations": [1.0, 1.0, 1.0]}'
+        )
+        assert main(["analyze", "--scenario", "custom", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "certified-stable"
+
+    def test_large_circulations_exit_documented_code(self, tmp_path, capsys):
+        # square-with-center gamma = 1 with every circulation x1e4: the reduced
+        # field must stay skew-Hermitian at this scale
+        scen = build_scenario("square-with-center", gamma=1.0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "positions": [[p.real, p.imag] for p in scen.positions],
+                    "circulations": [1e4 * g for g in scen.circ.gammas],
+                }
+            )
+        )
+        code = main(["analyze", "--scenario", "custom", "--config", str(cfg)])
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert json.loads(capsys.readouterr().out)["verdict"] in (
+                "certified-stable",
+                "linearly-unstable",
+                "inconclusive",
+            )
 
     def test_missing_config_exit_2(self):
         assert main(["analyze", "--scenario", "custom", "--config", "/no/such.json"]) == 2

@@ -3,10 +3,20 @@ import warnings
 import numpy as np
 import pytest
 
-from vortexstab.algebra import Circulations, MuMatrix, flatten, unflatten
+from vortexstab.algebra import (
+    Circulations,
+    MuMatrix,
+    build_coupling_matrix,
+    coordinate_basis,
+    flatten,
+    pair_indices,
+    unflatten,
+)
+from vortexstab.constraints import casimir_gradient, casimir_hessian, constraint_jacobian
 from vortexstab.dynamics import integrate, moment_map, relative_coordinates
 from vortexstab.errors import NotAFixedPoint, NotAFixedPointWarning, NotInOpenSet
-from vortexstab.hamiltonian import VortexConfiguration
+from vortexstab.hamiltonian import FOUR_PI, VortexConfiguration, reduced_system
+from vortexstab.report import analyze
 from vortexstab.scenarios import build_scenario, scenario_fixed_point
 from vortexstab.stability import (
     Verdict,
@@ -14,6 +24,7 @@ from vortexstab.stability import (
     independence_check,
     is_fixed_point,
     linearize,
+    local_model,
     restricted_hessian,
     solve_multiplier_system,
     spectrum,
@@ -153,12 +164,12 @@ class TestMultipliersAndBasis:
                 assert m.a0 == a0
 
     def test_tangent_basis_annihilated_and_orthonormal(self):
-        from vortexstab.stability import _stacked_gradients
+        from vortexstab.stability import local_model
 
         mu0, circ = center_fixed_point("square-with-center", 1.0)
         basis = tangent_basis(mu0, circ, (1,))
         assert basis.shape == (6, 16)
-        stack = _stacked_gradients(mu0, circ, (1,))
+        stack = local_model(mu0, circ, (1,)).stack
         assert np.abs(stack @ basis.T).max() < 1e-10
         np.testing.assert_allclose(basis @ basis.T, np.eye(6), atol=1e-12)
 
@@ -260,6 +271,88 @@ class TestCertificate:
             s2 = g[0] * g[1] + g[0] * g[2] + g[1] * g[2]
             res = energy_casimir_certificate(EQUILATERAL3_MU0, circ)
             assert res.verdict is verdict, (gammas, s2, res.reason)
+
+
+def dense_constraint_hessians(n):
+    """Hessian of each real constraint component, assembled densely from outer
+    products of the linear forms of the entries of M = -i mu."""
+    ell = np.einsum("mab->abm", coordinate_basis(n))
+
+    def quadratic(i, j):
+        c1, c2, c3, c4 = ell[i, j], ell[i + 1, j + 1], ell[i, j + 1], ell[i + 1, j]
+        return np.outer(c1, c2) + np.outer(c2, c1) - np.outer(c3, c4) - np.outer(c4, c3)
+
+    out = [quadratic(i, i).real for i in range(n - 1)]
+    for i, j in pair_indices(n - 1):
+        h = quadratic(i, j)
+        out += [h.real, h.imag]
+    return out
+
+
+# n = 2..5, both circulation regimes
+LOCAL_MODEL_CASES = [
+    ("equilateral3", None, None),
+    ("triangle-with-center", -3.0, None),
+    ("triangle-with-center", 0.5, None),
+    ("square-with-center", -4.0, None),
+    ("square-with-center", 1.0, None),
+    ("polygon-with-center", 1.0, 5),
+]
+
+
+class TestLocalModel:
+    @pytest.mark.parametrize("kind,gamma,m", LOCAL_MODEL_CASES)
+    @pytest.mark.parametrize("subset", [(1,), (1, 2, 3)])
+    def test_factored_restricted_hessian_matches_dense(self, kind, gamma, m, subset):
+        scen = build_scenario(kind, gamma=gamma, m=m)
+        mu0, circ = scenario_fixed_point(scen), scen.circ
+        n = circ.n
+        u0 = flatten(mu0)
+        k = build_coupling_matrix(circ)
+        stack = np.vstack(
+            [[casimir_gradient(mu0, k, j) for j in subset], constraint_jacobian(mu0)]
+        )
+        basis = tangent_basis(mu0, circ, (1,))
+        rng = np.random.default_rng(n)
+        bases = [basis, rng.standard_normal(basis.shape)]
+        for a0 in (1.0, -1.0):
+            mult = solve_multiplier_system(mu0, circ, subset, a0)
+            w = np.concatenate([mult.a, mult.constraint_coefficients])
+            rhs = -a0 * FOUR_PI * reduced_system(circ).gradient(u0)
+            expected_w, *_ = np.linalg.lstsq(stack.T, rhs, rcond=None)
+            assert np.abs(w - expected_w).max() <= 1e-12 * np.abs(expected_w).max()
+
+            h_dense = a0 * FOUR_PI * reduced_system(circ).hessian(u0)
+            for a_j, j in zip(mult.a, subset):
+                h_dense = h_dense + a_j * casimir_hessian(mu0, k, j)
+            for coeff, h in zip(mult.constraint_coefficients, dense_constraint_hessians(n)):
+                h_dense = h_dense + coeff * h
+            for b in bases:
+                expected = b @ h_dense @ b.T
+                expected = 0.5 * (expected + expected.T)
+                got = restricted_hessian(mu0, circ, mult, b, subset)
+                assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_views_share_one_model(self):
+        mu0, circ = center_fixed_point("square-with-center", 1.0)
+        model = local_model(mu0, circ, (1,))
+        # an equal fixed point built apart gets the same model: the memo is on content
+        assert local_model(unflatten(flatten(mu0), circ.n), circ, [1]) is model
+        assert tangent_basis(mu0, circ, (1,)) is model.basis
+        assert independence_check(mu0, circ, (1,)).rank == model.rank
+
+    def test_large_certificate_memory(self):
+        import tracemalloc
+
+        scen = build_scenario("polygon-with-center", gamma=20.0, m=20)
+        tracemalloc.start()
+        try:
+            rep = analyze(scen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.verdict == "certified-stable"
+        assert peak < 100 * 2**20
 
 
 class TestDynamicalCorroboration:
