@@ -195,8 +195,10 @@ def lie_bracket(xi: MuMatrix, eta: MuMatrix, k: CouplingMatrix) -> MuMatrix:
     return MuMatrix(a - a.conj().T)
 
 
+@lru_cache(maxsize=None)
 def build_coupling_matrix(circ: Circulations) -> CouplingMatrix:
-    """Coupling matrix of the circulation set, regime-dependent.
+    """Coupling matrix of the circulation set, regime-dependent, built once
+    per circulation set (its arrays are read-only).
 
     Nonzero total circulation Gamma:  n = N-1 and
         K_ii = -G_i (Gamma - G_i) / Gamma,   K_ij = G_i G_j / Gamma.

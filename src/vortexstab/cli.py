@@ -61,7 +61,6 @@ def _cmd_analyze(args) -> int:
     report = analyze(
         scenario,
         casimir_subset=_parse_casimirs(args.casimirs),
-        rng_seed=args.seed,
         with_drift=args.drift,
     )
     text = report_to_json(report)
@@ -145,7 +144,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="analyze one scenario and emit a JSON report")
     add_scenario_args(p)
     p.add_argument("--casimirs", default="1", help="comma-separated Casimir indices")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--drift", action="store_true", help="include an invariant drift summary")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_analyze)

@@ -39,26 +39,23 @@ def numerical_rank(sv: np.ndarray) -> int:
 
 def casimir(mu: MuMatrix, k: CouplingMatrix, j: int) -> float:
     """C_j(mu) = tr((i K mu)^j), a conserved quantity of the reduced flow."""
-    if mu.n != k.n:
-        raise DimensionMismatch("mu and coupling matrix differ in size")
-    if j < 1:
-        raise ValueError("Casimir index must be >= 1")
-    b = 1j * k.k @ mu.entries
-    t = np.trace(np.linalg.matrix_power(b, j))
-    return float(t.real)
+    return float(casimir_values(mu, k, (j,))[0])
 
 
 def casimir_values(mu: MuMatrix, k: CouplingMatrix, js: Iterable[int]) -> np.ndarray:
-    b = 1j * k.k @ mu.entries
-    out = []
-    p = np.eye(mu.n, dtype=complex)
+    """C_j(mu) for each j in js, from one running product of powers of i K mu."""
+    if mu.n != k.n:
+        raise DimensionMismatch("mu and coupling matrix differ in size")
     js = list(js)
-    top = max(js)
-    traces = {}
-    for j in range(1, top + 1):
+    if not js or min(js) < 1:
+        raise ValueError(f"Casimir indices must be >= 1, got {js}")
+    b = 1j * k.k @ mu.entries
+    p = np.eye(mu.n, dtype=complex)
+    traces = []
+    for _ in range(max(js)):
         p = p @ b
-        traces[j] = float(np.trace(p).real)
-    return np.asarray([traces[j] for j in js])
+        traces.append(float(np.trace(p).real))
+    return np.asarray([traces[j - 1] for j in js])
 
 
 def casimir_gradient(mu: MuMatrix, k: CouplingMatrix, j: int) -> np.ndarray:

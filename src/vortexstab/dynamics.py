@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,16 +40,22 @@ class RelativeCoordinates:
         return np.asarray(self.z, dtype=complex)
 
 
-def full_vector_field(cfg: VortexConfiguration) -> np.ndarray:
-    """Right-hand side of the point-vortex ODE, dq_i/dt."""
-    q = cfg.as_array()
-    g = cfg.circ.as_array()
+def _velocities(q: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """dq_i/dt = (i/2pi) sum_j G_j (q_i - q_j) / |q_i - q_j|^2, raising
+    Collision when two vortices are within COLLISION_TOL."""
     diff = q[:, None] - q[None, :]
     d2 = np.abs(diff) ** 2
     np.fill_diagonal(d2, 1.0)
+    if d2.min() <= COLLISION_TOL**2:
+        raise Collision(f"minimum vortex separation {np.sqrt(d2.min()):.3e}")
     kernel = diff / d2
     np.fill_diagonal(kernel, 0.0)
     return (1j / (2.0 * np.pi)) * (kernel @ g)
+
+
+def full_vector_field(cfg: VortexConfiguration) -> np.ndarray:
+    """Right-hand side of the point-vortex ODE, dq_i/dt."""
+    return _velocities(cfg.as_array(), cfg.circ.as_array())
 
 
 def relative_coordinates(cfg: VortexConfiguration) -> RelativeCoordinates:
@@ -120,31 +126,6 @@ def _reduced_rhs(circ: Circulations):
     return rhs
 
 
-def _full_rhs(circ: Circulations):
-    g = circ.as_array()
-    scale = 1j / (2.0 * np.pi)
-
-    def rhs(q: np.ndarray) -> np.ndarray:
-        diff = q[:, None] - q[None, :]
-        d2 = np.abs(diff) ** 2
-        np.fill_diagonal(d2, 1.0)
-        if d2.min() <= COLLISION_TOL**2:
-            raise Collision("vortex collision during integration")
-        kernel = diff / d2
-        np.fill_diagonal(kernel, 0.0)
-        return scale * (kernel @ g)
-
-    return rhs
-
-
-def _full_hamiltonian_value(q: np.ndarray, g: np.ndarray) -> float:
-    diff = np.abs(q[:, None] - q[None, :])
-    np.fill_diagonal(diff, 1.0)
-    logs = np.log(diff**2)
-    w = np.outer(g, g)
-    return float(-np.sum(np.triu(w * logs, k=1)) / (4.0 * np.pi))
-
-
 def integrate(
     initial: np.ndarray | VortexConfiguration,
     circ: Circulations,
@@ -166,8 +147,6 @@ def integrate(
     n = circ.n
     k = build_coupling_matrix(circ)
     csys = constraint_system(n)
-    sys = reduced_system(circ)
-    g = circ.as_array()
 
     if which is Which.REDUCED:
         if isinstance(initial, VortexConfiguration):
@@ -177,6 +156,7 @@ def integrate(
             if state.shape != (n * n,):
                 raise DimensionMismatch("reduced state must have length n**2")
         rhs = _reduced_rhs(circ)
+        sys = reduced_system(circ)
 
         def observe(u):
             mu = unflatten(u, n)
@@ -189,14 +169,17 @@ def integrate(
             state = initial.as_array().copy()
         else:
             state = np.asarray(initial, dtype=complex).copy()
-        rhs = _full_rhs(circ)
+        g = circ.as_array()
+
+        def rhs(q):
+            return _velocities(q, g)
 
         def observe(q):
-            zq = relative_coordinates(VortexConfiguration(tuple(q), circ))
-            mu = moment_map(zq)
+            cfg = VortexConfiguration(tuple(q), circ)
+            mu = moment_map(relative_coordinates(cfg))
             res = csys.values(flatten(mu))
             cas = casimir_values(mu, k, range(1, n + 1))
-            return _full_hamiltonian_value(q, g), cas, float(np.abs(res).max(initial=0.0))
+            return full_hamiltonian(cfg), cas, float(np.abs(res).max(initial=0.0))
 
     steps = int(round(t_end / dt))
     times = [0.0]

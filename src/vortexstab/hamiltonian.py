@@ -48,15 +48,21 @@ class VortexConfiguration:
         return np.asarray(self.positions, dtype=complex)
 
 
+@lru_cache(maxsize=None)
+def _upper_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle, built once per size."""
+    rows, cols = np.triu_indices(size, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def full_hamiltonian(cfg: VortexConfiguration) -> float:
     """H(q) = -(1/4pi) sum_{i<j} G_i G_j ln|q_i - q_j|^2."""
     q = cfg.as_array()
     g = cfg.circ.as_array()
-    total = 0.0
-    for i in range(len(q)):
-        for j in range(i + 1, len(q)):
-            total += g[i] * g[j] * np.log(abs(q[i] - q[j]) ** 2)
-    return float(-total / FOUR_PI)
+    i, j = _upper_pairs(len(q))
+    return float(-((g[i] * g[j]) @ np.log(np.abs(q[i] - q[j]) ** 2)) / FOUR_PI)
 
 
 class ReducedHamiltonian:
@@ -109,18 +115,13 @@ def _log_terms(circ: Circulations) -> tuple[np.ndarray, np.ndarray]:
         forms.append(c)
         weights.append(w)
 
-    if circ.regime is Regime.NON_ZERO_TOTAL:
-        # pairs (i, N): |z_i|^2 = mu_i
-        for i in range(n):
-            c = np.zeros(n * n)
-            c[i] = 1.0
-            add(g[i] * g[n], c)
-    else:
-        # pairs (i, N-1): reference vortex is N-1, |z_i|^2 = mu_i
-        for i in range(n):
-            c = np.zeros(n * n)
-            c[i] = 1.0
-            add(g[i] * g[n], c)
+    # pairs (i, ref) with the reference vortex ref = n + 1 (N, or N-1 when the
+    # total circulation vanishes): |z_i|^2 = mu_i
+    for i in range(n):
+        c = np.zeros(n * n)
+        c[i] = 1.0
+        add(g[i] * g[n], c)
+    if circ.regime is Regime.ZERO_TOTAL:
         gN = g[n + 1]
         # pairs (i, N): q_N recovered from zero linear impulse,
         # |z_i - w|^2 with w = -(1/G_N) sum_j G_j z_j

@@ -32,7 +32,6 @@ class AnalysisReport:
     free_parameter: float | None
     regime: str
     casimir_subset: list[int]
-    rng_seed: int
     fixed_point: list[float]
     fixed_point_residual: float
     spectrum: list[list[float]]
@@ -48,7 +47,6 @@ class AnalysisReport:
 def analyze(
     scenario: Scenario,
     casimir_subset=(1,),
-    rng_seed: int = 0,
     with_drift: bool = False,
     drift_t_end: float = 5.0,
     drift_dt: float = 1e-3,
@@ -62,7 +60,7 @@ def analyze(
             f"scenario {scenario.name} is not a relative equilibrium "
             f"(residual {check.residual:.3e})"
         )
-    res = energy_casimir_certificate(mu0, circ, casimir_subset, rng_seed=rng_seed)
+    res = energy_casimir_certificate(mu0, circ, casimir_subset)
     mult = None
     if res.multipliers is not None:
         mult = {
@@ -92,7 +90,6 @@ def analyze(
         free_parameter=scenario.free_parameter,
         regime=circ.regime.name,
         casimir_subset=list(casimir_subset),
-        rng_seed=rng_seed,
         fixed_point=[float(x) for x in flatten(mu0)],
         fixed_point_residual=check.residual,
         spectrum=[[float(z.real), float(z.imag)] for z in res.spectrum],
@@ -213,10 +210,7 @@ def sweep_to_csv(table: SweepTable) -> str:
 def emit(obj, fmt: str, path: str) -> None:
     """Write a report or sweep table to disk as json or csv."""
     if fmt == "json":
-        if isinstance(obj, AnalysisReport):
-            text = report_to_json(obj)
-        else:
-            text = json.dumps(asdict(obj), indent=2)
+        text = json.dumps(asdict(obj), indent=2)
     elif fmt == "csv":
         if not isinstance(obj, SweepTable):
             raise ValueError("csv output is only defined for sweep tables")

@@ -51,7 +51,6 @@ FP_TOL = 1e-9
 SPEC_TOL = 1e-8
 MULTIPLIER_TOL = 1e-8
 DEPENDENCE_TOL = 1e-8
-RANDOM_RETRIES = 8
 
 
 @dataclass(frozen=True)
@@ -111,10 +110,12 @@ class LocalModel:
 
     Rows of ``stack`` are the differentials of the chosen Casimirs, then those
     of all constraint components.  One SVD of the stack gives its rank, the
-    tangent basis, the minimal-norm multipliers and their null space.  One
-    SVD of the constraint rows alone gives the row space onto which each
-    Casimir differential is projected to test its dependence.  The restricted
-    Hessian contracts the constraint linear forms, projected once per basis.
+    tangent basis and the minimal-norm multipliers; when the rows are
+    independent (the only case the certificate goes on with) those multipliers
+    are the unique ones.  One SVD of the constraint rows alone gives the row
+    space onto which each Casimir differential is projected to test its
+    dependence.  The restricted Hessian contracts the constraint linear forms,
+    projected once per basis.
     """
 
     def __init__(self, mu0: MuMatrix, circ: Circulations, casimir_subset: tuple[int, ...]):
@@ -130,18 +131,18 @@ class LocalModel:
         self.rank = numerical_rank(sv)
         self.basis = vt[self.rank :]
         self.nullity = self.stack.shape[0] - self.rank
-        # rows spanning the multipliers w with stack^T w = 0
-        self.multiplier_null = u[:, self.rank :].T
         # minimal-norm solution of stack^T w = -energy_gradient, i.e. a0 = +1
         r = self.rank
         self.unit_multipliers = -u[:, :r] @ ((vt[:r] @ self.energy_gradient) / sv[:r])
-        for a in (self.stack, self.basis, self.multiplier_null, self.unit_multipliers):
+        for a in (self.stack, self.basis, self.unit_multipliers):
             a.setflags(write=False)
         self._projections: dict[bytes, tuple] = {}
 
-    def multipliers(self, a0: float, w: np.ndarray) -> MultiplierSet:
-        """The coefficients (a0, w) with a fresh evaluation of ||Df(mu0)||_inf."""
+    def multipliers(self, a0: float) -> MultiplierSet:
+        """The minimal-norm coefficients w = a0 * unit_multipliers, with a fresh
+        evaluation of ||Df(mu0)||_inf."""
         k, n = len(self.casimir_subset), self.circ.n
+        w = a0 * self.unit_multipliers
         rest = w[k:]
         return MultiplierSet(
             a0=a0,
@@ -269,7 +270,7 @@ def solve_multiplier_system(
         raise ValueError("a0 must be nonzero")
     a0 = float(np.sign(a0))
     model = local_model(mu0, circ, casimir_subset)
-    mult = model.multipliers(a0, a0 * model.unit_multipliers)
+    mult = model.multipliers(a0)
     if mult.residual > MULTIPLIER_TOL:
         raise Infeasible(f"no critical point for a0={a0:+.0f}: residual {mult.residual:.3e}")
     return mult
@@ -346,14 +347,13 @@ def energy_casimir_certificate(
     mu0: MuMatrix,
     circ: Circulations,
     casimir_subset: Sequence[int] = (1,),
-    rng_seed: int = 0,
 ) -> CertificateResult:
     """Full stability pipeline at a fixed point of the reduced dynamics.
 
     Linear instability (an eigenvalue with positive real part beyond
-    tolerance) short-circuits the certificate; otherwise both signs of a0 are
-    tried, with a few seeded random retries through the multiplier solution
-    space when it is not unique.
+    tolerance) short-circuits the certificate.  Dependent Casimir and
+    constraint differentials make it inconclusive; otherwise the multipliers
+    for each sign of a0 are unique, and each sign is tried once.
     """
     check = is_fixed_point(mu0, circ)
     if not check.ok:
@@ -380,33 +380,24 @@ def energy_casimir_certificate(
     basis = tangent_basis(mu0, circ, casimir_subset)
 
     reasons = []
-    rng = np.random.default_rng(rng_seed)
-    model = local_model(mu0, circ, casimir_subset)
     for a0 in (1.0, -1.0):
         try:
             mult = solve_multiplier_system(mu0, circ, casimir_subset, a0)
         except Infeasible as exc:
             reasons.append(str(exc))
             continue
-        candidates = [mult]
-        if mult.solution_space_dim > 0:
-            base = np.concatenate([mult.a, mult.constraint_coefficients])
-            for _ in range(RANDOM_RETRIES):
-                w = base + model.multiplier_null.T @ rng.standard_normal(model.nullity)
-                candidates.append(model.multipliers(a0, w))
-        for cand in candidates:
-            rh = restricted_hessian(mu0, circ, cand, basis, casimir_subset)
-            syl = sylvester_verdict(rh)
-            if syl.positive_definite:
-                assert float(ev.real.max()) < SPEC_TOL
-                return CertificateResult(
-                    verdict=Verdict.CERTIFIED_STABLE,
-                    spectrum=ev,
-                    multipliers=cand,
-                    tangent_basis=basis,
-                    restricted_hessian=rh,
-                    minors=syl.minors,
-                )
+        rh = restricted_hessian(mu0, circ, mult, basis, casimir_subset)
+        syl = sylvester_verdict(rh)
+        if syl.positive_definite:
+            assert float(ev.real.max()) < SPEC_TOL
+            return CertificateResult(
+                verdict=Verdict.CERTIFIED_STABLE,
+                spectrum=ev,
+                multipliers=mult,
+                tangent_basis=basis,
+                restricted_hessian=rh,
+                minors=syl.minors,
+            )
         reasons.append(f"restricted Hessian not positive definite for a0={a0:+.0f}")
     return CertificateResult(
         verdict=Verdict.INCONCLUSIVE,

@@ -15,7 +15,7 @@ from vortexstab.constraints import (
     submersion_rank_check,
 )
 from vortexstab.dynamics import Which, integrate
-from vortexstab.errors import NotInOpenSet
+from vortexstab.errors import DimensionMismatch, NotInOpenSet
 
 
 def rank_one_mu(rng, n):
@@ -91,6 +91,21 @@ class TestCasimirs:
         batch = casimir_values(mu, k, [1, 2, 3])
         singles = [casimir(mu, k, j) for j in (1, 2, 3)]
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
+
+    def test_casimir_values_rejects_wrong_coupling_size(self):
+        k = build_coupling_matrix(Circulations((1.0, -0.3, 0.8, 1.1)))
+        with pytest.raises(DimensionMismatch):
+            casimir_values(random_mu(np.random.default_rng(8), 2), k, [1])
+
+    def test_casimir_values_rejects_empty_indices(self):
+        k = build_coupling_matrix(Circulations((1.0, -0.3, 0.8, 1.1)))
+        with pytest.raises(ValueError, match="Casimir indices"):
+            casimir_values(random_mu(np.random.default_rng(8), 3), k, [])
+
+    def test_casimir_values_rejects_index_below_one(self):
+        k = build_coupling_matrix(Circulations((1.0, -0.3, 0.8, 1.1)))
+        with pytest.raises(ValueError, match="Casimir indices"):
+            casimir_values(random_mu(np.random.default_rng(8), 3), k, [0])
 
     def test_gradient_matches_differences(self):
         rng = np.random.default_rng(6)

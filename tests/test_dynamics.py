@@ -15,7 +15,7 @@ from vortexstab.dynamics import (
     trajectory_to_csv,
 )
 from vortexstab.errors import EmptyTrajectory
-from vortexstab.hamiltonian import VortexConfiguration
+from vortexstab.hamiltonian import VortexConfiguration, full_hamiltonian
 
 
 def separated_configuration(rng, n_vortices, zero_total=False):
@@ -46,6 +46,24 @@ class TestVectorFields:
         v = full_vector_field(cfg)
         expected = 1j / (2 * np.pi) * (0 - 1) / 1.0
         assert v[0] == pytest.approx(expected, rel=1e-6)
+
+    def test_full_field_is_the_rk4_right_hand_side(self):
+        # one full-system RK4 step rebuilt from full_vector_field, bit for bit
+        rng = np.random.default_rng(66)
+        cfg = separated_configuration(rng, 5)
+        dt = 0.01
+
+        def field(q):
+            return full_vector_field(VortexConfiguration(tuple(q), cfg.circ))
+
+        q = cfg.as_array()
+        k1 = field(q)
+        k2 = field(q + 0.5 * dt * k1)
+        k3 = field(q + 0.5 * dt * k2)
+        k4 = field(q + dt * k3)
+        expected = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        traj = integrate(cfg, cfg.circ, t_end=dt, dt=dt, which=Which.FULL)
+        np.testing.assert_array_equal(traj.states[1], expected)
 
     def test_reduced_field_invariant_along_rays(self):
         # grad h scales as 1/s along a ray while mu scales as s, so the
@@ -103,6 +121,14 @@ class TestIntegration:
             )
             worst = max(worst, np.abs(flatten(mu) - reduced.states[i]).max())
         assert worst < 1e-8
+
+    def test_full_hamiltonian_column_is_full_hamiltonian(self):
+        rng = np.random.default_rng(67)
+        cfg = separated_configuration(rng, 4)
+        traj = integrate(cfg, cfg.circ, t_end=0.2, dt=1e-3, which=Which.FULL)
+        for i in range(0, len(traj), 40):
+            at = VortexConfiguration(tuple(traj.states[i]), cfg.circ)
+            assert traj.hamiltonian[i] == full_hamiltonian(at)
 
     def test_invariants_flat(self):
         rng = np.random.default_rng(64)

@@ -52,6 +52,18 @@ class TestFullHamiltonian:
         expected = full_hamiltonian(cfg) - pair_sum * np.log(s**2) / (4 * np.pi)
         assert full_hamiltonian(scaled) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("n_vortices", range(3, 9))
+    def test_matches_pairwise_loop(self, n_vortices):
+        rng = np.random.default_rng(13 + n_vortices)
+        for zero_total in (False, True):
+            cfg = random_configuration(rng, n_vortices, zero_total=zero_total)
+            q, g = cfg.as_array(), cfg.circ.as_array()
+            total = 0.0
+            for i in range(n_vortices):
+                for j in range(i + 1, n_vortices):
+                    total += g[i] * g[j] * np.log(abs(q[i] - q[j]) ** 2)
+            assert full_hamiltonian(cfg) == pytest.approx(-total / (4 * np.pi), rel=1e-12)
+
     def test_collision_rejected(self):
         with pytest.raises(Collision):
             VortexConfiguration((0j, 0j, 1 + 0j), Circulations((1.0, 1.0, 1.0)))

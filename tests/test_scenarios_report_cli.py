@@ -1,6 +1,8 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +91,17 @@ class TestReport:
         assert len(rep.spectrum) == 16
         assert rep.drift is not None and rep.drift["hamiltonian_max"] < 1e-8
 
+    def test_report_keys_are_the_documented_fields(self):
+        fields = {
+            "scenario_name", "positions", "circulations", "free_parameter", "regime",
+            "casimir_subset", "fixed_point", "fixed_point_residual", "spectrum", "verdict",
+            "reason", "multipliers", "minors", "restricted_hessian", "drift", "version",
+        }
+        rep = analyze(build_scenario("triangle-with-center", gamma=0.5))
+        assert set(asdict(rep)) == fields
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert all(f"`{name}`" in readme for name in fields)
+
     def test_analyze_deterministic(self):
         scen = build_scenario("triangle-with-center", gamma=-1.0)
         assert report_to_json(analyze(scen)) == report_to_json(analyze(scen))
@@ -133,6 +146,12 @@ class TestCli:
             ["analyze", "--scenario", "triangle-with-center", "--gamma", "0.5"]
         )
         assert ns.command == "analyze"
+
+    def test_analyze_has_no_seed_option(self):
+        with pytest.raises(SystemExit):
+            make_parser().parse_args(
+                ["analyze", "--scenario", "triangle-with-center", "--seed", "1"]
+            )
 
     def test_analyze_exit_ok(self, capsys):
         code = main(["analyze", "--scenario", "triangle-with-center", "--gamma", "0.5"])
