@@ -84,16 +84,18 @@ class CouplingMatrix:
 
 @dataclass(frozen=True)
 class MuMatrix:
-    """Skew-Hermitian n x n matrix, the state of the relative dynamics."""
+    """Skew-Hermitian n x n matrix, the state of the relative dynamics, or a
+    stack of them along leading axes (entries of shape (..., n, n))."""
 
     entries: np.ndarray
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=complex)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        if entries.ndim < 2 or entries.shape[-2] != entries.shape[-1]:
             raise DimensionMismatch("mu must be a square matrix")
-        tol = SKEW_TOL * max(1.0, float(np.abs(entries).max(initial=0.0)))
-        if np.abs(entries.conj().T + entries).max(initial=0.0) > tol:
+        scale = np.abs(entries).max(axis=(-2, -1), initial=0.0)
+        gap = np.abs(entries.swapaxes(-2, -1).conj() + entries).max(axis=(-2, -1), initial=0.0)
+        if (gap > SKEW_TOL * np.maximum(1.0, scale)).any():
             raise ValueError("mu is not skew-Hermitian")
         entries = entries.copy()
         entries.setflags(write=False)
@@ -101,7 +103,7 @@ class MuMatrix:
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
     @property
     def hermitian_part(self) -> np.ndarray:
@@ -168,14 +170,15 @@ def unflatten_stack(v: np.ndarray, n: int) -> np.ndarray:
 
 
 def flatten(mu: MuMatrix) -> np.ndarray:
-    """Real coordinate vector of length n**2 (pure copying, no arithmetic)."""
+    """Real coordinate vector of length n**2 (pure copying, no arithmetic), one
+    per matrix of a stack."""
     return flatten_stack(mu.entries)
 
 
 def unflatten(v: np.ndarray, n: int) -> MuMatrix:
-    """Inverse of :func:`flatten`."""
+    """Inverse of :func:`flatten`, also over the last axis of a stack of vectors."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (n * n,):
+    if v.shape[-1:] != (n * n,):
         raise DimensionMismatch(f"expected length {n * n}, got {v.shape}")
     return MuMatrix(unflatten_stack(v, n))
 

@@ -43,7 +43,8 @@ def casimir(mu: MuMatrix, k: CouplingMatrix, j: int) -> float:
 
 
 def casimir_values(mu: MuMatrix, k: CouplingMatrix, js: Iterable[int]) -> np.ndarray:
-    """C_j(mu) for each j in js, from one running product of powers of i K mu."""
+    """C_j(mu) for each j in js, from one running product of powers of i K mu;
+    shape (..., len(js)) for a stack of matrices (..., n, n)."""
     if mu.n != k.n:
         raise DimensionMismatch("mu and coupling matrix differ in size")
     js = list(js)
@@ -51,11 +52,11 @@ def casimir_values(mu: MuMatrix, k: CouplingMatrix, js: Iterable[int]) -> np.nda
         raise ValueError(f"Casimir indices must be >= 1, got {js}")
     b = 1j * k.k @ mu.entries
     p = np.eye(mu.n, dtype=complex)
-    traces = []
-    for _ in range(max(js)):
+    traces = np.empty(mu.entries.shape[:-2] + (max(js),))
+    for r in range(max(js)):
         p = p @ b
-        traces.append(float(np.trace(p).real))
-    return np.asarray([traces[j - 1] for j in js])
+        traces[..., r] = np.trace(p, axis1=-2, axis2=-1).real
+    return traces[..., [j - 1 for j in js]]
 
 
 def casimir_gradient(mu: MuMatrix, k: CouplingMatrix, j: int) -> np.ndarray:
@@ -147,7 +148,7 @@ class ConstraintSystem:
         self.size = (n - 1) ** 2
 
     def _expand(self, vals: np.ndarray) -> np.ndarray:
-        """Split complex off-diagonal components into (Re, Im) rows."""
+        """Split complex off-diagonal components (leading axis) into (Re, Im) rows."""
         d = self.n - 1
         out = np.empty((self.size,) + vals.shape[1:])
         out[:d] = vals[:d].real
@@ -156,8 +157,9 @@ class ConstraintSystem:
         return out
 
     def values(self, u: np.ndarray) -> np.ndarray:
-        p1, p2, p3, p4 = self._forms @ u
-        return self._expand(p1 * p2 - p3 * p4)
+        """R(u); shape (samples, (n-1)^2) for a stack u of shape (samples, n^2)."""
+        p1, p2, p3, p4 = self._forms @ u.T
+        return self._expand(p1 * p2 - p3 * p4).T
 
     def jacobian(self, u: np.ndarray) -> np.ndarray:
         c1, c2, c3, c4 = self._forms

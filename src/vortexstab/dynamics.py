@@ -9,13 +9,16 @@ import numpy as np
 
 from .algebra import Circulations, MuMatrix, Regime, build_coupling_matrix, flatten, unflatten
 from .algebra import flatten_stack, unflatten_stack
+from .constraints import casimir_values, constraint_system
 from .errors import Collision, DimensionMismatch, DomainError, EmptyTrajectory
 from .hamiltonian import (
     COLLISION_TOL,
     VortexConfiguration,
+    check_separation,
     full_hamiltonian,
     gradient_entries,
     gradient_matrix,
+    min_separation,
     reduced_system,
 )
 
@@ -23,18 +26,17 @@ from .hamiltonian import (
 @dataclass(frozen=True)
 class RelativeCoordinates:
     """Positions relative to the reference vortex (last, or second-to-last
-    when the total circulation vanishes)."""
+    when the total circulation vanishes): one tuple, or a read-only stack of
+    shape (samples, m)."""
 
-    z: tuple[complex, ...]
+    z: tuple[complex, ...] | np.ndarray
 
     def __post_init__(self):
-        z = tuple(complex(v) for v in self.z)
-        arr = np.asarray(z)
-        d = np.abs(arr[:, None] - arr[None, :])
-        np.fill_diagonal(d, np.inf)
-        if np.abs(arr).min(initial=np.inf) <= COLLISION_TOL or d.min(initial=np.inf) <= COLLISION_TOL:
-            raise Collision("coincident vortices in relative coordinates")
-        object.__setattr__(self, "z", z)
+        z = np.array(self.z, dtype=complex)
+        nearest = np.minimum(np.abs(z).min(axis=-1, initial=np.inf), min_separation(z))
+        check_separation(nearest, "relative-coordinate")
+        z.setflags(write=False)
+        object.__setattr__(self, "z", tuple(z.tolist()) if z.ndim == 1 else z)
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.z, dtype=complex)
@@ -59,20 +61,22 @@ def full_vector_field(cfg: VortexConfiguration) -> np.ndarray:
 
 
 def relative_coordinates(cfg: VortexConfiguration) -> RelativeCoordinates:
-    """z_i = q_i - q_ref with the regime-dependent reference vortex."""
+    """z_i = q_i - q_ref with the regime-dependent reference vortex, for one
+    configuration or each of a stack."""
     q = cfg.as_array()
+    size = q.shape[-1]
     if cfg.circ.regime is Regime.NON_ZERO_TOTAL:
-        ref = len(q) - 1
+        ref, dropped = size - 1, [size - 1]
     else:
-        ref = len(q) - 2
-    z = np.delete(q, [ref] if cfg.circ.regime is Regime.NON_ZERO_TOTAL else [ref, len(q) - 1]) - q[ref]
-    return RelativeCoordinates(tuple(z))
+        ref, dropped = size - 2, [size - 2, size - 1]
+    return RelativeCoordinates(np.delete(q, dropped, axis=-1) - q[..., ref, None])
 
 
 def moment_map(z: RelativeCoordinates) -> MuMatrix:
-    """mu = i z z^*, the rank-one shape matrix of a relative configuration."""
+    """mu = i z z^*, the rank-one shape matrix of a relative configuration
+    (a stack of them for a stack of configurations)."""
     arr = z.as_array()
-    return MuMatrix(1j * np.outer(arr, arr.conj()))
+    return MuMatrix(1j * (arr[..., :, None] * arr[..., None, :].conj()))
 
 
 def _lie_poisson_entries(m: np.ndarray, g: np.ndarray, kinv: np.ndarray) -> np.ndarray:
@@ -114,7 +118,12 @@ class Trajectory:
         return len(self.times)
 
 
-def _reduced_rhs(circ: Circulations):
+def _right_hand_side(circ: Circulations, which: Which):
+    """The RK4 right-hand side on raw state arrays, without building MuMatrix
+    or VortexConfiguration objects."""
+    if which is Which.FULL:
+        g = circ.as_array()
+        return lambda q: _velocities(q, g)
     sys = reduced_system(circ)
     kinv = build_coupling_matrix(circ).k_inv
     n = circ.n
@@ -126,6 +135,16 @@ def _reduced_rhs(circ: Circulations):
     return rhs
 
 
+def _shapes_and_energy(samples: np.ndarray, circ: Circulations, which: Which):
+    """The stack of shape matrices mu and the Hamiltonian of a stack of states,
+    through the validated public types: a sample that collides, leaves the
+    reduced Hamiltonian's domain or gives a non-skew mu raises."""
+    if which is Which.REDUCED:
+        return unflatten(samples, circ.n), reduced_system(circ).value(samples)
+    cfg = VortexConfiguration(samples, circ)
+    return moment_map(relative_coordinates(cfg)), full_hamiltonian(cfg)
+
+
 def integrate(
     initial: np.ndarray | VortexConfiguration,
     circ: Circulations,
@@ -133,90 +152,82 @@ def integrate(
     dt: float,
     which: Which = Which.REDUCED,
 ) -> Trajectory:
-    """Classical RK4 with invariant monitoring.
+    """Classical RK4, with the invariants evaluated once over all samples.
 
     ``initial`` is a flattened shape vector for the reduced system or a
-    :class:`VortexConfiguration` (or complex position array) for the full one.
-    Mid-trajectory collisions or domain errors truncate the trajectory and set
-    the abort flag.
+    :class:`VortexConfiguration` (or complex position array) for the full one;
+    a configuration may seed either system.  The loop only steps, storing each
+    state.  Afterwards the Hamiltonian, the Casimirs C_1..C_n and the sup-norm
+    of the rank-one residual are evaluated over the whole stack of samples,
+    with the checks each sample needs: collision, the reduced Hamiltonian's
+    log-argument floor, a skew-Hermitian mu.  A collision or domain error in a
+    step, or in the check of a sample, truncates the trajectory before the
+    first sample that fails and sets the abort flag; ``abort_reason`` names the
+    error with its step and time.  An initial state that fails its check raises.
     """
-    from .constraints import casimir_values, constraint_system
-
     if dt <= 0 or t_end <= 0:
         raise ValueError("t_end and dt must be positive")
     n = circ.n
-    k = build_coupling_matrix(circ)
-    csys = constraint_system(n)
-
+    if isinstance(initial, VortexConfiguration):
+        if initial.circ.N != circ.N:
+            raise DimensionMismatch(
+                f"configuration has {initial.circ.N} vortices, circulations give {circ.N}"
+            )
+        if which is Which.REDUCED:
+            initial = flatten(moment_map(relative_coordinates(initial)))
+        else:
+            initial = initial.as_array()
     if which is Which.REDUCED:
-        if isinstance(initial, VortexConfiguration):
-            state = flatten(moment_map(relative_coordinates(initial)))
-        else:
-            state = np.asarray(initial, dtype=float).copy()
-            if state.shape != (n * n,):
-                raise DimensionMismatch("reduced state must have length n**2")
-        rhs = _reduced_rhs(circ)
-        sys = reduced_system(circ)
-
-        def observe(u):
-            mu = unflatten(u, n)
-            res = csys.values(flatten(mu))
-            cas = casimir_values(mu, k, range(1, n + 1))
-            return sys.value(u), cas, float(np.abs(res).max(initial=0.0))
-
+        state, shape = np.array(initial, dtype=float), (n * n,)
     else:
-        if isinstance(initial, VortexConfiguration):
-            state = initial.as_array().copy()
-        else:
-            state = np.asarray(initial, dtype=complex).copy()
-        g = circ.as_array()
-
-        def rhs(q):
-            return _velocities(q, g)
-
-        def observe(q):
-            cfg = VortexConfiguration(tuple(q), circ)
-            mu = moment_map(relative_coordinates(cfg))
-            res = csys.values(flatten(mu))
-            cas = casimir_values(mu, k, range(1, n + 1))
-            return full_hamiltonian(cfg), cas, float(np.abs(res).max(initial=0.0))
+        state, shape = np.array(initial, dtype=complex), (circ.N,)
+    if state.shape != shape:
+        raise DimensionMismatch(f"{which.value} state has shape {state.shape}, expected {shape}")
+    rhs = _right_hand_side(circ, which)
 
     steps = int(round(t_end / dt))
-    times = [0.0]
-    states = [state.copy()]
-    hams, cass, ress = [], [], []
-    aborted = False
-    reason = ""
-    h0, c0, r0 = observe(state)
-    hams.append(h0)
-    cass.append(c0)
-    ress.append(r0)
+    samples = np.empty((steps + 1,) + shape, dtype=state.dtype)
+    samples[0] = state
+    failure = None  # (index of the first sample not kept, exception)
     for s in range(steps):
         try:
             k1 = rhs(state)
             k2 = rhs(state + 0.5 * dt * k1)
             k3 = rhs(state + 0.5 * dt * k2)
             k4 = rhs(state + dt * k3)
-            state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            hv, cv, rv = observe(state)
         except (Collision, DomainError) as exc:
-            aborted = True
-            reason = f"{type(exc).__name__}: {exc}"
+            failure = (s + 1, exc)
+            samples = samples[: s + 1]
             break
-        times.append((s + 1) * dt)
-        states.append(state.copy())
-        hams.append(hv)
-        cass.append(cv)
-        ress.append(rv)
+        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        samples[s + 1] = state
+
+    # a check raises for the first sample of the stack that fails it; the
+    # trajectory ends before that sample and the samples kept are checked
+    # again, so the earliest failure of any check decides
+    while True:
+        try:
+            mu, ham = _shapes_and_energy(samples, circ, which)
+            break
+        except (Collision, DomainError) as exc:
+            if exc.sample == 0:
+                raise
+            failure = (exc.sample, exc)
+            samples = samples[: exc.sample]
+    residuals = constraint_system(n).values(flatten(mu))
+    reason = ""
+    if failure is not None:
+        step, exc = failure
+        reason = f"{type(exc).__name__} at step {step} (t = {step * dt:.6g}): {exc}"
     return Trajectory(
         which=which,
-        times=np.asarray(times),
-        states=np.asarray(states),
-        hamiltonian=np.asarray(hams),
-        casimirs=np.asarray(cass),
-        residual_max=np.asarray(ress),
+        times=np.arange(len(samples)) * dt,
+        states=samples,
+        hamiltonian=ham,
+        casimirs=casimir_values(mu, build_coupling_matrix(circ), range(1, n + 1)),
+        residual_max=np.abs(residuals).max(axis=-1, initial=0.0),
         n=n,
-        aborted=aborted,
+        aborted=failure is not None,
         abort_reason=reason,
     )
 

@@ -2,7 +2,15 @@
 
 
 class VortexStabError(Exception):
-    """Base class for all vortexstab errors."""
+    """Base class for all vortexstab errors.
+
+    A check over a stack of samples (leading axis) raises for the first
+    sample that fails it; ``sample`` is that sample's index (0 for one input).
+    """
+
+    def __init__(self, *args, sample: int = 0):
+        super().__init__(*args)
+        self.sample = sample
 
 
 class DimensionMismatch(VortexStabError):

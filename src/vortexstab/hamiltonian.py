@@ -26,23 +26,41 @@ LOG_FLOOR = 1e-300
 FOUR_PI = 4.0 * np.pi
 
 
+def min_separation(q: np.ndarray) -> np.ndarray:
+    """Smallest pairwise distance among the points on the last axis of ``q``
+    (leading axes index samples); inf for a single point."""
+    d = np.abs(q[..., :, None] - q[..., None, :])
+    diagonal = np.arange(q.shape[-1])
+    d[..., diagonal, diagonal] = np.inf
+    return d.min(axis=(-2, -1), initial=np.inf)
+
+
+def check_separation(sep: np.ndarray, what: str) -> None:
+    """Raise Collision for the first sample whose separation is within COLLISION_TOL."""
+    close = sep <= COLLISION_TOL
+    if close.any():
+        first = int(np.argmax(close))
+        raise Collision(f"minimum {what} separation {sep.flat[first]:.3e}", sample=first)
+
+
 @dataclass(frozen=True)
 class VortexConfiguration:
-    """Planar vortex positions (as complex numbers) with their circulations."""
+    """Planar vortex positions (as complex numbers) with their circulations.
 
-    positions: tuple[complex, ...]
+    ``positions`` holds one configuration as a tuple, or a stack of them as a
+    read-only complex array of shape (samples, N).
+    """
+
+    positions: tuple[complex, ...] | np.ndarray
     circ: Circulations
 
     def __post_init__(self):
-        positions = tuple(complex(q) for q in self.positions)
-        if len(positions) != self.circ.N:
+        q = np.array(self.positions, dtype=complex)
+        if q.ndim == 0 or q.shape[-1] != self.circ.N:
             raise DimensionMismatch("positions and circulations differ in length")
-        object.__setattr__(self, "positions", positions)
-        q = self.as_array()
-        d = np.abs(q[:, None] - q[None, :])
-        np.fill_diagonal(d, np.inf)
-        if d.min() <= COLLISION_TOL:
-            raise Collision(f"minimum vortex separation {d.min():.3e}")
+        check_separation(min_separation(q), "vortex")
+        q.setflags(write=False)
+        object.__setattr__(self, "positions", tuple(q.tolist()) if q.ndim == 1 else q)
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.positions, dtype=complex)
@@ -57,19 +75,28 @@ def _upper_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def full_hamiltonian(cfg: VortexConfiguration) -> float:
-    """H(q) = -(1/4pi) sum_{i<j} G_i G_j ln|q_i - q_j|^2."""
+def _weighted_log_sum(w: np.ndarray, s: np.ndarray) -> float | np.ndarray:
+    """-(1/4pi) sum_t w_t ln s_t over the last axis of s.  A stack of
+    contiguous rows gives each sample the same bits as a single dot product
+    (BLAS sums a strided row in another order)."""
+    h = -(w @ np.ascontiguousarray(np.log(s))[..., None])[..., 0] / FOUR_PI
+    return h if h.ndim else float(h)
+
+
+def full_hamiltonian(cfg: VortexConfiguration) -> float | np.ndarray:
+    """H(q) = -(1/4pi) sum_{i<j} G_i G_j ln|q_i - q_j|^2, one value per
+    configuration of a stack."""
     q = cfg.as_array()
     g = cfg.circ.as_array()
-    i, j = _upper_pairs(len(q))
-    return float(-((g[i] * g[j]) @ np.log(np.abs(q[i] - q[j]) ** 2)) / FOUR_PI)
+    i, j = _upper_pairs(q.shape[-1])
+    return _weighted_log_sum(g[i] * g[j], np.abs(q[..., i] - q[..., j]) ** 2)
 
 
 class ReducedHamiltonian:
     """Reduced Hamiltonian of a circulation set in log-linear-form shape.
 
     ``value``/``gradient``/``hessian`` act on the flattened coordinate vector
-    ``u`` of length ``n**2``.
+    ``u`` of length ``n**2``; ``value`` also on a stack of them.
     """
 
     def __init__(self, circ: Circulations):
@@ -80,14 +107,18 @@ class ReducedHamiltonian:
         self._weights = weights      # (terms,)
 
     def _arguments(self, u: np.ndarray) -> np.ndarray:
-        s = self._forms @ u
-        if np.any(s <= LOG_FLOOR):
-            raise DomainError("non-positive squared distance in reduced Hamiltonian")
+        s = (self._forms @ u[..., None])[..., 0]
+        low = s <= LOG_FLOOR
+        if low.any():
+            first = int(np.argmax(low.any(axis=-1)))
+            smallest = s.reshape(-1, s.shape[-1])[first].min()
+            raise DomainError(
+                f"squared distance {smallest:.3e} in reduced Hamiltonian", sample=first
+            )
         return s
 
-    def value(self, u: np.ndarray) -> float:
-        s = self._arguments(u)
-        return float(-(self._weights @ np.log(s)) / FOUR_PI)
+    def value(self, u: np.ndarray) -> float | np.ndarray:
+        return _weighted_log_sum(self._weights, self._arguments(u))
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         s = self._arguments(u)

@@ -3,7 +3,9 @@ import io
 import numpy as np
 import pytest
 
-from vortexstab.algebra import Circulations, flatten
+from vortexstab import constraints, dynamics, hamiltonian
+from vortexstab.algebra import Circulations, MuMatrix, build_coupling_matrix, flatten, unflatten
+from vortexstab.constraints import casimir_values, constraint_residuals, constraint_system
 from vortexstab.dynamics import (
     Which,
     full_vector_field,
@@ -14,8 +16,14 @@ from vortexstab.dynamics import (
     relative_coordinates,
     trajectory_to_csv,
 )
-from vortexstab.errors import EmptyTrajectory
-from vortexstab.hamiltonian import VortexConfiguration, full_hamiltonian
+from vortexstab.errors import Collision, DimensionMismatch, DomainError, EmptyTrajectory
+from vortexstab.hamiltonian import (
+    VortexConfiguration,
+    full_hamiltonian,
+    min_separation,
+    reduced_hamiltonian,
+    reduced_system,
+)
 
 
 def separated_configuration(rng, n_vortices, zero_total=False):
@@ -139,21 +147,175 @@ class TestIntegration:
         assert rep.casimir_max.max() < 1e-9
         assert rep.residual_max < 1e-9
 
-    def test_collision_aborts_with_truncation(self):
-        # a tight opposite-signed pair self-advects into the collision
-        # tolerance region quickly under a coarse grid; if not, the run
-        # simply completes, so pick a configuration heading to collision
-        circ = Circulations((4.0, -4.0, 4.0))
-        cfg = VortexConfiguration((0j, 0.05 + 0j, 3 + 0j), circ)
-        traj = integrate(cfg, circ, t_end=50.0, dt=0.5, which=Which.FULL)
-        if traj.aborted:
-            assert traj.abort_reason
-            assert len(traj) >= 1
+    # the closest pair drifts from 0.58 apart at t = 0 to 0.4994 at t = 0.63
+    DRIFTING = VortexConfiguration((0j, 1 + 0j, 0.5 + 0.3j), Circulations((1.0, 1.0, -0.5)))
+
+    @staticmethod
+    def assert_truncated(traj, samples, reason):
+        assert traj.aborted
+        assert traj.abort_reason.startswith(reason)
+        columns = (traj.times, traj.states, traj.hamiltonian, traj.casimirs, traj.residual_max)
+        assert [len(c) for c in columns] == [samples] * len(columns)
+
+    def test_collision_aborts_with_truncation(self, monkeypatch):
+        # a collision tolerance of 0.5 in the sample checks (hamiltonian), in
+        # the RK4 right-hand side (dynamics) or in both ends the run before
+        # the first sample within 0.5
+        cfg = self.DRIFTING
+        untouched = integrate(cfg, cfg.circ, t_end=1.0, dt=0.01, which=Which.FULL)
+        separation = min_separation(untouched.states)
+        assert separation[:63].min() > 0.5 >= separation[63]
+        for checks in ((hamiltonian,), (dynamics,), (hamiltonian, dynamics)):
+            with monkeypatch.context() as patch:
+                for module in checks:
+                    patch.setattr(module, "COLLISION_TOL", 0.5)
+                traj = integrate(cfg, cfg.circ, t_end=1.0, dt=0.01, which=Which.FULL)
+            self.assert_truncated(
+                traj, 63, "Collision at step 63 (t = 0.63): minimum vortex separation"
+            )
+            np.testing.assert_array_equal(traj.states, untouched.states[:63])
+
+    def test_domain_error_aborts_with_truncation(self):
+        # a close pair under a coarse step: an RK4 stage leaves the reduced
+        # Hamiltonian's domain in step 17
+        cfg = VortexConfiguration(
+            (-0.843 + 0.111j, -0.829 + 0.125j, -0.537 - 0.35j, -0.923 + 0.287j, -0.77 - 0.296j),
+            Circulations((-0.68, 0.77, 1.4, 0.44, 0.4)),
+        )
+        traj = integrate(cfg, cfg.circ, t_end=2.0, dt=0.01)
+        self.assert_truncated(traj, 17, "DomainError at step 17 (t = 0.17): squared distance")
+
+    def test_failing_initial_state_raises(self):
+        circ = Circulations((1.0, 1.0, 1.0))
+        with pytest.raises(DomainError):
+            integrate(np.array([1.0, 1.0, 2.0, 0.0]), circ, t_end=0.1, dt=0.01)
+        with pytest.raises(Collision):
+            integrate(np.array([0j, 1e-12, 1.0]), circ, t_end=0.1, dt=0.01, which=Which.FULL)
+
+    @pytest.mark.parametrize("which", list(Which))
+    def test_rejects_configuration_of_other_size(self, which):
+        rng = np.random.default_rng(68)
+        cfg = separated_configuration(rng, 4)
+        for circ in (Circulations((1.0, 2.0, 3.0)), Circulations((1.0, 1.0, 1.0, 1.0, -4.0))):
+            with pytest.raises(DimensionMismatch):
+                integrate(cfg, circ, t_end=0.1, dt=0.01, which=which)
+
+    @pytest.mark.parametrize("which", list(Which))
+    def test_rejects_state_of_wrong_length(self, which):
+        circ = Circulations((1.0, 2.0, 3.0))
+        with pytest.raises(DimensionMismatch):
+            integrate(np.ones(circ.n**2 + circ.N), circ, t_end=0.1, dt=0.01, which=which)
+
+    def test_invariants_are_observed_once_per_run(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (constraints, dynamics):
+            counter = counted("casimir", casimir_values)
+            monkeypatch.setattr(module, "casimir_values", counter, raising=False)
+        values = constraints.ConstraintSystem.values
+        monkeypatch.setattr(constraints.ConstraintSystem, "values", counted("residual", values))
+        cfg = separated_configuration(np.random.default_rng(69), 4)
+        counts = []
+        for steps in (5, 500):
+            for which in Which:
+                calls.clear()
+                integrate(cfg, cfg.circ, t_end=steps * 1e-3, dt=1e-3, which=which)
+                counts.append(sorted(calls))
+        assert counts[0] == counts[2] and counts[1] == counts[3]
+        assert counts[0] == ["casimir", "residual"]
 
     def test_rejects_bad_steps(self):
         circ = Circulations((1.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             integrate(np.ones(4), circ, t_end=1.0, dt=0.0)
+
+
+def stacked_configurations(n_vortices, zero_total):
+    """Seven random configurations of one circulation set, as one stack."""
+    rng = np.random.default_rng(10 * n_vortices + zero_total)
+    circ = separated_configuration(rng, n_vortices, zero_total).circ
+    q = np.array([separated_configuration(rng, n_vortices).as_array() for _ in range(7)])
+    return VortexConfiguration(q, circ)
+
+
+STACK_CASES = [(m, z) for m in range(3, 7) for z in (False, True)]
+
+
+class TestStackedFormulas:
+    """Each public formula on a stack of samples equals a loop of its
+    single-sample calls."""
+
+    @pytest.mark.parametrize("n_vortices,zero_total", STACK_CASES)
+    def test_stack_equals_loop(self, n_vortices, zero_total):
+        cfgs = stacked_configurations(n_vortices, zero_total)
+        circ = cfgs.circ
+        singles = [VortexConfiguration(tuple(q), circ) for q in cfgs.as_array()]
+        mus = moment_map(relative_coordinates(cfgs))
+        single_mus = [moment_map(relative_coordinates(c)) for c in singles]
+        np.testing.assert_array_equal(mus.entries, [m.entries for m in single_mus])
+        u = flatten(mus)
+        np.testing.assert_array_equal(u, [flatten(m) for m in single_mus])
+        np.testing.assert_array_equal(
+            unflatten(u, circ.n).entries, [unflatten(v, circ.n).entries for v in u]
+        )
+        np.testing.assert_array_equal(
+            constraint_system(circ.n).values(u), [constraint_residuals(m) for m in single_mus]
+        )
+        k = build_coupling_matrix(circ)
+        js = range(1, circ.n + 1)
+        np.testing.assert_allclose(
+            casimir_values(mus, k, js), [casimir_values(m, k, js) for m in single_mus], rtol=1e-13
+        )
+        np.testing.assert_allclose(
+            reduced_system(circ).value(u), [reduced_hamiltonian(m, circ) for m in single_mus],
+            rtol=1e-13,
+        )
+        np.testing.assert_array_equal(full_hamiltonian(cfgs), [full_hamiltonian(c) for c in singles])
+
+    def test_stack_checks_name_the_first_failing_sample(self):
+        cfgs = stacked_configurations(4, False)
+        q = cfgs.as_array().copy()
+        q[3, 1] = q[3, 0] + 1e-12
+        q[5, 2] = q[5, 0]
+        with pytest.raises(Collision) as info:
+            VortexConfiguration(q, cfgs.circ)
+        assert info.value.sample == 3
+        u = flatten(moment_map(relative_coordinates(cfgs)))
+        u[4, 0] = -1.0
+        with pytest.raises(DomainError) as info:
+            reduced_system(cfgs.circ).value(u)
+        assert info.value.sample == 4
+        entries = unflatten(u, cfgs.circ.n).entries.copy()
+        entries[2, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match="skew-Hermitian"):
+            MuMatrix(entries)
+
+    @pytest.mark.parametrize("which", list(Which))
+    def test_invariant_columns_are_per_sample_formulas(self, which):
+        cfg = separated_configuration(np.random.default_rng(70), 5)
+        circ = cfg.circ
+        traj = integrate(cfg, circ, t_end=0.3, dt=1e-3, which=which)
+        k = build_coupling_matrix(circ)
+        for i in range(0, len(traj), 30):
+            if which is Which.REDUCED:
+                mu = unflatten(traj.states[i], circ.n)
+                h = reduced_hamiltonian(mu, circ)
+            else:
+                at = VortexConfiguration(tuple(traj.states[i]), circ)
+                mu = moment_map(relative_coordinates(at))
+                h = full_hamiltonian(at)
+            assert traj.hamiltonian[i] == pytest.approx(h, rel=1e-13, abs=0)
+            cas = casimir_values(mu, k, range(1, circ.n + 1))
+            np.testing.assert_allclose(traj.casimirs[i], cas, rtol=1e-13, atol=0)
+            res = np.abs(constraint_residuals(mu)).max()
+            assert traj.residual_max[i] == pytest.approx(res, rel=1e-13, abs=0)
 
 
 class TestSerialization:
