@@ -134,7 +134,8 @@ def _sweep_point(kind: str, gamma: float, m: int | None, casimir_subset) -> Swee
     try:
         scen = build_scenario(kind, gamma=gamma, m=m)
         rep = analyze(scen, casimir_subset=casimir_subset)
-        max_re = max(re for re, _ in rep.spectrum)
+        # an empty leaf spectrum (n = 1) has no growing direction
+        max_re = max((re for re, _ in rep.spectrum), default=0.0)
         return SweepRow(
             gamma=gamma, verdict=rep.verdict, max_real_part=max_re, minors=rep.minors
         )

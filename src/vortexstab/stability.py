@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -28,6 +28,7 @@ from .algebra import (
     coordinate_basis,
     flatten,
     flatten_stack,
+    unflatten_stack,
 )
 from .constraints import (
     casimir_gradient,
@@ -38,6 +39,7 @@ from .constraints import (
 )
 from .dynamics import lie_poisson_vector_field
 from .errors import (
+    DimensionMismatch,
     Infeasible,
     NoConvergence,
     NotAFixedPoint,
@@ -66,12 +68,16 @@ def is_fixed_point(mu0: MuMatrix, circ: Circulations, tol: float = FP_TOL) -> Fi
     return FixedPointCheck(residual=residual, ok=residual < tol)
 
 
-def linearize(mu0: MuMatrix, circ: Circulations) -> np.ndarray:
+def linearize(
+    mu0: MuMatrix, circ: Circulations, basis: np.ndarray | None = None
+) -> np.ndarray:
     """Jacobian of the flattened reduced vector field at mu0, exact.
 
     Differentiates X_h = -mu G K^-1 + K^-1 G mu, G = dh/dmu, through the
     closed-form Hessian of h, in all n^2 coordinate directions at once; emits
     a warning (and still returns the matrix) when mu0 is not a fixed point.
+    With ``basis`` (rows are directions, d of them) it differentiates along
+    those rows only and returns the d x d matrix ``basis @ A @ basis.T``.
     """
     check = is_fixed_point(mu0, circ)
     if not check.ok:
@@ -85,11 +91,18 @@ def linearize(mu0: MuMatrix, circ: Circulations) -> np.ndarray:
     kinv = build_coupling_matrix(circ).k_inv
     m = mu0.entries
     g = gradient_matrix(sys.gradient(u0), n).entries
-    # direction c moves mu by nu_c = i E_c and G by p_c, from column c of the Hessian
-    nu = 1j * coordinate_basis(n)
-    p = gradient_entries(sys.hessian(u0).T, n)
+    hess = sys.hessian(u0)
+    # direction c moves mu by nu_c and G by p_c, the Hessian applied to it
+    if basis is None:
+        nu, p = 1j * coordinate_basis(n), gradient_entries(hess.T, n)
+    else:
+        basis = np.asarray(basis, dtype=float)
+        if basis.ndim != 2 or basis.shape[1] != n * n:
+            raise DimensionMismatch(f"basis rows must have length {n * n}, got {basis.shape}")
+        nu, p = unflatten_stack(basis, n), gradient_entries(basis @ hess.T, n)
     deriv = -nu @ g @ kinv - m @ p @ kinv + kinv @ p @ m + kinv @ g @ nu
-    return np.ascontiguousarray(flatten_stack(deriv).T)
+    jac = flatten_stack(deriv).T
+    return np.ascontiguousarray(jac if basis is None else basis @ jac)
 
 
 def spectrum(a: np.ndarray) -> np.ndarray:
@@ -210,7 +223,13 @@ class IndependenceResult:
     independent: bool
     rank: int
     expected: int
-    dependent_casimirs: tuple[int, ...]
+    model: LocalModel = field(repr=False, compare=False)
+
+    @property
+    def dependent_casimirs(self) -> tuple[int, ...]:
+        """The Casimirs C_1..C_n whose differential individually lies in the
+        span of the constraint differentials (computed on first access)."""
+        return self.model.dependent_casimirs
 
     def __bool__(self) -> bool:
         return self.independent
@@ -221,18 +240,16 @@ def independence_check(
 ) -> IndependenceResult:
     """Numerical rank test of the stacked Casimir and constraint differentials.
 
-    Also reports which Casimirs C_1..C_n individually lie in the span of the
-    constraint gradients at mu0 (those add nothing to the certificate).
+    Also tells, through ``dependent_casimirs``, which Casimirs C_1..C_n
+    individually lie in the span of the constraint gradients at mu0 (those add
+    nothing to the certificate).
     """
     if not in_open_set(mu0):
         raise NotInOpenSet("mu0 has a vanishing entry")
     model = local_model(mu0, circ, casimir_subset)
     expected = model.stack.shape[0]
     return IndependenceResult(
-        independent=model.rank == expected,
-        rank=model.rank,
-        expected=expected,
-        dependent_casimirs=model.dependent_casimirs,
+        independent=model.rank == expected, rank=model.rank, expected=expected, model=model
     )
 
 
@@ -350,10 +367,14 @@ def energy_casimir_certificate(
 ) -> CertificateResult:
     """Full stability pipeline at a fixed point of the reduced dynamics.
 
-    Linear instability (an eigenvalue with positive real part beyond
-    tolerance) short-circuits the certificate.  Dependent Casimir and
-    constraint differentials make it inconclusive; otherwise the multipliers
-    for each sign of a0 are unique, and each sign is tried once.
+    When the Casimir and constraint differentials are independent, linear
+    stability is decided on their joint level set (the symplectic leaf): the
+    spectrum is that of the d x d matrix B A B^T on the tangent basis B.
+    Dependent differentials make the certificate inconclusive, and only then
+    is the full n^2 spectrum taken.  Linear instability (an eigenvalue with
+    positive real part beyond tolerance) short-circuits the certificate;
+    otherwise the multipliers for each sign of a0 are unique, and each sign is
+    tried once.
     """
     check = is_fixed_point(mu0, circ)
     if not check.ok:
@@ -361,23 +382,25 @@ def energy_casimir_certificate(
     if not in_open_set(mu0):
         raise NotInOpenSet("mu0 has a vanishing entry")
 
-    a = linearize(mu0, circ)
-    ev = spectrum(a)
-    if float(ev.real.max()) > SPEC_TOL:
+    indep = independence_check(mu0, circ, casimir_subset)
+    basis = tangent_basis(mu0, circ, casimir_subset) if indep.independent else None
+    ev = spectrum(linearize(mu0, circ, basis))
+    dependent = (
+        ""
+        if indep.independent
+        else f"differentials not independent (rank {indep.rank} < {indep.expected}); "
+        "full n^2 spectrum"
+    )
+    # a zero-dimensional leaf (n = 1) has an empty spectrum
+    max_re = float(ev.real.max(initial=0.0))
+    if max_re > SPEC_TOL:
         return CertificateResult(
             verdict=Verdict.LINEARLY_UNSTABLE,
             spectrum=ev,
-            reason=f"max Re lambda = {ev.real.max():.6e}",
+            reason="; ".join(filter(None, (f"max Re lambda = {max_re:.6e}", dependent))),
         )
-
-    indep = independence_check(mu0, circ, casimir_subset)
-    if not indep.independent:
-        return CertificateResult(
-            verdict=Verdict.INCONCLUSIVE,
-            spectrum=ev,
-            reason=f"differentials not independent (rank {indep.rank} < {indep.expected})",
-        )
-    basis = tangent_basis(mu0, circ, casimir_subset)
+    if dependent:
+        return CertificateResult(verdict=Verdict.INCONCLUSIVE, spectrum=ev, reason=dependent)
 
     reasons = []
     for a0 in (1.0, -1.0):
@@ -389,7 +412,6 @@ def energy_casimir_certificate(
         rh = restricted_hessian(mu0, circ, mult, basis, casimir_subset)
         syl = sylvester_verdict(rh)
         if syl.positive_definite:
-            assert float(ev.real.max()) < SPEC_TOL
             return CertificateResult(
                 verdict=Verdict.CERTIFIED_STABLE,
                 spectrum=ev,

@@ -20,7 +20,7 @@ from vortexstab.report import (
     sweep_to_csv,
 )
 from vortexstab.scenarios import KINDS, build_scenario, scenario_fixed_point
-from vortexstab.stability import is_fixed_point
+from vortexstab.stability import is_fixed_point, linearize, spectrum
 
 
 class TestBuildScenario:
@@ -88,7 +88,13 @@ class TestReport:
         assert rep.verdict == "certified-stable"
         assert rep.regime == "NON_ZERO_TOTAL"
         assert rep.fixed_point_residual < 1e-9
-        assert len(rep.spectrum) == 16
+        # the leaf spectrum: 2n - 2 = 6 of the 16 eigenvalues of the full
+        # linearization, each within round-off of one of them
+        assert len(rep.spectrum) == 6
+        full = spectrum(linearize(scenario_fixed_point(scen), scen.circ))
+        tol = 1e-10 * np.abs(full).max()
+        for re, im in rep.spectrum:
+            assert np.abs(full - complex(re, im)).min() <= tol
         assert rep.drift is not None and rep.drift["hamiltonian_max"] < 1e-8
 
     def test_report_keys_are_the_documented_fields(self):
