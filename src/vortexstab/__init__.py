@@ -6,6 +6,8 @@ Lyapunov stability of relative equilibria through a constrained second-order
 (energy-Casimir) test backed by linear spectra.
 """
 
+__version__ = "0.1.0"
+
 from .algebra import (
     Circulations,
     CouplingMatrix,
@@ -63,6 +65,7 @@ from .stability import (
 )
 
 __all__ = [
+    "__version__",
     "AnalysisReport",
     "CertificateResult",
     "Circulations",

@@ -79,7 +79,7 @@ class CouplingMatrix:
 
     @property
     def n(self) -> int:
-        return self.k.shape[0]
+        return self.k.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -198,10 +198,15 @@ def lie_bracket(xi: MuMatrix, eta: MuMatrix, k: CouplingMatrix) -> MuMatrix:
     return MuMatrix(a - a.conj().T)
 
 
-@lru_cache(maxsize=None)
+# Circulation-keyed caches hold this many entries, so that memory does not
+# grow with the number of circulation sets a process has seen (a sweep).
+CIRCULATION_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=CIRCULATION_CACHE_SIZE)
 def build_coupling_matrix(circ: Circulations) -> CouplingMatrix:
-    """Coupling matrix of the circulation set, regime-dependent, built once
-    per circulation set (its arrays are read-only).
+    """Coupling matrix of the circulation set, regime-dependent, memoised on
+    the last few circulation sets (its arrays are read-only).
 
     Nonzero total circulation Gamma:  n = N-1 and
         K_ii = -G_i (Gamma - G_i) / Gamma,   K_ij = G_i G_j / Gamma.

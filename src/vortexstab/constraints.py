@@ -24,6 +24,7 @@ from .algebra import (
     Regime,
     coordinate_basis,
     flatten,
+    flatten_stack,
     pair_indices,
 )
 from .errors import DimensionMismatch, NotInOpenSet, UnsupportedScenario
@@ -32,9 +33,13 @@ RANK_THRESHOLD = 1e-8
 OPEN_SET_TOL = 1e-12
 
 
-def numerical_rank(sv: np.ndarray) -> int:
-    """Number of singular values (largest first) above RANK_THRESHOLD times the largest."""
-    return int(np.sum(sv > RANK_THRESHOLD * sv[0])) if sv.size else 0
+def numerical_rank(sv: np.ndarray) -> int | np.ndarray:
+    """Number of singular values (largest first) above RANK_THRESHOLD times the
+    largest, over the last axis of a stack of singular value lists."""
+    if sv.shape[-1] == 0:
+        return 0 if sv.ndim == 1 else np.zeros(sv.shape[:-1], dtype=int)
+    rank = np.sum(sv > RANK_THRESHOLD * sv[..., :1], axis=-1)
+    return int(rank) if rank.ndim == 0 else rank
 
 
 def casimir(mu: MuMatrix, k: CouplingMatrix, j: int) -> float:
@@ -60,15 +65,15 @@ def casimir_values(mu: MuMatrix, k: CouplingMatrix, js: Iterable[int]) -> np.nda
 
 
 def casimir_gradient(mu: MuMatrix, k: CouplingMatrix, j: int) -> np.ndarray:
-    """Gradient of C_j with respect to the flattened coordinates."""
-    n = mu.n
+    """Gradient of C_j with respect to the flattened coordinates; one row per
+    matrix of a stack (mu and k with the same leading axes)."""
     b = 1j * k.k @ mu.entries
-    bp = np.linalg.matrix_power(b, j - 1)
-    basis = coordinate_basis(n)
-    # dC_j . E_m = j tr(b^{j-1} * iK * (i E_m)) with mu = i M
-    front = j * bp @ (1j * k.k)
-    grad = np.einsum("ab,mba->m", front * 1j, basis)
-    return np.ascontiguousarray(grad.real)
+    # dC_j . E_m = tr(x E_m) with x = j b^{j-1} iK i, since mu = i M; over
+    # the coordinate basis that is flatten(i (x + x^H)) with the diagonal halved
+    x = -j * np.linalg.matrix_power(b, j - 1) @ k.k
+    grad = flatten_stack(1j * (x + x.conj().swapaxes(-1, -2)))
+    grad[..., : mu.n] *= 0.5
+    return grad
 
 
 def casimir_hessian(mu: MuMatrix, k: CouplingMatrix, j: int) -> np.ndarray:
@@ -147,14 +152,15 @@ class ConstraintSystem:
         self.labels = labels
         self.size = (n - 1) ** 2
 
-    def _expand(self, vals: np.ndarray) -> np.ndarray:
-        """Split complex off-diagonal components (leading axis) into (Re, Im) rows."""
+    def _expand(self, vals: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Split complex off-diagonal components (along ``axis``) into (Re, Im) rows."""
         d = self.n - 1
+        vals = np.moveaxis(vals, axis, 0)
         out = np.empty((self.size,) + vals.shape[1:])
         out[:d] = vals[:d].real
         out[d::2] = vals[d:].real
         out[d + 1 :: 2] = vals[d:].imag
-        return out
+        return np.moveaxis(out, 0, axis)
 
     def values(self, u: np.ndarray) -> np.ndarray:
         """R(u); shape (samples, (n-1)^2) for a stack u of shape (samples, n^2)."""
@@ -162,9 +168,10 @@ class ConstraintSystem:
         return self._expand(p1 * p2 - p3 * p4).T
 
     def jacobian(self, u: np.ndarray) -> np.ndarray:
+        """dR(u), shape ((n-1)^2, n^2); (samples, (n-1)^2, n^2) for a stack u."""
         c1, c2, c3, c4 = self._forms
-        p1, p2, p3, p4 = (self._forms @ u)[..., None]
-        return self._expand(c1 * p2 + c2 * p1 - c3 * p4 - c4 * p3)
+        p1, p2, p3, p4 = np.moveaxis(self._forms @ u[..., None, :, None], -3, 0)
+        return self._expand(c1 * p2 + c2 * p1 - c3 * p4 - c4 * p3, axis=-2)
 
     def hessians(self) -> tuple[np.ndarray, ...]:
         """The constant Hessians in factored form: the linear forms (c1, c2, c3, c4),
@@ -189,13 +196,12 @@ def constraint_jacobian(mu: MuMatrix) -> np.ndarray:
     return constraint_system(mu.n).jacobian(flatten(mu))
 
 
-def in_open_set(mu: MuMatrix, tol: float = OPEN_SET_TOL) -> bool:
-    """True when no diagonal or upper-triangular entry of mu vanishes."""
+def in_open_set(mu: MuMatrix, tol: float = OPEN_SET_TOL) -> bool | np.ndarray:
+    """True when no diagonal or upper-triangular entry of mu vanishes; one
+    flag per matrix of a stack."""
     m = mu.hermitian_part
-    n = mu.n
-    if np.any(np.abs(np.diag(m).real) <= tol):
-        return False
-    return not np.any(np.abs(m[np.triu_indices(n, 1)]) <= tol)
+    rows, cols = np.triu_indices(mu.n)
+    return (np.abs(m[..., rows, cols]) > tol).all(axis=-1)
 
 
 @dataclass(frozen=True)

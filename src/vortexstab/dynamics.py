@@ -80,9 +80,10 @@ def moment_map(z: RelativeCoordinates) -> MuMatrix:
 
 
 def _lie_poisson_entries(m: np.ndarray, g: np.ndarray, kinv: np.ndarray) -> np.ndarray:
-    """X_h = A^H - A with A = mu (dh/dmu) K^-1, skew-Hermitian to the last bit."""
+    """X_h = A^H - A with A = mu (dh/dmu) K^-1, skew-Hermitian to the last bit;
+    over the last two axes of a stack."""
     a = m @ g @ kinv
-    return a.conj().T - a
+    return a.conj().swapaxes(-1, -2) - a
 
 
 def lie_poisson_vector_field(mu: MuMatrix, circ: Circulations) -> MuMatrix:

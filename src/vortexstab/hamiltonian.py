@@ -15,10 +15,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .algebra import Circulations, MuMatrix, Regime, flatten, pair_indices, unflatten_stack
+from .algebra import (
+    CIRCULATION_CACHE_SIZE,
+    Circulations,
+    MuMatrix,
+    Regime,
+    flatten,
+    pair_indices,
+    unflatten_stack,
+)
 from .errors import Collision, DimensionMismatch, DomainError
 
 COLLISION_TOL = 1e-9
@@ -96,15 +105,22 @@ class ReducedHamiltonian:
     """Reduced Hamiltonian of a circulation set in log-linear-form shape.
 
     ``value``/``gradient``/``hessian`` act on the flattened coordinate vector
-    ``u`` of length ``n**2``; ``value`` also on a stack of them.
+    ``u`` of length ``n**2``; ``value`` also on a stack of them.  Built from a
+    sequence of k circulation sets that share N and the regime, it is a stack
+    of k Hamiltonians: ``gradient`` and ``hessian`` then take u of shape
+    (k, n**2) and evaluate Hamiltonian i at row i.
     """
 
-    def __init__(self, circ: Circulations):
-        self.circ = circ
-        self.n = circ.n
-        forms, weights = _log_terms(circ)
-        self._forms = forms          # (terms, n**2)
-        self._weights = weights      # (terms,)
+    def __init__(self, circ: Circulations | Sequence[Circulations]):
+        first = circ if isinstance(circ, Circulations) else circ[0]
+        self.n = first.n
+        gammas = first.gammas if isinstance(circ, Circulations) else [c.gammas for c in circ]
+        forms, weights = _log_terms(np.asarray(gammas, dtype=float), first.regime)
+        # row-major whatever the stack size, so that BLAS sums each
+        # Hamiltonian of a stack in the same order
+        self._forms = np.ascontiguousarray(forms)  # (..., terms, n**2)
+        self._forms_t = self._forms.swapaxes(-1, -2)
+        self._weights = weights                    # (..., terms)
 
     def _arguments(self, u: np.ndarray) -> np.ndarray:
         s = (self._forms @ u[..., None])[..., 0]
@@ -122,74 +138,68 @@ class ReducedHamiltonian:
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         s = self._arguments(u)
-        return -(self._forms.T @ (self._weights / s)) / FOUR_PI
+        return -(self._forms_t @ (self._weights / s)[..., None])[..., 0] / FOUR_PI
 
     def hessian(self, u: np.ndarray) -> np.ndarray:
         s = self._arguments(u)
-        return (self._forms.T * (self._weights / s**2)) @ self._forms / FOUR_PI
-
-
-def _log_terms(circ: Circulations) -> tuple[np.ndarray, np.ndarray]:
-    """Linear forms (squared distances) and circulation-product weights."""
-    g = circ.as_array()
-    n = circ.n
-    pairs = pair_indices(n)
-    pos = {p: n + 2 * k for k, p in enumerate(pairs)}
-
-    def x_index(i: int, j: int) -> int:
-        return pos[(i, j) if i < j else (j, i)]
-
-    forms: list[np.ndarray] = []
-    weights: list[float] = []
-
-    def add(w: float, c: np.ndarray):
-        forms.append(c)
-        weights.append(w)
-
-    # pairs (i, ref) with the reference vortex ref = n + 1 (N, or N-1 when the
-    # total circulation vanishes): |z_i|^2 = mu_i
-    for i in range(n):
-        c = np.zeros(n * n)
-        c[i] = 1.0
-        add(g[i] * g[n], c)
-    if circ.regime is Regime.ZERO_TOTAL:
-        gN = g[n + 1]
-        # pairs (i, N): q_N recovered from zero linear impulse,
-        # |z_i - w|^2 with w = -(1/G_N) sum_j G_j z_j
-        for i in range(n):
-            c = np.zeros(n * n)
-            c[i] = (g[i] + gN) ** 2
-            for j in range(n):
-                if j == i:
-                    continue
-                c[j] = g[j] ** 2
-                c[x_index(i, j)] += 2.0 * (g[i] + gN) * g[j]
-            for (j, k) in pairs:
-                if i in (j, k):
-                    continue
-                c[x_index(j, k)] += 2.0 * g[j] * g[k]
-            add(g[i] * gN, c / gN**2)
-        # pair (N-1, N): |w|^2
-        c = np.zeros(n * n)
-        for i in range(n):
-            c[i] = g[i] ** 2
-        for (j, k) in pairs:
-            c[x_index(j, k)] = 2.0 * g[j] * g[k]
-        add(g[n] * gN, c / gN**2)
-
-    # pairs among vortices 1..n: |z_i - z_j|^2 = mu_i + mu_j - 2 x_ij
-    for (i, j) in pairs:
-        c = np.zeros(n * n)
-        c[i] = 1.0
-        c[j] = 1.0
-        c[pos[(i, j)]] = -2.0
-        add(g[i] * g[j], c)
-
-    return np.array(forms), np.array(weights)
+        scaled = self._forms_t * (self._weights / s**2)[..., None, :]
+        return scaled @ self._forms / FOUR_PI
 
 
 @lru_cache(maxsize=None)
+def _distance_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both indices of each pair among n vortices and the coordinate x_ij of
+    the pair, in the order of :func:`pair_indices`."""
+    i, j = np.array(pair_indices(n), dtype=int).reshape(-1, 2).T
+    x = n + 2 * np.arange(len(i))
+    for a in (i, j, x):
+        a.setflags(write=False)
+    return i, j, x
+
+
+def _squared_norm_form(a: np.ndarray) -> np.ndarray:
+    """Coefficients of |sum_j a_j z_j|^2 = sum_j a_j^2 mu_j + sum_{j<k} 2 a_j a_k x_jk
+    in shape coordinates, over the last axis of a."""
+    n = a.shape[-1]
+    i, j, x = _distance_pairs(n)
+    c = np.zeros(a.shape[:-1] + (n * n,))
+    c[..., :n] = a**2
+    c[..., x] = 2.0 * a[..., i] * a[..., j]
+    return c
+
+
+def _log_terms(g: np.ndarray, regime: Regime) -> tuple[np.ndarray, np.ndarray]:
+    """Linear forms (squared distances) and circulation-product weights for
+    the circulations on the last axis of g (leading axes index a stack)."""
+    n = g.shape[-1] - (1 if regime is Regime.NON_ZERO_TOTAL else 2)
+    i, j, x = _distance_pairs(n)
+    eye = np.eye(n, n * n)
+    lead = g.shape[:-1]
+    # pairs (i, ref) with the reference vortex ref = n + 1 (N, or N-1 when the
+    # total circulation vanishes): |z_i|^2 = mu_i
+    forms = [np.broadcast_to(eye, lead + eye.shape)]
+    weights = [g[..., :n] * g[..., n, None]]
+    if regime is Regime.ZERO_TOTAL:
+        gN = g[..., n + 1, None]
+        # pairs (i, N): q_N recovered from zero linear impulse, w = -(1/G_N)
+        # sum_j G_j z_j, so |z_i - w|^2 = |sum_j (G_j + G_N delta_ij) z_j|^2 / G_N^2;
+        # then the pair (N-1, N): |w|^2
+        a = np.concatenate(
+            [g[..., None, :n] + gN[..., None] * np.eye(n), g[..., None, :n]], axis=-2
+        )
+        forms.append(_squared_norm_form(a) / (gN**2)[..., None])
+        weights.append(g[..., : n + 1] * gN)
+    # pairs among vortices 1..n: |z_i - z_j|^2 = mu_i + mu_j - 2 x_ij
+    pair = eye[i] + eye[j]
+    pair[np.arange(len(i)), x] = -2.0
+    forms.append(np.broadcast_to(pair, lead + pair.shape))
+    weights.append(g[..., i] * g[..., j])
+    return np.concatenate(forms, axis=-2), np.concatenate(weights, axis=-1)
+
+
+@lru_cache(maxsize=CIRCULATION_CACHE_SIZE)
 def reduced_system(circ: Circulations) -> ReducedHamiltonian:
+    """The reduced Hamiltonian of one circulation set, memoised on the last few."""
     return ReducedHamiltonian(circ)
 
 

@@ -6,22 +6,17 @@ serialize/parse round trip reproduces an equal object bit for bit.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass, field
 
-from .algebra import flatten
+import numpy as np
+
+from . import __version__
+from .algebra import MuMatrix, flatten
 from .dynamics import integrate, invariant_drift_report
 from .errors import ExcludedParameter, NotAFixedPoint, VortexStabError
 from .scenarios import Scenario, build_scenario, scenario_fixed_point
-from .stability import energy_casimir_certificate, is_fixed_point
-
-try:
-    from importlib.metadata import version as _pkg_version
-
-    VERSION = _pkg_version("vortexstab")
-except Exception:
-    VERSION = "unknown"
+from .stability import CertificateResult, energy_casimir_certificate
 
 
 @dataclass
@@ -41,7 +36,7 @@ class AnalysisReport:
     minors: list[float] | None
     restricted_hessian: list[list[float]] | None
     drift: dict | None = None
-    version: str = VERSION
+    version: str = __version__
 
 
 def analyze(
@@ -54,13 +49,12 @@ def analyze(
     """Fixed point, spectrum, and stability certificate for a scenario."""
     mu0 = scenario_fixed_point(scenario)
     circ = scenario.circ
-    check = is_fixed_point(mu0, circ)
-    if not check.ok:
+    try:
+        res = energy_casimir_certificate(mu0, circ, casimir_subset)
+    except NotAFixedPoint as exc:
         raise NotAFixedPoint(
-            f"scenario {scenario.name} is not a relative equilibrium "
-            f"(residual {check.residual:.3e})"
-        )
-    res = energy_casimir_certificate(mu0, circ, casimir_subset)
+            f"scenario {scenario.name} is not a relative equilibrium ({exc})"
+        ) from exc
     mult = None
     if res.multipliers is not None:
         mult = {
@@ -91,7 +85,7 @@ def analyze(
         regime=circ.regime.name,
         casimir_subset=list(casimir_subset),
         fixed_point=[float(x) for x in flatten(mu0)],
-        fixed_point_residual=check.residual,
+        fixed_point_residual=res.residual,
         spectrum=[[float(z.real), float(z.imag)] for z in res.spectrum],
         verdict=res.verdict.value,
         reason=res.reason,
@@ -114,7 +108,7 @@ def report_from_json(text: str) -> AnalysisReport:
     return AnalysisReport(**json.loads(text))
 
 
-@dataclass
+@dataclass(slots=True)
 class SweepRow:
     gamma: float
     verdict: str
@@ -130,23 +124,20 @@ class SweepTable:
     skipped: list[dict] = field(default_factory=list)
 
 
-def _sweep_point(kind: str, gamma: float, m: int | None, casimir_subset) -> SweepRow:
-    try:
-        scen = build_scenario(kind, gamma=gamma, m=m)
-        rep = analyze(scen, casimir_subset=casimir_subset)
-        # an empty leaf spectrum (n = 1) has no growing direction
-        max_re = max((re for re, _ in rep.spectrum), default=0.0)
-        return SweepRow(
-            gamma=gamma, verdict=rep.verdict, max_real_part=max_re, minors=rep.minors
-        )
-    except VortexStabError as exc:
+def _sweep_row(gamma: float, res: CertificateResult | VortexStabError) -> SweepRow:
+    """The row of one point, with the values :func:`analyze` reports for it."""
+    if isinstance(res, VortexStabError):
         return SweepRow(
             gamma=gamma,
             verdict="error",
             max_real_part=None,
             minors=None,
-            note=f"{type(exc).__name__}: {exc}",
+            note=f"{type(res).__name__}: {res}",
         )
+    # an empty leaf spectrum (n = 1) has no growing direction
+    max_re = max((float(z.real) for z in res.spectrum), default=0.0)
+    minors = None if res.minors is None else [float(m) for m in res.minors]
+    return SweepRow(gamma=gamma, verdict=res.verdict.value, max_real_part=max_re, minors=minors)
 
 
 def gamma_grid(gamma_min: float, gamma_max: float, step: float) -> list[float]:
@@ -171,18 +162,35 @@ def gamma_sweep(
     """Certificate verdict at each point of :func:`gamma_grid` for the center
     circulation.
 
-    Excluded parameter values (gamma = 0) are skipped and recorded aside;
-    other per-point failures appear inline as rows with verdict ``error``.
+    The points are grouped by shape dimension n and regime (a center of minus
+    the vertex count makes the total circulation zero), and the certificate
+    runs once per group on the stack of its points; memory therefore does not
+    grow with the length of the grid beyond the rows themselves.  Excluded
+    parameter values (gamma = 0) are skipped and recorded aside; other
+    per-point failures appear inline as rows with verdict ``error``.
     """
-    gammas = []
+    points = []
     skipped = []
     for gamma in gamma_grid(gamma_min, gamma_max, step):
         try:
-            build_scenario(kind, gamma=gamma, m=m)
-            gammas.append(gamma)
+            points.append((gamma, build_scenario(kind, gamma=gamma, m=m)))
         except ExcludedParameter as exc:
             skipped.append({"gamma": gamma, "note": str(exc)})
-    rows = [_sweep_point(kind, g, m, casimir_subset) for g in gammas]
+    rows: list[SweepRow | None] = [None] * len(points)
+    groups: dict[tuple, list[tuple[int, MuMatrix]]] = {}
+    for i, (gamma, scen) in enumerate(points):
+        try:
+            mu0 = scenario_fixed_point(scen)
+        except VortexStabError as exc:
+            rows[i] = _sweep_row(gamma, exc)
+            continue
+        groups.setdefault((scen.circ.n, scen.circ.regime), []).append((i, mu0))
+    for members in groups.values():
+        stack = MuMatrix(np.stack([mu0.entries for _, mu0 in members]))
+        circs = [points[i][1].circ for i, _ in members]
+        results = energy_casimir_certificate(stack, circs, casimir_subset)
+        for (i, _), res in zip(members, results):
+            rows[i] = _sweep_row(points[i][0], res)
     return SweepTable(kind=kind, rows=rows, skipped=skipped)
 
 
@@ -190,6 +198,7 @@ SWEEP_CSV_HEADER = ["gamma", "verdict", "max_real_part", "minors", "note"]
 
 
 def sweep_to_csv(table: SweepTable) -> str:
+    import csv
     import io
 
     buf = io.StringIO()

@@ -9,6 +9,11 @@ critical at the fixed point, then test positive definiteness of its Hessian
 restricted to the tangent space of the joint Casimir/constraint level set via
 Sylvester's criterion.  The ``4 pi h`` scaling matches the closed-form
 multiplier and minor fixtures used in the acceptance suite.
+
+Every stage takes one point or a stack of them: ``mu0`` of shape (k, n, n)
+with ``circ`` a sequence of k circulation sets that share N and the regime
+(a slice of a parameter sweep).  Array results then gain a leading axis of
+length k, and a check that raises does so when it fails at any point.
 """
 
 from __future__ import annotations
@@ -16,28 +21,12 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .algebra import (
-    Circulations,
-    MuMatrix,
-    build_coupling_matrix,
-    coordinate_basis,
-    flatten,
-    flatten_stack,
-    unflatten_stack,
-)
-from .constraints import (
-    casimir_gradient,
-    casimir_hessian,
-    constraint_system,
-    in_open_set,
-    numerical_rank,
-)
-from .dynamics import lie_poisson_vector_field
+from .algebra import Circulations, MuMatrix
+from .constraints import in_open_set
 from .errors import (
     DimensionMismatch,
     Infeasible,
@@ -46,197 +35,112 @@ from .errors import (
     NotAFixedPointWarning,
     NotInOpenSet,
     RankDeficiency,
+    VortexStabError,
 )
-from .hamiltonian import FOUR_PI, gradient_entries, gradient_matrix, reduced_system
+from .localmodel import (
+    LocalModel,
+    MultiplierSet,
+    _circulation_sets,
+    local_model,
+    reduced_field,
+)
 
 FP_TOL = 1e-9
-SPEC_TOL = 1e-8
+# Linear instability needs max Re lambda > SPEC_TOL * ||L||_F.  The nilpotent
+# blocks at the band ends of the polygon family leave round-off of up to
+# 1.3e-8 ||L||_F there (triangle gamma = 1), while the weakest instability of
+# the families' sweeps is 7.7e-3 ||L||_F (m = 13, gamma = 40).
+SPEC_TOL = 1e-7
 MULTIPLIER_TOL = 1e-8
-DEPENDENCE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class FixedPointCheck:
-    residual: float
-    ok: bool
+    residual: float | np.ndarray
+    ok: bool | np.ndarray
 
 
-def is_fixed_point(mu0: MuMatrix, circ: Circulations, tol: float = FP_TOL) -> FixedPointCheck:
-    """Sup-norm of the reduced vector field at mu0."""
-    xh = lie_poisson_vector_field(mu0, circ)
-    residual = float(np.abs(flatten(xh)).max(initial=0.0))
+def _per_point(circ, stacked):
+    """A stacked result as the caller asked: point 0 for one point."""
+    return stacked[0] if isinstance(circ, Circulations) else stacked
+
+
+def is_fixed_point(
+    mu0: MuMatrix, circ: Circulations | Sequence[Circulations], tol: float = FP_TOL
+) -> FixedPointCheck:
+    """Sup-norm of the reduced vector field at mu0, per point of a stack."""
+    residual = reduced_field(mu0, circ).residual
+    if isinstance(circ, Circulations):
+        return FixedPointCheck(residual=float(residual[0]), ok=bool(residual[0] < tol))
     return FixedPointCheck(residual=residual, ok=residual < tol)
 
 
 def linearize(
-    mu0: MuMatrix, circ: Circulations, basis: np.ndarray | None = None
+    mu0: MuMatrix,
+    circ: Circulations | Sequence[Circulations],
+    basis: np.ndarray | None = None,
 ) -> np.ndarray:
     """Jacobian of the flattened reduced vector field at mu0, exact.
 
     Differentiates X_h = -mu G K^-1 + K^-1 G mu, G = dh/dmu, through the
     closed-form Hessian of h, in all n^2 coordinate directions at once; emits
     a warning (and still returns the matrix) when mu0 is not a fixed point.
-    With ``basis`` (rows are directions, d of them) it differentiates along
-    those rows only and returns the d x d matrix ``basis @ A @ basis.T``.
+    With ``basis`` (rows are directions, d of them; one basis per point of a
+    stack) it differentiates along those rows only and returns the d x d
+    matrix ``basis @ A @ basis.T``.
     """
-    check = is_fixed_point(mu0, circ)
-    if not check.ok:
+    reduced = reduced_field(mu0, circ)
+    worst = float(reduced.residual.max(initial=0.0))
+    if not worst < FP_TOL:
         warnings.warn(
-            f"linearizing at a non-fixed point (residual {check.residual:.3e})",
-            NotAFixedPointWarning,
+            f"linearizing at a non-fixed point (residual {worst:.3e})", NotAFixedPointWarning
         )
-    n = circ.n
-    sys = reduced_system(circ)
-    u0 = flatten(mu0)
-    kinv = build_coupling_matrix(circ).k_inv
-    m = mu0.entries
-    g = gradient_matrix(sys.gradient(u0), n).entries
-    hess = sys.hessian(u0)
-    # direction c moves mu by nu_c and G by p_c, the Hessian applied to it
-    if basis is None:
-        nu, p = 1j * coordinate_basis(n), gradient_entries(hess.T, n)
-    else:
+    n = reduced.n
+    if basis is not None:
         basis = np.asarray(basis, dtype=float)
-        if basis.ndim != 2 or basis.shape[1] != n * n:
+        ndim = 2 if isinstance(circ, Circulations) else 3
+        if basis.ndim != ndim or basis.shape[-1] != n * n:
             raise DimensionMismatch(f"basis rows must have length {n * n}, got {basis.shape}")
-        nu, p = unflatten_stack(basis, n), gradient_entries(basis @ hess.T, n)
-    deriv = -nu @ g @ kinv - m @ p @ kinv + kinv @ p @ m + kinv @ g @ nu
-    jac = flatten_stack(deriv).T
-    return np.ascontiguousarray(jac if basis is None else basis @ jac)
+        basis = np.broadcast_to(basis, (len(reduced.circs),) + basis.shape[-2:])
+    return _per_point(circ, reduced.linearize(basis))
 
 
 def spectrum(a: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a dense real matrix, sorted by (Re, Im)."""
+    """All eigenvalues of a dense real matrix, sorted by (Re, Im); one sorted
+    row per matrix of a stack."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError("spectrum expects a square matrix")
     try:
         ev = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    order = np.lexsort((ev.imag, ev.real))
-    return ev[order]
-
-
-class LocalModel:
-    """The linear algebra of the certificate at one fixed point and Casimir subset.
-
-    Rows of ``stack`` are the differentials of the chosen Casimirs, then those
-    of all constraint components.  One SVD of the stack gives its rank, the
-    tangent basis and the minimal-norm multipliers; when the rows are
-    independent (the only case the certificate goes on with) those multipliers
-    are the unique ones.  One SVD of the constraint rows alone gives the row
-    space onto which each Casimir differential is projected to test its
-    dependence.  The restricted Hessian contracts the constraint linear forms,
-    projected once per basis.
-    """
-
-    def __init__(self, mu0: MuMatrix, circ: Circulations, casimir_subset: tuple[int, ...]):
-        n = circ.n
-        self.mu0, self.circ, self.casimir_subset = mu0, circ, casimir_subset
-        self.u0 = flatten(mu0)
-        self.coupling = build_coupling_matrix(circ)
-        casimir_rows = [casimir_gradient(mu0, self.coupling, j) for j in casimir_subset]
-        jac = constraint_system(n).jacobian(self.u0)
-        self.stack = np.reshape([*casimir_rows, *jac], (-1, n * n))
-        self.energy_gradient = FOUR_PI * reduced_system(circ).gradient(self.u0)
-        u, sv, vt = np.linalg.svd(self.stack, full_matrices=True)
-        self.rank = numerical_rank(sv)
-        self.basis = vt[self.rank :]
-        self.nullity = self.stack.shape[0] - self.rank
-        # minimal-norm solution of stack^T w = -energy_gradient, i.e. a0 = +1
-        r = self.rank
-        self.unit_multipliers = -u[:, :r] @ ((vt[:r] @ self.energy_gradient) / sv[:r])
-        for a in (self.stack, self.basis, self.unit_multipliers):
-            a.setflags(write=False)
-        self._projections: dict[bytes, tuple] = {}
-
-    def multipliers(self, a0: float) -> MultiplierSet:
-        """The minimal-norm coefficients w = a0 * unit_multipliers, with a fresh
-        evaluation of ||Df(mu0)||_inf."""
-        k, n = len(self.casimir_subset), self.circ.n
-        w = a0 * self.unit_multipliers
-        rest = w[k:]
-        return MultiplierSet(
-            a0=a0,
-            a=tuple(w[:k]),
-            b=tuple(rest[: n - 1]),
-            c=tuple(rest[n - 1 :: 2]),
-            d=tuple(rest[n::2]),
-            residual=float(np.abs(a0 * self.energy_gradient + self.stack.T @ w).max()),
-            solution_space_dim=self.nullity,
-        )
-
-    @cached_property
-    def dependent_casimirs(self) -> tuple[int, ...]:
-        """The Casimirs C_1..C_n whose differential lies in the constraint row space."""
-        grads = np.array(
-            [casimir_gradient(self.mu0, self.coupling, j) for j in range(1, self.circ.n + 1)]
-        )
-        resid = grads
-        jac = self.stack[len(self.casimir_subset) :]
-        if jac.size:
-            _, sv, vt = np.linalg.svd(jac, full_matrices=False)
-            rows = vt[: numerical_rank(sv)]
-            resid = grads - (grads @ rows.T) @ rows
-        tol = DEPENDENCE_TOL * np.maximum(1.0, np.linalg.norm(grads, axis=1))
-        return tuple(int(j) + 1 for j in np.flatnonzero(np.linalg.norm(resid, axis=1) <= tol))
-
-    def _projection(self, basis: np.ndarray) -> tuple:
-        """Energy Hessian and constraint linear forms projected onto a basis."""
-        key = basis.tobytes()
-        if key not in self._projections:
-            hess = FOUR_PI * reduced_system(self.circ).hessian(self.u0)
-            forms = constraint_system(self.circ.n).hessians()
-            self._projections[key] = (basis @ hess @ basis.T, [c @ basis.T for c in forms])
-        return self._projections[key]
-
-    def restricted_hessian(self, mult: MultiplierSet, basis: np.ndarray) -> np.ndarray:
-        """basis H_f basis^T, with the constraint part as a weighted sum of
-        rank-one products of the projected linear forms."""
-        energy, (p1, p2, p3, p4) = self._projection(basis)
-        h = mult.a0 * energy
-        for a_i, j in zip(mult.a, self.casimir_subset):
-            if a_i != 0.0 and j > 1:
-                h = h + a_i * (basis @ casimir_hessian(self.mu0, self.coupling, j) @ basis.T)
-        # c Re R + d Im R = Re((c - i d) R)
-        w = np.concatenate([mult.b, np.asarray(mult.c) - 1j * np.asarray(mult.d)])
-        s = (p1.T * w) @ p2 - (p3.T * w) @ p4
-        return h + (s + s.T).real
-
-
-@lru_cache(maxsize=4)
-def _cached_model(entries: bytes, circ: Circulations, subset: tuple[int, ...]) -> LocalModel:
-    mu0 = MuMatrix(np.frombuffer(entries, dtype=complex).reshape(circ.n, circ.n))
-    return LocalModel(mu0, circ, subset)
-
-
-def local_model(
-    mu0: MuMatrix, circ: Circulations, casimir_subset: Sequence[int] = (1,)
-) -> LocalModel:
-    """The local model at mu0, memoised on the content of its arguments."""
-    return _cached_model(mu0.entries.tobytes(), circ, tuple(casimir_subset))
+    order = np.lexsort((ev.imag, ev.real), axis=-1)
+    return np.take_along_axis(ev, order, axis=-1)
 
 
 @dataclass(frozen=True)
 class IndependenceResult:
-    independent: bool
-    rank: int
+    independent: bool | np.ndarray
+    rank: int | np.ndarray
     expected: int
     model: LocalModel = field(repr=False, compare=False)
 
     @property
-    def dependent_casimirs(self) -> tuple[int, ...]:
+    def dependent_casimirs(self) -> tuple[int, ...] | list[tuple[int, ...]]:
         """The Casimirs C_1..C_n whose differential individually lies in the
         span of the constraint differentials (computed on first access)."""
-        return self.model.dependent_casimirs
+        dependent = self.model.dependent_casimirs
+        return dependent[0] if np.ndim(self.rank) == 0 else dependent
 
     def __bool__(self) -> bool:
-        return self.independent
+        return bool(np.all(self.independent))
 
 
 def independence_check(
-    mu0: MuMatrix, circ: Circulations, casimir_subset: Sequence[int] = (1,)
+    mu0: MuMatrix,
+    circ: Circulations | Sequence[Circulations],
+    casimir_subset: Sequence[int] = (1,),
 ) -> IndependenceResult:
     """Numerical rank test of the stacked Casimir and constraint differentials.
 
@@ -244,37 +148,19 @@ def independence_check(
     individually lie in the span of the constraint gradients at mu0 (those add
     nothing to the certificate).
     """
-    if not in_open_set(mu0):
+    if not np.all(in_open_set(mu0)):
         raise NotInOpenSet("mu0 has a vanishing entry")
     model = local_model(mu0, circ, casimir_subset)
-    expected = model.stack.shape[0]
+    expected = model.stack.shape[-2]
+    rank = _per_point(circ, model.rank)
     return IndependenceResult(
-        independent=model.rank == expected, rank=model.rank, expected=expected, model=model
+        independent=rank == expected, rank=rank, expected=expected, model=model
     )
-
-
-@dataclass(frozen=True)
-class MultiplierSet:
-    """Coefficients of the certificate function, normalized to a0 = +-1."""
-
-    a0: float
-    a: tuple[float, ...]
-    b: tuple[float, ...]
-    c: tuple[float, ...]
-    d: tuple[float, ...]
-    residual: float
-    solution_space_dim: int
-
-    @property
-    def constraint_coefficients(self) -> np.ndarray:
-        """Coefficients in constraint-component order (b's, then c/d pairs)."""
-        pairs = np.column_stack([self.c, self.d]).ravel()
-        return np.concatenate([self.b, pairs])
 
 
 def solve_multiplier_system(
     mu0: MuMatrix,
-    circ: Circulations,
+    circ: Circulations | Sequence[Circulations],
     casimir_subset: Sequence[int] = (1,),
     a0: float = 1.0,
 ) -> MultiplierSet:
@@ -286,61 +172,69 @@ def solve_multiplier_system(
     if a0 == 0.0:
         raise ValueError("a0 must be nonzero")
     a0 = float(np.sign(a0))
-    model = local_model(mu0, circ, casimir_subset)
-    mult = model.multipliers(a0)
-    if mult.residual > MULTIPLIER_TOL:
-        raise Infeasible(f"no critical point for a0={a0:+.0f}: residual {mult.residual:.3e}")
-    return mult
+    mult = local_model(mu0, circ, casimir_subset).multipliers(a0)
+    worst = float(mult.residual.max(initial=0.0))
+    if worst > MULTIPLIER_TOL:
+        raise Infeasible(f"no critical point for a0={a0:+.0f}: residual {worst:.3e}")
+    return mult.point(0) if isinstance(circ, Circulations) else mult
 
 
 def tangent_basis(
-    mu0: MuMatrix, circ: Circulations, casimir_subset: Sequence[int] = (1,)
+    mu0: MuMatrix,
+    circ: Circulations | Sequence[Circulations],
+    casimir_subset: Sequence[int] = (1,),
 ) -> np.ndarray:
     """Orthonormal basis (rows) of the tangent space of the joint level set."""
-    basis = local_model(mu0, circ, casimir_subset).basis
-    expected = circ.n**2 - (circ.n - 1) ** 2 - len(casimir_subset)
-    if basis.shape[0] != expected:
+    model = local_model(mu0, circ, casimir_subset)
+    rows = model.stack.shape[-2]
+    if np.any(model.rank != rows):
+        nullity = model.n**2 - int(model.rank.min())
         raise RankDeficiency(
-            f"nullity {basis.shape[0]}, expected {expected} (gradients not independent)"
+            f"nullity {nullity}, expected {model.n**2 - rows} (gradients not independent)"
         )
-    return basis
+    return _per_point(circ, model.basis)
 
 
 def restricted_hessian(
     mu0: MuMatrix,
-    circ: Circulations,
+    circ: Circulations | Sequence[Circulations],
     mult: MultiplierSet,
     basis: np.ndarray,
     casimir_subset: Sequence[int] = (1,),
 ) -> np.ndarray:
     """Project the certificate Hessian onto a tangent basis (rows)."""
+    model = local_model(mu0, circ, casimir_subset)
     basis = np.asarray(basis, dtype=float)
-    restricted = local_model(mu0, circ, casimir_subset).restricted_hessian(mult, basis)
-    scale = max(1.0, np.abs(restricted).max(initial=0.0))
-    asym = np.abs(restricted - restricted.T).max(initial=0.0)
-    if asym > 1e-10 * scale:
-        raise ValueError(f"restricted Hessian asymmetric by {asym:.3e}")
-    return 0.5 * (restricted + restricted.T)
+    basis = np.broadcast_to(basis, (len(model.field.circs),) + basis.shape[-2:])
+    restricted = model.restricted_hessian(mult, basis)
+    scale = np.maximum(1.0, np.abs(restricted).max(axis=(-2, -1), initial=0.0))
+    asym = np.abs(restricted - restricted.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    if np.any(asym > 1e-10 * scale):
+        raise ValueError(f"restricted Hessian asymmetric by {asym.max():.3e}")
+    return _per_point(circ, 0.5 * (restricted + restricted.swapaxes(-1, -2)))
 
 
 @dataclass(frozen=True)
 class SylvesterResult:
-    positive_definite: bool
-    minors: tuple[float, ...]
+    positive_definite: bool | np.ndarray
+    minors: tuple[float, ...] | np.ndarray
 
 
 def sylvester_verdict(hessian: np.ndarray) -> SylvesterResult:
     """Leading principal minors with an all-positive test, cross-checked
-    against the smallest eigenvalue."""
+    against the smallest eigenvalue; per matrix of a stack."""
     h = np.asarray(hessian, dtype=float)
-    minor_tol = 1e-10 * (1.0 + np.abs(h).max(initial=0.0))
-    minors = tuple(float(np.linalg.det(h[: i + 1, : i + 1])) for i in range(h.shape[0]))
-    minors_positive = all(m > minor_tol for m in minors)
-    eig_min = float(np.linalg.eigvalsh(h).min()) if h.size else 0.0
-    return SylvesterResult(
-        positive_definite=minors_positive and eig_min > 0.0,
-        minors=minors,
-    )
+    d = h.shape[-1]
+    minor_tol = 1e-10 * (1.0 + np.abs(h).max(axis=(-2, -1), initial=0.0))
+    minors = np.empty(h.shape[:-1])
+    for i in range(d):
+        minors[..., i] = np.linalg.det(h[..., : i + 1, : i + 1])
+    minors_positive = (minors > minor_tol[..., None]).all(axis=-1)
+    eig_min = np.linalg.eigvalsh(h).min(axis=-1) if d else np.zeros(h.shape[:-2])
+    positive_definite = minors_positive & (eig_min > 0.0)
+    if h.ndim == 2:
+        return SylvesterResult(bool(positive_definite), tuple(float(m) for m in minors))
+    return SylvesterResult(positive_definite, minors)
 
 
 class Verdict(enum.Enum):
@@ -358,72 +252,128 @@ class CertificateResult:
     restricted_hessian: np.ndarray | None = None
     minors: tuple[float, ...] | None = None
     reason: str = ""
+    residual: float = 0.0
 
 
 def energy_casimir_certificate(
     mu0: MuMatrix,
-    circ: Circulations,
+    circ: Circulations | Sequence[Circulations],
     casimir_subset: Sequence[int] = (1,),
-) -> CertificateResult:
+) -> CertificateResult | list[CertificateResult | VortexStabError]:
     """Full stability pipeline at a fixed point of the reduced dynamics.
 
     When the Casimir and constraint differentials are independent, linear
     stability is decided on their joint level set (the symplectic leaf): the
-    spectrum is that of the d x d matrix B A B^T on the tangent basis B.
-    Dependent differentials make the certificate inconclusive, and only then
-    is the full n^2 spectrum taken.  Linear instability (an eigenvalue with
-    positive real part beyond tolerance) short-circuits the certificate;
+    spectrum is that of the d x d matrix L = B A B^T on the tangent basis B,
+    and an eigenvalue with Re lambda > SPEC_TOL * ||L||_F (Frobenius norm)
+    makes the point linearly unstable.  Dependent differentials make the
+    certificate inconclusive, and only then is the full n^2 spectrum taken
+    (and A's norm used).  Linear instability short-circuits the certificate;
     otherwise the multipliers for each sign of a0 are unique, and each sign is
     tried once.
+
+    A stack of k points runs each stage once for all of them and returns a
+    list of k results, where a point that fails holds its exception
+    (NotAFixedPoint, NotInOpenSet, ...) in place of a result.  A stack whose
+    points part ways at a check that raises is certified point by point.
     """
-    check = is_fixed_point(mu0, circ)
-    if not check.ok:
-        raise NotAFixedPoint(f"residual {check.residual:.3e}")
-    if not in_open_set(mu0):
+    circs = _circulation_sets(circ)
+    subset = tuple(casimir_subset)
+    if isinstance(circ, Circulations):
+        return _certify(MuMatrix(mu0.entries[None]), circs, subset)[0]
+    try:
+        return _certify(mu0, circs, subset)
+    except VortexStabError:
+        if len(circs) == 1:
+            raise
+    results: list[CertificateResult | VortexStabError] = []
+    for i in range(len(circs)):
+        try:
+            results += _certify(MuMatrix(mu0.entries[i : i + 1]), circs[i : i + 1], subset)
+        except VortexStabError as exc:
+            results.append(exc)
+    return results
+
+
+def _certify(
+    mu0: MuMatrix, circs: tuple[Circulations, ...], subset: tuple[int, ...]
+) -> list[CertificateResult]:
+    """The certificate on a stack whose points pass every check that raises."""
+    k = len(circs)
+    check = is_fixed_point(mu0, circs)
+    if not check.ok.all():
+        raise NotAFixedPoint(f"residual {check.residual.max():.3e}")
+    if not np.all(in_open_set(mu0)):
         raise NotInOpenSet("mu0 has a vanishing entry")
 
-    indep = independence_check(mu0, circ, casimir_subset)
-    basis = tangent_basis(mu0, circ, casimir_subset) if indep.independent else None
-    ev = spectrum(linearize(mu0, circ, basis))
-    dependent = (
-        ""
-        if indep.independent
-        else f"differentials not independent (rank {indep.rank} < {indep.expected}); "
-        "full n^2 spectrum"
-    )
+    indep = independence_check(mu0, circs, subset)
+    if indep.independent.all():
+        basis = tangent_basis(mu0, circs, subset)
+        lin = linearize(mu0, circs, basis)
+    elif not indep.independent.any():
+        basis, lin = None, linearize(mu0, circs)
+    else:
+        raise RankDeficiency("differentials independent at some points of the stack only")
+    ev = spectrum(lin)
     # a zero-dimensional leaf (n = 1) has an empty spectrum
-    max_re = float(ev.real.max(initial=0.0))
-    if max_re > SPEC_TOL:
-        return CertificateResult(
-            verdict=Verdict.LINEARLY_UNSTABLE,
-            spectrum=ev,
-            reason="; ".join(filter(None, (f"max Re lambda = {max_re:.6e}", dependent))),
-        )
-    if dependent:
-        return CertificateResult(verdict=Verdict.INCONCLUSIVE, spectrum=ev, reason=dependent)
+    max_re = ev.real.max(axis=-1, initial=0.0)
+    unstable = max_re > SPEC_TOL * np.linalg.norm(lin, axis=(-2, -1))
+    undecided = ~unstable & indep.independent
 
-    reasons = []
+    certified: dict[int, tuple] = {}
+    reasons: list[list[str]] = [[] for _ in range(k)]
     for a0 in (1.0, -1.0):
+        pending = [i for i in np.flatnonzero(undecided) if i not in certified]
+        if not pending:
+            break
         try:
-            mult = solve_multiplier_system(mu0, circ, casimir_subset, a0)
+            mult = solve_multiplier_system(mu0, circs, subset, a0)
         except Infeasible as exc:
-            reasons.append(str(exc))
+            if k > 1:
+                raise
+            reasons[0].append(str(exc))
             continue
-        rh = restricted_hessian(mu0, circ, mult, basis, casimir_subset)
+        rh = restricted_hessian(mu0, circs, mult, basis, subset)
         syl = sylvester_verdict(rh)
-        if syl.positive_definite:
-            return CertificateResult(
-                verdict=Verdict.CERTIFIED_STABLE,
-                spectrum=ev,
-                multipliers=mult,
-                tangent_basis=basis,
-                restricted_hessian=rh,
-                minors=syl.minors,
+        for i in pending:
+            if syl.positive_definite[i]:
+                certified[i] = (mult.point(i), rh[i], tuple(float(m) for m in syl.minors[i]))
+            else:
+                reasons[i].append(f"restricted Hessian not positive definite for a0={a0:+.0f}")
+
+    results = []
+    for i in range(k):
+        common = {"spectrum": ev[i], "residual": float(check.residual[i])}
+        dependent = (
+            ""
+            if indep.independent[i]
+            else f"differentials not independent (rank {indep.rank[i]} < {indep.expected}); "
+            "full n^2 spectrum"
+        )
+        if unstable[i]:
+            reason = "; ".join(filter(None, (f"max Re lambda = {max_re[i]:.6e}", dependent)))
+            results.append(CertificateResult(Verdict.LINEARLY_UNSTABLE, reason=reason, **common))
+        elif dependent:
+            results.append(CertificateResult(Verdict.INCONCLUSIVE, reason=dependent, **common))
+        elif i in certified:
+            mult_i, rh_i, minors = certified[i]
+            results.append(
+                CertificateResult(
+                    Verdict.CERTIFIED_STABLE,
+                    multipliers=mult_i,
+                    tangent_basis=basis[i],
+                    restricted_hessian=rh_i,
+                    minors=minors,
+                    **common,
+                )
             )
-        reasons.append(f"restricted Hessian not positive definite for a0={a0:+.0f}")
-    return CertificateResult(
-        verdict=Verdict.INCONCLUSIVE,
-        spectrum=ev,
-        tangent_basis=basis,
-        reason="; ".join(reasons),
-    )
+        else:
+            results.append(
+                CertificateResult(
+                    Verdict.INCONCLUSIVE,
+                    tangent_basis=basis[i],
+                    reason="; ".join(reasons[i]),
+                    **common,
+                )
+            )
+    return results

@@ -23,11 +23,16 @@ from vortexstab.algebra import (
     unflatten,
 )
 from vortexstab.errors import DimensionMismatch
-from vortexstab.hamiltonian import gradient_entries, gradient_matrix, reduced_system
-from vortexstab.report import analyze
+from vortexstab.hamiltonian import (
+    ReducedHamiltonian,
+    gradient_entries,
+    gradient_matrix,
+    reduced_system,
+)
+from vortexstab.localmodel import _cached_field, _cached_model
+from vortexstab.report import analyze, gamma_sweep
 from vortexstab.scenarios import build_scenario, scenario_fixed_point
 from vortexstab.stability import (
-    _cached_model,
     independence_check,
     linearize,
     tangent_basis,
@@ -176,10 +181,6 @@ class TestPolygonVerdicts:
                     problems.append((m, gamma, "max Re", max_re, oracle_re))
         assert problems == []
 
-    @pytest.mark.xfail(
-        reason="the round-off of the leaf matrix's nilpotent block (1e-8 .. 1e-7) can "
-        "exceed the absolute spectral tolerance; needs one relative to the spectral scale"
-    )
     @pytest.mark.parametrize(
         "m,gamma",
         [(m, band_ends(m)[1]) for m in (3, 4, 7, 11)] + [(m, band_ends(m)[0]) for m in (11, 17)],
@@ -224,8 +225,39 @@ class TestCertificateWork:
         d = 2 * scen.circ.n - 2
         assert rep.verdict == "certified-stable"
         assert len(svd_shapes) == 1
-        assert eig_shapes and all(shape[0] <= d for shape in eig_shapes)
+        assert eig_shapes and all(shape[-1] <= d for shape in eig_shapes)
         assert len(rep.spectrum) == d
+
+    def test_certified_analyze_builds_the_energy_hessian_once(self, monkeypatch):
+        # and evaluates the reduced field once: the residual, the certificate's
+        # fixed-point check and the linearization share one evaluation
+        calls = {"gradient": 0, "hessian": 0}
+        for name in calls:
+            method = getattr(ReducedHamiltonian, name)
+
+            def counted(self, u, method=method, name=name):
+                calls[name] += 1
+                return method(self, u)
+
+            monkeypatch.setattr(ReducedHamiltonian, name, counted)
+        _cached_field.cache_clear()
+        _cached_model.cache_clear()
+        rep = analyze(build_scenario("polygon-with-center", gamma=20.0, m=20))
+        assert rep.verdict == "certified-stable"
+        assert calls == {"gradient": 1, "hessian": 1}
+
+    def test_sweep_evaluates_the_field_once_per_group(self, monkeypatch):
+        calls = []
+        gradient = ReducedHamiltonian.gradient
+        def counted(self, u):
+            calls.append(u.shape)
+            return gradient(self, u)
+
+        monkeypatch.setattr(ReducedHamiltonian, "gradient", counted)
+        table = gamma_sweep("triangle-with-center", -4.0, 2.0, 0.5)
+        # one group of n = 3 points and the zero-total point gamma = -3 (n = 2)
+        assert len(table.rows) == 12
+        assert sorted(calls) == [(1, 4), (11, 9)]
 
     @pytest.mark.parametrize("kind,gamma,m,subset", DEPENDENT_CASIMIR_CASES)
     def test_dependent_casimirs_on_first_access(self, kind, gamma, m, subset, monkeypatch):

@@ -145,6 +145,94 @@ class TestReport:
         assert sweep_to_csv(table).strip() == ",".join(SWEEP_CSV_HEADER)
 
 
+class TestSweepStack:
+    """gamma_sweep certifies each (n, regime) group of its grid as one stack."""
+
+    @pytest.mark.parametrize(
+        "kind,lo,hi,step,m",
+        [
+            ("triangle-with-center", -5.0, 2.0, 0.02, None),
+            ("square-with-center", -1.5, 3.0, 0.02, None),
+        ]
+        + [("polygon-with-center", -5.0, 40.0, 1.25, m) for m in (5, 6, 7, 8)],
+    )
+    def test_rows_equal_a_fresh_analyze(self, kind, lo, hi, step, m):
+        # verdicts and minors bit for bit; max Re lambda within 1e-12 relative
+        table = gamma_sweep(kind, lo, hi, step, m=m)
+        assert table.rows
+        for row in table.rows:
+            rep = analyze(build_scenario(kind, gamma=row.gamma, m=m))
+            max_re = max((re for re, _ in rep.spectrum), default=0.0)
+            assert (row.verdict, row.minors) == (rep.verdict, rep.minors), row.gamma
+            assert abs(row.max_real_part - max_re) <= 1e-12 * max(1.0, abs(max_re))
+
+    def test_zero_total_point_is_its_own_group(self):
+        # gamma = -3 makes the triangle's total circulation zero: n = 2 there
+        table = gamma_sweep("triangle-with-center", -3.5, -2.5, 0.5)
+        assert [r.gamma for r in table.rows] == [-3.5, -3.0, -2.5]
+        assert [r.verdict for r in table.rows] == [
+            analyze(build_scenario("triangle-with-center", gamma=g)).verdict
+            for g in (-3.5, -3.0, -2.5)
+        ]
+
+    def test_long_sweep_leaves_circulation_caches_bounded(self):
+        from vortexstab.algebra import CIRCULATION_CACHE_SIZE, build_coupling_matrix
+        from vortexstab.hamiltonian import reduced_system
+        from vortexstab.localmodel import _cached_field, _cached_model
+
+        table = gamma_sweep("square-with-center", -1.5, 2.5, 0.002)
+        assert len(table.rows) == 2000 and len(table.skipped) == 1
+        assert build_coupling_matrix.cache_info().currsize <= CIRCULATION_CACHE_SIZE
+        assert reduced_system.cache_info().currsize <= CIRCULATION_CACHE_SIZE
+        assert _cached_field.cache_info().currsize <= 1
+        assert _cached_model.cache_info().currsize <= 1
+
+    def test_failing_point_becomes_an_error_row(self):
+        from vortexstab.algebra import MuMatrix
+        from vortexstab.errors import NotAFixedPoint
+        from vortexstab.stability import energy_casimir_certificate
+
+        scens = [build_scenario("square-with-center", gamma=g) for g in (0.5, 1.0, 3.0)]
+        mus = [scenario_fixed_point(s).entries for s in scens]
+        moved = build_scenario(
+            "custom",
+            positions=(1.01,) + scens[1].positions[1:],
+            circulations=scens[1].circ.gammas,
+        )
+        mus[1] = scenario_fixed_point(moved).entries  # not a relative equilibrium
+        results = energy_casimir_certificate(MuMatrix(np.stack(mus)), [s.circ for s in scens])
+        assert isinstance(results[1], NotAFixedPoint)
+        for i in (0, 2):
+            alone = energy_casimir_certificate(MuMatrix(mus[i]), scens[i].circ)
+            assert results[i].verdict is alone.verdict
+            assert results[i].minors == alone.minors
+
+
+class TestVersion:
+    def test_version_is_the_project_version(self):
+        import tomllib
+
+        import vortexstab
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            declared = tomllib.load(fh)["project"]["version"]
+        assert vortexstab.__version__ == declared
+        assert analyze(build_scenario("triangle-with-center", gamma=0.5)).version == declared
+
+    def test_import_leaves_out_package_metadata(self):
+        code = "import sys, vortexstab; print('importlib.metadata' in sys.modules)"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={"PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "False"
+
+
 class TestCli:
     def test_parser_subcommands(self):
         parser = make_parser()
