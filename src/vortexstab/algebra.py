@@ -43,7 +43,7 @@ class Circulations:
     regime: Regime = field(init=False)
 
     def __post_init__(self):
-        gammas = tuple(float(g) for g in self.gammas)
+        gammas = tuple([float(g) for g in self.gammas])
         if len(gammas) < 3:
             raise ValueError("need at least 3 vortices")
         if any(g == 0.0 for g in gammas):

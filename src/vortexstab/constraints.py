@@ -77,22 +77,23 @@ def casimir_gradient(mu: MuMatrix, k: CouplingMatrix, j: int) -> np.ndarray:
 
 
 def casimir_hessian(mu: MuMatrix, k: CouplingMatrix, j: int) -> np.ndarray:
-    """Second derivative of C_j; zero for j = 1, exact product rule otherwise."""
+    """Second derivative of C_j; zero for j = 1, exact product rule otherwise.
+    One matrix per matrix of a stack (mu and k with the same leading axes)."""
     n = mu.n
+    lead = mu.entries.shape[:-2]
     if j == 1:
-        return np.zeros((n * n, n * n))
-    basis = coordinate_basis(n)
-    ik = 1j * k.k
-    db = np.einsum("ab,mbc->mac", ik, 1j * basis)  # derivative of b = iK mu
-    b = ik @ mu.entries
+        return np.zeros(lead + (n * n, n * n))
+    ik = 1j * k.k[..., None, :, :]
+    db = ik @ (1j * coordinate_basis(n))  # derivative of b = iK mu
+    b = ik @ mu.entries[..., None, :, :]
     powers = [np.linalg.matrix_power(b, r) for r in range(j - 1)]
-    hess = np.zeros((n * n, n * n))
+    hess = np.zeros(lead + (n * n, n * n))
     for r in range(j - 1):
-        left = np.einsum("ab,mbc->mac", powers[r], db)
-        right = np.einsum("ab,pbc->pac", powers[j - 2 - r], db)
+        left = powers[r] @ db
+        right = powers[j - 2 - r] @ db
         # sum_r tr(b^r db_m b^{j-2-r} db_p)
-        hess += j * np.einsum("mab,pba->mp", left, right).real
-    return 0.5 * (hess + hess.T)
+        hess += j * np.einsum("...mab,...pba->...mp", left, right).real
+    return 0.5 * (hess + hess.swapaxes(-1, -2))
 
 
 def scenario_casimir_c1(mu: MuMatrix, circ: Circulations) -> float:

@@ -5,15 +5,17 @@ that share n and the regime: the coupling matrices, the stacked reduced
 Hamiltonian, the field residual, the energy Hessian and the linearization.  A
 :class:`LocalModel` adds one Casimir subset: the stacked Casimir and
 constraint differentials, their SVD (ranks, tangent bases, multipliers) and
-the restricted Hessian.  Both are memoised on the content of their
-arguments, so that the stages of one certificate share them.  Every array
-has a leading axis of length k; one point is a stack of one.
+the restricted Hessian.  The stack a certificate works on is memoised on
+the content of its arguments, so that the stages share it; the certificate
+narrows it to the points still undecided with :func:`restrict`, which slices
+what is computed.  Every array has a leading axis of length k; one point is
+a stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -61,12 +63,28 @@ class ReducedField:
         self.coupling = CouplingMatrix(
             k=np.stack([c.k for c in couplings]), k_inv=np.stack([c.k_inv for c in couplings])
         )
-        self.hamiltonian = ReducedHamiltonian(circs)
         gradient = self.hamiltonian.gradient(self.u0)
         self.energy_gradient = FOUR_PI * gradient
         self._g = gradient_entries(gradient, n)
         field = _lie_poisson_entries(mu0.entries, self._g, self.coupling.k_inv)
         self.residual = np.abs(flatten_stack(field)).max(axis=-1, initial=0.0)
+
+    def take(self, rows: np.ndarray) -> ReducedField:
+        """The field at some rows of the stack, with what is computed so far
+        sliced, not computed again."""
+        sub = object.__new__(ReducedField)
+        sub.mu0, sub.n = MuMatrix(self.mu0.entries[rows]), self.n
+        sub.circs = tuple([self.circs[i] for i in rows])
+        sub.coupling = CouplingMatrix(k=self.coupling.k[rows], k_inv=self.coupling.k_inv[rows])
+        sub.u0, sub.energy_gradient = self.u0[rows], self.energy_gradient[rows]
+        sub._g, sub.residual = self._g[rows], self.residual[rows]
+        if "energy_hessian" in vars(self):
+            sub.energy_hessian = self.energy_hessian[rows]
+        return sub
+
+    @cached_property
+    def hamiltonian(self) -> ReducedHamiltonian:
+        return ReducedHamiltonian(self.circs)
 
     @cached_property
     def energy_hessian(self) -> np.ndarray:
@@ -103,17 +121,31 @@ class LocalModel:
 
     def __init__(self, field: ReducedField, casimir_subset: tuple[int, ...]):
         self.field, self.casimir_subset = field, casimir_subset
-        self.mu0, self.n, self.coupling = field.mu0, field.n, field.coupling
-        self.energy_gradient = field.energy_gradient
-        self._projections: dict[bytes, tuple] = {}
+        self.mu0, self.circs, self.n = field.mu0, field.circs, field.n
+        self.coupling, self.energy_gradient = field.coupling, field.energy_gradient
+
+    def take(self, rows: np.ndarray) -> LocalModel:
+        """The model at some rows of the stack, with what is computed so far
+        sliced, not computed again."""
+        sub = LocalModel(self.field.take(rows), self.casimir_subset)
+        computed = vars(self)
+        if "stack" in computed:
+            sub.stack = _read_only(self.stack[rows])
+        if "_factors" in computed:
+            rank, basis, w = self._factors
+            sub._factors = _read_only(rank[rows]), _read_only(basis[rows]), _read_only(w[rows])
+        if "_leaf_projection" in computed:
+            energy, forms = self._leaf_projection
+            sub._leaf_projection = energy[rows], forms[rows]
+        if "dependent_casimirs" in computed:
+            sub.dependent_casimirs = [self.dependent_casimirs[i] for i in rows]
+        return sub
 
     @cached_property
     def stack(self) -> np.ndarray:
         rows = [casimir_gradient(self.mu0, self.coupling, j)[:, None] for j in self.casimir_subset]
         rows.append(constraint_system(self.n).jacobian(self.field.u0))
-        stack = np.concatenate(rows, axis=-2)
-        stack.setflags(write=False)
-        return stack
+        return _read_only(np.concatenate(rows, axis=-2))
 
     @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,9 +161,7 @@ class LocalModel:
         coeff = np.where(kept, along / np.where(kept, sv, 1.0), 0.0)
         w = -(u[..., :width] @ coeff[..., None])[..., 0]
         basis = np.ascontiguousarray(vt[:, self.stack.shape[-2] :])
-        for a in (rank, basis, w):
-            a.setflags(write=False)
-        return rank, basis, w
+        return _read_only(rank), _read_only(basis), _read_only(w)
 
     @property
     def rank(self) -> np.ndarray:
@@ -179,29 +209,30 @@ class LocalModel:
         dependent = np.linalg.norm(resid, axis=-1) <= tol
         return [tuple(int(j) + 1 for j in np.flatnonzero(row)) for row in dependent]
 
-    def _projection(self, basis: np.ndarray) -> tuple:
+    def _projection(self, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Energy Hessian and constraint linear forms projected onto a stack of bases."""
-        key = basis.tobytes()
-        if key not in self._projections:
-            hess = FOUR_PI * self.field.energy_hessian
-            forms = np.stack(constraint_system(self.n).hessians())
-            basis_t = basis.swapaxes(-1, -2)
-            self._projections[key] = (basis @ hess @ basis_t, forms @ basis_t[:, None])
-        return self._projections[key]
+        hess = FOUR_PI * self.field.energy_hessian
+        forms = np.stack(constraint_system(self.n).hessians())
+        basis_t = basis.swapaxes(-1, -2)
+        return basis @ hess @ basis_t, forms @ basis_t[:, None]
+
+    @cached_property
+    def _leaf_projection(self) -> tuple[np.ndarray, np.ndarray]:
+        """The projection onto the tangent bases, shared by both signs of a0."""
+        return self._projection(self.basis)
 
     def restricted_hessian(self, mult: MultiplierSet, basis: np.ndarray) -> np.ndarray:
         """basis H_f basis^T at each point, with the constraint part as a
         weighted sum of rank-one products of the projected linear forms."""
-        energy, forms = self._projection(basis)
+        leaf = basis is self.basis or np.array_equal(basis, self.basis)
+        energy, forms = self._leaf_projection if leaf else self._projection(basis)
         p1, p2, p3, p4 = np.moveaxis(forms, -3, 0)
         h = mult.a0 * energy
         a = np.broadcast_to(np.asarray(mult.a, dtype=float), (len(h), len(self.casimir_subset)))
         for col, j in enumerate(self.casimir_subset):
-            for i in np.flatnonzero(a[:, col] != 0.0) if j > 1 else ():
-                point = MuMatrix(self.mu0.entries[i])
-                coupling = CouplingMatrix(k=self.coupling.k[i], k_inv=self.coupling.k_inv[i])
-                hess = casimir_hessian(point, coupling, j)
-                h[i] = h[i] + a[i, col] * (basis[i] @ hess @ basis[i].T)
+            if j > 1 and a[:, col].any():
+                hess = casimir_hessian(self.mu0, self.coupling, j)
+                h = h + a[:, col, None, None] * (basis @ hess @ basis.swapaxes(-1, -2))
         # c Re R + d Im R = Re((c - i d) R)
         c, d = np.asarray(mult.c, dtype=float), np.asarray(mult.d, dtype=float)
         w = np.concatenate([np.asarray(mult.b, dtype=float), c - 1j * d], axis=-1)[..., None, :]
@@ -209,33 +240,43 @@ class LocalModel:
         return h + (s + s.swapaxes(-1, -2)).real
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _circulation_sets(circ: Circulations | Sequence[Circulations]) -> tuple[Circulations, ...]:
     return (circ,) if isinstance(circ, Circulations) else tuple(circ)
 
 
+# Tuples on the certificate's paths are built from lists: tuple() of a
+# generator allocates ten slots and shrinks them, and the shrunk tuples pile
+# up on CPython's free list of their size, a few per sweep.
 def _content(mu0: MuMatrix, circ: Circulations | Sequence[Circulations]) -> tuple:
-    return mu0.entries.tobytes(), mu0.n, tuple(c.gammas for c in _circulation_sets(circ))
+    return mu0.entries.tobytes(), mu0.n, tuple([c.gammas for c in _circulation_sets(circ)])
 
 
-# One entry each: the stages of a certificate query the same points in turn.
-@lru_cache(maxsize=1)
-def _cached_field(entries: bytes, n: int, gammas: tuple[tuple[float, ...], ...]) -> ReducedField:
-    mu0 = MuMatrix(np.frombuffer(entries, dtype=complex).reshape(-1, n, n))
-    return ReducedField(mu0, tuple(Circulations(g) for g in gammas))
+# The stack the stages of a certificate query in turn, one at a time: its
+# content, its reduced field and its local models by Casimir subset.
+_memo: tuple = (None, None, {})
 
 
-@lru_cache(maxsize=1)
-def _cached_model(
-    entries: bytes, n: int, gammas: tuple[tuple[float, ...], ...], subset: tuple[int, ...]
-) -> LocalModel:
-    return LocalModel(_cached_field(entries, n, gammas), subset)
+def clear_memo() -> None:
+    """Forget the memoised stack."""
+    global _memo
+    _memo = (None, None, {})
 
 
 def reduced_field(mu0: MuMatrix, circ: Circulations | Sequence[Circulations]) -> ReducedField:
     """The reduced field at mu0 (one point, or a stack with one circulation
     set per point), memoised on the content of its arguments; one point is a
     stack of one."""
-    return _cached_field(*_content(mu0, circ))
+    global _memo
+    key = _content(mu0, circ)
+    if _memo[0] != key:
+        stack = MuMatrix(mu0.entries.reshape(-1, mu0.n, mu0.n))
+        _memo = (key, ReducedField(stack, _circulation_sets(circ)), {})
+    return _memo[1]
 
 
 def local_model(
@@ -244,7 +285,23 @@ def local_model(
     casimir_subset: Sequence[int] = (1,),
 ) -> LocalModel:
     """The local model at mu0 for a Casimir subset, memoised like :func:`reduced_field`."""
-    return _cached_model(*_content(mu0, circ), tuple(casimir_subset))
+    field, subset = reduced_field(mu0, circ), tuple(casimir_subset)
+    models = _memo[2]
+    if subset not in models:
+        models[subset] = LocalModel(field, subset)
+    return models[subset]
+
+
+def restrict(model: LocalModel, rows: np.ndarray) -> LocalModel:
+    """The model at some rows of its stack (see :meth:`LocalModel.take`),
+    memoised from now on in place of the stack it came from."""
+    global _memo
+    if len(rows) != len(model.circs):
+        model = model.take(rows)
+    key = _content(model.mu0, model.circs)
+    if _memo[0] != key or _memo[2].get(model.casimir_subset) is not model:
+        _memo = (key, model.field, {model.casimir_subset: model})
+    return model
 
 
 @dataclass(frozen=True)

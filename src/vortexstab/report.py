@@ -6,17 +6,18 @@ serialize/parse round trip reproduces an equal object bit for bit.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .algebra import MuMatrix, flatten
+from .algebra import Circulations, MuMatrix, flatten
 from .dynamics import integrate, invariant_drift_report
 from .errors import ExcludedParameter, NotAFixedPoint, VortexStabError
 from .scenarios import Scenario, build_scenario, scenario_fixed_point
-from .stability import CertificateResult, energy_casimir_certificate
+from .stability import CertificateResult, energy_casimir_certificate, stack_size
 
 
 @dataclass
@@ -108,7 +109,7 @@ def report_from_json(text: str) -> AnalysisReport:
     return AnalysisReport(**json.loads(text))
 
 
-@dataclass(slots=True)
+@dataclass
 class SweepRow:
     gamma: float
     verdict: str
@@ -164,33 +165,43 @@ def gamma_sweep(
 
     The points are grouped by shape dimension n and regime (a center of minus
     the vertex count makes the total circulation zero), and the certificate
-    runs once per group on the stack of its points; memory therefore does not
-    grow with the length of the grid beyond the rows themselves.  Excluded
-    parameter values (gamma = 0) are skipped and recorded aside; other
-    per-point failures appear inline as rows with verdict ``error``.
+    runs on stacks of up to ``stack_size(n)`` consecutive points of a group;
+    beyond the rows, memory therefore does not grow with the length of the
+    grid.  Excluded parameter values (gamma = 0) are skipped and recorded
+    aside; other per-point failures appear inline as rows with verdict
+    ``error``.
     """
-    points = []
+    rows: list[SweepRow | None] = []
     skipped = []
+    groups: dict[tuple, list[tuple[int, float, Circulations, MuMatrix]]] = {}
+
+    def certify(members: list) -> None:
+        stack = MuMatrix(np.stack([mu0.entries for *_, mu0 in members]))
+        results = energy_casimir_certificate(stack, [c for _, _, c, _ in members], casimir_subset)
+        for (i, gamma, _, _), res in zip(members, results):
+            rows[i] = _sweep_row(gamma, res)
+        members.clear()
+
     for gamma in gamma_grid(gamma_min, gamma_max, step):
         try:
-            points.append((gamma, build_scenario(kind, gamma=gamma, m=m)))
+            scen = build_scenario(kind, gamma=gamma, m=m)
         except ExcludedParameter as exc:
             skipped.append({"gamma": gamma, "note": str(exc)})
-    rows: list[SweepRow | None] = [None] * len(points)
-    groups: dict[tuple, list[tuple[int, MuMatrix]]] = {}
-    for i, (gamma, scen) in enumerate(points):
+            continue
+        rows.append(None)
         try:
             mu0 = scenario_fixed_point(scen)
         except VortexStabError as exc:
-            rows[i] = _sweep_row(gamma, exc)
+            rows[-1] = _sweep_row(gamma, exc)
             continue
-        groups.setdefault((scen.circ.n, scen.circ.regime), []).append((i, mu0))
+        circ = scen.circ
+        members = groups.setdefault((circ.n, circ.regime), [])
+        members.append((len(rows) - 1, gamma, circ, mu0))
+        if len(members) == stack_size(circ.n):
+            certify(members)
     for members in groups.values():
-        stack = MuMatrix(np.stack([mu0.entries for _, mu0 in members]))
-        circs = [points[i][1].circ for i, _ in members]
-        results = energy_casimir_certificate(stack, circs, casimir_subset)
-        for (i, _), res in zip(members, results):
-            rows[i] = _sweep_row(points[i][0], res)
+        if members:
+            certify(members)
     return SweepTable(kind=kind, rows=rows, skipped=skipped)
 
 
@@ -198,7 +209,6 @@ SWEEP_CSV_HEADER = ["gamma", "verdict", "max_real_part", "minors", "note"]
 
 
 def sweep_to_csv(table: SweepTable) -> str:
-    import csv
     import io
 
     buf = io.StringIO()

@@ -45,7 +45,7 @@ def _polygon_vertices(m: int) -> list[complex]:
 
 def _circulations(gammas: tuple[float, ...]) -> Circulations:
     try:
-        return Circulations(tuple(float(g) for g in gammas))
+        return Circulations(tuple([float(g) for g in gammas]))
     except ValueError as exc:
         raise ExcludedParameter(str(exc)) from exc
 
@@ -82,7 +82,7 @@ def build_scenario(
             raise UnsupportedScenario("positions and circulations must have equal length")
         return Scenario(
             name=kind,
-            positions=tuple(complex(p) for p in positions),
+            positions=tuple([complex(p) for p in positions]),
             circ=_circulations(circulations),
         )
     raise UnsupportedScenario(f"unknown scenario kind {kind!r} (choose from {KINDS})")

@@ -29,6 +29,7 @@ from .algebra import Circulations, MuMatrix
 from .constraints import in_open_set
 from .errors import (
     DimensionMismatch,
+    DomainError,
     Infeasible,
     NoConvergence,
     NotAFixedPoint,
@@ -43,6 +44,7 @@ from .localmodel import (
     _circulation_sets,
     local_model,
     reduced_field,
+    restrict,
 )
 
 FP_TOL = 1e-9
@@ -52,6 +54,9 @@ FP_TOL = 1e-9
 # the families' sweeps is 7.7e-3 ||L||_F (m = 13, gamma = 40).
 SPEC_TOL = 1e-7
 MULTIPLIER_TOL = 1e-8
+# Entries of each n^4-sized array of a certificate stack (the energy Hessian,
+# the SVD's V^T, the tangent bases): 2 MB of float64.
+STACK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -175,7 +180,7 @@ def solve_multiplier_system(
     mult = local_model(mu0, circ, casimir_subset).multipliers(a0)
     worst = float(mult.residual.max(initial=0.0))
     if worst > MULTIPLIER_TOL:
-        raise Infeasible(f"no critical point for a0={a0:+.0f}: residual {worst:.3e}")
+        raise Infeasible(_infeasible(a0, worst))
     return mult.point(0) if isinstance(circ, Circulations) else mult
 
 
@@ -233,7 +238,7 @@ def sylvester_verdict(hessian: np.ndarray) -> SylvesterResult:
     eig_min = np.linalg.eigvalsh(h).min(axis=-1) if d else np.zeros(h.shape[:-2])
     positive_definite = minors_positive & (eig_min > 0.0)
     if h.ndim == 2:
-        return SylvesterResult(bool(positive_definite), tuple(float(m) for m in minors))
+        return SylvesterResult(bool(positive_definite), tuple(minors.tolist()))
     return SylvesterResult(positive_definite, minors)
 
 
@@ -272,108 +277,140 @@ def energy_casimir_certificate(
     otherwise the multipliers for each sign of a0 are unique, and each sign is
     tried once.
 
-    A stack of k points runs each stage once for all of them and returns a
-    list of k results, where a point that fails holds its exception
-    (NotAFixedPoint, NotInOpenSet, ...) in place of a result.  A stack whose
-    points part ways at a check that raises is certified point by point.
+    A stack of k points runs each stage once on the points it still has to
+    decide and returns a list of k results, where a point that fails a check
+    holds its exception (NotAFixedPoint, NotInOpenSet, DomainError, ...) in
+    place of a result.  Every stage holds arrays of O(n^4) entries per point,
+    so the caller bounds k (:func:`stack_size`).
     """
     circs = _circulation_sets(circ)
     subset = tuple(casimir_subset)
-    if isinstance(circ, Circulations):
-        return _certify(MuMatrix(mu0.entries[None]), circs, subset)[0]
-    try:
-        return _certify(mu0, circs, subset)
-    except VortexStabError:
-        if len(circs) == 1:
-            raise
-    results: list[CertificateResult | VortexStabError] = []
-    for i in range(len(circs)):
+    stack = mu0.entries.reshape((-1,) + mu0.entries.shape[-2:])
+    results: list[CertificateResult | VortexStabError | None] = [None] * len(circs)
+    rows = np.arange(len(circs))
+    while len(rows):
         try:
-            results += _certify(MuMatrix(mu0.entries[i : i + 1]), circs[i : i + 1], subset)
-        except VortexStabError as exc:
-            results.append(exc)
+            part = MuMatrix(stack[rows])
+            for i, res in zip(rows, _certify(part, tuple([circs[i] for i in rows]), subset)):
+                results[i] = res
+            break
+        except DomainError as exc:
+            # a point outside the Hamiltonian's domain fails the field of its
+            # whole stack: it is set aside, and the rest stay one stack
+            results[rows[exc.sample]] = exc
+            rows = np.delete(rows, exc.sample)
+    if isinstance(circ, Circulations):
+        if isinstance(results[0], VortexStabError):
+            raise results[0]
+        return results[0]
     return results
+
+
+def stack_size(n: int) -> int:
+    """How many points of shape dimension n to certify as one stack: each
+    array of n^4 entries per point then holds at most STACK_ENTRIES."""
+    return max(1, STACK_ENTRIES // n**4)
 
 
 def _certify(
     mu0: MuMatrix, circs: tuple[Circulations, ...], subset: tuple[int, ...]
-) -> list[CertificateResult]:
-    """The certificate on a stack whose points pass every check that raises."""
-    k = len(circs)
+) -> list[CertificateResult | VortexStabError]:
+    """The certificate at each point of a stack; each stage runs on the rows
+    it still has to decide, narrowed with ``restrict``."""
+    results: list[CertificateResult | VortexStabError | None] = [None] * len(circs)
+    model = local_model(mu0, circs, subset)
     check = is_fixed_point(mu0, circs)
-    if not check.ok.all():
-        raise NotAFixedPoint(f"residual {check.residual.max():.3e}")
-    if not np.all(in_open_set(mu0)):
-        raise NotInOpenSet("mu0 has a vanishing entry")
-
-    indep = independence_check(mu0, circs, subset)
-    if indep.independent.all():
-        basis = tangent_basis(mu0, circs, subset)
-        lin = linearize(mu0, circs, basis)
-    elif not indep.independent.any():
-        basis, lin = None, linearize(mu0, circs)
-    else:
-        raise RankDeficiency("differentials independent at some points of the stack only")
-    ev = spectrum(lin)
-    # a zero-dimensional leaf (n = 1) has an empty spectrum
-    max_re = ev.real.max(axis=-1, initial=0.0)
-    unstable = max_re > SPEC_TOL * np.linalg.norm(lin, axis=(-2, -1))
-    undecided = ~unstable & indep.independent
-
-    certified: dict[int, tuple] = {}
-    reasons: list[list[str]] = [[] for _ in range(k)]
-    for a0 in (1.0, -1.0):
-        pending = [i for i in np.flatnonzero(undecided) if i not in certified]
-        if not pending:
-            break
-        try:
-            mult = solve_multiplier_system(mu0, circs, subset, a0)
-        except Infeasible as exc:
-            if k > 1:
-                raise
-            reasons[0].append(str(exc))
+    inside = in_open_set(mu0)
+    for i in np.flatnonzero(~check.ok):
+        results[i] = NotAFixedPoint(f"residual {check.residual[i]:.3e}")
+    for i in np.flatnonzero(check.ok & ~inside):
+        results[i] = NotInOpenSet("mu0 has a vanishing entry")
+    at = np.flatnonzero(check.ok & inside)  # the stack rows of the model's points
+    if not len(at):
+        return results
+    model = restrict(model, at)
+    indep = independence_check(model.mu0, model.circs, subset)
+    for independent in (True, False):
+        rows = np.flatnonzero(indep.independent == independent)
+        if not len(rows):
             continue
-        rh = restricted_hessian(mu0, circs, mult, basis, subset)
-        syl = sylvester_verdict(rh)
-        for i in pending:
-            if syl.positive_definite[i]:
-                certified[i] = (mult.point(i), rh[i], tuple(float(m) for m in syl.minors[i]))
-            else:
-                reasons[i].append(f"restricted Hessian not positive definite for a0={a0:+.0f}")
-
-    results = []
-    for i in range(k):
-        common = {"spectrum": ev[i], "residual": float(check.residual[i])}
-        dependent = (
-            ""
-            if indep.independent[i]
-            else f"differentials not independent (rank {indep.rank[i]} < {indep.expected}); "
-            "full n^2 spectrum"
-        )
-        if unstable[i]:
-            reason = "; ".join(filter(None, (f"max Re lambda = {max_re[i]:.6e}", dependent)))
-            results.append(CertificateResult(Verdict.LINEARLY_UNSTABLE, reason=reason, **common))
-        elif dependent:
-            results.append(CertificateResult(Verdict.INCONCLUSIVE, reason=dependent, **common))
-        elif i in certified:
-            mult_i, rh_i, minors = certified[i]
-            results.append(
-                CertificateResult(
+        part = restrict(model, rows)
+        basis = tangent_basis(part.mu0, part.circs, subset) if independent else None
+        lin = linearize(part.mu0, part.circs, basis)
+        ev = spectrum(lin)
+        # a zero-dimensional leaf (n = 1) has an empty spectrum
+        max_re = ev.real.max(axis=-1, initial=0.0)
+        unstable = max_re > SPEC_TOL * np.linalg.norm(lin, axis=(-2, -1))
+        undecided = np.flatnonzero(~unstable) if independent else np.array([], dtype=int)
+        certified, reasons = _energy_casimir(part, undecided, subset)
+        for r, i in enumerate(at[rows]):
+            common = {"spectrum": ev[r], "residual": float(check.residual[i])}
+            dependent = (
+                ""
+                if independent
+                else f"differentials not independent (rank {indep.rank[rows[r]]} < "
+                f"{indep.expected}); full n^2 spectrum"
+            )
+            if unstable[r]:
+                reason = "; ".join(filter(None, (f"max Re lambda = {max_re[r]:.6e}", dependent)))
+                results[i] = CertificateResult(Verdict.LINEARLY_UNSTABLE, reason=reason, **common)
+            elif dependent:
+                results[i] = CertificateResult(Verdict.INCONCLUSIVE, reason=dependent, **common)
+            elif r in certified:
+                mult, rh, minors = certified[r]
+                results[i] = CertificateResult(
                     Verdict.CERTIFIED_STABLE,
-                    multipliers=mult_i,
-                    tangent_basis=basis[i],
-                    restricted_hessian=rh_i,
+                    multipliers=mult,
+                    tangent_basis=basis[r],
+                    restricted_hessian=rh,
                     minors=minors,
                     **common,
                 )
-            )
-        else:
-            results.append(
-                CertificateResult(
+            else:
+                results[i] = CertificateResult(
                     Verdict.INCONCLUSIVE,
-                    tangent_basis=basis[i],
-                    reason="; ".join(reasons[i]),
+                    tangent_basis=basis[r],
+                    reason="; ".join(reasons.get(r, ())),
                     **common,
                 )
-            )
     return results
+
+
+def _energy_casimir(
+    model: LocalModel, rows: np.ndarray, subset: tuple[int, ...]
+) -> tuple[dict[int, tuple], dict[int, list[str]]]:
+    """Try a0 = +1, then a0 = -1 on the rows not certified yet: the certified
+    rows with their (multipliers, restricted Hessian, minors), and the
+    reasons of the others."""
+    certified: dict[int, tuple] = {}
+    reasons: dict[int, list[str]] = {}
+    if not len(rows):
+        return certified, reasons
+    part = restrict(model, rows)
+    # ||Df(mu0)|| is the same for both signs of a0
+    residual = part.multipliers(1.0).residual
+    infeasible = residual > MULTIPLIER_TOL
+    for r, worst in zip(rows[infeasible], residual[infeasible]):
+        reasons[int(r)] = [_infeasible(a0, worst) for a0 in (1.0, -1.0)]
+    keep = ~infeasible
+    for a0 in (1.0, -1.0):
+        if not keep.any():
+            break
+        if not keep.all():
+            part, rows = restrict(part, np.flatnonzero(keep)), rows[keep]
+        mult = solve_multiplier_system(part.mu0, part.circs, subset, a0)
+        rh = restricted_hessian(part.mu0, part.circs, mult, part.basis, subset)
+        syl = sylvester_verdict(rh)
+        for j, r in enumerate(rows.tolist()):
+            if syl.positive_definite[j]:
+                certified[r] = (mult.point(j), rh[j], tuple(syl.minors[j].tolist()))
+            else:
+                reasons.setdefault(r, []).append(
+                    f"restricted Hessian not positive definite for a0={a0:+.0f}"
+                )
+        keep = ~syl.positive_definite
+    return certified, reasons
+
+
+def _infeasible(a0: float, residual: float) -> str:
+    return f"no critical point for a0={a0:+.0f}: residual {residual:.3e}"

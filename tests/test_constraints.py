@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from vortexstab.algebra import Circulations, MuMatrix, build_coupling_matrix, flatten, unflatten
+from vortexstab.algebra import (
+    Circulations,
+    CouplingMatrix,
+    MuMatrix,
+    build_coupling_matrix,
+    flatten,
+    unflatten,
+)
 from vortexstab.constraints import (
     casimir,
     casimir_gradient,
@@ -141,6 +148,23 @@ class TestCasimirs:
                     - casimir_gradient(unflatten(u - d, 3), k, j)
                 ) / (2 * eps)
                 np.testing.assert_allclose(hess[:, i], fd, rtol=1e-5, atol=1e-7)
+
+    def test_stacked_hessian_is_a_stack_of_single_hessians(self):
+        rng = np.random.default_rng(9)
+        for gammas in ((1.0, -0.3, 0.8, 1.1), (1.0, 2.0, 0.5, -1.2, 0.7)):
+            circs = [Circulations(tuple(g * s for g in gammas)) for s in (1.0, 0.7, 1.6)]
+            n = circs[0].n
+            mus = [random_mu(rng, n) for _ in circs]
+            ks = [build_coupling_matrix(c) for c in circs]
+            stack = MuMatrix(np.stack([mu.entries for mu in mus]))
+            k = CouplingMatrix(k=np.stack([c.k for c in ks]), k_inv=np.stack([c.k_inv for c in ks]))
+            for j in (1, 2, 3):
+                got = casimir_hessian(stack, k, j)
+                assert got.shape == (len(circs), n * n, n * n)
+                for i, (mu, ki) in enumerate(zip(mus, ks)):
+                    single = casimir_hessian(mu, ki, j)
+                    tol = 1e-13 * max(1.0, np.abs(single).max())
+                    assert np.abs(got[i] - single).max() <= tol
 
     def test_linear_casimir_has_zero_hessian(self):
         rng = np.random.default_rng(8)

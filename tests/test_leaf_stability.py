@@ -29,7 +29,7 @@ from vortexstab.hamiltonian import (
     gradient_matrix,
     reduced_system,
 )
-from vortexstab.localmodel import _cached_field, _cached_model
+from vortexstab.localmodel import clear_memo
 from vortexstab.report import analyze, gamma_sweep
 from vortexstab.scenarios import build_scenario, scenario_fixed_point
 from vortexstab.stability import (
@@ -218,7 +218,7 @@ class TestCertificateWork:
             return eigvals(a)
 
         scen = build_scenario("polygon-with-center", gamma=20.0, m=20)
-        _cached_model.cache_clear()
+        clear_memo()
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
         rep = analyze(scen)
@@ -240,8 +240,7 @@ class TestCertificateWork:
                 return method(self, u)
 
             monkeypatch.setattr(ReducedHamiltonian, name, counted)
-        _cached_field.cache_clear()
-        _cached_model.cache_clear()
+        clear_memo()
         rep = analyze(build_scenario("polygon-with-center", gamma=20.0, m=20))
         assert rep.verdict == "certified-stable"
         assert calls == {"gradient": 1, "hessian": 1}
@@ -262,7 +261,7 @@ class TestCertificateWork:
     @pytest.mark.parametrize("kind,gamma,m,subset", DEPENDENT_CASIMIR_CASES)
     def test_dependent_casimirs_on_first_access(self, kind, gamma, m, subset, monkeypatch):
         mu0, circ = fixed_point(kind, gamma, m)
-        _cached_model.cache_clear()
+        clear_memo()
         res = independence_check(mu0, circ, subset)
         svd, calls = np.linalg.svd, []
 

@@ -178,14 +178,101 @@ class TestSweepStack:
     def test_long_sweep_leaves_circulation_caches_bounded(self):
         from vortexstab.algebra import CIRCULATION_CACHE_SIZE, build_coupling_matrix
         from vortexstab.hamiltonian import reduced_system
-        from vortexstab.localmodel import _cached_field, _cached_model
+        from vortexstab import localmodel
+        from vortexstab.stability import stack_size
 
         table = gamma_sweep("square-with-center", -1.5, 2.5, 0.002)
         assert len(table.rows) == 2000 and len(table.skipped) == 1
         assert build_coupling_matrix.cache_info().currsize <= CIRCULATION_CACHE_SIZE
         assert reduced_system.cache_info().currsize <= CIRCULATION_CACHE_SIZE
-        assert _cached_field.cache_info().currsize <= 1
-        assert _cached_model.cache_info().currsize <= 1
+        # the certificate memo keeps the last stack only, of at most stack_size(n) points
+        field = localmodel._memo[1]
+        assert field is not None and len(field.circs) <= stack_size(field.n)
+        assert len(localmodel._memo[2]) <= 1
+
+    def test_sweep_memory_is_one_stack_whatever_the_grid(self):
+        # n = 12: stacks of stack_size(12) = 12 points, each holding arrays of
+        # n^4 entries per point; 96 points take eight stacks
+        import tracemalloc
+
+        from vortexstab.stability import stack_size
+
+        assert stack_size(12) == 12
+
+        def peak(lo, hi):
+            tracemalloc.start()
+            table = gamma_sweep("polygon-with-center", lo, hi, 0.5, m=12)
+            _, top = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert len(table.rows) == round((hi - lo) / 0.5) + 1
+            return top
+
+        gamma_sweep("polygon-with-center", 50.0, 55.5, 0.5, m=12)  # fills the lru caches
+        whole = peak(1.0, 48.5)
+        slices = [peak(1.0 + 6 * j, 6.5 + 6 * j) for j in range(8)]
+        # the 84 extra rows take about 0.1 MB; certified as one stack the
+        # whole grid peaks at 7.5 times its largest slice
+        assert whole <= max(slices) + 0.5e6
+
+    def test_later_stages_take_the_undecided_points_only(self, monkeypatch):
+        from vortexstab import stability
+        from vortexstab.algebra import MuMatrix
+
+        sizes = {"solve_multiplier_system": [], "restricted_hessian": []}
+        for name, calls in sizes.items():
+            stage = getattr(stability, name)
+
+            def spy(mu0, *args, stage=stage, calls=calls):
+                calls.append(len(mu0.entries))
+                return stage(mu0, *args)
+
+            monkeypatch.setattr(stability, name, spy)
+        # gamma = 3 is linearly unstable, 0.5 and 1 are certified with a0 = +1
+        scens = [build_scenario("square-with-center", gamma=g) for g in (0.5, 3.0, 1.0)]
+        mus = MuMatrix(np.stack([scenario_fixed_point(s).entries for s in scens]))
+        results = stability.energy_casimir_certificate(mus, [s.circ for s in scens])
+        assert [r.verdict.value for r in results] == [
+            "certified-stable", "linearly-unstable", "certified-stable"
+        ]
+        assert sizes == {"solve_multiplier_system": [2], "restricted_hessian": [2]}
+
+    def test_failing_points_leave_the_rest_one_stack(self, monkeypatch):
+        # a point that is not a fixed point is masked out: the field is
+        # evaluated once; a point outside the Hamiltonian's domain fails that
+        # evaluation, and the field is evaluated once more without it
+        from vortexstab.algebra import MuMatrix
+        from vortexstab.errors import DomainError
+        from vortexstab.hamiltonian import ReducedHamiltonian
+        from vortexstab.stability import energy_casimir_certificate
+
+        shapes = []
+        gradient = ReducedHamiltonian.gradient
+
+        def counted(self, u):
+            shapes.append(u.shape)
+            return gradient(self, u)
+
+        monkeypatch.setattr(ReducedHamiltonian, "gradient", counted)
+        scens = [build_scenario("square-with-center", gamma=g) for g in (0.5, 1.0, 3.0)]
+        mus = [scenario_fixed_point(s).entries for s in scens]
+        z = np.array([1.0, 1.0, 0.3 + 0.7j, -0.5])  # vortices 1 and 2 coincide
+        moved = build_scenario(
+            "custom",
+            positions=(1.01,) + scens[1].positions[1:],
+            circulations=scens[1].circ.gammas,
+        )
+        stack = MuMatrix(np.stack(mus + [scenario_fixed_point(moved).entries]))
+        results = energy_casimir_certificate(stack, [s.circ for s in scens] + [scens[1].circ])
+        assert isinstance(results[3], NotAFixedPoint)
+        assert shapes == [(4, 16)]
+        shapes.clear()
+        stack = MuMatrix(np.stack(mus[:2] + [1j * np.outer(z.conj(), z)] + mus[2:]))
+        results = energy_casimir_certificate(stack, [s.circ for s in scens] + [scens[2].circ])
+        assert isinstance(results[2], DomainError)
+        assert shapes == [(4, 16), (3, 16)]
+        assert [r.verdict.value for r in results[:2] + results[3:]] == [
+            "certified-stable", "certified-stable", "linearly-unstable"
+        ]
 
     def test_failing_point_becomes_an_error_row(self):
         from vortexstab.algebra import MuMatrix
