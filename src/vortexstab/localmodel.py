@@ -134,9 +134,6 @@ class LocalModel:
         if "_factors" in computed:
             rank, basis, w = self._factors
             sub._factors = _read_only(rank[rows]), _read_only(basis[rows]), _read_only(w[rows])
-        if "_leaf_projection" in computed:
-            energy, forms = self._leaf_projection
-            sub._leaf_projection = energy[rows], forms[rows]
         if "dependent_casimirs" in computed:
             sub.dependent_casimirs = [self.dependent_casimirs[i] for i in rows]
         return sub
@@ -209,25 +206,13 @@ class LocalModel:
         dependent = np.linalg.norm(resid, axis=-1) <= tol
         return [tuple(int(j) + 1 for j in np.flatnonzero(row)) for row in dependent]
 
-    def _projection(self, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Energy Hessian and constraint linear forms projected onto a stack of bases."""
-        hess = FOUR_PI * self.field.energy_hessian
-        forms = np.stack(constraint_system(self.n).hessians())
-        basis_t = basis.swapaxes(-1, -2)
-        return basis @ hess @ basis_t, forms @ basis_t[:, None]
-
-    @cached_property
-    def _leaf_projection(self) -> tuple[np.ndarray, np.ndarray]:
-        """The projection onto the tangent bases, shared by both signs of a0."""
-        return self._projection(self.basis)
-
     def restricted_hessian(self, mult: MultiplierSet, basis: np.ndarray) -> np.ndarray:
         """basis H_f basis^T at each point, with the constraint part as a
         weighted sum of rank-one products of the projected linear forms."""
-        leaf = basis is self.basis or np.array_equal(basis, self.basis)
-        energy, forms = self._leaf_projection if leaf else self._projection(basis)
+        basis_t = basis.swapaxes(-1, -2)
+        h = mult.a0 * (basis @ (FOUR_PI * self.field.energy_hessian) @ basis_t)
+        forms = np.stack(constraint_system(self.n).hessians()) @ basis_t[:, None]
         p1, p2, p3, p4 = np.moveaxis(forms, -3, 0)
-        h = mult.a0 * energy
         a = np.broadcast_to(np.asarray(mult.a, dtype=float), (len(h), len(self.casimir_subset)))
         for col, j in enumerate(self.casimir_subset):
             if j > 1 and a[:, col].any():

@@ -5,9 +5,9 @@ making the combined function
 
     f = a0 * (4 pi h) + sum_i a_i C_i + sum b_i R_i + sum (c_ij Re R_ij + d_ij Im R_ij)
 
-critical at the fixed point, then test positive definiteness of its Hessian
-restricted to the tangent space of the joint Casimir/constraint level set via
-Sylvester's criterion.  The ``4 pi h`` scaling matches the closed-form
+critical at the fixed point, then test definiteness, of either sign, of its
+Hessian restricted to the tangent space of the joint Casimir/constraint level
+set via Sylvester's criterion.  The ``4 pi h`` scaling matches the closed-form
 multiplier and minor fixtures used in the acceptance suite.
 
 Every stage takes one point or a stack of them: ``mu0`` of shape (k, n, n)
@@ -54,6 +54,7 @@ FP_TOL = 1e-9
 # the families' sweeps is 7.7e-3 ||L||_F (m = 13, gamma = 40).
 SPEC_TOL = 1e-7
 MULTIPLIER_TOL = 1e-8
+PIVOT_TOL = 1e-10
 # Entries of each n^4-sized array of a certificate stack (the energy Hessian,
 # the SVD's V^T, the tangent bases): 2 MB of float64.
 STACK_ENTRIES = 1 << 18
@@ -180,7 +181,7 @@ def solve_multiplier_system(
     mult = local_model(mu0, circ, casimir_subset).multipliers(a0)
     worst = float(mult.residual.max(initial=0.0))
     if worst > MULTIPLIER_TOL:
-        raise Infeasible(_infeasible(a0, worst))
+        raise Infeasible(_infeasible(worst))
     return mult.point(0) if isinstance(circ, Circulations) else mult
 
 
@@ -221,25 +222,39 @@ def restricted_hessian(
 
 @dataclass(frozen=True)
 class SylvesterResult:
-    positive_definite: bool | np.ndarray
+    """``sign`` is +1 or -1 when definite of that sign, else 0; ``wrong_minor``
+    is the order of the first leading minor that breaks definiteness, or 0."""
+
+    sign: int | np.ndarray
     minors: tuple[float, ...] | np.ndarray
+    wrong_minor: int | np.ndarray
 
 
 def sylvester_verdict(hessian: np.ndarray) -> SylvesterResult:
-    """Leading principal minors with an all-positive test, cross-checked
-    against the smallest eigenvalue; per matrix of a stack."""
+    """Sign of definiteness and leading principal minors from the pivots of one
+    unpivoted LDL^T elimination, per matrix of a stack: definite when every
+    pivot has the first one's sign and exceeds PIVOT_TOL * max|h|, a test that
+    is backward stable (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 10) and scale-free.  A 0 x 0 matrix is not definite."""
     h = np.asarray(hessian, dtype=float)
     d = h.shape[-1]
-    minor_tol = 1e-10 * (1.0 + np.abs(h).max(axis=(-2, -1), initial=0.0))
-    minors = np.empty(h.shape[:-1])
-    for i in range(d):
-        minors[..., i] = np.linalg.det(h[..., : i + 1, : i + 1])
-    minors_positive = (minors > minor_tol[..., None]).all(axis=-1)
-    eig_min = np.linalg.eigvalsh(h).min(axis=-1) if d else np.zeros(h.shape[:-2])
-    positive_definite = minors_positive & (eig_min > 0.0)
+    a = h.copy()
+    pivots = np.empty(h.shape[:-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(d):
+            pivots[..., j] = p = a[..., j, j]
+            col = a[..., j + 1 :, j] / p[..., None]
+            a[..., j + 1 :, j + 1 :] -= col[..., :, None] * a[..., None, j, j + 1 :]
+        minors = np.cumprod(pivots, axis=-1)
+        lead = np.sign(pivots[..., :1])  # empty for d = 0
+        tol = PIVOT_TOL * np.abs(h).max(axis=(-2, -1), initial=0.0)
+        # the leading pivots of the first one's sign beyond tol
+        good = np.cumprod(pivots * lead > tol[..., None], axis=-1).sum(axis=-1)
+    sign = np.where(good == d, lead.sum(axis=-1), 0).astype(int)
+    wrong_minor = np.where(good < d, good + 1, 0)
     if h.ndim == 2:
-        return SylvesterResult(bool(positive_definite), tuple(minors.tolist()))
-    return SylvesterResult(positive_definite, minors)
+        return SylvesterResult(int(sign), tuple(minors.tolist()), int(wrong_minor))
+    return SylvesterResult(sign, minors, wrong_minor)
 
 
 class Verdict(enum.Enum):
@@ -274,8 +289,8 @@ def energy_casimir_certificate(
     makes the point linearly unstable.  Dependent differentials make the
     certificate inconclusive, and only then is the full n^2 spectrum taken
     (and A's norm used).  Linear instability short-circuits the certificate;
-    otherwise the multipliers for each sign of a0 are unique, and each sign is
-    tried once.
+    otherwise the multipliers are unique and linear in a0, and a restricted
+    Hessian definite of either sign certifies (a0 = -1 when it is negative).
 
     A stack of k points runs each stage once on the points it still has to
     decide and returns a list of k results, where a point that fails a check
@@ -342,7 +357,7 @@ def _certify(
         max_re = ev.real.max(axis=-1, initial=0.0)
         unstable = max_re > SPEC_TOL * np.linalg.norm(lin, axis=(-2, -1))
         undecided = np.flatnonzero(~unstable) if independent else np.array([], dtype=int)
-        certified, reasons = _energy_casimir(part, undecided, subset)
+        outcome = _energy_casimir(part, undecided, subset)
         for r, i in enumerate(at[rows]):
             common = {"spectrum": ev[r], "residual": float(check.residual[i])}
             dependent = (
@@ -356,61 +371,54 @@ def _certify(
                 results[i] = CertificateResult(Verdict.LINEARLY_UNSTABLE, reason=reason, **common)
             elif dependent:
                 results[i] = CertificateResult(Verdict.INCONCLUSIVE, reason=dependent, **common)
-            elif r in certified:
-                mult, rh, minors = certified[r]
-                results[i] = CertificateResult(
-                    Verdict.CERTIFIED_STABLE,
-                    multipliers=mult,
-                    tangent_basis=basis[r],
-                    restricted_hessian=rh,
-                    minors=minors,
-                    **common,
-                )
             else:
-                results[i] = CertificateResult(
-                    Verdict.INCONCLUSIVE,
-                    tangent_basis=basis[r],
-                    reason="; ".join(reasons.get(r, ())),
-                    **common,
-                )
+                results[i] = CertificateResult(tangent_basis=basis[r], **outcome[r], **common)
     return results
 
 
 def _energy_casimir(
     model: LocalModel, rows: np.ndarray, subset: tuple[int, ...]
-) -> tuple[dict[int, tuple], dict[int, list[str]]]:
-    """Try a0 = +1, then a0 = -1 on the rows not certified yet: the certified
-    rows with their (multipliers, restricted Hessian, minors), and the
-    reasons of the others."""
-    certified: dict[int, tuple] = {}
-    reasons: dict[int, list[str]] = {}
+) -> dict[int, dict]:
+    """One definiteness test of the restricted Hessian for a0 = +1: per row,
+    the fields of its certified-stable or inconclusive result."""
     if not len(rows):
-        return certified, reasons
+        return {}
     part = restrict(model, rows)
-    # ||Df(mu0)|| is the same for both signs of a0
     residual = part.multipliers(1.0).residual
     infeasible = residual > MULTIPLIER_TOL
-    for r, worst in zip(rows[infeasible], residual[infeasible]):
-        reasons[int(r)] = [_infeasible(a0, worst) for a0 in (1.0, -1.0)]
-    keep = ~infeasible
-    for a0 in (1.0, -1.0):
-        if not keep.any():
-            break
-        if not keep.all():
-            part, rows = restrict(part, np.flatnonzero(keep)), rows[keep]
-        mult = solve_multiplier_system(part.mu0, part.circs, subset, a0)
-        rh = restricted_hessian(part.mu0, part.circs, mult, part.basis, subset)
-        syl = sylvester_verdict(rh)
-        for j, r in enumerate(rows.tolist()):
-            if syl.positive_definite[j]:
-                certified[r] = (mult.point(j), rh[j], tuple(syl.minors[j].tolist()))
-            else:
-                reasons.setdefault(r, []).append(
-                    f"restricted Hessian not positive definite for a0={a0:+.0f}"
-                )
-        keep = ~syl.positive_definite
-    return certified, reasons
+    outcome = {
+        int(r): dict(verdict=Verdict.INCONCLUSIVE, reason=_infeasible(worst))
+        for r, worst in zip(rows[infeasible], residual[infeasible])
+    }
+    if infeasible.all():
+        return outcome
+    part, rows = restrict(part, np.flatnonzero(~infeasible)), rows[~infeasible]
+    mult = solve_multiplier_system(part.mu0, part.circs, subset, 1.0)
+    rh = restricted_hessian(part.mu0, part.circs, mult, part.basis, subset)
+    syl = sylvester_verdict(rh)
+    negated = part.multipliers(-1.0)
+    d = rh.shape[-1]
+    order = np.arange(1, d + 1)
+    for j, r in enumerate(rows.tolist()):
+        s = int(syl.sign[j])
+        if not s:
+            reason = _not_definite(syl.wrong_minor[j], d)
+            outcome[r] = dict(verdict=Verdict.INCONCLUSIVE, reason=reason)
+            continue
+        # a0 = s scales the multipliers and the Hessian by s, minor i by s^i
+        outcome[r] = dict(
+            verdict=Verdict.CERTIFIED_STABLE,
+            multipliers=(mult if s > 0 else negated).point(j),
+            restricted_hessian=s * rh[j],
+            minors=tuple((s**order * syl.minors[j]).tolist()),
+        )
+    return outcome
 
 
-def _infeasible(a0: float, residual: float) -> str:
-    return f"no critical point for a0={a0:+.0f}: residual {residual:.3e}"
+def _infeasible(residual: float) -> str:
+    return f"no critical point: residual {residual:.3e}"
+
+
+def _not_definite(wrong_minor: int, d: int) -> str:
+    where = f"leading minor {wrong_minor} of {d} has the wrong sign" if d else "it is 0 x 0"
+    return f"restricted Hessian not definite: {where}"

@@ -22,7 +22,7 @@ from vortexstab.algebra import (
     flatten_stack,
     unflatten,
 )
-from vortexstab.errors import DimensionMismatch
+from vortexstab.errors import DimensionMismatch, Infeasible
 from vortexstab.hamiltonian import (
     ReducedHamiltonian,
     gradient_entries,
@@ -35,6 +35,9 @@ from vortexstab.scenarios import build_scenario, scenario_fixed_point
 from vortexstab.stability import (
     independence_check,
     linearize,
+    restricted_hessian,
+    solve_multiplier_system,
+    sylvester_verdict,
     tangent_basis,
 )
 
@@ -190,6 +193,58 @@ class TestPolygonVerdicts:
         oracle_re, scale = oracle_max_real_part(scen)
         assert not oracles.unstable(oracle_re, scale)
         assert analyze(scen).verdict != "linearly-unstable"
+
+
+PAPER_FAMILIES = (("triangle-with-center", -5.0, 2.0), ("square-with-center", -1.5, 3.0))
+
+
+def leaf_hessian(mu0, circ):
+    """The tangent basis and the restricted Hessian for a0 = +1 on it, or None
+    where the multipliers do not exist."""
+    basis = tangent_basis(mu0, circ)
+    try:
+        mult = solve_multiplier_system(mu0, circ, (1,), 1.0)
+    except Infeasible:
+        return basis, None
+    return basis, restricted_hessian(mu0, circ, mult, basis)
+
+
+class TestCertificateFunction:
+    def test_linearized_field_preserves_certificate_function(self):
+        # L = B A B^T and H, the restricted Hessian of the certificate
+        # function f, come from two derivative paths coded apart; the flow
+        # preserves f, so L^T H + H L = 0 on the leaf, unstable points included
+        worst, points = 0.0, 0
+        for kind, lo, hi in PAPER_FAMILIES:
+            for row in gamma_sweep(kind, lo, hi, 0.1).rows:
+                mu0, circ = fixed_point(kind, row.gamma)
+                basis, h = leaf_hessian(mu0, circ)
+                lin = linearize(mu0, circ, basis)
+                defect = np.linalg.norm(lin.T @ h + h @ lin)
+                worst = max(worst, defect / (np.linalg.norm(lin) * np.linalg.norm(h)))
+                points += 1
+        assert points > 100 and worst <= 1e-10
+
+    def test_unstable_points_have_no_definite_hessian(self):
+        # a definite H would certify a point the spectrum finds unstable
+        sweeps = [(kind, None, gamma_sweep(kind, lo, hi, 0.02)) for kind, lo, hi in PAPER_FAMILIES]
+        sweeps += [
+            ("polygon-with-center", m, gamma_sweep("polygon-with-center", -5.0, 40.0, 2.5, m=m))
+            for m in GRID_M
+        ]
+        checked, contradictions = 0, []
+        for kind, m, table in sweeps:
+            for row in table.rows:
+                if row.verdict != "linearly-unstable":
+                    continue
+                mu0, circ = fixed_point(kind, row.gamma, m)
+                _, h = leaf_hessian(mu0, circ)
+                if h is None:
+                    continue
+                checked += 1
+                if sylvester_verdict(h).sign:
+                    contradictions.append((kind, m, row.gamma))
+        assert checked > 300 and contradictions == []
 
 
 # fixed points and Casimir subsets of tests/test_stability.py; at these

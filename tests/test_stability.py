@@ -1,8 +1,10 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from vortexstab import stability
 from vortexstab.algebra import (
     Circulations,
     MuMatrix,
@@ -190,19 +192,56 @@ class TestMultipliersAndBasis:
 class TestSylvester:
     def test_positive_diagonal(self):
         res = sylvester_verdict(np.diag([2.0, 3.0]))
-        assert res.positive_definite
+        assert res.sign == 1
         np.testing.assert_allclose(res.minors, [2.0, 6.0])
 
     def test_zero_total_printed_matrix(self):
         h = (-1.0 / 9.0) * np.array([[-4.0, 2.0], [2.0, -4.0]])
         res = sylvester_verdict(h)
-        assert res.positive_definite
+        assert res.sign == 1
         np.testing.assert_allclose(res.minors, [4.0 / 9.0, 4.0 / 27.0], rtol=1e-12)
 
     def test_indefinite(self):
         res = sylvester_verdict(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        assert not res.positive_definite
+        assert res.sign == 0
         np.testing.assert_allclose(res.minors, [1.0, -3.0], rtol=1e-12)
+
+    def test_matches_numpy_on_stacks_of_any_scale(self):
+        # positive definite, negative definite and indefinite matrices of
+        # orders 1..6, each scaled by 1e-8..1e8
+        rng = np.random.default_rng(2024)
+        for d in range(1, 7):
+            stack = []
+            for kind in [+1, -1, 0] * 20:
+                signs = np.full(d, float(kind)) if kind else rng.choice([-1.0, 1.0], d)
+                if not kind and d > 1:
+                    signs[:2] = -1.0, 1.0
+                q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+                ev = rng.uniform(0.5, 2.0, d) * signs
+                stack.append(10.0 ** rng.uniform(-8, 8) * (q * ev) @ q.T)
+            h = np.array(stack)
+            h = 0.5 * (h + h.swapaxes(-1, -2))
+            res = sylvester_verdict(h)
+            eig = np.linalg.eigvalsh(h)
+            expected = np.where(eig.min(axis=-1) > 0, 1, np.where(eig.max(axis=-1) < 0, -1, 0))
+            np.testing.assert_array_equal(res.sign, expected)
+            for i in range(d):
+                det = np.linalg.det(h[:, : i + 1, : i + 1])
+                np.testing.assert_allclose(res.minors[:, i], det, rtol=1e-10, atol=0)
+
+    def test_empty_matrix_is_not_definite(self):
+        assert sylvester_verdict(np.zeros((0, 0))).sign == 0
+        assert sylvester_verdict(np.zeros((3, 0, 0))).sign.tolist() == [0, 0, 0]
+
+    def test_negative_definite_and_first_wrong_minor(self):
+        res = sylvester_verdict(-np.diag([2.0, 3.0, 5.0]))
+        assert (res.sign, res.wrong_minor) == (-1, 0)
+        res = sylvester_verdict(np.diag([2.0, 3.0, -5.0]))
+        assert (res.sign, res.wrong_minor) == (0, 3)
+        # a pivot below PIVOT_TOL * max|h| is not definite, at any scale
+        for scale in (1e-6, 1.0, 1e6):
+            res = sylvester_verdict(scale * np.diag([1.0, 1e-12, 1.0]))
+            assert (res.sign, res.wrong_minor) == (0, 2)
 
 
 class TestCertificate:
@@ -240,6 +279,31 @@ class TestCertificate:
         assert res.multipliers is None and res.minors is None
         assert "Re lambda" in res.reason
 
+    def test_negative_definite_point_is_certified_with_negative_a0(self):
+        # a0 = +1 gives a negative definite H here; its negation certifies
+        mu0, circ = center_fixed_point("triangle-with-center", -4.0)
+        h = restricted_hessian(
+            mu0, circ, solve_multiplier_system(mu0, circ), tangent_basis(mu0, circ)
+        )
+        assert sylvester_verdict(h).sign == -1
+        res = energy_casimir_certificate(mu0, circ)
+        assert res.verdict is Verdict.CERTIFIED_STABLE and res.multipliers.a0 == -1.0
+        np.testing.assert_array_equal(res.restricted_hessian, -h)
+        assert all(m > 0 for m in res.minors)
+
+    def test_not_definite_reason_names_the_first_wrong_minor(self):
+        mu0, circ = center_fixed_point("triangle-with-center", -1.0)
+        res = energy_casimir_certificate(mu0, circ)
+        assert res.verdict is Verdict.INCONCLUSIVE
+        assert res.reason == "restricted Hessian not definite: leading minor 2 of 4 has the wrong sign"
+
+    def test_infeasible_reason_is_one_residual(self, monkeypatch):
+        monkeypatch.setattr(stability, "MULTIPLIER_TOL", 0.0)
+        mu0, circ = center_fixed_point("triangle-with-center", 0.5)
+        res = energy_casimir_certificate(mu0, circ)
+        assert res.verdict is Verdict.INCONCLUSIVE
+        assert re.fullmatch(r"no critical point: residual \d\.\d{3}e[+-]\d\d", res.reason)
+
     def test_rejects_non_fixed_point(self):
         mu = unflatten(np.array([1.3, 1.0, 0.5, -np.sqrt(3) / 2]), 2)
         with pytest.raises(NotAFixedPoint):
@@ -255,7 +319,7 @@ class TestCertificate:
             rotated = q @ basis
             v1 = sylvester_verdict(restricted_hessian(mu0, circ, m, basis, (1,)))
             v2 = sylvester_verdict(restricted_hessian(mu0, circ, m, rotated, (1,)))
-            assert v1.positive_definite == v2.positive_definite
+            assert v1.sign == v2.sign
 
     def test_equilateral_three_vortex_criterion(self):
         # sign of G1G2 + G1G3 + G2G3 decides the verdict
@@ -269,6 +333,30 @@ class TestCertificate:
             s2 = g[0] * g[1] + g[0] * g[2] + g[1] * g[2]
             res = energy_casimir_certificate(EQUILATERAL3_MU0, circ)
             assert res.verdict is verdict, (gammas, s2, res.reason)
+
+
+# certified points, and scalings of positions and circulations that only
+# change the units of length and time
+SCALE_FREE_POINTS = [
+    ("square-with-center", 1.0, None),
+    ("triangle-with-center", -4.0, None),
+    ("polygon-with-center", 20.0, 20),
+]
+SCALINGS = [(10.0, 1.0), (1e3, 1.0), (1.0, 1e-4), (10.0, 1e-2)]
+
+
+class TestScaleFree:
+    @pytest.mark.parametrize("kind,gamma,m", SCALE_FREE_POINTS)
+    @pytest.mark.parametrize("pos_scale,circ_scale", SCALINGS)
+    def test_scaled_copies_stay_certified(self, kind, gamma, m, pos_scale, circ_scale):
+        base = build_scenario(kind, gamma=gamma, m=m)
+        scen = build_scenario(
+            "custom",
+            positions=tuple(pos_scale * p for p in base.positions),
+            circulations=tuple(circ_scale * g for g in base.circ.gammas),
+        )
+        rep = analyze(scen)
+        assert rep.verdict == "certified-stable", rep.reason
 
 
 def dense_constraint_hessians(n):
