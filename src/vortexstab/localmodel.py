@@ -4,12 +4,12 @@ A :class:`ReducedField` holds the reduced vector field at a stack of k points
 that share n and the regime: the coupling matrices, the stacked reduced
 Hamiltonian, the field residual, the energy Hessian and the linearization.  A
 :class:`LocalModel` adds one Casimir subset: the stacked Casimir and
-constraint differentials, their SVD (ranks, tangent bases, multipliers) and
-the restricted Hessian.  The stack a certificate works on is memoised on
-the content of its arguments, so that the stages share it; the certificate
-narrows it to the points still undecided with :func:`restrict`, which slices
-what is computed.  Every array has a leading axis of length k; one point is
-a stack of one.
+constraint differentials, one QR of them (ranks, tangent bases,
+multipliers) and the restricted Hessian.  The stack a certificate works on is
+memoised on the content of its arguments, so that the stages share it; the
+certificate narrows it to the points still undecided with :func:`restrict`,
+which slices what is computed.  Every array has a leading axis of length k;
+one point is a stack of one.
 """
 
 from __future__ import annotations
@@ -30,7 +30,13 @@ from .algebra import (
     flatten_stack,
     unflatten_stack,
 )
-from .constraints import casimir_gradient, casimir_hessian, constraint_system, numerical_rank
+from .constraints import (
+    RANK_THRESHOLD,
+    casimir_gradient,
+    casimir_hessian,
+    constraint_system,
+    numerical_rank,
+)
 from .dynamics import _lie_poisson_entries
 from .errors import DimensionMismatch
 from .hamiltonian import FOUR_PI, ReducedHamiltonian, gradient_entries
@@ -112,11 +118,12 @@ class LocalModel:
     and one Casimir subset; every array has a leading axis of length k.
 
     Rows of ``stack`` are the differentials of the chosen Casimirs, then those
-    of all constraint components.  One stacked SVD gives the ranks, the
-    tangent bases and the minimal-norm multipliers; when a point's rows are
-    independent (the only case the certificate goes on with) its multipliers
-    are the unique ones.  The restricted Hessian contracts the constraint
-    linear forms, projected once per basis.
+    of all constraint components.  One stacked Householder QR gives the
+    ranks, the tangent bases and, where a point's rows are independent (the
+    only case the certificate goes on with), the unique multipliers; at a
+    point with dependent rows the multipliers are the minimal-norm ones.
+    The restricted Hessian contracts the constraint linear forms, projected
+    once per basis.
     """
 
     def __init__(self, field: ReducedField, casimir_subset: tuple[int, ...]):
@@ -146,18 +153,33 @@ class LocalModel:
 
     @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """From one SVD of the stack: the numerical ranks, the rows of V^T past
-        the stack's row count (a tangent basis where the rows are
-        independent), and the minimal-norm solution of stack^T w =
-        -energy_gradient (a0 = +1), truncated to each point's rank."""
-        u, sv, vt = np.linalg.svd(self.stack, full_matrices=True)
-        rank = numerical_rank(sv)
-        width = sv.shape[-1]
-        kept = np.arange(width) < rank[:, None]
-        along = (vt[:, :width] @ self.energy_gradient[..., None])[..., 0]
-        coeff = np.where(kept, along / np.where(kept, sv, 1.0), 0.0)
-        w = -(u[..., :width] @ coeff[..., None])[..., 0]
-        basis = np.ascontiguousarray(vt[:, self.stack.shape[-2] :])
+        """From one Householder QR of the stack's transpose, constraint rows
+        first: the numerical ranks, the columns of Q past the stack's row
+        count (a tangent basis where the rows are independent), and the
+        solution of stack^T w = -energy_gradient (a0 = +1), unique where the
+        rows are independent and minimal-norm where they are not.
+
+        The constraint map is a submersion on the open set, so a dependence
+        shows in the Casimir rows, where the unpivoted QR finds it.  |R_jj| is
+        row j's distance from the span of the rows before it, and the row adds
+        to the rank when that exceeds RANK_THRESHOLD times its own length: a
+        test free of units."""
+        k, rows = len(self.casimir_subset), self.stack.shape[-2]
+        ordered = np.roll(self.stack, -k, axis=-2)
+        q, r = np.linalg.qr(ordered.swapaxes(-1, -2), mode="complete")
+        # one distance per row, or per coordinate when the rows outnumber them
+        distance = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+        length = np.linalg.norm(ordered[:, : distance.shape[-1]], axis=-1)
+        rank = np.sum(distance > RANK_THRESHOLD * length, axis=-1)
+        basis = np.ascontiguousarray(q[..., rows:].swapaxes(-1, -2))
+        w = np.empty(self.stack.shape[:-1])
+        unique = rank == rows
+        if unique.any():
+            along = q[unique, :, :rows].swapaxes(-1, -2) @ self.energy_gradient[unique, :, None]
+            w[unique] = np.roll(-np.linalg.solve(r[unique, :rows], along)[..., 0], k, axis=-1)
+        for i in np.flatnonzero(~unique):
+            gradient = self.energy_gradient[i]
+            w[i] = np.linalg.lstsq(self.stack[i].T, -gradient, rcond=RANK_THRESHOLD)[0]
         return _read_only(rank), _read_only(basis), _read_only(w)
 
     @property
@@ -173,8 +195,8 @@ class LocalModel:
         return self._factors[2]
 
     def multipliers(self, a0: float) -> MultiplierSet:
-        """The minimal-norm coefficients w = a0 * unit_multipliers, with a fresh
-        evaluation of ||Df(mu0)||_inf."""
+        """The coefficients w = a0 * unit_multipliers, with a fresh evaluation
+        of ||Df(mu0)||_inf."""
         k, n = len(self.casimir_subset), self.n
         w = a0 * self.unit_multipliers
         rest = w[:, k:]

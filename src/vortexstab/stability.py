@@ -56,7 +56,7 @@ SPEC_TOL = 1e-7
 MULTIPLIER_TOL = 1e-8
 PIVOT_TOL = 1e-10
 # Entries of each n^4-sized array of a certificate stack (the energy Hessian,
-# the SVD's V^T, the tangent bases): 2 MB of float64.
+# the QR's Q, the tangent bases): 2 MB of float64.
 STACK_ENTRIES = 1 << 18
 
 
@@ -172,16 +172,20 @@ def solve_multiplier_system(
 ) -> MultiplierSet:
     """Solve Df(mu0) = 0 for the Casimir/constraint coefficients at fixed a0.
 
-    Minimal-norm solution when underdetermined; raises Infeasible when no
-    coefficient choice makes mu0 a critical point of f.
+    The unique solution when the differentials are independent, the
+    minimal-norm one when they are not; raises Infeasible when no coefficient
+    choice makes mu0 a critical point of f (the residual exceeds
+    MULTIPLIER_TOL times max |4 pi grad h| at some point).  The residual it
+    reports is absolute.
     """
     if a0 == 0.0:
         raise ValueError("a0 must be nonzero")
     a0 = float(np.sign(a0))
-    mult = local_model(mu0, circ, casimir_subset).multipliers(a0)
-    worst = float(mult.residual.max(initial=0.0))
-    if worst > MULTIPLIER_TOL:
-        raise Infeasible(_infeasible(worst))
+    model = local_model(mu0, circ, casimir_subset)
+    mult = model.multipliers(a0)
+    infeasible = _infeasible_points(model, mult.residual)
+    if infeasible.any():
+        raise Infeasible(_infeasible(float(mult.residual[infeasible].max())))
     return mult.point(0) if isinstance(circ, Circulations) else mult
 
 
@@ -385,7 +389,7 @@ def _energy_casimir(
         return {}
     part = restrict(model, rows)
     residual = part.multipliers(1.0).residual
-    infeasible = residual > MULTIPLIER_TOL
+    infeasible = _infeasible_points(part, residual)
     outcome = {
         int(r): dict(verdict=Verdict.INCONCLUSIVE, reason=_infeasible(worst))
         for r, worst in zip(rows[infeasible], residual[infeasible])
@@ -413,6 +417,12 @@ def _energy_casimir(
             minors=tuple((s**order * syl.minors[j]).tolist()),
         )
     return outcome
+
+
+def _infeasible_points(model: LocalModel, residual: np.ndarray) -> np.ndarray:
+    """Where no multipliers make a point critical: the residual of Df(mu0) = 0
+    exceeds MULTIPLIER_TOL times max |4 pi grad h| there, a test free of units."""
+    return residual > MULTIPLIER_TOL * np.abs(model.energy_gradient).max(axis=-1, initial=0.0)
 
 
 def _infeasible(residual: float) -> str:

@@ -22,6 +22,7 @@ from vortexstab.algebra import (
     flatten_stack,
     unflatten,
 )
+from vortexstab.constraints import casimir_gradient, constraint_jacobian
 from vortexstab.errors import DimensionMismatch, Infeasible
 from vortexstab.hamiltonian import (
     ReducedHamiltonian,
@@ -29,7 +30,7 @@ from vortexstab.hamiltonian import (
     gradient_matrix,
     reduced_system,
 )
-from vortexstab.localmodel import clear_memo
+from vortexstab.localmodel import LocalModel, clear_memo, reduced_field
 from vortexstab.report import analyze, gamma_sweep
 from vortexstab.scenarios import build_scenario, scenario_fixed_point
 from vortexstab.stability import (
@@ -260,27 +261,25 @@ DEPENDENT_CASIMIR_CASES = [
 
 
 class TestCertificateWork:
-    def test_certified_large_analyze_takes_one_svd_and_a_leaf_spectrum(self, monkeypatch):
-        svd, eigvals = np.linalg.svd, np.linalg.eigvals
-        svd_shapes, eig_shapes = [], []
+    def test_certified_large_analyze_takes_one_qr_and_a_leaf_spectrum(self, monkeypatch):
+        calls = {"qr": [], "svd": [], "lstsq": [], "eigvals": []}
+        for name, shapes in calls.items():
+            fn = getattr(np.linalg, name)
 
-        def counting_svd(a, *args, **kwargs):
-            svd_shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
+            def counting(a, *args, fn=fn, shapes=shapes, **kwargs):
+                shapes.append(np.shape(a))
+                return fn(a, *args, **kwargs)
 
-        def counting_eigvals(a):
-            eig_shapes.append(np.shape(a))
-            return eigvals(a)
-
+            monkeypatch.setattr(np.linalg, name, counting)
         scen = build_scenario("polygon-with-center", gamma=20.0, m=20)
         clear_memo()
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
         rep = analyze(scen)
-        d = 2 * scen.circ.n - 2
+        n, d = scen.circ.n, 2 * scen.circ.n - 2
         assert rep.verdict == "certified-stable"
-        assert len(svd_shapes) == 1
-        assert eig_shapes and all(shape[-1] <= d for shape in eig_shapes)
+        # one QR of the transposed stack: n^2 coordinates, (n - 1)^2 + 1 rows
+        assert calls["qr"] == [(1, n * n, (n - 1) ** 2 + 1)]
+        assert calls["svd"] == calls["lstsq"] == []
+        assert calls["eigvals"] and all(shape[-1] <= d for shape in calls["eigvals"])
         assert len(rep.spectrum) == d
 
     def test_certified_analyze_builds_the_energy_hessian_once(self, monkeypatch):
@@ -346,3 +345,66 @@ class TestCertificateWork:
         )
         rep = analyze(scen)
         assert rep.spectrum == [] and rep.verdict == "inconclusive"
+
+
+# independent points of n = 3, 4, 5 and 20, unscaled and with positions x1e-3
+FACTOR_CASES = [
+    ("triangle-with-center", 0.5, None, 1.0),
+    ("square-with-center", 1.0, None, 1.0),
+    ("polygon-with-center", 1.0, 5, 1.0),
+    ("polygon-with-center", 20.0, 20, 1.0),
+    ("polygon-with-center", 20.0, 20, 1e-3),
+]
+
+
+def scaled_fixed_point(kind, gamma, m, pos_scale):
+    base = build_scenario(kind, gamma=gamma, m=m)
+    scen = build_scenario(
+        "custom",
+        positions=tuple(pos_scale * p for p in base.positions),
+        circulations=base.circ.gammas,
+    )
+    return scenario_fixed_point(scen), scen.circ
+
+
+class TestStackFactors:
+    """The ranks, tangent bases and multipliers of one QR of the stack."""
+
+    @pytest.mark.parametrize("kind,gamma,m,pos_scale", FACTOR_CASES)
+    def test_a_dependent_row_lowers_the_rank_by_one(self, kind, gamma, m, pos_scale):
+        # at rank-one points dC_2 lies in the span of dC_1 and the constraints
+        mu0, circ = scaled_fixed_point(kind, gamma, m, pos_scale)
+        one = independence_check(mu0, circ, (1,))
+        two = independence_check(mu0, circ, (1, 2))
+        assert one.independent and one.rank == one.expected
+        assert two.expected == one.expected + 1 and two.rank == one.rank
+
+    @pytest.mark.parametrize("kind,gamma,m,pos_scale", FACTOR_CASES[:3])
+    def test_rank_ignores_the_length_of_a_row(self, kind, gamma, m, pos_scale):
+        mu0, circ = scaled_fixed_point(kind, gamma, m, pos_scale)
+        field = reduced_field(mu0, circ)
+        stack = LocalModel(field, (1,)).stack
+        for row in range(stack.shape[-2]):
+            model = LocalModel(field, (1,))
+            model.stack = stack.copy()
+            model.stack[:, row] *= 1e-12
+            assert model.rank.tolist() == [stack.shape[-2]], row
+
+    def test_large_basis_and_multipliers(self):
+        scen = build_scenario("polygon-with-center", gamma=20.0, m=20)
+        mu0, circ = scenario_fixed_point(scen), scen.circ
+        k = build_coupling_matrix(circ)
+        stack = np.vstack([casimir_gradient(mu0, k, 1), constraint_jacobian(mu0)])
+        basis = tangent_basis(mu0, circ)
+        n = circ.n
+        assert basis.shape == (2 * n - 2, n * n) and basis.flags.c_contiguous
+        assert not basis.flags.writeable
+        np.testing.assert_allclose(basis @ basis.T, np.eye(2 * n - 2), rtol=0, atol=1e-13)
+        along = np.abs(stack @ basis.T).max(axis=-1)
+        assert np.all(along <= 1e-14 * np.linalg.norm(stack, axis=-1))
+        mult = solve_multiplier_system(mu0, circ)
+        w = np.concatenate([mult.a, mult.constraint_coefficients])
+        rhs = -4 * np.pi * reduced_system(circ).gradient(flatten(mu0))
+        expected, *_ = np.linalg.lstsq(stack.T, rhs, rcond=None)
+        assert np.abs(w - expected).max() <= 1e-12 * np.abs(expected).max()
+

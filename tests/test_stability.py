@@ -342,7 +342,15 @@ SCALE_FREE_POINTS = [
     ("triangle-with-center", -4.0, None),
     ("polygon-with-center", 20.0, 20),
 ]
-SCALINGS = [(10.0, 1.0), (1e3, 1.0), (1.0, 1e-4), (10.0, 1e-2)]
+SCALINGS = [
+    (10.0, 1.0),
+    (1e3, 1.0),
+    (1e-3, 1.0),
+    (1.0, 1e4),
+    (1.0, 1e-4),
+    (10.0, 1e-2),
+    (1e-3, 1e4),
+]
 
 
 class TestScaleFree:
@@ -357,6 +365,42 @@ class TestScaleFree:
         )
         rep = analyze(scen)
         assert rep.verdict == "certified-stable", rep.reason
+
+
+# the scale-free points and one linearly unstable and one inconclusive point
+SYMMETRY_POINTS = [
+    (kind, gamma, m, "certified-stable") for kind, gamma, m in SCALE_FREE_POINTS
+] + [
+    ("square-with-center", 2.5, None, "linearly-unstable"),
+    ("triangle-with-center", -2.0, None, "inconclusive"),
+]
+
+
+def permuted_labels(z, g):
+    order = np.random.default_rng(5).permutation(len(z))
+    return z[order], g[order]
+
+
+# maps of (positions, circulations) that leave the dynamics unchanged
+SYMMETRIES = {
+    "rotation": lambda z, g: (np.exp(0.7j) * z, g),
+    "translation": lambda z, g: (z + (3.0 - 2.0j), g),
+    "sign flip": lambda z, g: (z, -g),
+    "reversed labels": lambda z, g: (z[::-1], g[::-1]),
+    "permuted labels": permuted_labels,
+}
+
+
+class TestSymmetry:
+    @pytest.mark.parametrize("kind,gamma,m,verdict", SYMMETRY_POINTS)
+    @pytest.mark.parametrize("symmetry", SYMMETRIES)
+    def test_verdict_is_invariant(self, kind, gamma, m, verdict, symmetry):
+        base = build_scenario(kind, gamma=gamma, m=m)
+        assert analyze(base).verdict == verdict
+        z, g = SYMMETRIES[symmetry](np.array(base.positions), np.array(base.circ.gammas))
+        scen = build_scenario("custom", positions=tuple(z), circulations=tuple(g))
+        rep = analyze(scen)
+        assert rep.verdict == verdict, rep.reason
 
 
 def dense_constraint_hessians(n):
