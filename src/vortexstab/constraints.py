@@ -33,13 +33,22 @@ RANK_THRESHOLD = 1e-8
 OPEN_SET_TOL = 1e-12
 
 
-def numerical_rank(sv: np.ndarray) -> int | np.ndarray:
-    """Number of singular values (largest first) above RANK_THRESHOLD times the
-    largest, over the last axis of a stack of singular value lists."""
-    if sv.shape[-1] == 0:
-        return 0 if sv.ndim == 1 else np.zeros(sv.shape[:-1], dtype=int)
-    rank = np.sum(sv > RANK_THRESHOLD * sv[..., :1], axis=-1)
-    return int(rank) if rank.ndim == 0 else rank
+def independent(distance: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The rank rule: a row adds to the rank of the rows before it when its
+    distance from their span exceeds RANK_THRESHOLD times its own length.
+    Scaling a row scales both sides, so the test is free of units."""
+    return distance > RANK_THRESHOLD * length
+
+
+def row_rank(rows: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
+    """Rank of a stack of rows (..., m, N) taken in order, from the R factor
+    of the QR of the stack's transpose (taken here when not given): |R_jj| is
+    row j's distance from the span of the rows before it."""
+    if r is None:
+        r = np.linalg.qr(rows.swapaxes(-1, -2), mode="r")
+    distance = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    length = np.linalg.norm(rows[..., : distance.shape[-1], :], axis=-1)
+    return np.sum(independent(distance, length), axis=-1)
 
 
 def casimir(mu: MuMatrix, k: CouplingMatrix, j: int) -> float:
@@ -223,7 +232,7 @@ def submersion_rank_check(mu: MuMatrix) -> RankCheck:
     expected = (n - 1) ** 2
     if expected == 0:
         return RankCheck(rank=0, full_rank=True, expected=0, nullity=n * n)
-    rank = numerical_rank(np.linalg.svd(jac, compute_uv=False))
+    rank = int(row_rank(jac))
     return RankCheck(
         rank=rank,
         full_rank=rank == expected,

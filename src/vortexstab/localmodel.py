@@ -35,13 +35,12 @@ from .constraints import (
     casimir_gradient,
     casimir_hessian,
     constraint_system,
-    numerical_rank,
+    independent,
+    row_rank,
 )
 from .dynamics import _lie_poisson_entries
 from .errors import DimensionMismatch
 from .hamiltonian import FOUR_PI, ReducedHamiltonian, gradient_entries
-
-DEPENDENCE_TOL = 1e-8
 
 
 class ReducedField:
@@ -141,6 +140,8 @@ class LocalModel:
         if "_factors" in computed:
             rank, basis, w = self._factors
             sub._factors = _read_only(rank[rows]), _read_only(basis[rows]), _read_only(w[rows])
+        if "unit_multipliers" in computed:
+            sub.unit_multipliers = _read_only(self.unit_multipliers[rows])
         if "dependent_casimirs" in computed:
             sub.dependent_casimirs = [self.dependent_casimirs[i] for i in rows]
         return sub
@@ -154,32 +155,23 @@ class LocalModel:
     @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """From one Householder QR of the stack's transpose, constraint rows
-        first: the numerical ranks, the columns of Q past the stack's row
-        count (a tangent basis where the rows are independent), and the
-        solution of stack^T w = -energy_gradient (a0 = +1), unique where the
-        rows are independent and minimal-norm where they are not.
+        first: the numerical ranks (:func:`constraints.row_rank`), the columns
+        of Q past the stack's row count (a tangent basis where the rows are
+        independent), and where they are independent the unique solution of
+        stack^T w = -energy_gradient (a0 = +1); NaN elsewhere.
 
         The constraint map is a submersion on the open set, so a dependence
-        shows in the Casimir rows, where the unpivoted QR finds it.  |R_jj| is
-        row j's distance from the span of the rows before it, and the row adds
-        to the rank when that exceeds RANK_THRESHOLD times its own length: a
-        test free of units."""
+        shows in the Casimir rows, where the unpivoted QR finds it."""
         k, rows = len(self.casimir_subset), self.stack.shape[-2]
         ordered = np.roll(self.stack, -k, axis=-2)
         q, r = np.linalg.qr(ordered.swapaxes(-1, -2), mode="complete")
-        # one distance per row, or per coordinate when the rows outnumber them
-        distance = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-        length = np.linalg.norm(ordered[:, : distance.shape[-1]], axis=-1)
-        rank = np.sum(distance > RANK_THRESHOLD * length, axis=-1)
+        rank = row_rank(ordered, r)
         basis = np.ascontiguousarray(q[..., rows:].swapaxes(-1, -2))
-        w = np.empty(self.stack.shape[:-1])
+        w = np.full(self.stack.shape[:-1], np.nan)
         unique = rank == rows
         if unique.any():
             along = q[unique, :, :rows].swapaxes(-1, -2) @ self.energy_gradient[unique, :, None]
             w[unique] = np.roll(-np.linalg.solve(r[unique, :rows], along)[..., 0], k, axis=-1)
-        for i in np.flatnonzero(~unique):
-            gradient = self.energy_gradient[i]
-            w[i] = np.linalg.lstsq(self.stack[i].T, -gradient, rcond=RANK_THRESHOLD)[0]
         return _read_only(rank), _read_only(basis), _read_only(w)
 
     @property
@@ -190,9 +182,19 @@ class LocalModel:
     def basis(self) -> np.ndarray:
         return self._factors[1]
 
-    @property
+    @cached_property
     def unit_multipliers(self) -> np.ndarray:
-        return self._factors[2]
+        """The a0 = +1 multipliers: unique where the rows are independent,
+        minimal-norm where they are not, from one stacked pseudo-inverse of
+        those points, on first use (the certificate never asks for them)."""
+        rank, _, w = self._factors
+        dependent = rank < self.stack.shape[-2]
+        if not dependent.any():
+            return w
+        w = w.copy()
+        pinv = np.linalg.pinv(self.stack[dependent].swapaxes(-1, -2), rtol=RANK_THRESHOLD)
+        w[dependent] = -(pinv @ self.energy_gradient[dependent, :, None])[..., 0]
+        return _read_only(w)
 
     def multipliers(self, a0: float) -> MultiplierSet:
         """The coefficients w = a0 * unit_multipliers, with a fresh evaluation
@@ -221,11 +223,11 @@ class LocalModel:
         resid = grads
         jac = self.stack[:, len(self.casimir_subset) :]
         if jac.shape[-2]:
-            _, sv, vt = np.linalg.svd(jac, full_matrices=False)
-            rows = vt * (np.arange(sv.shape[-1]) < numerical_rank(sv)[:, None])[..., None]
-            resid = grads - (grads @ rows.swapaxes(-1, -2)) @ rows
-        tol = DEPENDENCE_TOL * np.maximum(1.0, np.linalg.norm(grads, axis=-1))
-        dependent = np.linalg.norm(resid, axis=-1) <= tol
+            # C_j appended to the constraint rows: its distance from their span
+            q = np.linalg.qr(jac.swapaxes(-1, -2))[0]
+            resid = grads - (grads @ q) @ q.swapaxes(-1, -2)
+        norm = np.linalg.norm
+        dependent = ~independent(norm(resid, axis=-1), norm(grads, axis=-1))
         return [tuple(int(j) + 1 for j in np.flatnonzero(row)) for row in dependent]
 
     def restricted_hessian(self, mult: MultiplierSet, basis: np.ndarray) -> np.ndarray:

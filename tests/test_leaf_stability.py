@@ -16,6 +16,7 @@ import pytest
 
 from vortexstab.algebra import (
     Circulations,
+    MuMatrix,
     build_coupling_matrix,
     coordinate_basis,
     flatten,
@@ -30,7 +31,7 @@ from vortexstab.hamiltonian import (
     gradient_matrix,
     reduced_system,
 )
-from vortexstab.localmodel import LocalModel, clear_memo, reduced_field
+from vortexstab.localmodel import LocalModel, clear_memo, local_model, reduced_field
 from vortexstab.report import analyze, gamma_sweep
 from vortexstab.scenarios import build_scenario, scenario_fixed_point
 from vortexstab.stability import (
@@ -317,13 +318,13 @@ class TestCertificateWork:
         mu0, circ = fixed_point(kind, gamma, m)
         clear_memo()
         res = independence_check(mu0, circ, subset)
-        svd, calls = np.linalg.svd, []
+        qr, calls = np.linalg.qr, []
 
-        def counting_svd(a, *args, **kwargs):
+        def counting_qr(a, *args, **kwargs):
             calls.append(np.shape(a))
-            return svd(a, *args, **kwargs)
+            return qr(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
         assert res.dependent_casimirs == ()
         assert res.dependent_casimirs == ()
         assert len(calls) == 1
@@ -367,6 +368,13 @@ def scaled_fixed_point(kind, gamma, m, pos_scale):
     return scenario_fixed_point(scen), scen.circ
 
 
+SCALE_FREE_POINTS = [
+    ("square-with-center", 1.0, None),
+    ("triangle-with-center", -4.0, None),
+    ("polygon-with-center", 20.0, 20),
+]
+
+
 class TestStackFactors:
     """The ranks, tangent bases and multipliers of one QR of the stack."""
 
@@ -408,3 +416,34 @@ class TestStackFactors:
         expected, *_ = np.linalg.lstsq(stack.T, rhs, rcond=None)
         assert np.abs(w - expected).max() <= 1e-12 * np.abs(expected).max()
 
+    @pytest.mark.parametrize("pos_scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("kind,gamma,m", SCALE_FREE_POINTS)
+    def test_dependent_casimirs_ignore_units(self, kind, gamma, m, pos_scale):
+        # the rank rule of the stack, applied to each C_j after the constraints
+        mu0, circ = scaled_fixed_point(kind, gamma, m, pos_scale)
+        clear_memo()
+        res = independence_check(mu0, circ, (1, 2, 3))
+        assert res.rank == res.expected - 2
+        assert res.dependent_casimirs == ()
+
+    def test_dependent_multipliers_take_one_pseudo_inverse_on_demand(self, monkeypatch):
+        calls = []
+        for name in ("pinv", "svd", "lstsq"):
+            def counted(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append((_name, np.shape(args[0])))
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        # with C_2 every point has dependent rows: the certificate stops at the rank
+        gamma_sweep("triangle-with-center", -4.0, 2.0, 0.5, casimir_subset=(1, 2))
+        assert calls == []
+        points = [fixed_point("triangle-with-center", g) for g in (-4.0, -2.0, 0.5, 1.5)]
+        mu0 = MuMatrix(np.stack([p[0].entries for p in points]))
+        model = local_model(mu0, [p[1] for p in points], (1, 2))
+        assert np.all(model.rank == 5) and calls == []
+        w = model.unit_multipliers
+        assert calls == [("pinv", (4, 9, 6))]
+        for i, (mu, circ) in enumerate(points):
+            rhs = -4 * np.pi * reduced_system(circ).gradient(flatten(mu))
+            expected, *_ = np.linalg.lstsq(model.stack[i].T, rhs, rcond=1e-8)
+            assert np.abs(w[i] - expected).max() <= 1e-12 * np.abs(expected).max()
