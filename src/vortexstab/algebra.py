@@ -165,7 +165,7 @@ def flatten_stack(entries: np.ndarray) -> np.ndarray:
 def unflatten_stack(v: np.ndarray, n: int) -> np.ndarray:
     """Entries of :func:`unflatten` over the last axis of a stack of coordinate vectors."""
     _, _, source, factor = _gathers(n)
-    pairs = np.ascontiguousarray(v[..., source] * factor)
+    pairs = v.take(source, axis=-1) * factor
     return pairs.view(complex).reshape(v.shape[:-1] + (n, n))
 
 

@@ -1,23 +1,43 @@
-"""Vortex dynamics: full ODE, relative coordinates, moment map, RK4 driver."""
+"""Vortex dynamics: full ODE, relative coordinates, moment map, RK4 integration.
+
+The right-hand sides of the reduced and the full system are built once per
+circulation set (:func:`_right_hand_side`, memoised like ``reduced_system``),
+with the circulation-only constants folded into one matrix each, so that an
+RK4 stage makes only the numpy calls of the formula.  The public
+:func:`lie_poisson_vector_field` and :func:`full_vector_field` call the same
+operators.
+"""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .algebra import Circulations, MuMatrix, Regime, build_coupling_matrix, flatten, unflatten
-from .algebra import flatten_stack, unflatten_stack
+from .algebra import (
+    CIRCULATION_CACHE_SIZE,
+    Circulations,
+    MuMatrix,
+    Regime,
+    build_coupling_matrix,
+    flatten,
+    flatten_stack,
+    unflatten,
+    unflatten_stack,
+)
 from .constraints import casimir_values, constraint_system
 from .errors import Collision, DimensionMismatch, DomainError, EmptyTrajectory
 from .hamiltonian import (
     COLLISION_TOL,
+    FOUR_PI,
+    LOG_FLOOR,
     VortexConfiguration,
+    _upper_pairs,
+    check_arguments,
     check_separation,
     full_hamiltonian,
-    gradient_entries,
-    gradient_matrix,
     min_separation,
     reduced_system,
 )
@@ -40,24 +60,6 @@ class RelativeCoordinates:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.z, dtype=complex)
-
-
-def _velocities(q: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """dq_i/dt = (i/2pi) sum_j G_j (q_i - q_j) / |q_i - q_j|^2, raising
-    Collision when two vortices are within COLLISION_TOL."""
-    diff = q[:, None] - q[None, :]
-    d2 = np.abs(diff) ** 2
-    np.fill_diagonal(d2, 1.0)
-    if d2.min() <= COLLISION_TOL**2:
-        raise Collision(f"minimum vortex separation {np.sqrt(d2.min()):.3e}")
-    kernel = diff / d2
-    np.fill_diagonal(kernel, 0.0)
-    return (1j / (2.0 * np.pi)) * (kernel @ g)
-
-
-def full_vector_field(cfg: VortexConfiguration) -> np.ndarray:
-    """Right-hand side of the point-vortex ODE, dq_i/dt."""
-    return _velocities(cfg.as_array(), cfg.circ.as_array())
 
 
 def relative_coordinates(cfg: VortexConfiguration) -> RelativeCoordinates:
@@ -86,19 +88,87 @@ def _lie_poisson_entries(m: np.ndarray, g: np.ndarray, kinv: np.ndarray) -> np.n
     return a.conj().swapaxes(-1, -2) - a
 
 
+class Which(enum.Enum):
+    FULL = "full"
+    REDUCED = "reduced"
+
+
+class _FullField:
+    """dq_i/dt = (i/2pi) sum_j G_j / conj(q_i - q_j) for one circulation set,
+    as a sum over the pairs i < j: the differences d = q_i - q_j are q times a
+    constant (N, pairs) incidence matrix, and the circulations are folded into
+    a constant (pairs, N) matrix, so that pair (i, j) adds (i/2pi) G_j /
+    conj(d) to vortex i and -(i/2pi) G_i / conj(d) to vortex j."""
+
+    def __init__(self, circ: Circulations):
+        g = circ.as_array()
+        i, j = _upper_pairs(circ.N)
+        pairs = np.arange(len(i))
+        self._incidence = np.zeros((circ.N, len(pairs)), dtype=complex)
+        self._incidence[i, pairs], self._incidence[j, pairs] = 1.0, -1.0
+        self._coupling = np.zeros((len(pairs), circ.N), dtype=complex)
+        self._coupling[pairs, i] = (1j / (2.0 * np.pi)) * g[j]
+        self._coupling[pairs, j] = (-1j / (2.0 * np.pi)) * g[i]
+
+    def __call__(self, q: np.ndarray) -> np.ndarray:
+        """The velocities at positions q (one configuration or a stack),
+        raising Collision when two vortices are within COLLISION_TOL (read at
+        each call)."""
+        d = q.dot(self._incidence)
+        size = np.abs(d)
+        nearest = size.flat[size.argmin()]  # min(), without its Python wrapper
+        if nearest <= COLLISION_TOL:
+            raise Collision(f"minimum vortex separation {nearest:.3e}")
+        return (1.0 / d.conj()).dot(self._coupling)
+
+
+class _ReducedField:
+    """X_h of one circulation set on flattened coordinates u (one vector or a
+    stack of them).  The log arguments are s = u F^T, and the flattened
+    entries of dh/dmu are (1/s) R, where the constant R folds the weights,
+    the -1/(4pi) and the doubled diagonal of :func:`gradient_entries` into the
+    linear forms F."""
+
+    def __init__(self, circ: Circulations):
+        sys = reduced_system(circ)
+        self.n = n = circ.n
+        self._forms_t = sys.forms.T
+        self._r = sys.forms * (-sys.weights / FOUR_PI)[:, None]
+        self._r[:, :n] *= 2.0
+        # complex, as matmul would cast it on every call
+        self._kinv = build_coupling_matrix(circ).k_inv.astype(complex)
+
+    def entries(self, u: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """X_h at the coordinates u of the shape matrices with entries m,
+        raising DomainError outside the reduced Hamiltonian's domain."""
+        s = u.dot(self._forms_t)
+        if s.flat[s.argmin()] <= LOG_FLOOR:  # min(), without its Python wrapper
+            check_arguments(s)
+        g = unflatten_stack((1.0 / s).dot(self._r), self.n)
+        return _lie_poisson_entries(m, g, self._kinv)
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        return flatten_stack(self.entries(u, unflatten_stack(u, self.n)))
+
+
+@lru_cache(maxsize=CIRCULATION_CACHE_SIZE)
+def _right_hand_side(circ: Circulations, which: Which) -> _FullField | _ReducedField:
+    """The RK4 right-hand side on raw state arrays, built once per
+    circulation set and memoised on the last few."""
+    return _FullField(circ) if which is Which.FULL else _ReducedField(circ)
+
+
+def full_vector_field(cfg: VortexConfiguration) -> np.ndarray:
+    """Right-hand side of the point-vortex ODE, dq_i/dt."""
+    return _right_hand_side(cfg.circ, Which.FULL)(cfg.as_array())
+
+
 def lie_poisson_vector_field(mu: MuMatrix, circ: Circulations) -> MuMatrix:
     """X_h(mu) = -mu (dh/dmu) K^-1 + K^-1 (dh/dmu) mu."""
     if mu.n != circ.n:
         raise DimensionMismatch(f"mu is {mu.n}x{mu.n}, circulations give n={circ.n}")
-    sys = reduced_system(circ)
-    g = gradient_matrix(sys.gradient(flatten(mu)), circ.n).entries
-    kinv = build_coupling_matrix(circ).k_inv
-    return MuMatrix(_lie_poisson_entries(mu.entries, g, kinv))
-
-
-class Which(enum.Enum):
-    FULL = "full"
-    REDUCED = "reduced"
+    field = _right_hand_side(circ, Which.REDUCED)
+    return MuMatrix(field.entries(flatten(mu), mu.entries))
 
 
 @dataclass
@@ -117,23 +187,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.times)
-
-
-def _right_hand_side(circ: Circulations, which: Which):
-    """The RK4 right-hand side on raw state arrays, without building MuMatrix
-    or VortexConfiguration objects."""
-    if which is Which.FULL:
-        g = circ.as_array()
-        return lambda q: _velocities(q, g)
-    sys = reduced_system(circ)
-    kinv = build_coupling_matrix(circ).k_inv
-    n = circ.n
-
-    def rhs(u: np.ndarray) -> np.ndarray:
-        g = gradient_entries(sys.gradient(u), n)
-        return flatten_stack(_lie_poisson_entries(unflatten_stack(u, n), g, kinv))
-
-    return rhs
 
 
 def _shapes_and_energy(samples: np.ndarray, circ: Circulations, which: Which):

@@ -52,6 +52,16 @@ def check_separation(sep: np.ndarray, what: str) -> None:
         raise Collision(f"minimum {what} separation {sep.flat[first]:.3e}", sample=first)
 
 
+def check_arguments(s: np.ndarray) -> None:
+    """Raise DomainError for the first sample of a stack of log arguments
+    (squared distances, last axis) that has one at or below LOG_FLOOR."""
+    low = s <= LOG_FLOOR
+    if low.any():
+        first = int(np.argmax(low.any(axis=-1)))
+        smallest = s.reshape(-1, s.shape[-1])[first].min()
+        raise DomainError(f"squared distance {smallest:.3e} in reduced Hamiltonian", sample=first)
+
+
 @dataclass(frozen=True)
 class VortexConfiguration:
     """Planar vortex positions (as complex numbers) with their circulations.
@@ -105,10 +115,11 @@ class ReducedHamiltonian:
     """Reduced Hamiltonian of a circulation set in log-linear-form shape.
 
     ``value``/``gradient``/``hessian`` act on the flattened coordinate vector
-    ``u`` of length ``n**2``; ``value`` also on a stack of them.  Built from a
-    sequence of k circulation sets that share N and the regime, it is a stack
-    of k Hamiltonians: ``gradient`` and ``hessian`` then take u of shape
-    (k, n**2) and evaluate Hamiltonian i at row i.
+    ``u`` of length ``n**2``; ``value`` also on a stack of them.  ``forms``
+    (terms, n**2) holds the linear forms c_t and ``weights`` (terms,) the w_t.
+    Built from a sequence of k circulation sets that share N and the regime,
+    it is a stack of k Hamiltonians: ``gradient`` and ``hessian`` then take u
+    of shape (k, n**2) and evaluate Hamiltonian i at row i.
     """
 
     def __init__(self, circ: Circulations | Sequence[Circulations]):
@@ -118,32 +129,32 @@ class ReducedHamiltonian:
         forms, weights = _log_terms(np.asarray(gammas, dtype=float), first.regime)
         # row-major whatever the stack size, so that BLAS sums each
         # Hamiltonian of a stack in the same order
-        self._forms = np.ascontiguousarray(forms)  # (..., terms, n**2)
-        self._forms_t = self._forms.swapaxes(-1, -2)
-        self._weights = weights                    # (..., terms)
+        self.forms = np.ascontiguousarray(forms)  # (..., terms, n**2)
+        self._forms_t = self.forms.swapaxes(-1, -2)
+        self.weights = weights                    # (..., terms)
 
     def _arguments(self, u: np.ndarray) -> np.ndarray:
-        s = (self._forms @ u[..., None])[..., 0]
-        low = s <= LOG_FLOOR
-        if low.any():
-            first = int(np.argmax(low.any(axis=-1)))
-            smallest = s.reshape(-1, s.shape[-1])[first].min()
-            raise DomainError(
-                f"squared distance {smallest:.3e} in reduced Hamiltonian", sample=first
-            )
+        s = (self.forms @ u[..., None])[..., 0]
+        check_arguments(s)
         return s
 
     def value(self, u: np.ndarray) -> float | np.ndarray:
-        return _weighted_log_sum(self._weights, self._arguments(u))
+        return _weighted_log_sum(self.weights, self._arguments(u))
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         s = self._arguments(u)
-        return -(self._forms_t @ (self._weights / s)[..., None])[..., 0] / FOUR_PI
+        return -(self._forms_t @ (self.weights / s)[..., None])[..., 0] / FOUR_PI
+
+    def gradient_bound(self, u: np.ndarray) -> np.ndarray:
+        """The gradient with every weight w_t replaced by |w_t|: the size of
+        its terms, which circulations of both signs let cancel in the gradient."""
+        s = self._arguments(u)
+        return (self._forms_t @ (np.abs(self.weights) / s)[..., None])[..., 0] / FOUR_PI
 
     def hessian(self, u: np.ndarray) -> np.ndarray:
         s = self._arguments(u)
-        scaled = self._forms_t * (self._weights / s**2)[..., None, :]
-        return scaled @ self._forms / FOUR_PI
+        scaled = self._forms_t * (self.weights / s**2)[..., None, :]
+        return scaled @ self.forms / FOUR_PI
 
 
 @lru_cache(maxsize=None)

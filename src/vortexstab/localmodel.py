@@ -14,7 +14,7 @@ one point is a stack of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -47,9 +47,10 @@ class ReducedField:
     """The reduced vector field at a stack of k points that share n and the
     regime; every array has a leading axis of length k.
 
-    It evaluates the field at each point once (the fixed-point residual) and
-    builds the energy Hessian once, on first use, for both the linearization
-    and the restricted Hessian.  It owns the coupling matrices and the
+    It evaluates the field at each point once (the fixed-point residual, and
+    the size of the field's terms it is measured against) and builds the
+    energy Hessian once, on first use, for both the linearization and the
+    restricted Hessian.  It owns the coupling matrices and the
     reduced Hamiltonians of its circulation sets.
     """
 
@@ -73,6 +74,11 @@ class ReducedField:
         self._g = gradient_entries(gradient, n)
         field = _lie_poisson_entries(mu0.entries, self._g, self.coupling.k_inv)
         self.residual = np.abs(flatten_stack(field)).max(axis=-1, initial=0.0)
+        # the size of the field's terms: |mu| |G+| |K^-1|, G+ built from the
+        # weights' sizes, so that no cancellation of terms hides the scale
+        bound = np.abs(gradient_entries(self.hamiltonian.gradient_bound(self.u0), n))
+        terms = np.abs(mu0.entries) @ bound @ np.abs(self.coupling.k_inv)
+        self.scale = terms.max(axis=(-2, -1), initial=0.0)
 
     def take(self, rows: np.ndarray) -> ReducedField:
         """The field at some rows of the stack, with what is computed so far
@@ -82,7 +88,7 @@ class ReducedField:
         sub.circs = tuple([self.circs[i] for i in rows])
         sub.coupling = CouplingMatrix(k=self.coupling.k[rows], k_inv=self.coupling.k_inv[rows])
         sub.u0, sub.energy_gradient = self.u0[rows], self.energy_gradient[rows]
-        sub._g, sub.residual = self._g[rows], self.residual[rows]
+        sub._g, sub.residual, sub.scale = self._g[rows], self.residual[rows], self.scale[rows]
         if "energy_hessian" in vars(self):
             sub.energy_hessian = self.energy_hessian[rows]
         return sub
@@ -142,6 +148,8 @@ class LocalModel:
             sub._factors = _read_only(rank[rows]), _read_only(basis[rows]), _read_only(w[rows])
         if "unit_multipliers" in computed:
             sub.unit_multipliers = _read_only(self.unit_multipliers[rows])
+        if "multipliers" in computed:
+            sub.multipliers = self.multipliers.take(rows)
         if "dependent_casimirs" in computed:
             sub.dependent_casimirs = [self.dependent_casimirs[i] for i in rows]
         return sub
@@ -196,15 +204,16 @@ class LocalModel:
         w[dependent] = -(pinv @ self.energy_gradient[dependent, :, None])[..., 0]
         return _read_only(w)
 
-    def multipliers(self, a0: float) -> MultiplierSet:
-        """The coefficients w = a0 * unit_multipliers, with a fresh evaluation
-        of ||Df(mu0)||_inf."""
+    @cached_property
+    def multipliers(self) -> MultiplierSet:
+        """The coefficients w = unit_multipliers (a0 = +1) with ||Df(mu0)||_inf,
+        evaluated once per stack (the a0 = -1 set is :meth:`MultiplierSet.negated`)."""
         k, n = len(self.casimir_subset), self.n
-        w = a0 * self.unit_multipliers
+        w = self.unit_multipliers
         rest = w[:, k:]
-        df = a0 * self.energy_gradient + (self.stack.swapaxes(-1, -2) @ w[..., None])[..., 0]
+        df = self.energy_gradient + (self.stack.swapaxes(-1, -2) @ w[..., None])[..., 0]
         return MultiplierSet(
-            a0=a0,
+            a0=1.0,
             a=w[:, :k],
             b=rest[:, : n - 1],
             c=rest[:, n - 1 :: 2],
@@ -334,6 +343,16 @@ class MultiplierSet:
         b = np.asarray(self.b, dtype=float)
         pairs = np.stack([self.c, self.d], axis=-1).reshape(b.shape[:-1] + (-1,))
         return np.concatenate([b, pairs], axis=-1)
+
+    def negated(self) -> MultiplierSet:
+        """The set of a stack for -a0: every coefficient negated, the same residual."""
+        return replace(self, a0=-self.a0, a=-self.a, b=-self.b, c=-self.c, d=-self.d)
+
+    def take(self, rows: np.ndarray) -> MultiplierSet:
+        """The coefficients of some points of a stack."""
+        a, b, c, d = self.a[rows], self.b[rows], self.c[rows], self.d[rows]
+        residual, dim = self.residual[rows], self.solution_space_dim[rows]
+        return replace(self, a=a, b=b, c=c, d=d, residual=residual, solution_space_dim=dim)
 
     def point(self, i: int) -> MultiplierSet:
         """The coefficients of point i of a stack."""

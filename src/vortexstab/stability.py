@@ -47,6 +47,7 @@ from .localmodel import (
     restrict,
 )
 
+# A fixed point has a field residual below FP_TOL times the size of its terms.
 FP_TOL = 1e-9
 # Linear instability needs max Re lambda > SPEC_TOL * ||L||_F.  The nilpotent
 # blocks at the band ends of the polygon family leave round-off of up to
@@ -74,11 +75,14 @@ def _per_point(circ, stacked):
 def is_fixed_point(
     mu0: MuMatrix, circ: Circulations | Sequence[Circulations], tol: float = FP_TOL
 ) -> FixedPointCheck:
-    """Sup-norm of the reduced vector field at mu0, per point of a stack."""
-    residual = reduced_field(mu0, circ).residual
+    """Sup-norm of the reduced vector field at mu0, per point of a stack; a
+    fixed point has it below ``tol`` times the size of the field's terms
+    (:attr:`ReducedField.scale`), a test free of units."""
+    reduced = reduced_field(mu0, circ)
+    residual, ok = reduced.residual, reduced.residual < tol * reduced.scale
     if isinstance(circ, Circulations):
-        return FixedPointCheck(residual=float(residual[0]), ok=bool(residual[0] < tol))
-    return FixedPointCheck(residual=residual, ok=residual < tol)
+        return FixedPointCheck(residual=float(residual[0]), ok=bool(ok[0]))
+    return FixedPointCheck(residual=residual, ok=ok)
 
 
 def linearize(
@@ -96,8 +100,8 @@ def linearize(
     matrix ``basis @ A @ basis.T``.
     """
     reduced = reduced_field(mu0, circ)
-    worst = float(reduced.residual.max(initial=0.0))
-    if not worst < FP_TOL:
+    if not np.all(reduced.residual < FP_TOL * reduced.scale):
+        worst = float(reduced.residual.max(initial=0.0))
         warnings.warn(
             f"linearizing at a non-fixed point (residual {worst:.3e})", NotAFixedPointWarning
         )
@@ -180,9 +184,8 @@ def solve_multiplier_system(
     """
     if a0 == 0.0:
         raise ValueError("a0 must be nonzero")
-    a0 = float(np.sign(a0))
     model = local_model(mu0, circ, casimir_subset)
-    mult = model.multipliers(a0)
+    mult = model.multipliers if a0 > 0 else model.multipliers.negated()
     infeasible = _infeasible_points(model, mult.residual)
     if infeasible.any():
         raise Infeasible(_infeasible(float(mult.residual[infeasible].max())))
@@ -388,7 +391,7 @@ def _energy_casimir(
     if not len(rows):
         return {}
     part = restrict(model, rows)
-    residual = part.multipliers(1.0).residual
+    residual = part.multipliers.residual
     infeasible = _infeasible_points(part, residual)
     outcome = {
         int(r): dict(verdict=Verdict.INCONCLUSIVE, reason=_infeasible(worst))
@@ -400,7 +403,7 @@ def _energy_casimir(
     mult = solve_multiplier_system(part.mu0, part.circs, subset, 1.0)
     rh = restricted_hessian(part.mu0, part.circs, mult, part.basis, subset)
     syl = sylvester_verdict(rh)
-    negated = part.multipliers(-1.0)
+    negated = mult.negated()
     d = rh.shape[-1]
     order = np.arange(1, d + 1)
     for j, r in enumerate(rows.tolist()):

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from vortexstab import constraints, dynamics, hamiltonian
-from vortexstab.algebra import Circulations, MuMatrix, build_coupling_matrix, flatten, unflatten
+from vortexstab.algebra import (
+    Circulations,
+    MuMatrix,
+    build_coupling_matrix,
+    flatten,
+    flatten_stack,
+    unflatten,
+)
 from vortexstab.constraints import casimir_values, constraint_residuals, constraint_system
 from vortexstab.dynamics import (
     Which,
@@ -20,10 +27,13 @@ from vortexstab.errors import Collision, DimensionMismatch, DomainError, EmptyTr
 from vortexstab.hamiltonian import (
     VortexConfiguration,
     full_hamiltonian,
+    gradient_entries,
     min_separation,
     reduced_hamiltonian,
     reduced_system,
 )
+from vortexstab.localmodel import reduced_field
+from vortexstab.scenarios import build_scenario
 
 
 def separated_configuration(rng, n_vortices, zero_total=False):
@@ -91,6 +101,77 @@ class TestVectorFields:
             pos = [complex(np.exp(2j * np.pi * k / m)) for k in range(m)] + [0j]
             mu = moment_map(relative_coordinates(VortexConfiguration(tuple(pos), circ)))
             assert np.abs(flatten(lie_poisson_vector_field(mu, circ))).max() < 1e-12
+
+
+def pairwise_velocities(q, g):
+    """dq_i/dt = (i/2pi) sum_j G_j (q_i - q_j) / |q_i - q_j|^2, one pair at a time."""
+    v = np.zeros(len(q), dtype=complex)
+    for i in range(len(q)):
+        for j in range(len(q)):
+            if i != j:
+                v[i] += g[j] * (q[i] - q[j]) / abs(q[i] - q[j]) ** 2
+    return 1j / (2 * np.pi) * v
+
+
+def assert_fields_match(cfg):
+    """The cached right-hand sides against the formulas they fold, within
+    1e-13 of the size of each field's terms."""
+    circ = cfg.circ
+    q, g = cfg.as_array(), circ.as_array()
+    full = dynamics._right_hand_side(circ, Which.FULL)(q)
+    d = np.abs(q[:, None] - q[None, :])
+    np.fill_diagonal(d, np.inf)
+    scale = (np.abs(g) / d).sum(axis=1).max() / (2 * np.pi)
+    assert np.abs(full - pairwise_velocities(q, g)).max() <= 1e-13 * scale
+    np.testing.assert_array_equal(full_vector_field(cfg), full)
+
+    mu = moment_map(relative_coordinates(cfg))
+    u = flatten(mu)
+    grad = gradient_entries(reduced_system(circ).gradient(u), circ.n)
+    kinv = build_coupling_matrix(circ).k_inv
+    expected = flatten_stack(dynamics._lie_poisson_entries(mu.entries, grad, kinv))
+    reduced = dynamics._right_hand_side(circ, Which.REDUCED)(u)
+    scale = reduced_field(mu, circ).scale[0]
+    assert np.abs(reduced - expected).max() <= 1e-13 * scale
+    public = flatten(lie_poisson_vector_field(mu, circ))
+    assert np.abs(public - expected).max() <= 1e-13 * scale
+
+
+class TestCachedRightHandSides:
+    @pytest.mark.parametrize("n_vortices,zero_total", [(m, z) for m in (3, 4, 5) for z in (False, True)])
+    def test_random_states_match_the_formulas(self, n_vortices, zero_total):
+        rng = np.random.default_rng(80 + 2 * n_vortices + zero_total)
+        for _ in range(5):
+            assert_fields_match(separated_configuration(rng, n_vortices, zero_total))
+
+    def test_large_polygon_near_its_fixed_point(self):
+        scen = build_scenario("polygon-with-center", gamma=20.0, m=20)
+        rng = np.random.default_rng(81)
+        kick = 1e-3 * (rng.standard_normal(21) + 1j * rng.standard_normal(21))
+        assert_fields_match(VortexConfiguration(tuple(np.asarray(scen.positions) + kick), scen.circ))
+
+    def test_errors_keep_their_types_and_text(self):
+        circ = Circulations((1.0, 1.0, 1.0))
+        # |z_1 - z_2|^2 = mu_1 + mu_2 - 2 x_12 = -2
+        u = np.array([1.0, 1.0, 2.0, 0.0])
+        with pytest.raises(DomainError) as expected:
+            reduced_system(circ).gradient(u)
+        for field in (
+            lambda: dynamics._right_hand_side(circ, Which.REDUCED)(u),
+            lambda: lie_poisson_vector_field(unflatten(u, 2), circ),
+        ):
+            with pytest.raises(DomainError) as got:
+                field()
+            assert str(got.value) == str(expected.value)
+        q = np.array([0j, 1e-12, 1.0])
+        with pytest.raises(Collision) as got:
+            dynamics._right_hand_side(circ, Which.FULL)(q)
+        assert str(got.value) == f"minimum vortex separation {min_separation(q):.3e}"
+
+    @pytest.mark.parametrize("which", list(Which))
+    def test_built_once_per_circulation_set(self, which):
+        first = dynamics._right_hand_side(Circulations((1.0, 2.0, 3.0)), which)
+        assert dynamics._right_hand_side(Circulations((1.0, 2.0, 3.0)), which) is first
 
 
 class TestIntegration:

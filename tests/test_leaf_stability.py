@@ -8,6 +8,7 @@ polygon-with-center family against the full-space rotating-frame oracle of
 ``bench/oracles.py``, and the work the certificate does.
 """
 
+import functools
 import importlib.util
 from pathlib import Path
 
@@ -299,6 +300,38 @@ class TestCertificateWork:
         rep = analyze(build_scenario("polygon-with-center", gamma=20.0, m=20))
         assert rep.verdict == "certified-stable"
         assert calls == {"gradient": 1, "hessian": 1}
+
+    @pytest.mark.parametrize("kind,gamma", [("square-with-center", 1.0), ("triangle-with-center", -4.0)])
+    def test_certified_analyze_evaluates_the_multipliers_once(self, kind, gamma, monkeypatch):
+        # the residual check, solve_multiplier_system and the a0 = -1 set
+        # share one evaluation, and the reported set is a0 * unit_multipliers
+        # with ||Df(mu0)||_inf evaluated at that a0, bit for bit
+        calls = []
+        evaluate = LocalModel.multipliers.func
+
+        def counted(self):
+            calls.append(len(self.circs))
+            return evaluate(self)
+
+        multipliers = functools.cached_property(counted)
+        multipliers.__set_name__(LocalModel, "multipliers")
+        monkeypatch.setattr(LocalModel, "multipliers", multipliers)
+        scen = build_scenario(kind, gamma=gamma)
+        clear_memo()
+        rep = analyze(scen)
+        assert rep.verdict == "certified-stable" and calls == [1]
+        clear_memo()
+        model = local_model(scenario_fixed_point(scen), scen.circ)
+        a0, n = rep.multipliers["a0"], scen.circ.n
+        w = a0 * model.unit_multipliers
+        df = a0 * model.energy_gradient + (model.stack.swapaxes(-1, -2) @ w[..., None])[..., 0]
+        rest = w[0, 1:]
+        assert rep.multipliers["a"] == list(w[0, :1])
+        assert rep.multipliers["b"] == list(rest[: n - 1])
+        assert rep.multipliers["c"] == list(rest[n - 1 :: 2])
+        assert rep.multipliers["d"] == list(rest[n::2])
+        assert rep.multipliers["residual"] == np.abs(df[0]).max()
+        assert rep.multipliers["solution_space_dim"] == 0
 
     def test_sweep_evaluates_the_field_once_per_group(self, monkeypatch):
         calls = []

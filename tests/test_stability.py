@@ -52,6 +52,25 @@ class TestFixedPoint:
         mu = unflatten(np.array([1.1, 1.0, 0.5, -np.sqrt(3) / 2]), 2)
         assert not is_fixed_point(mu, Circulations((1.0, 1.0, 1.0))).ok
 
+    def test_static_equilibrium_is_fixed(self):
+        # triangle gamma = -1 does not rotate: max|mu G K^-1| is 8e-17 there,
+        # while the field's terms are of order one
+        mu0, circ = center_fixed_point("triangle-with-center", -1.0)
+        assert is_fixed_point(mu0, circ).ok
+
+    @pytest.mark.parametrize("pos_scale", [1.0, 1e-3])
+    def test_acceptance_is_relative_to_the_field_terms(self, pos_scale):
+        # circulations x1e6 scale the field and its round-off by 1e6
+        base = build_scenario("polygon-with-center", gamma=20.0, m=20)
+        scen = build_scenario(
+            "custom",
+            positions=tuple(pos_scale * p for p in base.positions),
+            circulations=tuple(1e6 * g for g in base.circ.gammas),
+        )
+        rep = analyze(scen)
+        assert rep.fixed_point_residual > stability.FP_TOL
+        assert rep.verdict == analyze(base).verdict == "certified-stable"
+
     def test_center_scenarios_fixed(self):
         for kind, g in [
             ("triangle-with-center", 0.7),
