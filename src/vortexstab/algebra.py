@@ -22,7 +22,10 @@ import numpy as np
 from .errors import DimensionMismatch, SingularCoupling
 
 SKEW_TOL = 1e-12
-INVERSE_RESIDUAL_TOL = 1e-10
+# An inverse of K is accepted when ||K K^-1 - I|| is within this factor of
+# cond(K) eps, the residual a backward-stable inversion leaves (infinity
+# norms); a K with cond(K) eps >= 1 is singular to working precision.
+INVERSE_RESIDUAL_TOL = 100.0
 
 
 class Regime(enum.Enum):
@@ -216,8 +219,8 @@ def build_coupling_matrix(circ: Circulations) -> CouplingMatrix:
     g = circ.as_array()
     if circ.regime is Regime.NON_ZERO_TOTAL:
         gn = g[:-1]
-        k = np.outer(gn, gn) / circ.total
-        np.fill_diagonal(k, -gn * (circ.total - gn) / circ.total)
+        k = gn[:, None] * gn / circ.total
+        k.flat[:: len(gn) + 1] = -gn * (circ.total - gn) / circ.total
     else:
         gn = g[:-2]
         last = g[-1]
@@ -226,9 +229,15 @@ def build_coupling_matrix(circ: Circulations) -> CouplingMatrix:
         k_inv = np.linalg.inv(k)
     except np.linalg.LinAlgError as exc:
         raise SingularCoupling(str(exc)) from exc
-    residual = np.abs(k @ k_inv - np.eye(k.shape[0])).max()
-    if residual > INVERSE_RESIDUAL_TOL:
-        raise SingularCoupling(f"inverse residual {residual:.3e}")
+    defect = k @ k_inv
+    defect.flat[:: len(k) + 1] -= 1.0
+    # infinity norms of K, K^-1 and the residual K K^-1 - I
+    norms = np.abs(np.array([k, k_inv, defect])).sum(axis=-1).max(axis=-1)
+    rounding, residual = np.finfo(float).eps * norms[0] * norms[1], norms[2]  # cond(K) eps
+    if rounding >= 1.0:
+        raise SingularCoupling(f"singular to working precision: cond eps {rounding:.3e}")
+    if residual > INVERSE_RESIDUAL_TOL * rounding:
+        raise SingularCoupling(f"inverse residual {residual:.3e} against cond eps {rounding:.3e}")
     for a in (k, k_inv):
         a.setflags(write=False)
     return CouplingMatrix(k=k, k_inv=k_inv)

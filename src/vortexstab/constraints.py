@@ -183,12 +183,13 @@ class ConstraintSystem:
         p1, p2, p3, p4 = np.moveaxis(self._forms @ u[..., None, :, None], -3, 0)
         return self._expand(c1 * p2 + c2 * p1 - c3 * p4 - c4 * p3, axis=-2)
 
-    def hessians(self) -> tuple[np.ndarray, ...]:
-        """The constant Hessians in factored form: the linear forms (c1, c2, c3, c4),
-        each of shape (n(n-1)/2, n^2).  Complex component k has the Hessian
-        c1[k] c2[k]^T + c2[k] c1[k]^T - c3[k] c4[k]^T - c4[k] c3[k]^T; a real
-        component takes its real part, or its imaginary part for Im R_ij."""
-        return tuple(self._forms)
+    def hessians(self) -> np.ndarray:
+        """The constant Hessians in factored form: the stored, read-only linear
+        forms (c1, c2, c3, c4) stacked as one array of shape (4, n(n-1)/2, n^2).
+        Complex component k has the Hessian c1[k] c2[k]^T + c2[k] c1[k]^T -
+        c3[k] c4[k]^T - c4[k] c3[k]^T; a real component takes its real part,
+        or its imaginary part for Im R_ij."""
+        return self._forms
 
 
 @lru_cache(maxsize=None)
@@ -209,9 +210,17 @@ def constraint_jacobian(mu: MuMatrix) -> np.ndarray:
 def in_open_set(mu: MuMatrix, tol: float = OPEN_SET_TOL) -> bool | np.ndarray:
     """True when no diagonal or upper-triangular entry of mu vanishes; one
     flag per matrix of a stack."""
-    m = mu.hermitian_part
-    rows, cols = np.triu_indices(mu.n)
-    return (np.abs(m[..., rows, cols]) > tol).all(axis=-1)
+    rows, cols = _upper_triangle(mu.n)
+    return (np.abs(mu.entries[..., rows, cols]) > tol).all(axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the upper triangle with the diagonal."""
+    rows, cols = np.triu_indices(n)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,10 @@ class NotInOpenSet(VortexStabError):
     """State has a vanishing entry; constraint machinery is undefined there."""
 
 
+class NotRankOne(VortexStabError):
+    """State is not of the form i z z^*, off the stratum the reduced dynamics lives on."""
+
+
 class UnsupportedScenario(VortexStabError):
     """No closed-form fixture exists for this configuration."""
 

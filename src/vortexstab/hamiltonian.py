@@ -151,9 +151,14 @@ class ReducedHamiltonian:
         s = self._arguments(u)
         return (self._forms_t @ (np.abs(self.weights) / s)[..., None])[..., 0] / FOUR_PI
 
-    def hessian(self, u: np.ndarray) -> np.ndarray:
+    def hessian(self, u: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
+        """Hess h = F^T diag(w / s^2) F / 4pi, F the forms and s = F u; with
+        ``basis`` (rows are directions, one stack of them per Hamiltonian of
+        a stack) ``basis @ Hess h``, taken through F without the n^2 x n^2
+        matrix."""
         s = self._arguments(u)
-        scaled = self._forms_t * (self.weights / s**2)[..., None, :]
+        scale = (self.weights / s**2)[..., None, :]
+        scaled = self._forms_t * scale if basis is None else (basis @ self._forms_t) * scale
         return scaled @ self.forms / FOUR_PI
 
 

@@ -2,10 +2,13 @@
 
 A :class:`ReducedField` holds the reduced vector field at a stack of k points
 that share n and the regime: the coupling matrices, the stacked reduced
-Hamiltonian, the field residual, the energy Hessian and the linearization.  A
+Hamiltonian, the field residual and the linearization, which applies the
+energy Hessian to a tangent basis through its factored form.  A
 :class:`LocalModel` adds one Casimir subset: the stacked Casimir and
-constraint differentials, one QR of them (ranks, tangent bases,
-multipliers) and the restricted Hessian.  The stack a certificate works on is
+constraint differentials (for the multiplier residual), the leaf built from
+the moment map mu = phi(z) = i z z^* (ranks, tangent bases, multipliers;
+no factorization of the stack and no matrix wider than 2n columns) and the
+restricted Hessian.  The stack a certificate works on is
 memoised on the content of its arguments, so that the stages share it; the
 certificate narrows it to the points still undecided with :func:`restrict`,
 which slices what is computed.  Every array has a leading axis of length k;
@@ -15,7 +18,7 @@ one point is a stack of one.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +43,7 @@ from .constraints import (
 )
 from .dynamics import _lie_poisson_entries
 from .errors import DimensionMismatch
-from .hamiltonian import FOUR_PI, ReducedHamiltonian, gradient_entries
+from .hamiltonian import FOUR_PI, ReducedHamiltonian, _distance_pairs, gradient_entries
 
 
 class ReducedField:
@@ -48,10 +51,10 @@ class ReducedField:
     regime; every array has a leading axis of length k.
 
     It evaluates the field at each point once (the fixed-point residual, and
-    the size of the field's terms it is measured against) and builds the
-    energy Hessian once, on first use, for both the linearization and the
-    restricted Hessian.  It owns the coupling matrices and the
-    reduced Hamiltonians of its circulation sets.
+    the size of the field's terms it is measured against).  It applies the
+    energy Hessian to a stack of bases through its factored form, and builds
+    the n^2 x n^2 matrix only for a linearization without a basis.  It owns
+    the coupling matrices and the reduced Hamiltonians of its circulation sets.
     """
 
     def __init__(self, mu0: MuMatrix, circs: tuple[Circulations, ...]):
@@ -64,7 +67,7 @@ class ReducedField:
         if any(c.N != first.N or c.regime is not first.regime for c in circs):
             raise DimensionMismatch("the circulation sets of a stack must share N and the regime")
         self.mu0, self.circs, self.n = mu0, circs, n
-        self.u0 = flatten(mu0)
+        self.u0, self._along = flatten(mu0), None
         couplings = [build_coupling_matrix(c) for c in circs]
         self.coupling = CouplingMatrix(
             k=np.stack([c.k for c in couplings]), k_inv=np.stack([c.k_inv for c in couplings])
@@ -89,33 +92,40 @@ class ReducedField:
         sub.coupling = CouplingMatrix(k=self.coupling.k[rows], k_inv=self.coupling.k_inv[rows])
         sub.u0, sub.energy_gradient = self.u0[rows], self.energy_gradient[rows]
         sub._g, sub.residual, sub.scale = self._g[rows], self.residual[rows], self.scale[rows]
-        if "energy_hessian" in vars(self):
-            sub.energy_hessian = self.energy_hessian[rows]
+        sub._along = None if self._along is None else tuple([a[rows] for a in self._along])
         return sub
 
     @cached_property
     def hamiltonian(self) -> ReducedHamiltonian:
         return ReducedHamiltonian(self.circs)
 
-    @cached_property
-    def energy_hessian(self) -> np.ndarray:
-        """Hessian of the reduced Hamiltonian h at each point, (k, n^2, n^2)."""
-        return self.hamiltonian.hessian(self.u0)
+    def hessian_along(self, basis: np.ndarray) -> np.ndarray:
+        """``basis @ Hess h`` at each point for a stack of bases (k, d, n^2),
+        through the factored Hessian.  The product for the last basis is
+        kept, and sliced by :meth:`take`: the linearization and the
+        restricted Hessian of a certificate take it on the same tangent bases."""
+        last = self._along
+        if last is None or last[0].shape != basis.shape or not np.array_equal(last[0], basis):
+            self._along = basis, self.hamiltonian.hessian(self.u0, basis)
+        return self._along[1]
 
     def linearize(self, basis: np.ndarray | None = None) -> np.ndarray:
         """Jacobian of the flattened reduced field at each point, or
         ``basis @ A @ basis^T`` for a stack of bases (k, d, n^2)."""
         n = self.n
         m, g, kinv = (a[:, None] for a in (self.mu0.entries, self._g, self.coupling.k_inv))
-        hess_t = self.energy_hessian.swapaxes(-1, -2)
         # direction c moves mu by nu_c and G by p_c, the Hessian applied to it
         if basis is None:
+            hess_t = self.hamiltonian.hessian(self.u0).swapaxes(-1, -2)
             nu, p = 1j * coordinate_basis(n), gradient_entries(hess_t, n)
-        else:
-            nu, p = unflatten_stack(basis, n), gradient_entries(basis @ hess_t, n)
-        deriv = -nu @ g @ kinv - m @ p @ kinv + kinv @ p @ m + kinv @ g @ nu
-        jac = flatten_stack(deriv).swapaxes(-1, -2)
-        return np.ascontiguousarray(jac if basis is None else basis @ jac)
+            deriv = -nu @ g @ kinv - m @ p @ kinv + kinv @ p @ m + kinv @ g @ nu
+            return np.ascontiguousarray(flatten_stack(deriv).swapaxes(-1, -2))
+        nu, p = unflatten_stack(basis, n), gradient_entries(self.hessian_along(basis), n)
+        # the same four terms: nu, p, mu and G are skew-Hermitian and K^-1 is
+        # real symmetric, so the last two are minus the adjoints of the first two
+        s = -(nu @ g + m @ p) @ kinv
+        deriv = s - s.conj().swapaxes(-1, -2)
+        return np.ascontiguousarray(basis @ flatten_stack(deriv).swapaxes(-1, -2))
 
 
 class LocalModel:
@@ -123,12 +133,16 @@ class LocalModel:
     and one Casimir subset; every array has a leading axis of length k.
 
     Rows of ``stack`` are the differentials of the chosen Casimirs, then those
-    of all constraint components.  One stacked Householder QR gives the
-    ranks, the tangent bases and, where a point's rows are independent (the
-    only case the certificate goes on with), the unique multipliers; at a
-    point with dependent rows the multipliers are the minimal-norm ones.
-    The restricted Hessian contracts the constraint linear forms, projected
-    once per basis.
+    of all constraint components.  The model does not factor the stack.  The
+    constraint rows have full rank on the open set, and their common kernel
+    is the tangent space of the rank-one stratum, the image of Dphi at z for
+    mu0 = phi(z) = i z z^*: one thin QR of Dphi (n^2 x (2n - 1)) gives it.
+    One QR of the Casimir rows projected onto it gives the ranks, the tangent
+    bases and, where the rows are independent (the only case the certificate
+    goes on with), the Casimir multipliers; the constraint multipliers follow
+    in closed form.  At a point with dependent rows the multipliers are the
+    minimal-norm ones.  The restricted Hessian contracts the constraint
+    linear forms, projected once per basis.
     """
 
     def __init__(self, field: ReducedField, casimir_subset: tuple[int, ...]):
@@ -141,13 +155,12 @@ class LocalModel:
         sliced, not computed again."""
         sub = LocalModel(self.field.take(rows), self.casimir_subset)
         computed = vars(self)
-        if "stack" in computed:
-            sub.stack = _read_only(self.stack[rows])
-        if "_factors" in computed:
-            rank, basis, w = self._factors
-            sub._factors = _read_only(rank[rows]), _read_only(basis[rows]), _read_only(w[rows])
-        if "unit_multipliers" in computed:
-            sub.unit_multipliers = _read_only(self.unit_multipliers[rows])
+        for name in ("stack", "unit_multipliers"):
+            if name in computed:
+                setattr(sub, name, _read_only(computed[name][rows]))
+        for name in ("moment", "_factors"):
+            if name in computed:
+                setattr(sub, name, tuple([_read_only(a[rows]) for a in computed[name]]))
         if "multipliers" in computed:
             sub.multipliers = self.multipliers.take(rows)
         if "dependent_casimirs" in computed:
@@ -161,26 +174,62 @@ class LocalModel:
         return _read_only(np.concatenate(rows, axis=-2))
 
     @cached_property
-    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """From one Householder QR of the stack's transpose, constraint rows
-        first: the numerical ranks (:func:`constraints.row_rank`), the columns
-        of Q past the stack's row count (a tangent basis where the rows are
-        independent), and where they are independent the unique solution of
-        stack^T w = -energy_gradient (a0 = +1); NaN elsewhere.
+    def moment(self) -> tuple[np.ndarray, np.ndarray]:
+        """z with M = -i mu0 = z z^*, column c of M over sqrt(M_cc) for the
+        largest diagonal entry M_cc, and the largest entry of M - z z^* over
+        M_cc (NaN where M_cc is not positive)."""
+        m = self.mu0.hermitian_part
+        diagonal = np.diagonal(m, axis1=-2, axis2=-1).real
+        points, c = np.arange(len(m)), diagonal.argmax(axis=-1)
+        peak = diagonal[points, c]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            z = m[points, :, c] / np.sqrt(peak)[:, None]
+            gap = np.abs(m - z[:, :, None] * z[:, None, :].conj()).max(axis=(-2, -1))
+            return z, gap / peak
 
-        The constraint map is a submersion on the open set, so a dependence
-        shows in the Casimir rows, where the unpivoted QR finds it."""
-        k, rows = len(self.casimir_subset), self.stack.shape[-2]
-        ordered = np.roll(self.stack, -k, axis=-2)
-        q, r = np.linalg.qr(ordered.swapaxes(-1, -2), mode="complete")
-        rank = row_rank(ordered, r)
-        basis = np.ascontiguousarray(q[..., rows:].swapaxes(-1, -2))
+    @property
+    def off_stratum(self) -> np.ndarray:
+        """Per point, whether M = -i mu0 is not z z^*: an entry of M - z z^*
+        exceeds RANK_THRESHOLD times the largest entry of M."""
+        return ~(self.moment[1] <= RANK_THRESHOLD)
+
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, ...]:
+        """The numerical ranks, the tangent bases, where the rows are
+        independent the unique solution of stack^T w = -energy_gradient
+        (a0 = +1), NaN elsewhere, and the orthonormal columns U spanning the
+        tangent space of the rank-one stratum.
+
+        U is the thin QR of Dphi(v) = i (v z^* + z v^*) over the 2n real
+        directions v but i e_c, c the largest real part of z (at least
+        z_c = max |z_j|): the phase direction i z, the kernel of Dphi, has
+        the component Re z_c along i e_c, so the rest span the image.  U
+        spans the kernel of the constraint rows, so |R_jj| of the QR of the
+        Casimir rows projected onto U is Casimir row j's distance from the
+        span of the rows before it, judged by the rank rule against the
+        row's own length (:func:`constraints.row_rank`).  The tangent bases
+        are U times the complement of the projected rows."""
+        n, k = self.n, len(self.casimir_subset)
+        z = self.moment[0]
+        drop = np.arange(2 * n - 1)
+        v = _directions(n)[drop + (drop >= n + z.real.argmax(axis=-1)[:, None])]
+        moved = v[..., None] * z[:, None, None, :].conj()  # v z^*
+        tangent = flatten_stack(1j * (moved + moved.conj().swapaxes(-1, -2)))
+        u = np.linalg.qr(tangent.swapaxes(-1, -2))[0]
+        casimirs = self.stack[:, :k]
+        q, r = np.linalg.qr((casimirs @ u).swapaxes(-1, -2), mode="complete")
+        rank = (n - 1) ** 2 + row_rank(casimirs, r)
+        basis = np.ascontiguousarray((u @ q[..., k:]).swapaxes(-1, -2))
         w = np.full(self.stack.shape[:-1], np.nan)
-        unique = rank == rows
+        unique = rank == self.stack.shape[-2]
         if unique.any():
-            along = q[unique, :, :rows].swapaxes(-1, -2) @ self.energy_gradient[unique, :, None]
-            w[unique] = np.roll(-np.linalg.solve(r[unique, :rows], along)[..., 0], k, axis=-1)
-        return _read_only(rank), _read_only(basis), _read_only(w)
+            # the Casimir part along U: (casimirs U)^T a = -(energy_gradient U)^T
+            gradient, casimirs = self.energy_gradient[unique], casimirs[unique]
+            projected = (gradient[:, None] @ u[unique] @ q[unique, :, :k]).swapaxes(-1, -2)
+            a = -np.linalg.solve(r[unique, :k], projected)[..., 0]
+            rest = gradient + (a[:, None] @ casimirs)[:, 0]
+            w[unique] = np.concatenate([a, _constraint_multipliers(z[unique], rest)], axis=-1)
+        return _read_only(rank), _read_only(basis), _read_only(w), _read_only(u)
 
     @property
     def rank(self) -> np.ndarray:
@@ -195,7 +244,7 @@ class LocalModel:
         """The a0 = +1 multipliers: unique where the rows are independent,
         minimal-norm where they are not, from one stacked pseudo-inverse of
         those points, on first use (the certificate never asks for them)."""
-        rank, _, w = self._factors
+        rank, _, w, _ = self._factors
         dependent = rank < self.stack.shape[-2]
         if not dependent.any():
             return w
@@ -225,27 +274,24 @@ class LocalModel:
     @cached_property
     def dependent_casimirs(self) -> list[tuple[int, ...]]:
         """Per point, the Casimirs C_1..C_n whose differential lies in the
-        constraint row space."""
+        constraint row space: its projection onto U, the row space's
+        orthogonal complement, is its distance from that span."""
         grads = np.stack(
             [casimir_gradient(self.mu0, self.coupling, j) for j in range(1, self.n + 1)], axis=-2
         )
-        resid = grads
-        jac = self.stack[:, len(self.casimir_subset) :]
-        if jac.shape[-2]:
-            # C_j appended to the constraint rows: its distance from their span
-            q = np.linalg.qr(jac.swapaxes(-1, -2))[0]
-            resid = grads - (grads @ q) @ q.swapaxes(-1, -2)
         norm = np.linalg.norm
-        dependent = ~independent(norm(resid, axis=-1), norm(grads, axis=-1))
+        distance = norm(grads @ self._factors[3], axis=-1)
+        dependent = ~independent(distance, norm(grads, axis=-1))
         return [tuple(int(j) + 1 for j in np.flatnonzero(row)) for row in dependent]
 
     def restricted_hessian(self, mult: MultiplierSet, basis: np.ndarray) -> np.ndarray:
-        """basis H_f basis^T at each point, with the constraint part as a
-        weighted sum of rank-one products of the projected linear forms."""
+        """basis H_f basis^T at each point, with the energy part through the
+        factored energy Hessian and the constraint part as a weighted sum of
+        rank-one products of the projected linear forms."""
         basis_t = basis.swapaxes(-1, -2)
-        h = mult.a0 * (basis @ (FOUR_PI * self.field.energy_hessian) @ basis_t)
-        forms = np.stack(constraint_system(self.n).hessians()) @ basis_t[:, None]
-        p1, p2, p3, p4 = np.moveaxis(forms, -3, 0)
+        h = (mult.a0 * FOUR_PI) * (self.field.hessian_along(basis) @ basis_t)
+        forms = constraint_system(self.n).hessians() @ basis_t[:, None]
+        p1, p2, p3, p4 = forms.swapaxes(0, 1)
         a = np.broadcast_to(np.asarray(mult.a, dtype=float), (len(h), len(self.casimir_subset)))
         for col, j in enumerate(self.casimir_subset):
             if j > 1 and a[:, col].any():
@@ -256,6 +302,41 @@ class LocalModel:
         w = np.concatenate([np.asarray(mult.b, dtype=float), c - 1j * d], axis=-1)[..., None, :]
         s = (p1.swapaxes(-1, -2) * w) @ p2 - (p3.swapaxes(-1, -2) * w) @ p4
         return h + (s + s.swapaxes(-1, -2)).real
+
+
+@lru_cache(maxsize=None)
+def _directions(n: int) -> np.ndarray:
+    """The 2n real directions e_j, then i e_j, of C^n as rows."""
+    v = np.concatenate([np.eye(n), 1j * np.eye(n)])
+    v.setflags(write=False)
+    return v
+
+
+def _constraint_multipliers(z: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """The constraint coefficients (b, then (c, d) pairs) that cancel
+    ``rest`` = 4 pi grad h + sum_j a_j grad C_j at M = z z^*, in O(n^3).
+
+    The differential of the minor R_ij (rows i, i+1, columns j, j+1) at
+    z z^* along a Hermitian Y is (A^T Y conj(A))_ij, where column i of A is
+    z_{i+1} e_i - z_i e_{i+1}.  With G~ the Hermitian matrix of ``rest``
+    (rest . u(iY) = Re tr(G~ Y)) and X = -conj(G~), the coefficients solve
+    A W A^H = X: with P = (A^H A)^-1 A^H (A^H A is tridiagonal), W = P X P^H,
+    and omega = conj(2 triu(W, 1) + diag(W)) holds b_i = omega_ii and
+    c_ij + i d_ij = omega_ij.  As G~ = -(i/2) G with G the matrix form of
+    ``rest`` (:func:`hamiltonian.gradient_entries`), conj(W) = (i/2) Y with
+    Y = conj(P) G P^T, taken here."""
+    n = z.shape[-1]
+    i, j, _ = _distance_pairs(n - 1)
+    step = np.arange(n - 1)
+    a = np.zeros(z.shape + (n - 1,), dtype=complex)  # conj(A)
+    a[:, step, step], a[:, step + 1, step] = z[:, 1:].conj(), -z[:, :-1].conj()
+    a_h = a.conj().swapaxes(-1, -2)
+    p = np.linalg.solve(a_h @ a, a_h)  # conj(P)
+    y = p @ gradient_entries(rest, n) @ p.conj().swapaxes(-1, -2)
+    out = np.empty((len(z), (n - 1) ** 2))
+    out[:, : n - 1] = -0.5 * np.diagonal(y, axis1=-2, axis2=-1).imag
+    out[:, n - 1 :: 2], out[:, n::2] = -y[:, i, j].imag, y[:, i, j].real
+    return out
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -290,6 +371,9 @@ def reduced_field(mu0: MuMatrix, circ: Circulations | Sequence[Circulations]) ->
     set per point), memoised on the content of its arguments; one point is a
     stack of one."""
     global _memo
+    field = _memo[1]
+    if field is not None and mu0 is field.mu0 and circ is field.circs:
+        return field  # a stage called on the memoised stack itself
     key = _content(mu0, circ)
     if _memo[0] != key:
         stack = MuMatrix(mu0.entries.reshape(-1, mu0.n, mu0.n))
@@ -316,6 +400,8 @@ def restrict(model: LocalModel, rows: np.ndarray) -> LocalModel:
     global _memo
     if len(rows) != len(model.circs):
         model = model.take(rows)
+    elif _memo[2].get(model.casimir_subset) is model:
+        return model
     key = _content(model.mu0, model.circs)
     if _memo[0] != key or _memo[2].get(model.casimir_subset) is not model:
         _memo = (key, model.field, {model.casimir_subset: model})

@@ -8,7 +8,9 @@ making the combined function
 critical at the fixed point, then test definiteness, of either sign, of its
 Hessian restricted to the tangent space of the joint Casimir/constraint level
 set via Sylvester's criterion.  The ``4 pi h`` scaling matches the closed-form
-multiplier and minor fixtures used in the acceptance suite.
+multiplier and minor fixtures used in the acceptance suite.  That tangent
+space, the symplectic leaf, is built from the moment map mu = i z z^* at the
+fixed point (:class:`localmodel.LocalModel`), so mu0 must be of that form.
 
 Every stage takes one point or a stack of them: ``mu0`` of shape (k, n, n)
 with ``circ`` a sequence of k circulation sets that share N and the regime
@@ -35,6 +37,7 @@ from .errors import (
     NotAFixedPoint,
     NotAFixedPointWarning,
     NotInOpenSet,
+    NotRankOne,
     RankDeficiency,
     VortexStabError,
 )
@@ -56,8 +59,9 @@ FP_TOL = 1e-9
 SPEC_TOL = 1e-7
 MULTIPLIER_TOL = 1e-8
 PIVOT_TOL = 1e-10
-# Entries of each n^4-sized array of a certificate stack (the energy Hessian,
-# the QR's Q, the tangent bases): 2 MB of float64.
+# Entries of each n^4-sized array of a certificate stack (the stacked Casimir
+# and constraint differentials, and the constraint Jacobian's complex terms):
+# 2 MB of float64.
 STACK_ENTRIES = 1 << 18
 
 
@@ -154,13 +158,18 @@ def independence_check(
 ) -> IndependenceResult:
     """Numerical rank test of the stacked Casimir and constraint differentials.
 
-    Also tells, through ``dependent_casimirs``, which Casimirs C_1..C_n
+    Raises NotInOpenSet where mu0 has a vanishing entry, and NotRankOne where
+    M = -i mu0 is not z z^* to RANK_THRESHOLD of its largest entry.  Also
+    tells, through ``dependent_casimirs``, which Casimirs C_1..C_n
     individually lie in the span of the constraint gradients at mu0 (those add
     nothing to the certificate).
     """
     if not np.all(in_open_set(mu0)):
         raise NotInOpenSet("mu0 has a vanishing entry")
     model = local_model(mu0, circ, casimir_subset)
+    off = np.flatnonzero(model.off_stratum)
+    if len(off):
+        raise _not_rank_one(model, int(off[0]))
     expected = model.stack.shape[-2]
     rank = _per_point(circ, model.rank)
     return IndependenceResult(
@@ -302,8 +311,9 @@ def energy_casimir_certificate(
     A stack of k points runs each stage once on the points it still has to
     decide and returns a list of k results, where a point that fails a check
     holds its exception (NotAFixedPoint, NotInOpenSet, DomainError, ...) in
-    place of a result.  Every stage holds arrays of O(n^4) entries per point,
-    so the caller bounds k (:func:`stack_size`).
+    place of a result, and a point that is not of the form i z z^* holds
+    NotRankOne.  The stacked differentials hold O(n^4) entries per point, so
+    the caller bounds k (:func:`stack_size`).
     """
     circs = _circulation_sets(circ)
     subset = tuple(casimir_subset)
@@ -347,7 +357,10 @@ def _certify(
         results[i] = NotAFixedPoint(f"residual {check.residual[i]:.3e}")
     for i in np.flatnonzero(check.ok & ~inside):
         results[i] = NotInOpenSet("mu0 has a vanishing entry")
-    at = np.flatnonzero(check.ok & inside)  # the stack rows of the model's points
+    off = check.ok & inside & model.off_stratum
+    for i in np.flatnonzero(off):
+        results[i] = _not_rank_one(model, int(i))
+    at = np.flatnonzero(check.ok & inside & ~off)  # the stack rows of the model's points
     if not len(at):
         return results
     model = restrict(model, at)
@@ -420,6 +433,11 @@ def _energy_casimir(
             minors=tuple((s**order * syl.minors[j]).tolist()),
         )
     return outcome
+
+
+def _not_rank_one(model: LocalModel, row: int) -> NotRankOne:
+    gap = model.moment[1][row]
+    return NotRankOne(f"mu0 is not i z z^*: M - z z^* reaches {gap:.3e} of max |M|", sample=row)
 
 
 def _infeasible_points(model: LocalModel, residual: np.ndarray) -> np.ndarray:

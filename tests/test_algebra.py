@@ -17,6 +17,7 @@ from vortexstab.algebra import (
     unflatten,
     unflatten_stack,
 )
+from vortexstab.errors import SingularCoupling
 def random_skew_hermitian(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return MuMatrix(0.5 * (a - a.conj().T))
@@ -69,6 +70,12 @@ class TestCouplingMatrix:
                 continue
             k = build_coupling_matrix(Circulations(tuple(g)))
             np.testing.assert_allclose(k.k @ k.k_inv, np.eye(3), atol=1e-10)
+
+    @pytest.mark.parametrize("gammas", [(1.0, 2.0, 3e-16), (1.0, 1.0, -3e-16)])
+    def test_singular_to_working_precision(self, gammas):
+        # K^-1 = -diag(1/G_i) - 1 1^T / G_N: cond(K) eps is 1.07 and 1.33
+        with pytest.raises(SingularCoupling, match="working precision"):
+            build_coupling_matrix(Circulations(gammas))
 
     def test_determinant_identity_three_vortices(self):
         # det K = G1*G2*G3 / (G1+G2+G3), hence K is invertible whenever the

@@ -194,6 +194,12 @@ class TestConstraints:
         assert len(sys4.labels) == 9
         assert tuple(sys4.labels[:3]) == ("R1", "R2", "R3")
 
+    def test_hessians_are_the_stored_forms(self):
+        sys = constraint_system(4)
+        forms = sys.hessians()
+        assert forms is sys.hessians() and not forms.flags.writeable
+        assert forms.shape == (4, 6, 16)
+
     def test_jacobian_constant_hessians(self):
         # every component is quadratic, so its Hessian is state-independent
         rng = np.random.default_rng(12)

@@ -5,6 +5,7 @@ from vortexstab.algebra import Circulations, flatten, unflatten
 from vortexstab.dynamics import moment_map, relative_coordinates
 from vortexstab.errors import Collision
 from vortexstab.hamiltonian import (
+    ReducedHamiltonian,
     VortexConfiguration,
     full_hamiltonian,
     gradient_matrix,
@@ -117,6 +118,20 @@ class TestDerivatives:
             assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
             fd_row = (sys.gradient(u + d) - sys.gradient(u - d)) / (2 * eps)
             np.testing.assert_allclose(hess[:, i], fd_row, rtol=1e-5, atol=1e-7)
+
+    @pytest.mark.parametrize("zero_total", [False, True])
+    def test_hessian_along_a_basis(self, zero_total):
+        # basis @ Hess h through the forms, one Hamiltonian or a stack of them
+        rng = np.random.default_rng(43)
+        cfgs = [random_configuration(rng, 5, zero_total=zero_total) for _ in range(2)]
+        u = np.stack([flatten(moment_map(relative_coordinates(c))) for c in cfgs])
+        basis = rng.standard_normal((2, 3, u.shape[-1]))
+        stacked = ReducedHamiltonian([c.circ for c in cfgs])
+        dense = stacked.hessian(u)
+        got = stacked.hessian(u, basis)
+        assert np.abs(got - basis @ dense).max() <= 1e-13 * np.abs(basis @ dense).max()
+        one = reduced_system(cfgs[0].circ)
+        assert np.abs(one.hessian(u[0], basis[0]) - got[0]).max() <= 1e-13 * np.abs(got[0]).max()
 
     def test_hessian_symmetric(self):
         rng = np.random.default_rng(42)

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vortexstab import localmodel
 from vortexstab.algebra import (
     Circulations,
     MuMatrix,
@@ -263,8 +264,8 @@ DEPENDENT_CASIMIR_CASES = [
 
 
 class TestCertificateWork:
-    def test_certified_large_analyze_takes_one_qr_and_a_leaf_spectrum(self, monkeypatch):
-        calls = {"qr": [], "svd": [], "lstsq": [], "eigvals": []}
+    def test_certified_large_analyze_factors_nothing_wider_than_2n(self, monkeypatch):
+        calls = {"qr": [], "solve": [], "svd": [], "lstsq": [], "pinv": [], "eigvals": []}
         for name, shapes in calls.items():
             fn = getattr(np.linalg, name)
 
@@ -278,28 +279,35 @@ class TestCertificateWork:
         rep = analyze(scen)
         n, d = scen.circ.n, 2 * scen.circ.n - 2
         assert rep.verdict == "certified-stable"
-        # one QR of the transposed stack: n^2 coordinates, (n - 1)^2 + 1 rows
-        assert calls["qr"] == [(1, n * n, (n - 1) ** 2 + 1)]
-        assert calls["svd"] == calls["lstsq"] == []
+        # one thin QR of Dphi's 2n - 1 directions, one QR of the projected C_1
+        # row, no QR of the (n - 1)^2 + 1 x n^2 stack
+        assert calls["qr"] == [(1, n * n, 2 * n - 1), (1, 2 * n - 1, 1)]
+        # the C_1 multiplier and the (n - 1) x (n - 1) Gram matrix of A
+        assert calls["solve"] == [(1, 1, 1), (1, n - 1, n - 1)]
+        assert calls["svd"] == calls["lstsq"] == calls["pinv"] == []
         assert calls["eigvals"] and all(shape[-1] <= d for shape in calls["eigvals"])
         assert len(rep.spectrum) == d
 
-    def test_certified_analyze_builds_the_energy_hessian_once(self, monkeypatch):
+    def test_certified_analyze_builds_no_dense_energy_hessian(self, monkeypatch):
         # and evaluates the reduced field once: the residual, the certificate's
-        # fixed-point check and the linearization share one evaluation
-        calls = {"gradient": 0, "hessian": 0}
+        # fixed-point check and the linearization share one evaluation; the
+        # energy Hessian is applied once, to the tangent basis, for the
+        # linearization and the restricted Hessian
+        calls = {"gradient": [], "hessian": []}
         for name in calls:
             method = getattr(ReducedHamiltonian, name)
 
-            def counted(self, u, method=method, name=name):
-                calls[name] += 1
-                return method(self, u)
+            def counted(self, u, *args, method=method, name=name):
+                calls[name].append(np.shape(args[0]) if args and args[0] is not None else None)
+                return method(self, u, *args)
 
             monkeypatch.setattr(ReducedHamiltonian, name, counted)
+        scen = build_scenario("polygon-with-center", gamma=20.0, m=20)
         clear_memo()
-        rep = analyze(build_scenario("polygon-with-center", gamma=20.0, m=20))
+        rep = analyze(scen)
+        basis = (1, 2 * scen.circ.n - 2, scen.circ.n**2)
         assert rep.verdict == "certified-stable"
-        assert calls == {"gradient": 1, "hessian": 1}
+        assert calls == {"gradient": [None], "hessian": [basis]}
 
     @pytest.mark.parametrize("kind,gamma", [("square-with-center", 1.0), ("triangle-with-center", -4.0)])
     def test_certified_analyze_evaluates_the_multipliers_once(self, kind, gamma, monkeypatch):
@@ -348,19 +356,28 @@ class TestCertificateWork:
 
     @pytest.mark.parametrize("kind,gamma,m,subset", DEPENDENT_CASIMIR_CASES)
     def test_dependent_casimirs_on_first_access(self, kind, gamma, m, subset, monkeypatch):
+        # the rank test's basis of the stratum's tangent space serves: no
+        # factorization, and the n Casimir gradients are taken once
         mu0, circ = fixed_point(kind, gamma, m)
         clear_memo()
         res = independence_check(mu0, circ, subset)
-        qr, calls = np.linalg.qr, []
+        calls = []
+        for name in ("qr", "solve", "svd", "pinv"):
+            def counting(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _f(*args, **kwargs)
 
-        def counting_qr(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return qr(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        gradient, grads = localmodel.casimir_gradient, []
 
-        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        def counting_gradient(mu, k, j):
+            grads.append(j)
+            return gradient(mu, k, j)
+
+        monkeypatch.setattr(localmodel, "casimir_gradient", counting_gradient)
         assert res.dependent_casimirs == ()
         assert res.dependent_casimirs == ()
-        assert len(calls) == 1
+        assert calls == [] and grads == list(range(1, circ.n + 1))
 
     @pytest.mark.parametrize("gamma,verdict", [(0.5, "inconclusive"), (2.0, "linearly-unstable")])
     def test_dependent_differentials_take_the_full_spectrum(self, gamma, verdict):
@@ -409,7 +426,7 @@ SCALE_FREE_POINTS = [
 
 
 class TestStackFactors:
-    """The ranks, tangent bases and multipliers of one QR of the stack."""
+    """The ranks, tangent bases and multipliers of the stack of differentials."""
 
     @pytest.mark.parametrize("kind,gamma,m,pos_scale", FACTOR_CASES)
     def test_a_dependent_row_lowers_the_rank_by_one(self, kind, gamma, m, pos_scale):
@@ -480,3 +497,75 @@ class TestStackFactors:
             rhs = -4 * np.pi * reduced_system(circ).gradient(flatten(mu))
             expected, *_ = np.linalg.lstsq(model.stack[i].T, rhs, rcond=1e-8)
             assert np.abs(w[i] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def family_points():
+    """The paper's families at step 0.25 (both regimes: triangle gamma = -3
+    and square gamma = -4 have zero total circulation), the polygon with
+    center for m = 3..20 (gamma = -m is zero total), the scaled copies of
+    the scale-free points and the n = 1 leaf."""
+    points = []
+    for kind, lo, hi in (("triangle-with-center", -5.0, 2.0), ("square-with-center", -4.5, 3.0)):
+        for gamma in np.arange(lo, hi + 1e-9, 0.25):
+            if gamma != 0.0:
+                points.append(fixed_point(kind, float(gamma)))
+    for m in GRID_M:
+        for gamma in (-float(m), -5.0, 5.0, 20.0, 40.0):
+            points.append(fixed_point("polygon-with-center", gamma, m))
+    for kind, gamma, m in SCALE_FREE_POINTS:
+        base = build_scenario(kind, gamma=gamma, m=m)
+        for pos_scale, circ_scale in ((10.0, 1.0), (1e3, 1.0), (1e-3, 1.0), (1.0, 1e4),
+                                      (1.0, 1e-4), (10.0, 1e-2), (1e-3, 1e4)):
+            scen = build_scenario(
+                "custom",
+                positions=tuple(pos_scale * p for p in base.positions),
+                circulations=tuple(circ_scale * g for g in base.circ.gammas),
+            )
+            points.append((scenario_fixed_point(scen), scen.circ))
+    scen = build_scenario(
+        "custom", positions=(0.0, 1.0, 0.5 + 0.5j * np.sqrt(3)), circulations=(1.0, 1.0, -2.0)
+    )
+    points.append((scenario_fixed_point(scen), scen.circ))
+    return points
+
+
+class TestLeafFromMomentMap:
+    """The leaf built from Dphi and the closed-form multipliers against a
+    numpy QR of the whole stack of Casimir and constraint differentials."""
+
+    def test_matches_a_qr_of_the_stack(self):
+        problems, sizes = [], set()
+        for mu0, circ in family_points():
+            n = circ.n
+            k = build_coupling_matrix(circ)
+            stack = np.vstack([casimir_gradient(mu0, k, 1), constraint_jacobian(mu0)])
+            q = np.linalg.qr(stack.T, mode="complete")[0]
+            own = q[:, len(stack) :].T
+            basis = tangent_basis(mu0, circ)
+            d = 2 * n - 2
+            sizes.add(n)
+            where = (circ.gammas, n)
+            if basis.shape != own.shape or basis.shape != (d, n * n):
+                problems.append((where, "shape", basis.shape))
+                continue
+            if np.abs(basis @ basis.T - np.eye(d)).max(initial=0.0) > 1e-14:
+                problems.append((where, "orthonormal"))
+            length = np.linalg.norm(stack, axis=-1)
+            along = np.abs(stack @ basis.T).max(axis=-1, initial=0.0)
+            if np.any(along > 1e-14 * length):
+                problems.append((where, "tangent", (along / length).max()))
+            mult = solve_multiplier_system(mu0, circ)
+            w = np.concatenate([mult.a, mult.constraint_coefficients])
+            rhs = -4 * np.pi * reduced_system(circ).gradient(flatten(mu0))
+            # rows of unit length: the scaled copies give the C_1 row and the
+            # constraint rows lengths up to 1e12 apart, and lstsq of the raw
+            # stack then misses the solution by up to 1e-5 of its size
+            expected = np.linalg.lstsq((stack / length[:, None]).T, rhs, rcond=None)[0] / length
+            if np.abs(w - expected).max() > 1e-12 * np.abs(expected).max():
+                problems.append((where, "multipliers", np.abs(w - expected).max()))
+            got = np.linalg.eigvalsh(restricted_hessian(mu0, circ, mult, basis))
+            eig = np.linalg.eigvalsh(restricted_hessian(mu0, circ, mult, own))
+            if np.abs(got - eig).max(initial=0.0) > 1e-12 * np.abs(eig).max(initial=0.0):
+                problems.append((where, "restricted Hessian", np.abs(got - eig).max()))
+        assert problems == []
+        assert sizes == set(range(1, 21))

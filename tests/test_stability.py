@@ -16,7 +16,7 @@ from vortexstab.algebra import (
 )
 from vortexstab.constraints import casimir_gradient, casimir_hessian, constraint_jacobian
 from vortexstab.dynamics import integrate, moment_map, relative_coordinates
-from vortexstab.errors import NotAFixedPoint, NotAFixedPointWarning, NotInOpenSet
+from vortexstab.errors import NotAFixedPoint, NotAFixedPointWarning, NotInOpenSet, NotRankOne
 from vortexstab.hamiltonian import FOUR_PI, VortexConfiguration, reduced_system
 from vortexstab.report import analyze
 from vortexstab.scenarios import build_scenario, scenario_fixed_point
@@ -35,6 +35,8 @@ from vortexstab.stability import (
 )
 
 EQUILATERAL3_MU0 = unflatten(np.array([1.0, 1.0, 0.5, -np.sqrt(3) / 2]), 2)
+# a direction that makes a rank-one M = z z^* of n = 3 rank two
+W = np.array([0.3, -0.2j, 0.5 + 0.1j])
 
 
 def center_fixed_point(kind, gamma):
@@ -174,6 +176,28 @@ class TestIndependence:
         with pytest.raises(NotInOpenSet):
             independence_check(mu, circ, (1,))
 
+    @pytest.mark.parametrize("size", [1e-3, 1e-6])
+    def test_rejects_point_off_the_stratum(self, size):
+        # a rank-two M = -i mu in the open set is not z z^*: the leaf of phi
+        # does not pass through it
+        mu0, circ = center_fixed_point("triangle-with-center", 0.7)
+        mu = MuMatrix(np.stack([mu0.entries, mu0.entries + 1j * size * np.outer(W, W.conj())]))
+        with pytest.raises(NotRankOne, match="not i z z") as exc:
+            independence_check(mu, [circ, circ], (1,))
+        assert exc.value.sample == 1
+        assert independence_check(MuMatrix(mu.entries[0]), circ, (1,)).independent
+
+    def test_point_off_the_stratum_holds_its_error(self, monkeypatch):
+        # past the fixed-point and open-set checks, a point off the stratum
+        # holds NotRankOne in its slot and the others are decided
+        mu0, circ = center_fixed_point("triangle-with-center", 0.7)
+        mu = MuMatrix(np.stack([mu0.entries + 1j * 1e-3 * np.outer(W, W.conj()), mu0.entries]))
+        accept = stability.FixedPointCheck(residual=np.zeros(2), ok=np.ones(2, dtype=bool))
+        monkeypatch.setattr(stability, "is_fixed_point", lambda mu0, circ: accept)
+        off, on = energy_casimir_certificate(mu, [circ, circ])
+        assert isinstance(off, NotRankOne)
+        assert on.verdict is Verdict.CERTIFIED_STABLE
+
 
 class TestMultipliersAndBasis:
     def test_residual_reevaluated_small(self):
@@ -277,6 +301,11 @@ class TestCertificate:
             ("square-with-center", -1.0, Verdict.LINEARLY_UNSTABLE),
             ("square-with-center", -0.3, Verdict.INCONCLUSIVE),
             ("square-with-center", -4.0, Verdict.LINEARLY_UNSTABLE),
+            # next to the zero-total points: cond(K) is 4e6 and 6e6, and the
+            # residuals ||K K^-1 - I|| of 3.3e-10 and 2.8e-10 are 0.37 and 0.21
+            # cond(K) eps
+            ("triangle-with-center", -3.000001, Verdict.CERTIFIED_STABLE),
+            ("square-with-center", -3.999999, Verdict.LINEARLY_UNSTABLE),
         ],
     )
     def test_verdicts(self, kind, gamma, verdict):
