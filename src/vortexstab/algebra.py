@@ -172,6 +172,15 @@ def unflatten_stack(v: np.ndarray, n: int) -> np.ndarray:
     return pairs.view(complex).reshape(v.shape[:-1] + (n, n))
 
 
+def hermitian_stack(v: np.ndarray, n: int) -> np.ndarray:
+    """Entries of M = -i mu, row-major over the last axis (length n*n), for a
+    stack of coordinate vectors: M_aa = u_a, and M_ab = x + i y, M_ba = x - i y
+    for the pair a < b.  No entry is a sum, so each is exact."""
+    m = unflatten_stack(v, n)
+    m *= -1j
+    return m.reshape(v.shape[:-1] + (n * n,))
+
+
 def flatten(mu: MuMatrix) -> np.ndarray:
     """Real coordinate vector of length n**2 (pure copying, no arithmetic), one
     per matrix of a stack."""

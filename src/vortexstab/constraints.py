@@ -12,7 +12,7 @@ coordinates, so Jacobians are exact and Hessians are constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -22,9 +22,11 @@ from .algebra import (
     CouplingMatrix,
     MuMatrix,
     Regime,
+    _gathers,
     coordinate_basis,
     flatten,
     flatten_stack,
+    hermitian_stack,
     pair_indices,
 )
 from .errors import DimensionMismatch, NotInOpenSet, UnsupportedScenario
@@ -142,54 +144,100 @@ class ConstraintSystem:
     """All (n-1)^2 real rank-one constraint components for n x n shapes,
     ordered (R_1 .. R_{n-1}, Re R_12, Im R_12, ...).
 
-    Complex component k is the quadratic form (c1[k].u)(c2[k].u) - (c3[k].u)(c4[k].u),
-    where each row of c1..c4 is the complex linear form of one entry of M = -i mu.
+    Complex component k is the minor p1 p2 - p3 p4 of four entries of
+    M = -i mu, stored as their row-major indices (:meth:`hessians`).  An
+    entry of M reads at most two coordinates, with coefficients 1 and +-i,
+    so the Jacobian has at most 8 terms per complex component; it is kept,
+    from its first use, as the position, coordinate and coefficient (+-1, or
+    -2 where two terms of a diagonal block's minor coincide) of each nonzero
+    of the real rows.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("n must be positive")
         self.n = n
-        # entry (a, b) of M = -i mu as a complex linear form in u
-        ell = np.einsum("mab->abm", coordinate_basis(n))
-        blocks = [(i, i) for i in range(n - 1)] + list(pair_indices(n - 1))
+        d = n - 1
+        blocks = [(i, i) for i in range(d)] + list(pair_indices(d))
         i, j = np.array(blocks, dtype=int).reshape(-1, 2).T
-        self._forms = np.stack([ell[i, j], ell[i + 1, j + 1], ell[i, j + 1], ell[i + 1, j]])
-        self._forms.setflags(write=False)
-        labels = [f"R{i + 1}" for i in range(n - 1)]
-        for i, j in pair_indices(n - 1):
+        self._entries = np.stack([i * n + j, (i + 1) * n + j + 1, i * n + j + 1, (i + 1) * n + j])
+        self._entries.setflags(write=False)
+        labels = [f"R{i + 1}" for i in range(d)]
+        for i, j in pair_indices(d):
             labels += [f"ReR{i + 1}{j + 1}", f"ImR{i + 1}{j + 1}"]
         self.labels = labels
-        self.size = (n - 1) ** 2
+        self.size = d**2
 
-    def _expand(self, vals: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Split complex off-diagonal components (along ``axis``) into (Re, Im) rows."""
+    @cached_property
+    def _jacobian_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzeros of dR: their flat positions t in the real rows, the
+        coordinate each reads and its coefficient, dR[t] = coef u[coordinate],
+        built on the first :meth:`jacobian`.
+
+        Entry e of M is u[re_e] + i sigma_e u[im_e] (sigma_e = +-1, and 0 on
+        the diagonal).  Factor f of a complex component adds s_f c_f p_g to
+        its row, g the factor it multiplies: Re of it is s_f u[re_g] at re_f
+        and -s_f sigma_f sigma_g u[im_g] at im_f, Im of it s_f sigma_g u[im_g]
+        at re_f and s_f sigma_f u[re_g] at im_f."""
+        n, d, count = self.n, self.n - 1, self._entries.shape[-1]
+        _, _, source, factor = _gathers(n)
+        # M = -i mu = u[source_1] - i factor_0 u[source_0] (factor_1 is 1)
+        re, im, sigma = source[1::2], source[::2], -factor[::2]
+        e, g = self._entries, self._entries[[1, 0, 3, 2]]
+        sign = np.repeat([[1.0], [1.0], [-1.0], [-1.0]], count, axis=1)
+        # a diagonal block's c3 p4 and c4 p3 are one term twice (c4 = conj(c3)
+        # and p3 = conj(p4)), so that no two terms share a position
+        sign[2, :d], sign[3, :d] = -2.0, 0.0
+        k = np.arange(count)
+        row, imaginary = np.where(k < d, k, 2 * k - d), k >= d  # rows R_i, then (Re, Im) R_ij
+        # (row, column, coordinate read, coefficient) of each kind of term
+        terms = [
+            (row, re[e], re[g], sign),
+            (row, im[e], im[g], -sign * sigma[e] * sigma[g]),
+            (row + 1, re[e], im[g], imaginary * sign * sigma[g]),
+            (row + 1, im[e], re[g], imaginary * sign * sigma[e]),
+        ]
+        rows, column, read, coef = (
+            np.concatenate([np.broadcast_to(t[i], sign.shape).ravel() for t in terms])
+            for i in range(4)
+        )
+        keep = coef != 0.0
+        out = rows[keep] * n * n + column[keep], read[keep], coef[keep]
+        for a in out:
+            a.setflags(write=False)
+        return out
+
+    def _expand(self, vals: np.ndarray) -> np.ndarray:
+        """Split complex off-diagonal components (last axis) into (Re, Im) rows."""
         d = self.n - 1
-        vals = np.moveaxis(vals, axis, 0)
-        out = np.empty((self.size,) + vals.shape[1:])
-        out[:d] = vals[:d].real
-        out[d::2] = vals[d:].real
-        out[d + 1 :: 2] = vals[d:].imag
-        return np.moveaxis(out, 0, axis)
+        out = np.empty(vals.shape[:-1] + (self.size,))
+        out[..., :d] = vals[..., :d].real
+        out[..., d::2] = vals[..., d:].real
+        out[..., d + 1 :: 2] = vals[..., d:].imag
+        return out
 
     def values(self, u: np.ndarray) -> np.ndarray:
         """R(u); shape (samples, (n-1)^2) for a stack u of shape (samples, n^2)."""
-        p1, p2, p3, p4 = self._forms @ u.T
-        return self._expand(p1 * p2 - p3 * p4).T
+        m = hermitian_stack(u, self.n)
+        e1, e2, e3, e4 = self._entries
+        return self._expand(m[..., e1] * m[..., e2] - m[..., e3] * m[..., e4])
 
     def jacobian(self, u: np.ndarray) -> np.ndarray:
         """dR(u), shape ((n-1)^2, n^2); (samples, (n-1)^2, n^2) for a stack u."""
-        c1, c2, c3, c4 = self._forms
-        p1, p2, p3, p4 = np.moveaxis(self._forms @ u[..., None, :, None], -3, 0)
-        return self._expand(c1 * p2 + c2 * p1 - c3 * p4 - c4 * p3, axis=-2)
+        target, source, coef = self._jacobian_terms
+        lead, n2 = u.shape[:-1], self.n * self.n
+        out = np.zeros(lead + (self.size * n2,))
+        out[..., target] = u[..., source] * coef
+        return out.reshape(lead + (self.size, n2))
 
     def hessians(self) -> np.ndarray:
-        """The constant Hessians in factored form: the stored, read-only linear
-        forms (c1, c2, c3, c4) stacked as one array of shape (4, n(n-1)/2, n^2).
-        Complex component k has the Hessian c1[k] c2[k]^T + c2[k] c1[k]^T -
-        c3[k] c4[k]^T - c4[k] c3[k]^T; a real component takes its real part,
-        or its imaginary part for Im R_ij."""
-        return self._forms
+        """The constant Hessians in factored form: the stored, read-only
+        (4, n(n-1)/2) row-major indices of the entries of M = -i mu that the
+        factors (p1, p2, p3, p4) of each complex component read.  Complex
+        component k has the Hessian c1 c2^T + c2 c1^T - c3 c4^T - c4 c3^T, with
+        c_f the linear form of entry f of M; a real component takes its real
+        part, or its imaginary part for Im R_ij."""
+        return self._entries
 
 
 @lru_cache(maxsize=None)

@@ -31,6 +31,7 @@ from .algebra import (
     coordinate_basis,
     flatten,
     flatten_stack,
+    hermitian_stack,
     unflatten_stack,
 )
 from .constraints import (
@@ -141,8 +142,8 @@ class LocalModel:
     bases and, where the rows are independent (the only case the certificate
     goes on with), the Casimir multipliers; the constraint multipliers follow
     in closed form.  At a point with dependent rows the multipliers are the
-    minimal-norm ones.  The restricted Hessian contracts the constraint
-    linear forms, projected once per basis.
+    minimal-norm ones.  The restricted Hessian gathers the entries of M that
+    the constraint factors read from the basis vectors, and contracts them.
     """
 
     def __init__(self, field: ReducedField, casimir_subset: tuple[int, ...]):
@@ -287,11 +288,13 @@ class LocalModel:
     def restricted_hessian(self, mult: MultiplierSet, basis: np.ndarray) -> np.ndarray:
         """basis H_f basis^T at each point, with the energy part through the
         factored energy Hessian and the constraint part as a weighted sum of
-        rank-one products of the projected linear forms."""
-        basis_t = basis.swapaxes(-1, -2)
-        h = (mult.a0 * FOUR_PI) * (self.field.hessian_along(basis) @ basis_t)
-        forms = constraint_system(self.n).hessians() @ basis_t[:, None]
-        p1, p2, p3, p4 = forms.swapaxes(0, 1)
+        rank-one products of the constraint factors along the basis: the
+        entries of M = -i mu that :meth:`ConstraintSystem.hessians` names,
+        gathered from each basis vector."""
+        h = (mult.a0 * FOUR_PI) * (self.field.hessian_along(basis) @ basis.swapaxes(-1, -2))
+        # the entries of M each factor reads along each basis vector: (k, 4, n(n-1)/2, d)
+        m = hermitian_stack(basis, self.n).swapaxes(-1, -2)
+        p1, p2, p3, p4 = np.take(m, constraint_system(self.n).hessians(), axis=-2).swapaxes(0, 1)
         a = np.broadcast_to(np.asarray(mult.a, dtype=float), (len(h), len(self.casimir_subset)))
         for col, j in enumerate(self.casimir_subset):
             if j > 1 and a[:, col].any():

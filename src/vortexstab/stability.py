@@ -60,8 +60,8 @@ SPEC_TOL = 1e-7
 MULTIPLIER_TOL = 1e-8
 PIVOT_TOL = 1e-10
 # Entries of each n^4-sized array of a certificate stack (the stacked Casimir
-# and constraint differentials, and the constraint Jacobian's complex terms):
-# 2 MB of float64.
+# and constraint differentials, and the real constraint Jacobian they are
+# built from): 2 MB of float64.
 STACK_ENTRIES = 1 << 18
 
 

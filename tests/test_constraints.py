@@ -6,7 +6,9 @@ from vortexstab.algebra import (
     CouplingMatrix,
     MuMatrix,
     build_coupling_matrix,
+    coordinate_basis,
     flatten,
+    pair_indices,
     unflatten,
 )
 from vortexstab.constraints import (
@@ -195,20 +197,24 @@ class TestConstraints:
         assert tuple(sys4.labels[:3]) == ("R1", "R2", "R3")
 
     def test_hessians_are_the_stored_forms(self):
+        # the factored Hessians are one stored, read-only array returned as
+        # is: the row-major index of the entry of M = -i mu each factor reads
         sys = constraint_system(4)
-        forms = sys.hessians()
-        assert forms is sys.hessians() and not forms.flags.writeable
-        assert forms.shape == (4, 6, 16)
+        entries = sys.hessians()
+        assert entries is sys.hessians() and not entries.flags.writeable
+        assert entries.shape == (4, 6) and entries.dtype.kind == "i"
+        assert entries.min() >= 0 and entries.max() < 16
 
     def test_jacobian_constant_hessians(self):
         # every component is quadratic, so its Hessian is state-independent
         rng = np.random.default_rng(12)
         sys = constraint_system(3)
-        c1, c2, c3, c4 = sys.hessians()
+        e1, e2, e3, e4 = sys.hessians()
         u, v = rng.standard_normal(9), rng.standard_normal(9)
+        m_u, m_v = (unflatten(w, 3).hermitian_part.ravel() for w in (u, v))
         # u^T H v of each complex component from its factored Hessian
         bilinear = (
-            (c1 @ u) * (c2 @ v) + (c2 @ u) * (c1 @ v) - (c3 @ u) * (c4 @ v) - (c4 @ u) * (c3 @ v)
+            m_u[e1] * m_v[e2] + m_u[e2] * m_v[e1] - m_u[e3] * m_v[e4] - m_u[e4] * m_v[e3]
         )
         # real components: R_1, R_2 (real parts), then Re R_12 and Im R_12
         expected = [bilinear[0].real, bilinear[1].real, bilinear[2].real, bilinear[2].imag]
@@ -222,6 +228,8 @@ class TestConstraints:
                 + sys.values(np.zeros(9))[comp]
             )
             assert lhs == pytest.approx(uhv, rel=1e-10, abs=1e-12)
+            # and the Jacobian is linear in u with the same Hessian
+            assert sys.jacobian(u)[comp] @ v == pytest.approx(uhv, rel=1e-10, abs=1e-12)
 
     def test_submersion_at_random_rank_one_points(self):
         rng = np.random.default_rng(13)
@@ -250,3 +258,65 @@ class TestConstraints:
         mu = rank_one_mu(rng, 3)
         jac = constraint_jacobian(mu)
         assert jac.shape == (4, 9)
+
+
+def dense_forms(n):
+    """The constraint factors as dense complex linear forms (4, n(n-1)/2, n^2),
+    built from the coordinate basis: entry (a, b) of M = -i mu is the form
+    u -> sum_m u_m E_m[a, b]."""
+    ell = np.einsum("mab->abm", coordinate_basis(n))
+    blocks = [(i, i) for i in range(n - 1)] + list(pair_indices(n - 1))
+    i, j = np.array(blocks, dtype=int).reshape(-1, 2).T
+    return np.stack([ell[i, j], ell[i + 1, j + 1], ell[i, j + 1], ell[i + 1, j]])
+
+
+def dense_split(vals, n, axis):
+    """Complex components along ``axis`` as real rows: R_i, then (Re, Im) R_ij."""
+    d = n - 1
+    vals = np.moveaxis(vals, axis, 0)
+    out = np.empty(((n - 1) ** 2,) + vals.shape[1:])
+    out[:d], out[d::2], out[d + 1 :: 2] = vals[:d].real, vals[d:].real, vals[d:].imag
+    return np.moveaxis(out, 0, axis)
+
+
+def oracle_points(rng, n):
+    # one vector, a stack of random vectors and a stack with exact zeros and
+    # repeated values
+    yield rng.standard_normal(n * n)
+    yield rng.standard_normal((7, n * n))
+    yield np.round(2 * rng.standard_normal((5, n * n)))
+    yield flatten(rank_one_mu(rng, n))
+
+
+class TestSparseFormsOracle:
+    """The stored entries against the dense forms they replace, n = 1..6.
+
+    The products are exact (every coefficient is 1 or +-i, and no position
+    of the Jacobian sums two different coordinates), so the comparisons are
+    exact equalities.  They compare values: the dense four-term formula
+    leaves zeros of either sign at positions no term reaches, where the
+    scatter writes +0."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_densified_entries_are_the_dense_forms(self, n):
+        entries = constraint_system(n).hessians()
+        densified = np.moveaxis(coordinate_basis(n).reshape(n * n, n * n)[:, entries], 0, -1)
+        expected = dense_forms(n)
+        assert densified.shape == expected.shape == (4, n * (n - 1) // 2, n * n)
+        assert densified.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_values_and_jacobian_equal_the_dense_formula(self, n):
+        rng = np.random.default_rng(40 + n)
+        sys = constraint_system(n)
+        c1, c2, c3, c4 = forms = dense_forms(n)
+        for u in oracle_points(rng, n):
+            p1, p2, p3, p4 = forms @ u.T
+            values = dense_split(p1 * p2 - p3 * p4, n, 0).T
+            p1, p2, p3, p4 = np.moveaxis(forms @ u[..., None, :, None], -3, 0)
+            jacobian = dense_split(c1 * p2 + c2 * p1 - c3 * p4 - c4 * p3, n, -2)
+            got_values, got_jacobian = sys.values(u), sys.jacobian(u)
+            assert got_values.shape == values.shape == u.shape[:-1] + ((n - 1) ** 2,)
+            assert got_jacobian.shape == jacobian.shape == u.shape[:-1] + ((n - 1) ** 2, n * n)
+            np.testing.assert_array_equal(got_values, values)
+            np.testing.assert_array_equal(got_jacobian, jacobian)

@@ -23,11 +23,18 @@ from vortexstab.algebra import (
     coordinate_basis,
     flatten,
     flatten_stack,
+    pair_indices,
     unflatten,
 )
-from vortexstab.constraints import casimir_gradient, constraint_jacobian
+from vortexstab.constraints import (
+    ConstraintSystem,
+    casimir_gradient,
+    constraint_jacobian,
+    constraint_system,
+)
 from vortexstab.errors import DimensionMismatch, Infeasible
 from vortexstab.hamiltonian import (
+    FOUR_PI,
     ReducedHamiltonian,
     gradient_entries,
     gradient_matrix,
@@ -250,6 +257,44 @@ class TestCertificateFunction:
                     contradictions.append((kind, m, row.gamma))
         assert checked > 300 and contradictions == []
 
+    def test_restricted_hessian_equals_the_dense_contraction(self):
+        # the entries of M gathered from the basis against the dense forms
+        # projected by one complex product, bit for bit, on stacks of the
+        # polygon grid (N = 4..21)
+        checked = 0
+        for m in GRID_M:
+            groups = {}
+            for gamma in GRID_GAMMA:
+                mu0, circ = fixed_point("polygon-with-center", gamma, m)
+                groups.setdefault(circ.n, []).append((mu0.entries, circ))
+            for members in groups.values():
+                stack = MuMatrix(np.stack([entries for entries, _ in members]))
+                clear_memo()
+                model = local_model(stack, [circ for _, circ in members])
+                mult, basis = model.multipliers, model.basis
+                got = model.restricted_hessian(mult, basis)
+                assert got.tobytes() == dense_restricted_hessian(model, mult, basis).tobytes()
+                checked += len(members)
+        assert checked == len(GRID_M) * len(GRID_GAMMA)
+
+
+def dense_restricted_hessian(model, mult, basis):
+    """basis H_f basis^T for the Casimir subset (1,) through the dense
+    (4, n(n-1)/2, n^2) complex constraint forms, projected onto the basis by
+    one product and contracted with the multipliers."""
+    n = model.n
+    ell = np.einsum("mab->abm", coordinate_basis(n))
+    blocks = [(i, i) for i in range(n - 1)] + list(pair_indices(n - 1))
+    i, j = np.array(blocks, dtype=int).reshape(-1, 2).T
+    forms = np.stack([ell[i, j], ell[i + 1, j + 1], ell[i, j + 1], ell[i + 1, j]])
+    basis_t = basis.swapaxes(-1, -2)
+    h = (mult.a0 * FOUR_PI) * (model.field.hessian_along(basis) @ basis_t)
+    p1, p2, p3, p4 = (forms @ basis_t[:, None]).swapaxes(0, 1)
+    c, d = np.asarray(mult.c, dtype=float), np.asarray(mult.d, dtype=float)
+    w = np.concatenate([np.asarray(mult.b, dtype=float), c - 1j * d], axis=-1)[..., None, :]
+    s = (p1.swapaxes(-1, -2) * w) @ p2 - (p3.swapaxes(-1, -2) * w) @ p4
+    return h + (s + s.swapaxes(-1, -2)).real
+
 
 # fixed points and Casimir subsets of tests/test_stability.py; at these
 # rank-one points no Casimir differential lies in the constraint row space
@@ -308,6 +353,34 @@ class TestCertificateWork:
         basis = (1, 2 * scen.circ.n - 2, scen.circ.n**2)
         assert rep.verdict == "certified-stable"
         assert calls == {"gradient": [None], "hessian": [basis]}
+
+    def test_constraint_system_keeps_no_dense_forms(self):
+        # the factored Hessians and the Jacobian's terms take O(n^2) entries
+        n = 20
+        system = constraint_system(n)
+        system.jacobian(np.ones(n * n))  # its terms are built on first use
+        held = []
+        for value in vars(system).values():
+            held += value if isinstance(value, tuple) else [value]
+        held = [a for a in held if isinstance(a, np.ndarray)]
+        assert len(held) == 4 and max(a.size for a in held) <= 8 * n * n
+
+    def test_certified_large_analyze_reads_the_stored_forms(self, monkeypatch):
+        calls = {"hessians": [], "jacobian": []}
+        for name, seen in calls.items():
+            method = getattr(ConstraintSystem, name)
+
+            def counted(self, *args, method=method, seen=seen, **kwargs):
+                seen.append((args, kwargs))
+                return method(self, *args, **kwargs)
+
+            monkeypatch.setattr(ConstraintSystem, name, counted)
+        scen = build_scenario("polygon-with-center", gamma=20.0, m=20)
+        clear_memo()
+        rep = analyze(scen)
+        assert rep.verdict == "certified-stable"
+        assert calls["hessians"] and all(call == ((), {}) for call in calls["hessians"])
+        assert len(calls["jacobian"]) == 1
 
     @pytest.mark.parametrize("kind,gamma", [("square-with-center", 1.0), ("triangle-with-center", -4.0)])
     def test_certified_analyze_evaluates_the_multipliers_once(self, kind, gamma, monkeypatch):
