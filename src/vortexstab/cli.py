@@ -65,7 +65,8 @@ def _cmd_analyze(args) -> int:
     )
     text = report_to_json(report)
     if args.out:
-        emit(report, "json", args.out)
+        with open(args.out, "w") as fh:
+            fh.write(text)
     else:
         print(text)
     return EXIT_OK

@@ -255,11 +255,11 @@ def constraint_jacobian(mu: MuMatrix) -> np.ndarray:
     return constraint_system(mu.n).jacobian(flatten(mu))
 
 
-def in_open_set(mu: MuMatrix, tol: float = OPEN_SET_TOL) -> bool | np.ndarray:
-    """True when no diagonal or upper-triangular entry of mu vanishes; one
-    flag per matrix of a stack."""
+def in_open_set(mu: MuMatrix) -> bool | np.ndarray:
+    """True when no diagonal or upper-triangular entry of mu is within
+    OPEN_SET_TOL of zero; one flag per matrix of a stack."""
     rows, cols = _upper_triangle(mu.n)
-    return (np.abs(mu.entries[..., rows, cols]) > tol).all(axis=-1)
+    return (np.abs(mu.entries[..., rows, cols]) > OPEN_SET_TOL).all(axis=-1)
 
 
 @lru_cache(maxsize=None)

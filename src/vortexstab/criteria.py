@@ -16,12 +16,13 @@ precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
 from .algebra import Circulations, MuMatrix, flatten, unflatten
-from .constraints import constraint_system, submersion_rank_check
+from .constraints import constraint_system, in_open_set, submersion_rank_check
 from .dynamics import (
     Which,
     integrate,
@@ -53,7 +54,7 @@ def _result(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
-def _match_multisets(got: np.ndarray, expected: np.ndarray, tol: float) -> float:
+def _match_multisets(got: np.ndarray, expected: np.ndarray) -> float:
     """Greedy absolute-distance multiset matching; returns the worst gap."""
     got = list(got)
     worst = 0.0
@@ -88,7 +89,7 @@ def check_equilateral3_spectrum() -> CheckResult:
         s2 = g[0] * g[1] + g[0] * g[2] + g[1] * g[2]
         lam = (np.sqrt(3) / (2 * PI)) * _sq(-s2)
         expected = np.array([0.0, 0.0, lam, -lam])
-        worst = max(worst, _match_multisets(ev, expected, 1e-8))
+        worst = max(worst, _match_multisets(ev, expected))
     return _result(
         "equilateral3 spectrum (20 random circulation triples)",
         worst < 1e-8,
@@ -104,7 +105,7 @@ def check_triangle_center_spectrum() -> CheckResult:
         ev = spectrum(linearize(scenario_fixed_point(scen), scen.circ))
         lam = _sq(g - 1.0) / (2 * PI)
         expected = np.array([1j / PI, -1j / PI, lam, -lam, lam, -lam, 0, 0, 0])
-        worst = max(worst, _match_multisets(ev, expected, 1e-8))
+        worst = max(worst, _match_multisets(ev, expected))
     return _result(
         "triangle-with-center spectrum family",
         worst < 1e-8,
@@ -125,7 +126,7 @@ def check_square_center_spectrum() -> CheckResult:
              5j / (4 * PI), -5j / (4 * PI), a, -a, b, -b, b, -b,
              0, 0, 0, 0]
         )
-        worst = max(worst, _match_multisets(ev, expected, 1e-8))
+        worst = max(worst, _match_multisets(ev, expected))
     return _result(
         "square-with-center spectrum family",
         worst < 1e-8,
@@ -154,7 +155,7 @@ def check_zero_total_fixtures() -> CheckResult:
         [lam, -lam, 5j / (4 * PI), -5j / (4 * PI), 1j / (4 * PI), -1j / (4 * PI),
          0, 0, 0]
     )
-    gap = _match_multisets(ev, expected, 1e-8)
+    gap = _match_multisets(ev, expected)
     ok = worst_h < 1e-10 and gap < 1e-8
     return _result(
         "zero-total-circulation fixtures (restricted Hessian, spectrum)",
@@ -356,6 +357,7 @@ def _random_configurations(count: int, seed: int):
     return out
 
 
+@cache
 def _paired_runs(t_end: float = 5.0, dt: float = 1e-3):
     runs = []
     for cfg in _random_configurations(10, seed=303):
@@ -365,20 +367,10 @@ def _paired_runs(t_end: float = 5.0, dt: float = 1e-3):
     return runs
 
 
-_RUNS_CACHE: list | None = None
-
-
-def _cached_runs():
-    global _RUNS_CACHE
-    if _RUNS_CACHE is None:
-        _RUNS_CACHE = _paired_runs()
-    return _RUNS_CACHE
-
-
 def check_reduction_consistency() -> CheckResult:
     """Full-dynamics trajectories mapped through J match reduced ones."""
     worst = 0.0
-    for cfg, reduced, full in _cached_runs():
+    for cfg, reduced, full in _paired_runs():
         if reduced.aborted or full.aborted:
             return _result(
                 "reduction consistency (10 random runs)", False, "a run aborted"
@@ -399,7 +391,7 @@ def check_reduction_consistency() -> CheckResult:
 def check_conservation() -> CheckResult:
     """Hamiltonian, Casimir, and constraint drift along the random runs."""
     worst = 0.0
-    for _, reduced, _ in _cached_runs():
+    for _, reduced, _ in _paired_runs():
         rep = invariant_drift_report(reduced)
         worst = max(
             worst,
@@ -423,7 +415,7 @@ def check_submersion_rank() -> CheckResult:
         for _ in range(100):
             z = rng.uniform(0.3, 1.5, n) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
             mu = moment_map_from_vector(z)
-            if not all_entries_nonzero(mu):
+            if not in_open_set(mu):
                 continue
             total += 1
             rc = submersion_rank_check(mu)
@@ -438,10 +430,6 @@ def check_submersion_rank() -> CheckResult:
 
 def moment_map_from_vector(z: np.ndarray) -> MuMatrix:
     return MuMatrix(1j * np.outer(z, np.conj(z)))
-
-
-def all_entries_nonzero(mu: MuMatrix, tol: float = 1e-6) -> bool:
-    return bool(np.abs(mu.entries).min() > tol)
 
 
 def check_derivatives() -> CheckResult:

@@ -34,7 +34,7 @@ from .hamiltonian import (
     FOUR_PI,
     LOG_FLOOR,
     VortexConfiguration,
-    _upper_pairs,
+    _distance_pairs,
     check_arguments,
     check_separation,
     full_hamiltonian,
@@ -102,7 +102,7 @@ class _FullField:
 
     def __init__(self, circ: Circulations):
         g = circ.as_array()
-        i, j = _upper_pairs(circ.N)
+        i, j, _ = _distance_pairs(circ.N)
         pairs = np.arange(len(i))
         self._incidence = np.zeros((circ.N, len(pairs)), dtype=complex)
         self._incidence[i, pairs], self._incidence[j, pairs] = 1.0, -1.0

@@ -85,15 +85,6 @@ class VortexConfiguration:
         return np.asarray(self.positions, dtype=complex)
 
 
-@lru_cache(maxsize=None)
-def _upper_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the strict upper triangle, built once per size."""
-    rows, cols = np.triu_indices(size, 1)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
-
-
 def _weighted_log_sum(w: np.ndarray, s: np.ndarray) -> float | np.ndarray:
     """-(1/4pi) sum_t w_t ln s_t over the last axis of s.  A stack of
     contiguous rows gives each sample the same bits as a single dot product
@@ -107,7 +98,7 @@ def full_hamiltonian(cfg: VortexConfiguration) -> float | np.ndarray:
     configuration of a stack."""
     q = cfg.as_array()
     g = cfg.circ.as_array()
-    i, j = _upper_pairs(q.shape[-1])
+    i, j, _ = _distance_pairs(q.shape[-1])
     return _weighted_log_sum(g[i] * g[j], np.abs(q[..., i] - q[..., j]) ** 2)
 
 

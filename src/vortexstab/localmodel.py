@@ -4,10 +4,10 @@ A :class:`ReducedField` holds the reduced vector field at a stack of k points
 that share n and the regime: the coupling matrices, the stacked reduced
 Hamiltonian, the field residual and the linearization, which applies the
 energy Hessian to a tangent basis through its factored form.  A
-:class:`LocalModel` adds one Casimir subset: the stacked Casimir and
-constraint differentials (for the multiplier residual), the leaf built from
-the moment map mu = phi(z) = i z z^* (ranks, tangent bases, multipliers;
-no factorization of the stack and no matrix wider than 2n columns) and the
+:class:`LocalModel` adds one Casimir subset: the Casimir differentials,
+the leaf built from the moment map mu = phi(z) = i z z^* (ranks, tangent
+bases, multipliers; no matrix wider than 2n columns is factored), the
+multiplier residual, the one place the constraint Jacobian is read, and the
 restricted Hessian.  The stack a certificate works on is
 memoised on the content of its arguments, so that the stages share it; the
 certificate narrows it to the points still undecided with :func:`restrict`,
@@ -133,17 +133,19 @@ class LocalModel:
     """The linear algebra of the certificate at the points of a reduced field
     and one Casimir subset; every array has a leading axis of length k.
 
-    Rows of ``stack`` are the differentials of the chosen Casimirs, then those
-    of all constraint components.  The model does not factor the stack.  The
-    constraint rows have full rank on the open set, and their common kernel
-    is the tangent space of the rank-one stratum, the image of Dphi at z for
-    mu0 = phi(z) = i z z^*: one thin QR of Dphi (n^2 x (2n - 1)) gives it.
-    One QR of the Casimir rows projected onto it gives the ranks, the tangent
-    bases and, where the rows are independent (the only case the certificate
-    goes on with), the Casimir multipliers; the constraint multipliers follow
-    in closed form.  At a point with dependent rows the multipliers are the
-    minimal-norm ones.  The restricted Hessian gathers the entries of M that
-    the constraint factors read from the basis vectors, and contracts them.
+    The rows are the differentials of the chosen Casimirs (``casimirs``),
+    then those of all constraint components, ``row_count`` in all; the model
+    keeps the Casimir rows only.  The constraint rows have full rank on the
+    open set, and their common kernel is the tangent space of the rank-one
+    stratum, the image of Dphi at z for mu0 = phi(z) = i z z^*: one thin QR
+    of Dphi (n^2 x (2n - 1)) gives it.  One QR of the Casimir rows projected
+    onto it gives the ranks, the tangent bases and, where the rows are
+    independent (the only case the certificate goes on with), the Casimir
+    multipliers; the constraint multipliers follow in closed form.  The
+    multiplier residual reads the constraint Jacobian once and drops it; at a
+    point with dependent rows the multipliers are the minimal-norm ones.  The
+    restricted Hessian gathers the entries of M that the constraint factors
+    read from the basis vectors, and contracts them.
     """
 
     def __init__(self, field: ReducedField, casimir_subset: tuple[int, ...]):
@@ -156,9 +158,8 @@ class LocalModel:
         sliced, not computed again."""
         sub = LocalModel(self.field.take(rows), self.casimir_subset)
         computed = vars(self)
-        for name in ("stack", "unit_multipliers"):
-            if name in computed:
-                setattr(sub, name, _read_only(computed[name][rows]))
+        if "casimirs" in computed:
+            sub.casimirs = _read_only(self.casimirs[rows])
         for name in ("moment", "_factors"):
             if name in computed:
                 setattr(sub, name, tuple([_read_only(a[rows]) for a in computed[name]]))
@@ -169,10 +170,16 @@ class LocalModel:
         return sub
 
     @cached_property
-    def stack(self) -> np.ndarray:
-        rows = [casimir_gradient(self.mu0, self.coupling, j)[:, None] for j in self.casimir_subset]
-        rows.append(constraint_system(self.n).jacobian(self.field.u0))
-        return _read_only(np.concatenate(rows, axis=-2))
+    def casimirs(self) -> np.ndarray:
+        """The differentials of the chosen Casimirs, (k, len(casimir_subset), n^2)."""
+        rows = [casimir_gradient(self.mu0, self.coupling, j) for j in self.casimir_subset]
+        return _read_only(np.stack(rows, axis=-2))
+
+    @property
+    def row_count(self) -> int:
+        """The number of Casimir and constraint differentials,
+        len(casimir_subset) + (n - 1)^2."""
+        return len(self.casimir_subset) + (self.n - 1) ** 2
 
     @cached_property
     def moment(self) -> tuple[np.ndarray, np.ndarray]:
@@ -197,8 +204,9 @@ class LocalModel:
     @cached_property
     def _factors(self) -> tuple[np.ndarray, ...]:
         """The numerical ranks, the tangent bases, where the rows are
-        independent the unique solution of stack^T w = -energy_gradient
-        (a0 = +1), NaN elsewhere, and the orthonormal columns U spanning the
+        independent the unique solution of [C; J]^T w = -energy_gradient
+        for the Casimir rows C and the constraint Jacobian J (a0 = +1), NaN
+        elsewhere, and the orthonormal columns U spanning the
         tangent space of the rank-one stratum.
 
         U is the thin QR of Dphi(v) = i (v z^* + z v^*) over the 2n real
@@ -217,12 +225,12 @@ class LocalModel:
         moved = v[..., None] * z[:, None, None, :].conj()  # v z^*
         tangent = flatten_stack(1j * (moved + moved.conj().swapaxes(-1, -2)))
         u = np.linalg.qr(tangent.swapaxes(-1, -2))[0]
-        casimirs = self.stack[:, :k]
+        casimirs = self.casimirs
         q, r = np.linalg.qr((casimirs @ u).swapaxes(-1, -2), mode="complete")
         rank = (n - 1) ** 2 + row_rank(casimirs, r)
         basis = np.ascontiguousarray((u @ q[..., k:]).swapaxes(-1, -2))
-        w = np.full(self.stack.shape[:-1], np.nan)
-        unique = rank == self.stack.shape[-2]
+        w = np.full((len(z), self.row_count), np.nan)
+        unique = rank == self.row_count
         if unique.any():
             # the Casimir part along U: (casimirs U)^T a = -(energy_gradient U)^T
             gradient, casimirs = self.energy_gradient[unique], casimirs[unique]
@@ -241,27 +249,27 @@ class LocalModel:
         return self._factors[1]
 
     @cached_property
-    def unit_multipliers(self) -> np.ndarray:
-        """The a0 = +1 multipliers: unique where the rows are independent,
-        minimal-norm where they are not, from one stacked pseudo-inverse of
-        those points, on first use (the certificate never asks for them)."""
-        rank, _, w, _ = self._factors
-        dependent = rank < self.stack.shape[-2]
-        if not dependent.any():
-            return w
-        w = w.copy()
-        pinv = np.linalg.pinv(self.stack[dependent].swapaxes(-1, -2), rtol=RANK_THRESHOLD)
-        w[dependent] = -(pinv @ self.energy_gradient[dependent, :, None])[..., 0]
-        return _read_only(w)
-
-    @cached_property
     def multipliers(self) -> MultiplierSet:
-        """The coefficients w = unit_multipliers (a0 = +1) with ||Df(mu0)||_inf,
-        evaluated once per stack (the a0 = -1 set is :meth:`MultiplierSet.negated`)."""
+        """The coefficients w (a0 = +1) with ||Df(mu0)||_inf, evaluated once
+        per stack (the a0 = -1 set is :meth:`MultiplierSet.negated`).
+
+        w is unique where the rows are independent, and minimal-norm where
+        they are not, from one stacked pseudo-inverse of [C; J] at those
+        points only.  The constraint Jacobian J is read here, once, to check
+        the closed-form multipliers independently:
+        Df = 4 pi grad h + sum_j a_j dC_j + J^T (b, c, d); it is not kept."""
         k, n = len(self.casimir_subset), self.n
-        w = self.unit_multipliers
+        rank, _, w, _ = self._factors
+        jacobian = constraint_system(n).jacobian(self.field.u0)
+        dependent = rank < self.row_count
+        if dependent.any():
+            stack = np.concatenate([self.casimirs[dependent], jacobian[dependent]], axis=-2)
+            pinv = np.linalg.pinv(stack.swapaxes(-1, -2), rtol=RANK_THRESHOLD)
+            w = w.copy()
+            w[dependent] = -(pinv @ self.energy_gradient[dependent, :, None])[..., 0]
+        df = self.energy_gradient + (w[:, None, :k] @ self.casimirs)[:, 0]
+        df += (w[:, None, k:] @ jacobian)[:, 0]
         rest = w[:, k:]
-        df = self.energy_gradient + (self.stack.swapaxes(-1, -2) @ w[..., None])[..., 0]
         return MultiplierSet(
             a0=1.0,
             a=w[:, :k],
@@ -269,7 +277,7 @@ class LocalModel:
             c=rest[:, n - 1 :: 2],
             d=rest[:, n::2],
             residual=np.abs(df).max(axis=-1, initial=0.0),
-            solution_space_dim=self.stack.shape[-2] - self.rank,
+            solution_space_dim=self.row_count - self.rank,
         )
 
     @cached_property

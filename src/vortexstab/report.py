@@ -230,7 +230,7 @@ def sweep_to_csv(table: SweepTable) -> str:
 def emit(obj, fmt: str, path: str) -> None:
     """Write a report or sweep table to disk as json or csv."""
     if fmt == "json":
-        text = json.dumps(asdict(obj), indent=2)
+        text = report_to_json(obj)
     elif fmt == "csv":
         if not isinstance(obj, SweepTable):
             raise ValueError("csv output is only defined for sweep tables")

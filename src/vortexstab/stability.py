@@ -59,9 +59,8 @@ FP_TOL = 1e-9
 SPEC_TOL = 1e-7
 MULTIPLIER_TOL = 1e-8
 PIVOT_TOL = 1e-10
-# Entries of each n^4-sized array of a certificate stack (the stacked Casimir
-# and constraint differentials, and the real constraint Jacobian they are
-# built from): 2 MB of float64.
+# Entries of each n^4-sized array of a certificate stack (the constraint
+# Jacobian that checks the multipliers): 2 MB of float64.
 STACK_ENTRIES = 1 << 18
 
 
@@ -76,14 +75,12 @@ def _per_point(circ, stacked):
     return stacked[0] if isinstance(circ, Circulations) else stacked
 
 
-def is_fixed_point(
-    mu0: MuMatrix, circ: Circulations | Sequence[Circulations], tol: float = FP_TOL
-) -> FixedPointCheck:
+def is_fixed_point(mu0: MuMatrix, circ: Circulations | Sequence[Circulations]) -> FixedPointCheck:
     """Sup-norm of the reduced vector field at mu0, per point of a stack; a
-    fixed point has it below ``tol`` times the size of the field's terms
+    fixed point has it below FP_TOL times the size of the field's terms
     (:attr:`ReducedField.scale`), a test free of units."""
     reduced = reduced_field(mu0, circ)
-    residual, ok = reduced.residual, reduced.residual < tol * reduced.scale
+    residual, ok = reduced.residual, reduced.residual < FP_TOL * reduced.scale
     if isinstance(circ, Circulations):
         return FixedPointCheck(residual=float(residual[0]), ok=bool(ok[0]))
     return FixedPointCheck(residual=residual, ok=ok)
@@ -156,7 +153,7 @@ def independence_check(
     circ: Circulations | Sequence[Circulations],
     casimir_subset: Sequence[int] = (1,),
 ) -> IndependenceResult:
-    """Numerical rank test of the stacked Casimir and constraint differentials.
+    """Numerical rank test of the Casimir and constraint differentials.
 
     Raises NotInOpenSet where mu0 has a vanishing entry, and NotRankOne where
     M = -i mu0 is not z z^* to RANK_THRESHOLD of its largest entry.  Also
@@ -170,7 +167,7 @@ def independence_check(
     off = np.flatnonzero(model.off_stratum)
     if len(off):
         raise _not_rank_one(model, int(off[0]))
-    expected = model.stack.shape[-2]
+    expected = model.row_count
     rank = _per_point(circ, model.rank)
     return IndependenceResult(
         independent=rank == expected, rank=rank, expected=expected, model=model
@@ -208,7 +205,7 @@ def tangent_basis(
 ) -> np.ndarray:
     """Orthonormal basis (rows) of the tangent space of the joint level set."""
     model = local_model(mu0, circ, casimir_subset)
-    rows = model.stack.shape[-2]
+    rows = model.row_count
     if np.any(model.rank != rows):
         nullity = model.n**2 - int(model.rank.min())
         raise RankDeficiency(
@@ -312,8 +309,8 @@ def energy_casimir_certificate(
     decide and returns a list of k results, where a point that fails a check
     holds its exception (NotAFixedPoint, NotInOpenSet, DomainError, ...) in
     place of a result, and a point that is not of the form i z z^* holds
-    NotRankOne.  The stacked differentials hold O(n^4) entries per point, so
-    the caller bounds k (:func:`stack_size`).
+    NotRankOne.  The constraint Jacobian that checks the multipliers holds
+    O(n^4) entries per point, so the caller bounds k (:func:`stack_size`).
     """
     circs = _circulation_sets(circ)
     subset = tuple(casimir_subset)
@@ -340,7 +337,8 @@ def energy_casimir_certificate(
 
 def stack_size(n: int) -> int:
     """How many points of shape dimension n to certify as one stack: each
-    array of n^4 entries per point then holds at most STACK_ENTRIES."""
+    array of n^4 entries per point (the constraint Jacobian) then holds at
+    most STACK_ENTRIES."""
     return max(1, STACK_ENTRIES // n**4)
 
 

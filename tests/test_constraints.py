@@ -101,6 +101,24 @@ class TestCasimirs:
         singles = [casimir(mu, k, j) for j in (1, 2, 3)]
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_higher_casimirs_are_powers_of_the_first_on_rank_one(self, n):
+        # tr((iK mu)^j) = tr((-K z z^*)^j) = (-z^* K z)^j at mu = i z z^*, so
+        # at most one C_j adds to the differentials of the rank-one stratum.
+        # The gap is judged against the size of the terms, (|z|^T |K| |z|)^j:
+        # -z^* K z cancels down to 1e-3 of it at some of these points.
+        rng = np.random.default_rng(20 + n)
+        order = np.arange(1, n + 1)
+        for _ in range(20):
+            g = rng.uniform(0.3, 1.5, n + 1) * rng.choice([-1.0, 1.0], n + 1)
+            if abs(g.sum()) < 0.2:
+                continue
+            k = build_coupling_matrix(Circulations(tuple(g)))
+            z = rng.uniform(0.3, 1.5, n) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+            c = casimir_values(MuMatrix(1j * np.outer(z, z.conj())), k, order)
+            size = (np.abs(z) @ np.abs(k.k) @ np.abs(z)) ** order
+            assert np.all(np.abs(c - c[0] ** order) <= 1e-12 * size), (g, c - c[0] ** order)
+
     def test_casimir_values_rejects_wrong_coupling_size(self):
         k = build_coupling_matrix(Circulations((1.0, -0.3, 0.8, 1.1)))
         with pytest.raises(DimensionMismatch):

@@ -382,11 +382,37 @@ class TestCertificateWork:
         assert calls["hessians"] and all(call == ((), {}) for call in calls["hessians"])
         assert len(calls["jacobian"]) == 1
 
+    @pytest.mark.parametrize(
+        "kind,gamma,m,subset,verdict",
+        [
+            ("triangle-with-center", 2.0, None, (1,), "linearly-unstable"),
+            ("polygon-with-center", 20.0, 30, (1,), "linearly-unstable"),
+            ("square-with-center", 1.0, None, (1, 2), "inconclusive"),
+        ],
+    )
+    def test_unstable_and_dependent_points_read_no_jacobian(
+        self, kind, gamma, m, subset, verdict, monkeypatch
+    ):
+        # linearly unstable points and points with dependent differentials
+        # never reach the multipliers, the one reader of the Jacobian
+        calls = []
+        jacobian = ConstraintSystem.jacobian
+
+        def counted(self, u):
+            calls.append(np.shape(u))
+            return jacobian(self, u)
+
+        monkeypatch.setattr(ConstraintSystem, "jacobian", counted)
+        clear_memo()
+        rep = analyze(build_scenario(kind, gamma=gamma, m=m), casimir_subset=subset)
+        assert rep.verdict == verdict and calls == []
+
     @pytest.mark.parametrize("kind,gamma", [("square-with-center", 1.0), ("triangle-with-center", -4.0)])
     def test_certified_analyze_evaluates_the_multipliers_once(self, kind, gamma, monkeypatch):
         # the residual check, solve_multiplier_system and the a0 = -1 set
-        # share one evaluation, and the reported set is a0 * unit_multipliers
-        # with ||Df(mu0)||_inf evaluated at that a0, bit for bit
+        # share one evaluation, and the reported set is a0 times the a0 = +1
+        # set, bit for bit, with ||Df(mu0)||_inf of the Casimir and
+        # constraint differentials at that a0
         calls = []
         evaluate = LocalModel.multipliers.func
 
@@ -402,16 +428,22 @@ class TestCertificateWork:
         rep = analyze(scen)
         assert rep.verdict == "certified-stable" and calls == [1]
         clear_memo()
-        model = local_model(scenario_fixed_point(scen), scen.circ)
+        mu0 = scenario_fixed_point(scen)
+        model = local_model(mu0, scen.circ)
+        unit = model.multipliers
         a0, n = rep.multipliers["a0"], scen.circ.n
-        w = a0 * model.unit_multipliers
-        df = a0 * model.energy_gradient + (model.stack.swapaxes(-1, -2) @ w[..., None])[..., 0]
-        rest = w[0, 1:]
-        assert rep.multipliers["a"] == list(w[0, :1])
+        w = a0 * np.concatenate([unit.a, unit.constraint_coefficients], axis=-1)[0]
+        rest = w[1:]
+        assert rep.multipliers["a"] == list(w[:1])
         assert rep.multipliers["b"] == list(rest[: n - 1])
         assert rep.multipliers["c"] == list(rest[n - 1 :: 2])
         assert rep.multipliers["d"] == list(rest[n::2])
-        assert rep.multipliers["residual"] == np.abs(df[0]).max()
+        assert rep.multipliers["residual"] == unit.residual[0]
+        k = build_coupling_matrix(scen.circ)
+        stack = np.vstack([casimir_gradient(mu0, k, 1), constraint_jacobian(mu0)])
+        df = a0 * model.energy_gradient[0] + stack.T @ w
+        scale = np.abs(model.energy_gradient).max()
+        assert abs(rep.multipliers["residual"] - np.abs(df).max()) <= 1e-15 * scale
         assert rep.multipliers["solution_space_dim"] == 0
 
     def test_sweep_evaluates_the_field_once_per_group(self, monkeypatch):
@@ -499,7 +531,8 @@ SCALE_FREE_POINTS = [
 
 
 class TestStackFactors:
-    """The ranks, tangent bases and multipliers of the stack of differentials."""
+    """The ranks, tangent bases and multipliers of the Casimir and constraint
+    differentials."""
 
     @pytest.mark.parametrize("kind,gamma,m,pos_scale", FACTOR_CASES)
     def test_a_dependent_row_lowers_the_rank_by_one(self, kind, gamma, m, pos_scale):
@@ -512,14 +545,18 @@ class TestStackFactors:
 
     @pytest.mark.parametrize("kind,gamma,m,pos_scale", FACTOR_CASES[:3])
     def test_rank_ignores_the_length_of_a_row(self, kind, gamma, m, pos_scale):
+        # the Casimir rows are the rows the rank reads: C_1 adds to the rank
+        # and C_2 does not, at any length of either
         mu0, circ = scaled_fixed_point(kind, gamma, m, pos_scale)
         field = reduced_field(mu0, circ)
-        stack = LocalModel(field, (1,)).stack
-        for row in range(stack.shape[-2]):
+        casimirs = LocalModel(field, (1, 2)).casimirs
+        for scale in ((1e-12, 1.0), (1e12, 1.0), (1.0, 1e-12), (1.0, 1e12)):
+            model = LocalModel(field, (1, 2))
+            model.casimirs = casimirs * np.array(scale)[:, None]
+            assert model.rank.tolist() == [model.row_count - 1], scale
             model = LocalModel(field, (1,))
-            model.stack = stack.copy()
-            model.stack[:, row] *= 1e-12
-            assert model.rank.tolist() == [stack.shape[-2]], row
+            model.casimirs = casimirs[:, :1] * scale[0]
+            assert model.rank.tolist() == [model.row_count], scale
 
     def test_large_basis_and_multipliers(self):
         scen = build_scenario("polygon-with-center", gamma=20.0, m=20)
@@ -542,7 +579,7 @@ class TestStackFactors:
     @pytest.mark.parametrize("pos_scale", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("kind,gamma,m", SCALE_FREE_POINTS)
     def test_dependent_casimirs_ignore_units(self, kind, gamma, m, pos_scale):
-        # the rank rule of the stack, applied to each C_j after the constraints
+        # the rank rule of the Casimir rows, applied to each C_j after the constraints
         mu0, circ = scaled_fixed_point(kind, gamma, m, pos_scale)
         clear_memo()
         res = independence_check(mu0, circ, (1, 2, 3))
@@ -564,11 +601,16 @@ class TestStackFactors:
         mu0 = MuMatrix(np.stack([p[0].entries for p in points]))
         model = local_model(mu0, [p[1] for p in points], (1, 2))
         assert np.all(model.rank == 5) and calls == []
-        w = model.unit_multipliers
+        mult = model.multipliers
         assert calls == [("pinv", (4, 9, 6))]
+        w = np.concatenate([mult.a, mult.constraint_coefficients], axis=-1)
         for i, (mu, circ) in enumerate(points):
+            k = build_coupling_matrix(circ)
+            stack = np.vstack(
+                [casimir_gradient(mu, k, 1), casimir_gradient(mu, k, 2), constraint_jacobian(mu)]
+            )
             rhs = -4 * np.pi * reduced_system(circ).gradient(flatten(mu))
-            expected, *_ = np.linalg.lstsq(model.stack[i].T, rhs, rcond=1e-8)
+            expected, *_ = np.linalg.lstsq(stack.T, rhs, rcond=1e-8)
             assert np.abs(w[i] - expected).max() <= 1e-12 * np.abs(expected).max()
 
 

@@ -424,6 +424,14 @@ class TestCli:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_analyze_out_holds_the_printed_report(self, tmp_path, capsys):
+        args = ["analyze", "--scenario", "triangle-with-center", "--gamma", "-1.0"]
+        out = tmp_path / "report.json"
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        assert main(args + ["--out", str(out)]) == 0
+        assert out.read_text() + "\n" == printed
+
     def test_sweep_csv(self, capsys):
         code = main(
             [

@@ -18,6 +18,7 @@ from vortexstab.constraints import casimir_gradient, casimir_hessian, constraint
 from vortexstab.dynamics import integrate, moment_map, relative_coordinates
 from vortexstab.errors import NotAFixedPoint, NotAFixedPointWarning, NotInOpenSet, NotRankOne
 from vortexstab.hamiltonian import FOUR_PI, VortexConfiguration, reduced_system
+from vortexstab.localmodel import clear_memo
 from vortexstab.report import analyze
 from vortexstab.scenarios import build_scenario, scenario_fixed_point
 from vortexstab.stability import (
@@ -212,7 +213,8 @@ class TestMultipliersAndBasis:
         mu0, circ = center_fixed_point("square-with-center", 1.0)
         basis = tangent_basis(mu0, circ, (1,))
         assert basis.shape == (6, 16)
-        stack = local_model(mu0, circ, (1,)).stack
+        k = build_coupling_matrix(circ)
+        stack = np.vstack([casimir_gradient(mu0, k, 1), constraint_jacobian(mu0)])
         assert np.abs(stack @ basis.T).max() < 1e-10
         np.testing.assert_allclose(basis @ basis.T, np.eye(6), atol=1e-12)
 
@@ -522,17 +524,22 @@ class TestLocalModel:
         assert independence_check(mu0, circ, (1,)).rank == model.rank[0]
 
     def test_large_certificate_memory(self):
+        # no array holds the Casimir rows next to the constraint Jacobian
+        # (1.2 MB at m = 20), and a linearly unstable point never reads it
         import tracemalloc
 
-        scen = build_scenario("polygon-with-center", gamma=20.0, m=20)
-        tracemalloc.start()
-        try:
-            rep = analyze(scen)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rep.verdict == "certified-stable"
-        assert peak < 100 * 2**20
+        cases = ((20, "certified-stable", 2.75), (30, "linearly-unstable", 10))
+        for m, verdict, megabytes in cases:
+            scen = build_scenario("polygon-with-center", gamma=20.0, m=m)
+            clear_memo()
+            tracemalloc.start()
+            try:
+                rep = analyze(scen)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rep.verdict == verdict
+            assert peak < megabytes * 2**20, m
 
 
 class TestDynamicalCorroboration:
