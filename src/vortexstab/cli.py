@@ -25,6 +25,7 @@ from .errors import (
 )
 from .report import analyze, emit, gamma_sweep, report_to_json, sweep_to_csv
 from .scenarios import KINDS, build_scenario, scenario_fixed_point
+from .stability import casimir_indices
 
 EXIT_OK = 0
 EXIT_INVALID_SCENARIO = 2
@@ -32,7 +33,11 @@ EXIT_NUMERICAL_FAILURE = 3
 
 
 def _parse_casimirs(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    """The ``--casimirs`` value; argparse exits 2 on the error it raises."""
+    try:
+        return casimir_indices([int(tok) for tok in text.split(",") if tok.strip()])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
 
 
 def _load_custom_config(path: str) -> dict:
@@ -60,7 +65,7 @@ def _cmd_analyze(args) -> int:
     scenario = _build(args)
     report = analyze(
         scenario,
-        casimir_subset=_parse_casimirs(args.casimirs),
+        casimir_subset=args.casimirs,
         with_drift=args.drift,
     )
     text = report_to_json(report)
@@ -79,7 +84,7 @@ def _cmd_sweep(args) -> int:
         args.to,
         args.step,
         m=getattr(args, "m", None),
-        casimir_subset=_parse_casimirs(args.casimirs),
+        casimir_subset=args.casimirs,
     )
     if args.out:
         emit(table, "csv", args.out)
@@ -113,8 +118,6 @@ def _cmd_integrate(args) -> int:
 def _cmd_check(args) -> int:
     from .criteria import run_all
 
-    if args.suite != "reference":
-        raise UnsupportedScenario(f"unknown suite {args.suite!r}")
     results = run_all()
     failed = 0
     for r in results:
@@ -144,7 +147,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="analyze one scenario and emit a JSON report")
     add_scenario_args(p)
-    p.add_argument("--casimirs", default="1", help="comma-separated Casimir indices")
+    p.add_argument("--casimirs", type=_parse_casimirs, default="1",
+                   help="comma-separated Casimir indices")
     p.add_argument("--drift", action="store_true", help="include an invariant drift summary")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_analyze)
@@ -155,7 +159,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--casimirs", default="1")
+    p.add_argument("--casimirs", type=_parse_casimirs, default="1")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)
 
@@ -170,7 +174,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_integrate)
 
     p = sub.add_parser("check", help="run the reference-value acceptance suite")
-    p.add_argument("--suite", default="reference")
     p.set_defaults(func=_cmd_check)
     return parser
 

@@ -257,9 +257,11 @@ def constraint_jacobian(mu: MuMatrix) -> np.ndarray:
 
 def in_open_set(mu: MuMatrix) -> bool | np.ndarray:
     """True when no diagonal or upper-triangular entry of mu is within
-    OPEN_SET_TOL of zero; one flag per matrix of a stack."""
+    OPEN_SET_TOL times the largest of them of zero, a test free of units; one
+    flag per matrix of a stack."""
     rows, cols = _upper_triangle(mu.n)
-    return (np.abs(mu.entries[..., rows, cols]) > OPEN_SET_TOL).all(axis=-1)
+    entries = np.abs(mu.entries[..., rows, cols])
+    return (entries > OPEN_SET_TOL * entries.max(axis=-1, keepdims=True)).all(axis=-1)
 
 
 @lru_cache(maxsize=None)

@@ -21,9 +21,10 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import Circulations, MuMatrix, flatten, unflatten
+from .algebra import Circulations, flatten, unflatten
 from .constraints import constraint_system, in_open_set, submersion_rank_check
 from .dynamics import (
+    RelativeCoordinates,
     Which,
     integrate,
     invariant_drift_report,
@@ -414,7 +415,7 @@ def check_submersion_rank() -> CheckResult:
     for n in (2, 3, 4, 5):
         for _ in range(100):
             z = rng.uniform(0.3, 1.5, n) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
-            mu = moment_map_from_vector(z)
+            mu = moment_map(RelativeCoordinates(tuple(z)))
             if not in_open_set(mu):
                 continue
             total += 1
@@ -426,10 +427,6 @@ def check_submersion_rank() -> CheckResult:
         failures == 0 and total >= 350,
         f"{failures} rank failures out of {total} points",
     )
-
-
-def moment_map_from_vector(z: np.ndarray) -> MuMatrix:
-    return MuMatrix(1j * np.outer(z, np.conj(z)))
 
 
 def check_derivatives() -> CheckResult:
@@ -444,7 +441,7 @@ def check_derivatives() -> CheckResult:
         circ = Circulations(tuple(g))
         n = circ.n
         z = rng.uniform(0.5, 1.5, n) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
-        u = flatten(moment_map_from_vector(z))
+        u = flatten(moment_map(RelativeCoordinates(tuple(z))))
         sys = reduced_system(circ)
         grad = sys.gradient(u)
         eps = 1e-6

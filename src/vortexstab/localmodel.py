@@ -1,18 +1,18 @@
 """The linear algebra of the stability certificate at a stack of points.
 
-A :class:`ReducedField` holds the reduced vector field at a stack of k points
-that share n and the regime: the coupling matrices, the stacked reduced
-Hamiltonian, the field residual and the linearization, which applies the
-energy Hessian to a tangent basis through its factored form.  A
-:class:`LocalModel` adds one Casimir subset: the Casimir differentials,
-the leaf built from the moment map mu = phi(z) = i z z^* (ranks, tangent
-bases, multipliers; no matrix wider than 2n columns is factored), the
-multiplier residual, the one place the constraint Jacobian is read, and the
-restricted Hessian.  The stack a certificate works on is
-memoised on the content of its arguments, so that the stages share it; the
-certificate narrows it to the points still undecided with :func:`restrict`,
-which slices what is computed.  Every array has a leading axis of length k;
-one point is a stack of one.
+A :class:`LocalModel` holds, at a stack of k points that share n and the
+regime, and for one Casimir subset, what the stages of a certificate read.
+The reduced field: the coupling matrices, the stacked reduced Hamiltonian,
+the field residual and the linearization, which applies the energy Hessian
+to a tangent basis through its factored form.  The leaf: the Casimir
+differentials, the leaf built from the moment map mu = phi(z) = i z z^*
+(ranks, tangent bases, multipliers; no matrix wider than 2n columns is
+factored), the multiplier residual, the one place the constraint Jacobian is
+read, and the restricted Hessian.  One stack is memoised, on the content of
+its arguments, so that the stages share it; the certificate narrows it to
+the points still undecided with :func:`restrict`, which slices what is
+computed.  Every array has a leading axis of length k; one point is a stack
+of one.
 """
 
 from __future__ import annotations
@@ -47,18 +47,34 @@ from .errors import DimensionMismatch
 from .hamiltonian import FOUR_PI, ReducedHamiltonian, _distance_pairs, gradient_entries
 
 
-class ReducedField:
-    """The reduced vector field at a stack of k points that share n and the
-    regime; every array has a leading axis of length k.
+class LocalModel:
+    """The linear algebra of the certificate at a stack of k points that share
+    n and the regime, for one Casimir subset; every array has a leading axis
+    of length k.
 
-    It evaluates the field at each point once (the fixed-point residual, and
-    the size of the field's terms it is measured against).  It applies the
-    energy Hessian to a stack of bases through its factored form, and builds
-    the n^2 x n^2 matrix only for a linearization without a basis.  It owns
-    the coupling matrices and the reduced Hamiltonians of its circulation sets.
+    The field part does not read the subset.  It evaluates the reduced field
+    at each point once (the fixed-point residual, and the size of the
+    field's terms it is measured against).  It applies the energy Hessian to
+    a stack of bases through its factored form, and builds the n^2 x n^2
+    matrix only for a linearization without a basis.  It owns the coupling
+    matrices and the reduced Hamiltonians of its circulation sets.
+
+    The leaf's rows are the differentials of the chosen Casimirs
+    (``casimirs``), then those of all constraint components, ``row_count`` in
+    all; the model keeps the Casimir rows only.  The constraint rows have
+    full rank on the open set, and their common kernel is the tangent space
+    of the rank-one stratum, the image of Dphi at z for mu0 = phi(z) = i z z^*:
+    one thin QR of Dphi (n^2 x (2n - 1)) gives it.  One QR of the Casimir rows
+    projected onto it gives the ranks, the tangent bases and, where the rows
+    are independent (the only case the certificate goes on with), the Casimir
+    multipliers; the constraint multipliers follow in closed form.  The
+    multiplier residual reads the constraint Jacobian once and drops it; at a
+    point with dependent rows the multipliers are the minimal-norm ones.  The
+    restricted Hessian gathers the entries of M that the constraint factors
+    read from the basis vectors, and contracts them.
     """
 
-    def __init__(self, mu0: MuMatrix, circs: tuple[Circulations, ...]):
+    def __init__(self, mu0: MuMatrix, circs: tuple[Circulations, ...], subset: tuple[int, ...]):
         first = circs[0]
         n = first.n
         if mu0.entries.shape != (len(circs), n, n):
@@ -67,7 +83,7 @@ class ReducedField:
             )
         if any(c.N != first.N or c.regime is not first.regime for c in circs):
             raise DimensionMismatch("the circulation sets of a stack must share N and the regime")
-        self.mu0, self.circs, self.n = mu0, circs, n
+        self.mu0, self.circs, self.n, self.casimir_subset = mu0, circs, n, subset
         self.u0, self._along = flatten(mu0), None
         couplings = [build_coupling_matrix(c) for c in circs]
         self.coupling = CouplingMatrix(
@@ -84,16 +100,26 @@ class ReducedField:
         terms = np.abs(mu0.entries) @ bound @ np.abs(self.coupling.k_inv)
         self.scale = terms.max(axis=(-2, -1), initial=0.0)
 
-    def take(self, rows: np.ndarray) -> ReducedField:
-        """The field at some rows of the stack, with what is computed so far
+    def take(self, rows: np.ndarray) -> LocalModel:
+        """The model at some rows of the stack, with what is computed so far
         sliced, not computed again."""
-        sub = object.__new__(ReducedField)
+        sub = object.__new__(LocalModel)
         sub.mu0, sub.n = MuMatrix(self.mu0.entries[rows]), self.n
-        sub.circs = tuple([self.circs[i] for i in rows])
+        sub.circs, sub.casimir_subset = tuple([self.circs[i] for i in rows]), self.casimir_subset
         sub.coupling = CouplingMatrix(k=self.coupling.k[rows], k_inv=self.coupling.k_inv[rows])
         sub.u0, sub.energy_gradient = self.u0[rows], self.energy_gradient[rows]
         sub._g, sub.residual, sub.scale = self._g[rows], self.residual[rows], self.scale[rows]
         sub._along = None if self._along is None else tuple([a[rows] for a in self._along])
+        computed = vars(self)
+        if "casimirs" in computed:
+            sub.casimirs = _read_only(self.casimirs[rows])
+        for name in ("moment", "_factors"):
+            if name in computed:
+                setattr(sub, name, tuple([_read_only(a[rows]) for a in computed[name]]))
+        if "multipliers" in computed:
+            sub.multipliers = self.multipliers.take(rows)
+        if "dependent_casimirs" in computed:
+            sub.dependent_casimirs = [self.dependent_casimirs[i] for i in rows]
         return sub
 
     @cached_property
@@ -127,47 +153,6 @@ class ReducedField:
         s = -(nu @ g + m @ p) @ kinv
         deriv = s - s.conj().swapaxes(-1, -2)
         return np.ascontiguousarray(basis @ flatten_stack(deriv).swapaxes(-1, -2))
-
-
-class LocalModel:
-    """The linear algebra of the certificate at the points of a reduced field
-    and one Casimir subset; every array has a leading axis of length k.
-
-    The rows are the differentials of the chosen Casimirs (``casimirs``),
-    then those of all constraint components, ``row_count`` in all; the model
-    keeps the Casimir rows only.  The constraint rows have full rank on the
-    open set, and their common kernel is the tangent space of the rank-one
-    stratum, the image of Dphi at z for mu0 = phi(z) = i z z^*: one thin QR
-    of Dphi (n^2 x (2n - 1)) gives it.  One QR of the Casimir rows projected
-    onto it gives the ranks, the tangent bases and, where the rows are
-    independent (the only case the certificate goes on with), the Casimir
-    multipliers; the constraint multipliers follow in closed form.  The
-    multiplier residual reads the constraint Jacobian once and drops it; at a
-    point with dependent rows the multipliers are the minimal-norm ones.  The
-    restricted Hessian gathers the entries of M that the constraint factors
-    read from the basis vectors, and contracts them.
-    """
-
-    def __init__(self, field: ReducedField, casimir_subset: tuple[int, ...]):
-        self.field, self.casimir_subset = field, casimir_subset
-        self.mu0, self.circs, self.n = field.mu0, field.circs, field.n
-        self.coupling, self.energy_gradient = field.coupling, field.energy_gradient
-
-    def take(self, rows: np.ndarray) -> LocalModel:
-        """The model at some rows of the stack, with what is computed so far
-        sliced, not computed again."""
-        sub = LocalModel(self.field.take(rows), self.casimir_subset)
-        computed = vars(self)
-        if "casimirs" in computed:
-            sub.casimirs = _read_only(self.casimirs[rows])
-        for name in ("moment", "_factors"):
-            if name in computed:
-                setattr(sub, name, tuple([_read_only(a[rows]) for a in computed[name]]))
-        if "multipliers" in computed:
-            sub.multipliers = self.multipliers.take(rows)
-        if "dependent_casimirs" in computed:
-            sub.dependent_casimirs = [self.dependent_casimirs[i] for i in rows]
-        return sub
 
     @cached_property
     def casimirs(self) -> np.ndarray:
@@ -260,7 +245,7 @@ class LocalModel:
         Df = 4 pi grad h + sum_j a_j dC_j + J^T (b, c, d); it is not kept."""
         k, n = len(self.casimir_subset), self.n
         rank, _, w, _ = self._factors
-        jacobian = constraint_system(n).jacobian(self.field.u0)
+        jacobian = constraint_system(n).jacobian(self.u0)
         dependent = rank < self.row_count
         if dependent.any():
             stack = np.concatenate([self.casimirs[dependent], jacobian[dependent]], axis=-2)
@@ -299,7 +284,7 @@ class LocalModel:
         rank-one products of the constraint factors along the basis: the
         entries of M = -i mu that :meth:`ConstraintSystem.hessians` names,
         gathered from each basis vector."""
-        h = (mult.a0 * FOUR_PI) * (self.field.hessian_along(basis) @ basis.swapaxes(-1, -2))
+        h = (mult.a0 * FOUR_PI) * (self.hessian_along(basis) @ basis.swapaxes(-1, -2))
         # the entries of M each factor reads along each basis vector: (k, 4, n(n-1)/2, d)
         m = hermitian_stack(basis, self.n).swapaxes(-1, -2)
         p1, p2, p3, p4 = np.take(m, constraint_system(self.n).hessians(), axis=-2).swapaxes(0, 1)
@@ -367,29 +352,14 @@ def _content(mu0: MuMatrix, circ: Circulations | Sequence[Circulations]) -> tupl
 
 
 # The stack the stages of a certificate query in turn, one at a time: its
-# content, its reduced field and its local models by Casimir subset.
-_memo: tuple = (None, None, {})
+# content and its model.
+_memo: tuple = (None, None)
 
 
 def clear_memo() -> None:
     """Forget the memoised stack."""
     global _memo
-    _memo = (None, None, {})
-
-
-def reduced_field(mu0: MuMatrix, circ: Circulations | Sequence[Circulations]) -> ReducedField:
-    """The reduced field at mu0 (one point, or a stack with one circulation
-    set per point), memoised on the content of its arguments; one point is a
-    stack of one."""
-    global _memo
-    field = _memo[1]
-    if field is not None and mu0 is field.mu0 and circ is field.circs:
-        return field  # a stage called on the memoised stack itself
-    key = _content(mu0, circ)
-    if _memo[0] != key:
-        stack = MuMatrix(mu0.entries.reshape(-1, mu0.n, mu0.n))
-        _memo = (key, ReducedField(stack, _circulation_sets(circ)), {})
-    return _memo[1]
+    _memo = (None, None)
 
 
 def local_model(
@@ -397,12 +367,27 @@ def local_model(
     circ: Circulations | Sequence[Circulations],
     casimir_subset: Sequence[int] = (1,),
 ) -> LocalModel:
-    """The local model at mu0 for a Casimir subset, memoised like :func:`reduced_field`."""
-    field, subset = reduced_field(mu0, circ), tuple(casimir_subset)
-    models = _memo[2]
-    if subset not in models:
-        models[subset] = LocalModel(field, subset)
-    return models[subset]
+    """The local model at mu0 (one point, or a stack with one circulation set
+    per point) for a Casimir subset, memoised on the content of its
+    arguments; one point is a stack of one."""
+    return _memoised(mu0, circ, tuple(casimir_subset))
+
+
+def _memoised(mu0: MuMatrix, circ, subset: tuple[int, ...] | None) -> LocalModel:
+    """The memoised model at mu0, built again when the content or the subset
+    differs.  With ``subset`` None any subset does, for the stages that read
+    the field only; a new model then takes (1,)."""
+    global _memo
+    key, model = _memo
+    if model is None or mu0 is not model.mu0 or circ is not model.circs:
+        content = _content(mu0, circ)
+        if key != content:
+            key, model = content, None
+    if model is None or subset not in (None, model.casimir_subset):
+        stack = MuMatrix(mu0.entries.reshape(-1, mu0.n, mu0.n))
+        model = LocalModel(stack, _circulation_sets(circ), (1,) if subset is None else subset)
+        _memo = (key, model)
+    return model
 
 
 def restrict(model: LocalModel, rows: np.ndarray) -> LocalModel:
@@ -411,11 +396,8 @@ def restrict(model: LocalModel, rows: np.ndarray) -> LocalModel:
     global _memo
     if len(rows) != len(model.circs):
         model = model.take(rows)
-    elif _memo[2].get(model.casimir_subset) is model:
-        return model
-    key = _content(model.mu0, model.circs)
-    if _memo[0] != key or _memo[2].get(model.casimir_subset) is not model:
-        _memo = (key, model.field, {model.casimir_subset: model})
+    if _memo[1] is not model:
+        _memo = (_content(model.mu0, model.circs), model)
     return model
 
 

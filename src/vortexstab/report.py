@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from .algebra import Circulations, MuMatrix, flatten
 from .dynamics import integrate, invariant_drift_report
-from .errors import ExcludedParameter, NotAFixedPoint, VortexStabError
+from .errors import ExcludedParameter, NotAFixedPoint, UnsupportedScenario, VortexStabError
 from .scenarios import Scenario, build_scenario, scenario_fixed_point
 from .stability import CertificateResult, energy_casimir_certificate, stack_size
 
@@ -169,7 +169,7 @@ def gamma_sweep(
     beyond the rows, memory therefore does not grow with the length of the
     grid.  Excluded parameter values (gamma = 0) are skipped and recorded
     aside; other per-point failures appear inline as rows with verdict
-    ``error``.
+    ``error``.  A kind without a center raises UnsupportedScenario.
     """
     rows: list[SweepRow | None] = []
     skipped = []
@@ -188,6 +188,8 @@ def gamma_sweep(
         except ExcludedParameter as exc:
             skipped.append({"gamma": gamma, "note": str(exc)})
             continue
+        if scen.free_parameter is None:
+            raise UnsupportedScenario(f"{kind} has no center circulation to sweep")
         rows.append(None)
         try:
             mu0 = scenario_fixed_point(scen)

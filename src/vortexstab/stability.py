@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -45,8 +46,8 @@ from .localmodel import (
     LocalModel,
     MultiplierSet,
     _circulation_sets,
+    _memoised,
     local_model,
-    reduced_field,
     restrict,
 )
 
@@ -78,8 +79,8 @@ def _per_point(circ, stacked):
 def is_fixed_point(mu0: MuMatrix, circ: Circulations | Sequence[Circulations]) -> FixedPointCheck:
     """Sup-norm of the reduced vector field at mu0, per point of a stack; a
     fixed point has it below FP_TOL times the size of the field's terms
-    (:attr:`ReducedField.scale`), a test free of units."""
-    reduced = reduced_field(mu0, circ)
+    (:attr:`LocalModel.scale`), a test free of units."""
+    reduced = _memoised(mu0, circ, None)
     residual, ok = reduced.residual, reduced.residual < FP_TOL * reduced.scale
     if isinstance(circ, Circulations):
         return FixedPointCheck(residual=float(residual[0]), ok=bool(ok[0]))
@@ -100,7 +101,7 @@ def linearize(
     stack) it differentiates along those rows only and returns the d x d
     matrix ``basis @ A @ basis.T``.
     """
-    reduced = reduced_field(mu0, circ)
+    reduced = _memoised(mu0, circ, None)
     if not np.all(reduced.residual < FP_TOL * reduced.scale):
         worst = float(reduced.residual.max(initial=0.0))
         warnings.warn(
@@ -188,8 +189,8 @@ def solve_multiplier_system(
     MULTIPLIER_TOL times max |4 pi grad h| at some point).  The residual it
     reports is absolute.
     """
-    if a0 == 0.0:
-        raise ValueError("a0 must be nonzero")
+    if a0 not in (1.0, -1.0):
+        raise ValueError(f"a0 must be +1 or -1, got {a0}")
     model = local_model(mu0, circ, casimir_subset)
     mult = model.multipliers if a0 > 0 else model.multipliers.negated()
     infeasible = _infeasible_points(model, mult.residual)
@@ -224,7 +225,7 @@ def restricted_hessian(
     """Project the certificate Hessian onto a tangent basis (rows)."""
     model = local_model(mu0, circ, casimir_subset)
     basis = np.asarray(basis, dtype=float)
-    basis = np.broadcast_to(basis, (len(model.field.circs),) + basis.shape[-2:])
+    basis = np.broadcast_to(basis, (len(model.circs),) + basis.shape[-2:])
     restricted = model.restricted_hessian(mult, basis)
     scale = np.maximum(1.0, np.abs(restricted).max(axis=(-2, -1), initial=0.0))
     asym = np.abs(restricted - restricted.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
@@ -310,10 +311,11 @@ def energy_casimir_certificate(
     holds its exception (NotAFixedPoint, NotInOpenSet, DomainError, ...) in
     place of a result, and a point that is not of the form i z z^* holds
     NotRankOne.  The constraint Jacobian that checks the multipliers holds
-    O(n^4) entries per point, so the caller bounds k (:func:`stack_size`).
+    O(n^4) entries per point, so the caller bounds k (:func:`stack_size`).  A
+    subset other than distinct integers >= 1 raises ValueError.
     """
     circs = _circulation_sets(circ)
-    subset = tuple(casimir_subset)
+    subset = casimir_indices(casimir_subset)
     stack = mu0.entries.reshape((-1,) + mu0.entries.shape[-2:])
     results: list[CertificateResult | VortexStabError | None] = [None] * len(circs)
     rows = np.arange(len(circs))
@@ -333,6 +335,17 @@ def energy_casimir_certificate(
             raise results[0]
         return results[0]
     return results
+
+
+def casimir_indices(casimir_subset: Sequence[int]) -> tuple[int, ...]:
+    """A certificate's Casimir subset as a tuple; raises ValueError unless it
+    is nonempty and of distinct integers >= 1 (C_0 = n has a zero
+    differential, and a repeated index repeats a row)."""
+    subset = tuple(casimir_subset)
+    integers = all(isinstance(j, Integral) and j >= 1 for j in subset)
+    if not subset or not integers or len(set(subset)) < len(subset):
+        raise ValueError(f"Casimir indices must be distinct integers >= 1, got {subset}")
+    return subset
 
 
 def stack_size(n: int) -> int:

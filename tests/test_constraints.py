@@ -264,6 +264,11 @@ class TestConstraints:
         z = np.array([1.0 + 0j, 1.0 + 0j, 1.0 + 1j])
         mu = MuMatrix(1j * np.outer(z, z.conj()))
         assert in_open_set(mu)
+        # the test is relative to the largest entry
+        assert in_open_set(MuMatrix(1e-20 * mu.entries))
+        entries = mu.entries.copy()
+        entries[0, 1] = entries[1, 0] = 1e-13j
+        assert not in_open_set(MuMatrix(entries))
         # orthogonal relative positions zero out an off-diagonal entry
         z = np.array([1.0 + 0j, 1j])
         mu = MuMatrix(1j * np.outer(z, z.conj()))

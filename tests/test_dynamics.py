@@ -32,7 +32,7 @@ from vortexstab.hamiltonian import (
     reduced_hamiltonian,
     reduced_system,
 )
-from vortexstab.localmodel import reduced_field
+from vortexstab.localmodel import local_model
 from vortexstab.scenarios import build_scenario
 
 
@@ -131,7 +131,7 @@ def assert_fields_match(cfg):
     kinv = build_coupling_matrix(circ).k_inv
     expected = flatten_stack(dynamics._lie_poisson_entries(mu.entries, grad, kinv))
     reduced = dynamics._right_hand_side(circ, Which.REDUCED)(u)
-    scale = reduced_field(mu, circ).scale[0]
+    scale = local_model(mu, circ).scale[0]
     assert np.abs(reduced - expected).max() <= 1e-13 * scale
     public = flatten(lie_poisson_vector_field(mu, circ))
     assert np.abs(public - expected).max() <= 1e-13 * scale

@@ -40,7 +40,7 @@ from vortexstab.hamiltonian import (
     gradient_matrix,
     reduced_system,
 )
-from vortexstab.localmodel import LocalModel, clear_memo, local_model, reduced_field
+from vortexstab.localmodel import LocalModel, clear_memo, local_model
 from vortexstab.report import analyze, gamma_sweep
 from vortexstab.scenarios import build_scenario, scenario_fixed_point
 from vortexstab.stability import (
@@ -288,7 +288,7 @@ def dense_restricted_hessian(model, mult, basis):
     i, j = np.array(blocks, dtype=int).reshape(-1, 2).T
     forms = np.stack([ell[i, j], ell[i + 1, j + 1], ell[i, j + 1], ell[i + 1, j]])
     basis_t = basis.swapaxes(-1, -2)
-    h = (mult.a0 * FOUR_PI) * (model.field.hessian_along(basis) @ basis_t)
+    h = (mult.a0 * FOUR_PI) * (model.hessian_along(basis) @ basis_t)
     p1, p2, p3, p4 = (forms @ basis_t[:, None]).swapaxes(0, 1)
     c, d = np.asarray(mult.c, dtype=float), np.asarray(mult.d, dtype=float)
     w = np.concatenate([np.asarray(mult.b, dtype=float), c - 1j * d], axis=-1)[..., None, :]
@@ -548,13 +548,13 @@ class TestStackFactors:
         # the Casimir rows are the rows the rank reads: C_1 adds to the rank
         # and C_2 does not, at any length of either
         mu0, circ = scaled_fixed_point(kind, gamma, m, pos_scale)
-        field = reduced_field(mu0, circ)
-        casimirs = LocalModel(field, (1, 2)).casimirs
+        base = local_model(mu0, circ, (1, 2))
+        casimirs = base.casimirs
         for scale in ((1e-12, 1.0), (1e12, 1.0), (1.0, 1e-12), (1.0, 1e12)):
-            model = LocalModel(field, (1, 2))
+            model = LocalModel(base.mu0, base.circs, (1, 2))
             model.casimirs = casimirs * np.array(scale)[:, None]
             assert model.rank.tolist() == [model.row_count - 1], scale
-            model = LocalModel(field, (1,))
+            model = LocalModel(base.mu0, base.circs, (1,))
             model.casimirs = casimirs[:, :1] * scale[0]
             assert model.rank.tolist() == [model.row_count], scale
 

@@ -186,9 +186,8 @@ class TestSweepStack:
         assert build_coupling_matrix.cache_info().currsize <= CIRCULATION_CACHE_SIZE
         assert reduced_system.cache_info().currsize <= CIRCULATION_CACHE_SIZE
         # the certificate memo keeps the last stack only, of at most stack_size(n) points
-        field = localmodel._memo[1]
-        assert field is not None and len(field.circs) <= stack_size(field.n)
-        assert len(localmodel._memo[2]) <= 1
+        _, model = localmodel._memo
+        assert model is not None and len(model.circs) <= stack_size(model.n)
 
     def test_sweep_memory_is_one_stack_whatever_the_grid(self):
         # n = 12: stacks of stack_size(12) = 12 points, each holding arrays of
@@ -348,6 +347,32 @@ class TestCli:
     def test_invalid_gamma_exit_2(self, capsys):
         code = main(["analyze", "--scenario", "triangle-with-center", "--gamma", "0"])
         assert code == 2
+
+    @pytest.mark.parametrize("casimirs", ["a", "", "0", "1,1"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["analyze", "--scenario", "square-with-center", "--gamma", "1"],
+            ["sweep", "--scenario", "square-with-center", "--from", "1", "--to", "2", "--step", "1"],
+        ],
+        ids=["analyze", "sweep"],
+    )
+    def test_invalid_casimir_subset_exit_2(self, command, casimirs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--casimirs", casimirs])
+        assert exc.value.code == 2
+        assert "argument --casimirs" in capsys.readouterr().err
+
+    def test_sweep_of_a_kind_without_a_center_exit_2(self, capsys):
+        with pytest.raises(UnsupportedScenario):
+            gamma_sweep("equilateral3", 1.0, 2.0, 0.5)
+        args = ["sweep", "--scenario", "equilateral3", "--from", "1", "--to", "2", "--step", "0.5"]
+        assert main(args) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_check_has_no_suite_option(self):
+        with pytest.raises(SystemExit):
+            make_parser().parse_args(["check", "--suite", "reference"])
 
     def test_unknown_scenario_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -17,7 +17,7 @@ from vortexstab.algebra import (
 from vortexstab.constraints import casimir_gradient, casimir_hessian, constraint_jacobian
 from vortexstab.dynamics import integrate, moment_map, relative_coordinates
 from vortexstab.errors import NotAFixedPoint, NotAFixedPointWarning, NotInOpenSet, NotRankOne
-from vortexstab.hamiltonian import FOUR_PI, VortexConfiguration, reduced_system
+from vortexstab.hamiltonian import FOUR_PI, ReducedHamiltonian, VortexConfiguration, reduced_system
 from vortexstab.localmodel import clear_memo
 from vortexstab.report import analyze
 from vortexstab.scenarios import build_scenario, scenario_fixed_point
@@ -209,6 +209,12 @@ class TestMultipliersAndBasis:
                 assert m.residual < 1e-8
                 assert m.a0 == a0
 
+    @pytest.mark.parametrize("a0", [2.0, -0.5, 0.0])
+    def test_rejects_a0_other_than_plus_or_minus_one(self, a0):
+        mu0, circ = center_fixed_point("triangle-with-center", 0.5)
+        with pytest.raises(ValueError, match="a0 must be"):
+            solve_multiplier_system(mu0, circ, (1,), a0)
+
     def test_tangent_basis_annihilated_and_orthonormal(self):
         mu0, circ = center_fixed_point("square-with-center", 1.0)
         basis = tangent_basis(mu0, circ, (1,))
@@ -354,6 +360,16 @@ class TestCertificate:
         assert res.verdict is Verdict.INCONCLUSIVE
         assert re.fullmatch(r"no critical point: residual \d\.\d{3}e[+-]\d\d", res.reason)
 
+    @pytest.mark.parametrize(
+        "subset",
+        [(), (1.5,), ("1",), (0,), (1, 1)],
+        ids=["empty", "non-integer", "string", "below-one", "repeated"],
+    )
+    def test_rejects_a_casimir_subset_of_other_than_distinct_indices(self, subset):
+        mu0, circ = center_fixed_point("square-with-center", 1.0)
+        with pytest.raises(ValueError, match="Casimir indices"):
+            energy_casimir_certificate(mu0, circ, subset)
+
     def test_rejects_non_fixed_point(self):
         mu = unflatten(np.array([1.3, 1.0, 0.5, -np.sqrt(3) / 2]), 2)
         with pytest.raises(NotAFixedPoint):
@@ -396,6 +412,8 @@ SCALINGS = [
     (10.0, 1.0),
     (1e3, 1.0),
     (1e-3, 1.0),
+    (1e-6, 1.0),
+    (1e-8, 1.0),
     (1.0, 1e4),
     (1.0, 1e-4),
     (10.0, 1e-2),
@@ -522,6 +540,23 @@ class TestLocalModel:
         basis = tangent_basis(mu0, circ, (1,))
         assert np.shares_memory(basis, model.basis) and basis.shape == model.basis.shape[1:]
         assert independence_check(mu0, circ, (1,)).rank == model.rank[0]
+
+    @pytest.mark.parametrize("subset", [(1,), (1, 2)])
+    def test_a_certificate_builds_one_stack(self, subset, monkeypatch):
+        # the fixed-point check and the linearization take the certificate's
+        # stack whatever its Casimir subset
+        built = []
+        init = ReducedHamiltonian.__init__
+
+        def counted(self, circ):
+            built.append(len(circ))
+            init(self, circ)
+
+        monkeypatch.setattr(ReducedHamiltonian, "__init__", counted)
+        mu0, circ = center_fixed_point("square-with-center", 1.0)
+        clear_memo()
+        energy_casimir_certificate(mu0, circ, subset)
+        assert built == [1]
 
     def test_large_certificate_memory(self):
         # no array holds the Casimir rows next to the constraint Jacobian
