@@ -3,14 +3,17 @@
 Subcommands: ``analyze`` (one scenario, JSON report), ``sweep`` (verdicts over
 a gamma grid, CSV), ``integrate`` (reduced trajectory, CSV), and ``check``
 (reference-value acceptance suite).  Exit codes: 0 means the computation
-completed (whatever the verdict), 2 means the scenario was invalid, and 3
-means an internal numerical failure.
+completed (whatever the verdict), 2 means the scenario or another input was
+invalid (a step or time that is not positive and finite, an empty sweep
+range, a malformed custom config), and 3 means an internal numerical
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -19,6 +22,7 @@ from .algebra import flatten
 from .dynamics import Which, integrate, trajectory_to_csv
 from .errors import (
     ExcludedParameter,
+    InvalidArgument,
     NotAFixedPoint,
     UnsupportedScenario,
     VortexStabError,
@@ -40,11 +44,32 @@ def _parse_casimirs(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
 
 
+def _finite_numbers(value, length: int | None = None) -> bool:
+    """Whether a JSON value is a list of finite numbers (of the given length)."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        return False
+    try:
+        return all(not isinstance(v, bool) and math.isfinite(v) for v in value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float
+        return False
+
+
 def _load_custom_config(path: str) -> dict:
+    """Positions and circulations of a custom config file, raising
+    InvalidArgument for a file that does not have their layout."""
     with open(path) as fh:
         cfg = json.load(fh)
-    positions = [complex(x, y) for x, y in cfg["positions"]]
-    return {"positions": tuple(positions), "circulations": tuple(cfg["circulations"])}
+    if not isinstance(cfg, dict):
+        raise InvalidArgument("a custom config is a JSON object with positions and circulations")
+    positions, circulations = cfg.get("positions"), cfg.get("circulations")
+    if not (isinstance(positions, list) and all(_finite_numbers(p, 2) for p in positions)):
+        raise InvalidArgument(f"positions must be [x, y] pairs of finite numbers: {positions!r}")
+    if not _finite_numbers(circulations):
+        raise InvalidArgument(f"circulations must be finite numbers: {circulations!r}")
+    return {
+        "positions": tuple(complex(x, y) for x, y in positions),
+        "circulations": tuple(circulations),
+    }
 
 
 def _build(args) -> object:
@@ -183,8 +208,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvalidArgument as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVALID_SCENARIO
     except (ExcludedParameter, UnsupportedScenario, NotAFixedPoint, FileNotFoundError,
-            KeyError, json.JSONDecodeError) as exc:
+            json.JSONDecodeError) as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID_SCENARIO
     except (VortexStabError, np.linalg.LinAlgError) as exc:

@@ -2,10 +2,11 @@
 
 The right-hand sides of the reduced and the full system are built once per
 circulation set (:func:`_right_hand_side`, memoised like ``reduced_system``),
-with the circulation-only constants folded into one matrix each, so that an
-RK4 stage makes only the numpy calls of the formula.  The public
-:func:`lie_poisson_vector_field` and :func:`full_vector_field` call the same
-operators.
+with the circulation-only constants folded into constant matrices, so that an
+RK4 stage makes only the numpy calls of the formula.  The reduced system is
+stepped on the complex entries of mu, not on its flattened coordinates, so a
+stage makes no coordinate gathers.  The public :func:`lie_poisson_vector_field`
+and :func:`full_vector_field` call the same operators.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .algebra import (
     unflatten_stack,
 )
 from .constraints import casimir_values, constraint_system
-from .errors import Collision, DimensionMismatch, DomainError, EmptyTrajectory
+from .errors import Collision, DimensionMismatch, DomainError, EmptyTrajectory, InvalidArgument
 from .hamiltonian import (
     COLLISION_TOL,
     FOUR_PI,
@@ -123,32 +124,33 @@ class _FullField:
 
 
 class _ReducedField:
-    """X_h of one circulation set on flattened coordinates u (one vector or a
-    stack of them).  The log arguments are s = u F^T, and the flattened
-    entries of dh/dmu are (1/s) R, where the constant R folds the weights,
-    the -1/(4pi) and the doubled diagonal of :func:`gradient_entries` into the
-    linear forms F."""
+    """X_h of one circulation set on the entries m of mu (one matrix or a
+    stack of them), through two constant folds of the linear forms F of
+    :func:`reduced_system`: the log arguments are s = m' Fm, m' the (re, im)
+    pairs of the entries, and (dh/dmu) K^-1 = (1/s) Rk, where Rk folds the
+    weights, the -1/(4pi) and the doubled diagonal of :func:`gradient_entries`
+    and K^-1 into F."""
 
     def __init__(self, circ: Circulations):
         sys = reduced_system(circ)
-        self.n = n = circ.n
-        self._forms_t = sys.forms.T
-        self._r = sys.forms * (-sys.weights / FOUR_PI)[:, None]
-        self._r[:, :n] *= 2.0
-        # complex, as matmul would cast it on every call
-        self._kinv = build_coupling_matrix(circ).k_inv.astype(complex)
+        n = circ.n
+        # flatten as a (2n^2, n^2) matrix of 0 and +-1 on the (re, im) pairs
+        pick = flatten_stack(np.eye(2 * n * n).view(complex).reshape(2 * n * n, n, n))
+        self._fm = pick @ sys.forms.T
+        r = sys.forms * (-sys.weights / FOUR_PI)[:, None]
+        r[:, :n] *= 2.0
+        kinv = build_coupling_matrix(circ).k_inv
+        self._rk = (unflatten_stack(r, n) @ kinv).reshape(len(r), n * n)
 
-    def entries(self, u: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """X_h at the coordinates u of the shape matrices with entries m,
-        raising DomainError outside the reduced Hamiltonian's domain."""
-        s = u.dot(self._forms_t)
+    def __call__(self, m: np.ndarray) -> np.ndarray:
+        """The entries of X_h = A^H - A, A = mu (dh/dmu) K^-1, at the
+        (contiguous) entries m, raising DomainError outside the reduced
+        Hamiltonian's domain.  X_h is skew-Hermitian to the last bit."""
+        s = m.view(float).reshape(m.shape[:-2] + (self._fm.shape[0],)).dot(self._fm)
         if s.flat[s.argmin()] <= LOG_FLOOR:  # min(), without its Python wrapper
             check_arguments(s)
-        g = unflatten_stack((1.0 / s).dot(self._r), self.n)
-        return _lie_poisson_entries(m, g, self._kinv)
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        return flatten_stack(self.entries(u, unflatten_stack(u, self.n)))
+        a = m @ (1.0 / s).dot(self._rk).reshape(m.shape)
+        return a.conj().swapaxes(-1, -2) - a
 
 
 @lru_cache(maxsize=CIRCULATION_CACHE_SIZE)
@@ -167,8 +169,7 @@ def lie_poisson_vector_field(mu: MuMatrix, circ: Circulations) -> MuMatrix:
     """X_h(mu) = -mu (dh/dmu) K^-1 + K^-1 (dh/dmu) mu."""
     if mu.n != circ.n:
         raise DimensionMismatch(f"mu is {mu.n}x{mu.n}, circulations give n={circ.n}")
-    field = _right_hand_side(circ, Which.REDUCED)
-    return MuMatrix(field.entries(flatten(mu), mu.entries))
+    return MuMatrix(_right_hand_side(circ, Which.REDUCED)(mu.entries))
 
 
 @dataclass
@@ -190,13 +191,17 @@ class Trajectory:
 
 
 def _shapes_and_energy(samples: np.ndarray, circ: Circulations, which: Which):
-    """The stack of shape matrices mu and the Hamiltonian of a stack of states,
-    through the validated public types: a sample that collides, leaves the
-    reduced Hamiltonian's domain or gives a non-skew mu raises."""
+    """The stack of shape matrices mu, their flattened coordinates and the
+    Hamiltonian of a stack of states (entries of mu, or positions), through
+    the validated public types: a sample that collides, leaves the reduced
+    Hamiltonian's domain or gives a non-skew mu raises."""
     if which is Which.REDUCED:
-        return unflatten(samples, circ.n), reduced_system(circ).value(samples)
+        mu = MuMatrix(samples)
+        coords = flatten(mu)
+        return mu, coords, reduced_system(circ).value(coords)
     cfg = VortexConfiguration(samples, circ)
-    return moment_map(relative_coordinates(cfg)), full_hamiltonian(cfg)
+    mu = moment_map(relative_coordinates(cfg))
+    return mu, flatten(mu), full_hamiltonian(cfg)
 
 
 def integrate(
@@ -210,17 +215,22 @@ def integrate(
 
     ``initial`` is a flattened shape vector for the reduced system or a
     :class:`VortexConfiguration` (or complex position array) for the full one;
-    a configuration may seed either system.  The loop only steps, storing each
-    state.  Afterwards the Hamiltonian, the Casimirs C_1..C_n and the sup-norm
-    of the rank-one residual are evaluated over the whole stack of samples,
-    with the checks each sample needs: collision, the reduced Hamiltonian's
-    log-argument floor, a skew-Hermitian mu.  A collision or domain error in a
+    a configuration may seed either system.  The reduced system is stepped on
+    the entries of mu (the initial vector is unflattened once), which stay
+    skew-Hermitian to the last bit; its samples are flattened after the last
+    step, so ``states`` holds flattened coordinates.  The loop only steps,
+    storing each state.  Afterwards the Hamiltonian, the Casimirs C_1..C_n and
+    the sup-norm of the rank-one residual are evaluated over the whole stack
+    of samples, with the checks each sample needs: collision, the reduced
+    Hamiltonian's log-argument floor, a skew-Hermitian mu.  A collision or domain error in a
     step, or in the check of a sample, truncates the trajectory before the
     first sample that fails and sets the abort flag; ``abort_reason`` names the
-    error with its step and time.  An initial state that fails its check raises.
+    error with its step and time.  An initial state that fails its check
+    raises, and so do a t_end or dt that is not positive and finite
+    (InvalidArgument).
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("t_end and dt must be positive")
+    if not (0.0 < t_end < np.inf and 0.0 < dt < np.inf):
+        raise InvalidArgument(f"t_end and dt must be positive and finite, got {t_end}, {dt}")
     n = circ.n
     if isinstance(initial, VortexConfiguration):
         if initial.circ.N != circ.N:
@@ -237,10 +247,12 @@ def integrate(
         state, shape = np.array(initial, dtype=complex), (circ.N,)
     if state.shape != shape:
         raise DimensionMismatch(f"{which.value} state has shape {state.shape}, expected {shape}")
+    if which is Which.REDUCED:
+        state = unflatten(state, n).entries
     rhs = _right_hand_side(circ, which)
 
     steps = int(round(t_end / dt))
-    samples = np.empty((steps + 1,) + shape, dtype=state.dtype)
+    samples = np.empty((steps + 1,) + state.shape, dtype=state.dtype)
     samples[0] = state
     failure = None  # (index of the first sample not kept, exception)
     for s in range(steps):
@@ -261,14 +273,14 @@ def integrate(
     # again, so the earliest failure of any check decides
     while True:
         try:
-            mu, ham = _shapes_and_energy(samples, circ, which)
+            mu, coords, ham = _shapes_and_energy(samples, circ, which)
             break
         except (Collision, DomainError) as exc:
             if exc.sample == 0:
                 raise
             failure = (exc.sample, exc)
             samples = samples[: exc.sample]
-    residuals = constraint_system(n).values(flatten(mu))
+    residuals = constraint_system(n).values(coords)
     reason = ""
     if failure is not None:
         step, exc = failure
@@ -276,7 +288,7 @@ def integrate(
     return Trajectory(
         which=which,
         times=np.arange(len(samples)) * dt,
-        states=samples,
+        states=coords if which is Which.REDUCED else samples,
         hamiltonian=ham,
         casimirs=casimir_values(mu, build_coupling_matrix(circ), range(1, n + 1)),
         residual_max=np.abs(residuals).max(axis=-1, initial=0.0),

@@ -13,6 +13,12 @@ class VortexStabError(Exception):
         self.sample = sample
 
 
+class InvalidArgument(VortexStabError, ValueError):
+    """An input lies outside its admissible range: a time or grid step that
+    is not positive and finite, an empty sweep range, a malformed custom
+    configuration."""
+
+
 class DimensionMismatch(VortexStabError):
     """Operands have incompatible matrix/vector dimensions."""
 

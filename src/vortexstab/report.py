@@ -15,7 +15,13 @@ import numpy as np
 from . import __version__
 from .algebra import Circulations, MuMatrix, flatten
 from .dynamics import integrate, invariant_drift_report
-from .errors import ExcludedParameter, NotAFixedPoint, UnsupportedScenario, VortexStabError
+from .errors import (
+    ExcludedParameter,
+    InvalidArgument,
+    NotAFixedPoint,
+    UnsupportedScenario,
+    VortexStabError,
+)
 from .scenarios import Scenario, build_scenario, scenario_fixed_point
 from .stability import CertificateResult, energy_casimir_certificate, stack_size
 
@@ -143,9 +149,13 @@ def _sweep_row(gamma: float, res: CertificateResult | VortexStabError) -> SweepR
 
 def gamma_grid(gamma_min: float, gamma_max: float, step: float) -> list[float]:
     """gamma_min + i*step for i = 0, 1, ... up to gamma_max (within 1e-12
-    relative), each rounded to 12 decimals."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    relative), each rounded to 12 decimals; empty when gamma_max < gamma_min.
+    A step that is not positive and finite, or a bound that is not finite,
+    raises InvalidArgument."""
+    if not 0.0 < step < np.inf:
+        raise InvalidArgument(f"step must be positive and finite, got {step}")
+    if not (np.isfinite(gamma_min) and np.isfinite(gamma_max)):
+        raise InvalidArgument(f"range bounds must be finite, got {gamma_min}, {gamma_max}")
     stop = gamma_max + 1e-12 * max(1.0, abs(gamma_max))
     count = int((stop - gamma_min) // step) + 2
     points = (gamma_min + i * step for i in range(count))
@@ -169,7 +179,8 @@ def gamma_sweep(
     beyond the rows, memory therefore does not grow with the length of the
     grid.  Excluded parameter values (gamma = 0) are skipped and recorded
     aside; other per-point failures appear inline as rows with verdict
-    ``error``.  A kind without a center raises UnsupportedScenario.
+    ``error``.  A kind without a center raises UnsupportedScenario, and a
+    grid without points (gamma_max < gamma_min) raises InvalidArgument.
     """
     rows: list[SweepRow | None] = []
     skipped = []
@@ -182,7 +193,10 @@ def gamma_sweep(
             rows[i] = _sweep_row(gamma, res)
         members.clear()
 
-    for gamma in gamma_grid(gamma_min, gamma_max, step):
+    grid = gamma_grid(gamma_min, gamma_max, step)
+    if not grid:
+        raise InvalidArgument(f"empty range: from {gamma_min} is above to {gamma_max}")
+    for gamma in grid:
         try:
             scen = build_scenario(kind, gamma=gamma, m=m)
         except ExcludedParameter as exc:

@@ -9,7 +9,6 @@ from vortexstab.algebra import (
     MuMatrix,
     build_coupling_matrix,
     flatten,
-    flatten_stack,
     unflatten,
 )
 from vortexstab.constraints import casimir_values, constraint_residuals, constraint_system
@@ -23,7 +22,13 @@ from vortexstab.dynamics import (
     relative_coordinates,
     trajectory_to_csv,
 )
-from vortexstab.errors import Collision, DimensionMismatch, DomainError, EmptyTrajectory
+from vortexstab.errors import (
+    Collision,
+    DimensionMismatch,
+    DomainError,
+    EmptyTrajectory,
+    InvalidArgument,
+)
 from vortexstab.hamiltonian import (
     VortexConfiguration,
     full_hamiltonian,
@@ -83,6 +88,25 @@ class TestVectorFields:
         traj = integrate(cfg, cfg.circ, t_end=dt, dt=dt, which=Which.FULL)
         np.testing.assert_array_equal(traj.states[1], expected)
 
+    def test_reduced_field_is_the_rk4_right_hand_side(self):
+        # one reduced RK4 step rebuilt from lie_poisson_vector_field, bit for
+        # bit; the step is long enough that a stage off by one ulp shows
+        rng = np.random.default_rng(71)
+        cfg = separated_configuration(rng, 5)
+        dt = 0.2
+
+        def field(m):
+            return lie_poisson_vector_field(MuMatrix(m), cfg.circ).entries
+
+        m = unflatten(flatten(moment_map(relative_coordinates(cfg))), cfg.circ.n).entries
+        k1 = field(m)
+        k2 = field(m + 0.5 * dt * k1)
+        k3 = field(m + 0.5 * dt * k2)
+        k4 = field(m + dt * k3)
+        expected = MuMatrix(m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        traj = integrate(cfg, cfg.circ, t_end=dt, dt=dt, which=Which.REDUCED)
+        np.testing.assert_array_equal(traj.states[1], flatten(expected))
+
     def test_reduced_field_invariant_along_rays(self):
         # grad h scales as 1/s along a ray while mu scales as s, so the
         # field itself is unchanged: X_h(s mu) = X_h(mu)
@@ -126,15 +150,14 @@ def assert_fields_match(cfg):
     np.testing.assert_array_equal(full_vector_field(cfg), full)
 
     mu = moment_map(relative_coordinates(cfg))
-    u = flatten(mu)
-    grad = gradient_entries(reduced_system(circ).gradient(u), circ.n)
+    grad = gradient_entries(reduced_system(circ).gradient(flatten(mu)), circ.n)
     kinv = build_coupling_matrix(circ).k_inv
-    expected = flatten_stack(dynamics._lie_poisson_entries(mu.entries, grad, kinv))
-    reduced = dynamics._right_hand_side(circ, Which.REDUCED)(u)
+    expected = dynamics._lie_poisson_entries(mu.entries, grad, kinv)
+    reduced = dynamics._right_hand_side(circ, Which.REDUCED)(mu.entries)
     scale = local_model(mu, circ).scale[0]
     assert np.abs(reduced - expected).max() <= 1e-13 * scale
-    public = flatten(lie_poisson_vector_field(mu, circ))
-    assert np.abs(public - expected).max() <= 1e-13 * scale
+    np.testing.assert_array_equal(reduced.conj().T, -reduced)
+    np.testing.assert_array_equal(lie_poisson_vector_field(mu, circ).entries, reduced)
 
 
 class TestCachedRightHandSides:
@@ -156,9 +179,10 @@ class TestCachedRightHandSides:
         u = np.array([1.0, 1.0, 2.0, 0.0])
         with pytest.raises(DomainError) as expected:
             reduced_system(circ).gradient(u)
+        mu = unflatten(u, 2)
         for field in (
-            lambda: dynamics._right_hand_side(circ, Which.REDUCED)(u),
-            lambda: lie_poisson_vector_field(unflatten(u, 2), circ),
+            lambda: dynamics._right_hand_side(circ, Which.REDUCED)(mu.entries),
+            lambda: lie_poisson_vector_field(mu, circ),
         ):
             with pytest.raises(DomainError) as got:
                 field()
@@ -316,6 +340,10 @@ class TestIntegration:
         circ = Circulations((1.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             integrate(np.ones(4), circ, t_end=1.0, dt=0.0)
+        for t_end, dt in ((1.0, 0.0), (-1.0, 0.1), (np.inf, 0.1), (np.nan, 0.1), (1.0, np.nan),
+                          (1.0, np.inf), (1.0, -np.inf)):
+            with pytest.raises(InvalidArgument, match="t_end and dt must be positive and finite"):
+                integrate(np.ones(4), circ, t_end=t_end, dt=dt)
 
 
 def stacked_configurations(n_vortices, zero_total):

@@ -9,7 +9,12 @@ import pytest
 
 from vortexstab.algebra import Regime
 from vortexstab.cli import main, make_parser
-from vortexstab.errors import ExcludedParameter, NotAFixedPoint, UnsupportedScenario
+from vortexstab.errors import (
+    ExcludedParameter,
+    InvalidArgument,
+    NotAFixedPoint,
+    UnsupportedScenario,
+)
 from vortexstab.report import (
     SWEEP_CSV_HEADER,
     analyze,
@@ -138,6 +143,14 @@ class TestReport:
         assert grid[2111] == 21.11
         assert grid[-1] == 100.0
         assert gamma_grid(1.0, 0.0, 0.5) == []
+
+    def test_sweep_grid_rejects_bad_arguments(self):
+        for args in ((1.0, 2.0, 0.0), (1.0, 2.0, -0.5), (1.0, 2.0, np.inf), (1.0, 2.0, np.nan),
+                     (np.nan, 2.0, 0.5), (1.0, np.inf, 0.5)):
+            with pytest.raises(InvalidArgument):
+                gamma_grid(*args)
+        with pytest.raises(InvalidArgument, match="empty range"):
+            gamma_sweep("square-with-center", 2.0, 1.0, 0.5)
 
     def test_empty_sweep_header_only(self):
         table = gamma_sweep("triangle-with-center", 0.0, 0.0, 1.0)
@@ -369,6 +382,50 @@ class TestCli:
         args = ["sweep", "--scenario", "equilateral3", "--from", "1", "--to", "2", "--step", "0.5"]
         assert main(args) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("step", ["0", "-0.5"])
+    def test_sweep_step_not_positive_exit_2(self, step, capsys):
+        args = ["sweep", "--scenario", "square-with-center", "--from", "1", "--to", "2"]
+        assert main(args + ["--step", step]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("invalid input: step must be positive and finite")
+
+    def test_sweep_empty_range_exit_2(self, capsys):
+        args = ["sweep", "--scenario", "square-with-center", "--from", "2", "--to", "1"]
+        assert main(args + ["--step", "0.5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("invalid input: empty range")
+
+    @pytest.mark.parametrize(
+        "positions",
+        [[["a", 0], [1, 0], [0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]],
+        ids=["string-coordinate", "three-coordinates"],
+    )
+    def test_malformed_custom_config_exit_2(self, positions, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"positions": positions, "circulations": [1.0, 1.0, 1.0]}))
+        assert main(["analyze", "--scenario", "custom", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("invalid input: positions must be [x, y] pairs")
+
+    @pytest.mark.parametrize("times", [("1", "0"), ("-1", "0.1")], ids=["dt-0", "t-end-negative"])
+    def test_integrate_time_not_positive_exit_2(self, times, capsys):
+        args = ["integrate", "--scenario", "triangle-with-center", "--gamma", "0.5"]
+        assert main(args + ["--t-end", times[0], "--dt", times[1]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("invalid input: t_end and dt must be positive and finite")
+
+    def test_value_error_of_a_computation_is_not_invalid_input(self, monkeypatch):
+        # only the typed input errors exit 2; a ValueError raised while the
+        # certificate runs is a fault and propagates
+        def failing(*args, **kwargs):
+            raise ValueError("restricted Hessian asymmetric")
+
+        monkeypatch.setattr("vortexstab.cli.analyze", failing)
+        with pytest.raises(ValueError, match="restricted Hessian asymmetric"):
+            main(["analyze", "--scenario", "triangle-with-center", "--gamma", "0.5"])
 
     def test_check_has_no_suite_option(self):
         with pytest.raises(SystemExit):
