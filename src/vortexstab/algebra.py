@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -215,38 +216,74 @@ def lie_bracket(xi: MuMatrix, eta: MuMatrix, k: CouplingMatrix) -> MuMatrix:
 CIRCULATION_CACHE_SIZE = 16
 
 
-@lru_cache(maxsize=CIRCULATION_CACHE_SIZE)
-def build_coupling_matrix(circ: Circulations) -> CouplingMatrix:
-    """Coupling matrix of the circulation set, regime-dependent, memoised on
-    the last few circulation sets (its arrays are read-only).
+def build_coupling_matrix(circ: Circulations | Sequence[Circulations]) -> CouplingMatrix:
+    """Coupling matrix of a circulation set, or the stacked matrices (leading
+    axis k) of a sequence of k sets that share N and the regime, with the
+    inverses; the arrays are read-only.
 
     Nonzero total circulation Gamma:  n = N-1 and
         K_ii = -G_i (Gamma - G_i) / Gamma,   K_ij = G_i G_j / Gamma.
     Zero total circulation:  n = N-2 and
         K0_ij = -(1/G_N) * (G_i G_j + delta_ij G_i G_N).
+
+    One set is a stack of one, memoised on the last few sets; a stack is not
+    memoised.  An inverse that fails the cond(K) eps test raises
+    SingularCoupling for the first set of the stack that fails it, and sets
+    that differ in N or the regime raise DimensionMismatch.
     """
-    g = circ.as_array()
-    if circ.regime is Regime.NON_ZERO_TOTAL:
-        gn = g[:-1]
-        k = gn[:, None] * gn / circ.total
-        k.flat[:: len(gn) + 1] = -gn * (circ.total - gn) / circ.total
+    if isinstance(circ, Circulations):
+        return _one_coupling(circ)
+    return _coupling_stack(tuple(circ))
+
+
+@lru_cache(maxsize=CIRCULATION_CACHE_SIZE)
+def _one_coupling(circ: Circulations) -> CouplingMatrix:
+    stack = _coupling_stack((circ,))
+    return CouplingMatrix(k=stack.k[0], k_inv=stack.k_inv[0])
+
+
+# the one-point memo's statistics, as on an lru_cache
+build_coupling_matrix.cache_info = _one_coupling.cache_info
+
+
+def _coupling_stack(circs: tuple[Circulations, ...]) -> CouplingMatrix:
+    first = circs[0]
+    if any(c.N != first.N or c.regime is not first.regime for c in circs):
+        raise DimensionMismatch("the circulation sets of a stack must share N and the regime")
+    g, diagonal = np.array([c.gammas for c in circs]), np.arange(first.n)
+    if first.regime is Regime.NON_ZERO_TOTAL:
+        gn, total = g[:, :-1], np.array([c.total for c in circs])[:, None]
+        k = gn[:, :, None] * gn[:, None, :] / total[:, :, None]
+        k[:, diagonal, diagonal] = -gn * (total - gn) / total
     else:
-        gn = g[:-2]
-        last = g[-1]
-        k = -(np.outer(gn, gn) + np.diag(gn * last)) / last
+        gn, last = g[:, :-2], g[:, -1:]
+        k = gn[:, :, None] * gn[:, None, :]
+        k[:, diagonal, diagonal] += gn * last
+        k = -k / last[:, :, None]
     try:
         k_inv = np.linalg.inv(k)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCoupling(str(exc)) from exc
+    except np.linalg.LinAlgError:
+        # one inverse at a time, to name the first matrix that has none
+        for i, a in enumerate(k):
+            try:
+                np.linalg.inv(a)
+            except np.linalg.LinAlgError as exc:
+                raise SingularCoupling(str(exc), sample=i) from exc
+        raise
     defect = k @ k_inv
-    defect.flat[:: len(k) + 1] -= 1.0
-    # infinity norms of K, K^-1 and the residual K K^-1 - I
+    defect[:, diagonal, diagonal] -= 1.0
+    # infinity norms of K, K^-1 and the residual K K^-1 - I, per matrix
     norms = np.abs(np.array([k, k_inv, defect])).sum(axis=-1).max(axis=-1)
     rounding, residual = np.finfo(float).eps * norms[0] * norms[1], norms[2]  # cond(K) eps
-    if rounding >= 1.0:
-        raise SingularCoupling(f"singular to working precision: cond eps {rounding:.3e}")
-    if residual > INVERSE_RESIDUAL_TOL * rounding:
-        raise SingularCoupling(f"inverse residual {residual:.3e} against cond eps {rounding:.3e}")
+    singular, inaccurate = rounding >= 1.0, residual > INVERSE_RESIDUAL_TOL * rounding
+    failed = singular | inaccurate
+    if failed.any():
+        i = int(np.argmax(failed))
+        if singular[i]:
+            message = f"singular to working precision: cond eps {rounding[i]:.3e}"
+        else:
+            message = f"inverse residual {residual[i]:.3e} against cond eps {rounding[i]:.3e}"
+        raise SingularCoupling(message, sample=i)
     for a in (k, k_inv):
         a.setflags(write=False)
     return CouplingMatrix(k=k, k_inv=k_inv)

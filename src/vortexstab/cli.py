@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedScenario,
     VortexStabError,
 )
-from .report import analyze, emit, gamma_sweep, report_to_json, sweep_to_csv
+from .report import analyze, gamma_sweep, report_to_json, sweep_to_csv
 from .scenarios import KINDS, build_scenario, scenario_fixed_point
 from .stability import casimir_indices
 
@@ -57,8 +57,12 @@ def _finite_numbers(value, length: int | None = None) -> bool:
 def _load_custom_config(path: str) -> dict:
     """Positions and circulations of a custom config file, raising
     InvalidArgument for a file that does not have their layout."""
-    with open(path) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidArgument(f"cannot read config {path}: {exc}") from exc
+    cfg = json.loads(text)
     if not isinstance(cfg, dict):
         raise InvalidArgument("a custom config is a JSON object with positions and circulations")
     positions, circulations = cfg.get("positions"), cfg.get("circulations")
@@ -70,6 +74,16 @@ def _load_custom_config(path: str) -> dict:
         "positions": tuple(complex(x, y) for x, y in positions),
         "circulations": tuple(circulations),
     }
+
+
+def _write(path: str, write) -> None:
+    """Open ``path`` for writing and hand the stream to ``write``, raising
+    InvalidArgument when the file cannot be written."""
+    try:
+        with open(path, "w") as fh:
+            write(fh)
+    except OSError as exc:
+        raise InvalidArgument(f"cannot write {path}: {exc}") from exc
 
 
 def _build(args) -> object:
@@ -95,8 +109,7 @@ def _cmd_analyze(args) -> int:
     )
     text = report_to_json(report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, lambda fh: fh.write(text))
     else:
         print(text)
     return EXIT_OK
@@ -111,10 +124,11 @@ def _cmd_sweep(args) -> int:
         m=getattr(args, "m", None),
         casimir_subset=args.casimirs,
     )
+    text = sweep_to_csv(table)
     if args.out:
-        emit(table, "csv", args.out)
+        _write(args.out, lambda fh: fh.write(text))
     else:
-        sys.stdout.write(sweep_to_csv(table))
+        sys.stdout.write(text)
     for skip in table.skipped:
         print(f"skipped gamma={skip['gamma']}: {skip['note']}", file=sys.stderr)
     return EXIT_OK
@@ -136,7 +150,10 @@ def _cmd_integrate(args) -> int:
     traj = integrate(state, scenario.circ, t_end=args.t_end, dt=args.dt, which=Which.REDUCED)
     if traj.aborted:
         print(f"trajectory aborted: {traj.abort_reason}", file=sys.stderr)
-    trajectory_to_csv(traj, args.out if args.out else sys.stdout)
+    if args.out:
+        _write(args.out, lambda fh: trajectory_to_csv(traj, fh))
+    else:
+        trajectory_to_csv(traj, sys.stdout)
     return EXIT_OK
 
 
@@ -211,8 +228,7 @@ def main(argv=None) -> int:
     except InvalidArgument as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_SCENARIO
-    except (ExcludedParameter, UnsupportedScenario, NotAFixedPoint, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (ExcludedParameter, UnsupportedScenario, NotAFixedPoint, json.JSONDecodeError) as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID_SCENARIO
     except (VortexStabError, np.linalg.LinAlgError) as exc:

@@ -226,7 +226,8 @@ def integrate(
     step, or in the check of a sample, truncates the trajectory before the
     first sample that fails and sets the abort flag; ``abort_reason`` names the
     error with its step and time.  An initial state that fails its check
-    raises, and so do a t_end or dt that is not positive and finite
+    raises, and so do a t_end or dt that is not positive and finite, and a
+    step count t_end / dt whose samples cannot be allocated
     (InvalidArgument).
     """
     if not (0.0 < t_end < np.inf and 0.0 < dt < np.inf):
@@ -251,8 +252,14 @@ def integrate(
         state = unflatten(state, n).entries
     rhs = _right_hand_side(circ, which)
 
-    steps = int(round(t_end / dt))
-    samples = np.empty((steps + 1,) + state.shape, dtype=state.dtype)
+    ratio = t_end / dt
+    if ratio == np.inf:
+        raise InvalidArgument(f"t_end / dt is {ratio} steps, beyond the float range")
+    steps = int(round(ratio))
+    try:
+        samples = np.empty((steps + 1,) + state.shape, dtype=state.dtype)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limits
+        raise InvalidArgument(f"{steps} steps of dt = {dt} do not fit in memory ({exc})") from exc
     samples[0] = state
     failure = None  # (index of the first sample not kept, exception)
     for s in range(steps):

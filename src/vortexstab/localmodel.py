@@ -81,14 +81,10 @@ class LocalModel:
             raise DimensionMismatch(
                 f"mu0 has shape {mu0.entries.shape}, circulations give {len(circs)} x {n} x {n}"
             )
-        if any(c.N != first.N or c.regime is not first.regime for c in circs):
-            raise DimensionMismatch("the circulation sets of a stack must share N and the regime")
         self.mu0, self.circs, self.n, self.casimir_subset = mu0, circs, n, subset
         self.u0, self._along = flatten(mu0), None
-        couplings = [build_coupling_matrix(c) for c in circs]
-        self.coupling = CouplingMatrix(
-            k=np.stack([c.k for c in couplings]), k_inv=np.stack([c.k_inv for c in couplings])
-        )
+        # raises DimensionMismatch for sets that differ in N or the regime
+        self.coupling = build_coupling_matrix(circs)
         gradient = self.hamiltonian.gradient(self.u0)
         self.energy_gradient = FOUR_PI * gradient
         self._g = gradient_entries(gradient, n)

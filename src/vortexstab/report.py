@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .algebra import Circulations, MuMatrix, flatten
+from .algebra import flatten
 from .dynamics import integrate, invariant_drift_report
 from .errors import (
     ExcludedParameter,
@@ -174,23 +174,35 @@ def gamma_sweep(
     circulation.
 
     The points are grouped by shape dimension n and regime (a center of minus
-    the vertex count makes the total circulation zero), and the certificate
-    runs on stacks of up to ``stack_size(n)`` consecutive points of a group;
-    beyond the rows, memory therefore does not grow with the length of the
-    grid.  Excluded parameter values (gamma = 0) are skipped and recorded
-    aside; other per-point failures appear inline as rows with verdict
-    ``error``.  A kind without a center raises UnsupportedScenario, and a
-    grid without points (gamma_max < gamma_min) raises InvalidArgument.
+    the vertex count makes the total circulation zero), and the fixed points,
+    the coupling matrices and the certificate are each built once per stack
+    of up to ``stack_size(n)`` consecutive points of a group; beyond the
+    rows, memory therefore does not grow with the length of the grid.
+    Excluded parameter values (gamma = 0) are skipped and recorded aside.  A
+    point that fails (a collision, a singular coupling matrix, a point that
+    is not a fixed point, ...) appears inline as a row with verdict
+    ``error``, and the rest of its stack goes on.  A kind without a center
+    raises UnsupportedScenario, and a grid without points (gamma_max <
+    gamma_min) raises InvalidArgument.
     """
     rows: list[SweepRow | None] = []
     skipped = []
-    groups: dict[tuple, list[tuple[int, float, Circulations, MuMatrix]]] = {}
+    groups: dict[tuple, list[tuple[int, Scenario]]] = {}
 
     def certify(members: list) -> None:
-        stack = MuMatrix(np.stack([mu0.entries for *_, mu0 in members]))
-        results = energy_casimir_certificate(stack, [c for _, _, c, _ in members], casimir_subset)
-        for (i, gamma, _, _), res in zip(members, results):
-            rows[i] = _sweep_row(gamma, res)
+        while members:
+            try:
+                stack = scenario_fixed_point([scen for _, scen in members])
+                break
+            except VortexStabError as exc:
+                # a point that collides is set aside; the rest stay one stack
+                i, scen = members.pop(exc.sample)
+                rows[i] = _sweep_row(scen.free_parameter, exc)
+        if members:
+            circs = [scen.circ for _, scen in members]
+            results = energy_casimir_certificate(stack, circs, casimir_subset)
+            for (i, scen), res in zip(members, results):
+                rows[i] = _sweep_row(scen.free_parameter, res)
         members.clear()
 
     grid = gamma_grid(gamma_min, gamma_max, step)
@@ -205,19 +217,13 @@ def gamma_sweep(
         if scen.free_parameter is None:
             raise UnsupportedScenario(f"{kind} has no center circulation to sweep")
         rows.append(None)
-        try:
-            mu0 = scenario_fixed_point(scen)
-        except VortexStabError as exc:
-            rows[-1] = _sweep_row(gamma, exc)
-            continue
         circ = scen.circ
         members = groups.setdefault((circ.n, circ.regime), [])
-        members.append((len(rows) - 1, gamma, circ, mu0))
+        members.append((len(rows) - 1, scen))
         if len(members) == stack_size(circ.n):
             certify(members)
     for members in groups.values():
-        if members:
-            certify(members)
+        certify(members)
     return SweepTable(kind=kind, rows=rows, skipped=skipped)
 
 

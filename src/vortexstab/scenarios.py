@@ -10,12 +10,13 @@ rejected because every vortex must have nonzero circulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .algebra import Circulations
+from .algebra import Circulations, MuMatrix
 from .dynamics import moment_map, relative_coordinates
-from .errors import ExcludedParameter, UnsupportedScenario
+from .errors import DimensionMismatch, ExcludedParameter, UnsupportedScenario
 from .hamiltonian import VortexConfiguration
 
 KINDS = (
@@ -102,6 +103,23 @@ def _polygon_with_center(name: str, m: int, gamma: float | None) -> Scenario:
     )
 
 
-def scenario_fixed_point(scenario: Scenario):
-    """Reduced-space point mu0 = J(z) of the scenario geometry."""
-    return moment_map(relative_coordinates(scenario.configuration))
+def scenario_fixed_point(scenario: Scenario | Sequence[Scenario]) -> MuMatrix:
+    """Reduced-space point mu0 = J(z) of the scenario geometry, or the stack
+    of them (leading axis k) for a sequence of k scenarios that share N and
+    the regime.
+
+    One scenario is a stack of one.  The collision checks of the
+    configurations and of their relative coordinates, and the skew check of
+    mu0, run once over the stack and raise for its first scenario that fails
+    them (the error's ``sample``); scenarios that differ in N or the regime
+    raise DimensionMismatch.
+    """
+    scens = [scenario] if isinstance(scenario, Scenario) else list(scenario)
+    first = scens[0].circ
+    if any(s.circ.N != first.N or s.circ.regime is not first.regime for s in scens):
+        raise DimensionMismatch("the scenarios of a stack must share N and the regime")
+    # the reference vortex depends on N and the regime only, so one
+    # circulation set serves the whole stack of positions
+    cfg = VortexConfiguration(np.array([s.positions for s in scens]), first)
+    mu0 = moment_map(relative_coordinates(cfg))
+    return MuMatrix(mu0.entries[0]) if isinstance(scenario, Scenario) else mu0

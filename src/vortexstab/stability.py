@@ -40,6 +40,7 @@ from .errors import (
     NotInOpenSet,
     NotRankOne,
     RankDeficiency,
+    SingularCoupling,
     VortexStabError,
 )
 from .localmodel import (
@@ -308,9 +309,9 @@ def energy_casimir_certificate(
 
     A stack of k points runs each stage once on the points it still has to
     decide and returns a list of k results, where a point that fails a check
-    holds its exception (NotAFixedPoint, NotInOpenSet, DomainError, ...) in
-    place of a result, and a point that is not of the form i z z^* holds
-    NotRankOne.  The constraint Jacobian that checks the multipliers holds
+    holds its exception (NotAFixedPoint, NotInOpenSet, DomainError,
+    SingularCoupling, ...) in place of a result, and a point that is not of
+    the form i z z^* holds NotRankOne.  The constraint Jacobian that checks the multipliers holds
     O(n^4) entries per point, so the caller bounds k (:func:`stack_size`).  A
     subset other than distinct integers >= 1 raises ValueError.
     """
@@ -325,9 +326,10 @@ def energy_casimir_certificate(
             for i, res in zip(rows, _certify(part, tuple([circs[i] for i in rows]), subset)):
                 results[i] = res
             break
-        except DomainError as exc:
-            # a point outside the Hamiltonian's domain fails the field of its
-            # whole stack: it is set aside, and the rest stay one stack
+        except (DomainError, SingularCoupling) as exc:
+            # a point outside the Hamiltonian's domain, or with no reliable
+            # inverse of its coupling matrix, fails the model of its whole
+            # stack: it is set aside, and the rest stay one stack
             results[rows[exc.sample]] = exc
             rows = np.delete(rows, exc.sample)
     if isinstance(circ, Circulations):

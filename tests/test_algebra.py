@@ -17,10 +17,24 @@ from vortexstab.algebra import (
     unflatten,
     unflatten_stack,
 )
-from vortexstab.errors import SingularCoupling
+from vortexstab.errors import DimensionMismatch, SingularCoupling
 def random_skew_hermitian(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return MuMatrix(0.5 * (a - a.conj().T))
+
+
+def random_circulations(rng, size, zero_total, count):
+    """``count`` random circulation sets of ``size`` vortices in one regime."""
+    sets = []
+    while len(sets) < count:
+        g = rng.uniform(0.2, 2.0, size) * rng.choice([-1.0, 1.0], size)
+        if zero_total:
+            g[-1] = -g[:-1].sum()
+        elif abs(g.sum()) < 0.1:
+            continue
+        sets.append(Circulations(tuple(g)))
+    assert {c.regime for c in sets} == {Regime.ZERO_TOTAL if zero_total else Regime.NON_ZERO_TOTAL}
+    return sets
 
 
 class TestCirculations:
@@ -76,6 +90,42 @@ class TestCouplingMatrix:
         # K^-1 = -diag(1/G_i) - 1 1^T / G_N: cond(K) eps is 1.07 and 1.33
         with pytest.raises(SingularCoupling, match="working precision"):
             build_coupling_matrix(Circulations(gammas))
+
+    @pytest.mark.parametrize("gamma", [-3.0, 0.5], ids=["zero-total", "nonzero-total"])
+    def test_stack_equals_one_point_calls(self, gamma):
+        # triangle with center at gamma heads a stack of random sets of N = 4
+        # in its regime; then random stacks of N = 3, 5 and 6
+        rng = np.random.default_rng(11)
+        zero_total = gamma == -3.0
+        triangle = Circulations((1.0, 1.0, 1.0, gamma))
+        stacks = [[triangle] + random_circulations(rng, 4, zero_total, 7)]
+        stacks += [random_circulations(rng, size, zero_total, 5) for size in (3, 5, 6)]
+        for circs in stacks:
+            stack = build_coupling_matrix(circs)
+            assert stack.k.shape == (len(circs), circs[0].n, circs[0].n)
+            assert not (stack.k.flags.writeable or stack.k_inv.flags.writeable)
+            for i, circ in enumerate(circs):
+                one = build_coupling_matrix(circ)
+                np.testing.assert_array_equal(stack.k[i], one.k)
+                np.testing.assert_array_equal(stack.k_inv[i], one.k_inv)
+
+    def test_stack_names_its_singular_member(self):
+        singular = Circulations((1.0, 1.0, 1.0, 1e-17))
+        with pytest.raises(SingularCoupling):
+            build_coupling_matrix(singular)
+        circs = [Circulations((1.0, 1.0, 1.0, 0.5)), singular, Circulations((1.0, 1.0, 1.0, 2.0))]
+        with pytest.raises(SingularCoupling) as exc:
+            build_coupling_matrix(circs)
+        assert exc.value.sample == 1
+
+    @pytest.mark.parametrize(
+        "gammas",
+        [[(1.0, 1.0, 1.0, 0.5), (1.0, 1.0, 1.0, -3.0)], [(1.0, 1.0, 1.0, 0.5), (1.0, 1.0, 1.0)]],
+        ids=["regime", "N"],
+    )
+    def test_stack_members_must_share_n_and_regime(self, gammas):
+        with pytest.raises(DimensionMismatch):
+            build_coupling_matrix([Circulations(g) for g in gammas])
 
     def test_determinant_identity_three_vortices(self):
         # det K = G1*G2*G3 / (G1+G2+G3), hence K is invertible whenever the

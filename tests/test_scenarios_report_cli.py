@@ -79,6 +79,55 @@ class TestBuildScenario:
     def test_kinds_listing(self):
         assert "custom" in KINDS and "square-with-center" in KINDS
 
+    @pytest.mark.parametrize("kind", ["triangle-with-center", "square-with-center"])
+    def test_fixed_point_stack_equals_one_point_calls(self, kind):
+        scens = [build_scenario(kind, gamma=g) for g in (-2.5, -0.7, 0.5, 1.3, 8.0)]
+        stack = scenario_fixed_point(scens)
+        one = np.stack([scenario_fixed_point(s).entries for s in scens])
+        assert stack.entries.shape == one.shape
+        np.testing.assert_array_equal(stack.entries, one)
+
+    def test_custom_fixed_point_stack_equals_one_point_calls(self):
+        rng = np.random.default_rng(4)
+        scens = [
+            build_scenario(
+                "custom",
+                positions=tuple(rng.standard_normal(5) + 1j * rng.standard_normal(5)),
+                circulations=tuple(rng.uniform(0.5, 2.0, 5)),
+            )
+            for _ in range(6)
+        ]
+        one = np.stack([scenario_fixed_point(s).entries for s in scens])
+        np.testing.assert_array_equal(scenario_fixed_point(tuple(scens)).entries, one)
+
+    @pytest.mark.parametrize("onto", [1, 3], ids=["vertex", "center"])
+    def test_fixed_point_stack_names_its_colliding_member(self, onto):
+        from vortexstab.errors import Collision
+
+        scens = [build_scenario("triangle-with-center", gamma=g) for g in (0.5, 0.7, 0.9)]
+        # vertex 0 of member 2 moved to within 1e-12 of vortex `onto`
+        base = scens[2].positions
+        positions = (base[onto] + 1e-12,) + base[1:]
+        gammas = scens[2].circ.gammas
+        scens[2] = build_scenario("custom", positions=positions, circulations=gammas)
+        with pytest.raises(Collision) as exc:
+            scenario_fixed_point(scens)
+        assert exc.value.sample == 2
+
+    @pytest.mark.parametrize(
+        "gammas",
+        [("triangle-with-center", -3.0), ("square-with-center", 0.5)],
+        ids=["regime", "N"],
+    )
+    def test_fixed_point_stack_members_must_share_n_and_regime(self, gammas):
+        from vortexstab.errors import DimensionMismatch
+
+        kind, gamma = gammas
+        scens = [build_scenario("triangle-with-center", gamma=0.5)]
+        scens.append(build_scenario(kind, gamma=gamma))
+        with pytest.raises(DimensionMismatch):
+            scenario_fixed_point(scens)
+
 
 class TestReport:
     def test_json_round_trip_lossless(self):
@@ -307,6 +356,67 @@ class TestSweepStack:
             assert results[i].minors == alone.minors
 
 
+class TestSweepBuilds:
+    """gamma_sweep builds the fixed points and coupling matrices of a stack at
+    once, and sets a point that fails aside."""
+
+    def test_one_fixed_point_and_coupling_call_per_stack(self, monkeypatch):
+        # both are wrapped wherever a module binds them, as a tracer does
+        from vortexstab import algebra, localmodel, scenarios
+
+        sizes = {"scenario_fixed_point": [], "build_coupling_matrix": []}
+        modules = [m for name, m in sys.modules.items() if name.startswith("vortexstab")]
+        for owner, name in (
+            (scenarios, "scenario_fixed_point"), (algebra, "build_coupling_matrix")
+        ):
+            fn = getattr(owner, name)
+
+            def spy(arg, fn=fn, log=sizes[name]):
+                log.append(len(arg) if isinstance(arg, (list, tuple)) else 1)
+                return fn(arg)
+
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, spy)
+        localmodel.clear_memo()
+        # 13 points: gamma = -4 is a zero-total stack of one (n = 3), the
+        # other 12 one stack of n = 4
+        table = gamma_sweep("square-with-center", -4.4, -2.0, 0.2)
+        assert len(table.rows) == 13
+        assert {name: sorted(calls) for name, calls in sizes.items()} == {
+            "scenario_fixed_point": [1, 12],
+            "build_coupling_matrix": [1, 12],
+        }
+
+    def test_failing_points_become_error_rows(self, monkeypatch):
+        # gamma = 0.7 collides (vertex 0 on vertex 1) and gamma = 0.9 has a
+        # coupling matrix without an inverse; both share the others' stack
+        from vortexstab import report
+        from vortexstab.algebra import Circulations
+        from vortexstab.scenarios import Scenario
+
+        def build(kind, gamma=None, m=None):
+            scen = build_scenario(kind, gamma=gamma, m=m)
+            if gamma == 0.7:
+                moved = (scen.positions[1] + 1e-12,) + scen.positions[1:]
+                return Scenario(scen.name, moved, scen.circ, gamma)
+            if gamma == 0.9:
+                singular = Circulations((1.0, 1.0, 1.0, 1e-17))
+                return Scenario(scen.name, scen.positions, singular, gamma)
+            return scen
+
+        monkeypatch.setattr(report, "build_scenario", build)
+        table = gamma_sweep("triangle-with-center", 0.3, 1.1, 0.2)
+        assert [r.gamma for r in table.rows] == [0.3, 0.5, 0.7, 0.9, 1.1]
+        assert table.rows[2].verdict == table.rows[3].verdict == "error"
+        assert table.rows[2].note.startswith("Collision: minimum vortex separation")
+        assert table.rows[3].note.startswith("SingularCoupling: ")
+        for row in table.rows[:2] + table.rows[4:]:
+            rep = analyze(build_scenario("triangle-with-center", gamma=row.gamma))
+            assert (row.verdict, row.minors) == (rep.verdict, rep.minors)
+
+
 class TestVersion:
     def test_version_is_the_project_version(self):
         import tomllib
@@ -416,6 +526,41 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("invalid input: t_end and dt must be positive and finite")
+
+    @pytest.mark.parametrize(
+        "times", [("1e12", "1e-3"), ("1e300", "1e-10")], ids=["beyond-memory", "beyond-float"]
+    )
+    def test_integrate_too_many_steps_exit_2(self, times, capsys):
+        args = ["integrate", "--scenario", "triangle-with-center", "--gamma", "0.5"]
+        assert main(args + ["--t-end", times[0], "--dt", times[1]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("invalid input: ") and " steps" in err
+
+    @pytest.mark.parametrize("where", ["directory", "missing"])
+    def test_unreadable_config_exit_2(self, where, tmp_path, capsys):
+        path = tmp_path if where == "directory" else tmp_path / "no-such.json"
+        assert main(["analyze", "--scenario", "custom", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"invalid input: cannot read config {path}")
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["analyze", "--scenario", "triangle-with-center", "--gamma", "0.5"],
+            ["sweep", "--scenario", "triangle-with-center", "--from", "0.5", "--to", "0.5",
+             "--step", "0.1"],
+            ["integrate", "--scenario", "triangle-with-center", "--gamma", "0.5",
+             "--t-end", "0.01", "--dt", "0.01"],
+        ],
+        ids=["analyze", "sweep", "integrate"],
+    )
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_out_exit_2(self, command, where, tmp_path, capsys):
+        path = tmp_path if where == "directory" else tmp_path / "no-such" / "out"
+        assert main(command + ["--out", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"invalid input: cannot write {path}")
 
     def test_value_error_of_a_computation_is_not_invalid_input(self, monkeypatch):
         # only the typed input errors exit 2; a ValueError raised while the
