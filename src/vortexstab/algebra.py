@@ -226,14 +226,20 @@ def build_coupling_matrix(circ: Circulations | Sequence[Circulations]) -> Coupli
     Zero total circulation:  n = N-2 and
         K0_ij = -(1/G_N) * (G_i G_j + delta_ij G_i G_N).
 
-    One set is a stack of one, memoised on the last few sets; a stack is not
-    memoised.  An inverse that fails the cond(K) eps test raises
-    SingularCoupling for the first set of the stack that fails it, and sets
-    that differ in N or the regime raise DimensionMismatch.
+    One set is a stack of one, memoised on the last few sets; a sequence of
+    one set reads the same memo, as read-only views with a leading axis of
+    length 1, and a longer stack is not memoised.  An inverse that fails the
+    cond(K) eps test raises SingularCoupling for the first set of the stack
+    that fails it, and sets that differ in N or the regime raise
+    DimensionMismatch.
     """
     if isinstance(circ, Circulations):
         return _one_coupling(circ)
-    return _coupling_stack(tuple(circ))
+    circs = tuple(circ)
+    if len(circs) == 1:
+        one = _one_coupling(circs[0])
+        return CouplingMatrix(k=one.k[None], k_inv=one.k_inv[None])
+    return _coupling_stack(circs)
 
 
 @lru_cache(maxsize=CIRCULATION_CACHE_SIZE)

@@ -59,20 +59,30 @@ def casimir(mu: MuMatrix, k: CouplingMatrix, j: int) -> float:
 
 
 def casimir_values(mu: MuMatrix, k: CouplingMatrix, js: Iterable[int]) -> np.ndarray:
-    """C_j(mu) for each j in js, from one running product of powers of i K mu;
-    shape (..., len(js)) for a stack of matrices (..., n, n)."""
+    """C_j(mu) for each j in js; shape (..., len(js)) for a stack of matrices
+    (..., n, n).  C_j = tr(B^j) with B = mu i K, whose powers have the traces
+    of those of i K mu, and tr(B^(a+b)) is the sum of the entries of
+    B^a * (B^b)^T, so only the powers up to ceil(max j / 2) are formed: one
+    stacked product for j <= 4.  One K for the whole stack makes B one 2-D
+    product."""
     if mu.n != k.n:
         raise DimensionMismatch("mu and coupling matrix differ in size")
     js = list(js)
     if not js or min(js) < 1:
         raise ValueError(f"Casimir indices must be >= 1, got {js}")
-    b = 1j * k.k @ mu.entries
-    p = np.eye(mu.n, dtype=complex)
-    traces = np.empty(mu.entries.shape[:-2] + (max(js),))
-    for r in range(max(js)):
-        p = p @ b
-        traces[..., r] = np.trace(p, axis1=-2, axis2=-1).real
-    return traces[..., [j - 1 for j in js]]
+    m, ik = mu.entries, 1j * k.k
+    b = m.reshape(-1, mu.n).dot(ik).reshape(m.shape) if ik.ndim == 2 else m @ ik
+    powers = [None, b]
+    for _ in range((max(js) + 1) // 2 - 1):
+        powers.append(powers[-1] @ b)
+    traces = np.empty(m.shape[:-2] + (len(js),))
+    for col, j in enumerate(js):
+        if j == 1:
+            traces[..., col] = np.einsum("...ii->...", b).real
+        else:
+            high, low = powers[(j + 1) // 2], powers[j // 2]
+            traces[..., col] = np.einsum("...ik,...ki->...", high, low).real
+    return traces
 
 
 def casimir_gradient(mu: MuMatrix, k: CouplingMatrix, j: int) -> np.ndarray:

@@ -3,10 +3,13 @@
 The right-hand sides of the reduced and the full system are built once per
 circulation set (:func:`_right_hand_side`, memoised like ``reduced_system``),
 with the circulation-only constants folded into constant matrices, so that an
-RK4 stage makes only the numpy calls of the formula.  The reduced system is
-stepped on the complex entries of mu, not on its flattened coordinates, so a
-stage makes no coordinate gathers.  The public :func:`lie_poisson_vector_field`
-and :func:`full_vector_field` call the same operators.
+RK4 stage makes only the numpy calls of the formula.  Both act on real state
+vectors: the (re, im) pairs of the entries of mu, or of the positions, so a
+stage makes no coordinate gathers.  An RK4 step keeps its state and its four
+stages as the rows of one buffer, and forms each stage input and the next
+state as one product of a constant weight row with those rows.  The public
+:func:`lie_poisson_vector_field` and :func:`full_vector_field` call the same
+operators.
 """
 
 from __future__ import annotations
@@ -96,61 +99,82 @@ class Which(enum.Enum):
 
 class _FullField:
     """dq_i/dt = (i/2pi) sum_j G_j / conj(q_i - q_j) for one circulation set,
-    as a sum over the pairs i < j: the differences d = q_i - q_j are q times a
-    constant (N, pairs) incidence matrix, and the circulations are folded into
-    a constant (pairs, N) matrix, so that pair (i, j) adds (i/2pi) G_j /
-    conj(d) to vortex i and -(i/2pi) G_i / conj(d) to vortex j."""
+    as a sum over the pairs i < j, on x, the (re, im) pairs of the positions:
+    the pairs of conj(d), d = q_i - q_j, are x times a constant (2N, 2 pairs)
+    incidence matrix, and the circulations are folded into a constant
+    (2 pairs, 2N) matrix on the pairs of 1/conj(d), so that pair (i, j) adds
+    (i/2pi) G_j / conj(d) to vortex i and -(i/2pi) G_i / conj(d) to vortex j."""
 
     def __init__(self, circ: Circulations):
-        g = circ.as_array()
+        g = circ.as_array() / (2.0 * np.pi)
         i, j, _ = _distance_pairs(circ.N)
         pairs = np.arange(len(i))
-        self._incidence = np.zeros((circ.N, len(pairs)), dtype=complex)
-        self._incidence[i, pairs], self._incidence[j, pairs] = 1.0, -1.0
-        self._coupling = np.zeros((len(pairs), circ.N), dtype=complex)
-        self._coupling[pairs, i] = (1j / (2.0 * np.pi)) * g[j]
-        self._coupling[pairs, j] = (-1j / (2.0 * np.pi)) * g[i]
+        incidence = np.zeros((circ.N, 2, len(pairs), 2))
+        incidence[i, 0, pairs, 0], incidence[j, 0, pairs, 0] = 1.0, -1.0
+        incidence[i, 1, pairs, 1], incidence[j, 1, pairs, 1] = -1.0, 1.0
+        self._incidence = incidence.reshape(2 * circ.N, 2 * len(pairs))
+        # i c (re + i im) = -c im + i c re
+        coupling = np.zeros((len(pairs), 2, circ.N, 2))
+        for vortex, c in ((i, g[j]), (j, -g[i])):
+            coupling[pairs, 1, vortex, 0], coupling[pairs, 0, vortex, 1] = -c, c
+        self._coupling = coupling.reshape(2 * len(pairs), 2 * circ.N)
 
-    def __call__(self, q: np.ndarray) -> np.ndarray:
-        """The velocities at positions q (one configuration or a stack),
-        raising Collision when two vortices are within COLLISION_TOL (read at
-        each call)."""
-        d = q.dot(self._incidence)
+    def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The velocities at positions x, the (re, im) pairs of one
+        configuration or of a stack, as pairs again (into ``out`` when
+        given), raising Collision when two vortices are within COLLISION_TOL
+        (read at each call)."""
+        d = x.dot(self._incidence).view(complex)
         size = np.abs(d)
         nearest = size.flat[size.argmin()]  # min(), without its Python wrapper
         if nearest <= COLLISION_TOL:
             raise Collision(f"minimum vortex separation {nearest:.3e}")
-        return (1.0 / d.conj()).dot(self._coupling)
+        return np.reciprocal(d).view(float).dot(self._coupling, out=out)
 
 
 class _ReducedField:
-    """X_h of one circulation set on the entries m of mu (one matrix or a
-    stack of them), through two constant folds of the linear forms F of
-    :func:`reduced_system`: the log arguments are s = m' Fm, m' the (re, im)
-    pairs of the entries, and (dh/dmu) K^-1 = (1/s) Rk, where Rk folds the
-    weights, the -1/(4pi) and the doubled diagonal of :func:`gradient_entries`
-    and K^-1 into F."""
+    """X_h of one circulation set on x, the (re, im) pairs of the entries of
+    mu in row-major order (2n^2 values, one vector or a stack of them),
+    through three constant matrices: the log arguments are s = x Fm, with
+    Fm a fold of the linear forms F of :func:`reduced_system`; (dh/dmu) K^-1
+    = (1/s) Rk, where Rk folds the weights, the -1/(4pi) and the doubled
+    diagonal of :func:`gradient_entries` and K^-1 into F; and the pairs of
+    A^H - A are a' S for the pairs a' of A, with S a matrix of 0 and +-1."""
 
     def __init__(self, circ: Circulations):
         sys = reduced_system(circ)
         n = circ.n
+        size = 2 * n * n
         # flatten as a (2n^2, n^2) matrix of 0 and +-1 on the (re, im) pairs
-        pick = flatten_stack(np.eye(2 * n * n).view(complex).reshape(2 * n * n, n, n))
+        pick = flatten_stack(np.eye(size).view(complex).reshape(size, n, n))
         self._fm = pick @ sys.forms.T
         r = sys.forms * (-sys.weights / FOUR_PI)[:, None]
         r[:, :n] *= 2.0
         kinv = build_coupling_matrix(circ).k_inv
         self._rk = (unflatten_stack(r, n) @ kinv).reshape(len(r), n * n)
+        # entry e = (i, j) of A^H - A is conj(a_t) - a_e with t = (j, i)
+        e = np.arange(n * n)
+        t = e.reshape(n, n).T.ravel()
+        skew = np.zeros((n * n, 2, n * n, 2))
+        skew[t, 0, e, 0] += 1.0
+        skew[e, 0, e, 0] -= 1.0
+        skew[t, 1, e, 1] -= 1.0
+        skew[e, 1, e, 1] -= 1.0
+        self._skew = skew.reshape(size, size)
+        self._n = n
 
-    def __call__(self, m: np.ndarray) -> np.ndarray:
-        """The entries of X_h = A^H - A, A = mu (dh/dmu) K^-1, at the
-        (contiguous) entries m, raising DomainError outside the reduced
-        Hamiltonian's domain.  X_h is skew-Hermitian to the last bit."""
-        s = m.view(float).reshape(m.shape[:-2] + (self._fm.shape[0],)).dot(self._fm)
+    def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The pairs of X_h = A^H - A, A = mu (dh/dmu) K^-1, at the
+        (contiguous) pairs x, into ``out`` when given, raising DomainError
+        outside the reduced Hamiltonian's domain.  X_h is skew-Hermitian to
+        the last bit: each of its pairs is a sum of two terms, or twice one."""
+        s = x.dot(self._fm)
         if s.flat[s.argmin()] <= LOG_FLOOR:  # min(), without its Python wrapper
             check_arguments(s)
-        a = m @ (1.0 / s).dot(self._rk).reshape(m.shape)
-        return a.conj().swapaxes(-1, -2) - a
+        m = x.view(complex).reshape(x.shape[:-1] + (self._n, self._n))
+        g = np.reciprocal(s).dot(self._rk).reshape(m.shape)
+        a = m.dot(g) if m.ndim == 2 else m @ g
+        return a.view(float).reshape(x.shape).dot(self._skew, out=out)
 
 
 @lru_cache(maxsize=CIRCULATION_CACHE_SIZE)
@@ -162,14 +186,16 @@ def _right_hand_side(circ: Circulations, which: Which) -> _FullField | _ReducedF
 
 def full_vector_field(cfg: VortexConfiguration) -> np.ndarray:
     """Right-hand side of the point-vortex ODE, dq_i/dt."""
-    return _right_hand_side(cfg.circ, Which.FULL)(cfg.as_array())
+    return _right_hand_side(cfg.circ, Which.FULL)(cfg.as_array().view(float)).view(complex)
 
 
 def lie_poisson_vector_field(mu: MuMatrix, circ: Circulations) -> MuMatrix:
     """X_h(mu) = -mu (dh/dmu) K^-1 + K^-1 (dh/dmu) mu."""
     if mu.n != circ.n:
         raise DimensionMismatch(f"mu is {mu.n}x{mu.n}, circulations give n={circ.n}")
-    return MuMatrix(_right_hand_side(circ, Which.REDUCED)(mu.entries))
+    m = mu.entries
+    x = m.view(float).reshape(m.shape[:-2] + (2 * mu.n * mu.n,))
+    return MuMatrix(_right_hand_side(circ, Which.REDUCED)(x).view(complex).reshape(m.shape))
 
 
 @dataclass
@@ -215,20 +241,28 @@ def integrate(
 
     ``initial`` is a flattened shape vector for the reduced system or a
     :class:`VortexConfiguration` (or complex position array) for the full one;
-    a configuration may seed either system.  The reduced system is stepped on
-    the entries of mu (the initial vector is unflattened once), which stay
-    skew-Hermitian to the last bit; its samples are flattened after the last
-    step, so ``states`` holds flattened coordinates.  The loop only steps,
-    storing each state.  Afterwards the Hamiltonian, the Casimirs C_1..C_n and
-    the sup-norm of the rank-one residual are evaluated over the whole stack
-    of samples, with the checks each sample needs: collision, the reduced
-    Hamiltonian's log-argument floor, a skew-Hermitian mu.  A collision or domain error in a
-    step, or in the check of a sample, truncates the trajectory before the
-    first sample that fails and sets the abort flag; ``abort_reason`` names the
-    error with its step and time.  An initial state that fails its check
-    raises, and so do a t_end or dt that is not positive and finite, and a
-    step count t_end / dt whose samples cannot be allocated
-    (InvalidArgument).
+    a configuration may seed either system.  Both systems are stepped on real
+    vectors: the (re, im) pairs of the entries of mu (the initial vector is
+    unflattened once), which stay skew-Hermitian to the last bit, or of the
+    positions.  A step keeps its stages k1..k4 and the state x as the rows
+    of one (5, D) buffer; each stage input, and the next state, is one
+    product of a constant weight row with rows of this step:
+
+        (dt/2) k1 + x,   (dt/2) k2 + x,   dt k3 + x,
+        (dt/6) k1 + (dt/3) k2 + (dt/3) k3 + (dt/6) k4 + x.
+
+    The loop only steps, storing each state.  Afterwards the reduced samples
+    are flattened once, so ``states`` holds flattened coordinates, and the
+    full ones are viewed as complex positions.  The Hamiltonian, the
+    Casimirs C_1..C_n and the sup-norm of the rank-one residual are
+    evaluated over the whole stack of samples, with the checks each sample
+    needs: collision, the reduced Hamiltonian's log-argument floor, a
+    skew-Hermitian mu.  A collision or domain error in a step, or in the
+    check of a sample, truncates the trajectory before the first sample that
+    fails and sets the abort flag; ``abort_reason`` names the error with its
+    step and time.  An initial state that fails its check raises, and so do
+    a t_end or dt that is not positive and finite, and a step count
+    t_end / dt whose samples cannot be allocated (InvalidArgument).
     """
     if not (0.0 < t_end < np.inf and 0.0 < dt < np.inf):
         raise InvalidArgument(f"t_end and dt must be positive and finite, got {t_end}, {dt}")
@@ -257,23 +291,33 @@ def integrate(
         raise InvalidArgument(f"t_end / dt is {ratio} steps, beyond the float range")
     steps = int(round(ratio))
     try:
-        samples = np.empty((steps + 1,) + state.shape, dtype=state.dtype)
+        samples = np.empty((steps + 1, 2 * state.size))
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limits
         raise InvalidArgument(f"{steps} steps of dt = {dt} do not fit in memory ({exc})") from exc
-    samples[0] = state
+    samples[0] = state.view(float).ravel()
+    # rows 0..3 the stages of this step, row 4 the state: BLAS adds the rows
+    # in order, so the increment is summed at its own scale and rounded once
+    # at the state's, as in the classical combination.  The rows each product
+    # reads are views (strided, which BLAS reads in place), taken once
+    rows = np.empty((5, samples.shape[1]))
+    k1, k2, k3, k4, x = rows
+    x[:] = samples[0]
+    first, second, third = rows[0::4], rows[1::3], rows[2::2]
+    half, whole = np.array([dt / 2.0, 1.0]), np.array([dt, 1.0])
+    combine = np.array([dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0, 1.0])
     failure = None  # (index of the first sample not kept, exception)
     for s in range(steps):
         try:
-            k1 = rhs(state)
-            k2 = rhs(state + 0.5 * dt * k1)
-            k3 = rhs(state + 0.5 * dt * k2)
-            k4 = rhs(state + dt * k3)
+            rhs(x, out=k1)
+            rhs(half.dot(first), out=k2)
+            rhs(half.dot(second), out=k3)
+            rhs(whole.dot(third), out=k4)
         except (Collision, DomainError) as exc:
             failure = (s + 1, exc)
             samples = samples[: s + 1]
             break
-        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        samples[s + 1] = state
+        x[:] = combine.dot(rows, out=samples[s + 1])
+    samples = samples.view(complex).reshape((len(samples),) + state.shape)
 
     # a check raises for the first sample of the stack that fails it; the
     # trajectory ends before that sample and the samples kept are checked

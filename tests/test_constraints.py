@@ -37,6 +37,18 @@ def random_mu(rng, n):
     return MuMatrix(0.5 * (a - a.conj().T))
 
 
+def running_product_casimirs(mus, k, js):
+    """tr((i K mu)^j) for each j in js, from one running product of the
+    powers of i K mu, one matmul per power; over a stack of matrices."""
+    b = 1j * k @ mus
+    p = np.eye(mus.shape[-1], dtype=complex)
+    traces = []
+    for _ in range(max(js)):
+        p = p @ b
+        traces.append(np.trace(p, axis1=-2, axis2=-1).real)
+    return np.stack([traces[j - 1] for j in js], axis=-1)
+
+
 class TestCasimirs:
     def test_linear_casimir_closed_form(self):
         # C1 = tr(iK mu) expands to a known linear form for three vortices
@@ -118,6 +130,39 @@ class TestCasimirs:
             c = casimir_values(MuMatrix(1j * np.outer(z, z.conj())), k, order)
             size = (np.abs(z) @ np.abs(k.k) @ np.abs(z)) ** order
             assert np.all(np.abs(c - c[0] ** order) <= 1e-12 * size), (g, c - c[0] ** order)
+
+    @pytest.mark.parametrize(
+        "n,zero_total", [(n, z) for n in range(1, 7) for z in (False, True) if n > 1 or z]
+    )
+    def test_pairing_matches_a_running_product(self, n, zero_total):
+        # tr(B^j) from the powers up to ceil(j / 2) against one matmul per
+        # power, for j = 1..2n+1 in a scrambled order, at seven rank-one
+        # points: one at a time, as a stack with one K, and as a stack with
+        # one K per point; judged against the size of the terms, as above
+        rng = np.random.default_rng(30 + 2 * n + zero_total)
+        while True:
+            g = rng.uniform(0.3, 1.5, n + 2) * rng.choice([-1.0, 1.0], n + 2)
+            if zero_total:
+                g[-1] = -g[:-1].sum()
+                if abs(g[-1]) >= 0.2:
+                    break
+            elif abs(g[:-1].sum()) >= 0.2:
+                g = g[:-1]
+                break
+        circ = Circulations(tuple(g))
+        assert circ.n == n
+        k = build_coupling_matrix(circ)
+        z = rng.uniform(0.3, 1.5, (7, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, (7, n)))
+        mus = 1j * z[:, :, None] * z[:, None, :].conj()
+        js = [2 * n + 1, 1] + list(range(2, 2 * n + 1))[::-1]
+        size = (np.einsum("si,ij,sj->s", np.abs(z), np.abs(k.k), np.abs(z))[:, None]) ** js
+        expected = running_product_casimirs(mus, k.k, js)
+        singles = np.array([casimir_values(MuMatrix(m), k, js) for m in mus])
+        stacked = casimir_values(MuMatrix(mus), k, js)
+        per_point = casimir_values(MuMatrix(mus), build_coupling_matrix([circ] * 7), js)
+        for got in (singles, stacked, per_point):
+            assert got.shape == (7, len(js))
+            assert np.all(np.abs(got - expected) <= 1e-12 * size), np.abs(got - expected) / size
 
     def test_casimir_values_rejects_wrong_coupling_size(self):
         k = build_coupling_matrix(Circulations((1.0, -0.3, 0.8, 1.1)))

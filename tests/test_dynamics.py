@@ -76,17 +76,15 @@ class TestVectorFields:
         cfg = separated_configuration(rng, 5)
         dt = 0.01
 
-        def field(q):
-            return full_vector_field(VortexConfiguration(tuple(q), cfg.circ))
+        def field(x):
+            q = VortexConfiguration(tuple(x.view(complex)), cfg.circ)
+            return full_vector_field(q).view(float)
 
-        q = cfg.as_array()
-        k1 = field(q)
-        k2 = field(q + 0.5 * dt * k1)
-        k3 = field(q + 0.5 * dt * k2)
-        k4 = field(q + dt * k3)
-        expected = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = cfg.as_array().view(float)
+        step, classical = rk4_steps(field, x, dt)
         traj = integrate(cfg, cfg.circ, t_end=dt, dt=dt, which=Which.FULL)
-        np.testing.assert_array_equal(traj.states[1], expected)
+        np.testing.assert_array_equal(traj.states[1], step.view(complex))
+        assert np.abs(step - classical).max() <= 1e-14 * np.abs(x).max()
 
     def test_reduced_field_is_the_rk4_right_hand_side(self):
         # one reduced RK4 step rebuilt from lie_poisson_vector_field, bit for
@@ -94,18 +92,20 @@ class TestVectorFields:
         rng = np.random.default_rng(71)
         cfg = separated_configuration(rng, 5)
         dt = 0.2
+        n = cfg.circ.n
 
-        def field(m):
-            return lie_poisson_vector_field(MuMatrix(m), cfg.circ).entries
+        def field(x):
+            mu = MuMatrix(x.view(complex).reshape(n, n))
+            return lie_poisson_vector_field(mu, cfg.circ).entries.view(float).ravel()
 
-        m = unflatten(flatten(moment_map(relative_coordinates(cfg))), cfg.circ.n).entries
-        k1 = field(m)
-        k2 = field(m + 0.5 * dt * k1)
-        k3 = field(m + 0.5 * dt * k2)
-        k4 = field(m + dt * k3)
-        expected = MuMatrix(m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        m = unflatten(flatten(moment_map(relative_coordinates(cfg))), n).entries
+        x = m.view(float).ravel()
+        step, classical = rk4_steps(field, x, dt)
         traj = integrate(cfg, cfg.circ, t_end=dt, dt=dt, which=Which.REDUCED)
-        np.testing.assert_array_equal(traj.states[1], flatten(expected))
+        np.testing.assert_array_equal(
+            traj.states[1], flatten(MuMatrix(step.view(complex).reshape(n, n)))
+        )
+        assert np.abs(step - classical).max() <= 1e-14 * np.abs(x).max()
 
     def test_reduced_field_invariant_along_rays(self):
         # grad h scales as 1/s along a ray while mu scales as s, so the
@@ -127,6 +127,25 @@ class TestVectorFields:
             assert np.abs(flatten(lie_poisson_vector_field(mu, circ))).max() < 1e-12
 
 
+def rk4_steps(field, x, dt):
+    """One RK4 step from the real state x, twice: with integrate's weight
+    rows and products (the stages and the state as the rows of one buffer),
+    and with the classical combination x + (dt/6)(k1 + 2 k2 + 2 k3 + k4)."""
+    rows = np.empty((5, x.size))
+    rows[4] = x
+    half, whole = np.array([dt / 2.0, 1.0]), np.array([dt, 1.0])
+    rows[0] = field(rows[4])
+    rows[1] = field(half.dot(rows[0::4]))
+    rows[2] = field(half.dot(rows[1::3]))
+    rows[3] = field(whole.dot(rows[2::2]))
+    step = np.array([dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0, 1.0]).dot(rows)
+    k1 = field(x)
+    k2 = field(x + 0.5 * dt * k1)
+    k3 = field(x + 0.5 * dt * k2)
+    k4 = field(x + dt * k3)
+    return step, x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def pairwise_velocities(q, g):
     """dq_i/dt = (i/2pi) sum_j G_j (q_i - q_j) / |q_i - q_j|^2, one pair at a time."""
     v = np.zeros(len(q), dtype=complex)
@@ -142,7 +161,7 @@ def assert_fields_match(cfg):
     1e-13 of the size of each field's terms."""
     circ = cfg.circ
     q, g = cfg.as_array(), circ.as_array()
-    full = dynamics._right_hand_side(circ, Which.FULL)(q)
+    full = dynamics._right_hand_side(circ, Which.FULL)(q.view(float)).view(complex)
     d = np.abs(q[:, None] - q[None, :])
     np.fill_diagonal(d, np.inf)
     scale = (np.abs(g) / d).sum(axis=1).max() / (2 * np.pi)
@@ -153,7 +172,8 @@ def assert_fields_match(cfg):
     grad = gradient_entries(reduced_system(circ).gradient(flatten(mu)), circ.n)
     kinv = build_coupling_matrix(circ).k_inv
     expected = dynamics._lie_poisson_entries(mu.entries, grad, kinv)
-    reduced = dynamics._right_hand_side(circ, Which.REDUCED)(mu.entries)
+    pairs = dynamics._right_hand_side(circ, Which.REDUCED)(mu.entries.view(float).ravel())
+    reduced = pairs.view(complex).reshape(mu.entries.shape)
     scale = local_model(mu, circ).scale[0]
     assert np.abs(reduced - expected).max() <= 1e-13 * scale
     np.testing.assert_array_equal(reduced.conj().T, -reduced)
@@ -181,7 +201,7 @@ class TestCachedRightHandSides:
             reduced_system(circ).gradient(u)
         mu = unflatten(u, 2)
         for field in (
-            lambda: dynamics._right_hand_side(circ, Which.REDUCED)(mu.entries),
+            lambda: dynamics._right_hand_side(circ, Which.REDUCED)(mu.entries.view(float).ravel()),
             lambda: lie_poisson_vector_field(mu, circ),
         ):
             with pytest.raises(DomainError) as got:
@@ -189,7 +209,7 @@ class TestCachedRightHandSides:
             assert str(got.value) == str(expected.value)
         q = np.array([0j, 1e-12, 1.0])
         with pytest.raises(Collision) as got:
-            dynamics._right_hand_side(circ, Which.FULL)(q)
+            dynamics._right_hand_side(circ, Which.FULL)(q.view(float))
         assert str(got.value) == f"minimum vortex separation {min_separation(q):.3e}"
 
     @pytest.mark.parametrize("which", list(Which))
@@ -344,6 +364,48 @@ class TestIntegration:
                           (1.0, np.inf), (1.0, -np.inf)):
             with pytest.raises(InvalidArgument, match="t_end and dt must be positive and finite"):
                 integrate(np.ones(4), circ, t_end=t_end, dt=dt)
+
+
+class TestStepping:
+    """integrate builds its right-hand side once, calls it four times a step
+    and steps in one buffer; both the operator and its calls are spied on
+    where dynamics binds them, as a tracer does."""
+
+    @pytest.mark.parametrize("which", list(Which))
+    def test_one_operator_four_calls_a_step_and_no_growth(self, monkeypatch, which):
+        import itertools
+        import tracemalloc
+
+        steps = 300
+        name = "_FullField" if which is Which.FULL else "_ReducedField"
+        built, calls, held = [], itertools.count(), np.zeros(4 * steps + 1, dtype=np.int64)
+
+        class Spied(getattr(dynamics, name)):
+            def __init__(self, circ):
+                built.append(circ)
+                super().__init__(circ)
+
+            def __call__(self, x, out=None):
+                held[next(calls)] = tracemalloc.get_traced_memory()[0]
+                return super().__call__(x, out)
+
+        monkeypatch.setattr(dynamics, name, Spied)
+        dynamics._right_hand_side.cache_clear()
+        cfg = separated_configuration(np.random.default_rng(72), 4)
+        tracemalloc.start()
+        try:
+            traj = integrate(cfg, cfg.circ, t_end=steps * 1e-3, dt=1e-3, which=which)
+        finally:
+            tracemalloc.stop()
+            dynamics._right_hand_side.cache_clear()
+        assert not traj.aborted and len(traj) == steps + 1
+        assert built == [cfg.circ]
+        assert next(calls) == 4 * steps
+        # the memory held at the first stage of a step does not grow with the
+        # steps: no per-step list of arrays (one array of 2n^2 floats and its
+        # list slot alone would add 300 x 128 bytes)
+        first_stages = held[4 : 4 * steps : 4]
+        assert first_stages.max() - first_stages.min() < 2048, np.diff(first_stages)
 
 
 def stacked_configurations(n_vortices, zero_total):

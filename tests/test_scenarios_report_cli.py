@@ -389,6 +389,33 @@ class TestSweepBuilds:
             "build_coupling_matrix": [1, 12],
         }
 
+    def test_one_point_analyze_reads_the_coupling_memo(self):
+        # a one-point certificate asks for the coupling matrices of a stack
+        # of one set, which reads the one-set memo: K is not built again
+        from vortexstab import localmodel
+        from vortexstab.algebra import build_coupling_matrix
+        from vortexstab.localmodel import local_model
+
+        scen = build_scenario("square-with-center", gamma=0.37)
+        mu0 = scenario_fixed_point(scen)
+        couplings, counts = [], []
+        for _ in range(2):
+            localmodel.clear_memo()
+            before = build_coupling_matrix.cache_info()
+            analyze(scen)
+            after = build_coupling_matrix.cache_info()
+            counts.append((after.hits - before.hits, after.misses - before.misses))
+            couplings.append(local_model(mu0, scen.circ).coupling)
+        assert counts[1][0] >= 1 and counts[1][1] == 0
+        first, second = couplings
+        for a, b in ((first.k, second.k), (first.k_inv, second.k_inv)):
+            assert a.shape == (1, 4, 4) and not a.flags.writeable
+            np.testing.assert_array_equal(a, b)
+            assert np.shares_memory(a, b)
+        single = build_coupling_matrix(scen.circ)
+        np.testing.assert_array_equal(first.k[0], single.k)
+        np.testing.assert_array_equal(first.k_inv[0], single.k_inv)
+
     def test_failing_points_become_error_rows(self, monkeypatch):
         # gamma = 0.7 collides (vertex 0 on vertex 1) and gamma = 0.9 has a
         # coupling matrix without an inverse; both share the others' stack
