@@ -1,9 +1,10 @@
 """Vortex dynamics: full ODE, relative coordinates, moment map, RK4 integration.
 
 The right-hand sides of the reduced and the full system are built once per
-circulation set (:func:`_right_hand_side`, memoised like ``reduced_system``),
-with the circulation-only constants folded into constant matrices, so that an
-RK4 stage makes only the numpy calls of the formula.  Both act on real state
+circulation set (:func:`_right_hand_side`, memoised on the last few sets,
+both systems of a set in one entry), with the circulation-only constants
+folded into constant matrices, so that an RK4 stage makes only the numpy
+calls of the formula.  Both act on real state
 vectors: the (re, im) pairs of the entries of mu, or of the positions, so a
 stage makes no coordinate gathers.  An RK4 step keeps its state and its four
 stages as the rows of one buffer, and forms each stage input and the next
@@ -136,10 +137,13 @@ class _ReducedField:
     """X_h of one circulation set on x, the (re, im) pairs of the entries of
     mu in row-major order (2n^2 values, one vector or a stack of them),
     through three constant matrices: the log arguments are s = x Fm, with
-    Fm a fold of the linear forms F of :func:`reduced_system`; (dh/dmu) K^-1
-    = (1/s) Rk, where Rk folds the weights, the -1/(4pi) and the doubled
-    diagonal of :func:`gradient_entries` and K^-1 into F; and the pairs of
-    A^H - A are a' S for the pairs a' of A, with S a matrix of 0 and +-1."""
+    Fm the linear forms F of :func:`reduced_system` gathered at the pairs;
+    (dh/dmu) K^-1 = (1/s) Rk, where Rk folds the weights, the -1/(4pi) and
+    the doubled diagonal of :func:`gradient_entries` and K^-1 into the forms
+    scattered back to the coordinates; and the pairs of A^H - A are a' S for
+    the pairs a' of A, with S a matrix of 0 and +-1.  Each entry of Fm and of
+    the scattered forms is one exact product, so the folds do not depend on
+    the order of any sum."""
 
     def __init__(self, circ: Circulations):
         sys = reduced_system(circ)
@@ -147,8 +151,9 @@ class _ReducedField:
         size = 2 * n * n
         # flatten as a (2n^2, n^2) matrix of 0 and +-1 on the (re, im) pairs
         pick = flatten_stack(np.eye(size).view(complex).reshape(size, n, n))
-        self._fm = pick @ sys.forms.T
-        r = sys.forms * (-sys.weights / FOUR_PI)[:, None]
+        self._fm = sys._gather(pick)
+        # row t is the form c_t times -w_t / 4pi: every entry is one product
+        r = sys._scatter(np.diag(-sys.weights / FOUR_PI))
         r[:, :n] *= 2.0
         kinv = build_coupling_matrix(circ).k_inv
         self._rk = (unflatten_stack(r, n) @ kinv).reshape(len(r), n * n)
@@ -178,10 +183,24 @@ class _ReducedField:
 
 
 @lru_cache(maxsize=CIRCULATION_CACHE_SIZE)
+def _operators(circ: Circulations) -> dict[Which, _FullField | _ReducedField]:
+    """The right-hand sides of one circulation set built so far, by system."""
+    return {}
+
+
 def _right_hand_side(circ: Circulations, which: Which) -> _FullField | _ReducedField:
     """The RK4 right-hand side on raw state arrays, built once per
-    circulation set and memoised on the last few."""
-    return _FullField(circ) if which is Which.FULL else _ReducedField(circ)
+    circulation set; both systems of a set share one memo entry, and the
+    memo keeps the last few sets."""
+    operators = _operators(circ)
+    if which not in operators:
+        # two threads may both build it; setdefault keeps the first
+        operators.setdefault(which, _FullField(circ) if which is Which.FULL else _ReducedField(circ))
+    return operators[which]
+
+
+_right_hand_side.cache_info = _operators.cache_info
+_right_hand_side.cache_clear = _operators.cache_clear
 
 
 def full_vector_field(cfg: VortexConfiguration) -> np.ndarray:

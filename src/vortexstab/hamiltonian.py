@@ -6,6 +6,14 @@ the shape matrix and each ``c_t`` is a constant linear form (a squared
 inter-vortex distance expressed in shape coordinates).  Gradients and Hessians
 are therefore exact closed forms.
 
+Almost every form has at most three nonzero coefficients: mu_i for a
+reference vortex, and mu_i + mu_j - 2 x_ij for the pair i < j.  These are
+stored as indices, not as rows of n^2 coefficients; only the n + 1 forms of
+the zero-total regime are dense.  The form values at u are gathered from u,
+the gradient is scattered back onto the coordinates, and the Hessian along a
+basis is a gather of the basis columns, scaled, and scattered back, with no
+(terms x n^2) array.
+
 The zero-total-circulation Hamiltonian assumes zero linear impulse, which is
 how the positions of the two reference vortices are recovered from the
 relative coordinates.
@@ -86,10 +94,11 @@ class VortexConfiguration:
 
 
 def _weighted_log_sum(w: np.ndarray, s: np.ndarray) -> float | np.ndarray:
-    """-(1/4pi) sum_t w_t ln s_t over the last axis of s.  A stack of
-    contiguous rows gives each sample the same bits as a single dot product
-    (BLAS sums a strided row in another order)."""
-    h = -(w @ np.ascontiguousarray(np.log(s))[..., None])[..., 0] / FOUR_PI
+    """-(1/4pi) sum_t w_t ln s_t over the last axis of s, with w one row of
+    weights or a row per sample.  A stack of contiguous rows gives each
+    sample the same bits as a single dot product (BLAS sums a strided row in
+    another order)."""
+    h = -(w[..., None, :] @ np.ascontiguousarray(np.log(s))[..., None])[..., 0, 0] / FOUR_PI
     return h if h.ndim else float(h)
 
 
@@ -106,26 +115,76 @@ class ReducedHamiltonian:
     """Reduced Hamiltonian of a circulation set in log-linear-form shape.
 
     ``value``/``gradient``/``hessian`` act on the flattened coordinate vector
-    ``u`` of length ``n**2``; ``value`` also on a stack of them.  ``forms``
-    (terms, n**2) holds the linear forms c_t and ``weights`` (terms,) the w_t.
-    Built from a sequence of k circulation sets that share N and the regime,
-    it is a stack of k Hamiltonians: ``gradient`` and ``hessian`` then take u
+    ``u`` of length ``n**2``; ``value`` also on a stack of them.  ``weights``
+    (terms,) holds the w_t, in the order of the forms: the n reference forms,
+    the n + 1 forms of the zero-total regime, then the pair forms.  Only the
+    zero-total forms are stored dense, as ``dense`` (n + 1, n**2).  A
+    reference form is the coordinate mu_i, and the form of the pair i < j is
+    u[i] + u[j] - 2 u[x_ij] for the index triple (i, j, x_ij) of
+    :func:`_distance_pairs`: its vertices are the ones of
+    :func:`_vertex_columns`, and x_ij = n + 2p for pair p.  Built from a
+    sequence of k circulation sets that share N and the regime, it is a
+    stack of k Hamiltonians that share those indices and hold k rows of
+    weights (and k dense blocks): ``gradient`` and ``hessian`` then take u
     of shape (k, n**2) and evaluate Hamiltonian i at row i.
     """
 
     def __init__(self, circ: Circulations | Sequence[Circulations]):
         first = circ if isinstance(circ, Circulations) else circ[0]
-        self.n = first.n
+        n = self.n = first.n
         gammas = first.gammas if isinstance(circ, Circulations) else [c.gammas for c in circ]
-        forms, weights = _log_terms(np.asarray(gammas, dtype=float), first.regime)
-        # row-major whatever the stack size, so that BLAS sums each
-        # Hamiltonian of a stack in the same order
-        self.forms = np.ascontiguousarray(forms)  # (..., terms, n**2)
-        self._forms_t = self.forms.swapaxes(-1, -2)
-        self.weights = weights                    # (..., terms)
+        g = np.asarray(gammas, dtype=float)
+        i, j, _ = _distance_pairs(n)
+        # pairs (i, ref) with the reference vortex ref = n + 1 (N, or N-1 when
+        # the total circulation vanishes): |z_i|^2 = mu_i
+        weights = [g[..., :n] * g[..., n, None]]
+        self.dense = None
+        if first.regime is Regime.ZERO_TOTAL:
+            gN = g[..., n + 1, None]
+            # pairs (i, N): q_N recovered from zero linear impulse, w = -(1/G_N)
+            # sum_j G_j z_j, so |z_i - w|^2 = |sum_j (G_j + G_N delta_ij) z_j|^2 / G_N^2;
+            # then the pair (N-1, N): |w|^2
+            a = np.concatenate(
+                [g[..., None, :n] + gN[..., None] * np.eye(n), g[..., None, :n]], axis=-2
+            )
+            # row-major whatever the stack size, so that BLAS sums each
+            # Hamiltonian of a stack in the same order
+            self.dense = np.ascontiguousarray(_squared_norm_form(a) / (gN**2)[..., None])
+            weights.append(g[..., : n + 1] * gN)
+        # pairs among vortices 1..n: |z_i - z_j|^2 = mu_i + mu_j - 2 x_ij
+        weights.append(g[..., i] * g[..., j])
+        self.weights = np.concatenate(weights, axis=-1)  # (..., terms)
+        self._pairs_from = self.weights.shape[-1] - len(i)
+
+    def _gather(self, rows: np.ndarray) -> np.ndarray:
+        """The forms at each row of ``rows`` (..., r, n^2), as (..., r, terms):
+        for the identity, the forms' transpose.  The mu_i terms are one
+        product with :func:`_vertex_columns`, where each entry sums at most
+        two terms, u_i + u_j for a pair, so in any order."""
+        n, start = self.n, self._pairs_from
+        out = rows[..., :n] @ _vertex_columns(n, self.dense is not None).T
+        out[..., start:] -= 2.0 * rows[..., n::2]
+        if self.dense is not None:
+            out[..., n:start] = rows @ self.dense.swapaxes(-1, -2)
+        return out
+
+    def _scatter(self, values: np.ndarray) -> np.ndarray:
+        """sum_t values_t c_t for each row of ``values`` (..., r, terms), as
+        (..., r, n^2).  Coordinate x_ij reads its pair only.  mu_i sums its
+        reference form and its n - 1 pairs in one product with
+        :func:`_vertex_columns`, a product per row block of one shape
+        whatever the stack, so that each Hamiltonian of a stack gets the bits
+        of a stack of one."""
+        n, start = self.n, self._pairs_from
+        out = np.zeros(values.shape[:-1] + (n * n,))
+        out[..., :n] = values @ _vertex_columns(n, self.dense is not None)
+        out[..., n::2] = -2.0 * values[..., start:]
+        if self.dense is not None:
+            out += values[..., n:start] @ self.dense
+        return out
 
     def _arguments(self, u: np.ndarray) -> np.ndarray:
-        s = (self.forms @ u[..., None])[..., 0]
+        s = self._gather(u[..., None, :])[..., 0, :]
         check_arguments(s)
         return s
 
@@ -134,23 +193,26 @@ class ReducedHamiltonian:
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         s = self._arguments(u)
-        return -(self._forms_t @ (self.weights / s)[..., None])[..., 0] / FOUR_PI
+        return -self._scatter((self.weights / s)[..., None, :])[..., 0, :] / FOUR_PI
 
     def gradient_bound(self, u: np.ndarray) -> np.ndarray:
         """The gradient with every weight w_t replaced by |w_t|: the size of
         its terms, which circulations of both signs let cancel in the gradient."""
         s = self._arguments(u)
-        return (self._forms_t @ (np.abs(self.weights) / s)[..., None])[..., 0] / FOUR_PI
+        return self._scatter((np.abs(self.weights) / s)[..., None, :])[..., 0, :] / FOUR_PI
 
     def hessian(self, u: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
         """Hess h = F^T diag(w / s^2) F / 4pi, F the forms and s = F u; with
         ``basis`` (rows are directions, one stack of them per Hamiltonian of
-        a stack) ``basis @ Hess h``, taken through F without the n^2 x n^2
-        matrix."""
+        a stack) ``basis @ Hess h``.  Either is the forms gathered at the
+        rows (the basis, or the identity), scaled by w / s^2, and scattered
+        back: three columns of a row per pair form, with no dense form."""
         s = self._arguments(u)
-        scale = (self.weights / s**2)[..., None, :]
-        scaled = self._forms_t * scale if basis is None else (basis @ self._forms_t) * scale
-        return scaled @ self.forms / FOUR_PI
+        if basis is None:
+            size = self.n * self.n
+            basis = np.broadcast_to(np.eye(size), s.shape[:-1] + (size, size))
+        scaled = self._gather(basis) * (self.weights / s**2)[..., None, :]
+        return self._scatter(scaled) / FOUR_PI
 
 
 @lru_cache(maxsize=None)
@@ -164,6 +226,21 @@ def _distance_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, j, x
 
 
+@lru_cache(maxsize=None)
+def _vertex_columns(n: int, zero_total: bool) -> np.ndarray:
+    """(terms, n): the coefficients of mu_1..mu_n in the reference and pair
+    forms, all ones, with zero rows for the n + 1 dense forms of the
+    zero-total regime."""
+    i, j, _ = _distance_pairs(n)
+    start = 2 * n + 1 if zero_total else n
+    columns = np.zeros((start + len(i), n))
+    columns[np.arange(n), np.arange(n)] = 1.0
+    pairs = start + np.arange(len(i))
+    columns[pairs, i] = columns[pairs, j] = 1.0
+    columns.setflags(write=False)
+    return columns
+
+
 def _squared_norm_form(a: np.ndarray) -> np.ndarray:
     """Coefficients of |sum_j a_j z_j|^2 = sum_j a_j^2 mu_j + sum_{j<k} 2 a_j a_k x_jk
     in shape coordinates, over the last axis of a."""
@@ -173,35 +250,6 @@ def _squared_norm_form(a: np.ndarray) -> np.ndarray:
     c[..., :n] = a**2
     c[..., x] = 2.0 * a[..., i] * a[..., j]
     return c
-
-
-def _log_terms(g: np.ndarray, regime: Regime) -> tuple[np.ndarray, np.ndarray]:
-    """Linear forms (squared distances) and circulation-product weights for
-    the circulations on the last axis of g (leading axes index a stack)."""
-    n = g.shape[-1] - (1 if regime is Regime.NON_ZERO_TOTAL else 2)
-    i, j, x = _distance_pairs(n)
-    eye = np.eye(n, n * n)
-    lead = g.shape[:-1]
-    # pairs (i, ref) with the reference vortex ref = n + 1 (N, or N-1 when the
-    # total circulation vanishes): |z_i|^2 = mu_i
-    forms = [np.broadcast_to(eye, lead + eye.shape)]
-    weights = [g[..., :n] * g[..., n, None]]
-    if regime is Regime.ZERO_TOTAL:
-        gN = g[..., n + 1, None]
-        # pairs (i, N): q_N recovered from zero linear impulse, w = -(1/G_N)
-        # sum_j G_j z_j, so |z_i - w|^2 = |sum_j (G_j + G_N delta_ij) z_j|^2 / G_N^2;
-        # then the pair (N-1, N): |w|^2
-        a = np.concatenate(
-            [g[..., None, :n] + gN[..., None] * np.eye(n), g[..., None, :n]], axis=-2
-        )
-        forms.append(_squared_norm_form(a) / (gN**2)[..., None])
-        weights.append(g[..., : n + 1] * gN)
-    # pairs among vortices 1..n: |z_i - z_j|^2 = mu_i + mu_j - 2 x_ij
-    pair = eye[i] + eye[j]
-    pair[np.arange(len(i)), x] = -2.0
-    forms.append(np.broadcast_to(pair, lead + pair.shape))
-    weights.append(g[..., i] * g[..., j])
-    return np.concatenate(forms, axis=-2), np.concatenate(weights, axis=-1)
 
 
 @lru_cache(maxsize=CIRCULATION_CACHE_SIZE)

@@ -79,7 +79,7 @@ def analyze(
         rep = invariant_drift_report(traj)
         drift = {
             "hamiltonian_max": rep.hamiltonian_max,
-            "casimir_max": [float(x) for x in rep.casimir_max],
+            "casimir_max": rep.casimir_max.tolist(),
             "residual_max": rep.residual_max,
             "t_end": drift_t_end,
             "dt": drift_dt,
@@ -91,17 +91,15 @@ def analyze(
         free_parameter=scenario.free_parameter,
         regime=circ.regime.name,
         casimir_subset=list(casimir_subset),
-        fixed_point=[float(x) for x in flatten(mu0)],
+        fixed_point=flatten(mu0).tolist(),
         fixed_point_residual=res.residual,
-        spectrum=[[float(z.real), float(z.imag)] for z in res.spectrum],
+        spectrum=np.stack([res.spectrum.real, res.spectrum.imag], axis=-1).tolist(),
         verdict=res.verdict.value,
         reason=res.reason,
         multipliers=mult,
-        minors=None if res.minors is None else [float(m) for m in res.minors],
+        minors=None if res.minors is None else list(res.minors),
         restricted_hessian=(
-            None
-            if res.restricted_hessian is None
-            else [[float(x) for x in row] for row in res.restricted_hessian]
+            None if res.restricted_hessian is None else res.restricted_hessian.tolist()
         ),
         drift=drift,
     )
@@ -143,7 +141,7 @@ def _sweep_row(gamma: float, res: CertificateResult | VortexStabError) -> SweepR
         )
     # an empty leaf spectrum (n = 1) has no growing direction
     max_re = max((float(z.real) for z in res.spectrum), default=0.0)
-    minors = None if res.minors is None else [float(m) for m in res.minors]
+    minors = None if res.minors is None else list(res.minors)
     return SweepRow(gamma=gamma, verdict=res.verdict.value, max_real_part=max_re, minors=minors)
 
 

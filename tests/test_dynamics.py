@@ -217,6 +217,35 @@ class TestCachedRightHandSides:
         first = dynamics._right_hand_side(Circulations((1.0, 2.0, 3.0)), which)
         assert dynamics._right_hand_side(Circulations((1.0, 2.0, 3.0)), which) is first
 
+    def test_a_second_round_builds_nothing(self, monkeypatch):
+        # both systems of a circulation set share one memo entry, so nine
+        # sets, each run on both systems, fit in the memo's bound
+        built = []
+        for name in ("_FullField", "_ReducedField"):
+
+            class Spied(getattr(dynamics, name)):
+                def __init__(self, circ):
+                    built.append(circ)
+                    super().__init__(circ)
+
+            monkeypatch.setattr(dynamics, name, Spied)
+        rng = np.random.default_rng(91)
+        cfgs = [separated_configuration(rng, m, z) for m in (3, 4, 5) for z in (False, True, False)]
+        dynamics._right_hand_side.cache_clear()
+        try:
+            rounds = []
+            for _ in range(2):
+                for cfg in cfgs:
+                    for which in Which:
+                        integrate(cfg, cfg.circ, t_end=2e-3, dt=1e-3, which=which)
+                rounds.append((len(built), dynamics._right_hand_side.cache_info()))
+        finally:
+            dynamics._right_hand_side.cache_clear()
+        (first_built, first), (second_built, second) = rounds
+        assert first_built == second_built == 18
+        assert first.misses == second.misses == 9
+        assert second.hits == first.hits + 18
+
 
 class TestIntegration:
     def test_rk4_fourth_order_convergence(self):

@@ -365,6 +365,25 @@ class TestCertificateWork:
         held = [a for a in held if isinstance(a, np.ndarray)]
         assert len(held) == 4 and max(a.size for a in held) <= 8 * n * n
 
+    def test_reduced_hamiltonian_keeps_no_dense_forms(self):
+        # the pair forms are index triples that the sets of a stack share:
+        # each set holds its weights, O(n^2), and at zero total its
+        # (n + 1) x n^2 block
+        n, k = 20, 3
+        stacks = {
+            n * n: [Circulations((1.0,) * n + (20.0 + c,)) for c in range(k)],
+            (n + 1) * n * n: [Circulations((1.0 + c,) + (1.0,) * n + (-(n + 1.0 + c),)) for c in range(k)],
+        }
+        rng = np.random.default_rng(5)
+        z = rng.uniform(0.5, 1.5, (k, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, (k, n)))
+        u = flatten_stack(1j * z[:, :, None] * z[:, None, :].conj())
+        for largest, circs in stacks.items():
+            system = ReducedHamiltonian(circs)
+            assert circs[0].n == n
+            system.hessian(u, rng.standard_normal((k, 2, n * n)))
+            held = [a for a in vars(system).values() if isinstance(a, np.ndarray)]
+            assert max(a.size for a in held) <= k * largest
+
     def test_certified_large_analyze_reads_the_stored_forms(self, monkeypatch):
         calls = {"hessians": [], "jacobian": []}
         for name, seen in calls.items():
