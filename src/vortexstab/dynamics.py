@@ -3,21 +3,24 @@
 The right-hand sides of the reduced and the full system are built once per
 circulation set (:func:`_right_hand_side`, memoised on the last few sets,
 both systems of a set in one entry), with the circulation-only constants
-folded into constant matrices, so that an RK4 stage makes only the numpy
-calls of the formula.  Both act on real state
-vectors: the (re, im) pairs of the entries of mu, or of the positions, so a
-stage makes no coordinate gathers.  An RK4 step keeps its state and its four
-stages as the rows of one buffer, and forms each stage input and the next
-state as one product of a constant weight row with those rows.  The public
-:func:`lie_poisson_vector_field` and :func:`full_vector_field` call the same
-operators.
+folded into constant matrices.  Both act on real state vectors: the
+(re, im) pairs of the entries of mu, or of the positions, so a stage makes
+no coordinate gathers.  The memoised operators hold only those constants;
+``stages`` allocates the buffers of one run (the products, the reciprocals,
+the complex views of the stage inputs) and returns its stage, which writes
+each numpy call of the formula into them with ``out=``.  An RK4 step keeps
+its state and its four stages as the rows of one buffer, and writes each
+stage input and the next state as one product of a constant weight row with
+those rows.  The public :func:`lie_poisson_vector_field` and
+:func:`full_vector_field` run the same stage, with buffers of their own.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -98,7 +101,19 @@ class Which(enum.Enum):
     REDUCED = "reduced"
 
 
-class _FullField:
+class _Field:
+    """A memoised right-hand side: constant folds only.  ``stages(inputs)``
+    allocates the buffers of one run and returns its stage function; a call
+    evaluates one state with buffers of its own."""
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """The field at the (contiguous) pairs x, one vector or a stack."""
+        out = np.empty(x.shape)
+        self.stages((x,))(0, out)
+        return out
+
+
+class _FullField(_Field):
     """dq_i/dt = (i/2pi) sum_j G_j / conj(q_i - q_j) for one circulation set,
     as a sum over the pairs i < j, on x, the (re, im) pairs of the positions:
     the pairs of conj(d), d = q_i - q_j, are x times a constant (2N, 2 pairs)
@@ -120,20 +135,31 @@ class _FullField:
             coupling[pairs, 1, vortex, 0], coupling[pairs, 0, vortex, 1] = -c, c
         self._coupling = coupling.reshape(2 * len(pairs), 2 * circ.N)
 
-    def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The velocities at positions x, the (re, im) pairs of one
-        configuration or of a stack, as pairs again (into ``out`` when
-        given), raising Collision when two vortices are within COLLISION_TOL
-        (read at each call)."""
-        d = x.dot(self._incidence).view(complex)
-        size = np.abs(d)
-        nearest = size.flat[size.argmin()]  # min(), without its Python wrapper
-        if nearest <= COLLISION_TOL:
-            raise Collision(f"minimum vortex separation {nearest:.3e}")
-        return np.reciprocal(d).view(float).dot(self._coupling, out=out)
+    def stages(self, inputs: Sequence[np.ndarray]) -> Callable[[int, np.ndarray], None]:
+        """``stage(i, out)`` writes the velocities at positions inputs[i]
+        (pairs, all of one shape) into ``out``, raising Collision when two
+        vortices are within COLLISION_TOL (read at each call).  The pairs of
+        conj(d), |d| and 1/conj(d) are buffers of this run."""
+        incidence, coupling = self._incidence, self._coupling
+        conj_pairs = np.empty(inputs[0].shape[:-1] + (incidence.shape[1],))
+        conj_d = conj_pairs.view(complex)
+        size = np.empty(conj_d.shape)
+        inverse = np.empty(conj_d.shape, dtype=complex)
+        inverse_pairs = inverse.view(float)
+
+        def stage(i: int, out: np.ndarray) -> None:
+            inputs[i].dot(incidence, out=conj_pairs)
+            np.abs(conj_d, out=size)
+            nearest = size.item(size.argmin())  # min(), without its Python wrapper
+            if nearest <= COLLISION_TOL:
+                raise Collision(f"minimum vortex separation {nearest:.3e}")
+            np.reciprocal(conj_d, out=inverse)
+            inverse_pairs.dot(coupling, out=out)
+
+        return stage
 
 
-class _ReducedField:
+class _ReducedField(_Field):
     """X_h of one circulation set on x, the (re, im) pairs of the entries of
     mu in row-major order (2n^2 values, one vector or a stack of them),
     through three constant matrices: the log arguments are s = x Fm, with
@@ -168,18 +194,34 @@ class _ReducedField:
         self._skew = skew.reshape(size, size)
         self._n = n
 
-    def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The pairs of X_h = A^H - A, A = mu (dh/dmu) K^-1, at the
-        (contiguous) pairs x, into ``out`` when given, raising DomainError
-        outside the reduced Hamiltonian's domain.  X_h is skew-Hermitian to
-        the last bit: each of its pairs is a sum of two terms, or twice one."""
-        s = x.dot(self._fm)
-        if s.flat[s.argmin()] <= LOG_FLOOR:  # min(), without its Python wrapper
-            check_arguments(s)
-        m = x.view(complex).reshape(x.shape[:-1] + (self._n, self._n))
-        g = np.reciprocal(s).dot(self._rk).reshape(m.shape)
-        a = m.dot(g) if m.ndim == 2 else m @ g
-        return a.view(float).reshape(x.shape).dot(self._skew, out=out)
+    def stages(self, inputs: Sequence[np.ndarray]) -> Callable[[int, np.ndarray], None]:
+        """``stage(i, out)`` writes the pairs of X_h = A^H - A,
+        A = mu (dh/dmu) K^-1, at the (contiguous) pairs inputs[i] (all of
+        one shape) into ``out``, raising DomainError outside the reduced
+        Hamiltonian's domain.  X_h is skew-Hermitian to the last bit: each of
+        its pairs is a sum of two terms, or twice one.  s (then 1/s in
+        place), G = (1/s) Rk with its (n, n) view, A with its pairs and the
+        complex (n, n) view of each input are buffers of this run."""
+        fm, rk, skew, n = self._fm, self._rk, self._skew, self._n
+        lead = inputs[0].shape[:-1]
+        s = np.empty(lead + fm.shape[1:])
+        g = np.empty(lead + (n * n,), dtype=complex)
+        g_matrices = g.reshape(lead + (n, n))
+        a = np.empty(lead + (n, n), dtype=complex)
+        a_pairs = a.view(float).reshape(inputs[0].shape)
+        # mu G, as the 2-D dot of each input's (n, n) view, or a matmul of a stack
+        matrices = (x.view(complex).reshape(lead + (n, n)) for x in inputs)
+        products = [m.dot if not lead else partial(np.matmul, m) for m in matrices]
+
+        def stage(i: int, out: np.ndarray) -> None:
+            inputs[i].dot(fm, out=s)
+            if s.item(s.argmin()) <= LOG_FLOOR:  # min(), without its Python wrapper
+                check_arguments(s)
+            np.reciprocal(s, out=s).dot(rk, out=g)
+            products[i](g_matrices, out=a)
+            a_pairs.dot(skew, out=out)
+
+        return stage
 
 
 @lru_cache(maxsize=CIRCULATION_CACHE_SIZE)
@@ -265,12 +307,16 @@ def integrate(
     unflattened once), which stay skew-Hermitian to the last bit, or of the
     positions.  A step keeps its stages k1..k4 and the state x as the rows
     of one (5, D) buffer; each stage input, and the next state, is one
-    product of a constant weight row with rows of this step:
+    product of a constant weight row with rows of this step, written into a
+    buffer:
 
         (dt/2) k1 + x,   (dt/2) k2 + x,   dt k3 + x,
         (dt/6) k1 + (dt/3) k2 + (dt/3) k3 + (dt/6) k4 + x.
 
-    The loop only steps, storing each state.  Afterwards the reduced samples
+    The stage inputs and every array a stage writes are allocated once per
+    run (``stages`` of the memoised operator, which holds only constants), so
+    a stage allocates nothing and two threads may integrate one circulation
+    set at once.  The loop only steps, storing each state.  Afterwards the reduced samples
     are flattened once, so ``states`` holds flattened coordinates, and the
     full ones are viewed as complex positions.  The Hamiltonian, the
     Casimirs C_1..C_n and the sup-norm of the rank-one residual are
@@ -279,9 +325,12 @@ def integrate(
     skew-Hermitian mu.  A collision or domain error in a step, or in the
     check of a sample, truncates the trajectory before the first sample that
     fails and sets the abort flag; ``abort_reason`` names the error with its
-    step and time.  An initial state that fails its check raises, and so do
-    a t_end or dt that is not positive and finite, and a step count
-    t_end / dt whose samples cannot be allocated (InvalidArgument).
+    step and time.  The run takes round(t_end / dt) steps, so the last
+    sample is at round(t_end / dt) * dt: t_end = 1.0, dt = 0.3 ends at
+    t = 3 dt = 0.9.  An initial state that fails its check raises, and so
+    do a t_end or dt that is not positive and finite, a t_end under half a
+    step (no step to take), and a step count t_end / dt whose samples cannot
+    be allocated (InvalidArgument).
     """
     if not (0.0 < t_end < np.inf and 0.0 < dt < np.inf):
         raise InvalidArgument(f"t_end and dt must be positive and finite, got {t_end}, {dt}")
@@ -303,12 +352,13 @@ def integrate(
         raise DimensionMismatch(f"{which.value} state has shape {state.shape}, expected {shape}")
     if which is Which.REDUCED:
         state = unflatten(state, n).entries
-    rhs = _right_hand_side(circ, which)
 
     ratio = t_end / dt
     if ratio == np.inf:
         raise InvalidArgument(f"t_end / dt is {ratio} steps, beyond the float range")
     steps = int(round(ratio))
+    if steps == 0:
+        raise InvalidArgument(f"t_end = {t_end} is under half a step of dt = {dt}: 0 steps")
     try:
         samples = np.empty((steps + 1, 2 * state.size))
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limits
@@ -317,20 +367,27 @@ def integrate(
     # rows 0..3 the stages of this step, row 4 the state: BLAS adds the rows
     # in order, so the increment is summed at its own scale and rounded once
     # at the state's, as in the classical combination.  The rows each product
-    # reads are views (strided, which BLAS reads in place), taken once
+    # reads are views taken once (numpy copies a strided pair before its
+    # gemv, the one array a stage input makes); the stage inputs y2..y4 and
+    # the stage's buffers are allocated once per run
     rows = np.empty((5, samples.shape[1]))
     k1, k2, k3, k4, x = rows
     x[:] = samples[0]
+    y2, y3, y4 = np.empty((3, samples.shape[1]))
+    stage = _right_hand_side(circ, which).stages((x, y2, y3, y4))
     first, second, third = rows[0::4], rows[1::3], rows[2::2]
     half, whole = np.array([dt / 2.0, 1.0]), np.array([dt, 1.0])
     combine = np.array([dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0, 1.0])
     failure = None  # (index of the first sample not kept, exception)
     for s in range(steps):
         try:
-            rhs(x, out=k1)
-            rhs(half.dot(first), out=k2)
-            rhs(half.dot(second), out=k3)
-            rhs(whole.dot(third), out=k4)
+            stage(0, k1)
+            half.dot(first, out=y2)
+            stage(1, k2)
+            half.dot(second, out=y3)
+            stage(2, k3)
+            whole.dot(third, out=y4)
+            stage(3, k4)
         except (Collision, DomainError) as exc:
             failure = (s + 1, exc)
             samples = samples[: s + 1]

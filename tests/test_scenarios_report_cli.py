@@ -554,6 +554,14 @@ class TestCli:
         assert out == ""
         assert err.startswith("invalid input: t_end and dt must be positive and finite")
 
+    def test_integrate_under_half_a_step_exit_2(self, capsys):
+        # round(0.1 / 0.3) = 0 steps: no trajectory, not a one-row CSV
+        args = ["integrate", "--scenario", "triangle-with-center", "--gamma", "0.5"]
+        assert main(args + ["--t-end", "0.1", "--dt", "0.3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("invalid input: t_end = 0.1 is under half a step of dt = 0.3")
+
     @pytest.mark.parametrize(
         "times", [("1e12", "1e-3"), ("1e300", "1e-10")], ids=["beyond-memory", "beyond-float"]
     )
