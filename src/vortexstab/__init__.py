@@ -6,7 +6,7 @@ Lyapunov stability of relative equilibria through a constrained second-order
 (energy-Casimir) test backed by linear spectra.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .algebra import (
     Circulations,
@@ -22,7 +22,6 @@ from .algebra import (
 from .constraints import (
     casimir,
     casimir_gradient,
-    casimir_hessian,
     casimir_values,
     constraint_jacobian,
     constraint_residuals,
@@ -84,7 +83,6 @@ __all__ = [
     "build_scenario",
     "casimir",
     "casimir_gradient",
-    "casimir_hessian",
     "casimir_values",
     "constraint_jacobian",
     "constraint_residuals",

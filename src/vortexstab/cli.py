@@ -29,19 +29,10 @@ from .errors import (
 )
 from .report import analyze, gamma_sweep, report_to_json, sweep_to_csv
 from .scenarios import KINDS, build_scenario, scenario_fixed_point
-from .stability import casimir_indices
 
 EXIT_OK = 0
 EXIT_INVALID_SCENARIO = 2
 EXIT_NUMERICAL_FAILURE = 3
-
-
-def _parse_casimirs(text: str) -> tuple[int, ...]:
-    """The ``--casimirs`` value; argparse exits 2 on the error it raises."""
-    try:
-        return casimir_indices([int(tok) for tok in text.split(",") if tok.strip()])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
 
 
 def _finite_numbers(value, length: int | None = None) -> bool:
@@ -102,11 +93,7 @@ def _build(args) -> object:
 
 def _cmd_analyze(args) -> int:
     scenario = _build(args)
-    report = analyze(
-        scenario,
-        casimir_subset=args.casimirs,
-        with_drift=args.drift,
-    )
+    report = analyze(scenario, with_drift=args.drift)
     text = report_to_json(report)
     if args.out:
         _write(args.out, lambda fh: fh.write(text))
@@ -122,7 +109,6 @@ def _cmd_sweep(args) -> int:
         args.to,
         args.step,
         m=getattr(args, "m", None),
-        casimir_subset=args.casimirs,
     )
     text = sweep_to_csv(table)
     if args.out:
@@ -189,8 +175,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="analyze one scenario and emit a JSON report")
     add_scenario_args(p)
-    p.add_argument("--casimirs", type=_parse_casimirs, default="1",
-                   help="comma-separated Casimir indices")
     p.add_argument("--drift", action="store_true", help="include an invariant drift summary")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_analyze)
@@ -201,7 +185,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--casimirs", type=_parse_casimirs, default="1")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)
 

@@ -195,7 +195,7 @@ def check_multiplier_reproduction() -> CheckResult:
         count += 1
         circ = Circulations(tuple(g))
         for a0 in (1.0, -1.0):
-            m = solve_multiplier_system(mu0, circ, (1,), a0)
+            m = solve_multiplier_system(mu0, circ, a0=a0)
             got = np.array([m.a[0], m.b[0]])
             expected = np.array([a0 * g.sum(), 0.0])
             worst = max(
@@ -209,7 +209,7 @@ def check_multiplier_reproduction() -> CheckResult:
             scen = build_scenario(kind, gamma=g)
             mu = scenario_fixed_point(scen)
             for a0 in (1.0, -1.0):
-                m = solve_multiplier_system(mu, scen.circ, (1,), a0)
+                m = solve_multiplier_system(mu, scen.circ, a0=a0)
                 got = np.concatenate([m.a, m.constraint_coefficients])
                 expected = closed_form(g, a0)
                 scale = max(1.0, float(np.abs(expected).max()))
@@ -289,8 +289,8 @@ def check_minor_formulas() -> CheckResult:
             scen = build_scenario(kind, gamma=g)
             mu = scenario_fixed_point(scen)
             for a0 in (1.0, -1.0):
-                m = solve_multiplier_system(mu, scen.circ, (1,), a0)
-                rh = restricted_hessian(mu, scen.circ, m, basis, (1,))
+                m = solve_multiplier_system(mu, scen.circ, a0=a0)
+                rh = restricted_hessian(mu, scen.circ, m, basis)
                 got = np.array(sylvester_verdict(rh).minors)
                 expected = closed_form(g, a0)
                 scale = np.maximum(1.0, np.abs(expected))

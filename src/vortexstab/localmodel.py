@@ -1,11 +1,11 @@
 """The linear algebra of the stability certificate at a stack of points.
 
 A :class:`LocalModel` holds, at a stack of k points that share n and the
-regime, and for one Casimir subset, what the stages of a certificate read.
+regime, what the stages of a certificate read.
 The reduced field: the coupling matrices, the stacked reduced Hamiltonian,
 the field residual and the linearization, which applies the energy Hessian
-to a tangent basis through its factored form.  The leaf: the Casimir
-differentials, the leaf built from the moment map mu = phi(z) = i z z^*
+to a tangent basis through its factored form.  The leaf: the differential
+of the Casimir C_1, the leaf built from the moment map mu = phi(z) = i z z^*
 (ranks, tangent bases, multipliers; no matrix wider than 2n columns is
 factored), the multiplier residual, the one place the constraint Jacobian is
 read, and the restricted Hessian.  One stack is memoised, on the content of
@@ -37,9 +37,7 @@ from .algebra import (
 from .constraints import (
     RANK_THRESHOLD,
     casimir_gradient,
-    casimir_hessian,
     constraint_system,
-    independent,
     row_rank,
 )
 from .dynamics import _lie_poisson_entries
@@ -49,39 +47,38 @@ from .hamiltonian import FOUR_PI, ReducedHamiltonian, _distance_pairs, gradient_
 
 class LocalModel:
     """The linear algebra of the certificate at a stack of k points that share
-    n and the regime, for one Casimir subset; every array has a leading axis
-    of length k.
+    n and the regime; every array has a leading axis of length k.
 
-    The field part does not read the subset.  It evaluates the reduced field
-    at each point once (the fixed-point residual, and the size of the
-    field's terms it is measured against).  It applies the energy Hessian to
-    a stack of bases through its factored form, and builds the n^2 x n^2
-    matrix only for a linearization without a basis.  It owns the coupling
-    matrices and the reduced Hamiltonians of its circulation sets.
+    The field part evaluates the reduced field at each point once (the
+    fixed-point residual, and the size of the field's terms it is measured
+    against).  It applies the energy Hessian to a stack of bases through its
+    factored form, and builds the n^2 x n^2 matrix only for a linearization
+    without a basis.  It owns the coupling matrices and the reduced
+    Hamiltonians of its circulation sets.
 
-    The leaf's rows are the differentials of the chosen Casimirs
-    (``casimirs``), then those of all constraint components, ``row_count`` in
-    all; the model keeps the Casimir rows only.  The constraint rows have
-    full rank on the open set, and their common kernel is the tangent space
-    of the rank-one stratum, the image of Dphi at z for mu0 = phi(z) = i z z^*:
-    one thin QR of Dphi (n^2 x (2n - 1)) gives it.  One QR of the Casimir rows
-    projected onto it gives the ranks, the tangent bases and, where the rows
-    are independent (the only case the certificate goes on with), the Casimir
-    multipliers; the constraint multipliers follow in closed form.  The
+    The leaf's rows are the differential of C_1 (``casimirs``), then those of
+    all constraint components, ``row_count`` in all; the model keeps the
+    Casimir row only.  The constraint rows have full rank on the open set,
+    and their common kernel is the tangent space of the rank-one stratum,
+    the image of Dphi at z for mu0 = phi(z) = i z z^*: one thin QR of Dphi
+    (n^2 x (2n - 1)) gives it.  One QR of the Casimir row projected onto it
+    gives the ranks, the tangent bases and, where the rows are independent
+    (the only case the certificate goes on with), the Casimir multiplier;
+    the constraint multipliers follow in closed form.  The
     multiplier residual reads the constraint Jacobian once and drops it; at a
     point with dependent rows the multipliers are the minimal-norm ones.  The
     restricted Hessian gathers the entries of M that the constraint factors
     read from the basis vectors, and contracts them.
     """
 
-    def __init__(self, mu0: MuMatrix, circs: tuple[Circulations, ...], subset: tuple[int, ...]):
+    def __init__(self, mu0: MuMatrix, circs: tuple[Circulations, ...]):
         first = circs[0]
         n = first.n
         if mu0.entries.shape != (len(circs), n, n):
             raise DimensionMismatch(
                 f"mu0 has shape {mu0.entries.shape}, circulations give {len(circs)} x {n} x {n}"
             )
-        self.mu0, self.circs, self.n, self.casimir_subset = mu0, circs, n, subset
+        self.mu0, self.circs, self.n = mu0, circs, n
         self.u0, self._along = flatten(mu0), None
         # raises DimensionMismatch for sets that differ in N or the regime
         self.coupling = build_coupling_matrix(circs)
@@ -101,7 +98,7 @@ class LocalModel:
         sliced, not computed again."""
         sub = object.__new__(LocalModel)
         sub.mu0, sub.n = MuMatrix(self.mu0.entries[rows]), self.n
-        sub.circs, sub.casimir_subset = tuple([self.circs[i] for i in rows]), self.casimir_subset
+        sub.circs = tuple([self.circs[i] for i in rows])
         sub.coupling = CouplingMatrix(k=self.coupling.k[rows], k_inv=self.coupling.k_inv[rows])
         sub.u0, sub.energy_gradient = self.u0[rows], self.energy_gradient[rows]
         sub._g, sub.residual, sub.scale = self._g[rows], self.residual[rows], self.scale[rows]
@@ -114,8 +111,6 @@ class LocalModel:
                 setattr(sub, name, tuple([_read_only(a[rows]) for a in computed[name]]))
         if "multipliers" in computed:
             sub.multipliers = self.multipliers.take(rows)
-        if "dependent_casimirs" in computed:
-            sub.dependent_casimirs = [self.dependent_casimirs[i] for i in rows]
         return sub
 
     @cached_property
@@ -152,15 +147,13 @@ class LocalModel:
 
     @cached_property
     def casimirs(self) -> np.ndarray:
-        """The differentials of the chosen Casimirs, (k, len(casimir_subset), n^2)."""
-        rows = [casimir_gradient(self.mu0, self.coupling, j) for j in self.casimir_subset]
-        return _read_only(np.stack(rows, axis=-2))
+        """The differential of C_1 as one row, (k, 1, n^2)."""
+        return _read_only(casimir_gradient(self.mu0, self.coupling, 1)[:, None])
 
     @property
     def row_count(self) -> int:
-        """The number of Casimir and constraint differentials,
-        len(casimir_subset) + (n - 1)^2."""
-        return len(self.casimir_subset) + (self.n - 1) ** 2
+        """The number of Casimir and constraint differentials, 1 + (n - 1)^2."""
+        return 1 + (self.n - 1) ** 2
 
     @cached_property
     def moment(self) -> tuple[np.ndarray, np.ndarray]:
@@ -184,22 +177,22 @@ class LocalModel:
 
     @cached_property
     def _factors(self) -> tuple[np.ndarray, ...]:
-        """The numerical ranks, the tangent bases, where the rows are
+        """The numerical ranks, the tangent bases, and where the rows are
         independent the unique solution of [C; J]^T w = -energy_gradient
-        for the Casimir rows C and the constraint Jacobian J (a0 = +1), NaN
-        elsewhere, and the orthonormal columns U spanning the
-        tangent space of the rank-one stratum.
+        for the Casimir row C and the constraint Jacobian J (a0 = +1), NaN
+        elsewhere.
 
-        U is the thin QR of Dphi(v) = i (v z^* + z v^*) over the 2n real
-        directions v but i e_c, c the largest real part of z (at least
+        The orthonormal columns U spanning the tangent space of the rank-one
+        stratum are the thin QR of Dphi(v) = i (v z^* + z v^*) over the 2n
+        real directions v but i e_c, c the largest real part of z (at least
         z_c = max |z_j|): the phase direction i z, the kernel of Dphi, has
         the component Re z_c along i e_c, so the rest span the image.  U
-        spans the kernel of the constraint rows, so |R_jj| of the QR of the
-        Casimir rows projected onto U is Casimir row j's distance from the
-        span of the rows before it, judged by the rank rule against the
-        row's own length (:func:`constraints.row_rank`).  The tangent bases
-        are U times the complement of the projected rows."""
-        n, k = self.n, len(self.casimir_subset)
+        spans the kernel of the constraint rows, so |R_11| of the QR of the
+        Casimir row projected onto U is the row's distance from their span,
+        judged by the rank rule against the row's own length
+        (:func:`constraints.row_rank`).  The tangent bases are U times the
+        complement of the projected row."""
+        n = self.n
         z = self.moment[0]
         drop = np.arange(2 * n - 1)
         v = _directions(n)[drop + (drop >= n + z.real.argmax(axis=-1)[:, None])]
@@ -209,17 +202,17 @@ class LocalModel:
         casimirs = self.casimirs
         q, r = np.linalg.qr((casimirs @ u).swapaxes(-1, -2), mode="complete")
         rank = (n - 1) ** 2 + row_rank(casimirs, r)
-        basis = np.ascontiguousarray((u @ q[..., k:]).swapaxes(-1, -2))
+        basis = np.ascontiguousarray((u @ q[..., 1:]).swapaxes(-1, -2))
         w = np.full((len(z), self.row_count), np.nan)
         unique = rank == self.row_count
         if unique.any():
             # the Casimir part along U: (casimirs U)^T a = -(energy_gradient U)^T
             gradient, casimirs = self.energy_gradient[unique], casimirs[unique]
-            projected = (gradient[:, None] @ u[unique] @ q[unique, :, :k]).swapaxes(-1, -2)
-            a = -np.linalg.solve(r[unique, :k], projected)[..., 0]
+            projected = (gradient[:, None] @ u[unique] @ q[unique, :, :1]).swapaxes(-1, -2)
+            a = -np.linalg.solve(r[unique, :1], projected)[..., 0]
             rest = gradient + (a[:, None] @ casimirs)[:, 0]
             w[unique] = np.concatenate([a, _constraint_multipliers(z[unique], rest)], axis=-1)
-        return _read_only(rank), _read_only(basis), _read_only(w), _read_only(u)
+        return _read_only(rank), _read_only(basis), _read_only(w)
 
     @property
     def rank(self) -> np.ndarray:
@@ -238,9 +231,9 @@ class LocalModel:
         they are not, from one stacked pseudo-inverse of [C; J] at those
         points only.  The constraint Jacobian J is read here, once, to check
         the closed-form multipliers independently:
-        Df = 4 pi grad h + sum_j a_j dC_j + J^T (b, c, d); it is not kept."""
-        k, n = len(self.casimir_subset), self.n
-        rank, _, w, _ = self._factors
+        Df = 4 pi grad h + a_1 dC_1 + J^T (b, c, d); it is not kept."""
+        n = self.n
+        rank, _, w = self._factors
         jacobian = constraint_system(n).jacobian(self.u0)
         dependent = rank < self.row_count
         if dependent.any():
@@ -248,12 +241,12 @@ class LocalModel:
             pinv = np.linalg.pinv(stack.swapaxes(-1, -2), rtol=RANK_THRESHOLD)
             w = w.copy()
             w[dependent] = -(pinv @ self.energy_gradient[dependent, :, None])[..., 0]
-        df = self.energy_gradient + (w[:, None, :k] @ self.casimirs)[:, 0]
-        df += (w[:, None, k:] @ jacobian)[:, 0]
-        rest = w[:, k:]
+        df = self.energy_gradient + (w[:, None, :1] @ self.casimirs)[:, 0]
+        df += (w[:, None, 1:] @ jacobian)[:, 0]
+        rest = w[:, 1:]
         return MultiplierSet(
             a0=1.0,
-            a=w[:, :k],
+            a=w[:, :1],
             b=rest[:, : n - 1],
             c=rest[:, n - 1 :: 2],
             d=rest[:, n::2],
@@ -261,34 +254,16 @@ class LocalModel:
             solution_space_dim=self.row_count - self.rank,
         )
 
-    @cached_property
-    def dependent_casimirs(self) -> list[tuple[int, ...]]:
-        """Per point, the Casimirs C_1..C_n whose differential lies in the
-        constraint row space: its projection onto U, the row space's
-        orthogonal complement, is its distance from that span."""
-        grads = np.stack(
-            [casimir_gradient(self.mu0, self.coupling, j) for j in range(1, self.n + 1)], axis=-2
-        )
-        norm = np.linalg.norm
-        distance = norm(grads @ self._factors[3], axis=-1)
-        dependent = ~independent(distance, norm(grads, axis=-1))
-        return [tuple(int(j) + 1 for j in np.flatnonzero(row)) for row in dependent]
-
     def restricted_hessian(self, mult: MultiplierSet, basis: np.ndarray) -> np.ndarray:
         """basis H_f basis^T at each point, with the energy part through the
         factored energy Hessian and the constraint part as a weighted sum of
         rank-one products of the constraint factors along the basis: the
         entries of M = -i mu that :meth:`ConstraintSystem.hessians` names,
-        gathered from each basis vector."""
+        gathered from each basis vector.  C_1 is linear, so a_1 adds nothing."""
         h = (mult.a0 * FOUR_PI) * (self.hessian_along(basis) @ basis.swapaxes(-1, -2))
         # the entries of M each factor reads along each basis vector: (k, 4, n(n-1)/2, d)
         m = hermitian_stack(basis, self.n).swapaxes(-1, -2)
         p1, p2, p3, p4 = np.take(m, constraint_system(self.n).hessians(), axis=-2).swapaxes(0, 1)
-        a = np.broadcast_to(np.asarray(mult.a, dtype=float), (len(h), len(self.casimir_subset)))
-        for col, j in enumerate(self.casimir_subset):
-            if j > 1 and a[:, col].any():
-                hess = casimir_hessian(self.mu0, self.coupling, j)
-                h = h + a[:, col, None, None] * (basis @ hess @ basis.swapaxes(-1, -2))
         # c Re R + d Im R = Re((c - i d) R)
         c, d = np.asarray(mult.c, dtype=float), np.asarray(mult.d, dtype=float)
         w = np.concatenate([np.asarray(mult.b, dtype=float), c - 1j * d], axis=-1)[..., None, :]
@@ -358,31 +333,19 @@ def clear_memo() -> None:
     _memo = (None, None)
 
 
-def local_model(
-    mu0: MuMatrix,
-    circ: Circulations | Sequence[Circulations],
-    casimir_subset: Sequence[int] = (1,),
-) -> LocalModel:
+def local_model(mu0: MuMatrix, circ: Circulations | Sequence[Circulations]) -> LocalModel:
     """The local model at mu0 (one point, or a stack with one circulation set
-    per point) for a Casimir subset, memoised on the content of its
-    arguments; one point is a stack of one."""
-    return _memoised(mu0, circ, tuple(casimir_subset))
-
-
-def _memoised(mu0: MuMatrix, circ, subset: tuple[int, ...] | None) -> LocalModel:
-    """The memoised model at mu0, built again when the content or the subset
-    differs.  With ``subset`` None any subset does, for the stages that read
-    the field only; a new model then takes (1,)."""
+    per point), memoised on the content of its arguments; one point is a
+    stack of one."""
     global _memo
     key, model = _memo
-    if model is None or mu0 is not model.mu0 or circ is not model.circs:
-        content = _content(mu0, circ)
-        if key != content:
-            key, model = content, None
-    if model is None or subset not in (None, model.casimir_subset):
+    if model is not None and mu0 is model.mu0 and circ is model.circs:
+        return model
+    content = _content(mu0, circ)
+    if model is None or key != content:
         stack = MuMatrix(mu0.entries.reshape(-1, mu0.n, mu0.n))
-        model = LocalModel(stack, _circulation_sets(circ), (1,) if subset is None else subset)
-        _memo = (key, model)
+        model = LocalModel(stack, _circulation_sets(circ))
+        _memo = (content, model)
     return model
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class AnalysisReport:
     circulations: list[float]
     free_parameter: float | None
     regime: str
-    casimir_subset: list[int]
     fixed_point: list[float]
     fixed_point_residual: float
     spectrum: list[list[float]]
@@ -48,7 +47,6 @@ class AnalysisReport:
 
 def analyze(
     scenario: Scenario,
-    casimir_subset=(1,),
     with_drift: bool = False,
     drift_t_end: float = 5.0,
     drift_dt: float = 1e-3,
@@ -57,7 +55,7 @@ def analyze(
     mu0 = scenario_fixed_point(scenario)
     circ = scenario.circ
     try:
-        res = energy_casimir_certificate(mu0, circ, casimir_subset)
+        res = energy_casimir_certificate(mu0, circ)
     except NotAFixedPoint as exc:
         raise NotAFixedPoint(
             f"scenario {scenario.name} is not a relative equilibrium ({exc})"
@@ -90,7 +88,6 @@ def analyze(
         circulations=list(circ.gammas),
         free_parameter=scenario.free_parameter,
         regime=circ.regime.name,
-        casimir_subset=list(casimir_subset),
         fixed_point=flatten(mu0).tolist(),
         fixed_point_residual=res.residual,
         spectrum=np.stack([res.spectrum.real, res.spectrum.imag], axis=-1).tolist(),
@@ -110,7 +107,21 @@ def report_to_json(report: AnalysisReport) -> str:
 
 
 def report_from_json(text: str) -> AnalysisReport:
-    return AnalysisReport(**json.loads(text))
+    """The report a :func:`report_to_json` text holds; raises InvalidArgument
+    for a report whose fields are not this version's (a 0.1.0 report holds
+    the Casimir indices it was made with)."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise InvalidArgument(f"a report is a JSON object, got {type(data).__name__}")
+    names = {f.name for f in fields(AnalysisReport)}
+    required = {f.name for f in fields(AnalysisReport) if f.default is MISSING}
+    unexpected, missing = sorted(data.keys() - names), sorted(required - data.keys())
+    if unexpected or missing:
+        raise InvalidArgument(
+            f"a report of version {data.get('version')!r} has fields other than "
+            f"those of {__version__}: unexpected {unexpected}, missing {missing}"
+        )
+    return AnalysisReport(**data)
 
 
 @dataclass
@@ -166,7 +177,6 @@ def gamma_sweep(
     gamma_max: float,
     step: float,
     m: int | None = None,
-    casimir_subset=(1,),
 ) -> SweepTable:
     """Certificate verdict at each point of :func:`gamma_grid` for the center
     circulation.
@@ -198,7 +208,7 @@ def gamma_sweep(
                 rows[i] = _sweep_row(scen.free_parameter, exc)
         if members:
             circs = [scen.circ for _, scen in members]
-            results = energy_casimir_certificate(stack, circs, casimir_subset)
+            results = energy_casimir_certificate(stack, circs)
             for (i, scen), res in zip(members, results):
                 rows[i] = _sweep_row(scen.free_parameter, res)
         members.clear()

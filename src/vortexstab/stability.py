@@ -3,11 +3,13 @@
 The certificate follows the constrained second-order recipe: find multipliers
 making the combined function
 
-    f = a0 * (4 pi h) + sum_i a_i C_i + sum b_i R_i + sum (c_ij Re R_ij + d_ij Im R_ij)
+    f = a0 * (4 pi h) + a_1 C_1 + sum b_i R_i + sum (c_ij Re R_ij + d_ij Im R_ij)
 
 critical at the fixed point, then test definiteness, of either sign, of its
 Hessian restricted to the tangent space of the joint Casimir/constraint level
-set via Sylvester's criterion.  The ``4 pi h`` scaling matches the closed-form
+set via Sylvester's criterion.  C_1 is the one Casimir: on the rank-one
+stratum C_j = C_1^j, so no other C_j adds a row the constraints and C_1 do
+not already span.  The ``4 pi h`` scaling matches the closed-form
 multiplier and minor fixtures used in the acceptance suite.  That tangent
 space, the symplectic leaf, is built from the moment map mu = i z z^* at the
 fixed point (:class:`localmodel.LocalModel`), so mu0 must be of that form.
@@ -22,8 +24,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field
-from numbers import Integral
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +48,6 @@ from .localmodel import (
     LocalModel,
     MultiplierSet,
     _circulation_sets,
-    _memoised,
     local_model,
     restrict,
 )
@@ -81,7 +81,7 @@ def is_fixed_point(mu0: MuMatrix, circ: Circulations | Sequence[Circulations]) -
     """Sup-norm of the reduced vector field at mu0, per point of a stack; a
     fixed point has it below FP_TOL times the size of the field's terms
     (:attr:`LocalModel.scale`), a test free of units."""
-    reduced = _memoised(mu0, circ, None)
+    reduced = local_model(mu0, circ)
     residual, ok = reduced.residual, reduced.residual < FP_TOL * reduced.scale
     if isinstance(circ, Circulations):
         return FixedPointCheck(residual=float(residual[0]), ok=bool(ok[0]))
@@ -102,7 +102,7 @@ def linearize(
     stack) it differentiates along those rows only and returns the d x d
     matrix ``basis @ A @ basis.T``.
     """
-    reduced = _memoised(mu0, circ, None)
+    reduced = local_model(mu0, circ)
     if not np.all(reduced.residual < FP_TOL * reduced.scale):
         worst = float(reduced.residual.max(initial=0.0))
         warnings.warn(
@@ -137,49 +137,33 @@ class IndependenceResult:
     independent: bool | np.ndarray
     rank: int | np.ndarray
     expected: int
-    model: LocalModel = field(repr=False, compare=False)
-
-    @property
-    def dependent_casimirs(self) -> tuple[int, ...] | list[tuple[int, ...]]:
-        """The Casimirs C_1..C_n whose differential individually lies in the
-        span of the constraint differentials (computed on first access)."""
-        dependent = self.model.dependent_casimirs
-        return dependent[0] if np.ndim(self.rank) == 0 else dependent
 
     def __bool__(self) -> bool:
         return bool(np.all(self.independent))
 
 
 def independence_check(
-    mu0: MuMatrix,
-    circ: Circulations | Sequence[Circulations],
-    casimir_subset: Sequence[int] = (1,),
+    mu0: MuMatrix, circ: Circulations | Sequence[Circulations]
 ) -> IndependenceResult:
-    """Numerical rank test of the Casimir and constraint differentials.
+    """Numerical rank test of the differentials of C_1 and the constraints.
 
     Raises NotInOpenSet where mu0 has a vanishing entry, and NotRankOne where
-    M = -i mu0 is not z z^* to RANK_THRESHOLD of its largest entry.  Also
-    tells, through ``dependent_casimirs``, which Casimirs C_1..C_n
-    individually lie in the span of the constraint gradients at mu0 (those add
-    nothing to the certificate).
+    M = -i mu0 is not z z^* to RANK_THRESHOLD of its largest entry.
     """
     if not np.all(in_open_set(mu0)):
         raise NotInOpenSet("mu0 has a vanishing entry")
-    model = local_model(mu0, circ, casimir_subset)
+    model = local_model(mu0, circ)
     off = np.flatnonzero(model.off_stratum)
     if len(off):
         raise _not_rank_one(model, int(off[0]))
     expected = model.row_count
     rank = _per_point(circ, model.rank)
-    return IndependenceResult(
-        independent=rank == expected, rank=rank, expected=expected, model=model
-    )
+    return IndependenceResult(independent=rank == expected, rank=rank, expected=expected)
 
 
 def solve_multiplier_system(
     mu0: MuMatrix,
     circ: Circulations | Sequence[Circulations],
-    casimir_subset: Sequence[int] = (1,),
     a0: float = 1.0,
 ) -> MultiplierSet:
     """Solve Df(mu0) = 0 for the Casimir/constraint coefficients at fixed a0.
@@ -192,7 +176,7 @@ def solve_multiplier_system(
     """
     if a0 not in (1.0, -1.0):
         raise ValueError(f"a0 must be +1 or -1, got {a0}")
-    model = local_model(mu0, circ, casimir_subset)
+    model = local_model(mu0, circ)
     mult = model.multipliers if a0 > 0 else model.multipliers.negated()
     infeasible = _infeasible_points(model, mult.residual)
     if infeasible.any():
@@ -200,13 +184,9 @@ def solve_multiplier_system(
     return mult.point(0) if isinstance(circ, Circulations) else mult
 
 
-def tangent_basis(
-    mu0: MuMatrix,
-    circ: Circulations | Sequence[Circulations],
-    casimir_subset: Sequence[int] = (1,),
-) -> np.ndarray:
+def tangent_basis(mu0: MuMatrix, circ: Circulations | Sequence[Circulations]) -> np.ndarray:
     """Orthonormal basis (rows) of the tangent space of the joint level set."""
-    model = local_model(mu0, circ, casimir_subset)
+    model = local_model(mu0, circ)
     rows = model.row_count
     if np.any(model.rank != rows):
         nullity = model.n**2 - int(model.rank.min())
@@ -221,10 +201,9 @@ def restricted_hessian(
     circ: Circulations | Sequence[Circulations],
     mult: MultiplierSet,
     basis: np.ndarray,
-    casimir_subset: Sequence[int] = (1,),
 ) -> np.ndarray:
     """Project the certificate Hessian onto a tangent basis (rows)."""
-    model = local_model(mu0, circ, casimir_subset)
+    model = local_model(mu0, circ)
     basis = np.asarray(basis, dtype=float)
     basis = np.broadcast_to(basis, (len(model.circs),) + basis.shape[-2:])
     restricted = model.restricted_hessian(mult, basis)
@@ -291,13 +270,11 @@ class CertificateResult:
 
 
 def energy_casimir_certificate(
-    mu0: MuMatrix,
-    circ: Circulations | Sequence[Circulations],
-    casimir_subset: Sequence[int] = (1,),
+    mu0: MuMatrix, circ: Circulations | Sequence[Circulations]
 ) -> CertificateResult | list[CertificateResult | VortexStabError]:
     """Full stability pipeline at a fixed point of the reduced dynamics.
 
-    When the Casimir and constraint differentials are independent, linear
+    When the differentials of C_1 and the constraints are independent, linear
     stability is decided on their joint level set (the symplectic leaf): the
     spectrum is that of the d x d matrix L = B A B^T on the tangent basis B,
     and an eigenvalue with Re lambda > SPEC_TOL * ||L||_F (Frobenius norm)
@@ -312,18 +289,16 @@ def energy_casimir_certificate(
     holds its exception (NotAFixedPoint, NotInOpenSet, DomainError,
     SingularCoupling, ...) in place of a result, and a point that is not of
     the form i z z^* holds NotRankOne.  The constraint Jacobian that checks the multipliers holds
-    O(n^4) entries per point, so the caller bounds k (:func:`stack_size`).  A
-    subset other than distinct integers >= 1 raises ValueError.
+    O(n^4) entries per point, so the caller bounds k (:func:`stack_size`).
     """
     circs = _circulation_sets(circ)
-    subset = casimir_indices(casimir_subset)
     stack = mu0.entries.reshape((-1,) + mu0.entries.shape[-2:])
     results: list[CertificateResult | VortexStabError | None] = [None] * len(circs)
     rows = np.arange(len(circs))
     while len(rows):
         try:
             part = MuMatrix(stack[rows])
-            for i, res in zip(rows, _certify(part, tuple([circs[i] for i in rows]), subset)):
+            for i, res in zip(rows, _certify(part, tuple([circs[i] for i in rows]))):
                 results[i] = res
             break
         except (DomainError, SingularCoupling) as exc:
@@ -339,17 +314,6 @@ def energy_casimir_certificate(
     return results
 
 
-def casimir_indices(casimir_subset: Sequence[int]) -> tuple[int, ...]:
-    """A certificate's Casimir subset as a tuple; raises ValueError unless it
-    is nonempty and of distinct integers >= 1 (C_0 = n has a zero
-    differential, and a repeated index repeats a row)."""
-    subset = tuple(casimir_subset)
-    integers = all(isinstance(j, Integral) and j >= 1 for j in subset)
-    if not subset or not integers or len(set(subset)) < len(subset):
-        raise ValueError(f"Casimir indices must be distinct integers >= 1, got {subset}")
-    return subset
-
-
 def stack_size(n: int) -> int:
     """How many points of shape dimension n to certify as one stack: each
     array of n^4 entries per point (the constraint Jacobian) then holds at
@@ -358,12 +322,12 @@ def stack_size(n: int) -> int:
 
 
 def _certify(
-    mu0: MuMatrix, circs: tuple[Circulations, ...], subset: tuple[int, ...]
+    mu0: MuMatrix, circs: tuple[Circulations, ...]
 ) -> list[CertificateResult | VortexStabError]:
     """The certificate at each point of a stack; each stage runs on the rows
     it still has to decide, narrowed with ``restrict``."""
     results: list[CertificateResult | VortexStabError | None] = [None] * len(circs)
-    model = local_model(mu0, circs, subset)
+    model = local_model(mu0, circs)
     check = is_fixed_point(mu0, circs)
     inside = in_open_set(mu0)
     for i in np.flatnonzero(~check.ok):
@@ -377,20 +341,20 @@ def _certify(
     if not len(at):
         return results
     model = restrict(model, at)
-    indep = independence_check(model.mu0, model.circs, subset)
+    indep = independence_check(model.mu0, model.circs)
     for independent in (True, False):
         rows = np.flatnonzero(indep.independent == independent)
         if not len(rows):
             continue
         part = restrict(model, rows)
-        basis = tangent_basis(part.mu0, part.circs, subset) if independent else None
+        basis = tangent_basis(part.mu0, part.circs) if independent else None
         lin = linearize(part.mu0, part.circs, basis)
         ev = spectrum(lin)
         # a zero-dimensional leaf (n = 1) has an empty spectrum
         max_re = ev.real.max(axis=-1, initial=0.0)
         unstable = max_re > SPEC_TOL * np.linalg.norm(lin, axis=(-2, -1))
         undecided = np.flatnonzero(~unstable) if independent else np.array([], dtype=int)
-        outcome = _energy_casimir(part, undecided, subset)
+        outcome = _energy_casimir(part, undecided)
         for r, i in enumerate(at[rows]):
             common = {"spectrum": ev[r], "residual": float(check.residual[i])}
             dependent = (
@@ -409,9 +373,7 @@ def _certify(
     return results
 
 
-def _energy_casimir(
-    model: LocalModel, rows: np.ndarray, subset: tuple[int, ...]
-) -> dict[int, dict]:
+def _energy_casimir(model: LocalModel, rows: np.ndarray) -> dict[int, dict]:
     """One definiteness test of the restricted Hessian for a0 = +1: per row,
     the fields of its certified-stable or inconclusive result."""
     if not len(rows):
@@ -426,8 +388,8 @@ def _energy_casimir(
     if infeasible.all():
         return outcome
     part, rows = restrict(part, np.flatnonzero(~infeasible)), rows[~infeasible]
-    mult = solve_multiplier_system(part.mu0, part.circs, subset, 1.0)
-    rh = restricted_hessian(part.mu0, part.circs, mult, part.basis, subset)
+    mult = solve_multiplier_system(part.mu0, part.circs, a0=1.0)
+    rh = restricted_hessian(part.mu0, part.circs, mult, part.basis)
     syl = sylvester_verdict(rh)
     negated = mult.negated()
     d = rh.shape[-1]

@@ -29,8 +29,10 @@ from vortexstab.algebra import (
 from vortexstab.constraints import (
     ConstraintSystem,
     casimir_gradient,
+    casimir_values,
     constraint_jacobian,
     constraint_system,
+    row_rank,
 )
 from vortexstab.errors import DimensionMismatch, Infeasible
 from vortexstab.hamiltonian import (
@@ -214,7 +216,7 @@ def leaf_hessian(mu0, circ):
     where the multipliers do not exist."""
     basis = tangent_basis(mu0, circ)
     try:
-        mult = solve_multiplier_system(mu0, circ, (1,), 1.0)
+        mult = solve_multiplier_system(mu0, circ, a0=1.0)
     except Infeasible:
         return basis, None
     return basis, restricted_hessian(mu0, circ, mult, basis)
@@ -279,7 +281,7 @@ class TestCertificateFunction:
 
 
 def dense_restricted_hessian(model, mult, basis):
-    """basis H_f basis^T for the Casimir subset (1,) through the dense
+    """basis H_f basis^T (C_1 is linear and adds nothing) through the dense
     (4, n(n-1)/2, n^2) complex constraint forms, projected onto the basis by
     one product and contracted with the multipliers."""
     n = model.n
@@ -296,16 +298,9 @@ def dense_restricted_hessian(model, mult, basis):
     return h + (s + s.swapaxes(-1, -2)).real
 
 
-# fixed points and Casimir subsets of tests/test_stability.py; at these
-# rank-one points no Casimir differential lies in the constraint row space
-DEPENDENT_CASIMIR_CASES = [
-    ("triangle-with-center", 0.7, None, (1,)),
-    ("triangle-with-center", 0.7, None, (1, 2, 3)),
-    ("square-with-center", 1.0, None, (1,)),
-    ("square-with-center", 1.0, None, (1, 2, 3, 4)),
-    ("polygon-with-center", 1.0, 5, (1, 2, 3)),
-    ("triangle-with-center", -3.0, None, (1, 2)),
-]
+# just below zero total circulation (triangle gamma = -3) the C_1 row lies
+# in the span of the constraint rows to the rank rule
+NEAR_ZERO_TOTAL = (-3.0 - 1e-9, -3.0 - 1e-10)
 
 
 class TestCertificateWork:
@@ -402,15 +397,16 @@ class TestCertificateWork:
         assert len(calls["jacobian"]) == 1
 
     @pytest.mark.parametrize(
-        "kind,gamma,m,subset,verdict",
+        "kind,gamma,m,verdict",
         [
-            ("triangle-with-center", 2.0, None, (1,), "linearly-unstable"),
-            ("polygon-with-center", 20.0, 30, (1,), "linearly-unstable"),
-            ("square-with-center", 1.0, None, (1, 2), "inconclusive"),
+            ("triangle-with-center", 2.0, None, "linearly-unstable"),
+            ("polygon-with-center", 20.0, 30, "linearly-unstable"),
+            ("triangle-with-center", NEAR_ZERO_TOTAL[0], None, "inconclusive"),
+            ("triangle-with-center", NEAR_ZERO_TOTAL[1], None, "inconclusive"),
         ],
     )
     def test_unstable_and_dependent_points_read_no_jacobian(
-        self, kind, gamma, m, subset, verdict, monkeypatch
+        self, kind, gamma, m, verdict, monkeypatch
     ):
         # linearly unstable points and points with dependent differentials
         # never reach the multipliers, the one reader of the Jacobian
@@ -423,7 +419,7 @@ class TestCertificateWork:
 
         monkeypatch.setattr(ConstraintSystem, "jacobian", counted)
         clear_memo()
-        rep = analyze(build_scenario(kind, gamma=gamma, m=m), casimir_subset=subset)
+        rep = analyze(build_scenario(kind, gamma=gamma, m=m))
         assert rep.verdict == verdict and calls == []
 
     @pytest.mark.parametrize("kind,gamma", [("square-with-center", 1.0), ("triangle-with-center", -4.0)])
@@ -478,38 +474,70 @@ class TestCertificateWork:
         assert len(table.rows) == 12
         assert sorted(calls) == [(1, 4), (11, 9)]
 
-    @pytest.mark.parametrize("kind,gamma,m,subset", DEPENDENT_CASIMIR_CASES)
-    def test_dependent_casimirs_on_first_access(self, kind, gamma, m, subset, monkeypatch):
-        # the rank test's basis of the stratum's tangent space serves: no
-        # factorization, and the n Casimir gradients are taken once
-        mu0, circ = fixed_point(kind, gamma, m)
+    @pytest.mark.parametrize(
+        "kind,gamma,m,verdict",
+        [
+            ("triangle-with-center", 0.7, None, "certified-stable"),
+            ("square-with-center", 1.0, None, "certified-stable"),
+            ("polygon-with-center", 1.0, 5, "certified-stable"),
+            # the n = 2 zero-total reduction, and dependent differentials
+            ("triangle-with-center", -3.0, None, "certified-stable"),
+            ("triangle-with-center", NEAR_ZERO_TOTAL[0], None, "inconclusive"),
+        ],
+    )
+    def test_analyze_takes_the_gradient_of_c1_once(self, kind, gamma, m, verdict, monkeypatch):
+        # C_1 is the one Casimir: one gradient per model
+        calls = count_casimir_gradients(monkeypatch)
         clear_memo()
-        res = independence_check(mu0, circ, subset)
-        calls = []
-        for name in ("qr", "solve", "svd", "pinv"):
-            def counting(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
-                calls.append(_name)
-                return _f(*args, **kwargs)
+        rep = analyze(build_scenario(kind, gamma=gamma, m=m))
+        assert rep.verdict == verdict and calls == [(1, 1)]
 
-            monkeypatch.setattr(np.linalg, name, counting)
-        gradient, grads = localmodel.casimir_gradient, []
+    @pytest.mark.parametrize(
+        "lo,hi,step,stacks",
+        [
+            # one stack of n = 3 points: certified, inconclusive and unstable
+            (0.25, 2.0, 0.25, [(1, 8)]),
+            # eleven n = 3 points and the zero-total point gamma = -3 (n = 2)
+            (-4.0, 2.0, 0.5, [(1, 1), (1, 11)]),
+        ],
+    )
+    def test_a_sweep_takes_the_gradient_of_c1_once_per_stack(
+        self, lo, hi, step, stacks, monkeypatch
+    ):
+        calls = count_casimir_gradients(monkeypatch)
+        clear_memo()
+        table = gamma_sweep("triangle-with-center", lo, hi, step)
+        assert "certified-stable" in {row.verdict for row in table.rows}
+        assert sorted(calls) == stacks
 
-        def counting_gradient(mu, k, j):
-            grads.append(j)
-            return gradient(mu, k, j)
-
-        monkeypatch.setattr(localmodel, "casimir_gradient", counting_gradient)
-        assert res.dependent_casimirs == ()
-        assert res.dependent_casimirs == ()
-        assert calls == [] and grads == list(range(1, circ.n + 1))
-
-    @pytest.mark.parametrize("gamma,verdict", [(0.5, "inconclusive"), (2.0, "linearly-unstable")])
-    def test_dependent_differentials_take_the_full_spectrum(self, gamma, verdict):
+    @pytest.mark.parametrize("gamma", NEAR_ZERO_TOTAL)
+    def test_dependent_differentials_take_the_full_spectrum(self, gamma):
         scen = build_scenario("triangle-with-center", gamma=gamma)
-        rep = analyze(scen, casimir_subset=(1, 2, 3))
-        assert rep.verdict == verdict
-        assert rep.reason.endswith("(rank 5 < 7); full n^2 spectrum")
+        rep = analyze(scen)
+        assert rep.verdict == "inconclusive"
+        assert rep.reason == "differentials not independent (rank 4 < 5); full n^2 spectrum"
         assert len(rep.spectrum) == scen.circ.n**2
+
+    @pytest.mark.parametrize(
+        "kind,gamma,m", [("triangle-with-center", 2.0, None), ("polygon-with-center", 20.0, 30)]
+    )
+    def test_unstable_dependent_points_name_both(self, kind, gamma, m, monkeypatch):
+        # a rank rule one row short makes these unstable points dependent:
+        # the reason gives the growth rate, then the rank
+        monkeypatch.setattr(localmodel, "row_rank", lambda rows, r=None: row_rank(rows, r) - 1)
+        clear_memo()
+        scen = build_scenario(kind, gamma=gamma, m=m)
+        rep = analyze(scen)
+        clear_memo()
+        n = scen.circ.n
+        assert rep.verdict == "linearly-unstable"
+        growth, dependent = rep.reason.split("; ", 1)
+        assert growth.startswith("max Re lambda = ")
+        rows = 1 + (n - 1) ** 2
+        assert dependent == (
+            f"differentials not independent (rank {rows - 1} < {rows}); full n^2 spectrum"
+        )
+        assert len(rep.spectrum) == n**2
 
     def test_zero_dimensional_leaf_has_empty_spectrum(self):
         # three vortices of zero total circulation reduce to n = 1, d = 0
@@ -555,27 +583,29 @@ class TestStackFactors:
 
     @pytest.mark.parametrize("kind,gamma,m,pos_scale", FACTOR_CASES)
     def test_a_dependent_row_lowers_the_rank_by_one(self, kind, gamma, m, pos_scale):
-        # at rank-one points dC_2 lies in the span of dC_1 and the constraints
+        # C_2 - C_1^2 vanishes on the rank-one stratum, so its differential
+        # lies in the span of the constraint rows: as the Casimir row it
+        # adds nothing to the rank
         mu0, circ = scaled_fixed_point(kind, gamma, m, pos_scale)
-        one = independence_check(mu0, circ, (1,))
-        two = independence_check(mu0, circ, (1, 2))
+        one = independence_check(mu0, circ)
         assert one.independent and one.rank == one.expected
-        assert two.expected == one.expected + 1 and two.rank == one.rank
+        base = local_model(mu0, circ)
+        model = LocalModel(base.mu0, base.circs)
+        model.casimirs = power_gap_row(model)
+        assert model.rank.tolist() == [one.expected - 1]
 
     @pytest.mark.parametrize("kind,gamma,m,pos_scale", FACTOR_CASES[:3])
     def test_rank_ignores_the_length_of_a_row(self, kind, gamma, m, pos_scale):
-        # the Casimir rows are the rows the rank reads: C_1 adds to the rank
-        # and C_2 does not, at any length of either
+        # the Casimir row is the row the rank reads: C_1 adds to the rank and
+        # C_2 - C_1^2 does not, at any length of either
         mu0, circ = scaled_fixed_point(kind, gamma, m, pos_scale)
-        base = local_model(mu0, circ, (1, 2))
-        casimirs = base.casimirs
-        for scale in ((1e-12, 1.0), (1e12, 1.0), (1.0, 1e-12), (1.0, 1e12)):
-            model = LocalModel(base.mu0, base.circs, (1, 2))
-            model.casimirs = casimirs * np.array(scale)[:, None]
-            assert model.rank.tolist() == [model.row_count - 1], scale
-            model = LocalModel(base.mu0, base.circs, (1,))
-            model.casimirs = casimirs[:, :1] * scale[0]
-            assert model.rank.tolist() == [model.row_count], scale
+        base = local_model(mu0, circ)
+        rows = {base.row_count: base.casimirs, base.row_count - 1: power_gap_row(base)}
+        for scale in (1e-12, 1e12):
+            for rank, row in rows.items():
+                model = LocalModel(base.mu0, base.circs)
+                model.casimirs = row * scale
+                assert model.rank.tolist() == [rank], scale
 
     def test_large_basis_and_multipliers(self):
         scen = build_scenario("polygon-with-center", gamma=20.0, m=20)
@@ -598,12 +628,25 @@ class TestStackFactors:
     @pytest.mark.parametrize("pos_scale", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("kind,gamma,m", SCALE_FREE_POINTS)
     def test_dependent_casimirs_ignore_units(self, kind, gamma, m, pos_scale):
-        # the rank rule of the Casimir rows, applied to each C_j after the constraints
+        # the rank rule of the Casimir row, applied after the constraints, at
+        # any units: C_1 adds to the rank and C_2 - C_1^2 does not
         mu0, circ = scaled_fixed_point(kind, gamma, m, pos_scale)
         clear_memo()
-        res = independence_check(mu0, circ, (1, 2, 3))
-        assert res.rank == res.expected - 2
-        assert res.dependent_casimirs == ()
+        res = independence_check(mu0, circ)
+        assert res.independent and res.rank == res.expected
+        base = local_model(mu0, circ)
+        model = LocalModel(base.mu0, base.circs)
+        model.casimirs = power_gap_row(model)
+        assert model.rank.tolist() == [res.expected - 1]
+
+    @pytest.mark.parametrize("pos_scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("gamma", NEAR_ZERO_TOTAL)
+    def test_a_dependent_c1_row_ignores_units(self, gamma, pos_scale):
+        # the rank rule of the C_1 row, applied after the constraints
+        mu0, circ = scaled_fixed_point("triangle-with-center", gamma, None, pos_scale)
+        clear_memo()
+        res = independence_check(mu0, circ)
+        assert not res.independent and res.rank == res.expected - 1 == 4
 
     def test_dependent_multipliers_take_one_pseudo_inverse_on_demand(self, monkeypatch):
         calls = []
@@ -613,24 +656,45 @@ class TestStackFactors:
                 return _f(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        # with C_2 every point has dependent rows: the certificate stops at the rank
-        gamma_sweep("triangle-with-center", -4.0, 2.0, 0.5, casimir_subset=(1, 2))
-        assert calls == []
-        points = [fixed_point("triangle-with-center", g) for g in (-4.0, -2.0, 0.5, 1.5)]
+        # near zero total both points have dependent rows: the certificate
+        # stops at the rank
+        lo, hi = NEAR_ZERO_TOTAL
+        table = gamma_sweep("triangle-with-center", lo, hi, hi - lo)
+        assert [row.gamma for row in table.rows] == [lo, hi]
+        assert {row.verdict for row in table.rows} == {"inconclusive"} and calls == []
+        points = [fixed_point("triangle-with-center", g) for g in NEAR_ZERO_TOTAL]
         mu0 = MuMatrix(np.stack([p[0].entries for p in points]))
-        model = local_model(mu0, [p[1] for p in points], (1, 2))
-        assert np.all(model.rank == 5) and calls == []
+        model = local_model(mu0, [p[1] for p in points])
+        assert np.all(model.rank == 4) and calls == []
         mult = model.multipliers
-        assert calls == [("pinv", (4, 9, 6))]
+        assert calls == [("pinv", (2, 9, 5))]
         w = np.concatenate([mult.a, mult.constraint_coefficients], axis=-1)
         for i, (mu, circ) in enumerate(points):
             k = build_coupling_matrix(circ)
-            stack = np.vstack(
-                [casimir_gradient(mu, k, 1), casimir_gradient(mu, k, 2), constraint_jacobian(mu)]
-            )
+            stack = np.vstack([casimir_gradient(mu, k, 1), constraint_jacobian(mu)])
             rhs = -4 * np.pi * reduced_system(circ).gradient(flatten(mu))
             expected, *_ = np.linalg.lstsq(stack.T, rhs, rcond=1e-8)
             assert np.abs(w[i] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def count_casimir_gradients(monkeypatch):
+    """Record (j, stack size) of each Casimir gradient the certificate takes."""
+    calls = []
+    gradient = localmodel.casimir_gradient
+
+    def counted(mu, k, j):
+        calls.append((j, len(mu.entries)))
+        return gradient(mu, k, j)
+
+    monkeypatch.setattr(localmodel, "casimir_gradient", counted)
+    return calls
+
+
+def power_gap_row(model):
+    """The differential of C_2 - C_1^2 at the model's points as one row."""
+    mu0, k = model.mu0, model.coupling
+    first = casimir_values(mu0, k, [1])
+    return (casimir_gradient(mu0, k, 2) - 2 * first * casimir_gradient(mu0, k, 1))[:, None]
 
 
 def family_points():

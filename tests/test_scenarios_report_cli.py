@@ -136,6 +136,21 @@ class TestReport:
         back = report_from_json(report_to_json(rep))
         assert back == rep
 
+    def test_a_report_of_other_fields_raises_invalid_argument(self):
+        # a 0.1.0 report carries the Casimir indices it was made with
+        data = asdict(analyze(build_scenario("triangle-with-center", gamma=0.5)))
+        data.pop("minors")
+        data.update(casimir_subset=[1], version="0.1.0")
+        with pytest.raises(InvalidArgument) as exc:
+            report_from_json(json.dumps(data))
+        message = str(exc.value)
+        assert "'0.1.0'" in message
+        assert "unexpected ['casimir_subset']" in message and "missing ['minors']" in message
+
+    def test_a_report_that_is_not_an_object_raises_invalid_argument(self):
+        with pytest.raises(InvalidArgument, match="a report is a JSON object, got list"):
+            report_from_json("[]")
+
     def test_report_fields(self):
         scen = build_scenario("square-with-center", gamma=1.0)
         rep = analyze(scen, with_drift=True, drift_t_end=1.0)
@@ -154,7 +169,7 @@ class TestReport:
     def test_report_keys_are_the_documented_fields(self):
         fields = {
             "scenario_name", "positions", "circulations", "free_parameter", "regime",
-            "casimir_subset", "fixed_point", "fixed_point_residual", "spectrum", "verdict",
+            "fixed_point", "fixed_point_residual", "spectrum", "verdict",
             "reason", "multipliers", "minors", "restricted_hessian", "drift", "version",
         }
         rep = analyze(build_scenario("triangle-with-center", gamma=0.5))
@@ -283,9 +298,9 @@ class TestSweepStack:
         for name, calls in sizes.items():
             stage = getattr(stability, name)
 
-            def spy(mu0, *args, stage=stage, calls=calls):
+            def spy(mu0, *args, stage=stage, calls=calls, **kwargs):
                 calls.append(len(mu0.entries))
-                return stage(mu0, *args)
+                return stage(mu0, *args, **kwargs)
 
             monkeypatch.setattr(stability, name, spy)
         # gamma = 3 is linearly unstable, 0.5 and 1 are certified with a0 = +1
@@ -494,11 +509,18 @@ class TestCli:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "linearly-unstable"
 
+    def test_analyze_dependent_differentials_exit_ok(self, capsys):
+        # just below zero total the differentials read dependent: an answer, not an error
+        code = main(["analyze", "--scenario", "triangle-with-center", "--gamma", "-3.000000001"])
+        assert code == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["verdict"] == "inconclusive" and len(rep["spectrum"]) == 9
+        assert rep["reason"] == "differentials not independent (rank 4 < 5); full n^2 spectrum"
+
     def test_invalid_gamma_exit_2(self, capsys):
         code = main(["analyze", "--scenario", "triangle-with-center", "--gamma", "0"])
         assert code == 2
 
-    @pytest.mark.parametrize("casimirs", ["a", "", "0", "1,1"])
     @pytest.mark.parametrize(
         "command",
         [
@@ -507,11 +529,12 @@ class TestCli:
         ],
         ids=["analyze", "sweep"],
     )
-    def test_invalid_casimir_subset_exit_2(self, command, casimirs, capsys):
+    def test_casimirs_option_is_gone_exit_2(self, command, capsys):
+        # C_1 is the certificate's one Casimir: no command takes a choice of them
         with pytest.raises(SystemExit) as exc:
-            main(command + ["--casimirs", casimirs])
+            main(command + ["--casimirs", "1"])
         assert exc.value.code == 2
-        assert "argument --casimirs" in capsys.readouterr().err
+        assert "unrecognized arguments: --casimirs 1" in capsys.readouterr().err
 
     def test_sweep_of_a_kind_without_a_center_exit_2(self, capsys):
         with pytest.raises(UnsupportedScenario):

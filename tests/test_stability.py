@@ -14,7 +14,7 @@ from vortexstab.algebra import (
     pair_indices,
     unflatten,
 )
-from vortexstab.constraints import casimir_gradient, casimir_hessian, constraint_jacobian
+from vortexstab.constraints import casimir_gradient, constraint_jacobian, row_rank
 from vortexstab.dynamics import integrate, moment_map, relative_coordinates
 from vortexstab.errors import NotAFixedPoint, NotAFixedPointWarning, NotInOpenSet, NotRankOne
 from vortexstab.hamiltonian import FOUR_PI, ReducedHamiltonian, VortexConfiguration, reduced_system
@@ -153,29 +153,53 @@ class TestSpectrum:
 class TestIndependence:
     def test_single_casimir_independent(self):
         mu0, circ = center_fixed_point("triangle-with-center", 0.7)
-        res = independence_check(mu0, circ, (1,))
+        res = independence_check(mu0, circ)
         assert res.independent and res.rank == 5 and res.expected == 5
 
-    def test_all_casimirs_dependent_with_constraints(self):
-        mu0, circ = center_fixed_point("triangle-with-center", 0.7)
-        res = independence_check(mu0, circ, (1, 2, 3))
-        assert not res.independent
+    @pytest.mark.parametrize("offset", [1e-9, 1e-10])
+    def test_dependent_rows_near_zero_total(self, offset):
+        # just below gamma = -3 (zero total circulation) dC_1 lies in the
+        # span of the constraint differentials to the rank rule
+        mu0, circ = center_fixed_point("triangle-with-center", -3.0 - offset)
+        res = independence_check(mu0, circ)
+        assert not res.independent and res.rank == 4 and res.expected == 5
 
-    def test_higher_casimirs_add_no_rank(self):
+    def test_dependent_rows_are_per_point_of_a_stack(self):
+        # a sweep stack reads the rank point by point: the stable gamma = 0.7
+        # keeps its full rank beside the two points just below zero total
+        gammas = (0.7, -3.0 - 1e-9, -3.0 - 1e-10)
+        points = [center_fixed_point("triangle-with-center", g) for g in gammas]
+        mu0 = MuMatrix(np.stack([p[0].entries for p in points]))
+        clear_memo()
+        model = local_model(mu0, [p[1] for p in points])
+        assert model.row_count == 5 and model.rank.tolist() == [5, 4, 4]
+
+    @pytest.mark.parametrize(
+        "kind,gamma,m",
+        [
+            ("triangle-with-center", 0.7, None),
+            ("square-with-center", 1.0, None),
+            ("polygon-with-center", 1.0, 5),
+        ],
+    )
+    def test_higher_casimirs_add_no_rank(self, kind, gamma, m):
         # at rank-one points every C_j with j >= 2 is functionally dependent
-        # on C_1 and the constraints, so stacking them cannot raise the rank
-        mu0, circ = center_fixed_point("square-with-center", 1.0)
-        base = independence_check(mu0, circ, (1,))
+        # on C_1 and the constraints, so stacking them cannot raise the rank:
+        # the reason C_1 is the certificate's one Casimir
+        scen = build_scenario(kind, gamma=gamma, m=m)
+        mu0, circ = scenario_fixed_point(scen), scen.circ
+        base = independence_check(mu0, circ)
         assert base.independent
-        full = independence_check(mu0, circ, (1, 2, 3, 4))
-        assert not full.independent
-        assert full.rank == base.rank
+        k = build_coupling_matrix(circ)
+        rows = [constraint_jacobian(mu0)]
+        rows += [casimir_gradient(mu0, k, j) for j in range(1, circ.n + 1)]
+        assert row_rank(np.vstack(rows)) == base.rank
 
     def test_rejects_degenerate_point(self):
         mu = MuMatrix(np.diag([1j, 2j, 3j]))
         circ = Circulations((1.0, 1.0, 1.0, 2.0))
         with pytest.raises(NotInOpenSet):
-            independence_check(mu, circ, (1,))
+            independence_check(mu, circ)
 
     @pytest.mark.parametrize("size", [1e-3, 1e-6])
     def test_rejects_point_off_the_stratum(self, size):
@@ -184,9 +208,9 @@ class TestIndependence:
         mu0, circ = center_fixed_point("triangle-with-center", 0.7)
         mu = MuMatrix(np.stack([mu0.entries, mu0.entries + 1j * size * np.outer(W, W.conj())]))
         with pytest.raises(NotRankOne, match="not i z z") as exc:
-            independence_check(mu, [circ, circ], (1,))
+            independence_check(mu, [circ, circ])
         assert exc.value.sample == 1
-        assert independence_check(MuMatrix(mu.entries[0]), circ, (1,)).independent
+        assert independence_check(MuMatrix(mu.entries[0]), circ).independent
 
     def test_point_off_the_stratum_holds_its_error(self, monkeypatch):
         # past the fixed-point and open-set checks, a point off the stratum
@@ -205,7 +229,7 @@ class TestMultipliersAndBasis:
         for kind, g in [("triangle-with-center", 0.5), ("square-with-center", 1.5)]:
             mu0, circ = center_fixed_point(kind, g)
             for a0 in (1.0, -1.0):
-                m = solve_multiplier_system(mu0, circ, (1,), a0)
+                m = solve_multiplier_system(mu0, circ, a0=a0)
                 assert m.residual < 1e-8
                 assert m.a0 == a0
 
@@ -213,11 +237,11 @@ class TestMultipliersAndBasis:
     def test_rejects_a0_other_than_plus_or_minus_one(self, a0):
         mu0, circ = center_fixed_point("triangle-with-center", 0.5)
         with pytest.raises(ValueError, match="a0 must be"):
-            solve_multiplier_system(mu0, circ, (1,), a0)
+            solve_multiplier_system(mu0, circ, a0=a0)
 
     def test_tangent_basis_annihilated_and_orthonormal(self):
         mu0, circ = center_fixed_point("square-with-center", 1.0)
-        basis = tangent_basis(mu0, circ, (1,))
+        basis = tangent_basis(mu0, circ)
         assert basis.shape == (6, 16)
         k = build_coupling_matrix(circ)
         stack = np.vstack([casimir_gradient(mu0, k, 1), constraint_jacobian(mu0)])
@@ -226,13 +250,13 @@ class TestMultipliersAndBasis:
 
     def test_expected_dimensions(self):
         mu0, circ = center_fixed_point("triangle-with-center", 0.5)
-        assert tangent_basis(mu0, circ, (1,)).shape == (4, 9)
+        assert tangent_basis(mu0, circ).shape == (4, 9)
 
     def test_zero_total_basis_spans_printed_plane(self):
         # n = 2 zero-total reduction: the tangent plane must agree with the
         # span of (1,0,1,0) and (-1,1,0,0) regardless of basis choice
         mu0, circ = center_fixed_point("triangle-with-center", -3.0)
-        basis = tangent_basis(mu0, circ, (1,))
+        basis = tangent_basis(mu0, circ)
         assert basis.shape == (2, 4)
         printed = np.array([[1.0, 0, 1, 0], [-1.0, 1, 0, 0]])
         # projection of each printed vector onto the computed plane is itself
@@ -360,16 +384,6 @@ class TestCertificate:
         assert res.verdict is Verdict.INCONCLUSIVE
         assert re.fullmatch(r"no critical point: residual \d\.\d{3}e[+-]\d\d", res.reason)
 
-    @pytest.mark.parametrize(
-        "subset",
-        [(), (1.5,), ("1",), (0,), (1, 1)],
-        ids=["empty", "non-integer", "string", "below-one", "repeated"],
-    )
-    def test_rejects_a_casimir_subset_of_other_than_distinct_indices(self, subset):
-        mu0, circ = center_fixed_point("square-with-center", 1.0)
-        with pytest.raises(ValueError, match="Casimir indices"):
-            energy_casimir_certificate(mu0, circ, subset)
-
     def test_rejects_non_fixed_point(self):
         mu = unflatten(np.array([1.3, 1.0, 0.5, -np.sqrt(3) / 2]), 2)
         with pytest.raises(NotAFixedPoint):
@@ -379,12 +393,12 @@ class TestCertificate:
         rng = np.random.default_rng(77)
         for kind, g in [("triangle-with-center", 0.5), ("square-with-center", 2.0)]:
             mu0, circ = center_fixed_point(kind, g)
-            m = solve_multiplier_system(mu0, circ, (1,), 1.0)
-            basis = tangent_basis(mu0, circ, (1,))
+            m = solve_multiplier_system(mu0, circ, a0=1.0)
+            basis = tangent_basis(mu0, circ)
             q, _ = np.linalg.qr(rng.standard_normal((basis.shape[0],) * 2))
             rotated = q @ basis
-            v1 = sylvester_verdict(restricted_hessian(mu0, circ, m, basis, (1,)))
-            v2 = sylvester_verdict(restricted_hessian(mu0, circ, m, rotated, (1,)))
+            v1 = sylvester_verdict(restricted_hessian(mu0, circ, m, basis))
+            v2 = sylvester_verdict(restricted_hessian(mu0, circ, m, rotated))
             assert v1.sign == v2.sign
 
     def test_equilateral_three_vortex_criterion(self):
@@ -495,56 +509,62 @@ LOCAL_MODEL_CASES = [
     ("square-with-center", -4.0, None),
     ("square-with-center", 1.0, None),
     ("polygon-with-center", 1.0, 5),
+    # linearly unstable: the multipliers exist all the same
+    ("triangle-with-center", 2.0, None),
 ]
 
 
 class TestLocalModel:
     @pytest.mark.parametrize("kind,gamma,m", LOCAL_MODEL_CASES)
-    @pytest.mark.parametrize("subset", [(1,), (1, 2, 3)])
-    def test_factored_restricted_hessian_matches_dense(self, kind, gamma, m, subset):
+    def test_factored_restricted_hessian_matches_dense(self, kind, gamma, m):
         scen = build_scenario(kind, gamma=gamma, m=m)
         mu0, circ = scenario_fixed_point(scen), scen.circ
         n = circ.n
         u0 = flatten(mu0)
         k = build_coupling_matrix(circ)
-        stack = np.vstack(
-            [[casimir_gradient(mu0, k, j) for j in subset], constraint_jacobian(mu0)]
-        )
-        basis = tangent_basis(mu0, circ, (1,))
+        stack = np.vstack([casimir_gradient(mu0, k, 1), constraint_jacobian(mu0)])
+        basis = tangent_basis(mu0, circ)
         rng = np.random.default_rng(n)
         bases = [basis, rng.standard_normal(basis.shape)]
         for a0 in (1.0, -1.0):
-            mult = solve_multiplier_system(mu0, circ, subset, a0)
+            mult = solve_multiplier_system(mu0, circ, a0=a0)
             w = np.concatenate([mult.a, mult.constraint_coefficients])
             rhs = -a0 * FOUR_PI * reduced_system(circ).gradient(u0)
             expected_w, *_ = np.linalg.lstsq(stack.T, rhs, rcond=None)
             assert np.abs(w - expected_w).max() <= 1e-12 * np.abs(expected_w).max()
 
+            # C_1 is linear: the energy and the constraints make the Hessian
             h_dense = a0 * FOUR_PI * reduced_system(circ).hessian(u0)
-            for a_j, j in zip(mult.a, subset):
-                h_dense = h_dense + a_j * casimir_hessian(mu0, k, j)
             for coeff, h in zip(mult.constraint_coefficients, dense_constraint_hessians(n)):
                 h_dense = h_dense + coeff * h
             for b in bases:
                 expected = b @ h_dense @ b.T
                 expected = 0.5 * (expected + expected.T)
-                got = restricted_hessian(mu0, circ, mult, b, subset)
+                got = restricted_hessian(mu0, circ, mult, b)
                 assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_views_share_one_model(self):
         mu0, circ = center_fixed_point("square-with-center", 1.0)
-        model = local_model(mu0, circ, (1,))
+        model = local_model(mu0, circ)
         # an equal fixed point built apart gets the same model: the memo is on content
-        assert local_model(unflatten(flatten(mu0), circ.n), circ, [1]) is model
+        assert local_model(unflatten(flatten(mu0), circ.n), circ) is model
         # one point is a stack of one: the views are its first slice
-        basis = tangent_basis(mu0, circ, (1,))
+        basis = tangent_basis(mu0, circ)
         assert np.shares_memory(basis, model.basis) and basis.shape == model.basis.shape[1:]
-        assert independence_check(mu0, circ, (1,)).rank == model.rank[0]
+        assert independence_check(mu0, circ).rank == model.rank[0]
 
-    @pytest.mark.parametrize("subset", [(1,), (1, 2)])
-    def test_a_certificate_builds_one_stack(self, subset, monkeypatch):
+    @pytest.mark.parametrize(
+        "kind,gamma",
+        [
+            ("square-with-center", 1.0),
+            ("triangle-with-center", 2.0),
+            ("triangle-with-center", -3.0 - 1e-9),
+        ],
+        ids=["independent", "unstable", "dependent"],
+    )
+    def test_a_certificate_builds_one_stack(self, kind, gamma, monkeypatch):
         # the fixed-point check and the linearization take the certificate's
-        # stack whatever its Casimir subset
+        # stack, whether or not its differentials are independent
         built = []
         init = ReducedHamiltonian.__init__
 
@@ -553,9 +573,9 @@ class TestLocalModel:
             init(self, circ)
 
         monkeypatch.setattr(ReducedHamiltonian, "__init__", counted)
-        mu0, circ = center_fixed_point("square-with-center", 1.0)
+        mu0, circ = center_fixed_point(kind, gamma)
         clear_memo()
-        energy_casimir_certificate(mu0, circ, subset)
+        energy_casimir_certificate(mu0, circ)
         assert built == [1]
 
     def test_large_certificate_memory(self):
