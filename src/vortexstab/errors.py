@@ -24,7 +24,7 @@ class DimensionMismatch(VortexStabError):
 
 
 class SingularCoupling(VortexStabError):
-    """Circulation coupling matrix could not be inverted reliably."""
+    """Circulation coupling matrix is singular to working precision."""
 
 
 class Collision(VortexStabError):

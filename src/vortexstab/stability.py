@@ -302,9 +302,9 @@ def energy_casimir_certificate(
                 results[i] = res
             break
         except (DomainError, SingularCoupling) as exc:
-            # a point outside the Hamiltonian's domain, or with no reliable
-            # inverse of its coupling matrix, fails the model of its whole
-            # stack: it is set aside, and the rest stay one stack
+            # a point outside the Hamiltonian's domain, or with a coupling
+            # matrix singular to working precision, fails the model of its
+            # whole stack: it is set aside, and the rest stay one stack
             results[rows[exc.sample]] = exc
             rows = np.delete(rows, exc.sample)
     if isinstance(circ, Circulations):

@@ -1,3 +1,6 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,10 @@ from vortexstab.algebra import (
     unflatten_stack,
 )
 from vortexstab.errors import DimensionMismatch, SingularCoupling
+
+EPS = np.finfo(float).eps
+
+
 def random_skew_hermitian(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return MuMatrix(0.5 * (a - a.conj().T))
@@ -35,6 +42,46 @@ def random_circulations(rng, size, zero_total, count):
         sets.append(Circulations(tuple(g)))
     assert {c.regime for c in sets} == {Regime.ZERO_TOTAL if zero_total else Regime.NON_ZERO_TOTAL}
     return sets
+
+
+def circulations_with_total(rng, size, ratio, count):
+    """``count`` random sets of ``size`` vortices whose total circulation is
+    about ``ratio`` times the largest of the first size - 1."""
+    sets = []
+    while len(sets) < count:
+        g = rng.uniform(0.2, 2.0, size) * rng.choice([-1.0, 1.0], size)
+        g[-1] = ratio * np.abs(g[:-1]).max() - g[:-1].sum()
+        if abs(g[-1]) >= 0.2:
+            sets.append(Circulations(tuple(g)))
+    return sets
+
+
+def exact_inverse(circ):
+    """K^-1 of the circulations' exact binary values: K in rational
+    arithmetic, inverted by Gauss-Jordan elimination, each entry rounded once."""
+    g = [Fraction(x) for x in circ.gammas]
+    if circ.regime is Regime.NON_ZERO_TOTAL:
+        gn, total = g[:-1], sum(g)
+        k = [
+            [a * b / total - (a if i == j else 0) for j, b in enumerate(gn)]
+            for i, a in enumerate(gn)
+        ]
+    else:
+        gn, last = g[:-2], g[-1]
+        k = [
+            [-(a * b + (a * last if i == j else 0)) / last for j, b in enumerate(gn)]
+            for i, a in enumerate(gn)
+        ]
+    n = len(k)
+    rows = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(k)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return np.array([[float(x) for x in row[n:]] for row in rows])
 
 
 class TestCirculations:
@@ -77,19 +124,50 @@ class TestCouplingMatrix:
         np.testing.assert_allclose(k0.k, k.k, atol=1e-14)
 
     def test_inverse_consistency(self):
+        # ||K K^-1 - I|| is a few cond(K) eps (infinity norms) at any total
+        # circulation, K's entries having grown as 1/total
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            g = rng.uniform(0.2, 2.0, 4) * rng.choice([-1.0, 1.0], 4)
-            if abs(g.sum()) < 0.1:
-                continue
-            k = build_coupling_matrix(Circulations(tuple(g)))
-            np.testing.assert_allclose(k.k @ k.k_inv, np.eye(3), atol=1e-10)
+        gammas = rng.uniform(0.2, 2.0, (20, 4)) * rng.choice([-1.0, 1.0], (20, 4))
+        sets = [Circulations(tuple(g)) for g in gammas]
+        for ratio in (1e-3, 1e-6, 1e-9, 1e-11, 0.0):
+            sets += circulations_with_total(rng, 4, ratio, 5)
+        for circ in sets:
+            k = build_coupling_matrix(circ)
+            residual = k.k @ k.k_inv - np.eye(circ.n)
+            norm = [np.abs(a).sum(axis=-1).max() for a in (k.k, k.k_inv, residual)]
+            assert norm[2] <= 4 * EPS * norm[0] * norm[1]
+
+    @pytest.mark.parametrize("ratio", [None, 1e-6, 1e-9, 1e-11, 5e-13, 0.0, -5e-13])
+    def test_inverse_matches_an_exact_rational_inverse(self, ratio):
+        # ratio = |total| / max|G_i|: random sets, near-zero totals, and the
+        # zero-total regime (ratio <= 1e-12) with and without an exact zero
+        rng = np.random.default_rng(12)
+        for size in (3, 4, 5, 6):
+            if ratio is None:
+                sets = random_circulations(rng, size, False, 3)
+            else:
+                sets = circulations_with_total(rng, size, ratio, 3)
+                regime = Regime.ZERO_TOTAL if abs(ratio) <= 1e-12 else Regime.NON_ZERO_TOTAL
+                assert {c.regime for c in sets} == {regime}
+            for circ in sets:
+                exact = exact_inverse(circ)
+                error = np.abs(build_coupling_matrix(circ).k_inv - exact).max()
+                assert error <= 3 * EPS * np.abs(exact).max()
 
     @pytest.mark.parametrize("gammas", [(1.0, 2.0, 3e-16), (1.0, 1.0, -3e-16)])
     def test_singular_to_working_precision(self, gammas):
         # K^-1 = -diag(1/G_i) - 1 1^T / G_N: cond(K) eps is 1.07 and 1.33
         with pytest.raises(SingularCoupling, match="working precision"):
             build_coupling_matrix(Circulations(gammas))
+
+    @pytest.mark.parametrize("gammas", [(1e-320, 1.0, -1e-320), (1.0, 1.0, 1e-320, -2.0)])
+    def test_an_overflowing_inverse_is_singular(self, gammas):
+        # 1/G overflows: inf - inf on K^-1's diagonal, and a zero denominator
+        # in the zero-total regime
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularCoupling, match="working precision"):
+                build_coupling_matrix(Circulations(gammas))
 
     @pytest.mark.parametrize("gamma", [-3.0, 0.5], ids=["zero-total", "nonzero-total"])
     def test_stack_equals_one_point_calls(self, gamma):

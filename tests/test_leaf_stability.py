@@ -19,6 +19,7 @@ from vortexstab import localmodel
 from vortexstab.algebra import (
     Circulations,
     MuMatrix,
+    Regime,
     build_coupling_matrix,
     coordinate_basis,
     flatten,
@@ -208,6 +209,35 @@ class TestPolygonVerdicts:
         assert analyze(scen).verdict != "linearly-unstable"
 
 
+# the families whose total circulation vanishes at gamma = -m
+ZERO_TOTAL_FAMILIES = [("triangle-with-center", 3, None), ("square-with-center", 4, None)] + [
+    ("polygon-with-center", m, m) for m in range(5, 9)
+]
+
+
+class TestAcrossZeroTotal:
+    @pytest.mark.parametrize("kind,m,size", ZERO_TOTAL_FAMILIES)
+    def test_verdicts_hold_up_to_the_regime_switch(self, kind, m, size):
+        # gamma = -m +- 10^-k: for k = 1..11 (nonzero total) each side keeps
+        # its verdict at 1e-3 or reads inconclusive for dependent
+        # differentials; at k = 12 the zero-total reduction gives the
+        # gamma = -m verdict.  analyze raises NotAFixedPoint on a rejected point.
+        def verdict(gamma, regime):
+            scen = build_scenario(kind, gamma=gamma, m=size)
+            assert scen.circ.regime is regime
+            rep = analyze(scen)
+            return rep.verdict, rep.reason
+
+        limit, _ = verdict(-m, Regime.ZERO_TOTAL)
+        for side in (-1.0, 1.0):
+            near, _ = verdict(-m + side * 1e-3, Regime.NON_ZERO_TOTAL)
+            for k in range(1, 12):
+                got, reason = verdict(-m + side * 10.0**-k, Regime.NON_ZERO_TOTAL)
+                dependent = reason.startswith("differentials not independent")
+                assert got == near or (got == "inconclusive" and dependent), (k, side, reason)
+            assert verdict(-m + side * 1e-12, Regime.ZERO_TOTAL)[0] == limit
+
+
 PAPER_FAMILIES = (("triangle-with-center", -5.0, 2.0), ("square-with-center", -1.5, 3.0))
 
 
@@ -301,6 +331,8 @@ def dense_restricted_hessian(model, mult, basis):
 # just below zero total circulation (triangle gamma = -3) the C_1 row lies
 # in the span of the constraint rows to the rank rule
 NEAR_ZERO_TOTAL = (-3.0 - 1e-9, -3.0 - 1e-10)
+# and just above it, in ascending order
+ABOVE_ZERO_TOTAL = (-3.0 + 1e-10, -3.0 + 1e-9)
 
 
 class TestCertificateWork:
@@ -401,8 +433,8 @@ class TestCertificateWork:
         [
             ("triangle-with-center", 2.0, None, "linearly-unstable"),
             ("polygon-with-center", 20.0, 30, "linearly-unstable"),
-            ("triangle-with-center", NEAR_ZERO_TOTAL[0], None, "inconclusive"),
-            ("triangle-with-center", NEAR_ZERO_TOTAL[1], None, "inconclusive"),
+            *[("triangle-with-center", g, None, "inconclusive") for g in NEAR_ZERO_TOTAL],
+            *[("triangle-with-center", g, None, "inconclusive") for g in ABOVE_ZERO_TOTAL],
         ],
     )
     def test_unstable_and_dependent_points_read_no_jacobian(
@@ -483,6 +515,7 @@ class TestCertificateWork:
             # the n = 2 zero-total reduction, and dependent differentials
             ("triangle-with-center", -3.0, None, "certified-stable"),
             ("triangle-with-center", NEAR_ZERO_TOTAL[0], None, "inconclusive"),
+            ("triangle-with-center", ABOVE_ZERO_TOTAL[0], None, "inconclusive"),
         ],
     )
     def test_analyze_takes_the_gradient_of_c1_once(self, kind, gamma, m, verdict, monkeypatch):
@@ -510,7 +543,7 @@ class TestCertificateWork:
         assert "certified-stable" in {row.verdict for row in table.rows}
         assert sorted(calls) == stacks
 
-    @pytest.mark.parametrize("gamma", NEAR_ZERO_TOTAL)
+    @pytest.mark.parametrize("gamma", NEAR_ZERO_TOTAL + ABOVE_ZERO_TOTAL)
     def test_dependent_differentials_take_the_full_spectrum(self, gamma):
         scen = build_scenario("triangle-with-center", gamma=gamma)
         rep = analyze(scen)
@@ -640,7 +673,7 @@ class TestStackFactors:
         assert model.rank.tolist() == [res.expected - 1]
 
     @pytest.mark.parametrize("pos_scale", [1e-3, 1.0, 1e3])
-    @pytest.mark.parametrize("gamma", NEAR_ZERO_TOTAL)
+    @pytest.mark.parametrize("gamma", NEAR_ZERO_TOTAL + ABOVE_ZERO_TOTAL)
     def test_a_dependent_c1_row_ignores_units(self, gamma, pos_scale):
         # the rank rule of the C_1 row, applied after the constraints
         mu0, circ = scaled_fixed_point("triangle-with-center", gamma, None, pos_scale)
@@ -648,7 +681,8 @@ class TestStackFactors:
         res = independence_check(mu0, circ)
         assert not res.independent and res.rank == res.expected - 1 == 4
 
-    def test_dependent_multipliers_take_one_pseudo_inverse_on_demand(self, monkeypatch):
+    @pytest.mark.parametrize("gammas", [NEAR_ZERO_TOTAL, ABOVE_ZERO_TOTAL], ids=["below", "above"])
+    def test_dependent_multipliers_take_one_pseudo_inverse_on_demand(self, gammas, monkeypatch):
         calls = []
         for name in ("pinv", "svd", "lstsq"):
             def counted(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
@@ -658,11 +692,11 @@ class TestStackFactors:
             monkeypatch.setattr(np.linalg, name, counted)
         # near zero total both points have dependent rows: the certificate
         # stops at the rank
-        lo, hi = NEAR_ZERO_TOTAL
+        lo, hi = gammas
         table = gamma_sweep("triangle-with-center", lo, hi, hi - lo)
         assert [row.gamma for row in table.rows] == [lo, hi]
         assert {row.verdict for row in table.rows} == {"inconclusive"} and calls == []
-        points = [fixed_point("triangle-with-center", g) for g in NEAR_ZERO_TOTAL]
+        points = [fixed_point("triangle-with-center", g) for g in gammas]
         mu0 = MuMatrix(np.stack([p[0].entries for p in points]))
         model = local_model(mu0, [p[1] for p in points])
         assert np.all(model.rank == 4) and calls == []

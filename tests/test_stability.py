@@ -333,9 +333,9 @@ class TestCertificate:
             ("square-with-center", -1.0, Verdict.LINEARLY_UNSTABLE),
             ("square-with-center", -0.3, Verdict.INCONCLUSIVE),
             ("square-with-center", -4.0, Verdict.LINEARLY_UNSTABLE),
-            # next to the zero-total points: cond(K) is 4e6 and 6e6, and the
-            # residuals ||K K^-1 - I|| of 3.3e-10 and 2.8e-10 are 0.37 and 0.21
-            # cond(K) eps
+            # next to the zero-total points (total circulation -+1e-6): cond(K)
+            # is 4e6 and 6e6, far from 1/eps, and the closed-form K^-1 has no
+            # 1/total in it
             ("triangle-with-center", -3.000001, Verdict.CERTIFIED_STABLE),
             ("square-with-center", -3.999999, Verdict.LINEARLY_UNSTABLE),
         ],
