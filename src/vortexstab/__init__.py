@@ -46,7 +46,7 @@ from .hamiltonian import (
     reduced_gradient,
     reduced_hamiltonian,
 )
-from .report import AnalysisReport, analyze, emit, gamma_sweep
+from .report import AnalysisReport, analyze, gamma_sweep
 from .scenarios import Scenario, build_scenario, scenario_fixed_point
 from .stability import (
     CertificateResult,
@@ -86,7 +86,6 @@ __all__ = [
     "casimir_values",
     "constraint_jacobian",
     "constraint_residuals",
-    "emit",
     "energy_casimir_certificate",
     "flatten",
     "full_hamiltonian",

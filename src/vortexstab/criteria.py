@@ -32,6 +32,7 @@ from .dynamics import (
     relative_coordinates,
 )
 from .hamiltonian import FOUR_PI, VortexConfiguration, reduced_system
+from .localmodel import local_model
 from .report import gamma_sweep
 from .scenarios import build_scenario, scenario_fixed_point
 from .stability import (
@@ -194,8 +195,9 @@ def check_multiplier_reproduction() -> CheckResult:
             continue
         count += 1
         circ = Circulations(tuple(g))
+        model = local_model(mu0, circ)
         for a0 in (1.0, -1.0):
-            m = solve_multiplier_system(mu0, circ, a0=a0)
+            m = solve_multiplier_system(model, circ, a0=a0)
             got = np.array([m.a[0], m.b[0]])
             expected = np.array([a0 * g.sum(), 0.0])
             worst = max(
@@ -207,7 +209,7 @@ def check_multiplier_reproduction() -> CheckResult:
     ):
         for g in gammas:
             scen = build_scenario(kind, gamma=g)
-            mu = scenario_fixed_point(scen)
+            mu = local_model(scenario_fixed_point(scen), scen.circ)
             for a0 in (1.0, -1.0):
                 m = solve_multiplier_system(mu, scen.circ, a0=a0)
                 got = np.concatenate([m.a, m.constraint_coefficients])
@@ -287,7 +289,7 @@ def check_minor_formulas() -> CheckResult:
     ):
         for g in gammas:
             scen = build_scenario(kind, gamma=g)
-            mu = scenario_fixed_point(scen)
+            mu = local_model(scenario_fixed_point(scen), scen.circ)
             for a0 in (1.0, -1.0):
                 m = solve_multiplier_system(mu, scen.circ, a0=a0)
                 rh = restricted_hessian(mu, scen.circ, m, basis)

@@ -8,11 +8,11 @@ to a tangent basis through its factored form.  The leaf: the differential
 of the Casimir C_1, the leaf built from the moment map mu = phi(z) = i z z^*
 (ranks, tangent bases, multipliers; no matrix wider than 2n columns is
 factored), the multiplier residual, the one place the constraint Jacobian is
-read, and the restricted Hessian.  One stack is memoised, on the content of
-its arguments, so that the stages share it; the certificate narrows it to
-the points still undecided with :func:`restrict`, which slices what is
-computed.  Every array has a leading axis of length k; one point is a stack
-of one.
+read, and the restricted Hessian.  Nothing is memoised between calls: the
+certificate builds one model of its stack, hands it to each stage, and
+narrows it to the points still undecided with :meth:`LocalModel.take`, which
+slices what is computed.  Every array has a leading axis of length k; one
+point is a stack of one.
 """
 
 from __future__ import annotations
@@ -94,10 +94,15 @@ class LocalModel:
         self.scale = terms.max(axis=(-2, -1), initial=0.0)
 
     def take(self, rows: np.ndarray) -> LocalModel:
-        """The model at some rows of the stack, with what is computed so far
-        sliced, not computed again."""
+        """The model at some rows (sorted and distinct) of the stack, with what
+        is computed so far sliced, not computed again; the model itself for
+        all of its rows."""
+        if len(rows) == len(self.circs):
+            return self
         sub = object.__new__(LocalModel)
         sub.mu0, sub.n = MuMatrix(self.mu0.entries[rows]), self.n
+        # tuple() of a generator allocates ten slots and shrinks them, and the
+        # shrunk tuples pile up on CPython's free list of their size
         sub.circs = tuple([self.circs[i] for i in rows])
         sub.coupling = CouplingMatrix(k=self.coupling.k[rows], k_inv=self.coupling.k_inv[rows])
         sub.u0, sub.energy_gradient = self.u0[rows], self.energy_gradient[rows]
@@ -315,49 +320,16 @@ def _circulation_sets(circ: Circulations | Sequence[Circulations]) -> tuple[Circ
     return (circ,) if isinstance(circ, Circulations) else tuple(circ)
 
 
-# Tuples on the certificate's paths are built from lists: tuple() of a
-# generator allocates ten slots and shrinks them, and the shrunk tuples pile
-# up on CPython's free list of their size, a few per sweep.
-def _content(mu0: MuMatrix, circ: Circulations | Sequence[Circulations]) -> tuple:
-    return mu0.entries.tobytes(), mu0.n, tuple([c.gammas for c in _circulation_sets(circ)])
-
-
-# The stack the stages of a certificate query in turn, one at a time: its
-# content and its model.
-_memo: tuple = (None, None)
-
-
-def clear_memo() -> None:
-    """Forget the memoised stack."""
-    global _memo
-    _memo = (None, None)
-
-
-def local_model(mu0: MuMatrix, circ: Circulations | Sequence[Circulations]) -> LocalModel:
-    """The local model at mu0 (one point, or a stack with one circulation set
-    per point), memoised on the content of its arguments; one point is a
-    stack of one."""
-    global _memo
-    key, model = _memo
-    if model is not None and mu0 is model.mu0 and circ is model.circs:
-        return model
-    content = _content(mu0, circ)
-    if model is None or key != content:
-        stack = MuMatrix(mu0.entries.reshape(-1, mu0.n, mu0.n))
-        model = LocalModel(stack, _circulation_sets(circ))
-        _memo = (content, model)
-    return model
-
-
-def restrict(model: LocalModel, rows: np.ndarray) -> LocalModel:
-    """The model at some rows of its stack (see :meth:`LocalModel.take`),
-    memoised from now on in place of the stack it came from."""
-    global _memo
-    if len(rows) != len(model.circs):
-        model = model.take(rows)
-    if _memo[1] is not model:
-        _memo = (_content(model.mu0, model.circs), model)
-    return model
+def local_model(
+    mu0: MuMatrix | LocalModel, circ: Circulations | Sequence[Circulations]
+) -> LocalModel:
+    """mu0 itself when it is a model; else a new model at mu0 (one point, or
+    a stack with one circulation set per point; one point is a stack of
+    one)."""
+    if isinstance(mu0, LocalModel):
+        return mu0
+    stack = mu0 if mu0.entries.ndim == 3 else MuMatrix(mu0.entries.reshape(-1, mu0.n, mu0.n))
+    return LocalModel(stack, _circulation_sets(circ))
 
 
 @dataclass(frozen=True)

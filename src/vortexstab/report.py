@@ -256,16 +256,3 @@ def sweep_to_csv(table: SweepTable) -> str:
         )
     return buf.getvalue()
 
-
-def emit(obj, fmt: str, path: str) -> None:
-    """Write a report or sweep table to disk as json or csv."""
-    if fmt == "json":
-        text = report_to_json(obj)
-    elif fmt == "csv":
-        if not isinstance(obj, SweepTable):
-            raise ValueError("csv output is only defined for sweep tables")
-        text = sweep_to_csv(obj)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    with open(path, "w") as fh:
-        fh.write(text)

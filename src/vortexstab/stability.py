@@ -17,7 +17,10 @@ fixed point (:class:`localmodel.LocalModel`), so mu0 must be of that form.
 Every stage takes one point or a stack of them: ``mu0`` of shape (k, n, n)
 with ``circ`` a sequence of k circulation sets that share N and the regime
 (a slice of a parameter sweep).  Array results then gain a leading axis of
-length k, and a check that raises does so when it fails at any point.
+length k, and a check that raises does so when it fails at any point.  In
+place of the point or stack, a stage takes the :class:`LocalModel` of one,
+and reads what an earlier stage computed on it; ``circ`` then only says
+whether one point or a stack is asked for.
 """
 
 from __future__ import annotations
@@ -44,13 +47,7 @@ from .errors import (
     SingularCoupling,
     VortexStabError,
 )
-from .localmodel import (
-    LocalModel,
-    MultiplierSet,
-    _circulation_sets,
-    local_model,
-    restrict,
-)
+from .localmodel import LocalModel, MultiplierSet, _circulation_sets, local_model
 
 # A fixed point has a field residual below FP_TOL times the size of its terms.
 FP_TOL = 1e-9
@@ -77,7 +74,9 @@ def _per_point(circ, stacked):
     return stacked[0] if isinstance(circ, Circulations) else stacked
 
 
-def is_fixed_point(mu0: MuMatrix, circ: Circulations | Sequence[Circulations]) -> FixedPointCheck:
+def is_fixed_point(
+    mu0: MuMatrix | LocalModel, circ: Circulations | Sequence[Circulations]
+) -> FixedPointCheck:
     """Sup-norm of the reduced vector field at mu0, per point of a stack; a
     fixed point has it below FP_TOL times the size of the field's terms
     (:attr:`LocalModel.scale`), a test free of units."""
@@ -89,7 +88,7 @@ def is_fixed_point(mu0: MuMatrix, circ: Circulations | Sequence[Circulations]) -
 
 
 def linearize(
-    mu0: MuMatrix,
+    mu0: MuMatrix | LocalModel,
     circ: Circulations | Sequence[Circulations],
     basis: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -143,14 +142,14 @@ class IndependenceResult:
 
 
 def independence_check(
-    mu0: MuMatrix, circ: Circulations | Sequence[Circulations]
+    mu0: MuMatrix | LocalModel, circ: Circulations | Sequence[Circulations]
 ) -> IndependenceResult:
     """Numerical rank test of the differentials of C_1 and the constraints.
 
     Raises NotInOpenSet where mu0 has a vanishing entry, and NotRankOne where
     M = -i mu0 is not z z^* to RANK_THRESHOLD of its largest entry.
     """
-    if not np.all(in_open_set(mu0)):
+    if not np.all(in_open_set(mu0.mu0 if isinstance(mu0, LocalModel) else mu0)):
         raise NotInOpenSet("mu0 has a vanishing entry")
     model = local_model(mu0, circ)
     off = np.flatnonzero(model.off_stratum)
@@ -162,7 +161,7 @@ def independence_check(
 
 
 def solve_multiplier_system(
-    mu0: MuMatrix,
+    mu0: MuMatrix | LocalModel,
     circ: Circulations | Sequence[Circulations],
     a0: float = 1.0,
 ) -> MultiplierSet:
@@ -184,7 +183,9 @@ def solve_multiplier_system(
     return mult.point(0) if isinstance(circ, Circulations) else mult
 
 
-def tangent_basis(mu0: MuMatrix, circ: Circulations | Sequence[Circulations]) -> np.ndarray:
+def tangent_basis(
+    mu0: MuMatrix | LocalModel, circ: Circulations | Sequence[Circulations]
+) -> np.ndarray:
     """Orthonormal basis (rows) of the tangent space of the joint level set."""
     model = local_model(mu0, circ)
     rows = model.row_count
@@ -197,7 +198,7 @@ def tangent_basis(mu0: MuMatrix, circ: Circulations | Sequence[Circulations]) ->
 
 
 def restricted_hessian(
-    mu0: MuMatrix,
+    mu0: MuMatrix | LocalModel,
     circ: Circulations | Sequence[Circulations],
     mult: MultiplierSet,
     basis: np.ndarray,
@@ -324,11 +325,12 @@ def stack_size(n: int) -> int:
 def _certify(
     mu0: MuMatrix, circs: tuple[Circulations, ...]
 ) -> list[CertificateResult | VortexStabError]:
-    """The certificate at each point of a stack; each stage runs on the rows
-    it still has to decide, narrowed with ``restrict``."""
+    """The certificate at each point of a stack: one model of the stack is
+    handed to every stage, narrowed with :meth:`LocalModel.take` to the rows
+    the stage still has to decide."""
     results: list[CertificateResult | VortexStabError | None] = [None] * len(circs)
     model = local_model(mu0, circs)
-    check = is_fixed_point(mu0, circs)
+    check = is_fixed_point(model, circs)
     inside = in_open_set(mu0)
     for i in np.flatnonzero(~check.ok):
         results[i] = NotAFixedPoint(f"residual {check.residual[i]:.3e}")
@@ -340,15 +342,15 @@ def _certify(
     at = np.flatnonzero(check.ok & inside & ~off)  # the stack rows of the model's points
     if not len(at):
         return results
-    model = restrict(model, at)
-    indep = independence_check(model.mu0, model.circs)
+    model = model.take(at)
+    indep = independence_check(model, model.circs)
     for independent in (True, False):
         rows = np.flatnonzero(indep.independent == independent)
         if not len(rows):
             continue
-        part = restrict(model, rows)
-        basis = tangent_basis(part.mu0, part.circs) if independent else None
-        lin = linearize(part.mu0, part.circs, basis)
+        part = model.take(rows)
+        basis = tangent_basis(part, part.circs) if independent else None
+        lin = linearize(part, part.circs, basis)
         ev = spectrum(lin)
         # a zero-dimensional leaf (n = 1) has an empty spectrum
         max_re = ev.real.max(axis=-1, initial=0.0)
@@ -378,7 +380,7 @@ def _energy_casimir(model: LocalModel, rows: np.ndarray) -> dict[int, dict]:
     the fields of its certified-stable or inconclusive result."""
     if not len(rows):
         return {}
-    part = restrict(model, rows)
+    part = model.take(rows)
     residual = part.multipliers.residual
     infeasible = _infeasible_points(part, residual)
     outcome = {
@@ -387,9 +389,9 @@ def _energy_casimir(model: LocalModel, rows: np.ndarray) -> dict[int, dict]:
     }
     if infeasible.all():
         return outcome
-    part, rows = restrict(part, np.flatnonzero(~infeasible)), rows[~infeasible]
-    mult = solve_multiplier_system(part.mu0, part.circs, a0=1.0)
-    rh = restricted_hessian(part.mu0, part.circs, mult, part.basis)
+    part, rows = part.take(np.flatnonzero(~infeasible)), rows[~infeasible]
+    mult = solve_multiplier_system(part, part.circs, a0=1.0)
+    rh = restricted_hessian(part, part.circs, mult, part.basis)
     syl = sylvester_verdict(rh)
     negated = mult.negated()
     d = rh.shape[-1]

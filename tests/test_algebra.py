@@ -156,7 +156,7 @@ class TestCouplingMatrix:
 
     @pytest.mark.parametrize("gammas", [(1.0, 2.0, 3e-16), (1.0, 1.0, -3e-16)])
     def test_singular_to_working_precision(self, gammas):
-        # K^-1 = -diag(1/G_i) - 1 1^T / G_N: cond(K) eps is 1.07 and 1.33
+        # K^-1 = -diag(1/G_i) - 1 1^T / G_N: cond(K) eps is 1.974 and 1.480
         with pytest.raises(SingularCoupling, match="working precision"):
             build_coupling_matrix(Circulations(gammas))
 

@@ -43,7 +43,7 @@ from vortexstab.hamiltonian import (
     gradient_matrix,
     reduced_system,
 )
-from vortexstab.localmodel import LocalModel, clear_memo, local_model
+from vortexstab.localmodel import LocalModel, local_model
 from vortexstab.report import analyze, gamma_sweep
 from vortexstab.scenarios import build_scenario, scenario_fixed_point
 from vortexstab.stability import (
@@ -301,7 +301,6 @@ class TestCertificateFunction:
                 groups.setdefault(circ.n, []).append((mu0.entries, circ))
             for members in groups.values():
                 stack = MuMatrix(np.stack([entries for entries, _ in members]))
-                clear_memo()
                 model = local_model(stack, [circ for _, circ in members])
                 mult, basis = model.multipliers, model.basis
                 got = model.restricted_hessian(mult, basis)
@@ -347,7 +346,6 @@ class TestCertificateWork:
 
             monkeypatch.setattr(np.linalg, name, counting)
         scen = build_scenario("polygon-with-center", gamma=20.0, m=20)
-        clear_memo()
         rep = analyze(scen)
         n, d = scen.circ.n, 2 * scen.circ.n - 2
         assert rep.verdict == "certified-stable"
@@ -375,7 +373,6 @@ class TestCertificateWork:
 
             monkeypatch.setattr(ReducedHamiltonian, name, counted)
         scen = build_scenario("polygon-with-center", gamma=20.0, m=20)
-        clear_memo()
         rep = analyze(scen)
         basis = (1, 2 * scen.circ.n - 2, scen.circ.n**2)
         assert rep.verdict == "certified-stable"
@@ -422,7 +419,6 @@ class TestCertificateWork:
 
             monkeypatch.setattr(ConstraintSystem, name, counted)
         scen = build_scenario("polygon-with-center", gamma=20.0, m=20)
-        clear_memo()
         rep = analyze(scen)
         assert rep.verdict == "certified-stable"
         assert calls["hessians"] and all(call == ((), {}) for call in calls["hessians"])
@@ -450,7 +446,6 @@ class TestCertificateWork:
             return jacobian(self, u)
 
         monkeypatch.setattr(ConstraintSystem, "jacobian", counted)
-        clear_memo()
         rep = analyze(build_scenario(kind, gamma=gamma, m=m))
         assert rep.verdict == verdict and calls == []
 
@@ -471,10 +466,8 @@ class TestCertificateWork:
         multipliers.__set_name__(LocalModel, "multipliers")
         monkeypatch.setattr(LocalModel, "multipliers", multipliers)
         scen = build_scenario(kind, gamma=gamma)
-        clear_memo()
         rep = analyze(scen)
         assert rep.verdict == "certified-stable" and calls == [1]
-        clear_memo()
         mu0 = scenario_fixed_point(scen)
         model = local_model(mu0, scen.circ)
         unit = model.multipliers
@@ -521,7 +514,6 @@ class TestCertificateWork:
     def test_analyze_takes_the_gradient_of_c1_once(self, kind, gamma, m, verdict, monkeypatch):
         # C_1 is the one Casimir: one gradient per model
         calls = count_casimir_gradients(monkeypatch)
-        clear_memo()
         rep = analyze(build_scenario(kind, gamma=gamma, m=m))
         assert rep.verdict == verdict and calls == [(1, 1)]
 
@@ -538,7 +530,6 @@ class TestCertificateWork:
         self, lo, hi, step, stacks, monkeypatch
     ):
         calls = count_casimir_gradients(monkeypatch)
-        clear_memo()
         table = gamma_sweep("triangle-with-center", lo, hi, step)
         assert "certified-stable" in {row.verdict for row in table.rows}
         assert sorted(calls) == stacks
@@ -558,10 +549,8 @@ class TestCertificateWork:
         # a rank rule one row short makes these unstable points dependent:
         # the reason gives the growth rate, then the rank
         monkeypatch.setattr(localmodel, "row_rank", lambda rows, r=None: row_rank(rows, r) - 1)
-        clear_memo()
         scen = build_scenario(kind, gamma=gamma, m=m)
         rep = analyze(scen)
-        clear_memo()
         n = scen.circ.n
         assert rep.verdict == "linearly-unstable"
         growth, dependent = rep.reason.split("; ", 1)
@@ -664,7 +653,6 @@ class TestStackFactors:
         # the rank rule of the Casimir row, applied after the constraints, at
         # any units: C_1 adds to the rank and C_2 - C_1^2 does not
         mu0, circ = scaled_fixed_point(kind, gamma, m, pos_scale)
-        clear_memo()
         res = independence_check(mu0, circ)
         assert res.independent and res.rank == res.expected
         base = local_model(mu0, circ)
@@ -677,7 +665,6 @@ class TestStackFactors:
     def test_a_dependent_c1_row_ignores_units(self, gamma, pos_scale):
         # the rank rule of the C_1 row, applied after the constraints
         mu0, circ = scaled_fixed_point("triangle-with-center", gamma, None, pos_scale)
-        clear_memo()
         res = independence_check(mu0, circ)
         assert not res.independent and res.rank == res.expected - 1 == 4
 

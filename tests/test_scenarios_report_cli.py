@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -255,16 +256,15 @@ class TestSweepStack:
     def test_long_sweep_leaves_circulation_caches_bounded(self):
         from vortexstab.algebra import CIRCULATION_CACHE_SIZE, build_coupling_matrix
         from vortexstab.hamiltonian import reduced_system
-        from vortexstab import localmodel
-        from vortexstab.stability import stack_size
+        from vortexstab.localmodel import LocalModel
 
         table = gamma_sweep("square-with-center", -1.5, 2.5, 0.002)
         assert len(table.rows) == 2000 and len(table.skipped) == 1
         assert build_coupling_matrix.cache_info().currsize <= CIRCULATION_CACHE_SIZE
         assert reduced_system.cache_info().currsize <= CIRCULATION_CACHE_SIZE
-        # the certificate memo keeps the last stack only, of at most stack_size(n) points
-        _, model = localmodel._memo
-        assert model is not None and len(model.circs) <= stack_size(model.n)
+        # no certificate's model outlives the sweep
+        gc.collect()
+        assert not any(isinstance(obj, LocalModel) for obj in gc.get_objects())
 
     def test_sweep_memory_is_one_stack_whatever_the_grid(self):
         # n = 12: stacks of stack_size(12) = 12 points, each holding arrays of
@@ -299,7 +299,7 @@ class TestSweepStack:
             stage = getattr(stability, name)
 
             def spy(mu0, *args, stage=stage, calls=calls, **kwargs):
-                calls.append(len(mu0.entries))
+                calls.append(len(mu0.circs))
                 return stage(mu0, *args, **kwargs)
 
             monkeypatch.setattr(stability, name, spy)
@@ -377,7 +377,7 @@ class TestSweepBuilds:
 
     def test_one_fixed_point_and_coupling_call_per_stack(self, monkeypatch):
         # both are wrapped wherever a module binds them, as a tracer does
-        from vortexstab import algebra, localmodel, scenarios
+        from vortexstab import algebra, scenarios
 
         sizes = {"scenario_fixed_point": [], "build_coupling_matrix": []}
         modules = [m for name, m in sys.modules.items() if name.startswith("vortexstab")]
@@ -394,7 +394,6 @@ class TestSweepBuilds:
                 for attr, value in list(vars(module).items()):
                     if value is fn:
                         monkeypatch.setattr(module, attr, spy)
-        localmodel.clear_memo()
         # 13 points: gamma = -4 is a zero-total stack of one (n = 3), the
         # other 12 one stack of n = 4
         table = gamma_sweep("square-with-center", -4.4, -2.0, 0.2)
@@ -407,7 +406,6 @@ class TestSweepBuilds:
     def test_one_point_analyze_reads_the_coupling_memo(self):
         # a one-point certificate asks for the coupling matrices of a stack
         # of one set, which reads the one-set memo: K is not built again
-        from vortexstab import localmodel
         from vortexstab.algebra import build_coupling_matrix
         from vortexstab.localmodel import local_model
 
@@ -415,7 +413,6 @@ class TestSweepBuilds:
         mu0 = scenario_fixed_point(scen)
         couplings, counts = [], []
         for _ in range(2):
-            localmodel.clear_memo()
             before = build_coupling_matrix.cache_info()
             analyze(scen)
             after = build_coupling_matrix.cache_info()

@@ -18,7 +18,6 @@ from vortexstab.constraints import casimir_gradient, constraint_jacobian, row_ra
 from vortexstab.dynamics import integrate, moment_map, relative_coordinates
 from vortexstab.errors import NotAFixedPoint, NotAFixedPointWarning, NotInOpenSet, NotRankOne
 from vortexstab.hamiltonian import FOUR_PI, ReducedHamiltonian, VortexConfiguration, reduced_system
-from vortexstab.localmodel import clear_memo
 from vortexstab.report import analyze
 from vortexstab.scenarios import build_scenario, scenario_fixed_point
 from vortexstab.stability import (
@@ -170,7 +169,6 @@ class TestIndependence:
         gammas = (0.7, -3.0 - 1e-9, -3.0 - 1e-10)
         points = [center_fixed_point("triangle-with-center", g) for g in gammas]
         mu0 = MuMatrix(np.stack([p[0].entries for p in points]))
-        clear_memo()
         model = local_model(mu0, [p[1] for p in points])
         assert model.row_count == 5 and model.rank.tolist() == [5, 4, 4]
 
@@ -546,12 +544,11 @@ class TestLocalModel:
     def test_views_share_one_model(self):
         mu0, circ = center_fixed_point("square-with-center", 1.0)
         model = local_model(mu0, circ)
-        # an equal fixed point built apart gets the same model: the memo is on content
-        assert local_model(unflatten(flatten(mu0), circ.n), circ) is model
+        assert local_model(model, circ) is model
         # one point is a stack of one: the views are its first slice
-        basis = tangent_basis(mu0, circ)
+        basis = tangent_basis(model, circ)
         assert np.shares_memory(basis, model.basis) and basis.shape == model.basis.shape[1:]
-        assert independence_check(mu0, circ).rank == model.rank[0]
+        assert independence_check(model, circ).rank == model.rank[0]
 
     @pytest.mark.parametrize(
         "kind,gamma",
@@ -574,7 +571,6 @@ class TestLocalModel:
 
         monkeypatch.setattr(ReducedHamiltonian, "__init__", counted)
         mu0, circ = center_fixed_point(kind, gamma)
-        clear_memo()
         energy_casimir_certificate(mu0, circ)
         assert built == [1]
 
@@ -586,7 +582,6 @@ class TestLocalModel:
         cases = ((20, "certified-stable", 2.75), (30, "linearly-unstable", 10))
         for m, verdict, megabytes in cases:
             scen = build_scenario("polygon-with-center", gamma=20.0, m=m)
-            clear_memo()
             tracemalloc.start()
             try:
                 rep = analyze(scen)
