@@ -44,14 +44,14 @@ class Circulations:
     regime: Regime = field(init=False)
 
     def __post_init__(self):
-        gammas = tuple([float(g) for g in self.gammas])
+        gammas = tuple(map(float, self.gammas))
         if len(gammas) < 3:
             raise ValueError("need at least 3 vortices")
-        if any(g == 0.0 for g in gammas):
+        if 0.0 in gammas:
             raise ValueError("all circulations must be nonzero")
         object.__setattr__(self, "gammas", gammas)
         total = float(sum(gammas))
-        tol = 1e-12 * max(abs(g) for g in gammas)
+        tol = 1e-12 * max(map(abs, gammas))
         regime = Regime.ZERO_TOTAL if abs(total) <= tol else Regime.NON_ZERO_TOTAL
         if regime is Regime.ZERO_TOTAL:
             total = 0.0
@@ -105,6 +105,16 @@ class MuMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[-1]
+
+    def take(self, rows: np.ndarray) -> MuMatrix:
+        """The matrices at some rows of a stack (its leading axes read as
+        one, one matrix as a stack of one), sliced from the checked entries
+        and not checked again."""
+        entries = self.entries.reshape((-1,) + self.entries.shape[-2:])[rows]
+        entries.setflags(write=False)
+        sub = object.__new__(MuMatrix)
+        object.__setattr__(sub, "entries", entries)
+        return sub
 
     @property
     def hermitian_part(self) -> np.ndarray:
@@ -259,7 +269,8 @@ build_coupling_matrix.cache_info = _one_coupling.cache_info
 
 def _coupling_stack(circs: tuple[Circulations, ...]) -> CouplingMatrix:
     first = circs[0]
-    if any(c.N != first.N or c.regime is not first.regime for c in circs):
+    size = len(first.gammas)
+    if any([len(c.gammas) != size or c.regime is not first.regime for c in circs]):
         raise DimensionMismatch("the circulation sets of a stack must share N and the regime")
     g, diagonal = np.array([c.gammas for c in circs]), np.arange(first.n)
     if first.regime is Regime.NON_ZERO_TOTAL:

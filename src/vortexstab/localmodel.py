@@ -3,15 +3,17 @@
 A :class:`LocalModel` holds, at a stack of k points that share n and the
 regime, what the stages of a certificate read.
 The reduced field: the coupling matrices, the stacked reduced Hamiltonian,
-the field residual and the linearization, which applies the energy Hessian
-to a tangent basis through its factored form.  The leaf: the differential
+the field residual and the n^2 x n^2 Jacobian.  The leaf: the differential
 of the Casimir C_1, the leaf built from the moment map mu = phi(z) = i z z^*
 (ranks, tangent bases, multipliers; no matrix wider than 2n columns is
-factored), the multiplier residual, the one place the constraint Jacobian is
-read, and the restricted Hessian.  Nothing is memoised between calls: the
-certificate builds one model of its stack, hands it to each stage, and
-narrows it to the points still undecided with :meth:`LocalModel.take`, which
-slices what is computed.  Every array has a leading axis of length k; one
+factored), the leaf operator L = B A B^T and the energy part of the
+restricted Hessian, both taken on the leaf's coordinates z through the thin
+QR T^T = U R of Dphi with no n^2-sized stack of directions, the multiplier
+residual, the one place the constraint Jacobian is read, and the restricted
+Hessian.  Nothing is memoised between calls: the certificate builds one
+model of its stack, hands it to each stage, and narrows it to the points
+still undecided with :meth:`LocalModel.take`, which slices what is computed
+and checks nothing again.  Every array has a leading axis of length k; one
 point is a stack of one.
 """
 
@@ -32,12 +34,13 @@ from .algebra import (
     flatten,
     flatten_stack,
     hermitian_stack,
-    unflatten_stack,
+    pair_indices,
 )
 from .constraints import (
     RANK_THRESHOLD,
     casimir_gradient,
     constraint_system,
+    in_open_set,
     row_rank,
 )
 from .dynamics import _lie_poisson_entries
@@ -51,10 +54,10 @@ class LocalModel:
 
     The field part evaluates the reduced field at each point once (the
     fixed-point residual, and the size of the field's terms it is measured
-    against).  It applies the energy Hessian to a stack of bases through its
-    factored form, and builds the n^2 x n^2 matrix only for a linearization
-    without a basis.  It owns the coupling matrices and the reduced
-    Hamiltonians of its circulation sets.
+    against), and builds the n^2 x n^2 Jacobian only when asked for it: at
+    points with dependent differentials, and for a basis that is not the
+    model's own.  It owns the coupling matrices and the reduced Hamiltonians
+    of its circulation sets.
 
     The leaf's rows are the differential of C_1 (``casimirs``), then those of
     all constraint components, ``row_count`` in all; the model keeps the
@@ -64,7 +67,10 @@ class LocalModel:
     (n^2 x (2n - 1)) gives it.  One QR of the Casimir row projected onto it
     gives the ranks, the tangent bases and, where the rows are independent
     (the only case the certificate goes on with), the Casimir multiplier;
-    the constraint multipliers follow in closed form.  The
+    the constraint multipliers follow in closed form.  The tangent bases are
+    B^T = T^T R^-1 Q_1 for the rows T of Dphi, so the leaf operator and the
+    energy Hessian on B follow from one Hessian of h along T
+    (:meth:`leaf_operator`, :meth:`energy_hessian`).  The
     multiplier residual reads the constraint Jacobian once and drops it; at a
     point with dependent rows the multipliers are the minimal-norm ones.  The
     restricted Hessian gathers the entries of M that the constraint factors
@@ -79,7 +85,7 @@ class LocalModel:
                 f"mu0 has shape {mu0.entries.shape}, circulations give {len(circs)} x {n} x {n}"
             )
         self.mu0, self.circs, self.n = mu0, circs, n
-        self.u0, self._along = flatten(mu0), None
+        self.u0 = flatten(mu0)
         # raises DimensionMismatch for sets that differ in N or the regime
         self.coupling = build_coupling_matrix(circs)
         gradient = self.hamiltonian.gradient(self.u0)
@@ -95,23 +101,23 @@ class LocalModel:
 
     def take(self, rows: np.ndarray) -> LocalModel:
         """The model at some rows (sorted and distinct) of the stack, with what
-        is computed so far sliced, not computed again; the model itself for
-        all of its rows."""
+        is computed so far sliced, not computed again or checked again; the
+        model itself for all of its rows."""
         if len(rows) == len(self.circs):
             return self
         sub = object.__new__(LocalModel)
-        sub.mu0, sub.n = MuMatrix(self.mu0.entries[rows]), self.n
+        sub.mu0, sub.n = self.mu0.take(rows), self.n
         # tuple() of a generator allocates ten slots and shrinks them, and the
         # shrunk tuples pile up on CPython's free list of their size
         sub.circs = tuple([self.circs[i] for i in rows])
         sub.coupling = CouplingMatrix(k=self.coupling.k[rows], k_inv=self.coupling.k_inv[rows])
         sub.u0, sub.energy_gradient = self.u0[rows], self.energy_gradient[rows]
         sub._g, sub.residual, sub.scale = self._g[rows], self.residual[rows], self.scale[rows]
-        sub._along = None if self._along is None else tuple([a[rows] for a in self._along])
         computed = vars(self)
-        if "casimirs" in computed:
-            sub.casimirs = _read_only(self.casimirs[rows])
-        for name in ("moment", "_factors"):
+        for name in ("casimirs", "inside", "infeasible"):
+            if name in computed:
+                setattr(sub, name, _read_only(computed[name][rows]))
+        for name in ("moment", "_factors", "_pullback"):
             if name in computed:
                 setattr(sub, name, tuple([_read_only(a[rows]) for a in computed[name]]))
         if "multipliers" in computed:
@@ -122,33 +128,85 @@ class LocalModel:
     def hamiltonian(self) -> ReducedHamiltonian:
         return ReducedHamiltonian(self.circs)
 
-    def hessian_along(self, basis: np.ndarray) -> np.ndarray:
-        """``basis @ Hess h`` at each point for a stack of bases (k, d, n^2),
-        through the factored Hessian.  The product for the last basis is
-        kept, and sliced by :meth:`take`: the linearization and the
-        restricted Hessian of a certificate take it on the same tangent bases."""
-        last = self._along
-        if last is None or last[0].shape != basis.shape or not np.array_equal(last[0], basis):
-            self._along = basis, self.hamiltonian.hessian(self.u0, basis)
-        return self._along[1]
-
-    def linearize(self, basis: np.ndarray | None = None) -> np.ndarray:
-        """Jacobian of the flattened reduced field at each point, or
-        ``basis @ A @ basis^T`` for a stack of bases (k, d, n^2)."""
+    def linearize(self) -> np.ndarray:
+        """Jacobian of the flattened reduced field at each point, (k, n^2, n^2)."""
         n = self.n
         m, g, kinv = (a[:, None] for a in (self.mu0.entries, self._g, self.coupling.k_inv))
         # direction c moves mu by nu_c and G by p_c, the Hessian applied to it
-        if basis is None:
-            hess_t = self.hamiltonian.hessian(self.u0).swapaxes(-1, -2)
-            nu, p = 1j * coordinate_basis(n), gradient_entries(hess_t, n)
-            deriv = -nu @ g @ kinv - m @ p @ kinv + kinv @ p @ m + kinv @ g @ nu
-            return np.ascontiguousarray(flatten_stack(deriv).swapaxes(-1, -2))
-        nu, p = unflatten_stack(basis, n), gradient_entries(self.hessian_along(basis), n)
-        # the same four terms: nu, p, mu and G are skew-Hermitian and K^-1 is
-        # real symmetric, so the last two are minus the adjoints of the first two
-        s = -(nu @ g + m @ p) @ kinv
-        deriv = s - s.conj().swapaxes(-1, -2)
-        return np.ascontiguousarray(basis @ flatten_stack(deriv).swapaxes(-1, -2))
+        hess_t = self.hamiltonian.hessian(self.u0).swapaxes(-1, -2)
+        nu, p = 1j * coordinate_basis(n), gradient_entries(hess_t, n)
+        deriv = -nu @ g @ kinv - m @ p @ kinv + kinv @ p @ m + kinv @ g @ nu
+        return np.ascontiguousarray(flatten_stack(deriv).swapaxes(-1, -2))
+
+    def owns(self, basis: np.ndarray) -> bool:
+        """Whether a stack of bases (k, d, n^2) is the model's own tangent
+        bases, compared by value; a basis of another shape computes none."""
+        n = self.n
+        if basis.shape != (len(self.circs), 2 * n - 2, n * n):
+            return False
+        own = self.basis
+        return basis is own or np.array_equal(basis, own)
+
+    def leaf_operator(self) -> np.ndarray:
+        """L = B A B^T on the model's own tangent bases B, (k, 2n - 2, 2n - 2),
+        from the field on the leaf's coordinates z (mu = phi(z) = i z z^*),
+        with no n^2-sized matrix of directions.
+
+        On the stratum X(phi(z)) = Dphi(z) Z(z) with Z(z) = K^-1 G(phi(z)) z,
+        and at a fixed point Z(z0) = i Omega z0 (Dphi(i z0) = 0), so
+        A Dphi(v) = Dphi(J v) with J v = K^-1 (G v + P(v) z0) - i Omega v and
+        P(v) the Hessian of h applied to Dphi(v) as a matrix.  Each image J v
+        of a kept direction v, less its i e_c component along i z0, has
+        coordinates M v on the kept directions, so A T^T = T^T M for the rows
+        T of Dphi; with T^T = U R and B^T = U Q_1 = T^T R^-1 Q_1,
+        L = (R^T Q_1)^T M (R^-1 Q_1).  It equals B A B^T at fixed points on the
+        stratum, whether or not the differentials are independent."""
+        n = self.n
+        z = self.moment[0]
+        r, q, c, keep = self._factors[4:]
+        p_z, pullback = self._pullback
+        kinv, g = self.coupling.k_inv, self._g
+        # Omega from Z(z0) = i Omega z0; J v for the kept directions v as rows
+        z_h, field = z.conj()[:, None], kinv @ g @ z[..., None]
+        omega = (z_h @ field).imag / (z_h @ z[..., None]).real
+        v = _directions(n)[keep]
+        jv = (v @ g.swapaxes(-1, -2) + p_z) @ kinv - 1j * omega * v
+        # less the i e_c component along i z0, whose i e_c component is Re z_c
+        points = np.arange(len(z))
+        jv -= (jv[points, :, c].imag / z[points, c, None].real)[..., None] * (1j * z[:, None])
+        # M: the coordinates Re(v^* J v') on the kept directions
+        m = (v.conj() @ jv.swapaxes(-1, -2)).real
+        return q[..., 1:].swapaxes(-1, -2) @ r @ m @ pullback
+
+    @cached_property
+    def _pullback(self) -> tuple[np.ndarray, np.ndarray]:
+        """P(v) z0 for the kept directions v as rows, P(v) the energy
+        Hessian applied to Dphi(v) as a matrix, from one Hessian of h along
+        the rows T of Dphi; and R^-1 Q_1, the coordinates of the tangent
+        bases on those rows (B^T = T^T R^-1 Q_1)."""
+        tangent, r, q = self._factors[3:6]
+        along = gradient_entries(self.hamiltonian.hessian(self.u0, tangent), self.n)
+        p_z = (along @ self.moment[0][:, None, :, None])[..., 0]
+        return _read_only(p_z), _read_only(np.linalg.solve(r, q[..., 1:]))
+
+    def energy_hessian(self, basis: np.ndarray) -> np.ndarray:
+        """``basis @ Hess h @ basis^T`` at each point for a stack of bases
+        (k, d, n^2).  For the model's own bases B = (T^T R^-1 Q_1)^T it is
+        (R^-1 Q_1)^T (T Hess h T^T) (R^-1 Q_1), in O(n^3): row T_i of Dphi
+        paired with Hess h T_j^T is Im(v_i^* P(v_j) z0), from the Hessian
+        along T that the leaf operator reads too.  Other bases go through
+        the factored Hessian along them."""
+        if not self.owns(basis):
+            return self.hamiltonian.hessian(self.u0, basis) @ basis.swapaxes(-1, -2)
+        p_z, pullback = self._pullback
+        v = _directions(self.n)[self._factors[7]]
+        on_rows = (v.conj() @ p_z.swapaxes(-1, -2)).imag
+        return pullback.swapaxes(-1, -2) @ on_rows @ pullback
+
+    @cached_property
+    def inside(self) -> np.ndarray:
+        """Per point, whether mu0 is in the open set (no vanishing entry)."""
+        return _read_only(in_open_set(self.mu0))
 
     @cached_property
     def casimirs(self) -> np.ndarray:
@@ -185,7 +243,10 @@ class LocalModel:
         """The numerical ranks, the tangent bases, and where the rows are
         independent the unique solution of [C; J]^T w = -energy_gradient
         for the Casimir row C and the constraint Jacobian J (a0 = +1), NaN
-        elsewhere.
+        elsewhere; then the rows T of Dphi, the R of their thin QR
+        T^T = U R, the complete Q of the projected Casimir row, of which
+        the leaf operator reads the columns Q_1 but the first, and the c and
+        the kept directions of :func:`_kept`.
 
         The orthonormal columns U spanning the tangent space of the rank-one
         stratum are the thin QR of Dphi(v) = i (v z^* + z v^*) over the 2n
@@ -199,11 +260,11 @@ class LocalModel:
         complement of the projected row."""
         n = self.n
         z = self.moment[0]
-        drop = np.arange(2 * n - 1)
-        v = _directions(n)[drop + (drop >= n + z.real.argmax(axis=-1)[:, None])]
-        moved = v[..., None] * z[:, None, None, :].conj()  # v z^*
-        tangent = flatten_stack(1j * (moved + moved.conj().swapaxes(-1, -2)))
-        u = np.linalg.qr(tangent.swapaxes(-1, -2))[0]
+        values = np.concatenate([z.real, z.imag, -z.real, -z.imag, 2 * z.real, 2 * z.imag], -1)
+        values = np.concatenate([values, np.zeros((len(z), 1))], -1)
+        c, keep = _kept(z)
+        tangent = values[np.arange(len(z))[:, None, None], _dphi_sources(n)[keep]]
+        u, r_phi = np.linalg.qr(tangent.swapaxes(-1, -2))
         casimirs = self.casimirs
         q, r = np.linalg.qr((casimirs @ u).swapaxes(-1, -2), mode="complete")
         rank = (n - 1) ** 2 + row_rank(casimirs, r)
@@ -217,7 +278,7 @@ class LocalModel:
             a = -np.linalg.solve(r[unique, :1], projected)[..., 0]
             rest = gradient + (a[:, None] @ casimirs)[:, 0]
             w[unique] = np.concatenate([a, _constraint_multipliers(z[unique], rest)], axis=-1)
-        return _read_only(rank), _read_only(basis), _read_only(w)
+        return tuple([_read_only(a) for a in (rank, basis, w, tangent, r_phi, q, c, keep)])
 
     @property
     def rank(self) -> np.ndarray:
@@ -238,7 +299,7 @@ class LocalModel:
         the closed-form multipliers independently:
         Df = 4 pi grad h + a_1 dC_1 + J^T (b, c, d); it is not kept."""
         n = self.n
-        rank, _, w = self._factors
+        rank, _, w = self._factors[:3]
         jacobian = constraint_system(n).jacobian(self.u0)
         dependent = rank < self.row_count
         if dependent.any():
@@ -265,7 +326,7 @@ class LocalModel:
         rank-one products of the constraint factors along the basis: the
         entries of M = -i mu that :meth:`ConstraintSystem.hessians` names,
         gathered from each basis vector.  C_1 is linear, so a_1 adds nothing."""
-        h = (mult.a0 * FOUR_PI) * (self.hessian_along(basis) @ basis.swapaxes(-1, -2))
+        h = (mult.a0 * FOUR_PI) * self.energy_hessian(basis)
         # the entries of M each factor reads along each basis vector: (k, 4, n(n-1)/2, d)
         m = hermitian_stack(basis, self.n).swapaxes(-1, -2)
         p1, p2, p3, p4 = np.take(m, constraint_system(self.n).hessians(), axis=-2).swapaxes(0, 1)
@@ -282,6 +343,38 @@ def _directions(n: int) -> np.ndarray:
     v = np.concatenate([np.eye(n), 1j * np.eye(n)])
     v.setflags(write=False)
     return v
+
+
+@lru_cache(maxsize=None)
+def _dphi_sources(n: int) -> np.ndarray:
+    """Where each coordinate of Dphi(v) = i (v z^* + z v^*) comes from, for
+    the 2n directions v of :func:`_directions` as rows (2n, n^2): an index
+    into (Re z, Im z, -Re z, -Im z, 2 Re z, 2 Im z, 0).  M = v z^* + z v^*
+    has the diagonal entry 2 Re z_j (v = e_j) or 2 Im z_j (v = i e_j), and
+    in row and column j the entries of z^* and z (v = e_j) or of i z^* and
+    -i z (v = i e_j); every other entry is 0.  So each coordinate is an
+    entry of z or its double, exactly."""
+    sources = np.full((2 * n, n * n), 6 * n)
+    for j in range(n):
+        sources[j, j], sources[n + j, j] = 4 * n + j, 5 * n + j
+    for p, (a, b) in enumerate(pair_indices(n)):
+        x, y = n + 2 * p, n + 2 * p + 1
+        # row a: M_ab = conj(z_b) or i conj(z_b); column b: M_ab = z_a or -i z_a
+        sources[a, x], sources[a, y] = b, 3 * n + b
+        sources[b, x], sources[b, y] = a, n + a
+        sources[n + a, x], sources[n + a, y] = n + b, b
+        sources[n + b, x], sources[n + b, y] = n + a, 2 * n + a
+    sources.setflags(write=False)
+    return sources
+
+
+def _kept(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per point of a stack of z (k, n), the index c of the largest real part
+    and the indices into :func:`_directions` of the 2n - 1 directions but
+    i e_c."""
+    n = z.shape[-1]
+    c, drop = z.real.argmax(axis=-1), np.arange(2 * n - 1)
+    return c, drop + (drop >= n + c[:, None])
 
 
 def _constraint_multipliers(z: np.ndarray, rest: np.ndarray) -> np.ndarray:

@@ -151,7 +151,7 @@ def _sweep_row(gamma: float, res: CertificateResult | VortexStabError) -> SweepR
             note=f"{type(res).__name__}: {res}",
         )
     # an empty leaf spectrum (n = 1) has no growing direction
-    max_re = max((float(z.real) for z in res.spectrum), default=0.0)
+    max_re = float(res.spectrum.real.max()) if len(res.spectrum) else 0.0
     minors = None if res.minors is None else list(res.minors)
     return SweepRow(gamma=gamma, verdict=res.verdict.value, max_real_part=max_re, minors=minors)
 
@@ -225,10 +225,10 @@ def gamma_sweep(
         if scen.free_parameter is None:
             raise UnsupportedScenario(f"{kind} has no center circulation to sweep")
         rows.append(None)
-        circ = scen.circ
-        members = groups.setdefault((circ.n, circ.regime), [])
+        n = scen.circ.n
+        members = groups.setdefault((n, scen.circ.regime), [])
         members.append((len(rows) - 1, scen))
-        if len(members) == stack_size(circ.n):
+        if len(members) == stack_size(n):
             certify(members)
     for members in groups.values():
         certify(members)

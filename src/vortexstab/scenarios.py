@@ -116,7 +116,8 @@ def scenario_fixed_point(scenario: Scenario | Sequence[Scenario]) -> MuMatrix:
     """
     scens = [scenario] if isinstance(scenario, Scenario) else list(scenario)
     first = scens[0].circ
-    if any(s.circ.N != first.N or s.circ.regime is not first.regime for s in scens):
+    size = len(first.gammas)
+    if any([len(s.circ.gammas) != size or s.circ.regime is not first.regime for s in scens]):
         raise DimensionMismatch("the scenarios of a stack must share N and the regime")
     # the reference vortex depends on N and the regime only, so one
     # circulation set serves the whole stack of positions

@@ -7,9 +7,12 @@ making the combined function
 
 critical at the fixed point, then test definiteness, of either sign, of its
 Hessian restricted to the tangent space of the joint Casimir/constraint level
-set via Sylvester's criterion.  C_1 is the one Casimir: on the rank-one
-stratum C_j = C_1^j, so no other C_j adds a row the constraints and C_1 do
-not already span.  The ``4 pi h`` scaling matches the closed-form
+set via Sylvester's criterion, read from one stacked Cholesky factorization.
+Linear stability is decided first, on the same tangent space, by the leaf
+operator B A B^T taken on the leaf's coordinates z
+(:meth:`localmodel.LocalModel.leaf_operator`).  C_1 is the one Casimir: on
+the rank-one stratum C_j = C_1^j, so no other C_j adds a row the constraints
+and C_1 do not already span.  The ``4 pi h`` scaling matches the closed-form
 multiplier and minor fixtures used in the acceptance suite.  That tangent
 space, the symplectic leaf, is built from the moment map mu = i z z^* at the
 fixed point (:class:`localmodel.LocalModel`), so mu0 must be of that form.
@@ -20,12 +23,15 @@ with ``circ`` a sequence of k circulation sets that share N and the regime
 length k, and a check that raises does so when it fails at any point.  In
 place of the point or stack, a stage takes the :class:`LocalModel` of one,
 and reads what an earlier stage computed on it; ``circ`` then only says
-whether one point or a stack is asked for.
+whether one point or a stack is asked for.  The model evaluates the
+open-set test and the multipliers' feasibility test once, and the stages
+read that evaluation.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -58,6 +64,9 @@ FP_TOL = 1e-9
 SPEC_TOL = 1e-7
 MULTIPLIER_TOL = 1e-8
 PIVOT_TOL = 1e-10
+# An entry of a matrix beyond sqrt(a_ii a_jj) by this share cannot pass a
+# Cholesky factorization (see _not_factorable).
+CHOLESKY_SCREEN = 1e-8
 # Entries of each n^4-sized array of a certificate stack (the constraint
 # Jacobian that checks the multipliers): 2 MB of float64.
 STACK_ENTRIES = 1 << 18
@@ -98,23 +107,29 @@ def linearize(
     closed-form Hessian of h, in all n^2 coordinate directions at once; emits
     a warning (and still returns the matrix) when mu0 is not a fixed point.
     With ``basis`` (rows are directions, d of them; one basis per point of a
-    stack) it differentiates along those rows only and returns the d x d
-    matrix ``basis @ A @ basis.T``.
+    stack) it returns the d x d matrix ``basis @ A @ basis.T``: for the
+    tangent bases of :func:`tangent_basis` at fixed points, the leaf operator
+    of :meth:`LocalModel.leaf_operator`, taken on the leaf's coordinates z
+    with no n^2 x n^2 matrix; for any other basis, from the Jacobian.
     """
     reduced = local_model(mu0, circ)
-    if not np.all(reduced.residual < FP_TOL * reduced.scale):
+    fixed = np.all(reduced.residual < FP_TOL * reduced.scale)
+    if not fixed:
         worst = float(reduced.residual.max(initial=0.0))
         warnings.warn(
             f"linearizing at a non-fixed point (residual {worst:.3e})", NotAFixedPointWarning
         )
+    if basis is None:
+        return _per_point(circ, reduced.linearize())
     n = reduced.n
-    if basis is not None:
-        basis = np.asarray(basis, dtype=float)
-        ndim = 2 if isinstance(circ, Circulations) else 3
-        if basis.ndim != ndim or basis.shape[-1] != n * n:
-            raise DimensionMismatch(f"basis rows must have length {n * n}, got {basis.shape}")
-        basis = np.broadcast_to(basis, (len(reduced.circs),) + basis.shape[-2:])
-    return _per_point(circ, reduced.linearize(basis))
+    basis = np.asarray(basis, dtype=float)
+    ndim = 2 if isinstance(circ, Circulations) else 3
+    if basis.ndim != ndim or basis.shape[-1] != n * n:
+        raise DimensionMismatch(f"basis rows must have length {n * n}, got {basis.shape}")
+    basis = _stacked(reduced, basis)
+    if fixed and not reduced.off_stratum.any() and reduced.owns(basis):
+        return _per_point(circ, reduced.leaf_operator())
+    return _per_point(circ, basis @ reduced.linearize() @ basis.swapaxes(-1, -2))
 
 
 def spectrum(a: np.ndarray) -> np.ndarray:
@@ -149,7 +164,7 @@ def independence_check(
     Raises NotInOpenSet where mu0 has a vanishing entry, and NotRankOne where
     M = -i mu0 is not z z^* to RANK_THRESHOLD of its largest entry.
     """
-    if not np.all(in_open_set(mu0.mu0 if isinstance(mu0, LocalModel) else mu0)):
+    if not np.all(mu0.inside if isinstance(mu0, LocalModel) else in_open_set(mu0)):
         raise NotInOpenSet("mu0 has a vanishing entry")
     model = local_model(mu0, circ)
     off = np.flatnonzero(model.off_stratum)
@@ -177,7 +192,7 @@ def solve_multiplier_system(
         raise ValueError(f"a0 must be +1 or -1, got {a0}")
     model = local_model(mu0, circ)
     mult = model.multipliers if a0 > 0 else model.multipliers.negated()
-    infeasible = _infeasible_points(model, mult.residual)
+    infeasible = _infeasible_points(model)
     if infeasible.any():
         raise Infeasible(_infeasible(float(mult.residual[infeasible].max())))
     return mult.point(0) if isinstance(circ, Circulations) else mult
@@ -205,14 +220,21 @@ def restricted_hessian(
 ) -> np.ndarray:
     """Project the certificate Hessian onto a tangent basis (rows)."""
     model = local_model(mu0, circ)
-    basis = np.asarray(basis, dtype=float)
-    basis = np.broadcast_to(basis, (len(model.circs),) + basis.shape[-2:])
+    basis = _stacked(model, np.asarray(basis, dtype=float))
     restricted = model.restricted_hessian(mult, basis)
     scale = np.maximum(1.0, np.abs(restricted).max(axis=(-2, -1), initial=0.0))
     asym = np.abs(restricted - restricted.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     if np.any(asym > 1e-10 * scale):
         raise ValueError(f"restricted Hessian asymmetric by {asym.max():.3e}")
     return _per_point(circ, 0.5 * (restricted + restricted.swapaxes(-1, -2)))
+
+
+def _stacked(model: LocalModel, basis: np.ndarray) -> np.ndarray:
+    """A basis per point of the model's stack: ``basis`` itself when it is
+    one, else broadcast (one basis for all points)."""
+    if basis.shape[:-2] == (len(model.circs),):
+        return basis
+    return np.broadcast_to(basis, (len(model.circs),) + basis.shape[-2:])
 
 
 @dataclass(frozen=True)
@@ -226,30 +248,94 @@ class SylvesterResult:
 
 
 def sylvester_verdict(hessian: np.ndarray) -> SylvesterResult:
-    """Sign of definiteness and leading principal minors from the pivots of one
-    unpivoted LDL^T elimination, per matrix of a stack: definite when every
-    pivot has the first one's sign and exceeds PIVOT_TOL * max|h|, a test that
-    is backward stable (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 10) and scale-free.  A 0 x 0 matrix is not definite."""
+    """Sign of definiteness and leading principal minors, per matrix of a
+    stack.  H is definite of sign s, the sign of H_00, when the Cholesky
+    factorization s H = L L^T succeeds and every pivot s L_jj^2 has that
+    sign beyond PIVOT_TOL * max|H|, a test that is backward stable (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 10) and scale-free;
+    minor j is the product of the first j pivots.  The pivots of a matrix
+    that is not definite are those of an unpivoted LDL^T elimination, which
+    name the first leading minor of the wrong sign.
+
+    One stacked factorization decides the stack.  A matrix that cannot pass
+    it (:func:`_not_factorable`) is not factored.  The elimination runs
+    once, over the whole stack, when some matrix is not factored or the
+    stacked factorization fails; then the matrices whose elimination pivots
+    are all of their sign are factored as one stack and each other matrix
+    alone, and a stack of them that fails is factored one matrix at a time.
+    So each matrix is factored alone or inside a stack whose factorization
+    succeeds, and its result depends on that matrix alone, never on the
+    stack it is in.  A 0 x 0 matrix is not definite."""
     h = np.asarray(hessian, dtype=float)
     d = h.shape[-1]
+    stack = h.reshape((math.prod(h.shape[:-2]), d, d))
+    lead = np.sign(stack[:, :1, 0]) if d else np.zeros((len(stack), 1))
+    tol = PIVOT_TOL * np.abs(stack).max(axis=(-2, -1), initial=0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scaled = lead[..., None] * stack
+        tried = np.flatnonzero(~_not_factorable(scaled))
+        ldl = None if len(tried) == len(stack) else _ldl_pivots(stack)
+        groups = [tried] if ldl is None else _split(tried, lead * ldl)
+        squares = np.full(stack.shape[:-1], np.nan)
+        for rows in groups:
+            try:
+                factor = np.linalg.cholesky(scaled[rows])
+                squares[rows] = np.diagonal(factor, axis1=-2, axis2=-1) ** 2
+            except np.linalg.LinAlgError:
+                if len(rows) == 1:
+                    continue
+                if ldl is None:
+                    ldl = _ldl_pivots(stack)
+                    groups += _split(rows, lead * ldl)
+                else:
+                    groups += list(rows[:, None])
+        definite = (squares > tol[:, None]).all(axis=-1) & (d > 0)
+        pivots = lead * squares
+        if not definite.all():
+            pivots[~definite] = _ldl_pivots(stack[~definite]) if ldl is None else ldl[~definite]
+        # the leading pivots of the first one's sign beyond tol
+        good = np.cumprod(pivots * lead > tol[:, None], axis=-1).sum(axis=-1)
+    sign = np.where(definite, lead[:, 0], 0).astype(int)
+    wrong_minor = np.where(definite | (d == 0), 0, np.minimum(good + 1, d))
+    minors = np.cumprod(pivots, axis=-1)
+    if h.ndim == 2:
+        return SylvesterResult(int(sign[0]), tuple(minors[0].tolist()), int(wrong_minor[0]))
+    shape = h.shape[:-2]
+    return SylvesterResult(
+        sign.reshape(shape), minors.reshape(h.shape[:-1]), wrong_minor.reshape(shape)
+    )
+
+
+def _split(rows: np.ndarray, pivots: np.ndarray) -> list[np.ndarray]:
+    """Some rows of a stack as one group of those whose signed pivots are
+    all positive and one group for each other row."""
+    positive = (pivots[rows] > 0).all(axis=-1)
+    return [rows[positive]] * bool(positive.any()) + list(rows[~positive, None])
+
+
+def _not_factorable(a: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack, whether its Cholesky factorization is bound to
+    fail: a diagonal entry is not positive (the pivot there is at most that
+    entry), or an entry exceeds sqrt(a_ii a_jj) by more than the
+    factorization's backward error allows.  A computed factor is exact for
+    a + E, |E| <= gamma_{d+1} |L||L^T| (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm 10.3), so success bounds a_ij^2 by
+    a_ii a_jj (1 + 6 gamma_{d+1}); CHOLESKY_SCREEN is far above that for
+    any d below 10^4."""
+    diagonal = np.diagonal(a, axis1=-2, axis2=-1)
+    bound = (diagonal[..., :, None] * diagonal[..., None, :]) * (1.0 + CHOLESKY_SCREEN)
+    return ~(diagonal > 0).all(axis=-1) | (a * a > bound).any(axis=(-2, -1))
+
+
+def _ldl_pivots(h: np.ndarray) -> np.ndarray:
+    """The pivots of one unpivoted LDL^T elimination of each matrix of a stack."""
     a = h.copy()
     pivots = np.empty(h.shape[:-1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(d):
-            pivots[..., j] = p = a[..., j, j]
-            col = a[..., j + 1 :, j] / p[..., None]
-            a[..., j + 1 :, j + 1 :] -= col[..., :, None] * a[..., None, j, j + 1 :]
-        minors = np.cumprod(pivots, axis=-1)
-        lead = np.sign(pivots[..., :1])  # empty for d = 0
-        tol = PIVOT_TOL * np.abs(h).max(axis=(-2, -1), initial=0.0)
-        # the leading pivots of the first one's sign beyond tol
-        good = np.cumprod(pivots * lead > tol[..., None], axis=-1).sum(axis=-1)
-    sign = np.where(good == d, lead.sum(axis=-1), 0).astype(int)
-    wrong_minor = np.where(good < d, good + 1, 0)
-    if h.ndim == 2:
-        return SylvesterResult(int(sign), tuple(minors.tolist()), int(wrong_minor))
-    return SylvesterResult(sign, minors, wrong_minor)
+    for j in range(h.shape[-1]):
+        pivots[..., j] = p = a[..., j, j]
+        col = a[..., j + 1 :, j] / p[..., None]
+        a[..., j + 1 :, j + 1 :] -= col[..., :, None] * a[..., None, j, j + 1 :]
+    return pivots
 
 
 class Verdict(enum.Enum):
@@ -293,12 +379,11 @@ def energy_casimir_certificate(
     O(n^4) entries per point, so the caller bounds k (:func:`stack_size`).
     """
     circs = _circulation_sets(circ)
-    stack = mu0.entries.reshape((-1,) + mu0.entries.shape[-2:])
     results: list[CertificateResult | VortexStabError | None] = [None] * len(circs)
     rows = np.arange(len(circs))
     while len(rows):
         try:
-            part = MuMatrix(stack[rows])
+            part = mu0.take(rows)
             for i, res in zip(rows, _certify(part, tuple([circs[i] for i in rows]))):
                 results[i] = res
             break
@@ -331,7 +416,7 @@ def _certify(
     results: list[CertificateResult | VortexStabError | None] = [None] * len(circs)
     model = local_model(mu0, circs)
     check = is_fixed_point(model, circs)
-    inside = in_open_set(mu0)
+    inside = model.inside
     for i in np.flatnonzero(~check.ok):
         results[i] = NotAFixedPoint(f"residual {check.residual[i]:.3e}")
     for i in np.flatnonzero(check.ok & ~inside):
@@ -381,8 +466,7 @@ def _energy_casimir(model: LocalModel, rows: np.ndarray) -> dict[int, dict]:
     if not len(rows):
         return {}
     part = model.take(rows)
-    residual = part.multipliers.residual
-    infeasible = _infeasible_points(part, residual)
+    residual, infeasible = part.multipliers.residual, _infeasible_points(part)
     outcome = {
         int(r): dict(verdict=Verdict.INCONCLUSIVE, reason=_infeasible(worst))
         for r, worst in zip(rows[infeasible], residual[infeasible])
@@ -417,10 +501,15 @@ def _not_rank_one(model: LocalModel, row: int) -> NotRankOne:
     return NotRankOne(f"mu0 is not i z z^*: M - z z^* reaches {gap:.3e} of max |M|", sample=row)
 
 
-def _infeasible_points(model: LocalModel, residual: np.ndarray) -> np.ndarray:
+def _infeasible_points(model: LocalModel) -> np.ndarray:
     """Where no multipliers make a point critical: the residual of Df(mu0) = 0
-    exceeds MULTIPLIER_TOL times max |4 pi grad h| there, a test free of units."""
-    return residual > MULTIPLIER_TOL * np.abs(model.energy_gradient).max(axis=-1, initial=0.0)
+    exceeds MULTIPLIER_TOL times max |4 pi grad h| there, a test free of units.
+    Evaluated once per model and kept on it as ``infeasible``, which
+    :meth:`LocalModel.take` slices."""
+    if "infeasible" not in vars(model):
+        scale = np.abs(model.energy_gradient).max(axis=-1, initial=0.0)
+        model.infeasible = model.multipliers.residual > MULTIPLIER_TOL * scale
+    return model.infeasible
 
 
 def _infeasible(residual: float) -> str:

@@ -35,7 +35,7 @@ from vortexstab.constraints import (
     constraint_system,
     row_rank,
 )
-from vortexstab.errors import DimensionMismatch, Infeasible
+from vortexstab.errors import DimensionMismatch, Infeasible, NotAFixedPointWarning
 from vortexstab.hamiltonian import (
     FOUR_PI,
     ReducedHamiltonian,
@@ -292,7 +292,7 @@ class TestCertificateFunction:
     def test_restricted_hessian_equals_the_dense_contraction(self):
         # the entries of M gathered from the basis against the dense forms
         # projected by one complex product, bit for bit, on stacks of the
-        # polygon grid (N = 4..21)
+        # polygon grid (N = 4..21); the energy part is the model's own
         checked = 0
         for m in GRID_M:
             groups = {}
@@ -319,7 +319,7 @@ def dense_restricted_hessian(model, mult, basis):
     i, j = np.array(blocks, dtype=int).reshape(-1, 2).T
     forms = np.stack([ell[i, j], ell[i + 1, j + 1], ell[i, j + 1], ell[i + 1, j]])
     basis_t = basis.swapaxes(-1, -2)
-    h = (mult.a0 * FOUR_PI) * (model.hessian_along(basis) @ basis_t)
+    h = (mult.a0 * FOUR_PI) * model.energy_hessian(basis)
     p1, p2, p3, p4 = (forms @ basis_t[:, None]).swapaxes(0, 1)
     c, d = np.asarray(mult.c, dtype=float), np.asarray(mult.d, dtype=float)
     w = np.concatenate([np.asarray(mult.b, dtype=float), c - 1j * d], axis=-1)[..., None, :]
@@ -352,8 +352,10 @@ class TestCertificateWork:
         # one thin QR of Dphi's 2n - 1 directions, one QR of the projected C_1
         # row, no QR of the (n - 1)^2 + 1 x n^2 stack
         assert calls["qr"] == [(1, n * n, 2 * n - 1), (1, 2 * n - 1, 1)]
-        # the C_1 multiplier and the (n - 1) x (n - 1) Gram matrix of A
-        assert calls["solve"] == [(1, 1, 1), (1, n - 1, n - 1)]
+        # the C_1 multiplier, the (n - 1) x (n - 1) Gram matrix of A and the
+        # R factor of Dphi, which gives the tangent bases' coordinates R^-1 Q_1
+        assert calls["solve"] == [(1, 1, 1), (1, n - 1, n - 1), (1, 2 * n - 1, 2 * n - 1)]
+        assert all(shape[-1] < 2 * n for shape in calls["qr"] + calls["solve"])
         assert calls["svd"] == calls["lstsq"] == calls["pinv"] == []
         assert calls["eigvals"] and all(shape[-1] <= d for shape in calls["eigvals"])
         assert len(rep.spectrum) == d
@@ -361,8 +363,8 @@ class TestCertificateWork:
     def test_certified_analyze_builds_no_dense_energy_hessian(self, monkeypatch):
         # and evaluates the reduced field once: the residual, the certificate's
         # fixed-point check and the linearization share one evaluation; the
-        # energy Hessian is applied once, to the tangent basis, for the
-        # linearization and the restricted Hessian
+        # energy Hessian is applied once, to the 2n - 1 rows of Dphi, for the
+        # leaf operator and the restricted Hessian
         calls = {"gradient": [], "hessian": []}
         for name in calls:
             method = getattr(ReducedHamiltonian, name)
@@ -374,9 +376,9 @@ class TestCertificateWork:
             monkeypatch.setattr(ReducedHamiltonian, name, counted)
         scen = build_scenario("polygon-with-center", gamma=20.0, m=20)
         rep = analyze(scen)
-        basis = (1, 2 * scen.circ.n - 2, scen.circ.n**2)
+        rows = (1, 2 * scen.circ.n - 1, scen.circ.n**2)
         assert rep.verdict == "certified-stable"
-        assert calls == {"gradient": [None], "hessian": [basis]}
+        assert calls == {"gradient": [None], "hessian": [rows]}
 
     def test_constraint_system_keeps_no_dense_forms(self):
         # the factored Hessians and the Jacobian's terms take O(n^2) entries
@@ -788,3 +790,85 @@ class TestLeafFromMomentMap:
                 problems.append((where, "restricted Hessian", np.abs(got - eig).max()))
         assert problems == []
         assert sizes == set(range(1, 21))
+
+
+# the certify-large copies: positions x10 and circulations x1e-2 of the
+# polygon with m = 20
+LARGE_COPIES = [(gamma, 10.0, 1e-2) for gamma in (20.0, 25.0, 30.0, 35.0)]
+
+
+def pullback_points():
+    """LEAF_CASES, the polygon grid, the zero-total triangle, the points just
+    above zero total and the certify-large copies."""
+    points = [fixed_point(kind, gamma, m) for kind, gamma, m in LEAF_CASES]
+    points += [fixed_point("polygon-with-center", gamma, m) for m in GRID_M for gamma in GRID_GAMMA]
+    points += [fixed_point("triangle-with-center", gamma) for gamma in (-3.0,) + ABOVE_ZERO_TOTAL]
+    for gamma, pos_scale, circ_scale in LARGE_COPIES:
+        base = build_scenario("polygon-with-center", gamma=gamma, m=20)
+        scen = build_scenario(
+            "custom",
+            positions=tuple(pos_scale * p for p in base.positions),
+            circulations=tuple(circ_scale * g for g in base.circ.gammas),
+        )
+        points.append((scenario_fixed_point(scen), scen.circ))
+    return points
+
+
+def relative_gap(got, expected):
+    return np.abs(got - expected).max() / np.abs(expected).max()
+
+
+class TestLeafOperator:
+    """The leaf operator L = B A B^T and the energy Hessian B Hess h B^T on
+    the model's tangent bases, both taken on the 2n - 1 rows of Dphi,
+    against the n^2-dimensional formulas."""
+
+    def test_matches_the_n2_formulas(self):
+        problems, checked = [], 0
+        for mu0, circ in pullback_points():
+            model = local_model(mu0, circ)
+            basis = model.basis
+            basis_t = basis.swapaxes(-1, -2)
+            leaf = basis @ model.linearize() @ basis_t
+            energy = model.hamiltonian.hessian(model.u0, basis) @ basis_t
+            gaps = (
+                relative_gap(model.leaf_operator(), leaf),
+                relative_gap(model.energy_hessian(basis), energy),
+            )
+            if max(gaps) > 1e-12:
+                problems.append((circ.gammas, gaps))
+            checked += 1
+        assert problems == []
+        assert checked == len(LEAF_CASES) + len(GRID_M) * len(GRID_GAMMA) + 3 + len(LARGE_COPIES)
+
+    @pytest.mark.parametrize("kind,gamma,m", LEAF_CASES[1:4] + [("polygon-with-center", 20.0, 20)])
+    def test_linearize_takes_it_for_the_own_basis_only(self, kind, gamma, m):
+        # the tangent bases get the leaf operator, equal by value or not the
+        # same object; a random orthonormal basis gets the full Jacobian
+        mu0, circ = fixed_point(kind, gamma, m)
+        model = local_model(mu0, circ)
+        own = np.array(model.basis[0])
+        got = linearize(model, circ, own)
+        assert got.tobytes() == model.leaf_operator()[0].tobytes()
+        rng = np.random.default_rng(circ.n)
+        q = np.linalg.qr(rng.standard_normal((circ.n**2, own.shape[0])))[0].T
+        full = linearize(mu0, circ)
+        got = linearize(model, circ, q)
+        assert relative_gap(got, q @ full @ q.T) <= 1e-12
+        expected = model.hamiltonian.hessian(model.u0, q[None]) @ q.T[None]
+        assert model.energy_hessian(q[None]).tobytes() == expected.tobytes()
+
+    def test_a_point_that_is_not_fixed_takes_the_full_jacobian(self):
+        # mu = i z z^* of four vortices that do not form a relative
+        # equilibrium: the leaf operator would assume one
+        scen = build_scenario(
+            "custom",
+            positions=(0.0, 1.0, 0.3 + 0.8j, -0.4 + 1.7j),
+            circulations=(1.0, 2.0, 1.5, 1.0),
+        )
+        mu0, circ = scenario_fixed_point(scen), scen.circ
+        basis = tangent_basis(mu0, circ)
+        with pytest.warns(NotAFixedPointWarning):
+            full = linearize(mu0, circ)
+            got = linearize(mu0, circ, basis)
+        assert relative_gap(got, basis @ full @ basis.T) <= 1e-12

@@ -317,6 +317,98 @@ class TestSylvester:
             assert (res.sign, res.wrong_minor) == (0, 2)
 
 
+def ldl_verdict(h):
+    """Sign, minors and first wrong minor from one unpivoted LDL^T
+    elimination of each matrix of a stack: definite when every pivot has the
+    first one's sign beyond PIVOT_TOL * max|h|."""
+    d = h.shape[-1]
+    a, pivots = h.copy(), np.empty(h.shape[:-1])
+    for j in range(d):
+        pivots[..., j] = p = a[..., j, j]
+        col = a[..., j + 1 :, j] / p[..., None]
+        a[..., j + 1 :, j + 1 :] -= col[..., :, None] * a[..., None, j, j + 1 :]
+    lead = np.sign(pivots[..., :1])
+    tol = stability.PIVOT_TOL * np.abs(h).max(axis=(-2, -1))
+    good = np.cumprod(pivots * lead > tol[..., None], axis=-1).sum(axis=-1)
+    sign = np.where(good == d, lead[..., 0], 0).astype(int)
+    return sign, np.cumprod(pivots, axis=-1), np.where(good < d, good + 1, 0)
+
+
+def sylvester_cases(rng, d):
+    """Positive definite, negative definite, indefinite and singular
+    symmetric matrices of order d with eigenvalues of size 0.5..2, scaled by
+    1e-6..1e6, and matrices of unit diagonal with every other entry below 1
+    in size, which pass the Cholesky screen and of which some fail the
+    factorization past the first pivot."""
+    stack = []
+    for kind in ("positive", "negative", "indefinite", "singular", "screened") * 6:
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        ev = rng.uniform(0.5, 2.0, d)
+        if kind == "negative":
+            ev = -ev
+        elif kind == "indefinite":
+            ev[rng.permutation(d)[: max(1, d // 2)]] *= -1.0
+        elif kind == "singular":
+            ev[rng.integers(d)] = 0.0
+        elif kind == "screened":
+            # unit diagonal, off-diagonal entries below 1: only a pivot
+            # past the first can fail
+            ev[0] = -0.2
+            h = (q * ev) @ q.T + 1.0
+            h = h / np.sqrt(np.outer(np.diag(h), np.diag(h)))
+            stack.append(10.0 ** rng.uniform(-6, 6) * h)
+            continue
+        stack.append(10.0 ** rng.uniform(-6, 6) * (q * ev) @ q.T)
+    h = np.array(stack)
+    return 0.5 * (h + h.swapaxes(-1, -2))
+
+
+class TestSylvesterPaths:
+    """The stacked Cholesky path against the LDL^T elimination it replaced."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 8, 38])
+    def test_agrees_with_the_elimination(self, d):
+        h = sylvester_cases(np.random.default_rng(100 + d), d)
+        res = sylvester_verdict(h)
+        sign, minors, wrong_minor = ldl_verdict(h)
+        np.testing.assert_array_equal(res.sign, sign)
+        np.testing.assert_array_equal(res.wrong_minor, wrong_minor)
+        assert np.all(np.abs(res.minors - minors) <= 1e-12 * np.abs(minors))
+        kinds = set(np.sign(sign).tolist())
+        assert kinds == {-1, 0, 1}
+
+    @pytest.mark.parametrize("d", [2, 4, 6, 38])
+    def test_a_matrix_gets_the_same_bits_alone_and_in_a_stack(self, d):
+        h = sylvester_cases(np.random.default_rng(200 + d), d)
+        stacked = sylvester_verdict(h)
+        for i, one in enumerate(h):
+            for alone in (sylvester_verdict(one), sylvester_verdict(one[None])):
+                assert int(np.ravel(alone.sign)[0]) == stacked.sign[i]
+                assert int(np.ravel(alone.wrong_minor)[0]) == stacked.wrong_minor[i]
+                assert np.array(alone.minors).tobytes() == stacked.minors[i].tobytes()
+        # and in a stack of its own kind only
+        for sign in (-1, 0, 1):
+            rows = np.flatnonzero(stacked.sign == sign)
+            part = sylvester_verdict(h[rows])
+            assert part.minors.tobytes() == stacked.minors[rows].tobytes()
+
+    def test_the_screen_only_rejects_what_cholesky_rejects(self):
+        # an entry just past sqrt(a_ii a_jj): within the screen's margin the
+        # factorization decides, beyond it the factorization fails
+        rng = np.random.default_rng(7)
+        for d in (2, 3, 6, 20):
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            h = (q * rng.uniform(0.5, 2.0, d)) @ q.T
+            for excess in (1e-14, 1e-10, 1e-8, 2e-8, 1e-6, 1e-2, 1.0):
+                a = h.copy()
+                a[0, -1] = a[-1, 0] = np.sqrt(a[0, 0] * a[-1, -1]) * (1.0 + excess)
+                if stability._not_factorable(a[None])[0]:
+                    with pytest.raises(np.linalg.LinAlgError):
+                        np.linalg.cholesky(a)
+            assert stability._not_factorable(np.diag([1.0] * (d - 1) + [-1.0])[None])[0]
+            assert not stability._not_factorable(h[None])[0]
+
+
 class TestCertificate:
     @pytest.mark.parametrize(
         "kind,gamma,verdict",
@@ -573,6 +665,43 @@ class TestLocalModel:
         mu0, circ = center_fixed_point(kind, gamma)
         energy_casimir_certificate(mu0, circ)
         assert built == [1]
+
+    def test_a_certificate_evaluates_each_check_once(self, monkeypatch):
+        # the open set and the multipliers' feasibility are evaluated once per
+        # stack, and neither the certificate nor its narrowed models check a
+        # MuMatrix again
+        counts = {"in_open_set": 0, "feasibility": 0, "mu_check": 0}
+        in_open_set = stability.in_open_set
+
+        def counted(mu):
+            counts["in_open_set"] += 1
+            return in_open_set(mu)
+
+        class CountedTol(float):
+            def __mul__(self, other):
+                counts["feasibility"] += 1
+                return float(self) * other
+
+        check = MuMatrix.__post_init__
+
+        def counted_check(self):
+            counts["mu_check"] += 1
+            check(self)
+
+        from vortexstab import localmodel
+
+        monkeypatch.setattr(localmodel, "in_open_set", counted)
+        monkeypatch.setattr(stability, "in_open_set", counted)
+        monkeypatch.setattr(stability, "MULTIPLIER_TOL", CountedTol(stability.MULTIPLIER_TOL))
+        # certified, inconclusive and unstable points of one stack
+        points = [center_fixed_point("triangle-with-center", g) for g in (0.5, -1.0, 2.0, 0.7)]
+        mu0 = MuMatrix(np.stack([p[0].entries for p in points]))
+        monkeypatch.setattr(MuMatrix, "__post_init__", counted_check)
+        results = energy_casimir_certificate(mu0, [p[1] for p in points])
+        assert [r.verdict.value for r in results] == [
+            "certified-stable", "inconclusive", "linearly-unstable", "certified-stable"
+        ]
+        assert counts == {"in_open_set": 1, "feasibility": 1, "mu_check": 0}
 
     def test_large_certificate_memory(self):
         # no array holds the Casimir rows next to the constraint Jacobian
