@@ -10,6 +10,7 @@ rejected because every vortex must have nonzero circulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -40,13 +41,16 @@ class Scenario:
         return VortexConfiguration(self.positions, self.circ)
 
 
-def _polygon_vertices(m: int) -> list[complex]:
-    return [complex(np.exp(2j * np.pi * k / m)) for k in range(m)]
+@lru_cache(maxsize=None)
+def _polygon_vertices(m: int) -> tuple[complex, ...]:
+    """The m vertices e^{2 pi i k / m}, computed once per m (a sweep builds
+    one scenario per grid point)."""
+    return tuple([complex(np.exp(2j * np.pi * k / m)) for k in range(m)])
 
 
 def _circulations(gammas: tuple[float, ...]) -> Circulations:
     try:
-        return Circulations(tuple([float(g) for g in gammas]))
+        return Circulations(gammas)
     except ValueError as exc:
         raise ExcludedParameter(str(exc)) from exc
 
@@ -65,7 +69,7 @@ def build_scenario(
             raise UnsupportedScenario("equilateral3 takes exactly 3 circulations")
         return Scenario(
             name=kind,
-            positions=tuple(_polygon_vertices(3)),
+            positions=_polygon_vertices(3),
             circ=_circulations(circs),
         )
     if kind == "triangle-with-center":
@@ -97,7 +101,7 @@ def _polygon_with_center(name: str, m: int, gamma: float | None) -> Scenario:
         raise ExcludedParameter("center circulation gamma = 0 is excluded")
     return Scenario(
         name=name,
-        positions=tuple(_polygon_vertices(m)) + (0j,),
+        positions=_polygon_vertices(m) + (0j,),
         circ=_circulations((1.0,) * m + (gamma,)),
         free_parameter=gamma,
     )
