@@ -4,9 +4,9 @@ Subcommands: ``analyze`` (one scenario, JSON report), ``sweep`` (verdicts over
 a gamma grid, CSV), ``integrate`` (reduced trajectory, CSV), and ``check``
 (reference-value acceptance suite).  Exit codes: 0 means the computation
 completed (whatever the verdict), 2 means the scenario or another input was
-invalid (a step or time that is not positive and finite, an empty sweep
-range, a malformed custom config), and 3 means an internal numerical
-failure.
+invalid (a step or time that is not positive and finite, a ``--gamma`` or
+``--perturb`` that is not finite, an empty sweep range, a malformed custom
+config), and 3 means an internal numerical failure.
 """
 
 from __future__ import annotations
@@ -121,6 +121,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
+    if not math.isfinite(args.perturb):
+        raise InvalidArgument(f"--perturb must be finite, got {args.perturb}")
     scenario = _build(args)
     mu0 = scenario_fixed_point(scenario)
     state = flatten(mu0)

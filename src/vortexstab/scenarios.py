@@ -9,6 +9,7 @@ rejected because every vortex must have nonzero circulation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -17,7 +18,7 @@ import numpy as np
 
 from .algebra import Circulations, MuMatrix
 from .dynamics import moment_map, relative_coordinates
-from .errors import DimensionMismatch, ExcludedParameter, UnsupportedScenario
+from .errors import DimensionMismatch, ExcludedParameter, InvalidArgument, UnsupportedScenario
 from .hamiltonian import VortexConfiguration
 
 KINDS = (
@@ -97,6 +98,8 @@ def _polygon_with_center(name: str, m: int, gamma: float | None) -> Scenario:
     if gamma is None:
         raise UnsupportedScenario(f"{name} needs a gamma value for the center vortex")
     gamma = float(gamma)
+    if not math.isfinite(gamma):
+        raise InvalidArgument(f"center circulation gamma must be finite, got {gamma}")
     if gamma == 0.0:
         raise ExcludedParameter("center circulation gamma = 0 is excluded")
     return Scenario(

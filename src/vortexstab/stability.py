@@ -7,10 +7,10 @@ making the combined function
 
 critical at the fixed point, then test definiteness, of either sign, of its
 Hessian restricted to the tangent space of the joint Casimir/constraint level
-set via Sylvester's criterion, read from one stacked Cholesky factorization.
-Linear stability is decided first, on the same tangent space, by the leaf
-operator B A B^T taken on the leaf's coordinates z
-(:meth:`localmodel.LocalModel.leaf_operator`).  C_1 is the one Casimir: on
+set via Sylvester's criterion, read from the pivots of one factorization per
+matrix, chosen by its order (:func:`sylvester_verdict`).  Linear stability
+is decided first, on the same tangent space, by the leaf operator B A B^T
+taken on the leaf's coordinates z (:meth:`localmodel.LocalModel.leaf_operator`).  C_1 is the one Casimir: on
 the rank-one stratum C_j = C_1^j, so no other C_j adds a row the constraints
 and C_1 do not already span.  The ``4 pi h`` scaling matches the closed-form
 multiplier and minor fixtures used in the acceptance suite.  That tangent
@@ -64,9 +64,12 @@ FP_TOL = 1e-9
 SPEC_TOL = 1e-7
 MULTIPLIER_TOL = 1e-8
 PIVOT_TOL = 1e-10
-# An entry of a matrix beyond sqrt(a_ii a_jj) by this share cannot pass a
-# Cholesky factorization (see _not_factorable).
-CHOLESKY_SCREEN = 1e-8
+# From this order up a Cholesky factorization per matrix is cheaper than one
+# stacked LDL^T elimination (see sylvester_verdict): on full certificate
+# stacks, 2-core Xeon, one BLAS thread, d = 14 (64 matrices) took 350-480 us
+# to eliminate and 470-680 us to factor, d = 16 (39 matrices) 430-450 us and
+# 270-380 us.
+CHOLESKY_ORDER = 16
 # Entries of each n^4-sized array of a certificate stack (the constraint
 # Jacobian that checks the multipliers): 2 MB of float64.
 STACK_ENTRIES = 1 << 18
@@ -249,54 +252,40 @@ class SylvesterResult:
 
 def sylvester_verdict(hessian: np.ndarray) -> SylvesterResult:
     """Sign of definiteness and leading principal minors, per matrix of a
-    stack.  H is definite of sign s, the sign of H_00, when the Cholesky
-    factorization s H = L L^T succeeds and every pivot s L_jj^2 has that
-    sign beyond PIVOT_TOL * max|H|, a test that is backward stable (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 10) and scale-free;
-    minor j is the product of the first j pivots.  The pivots of a matrix
-    that is not definite are those of an unpivoted LDL^T elimination, which
-    name the first leading minor of the wrong sign.
+    stack.  H is definite of sign s, the sign of H_00, when every pivot of
+    s H is positive beyond PIVOT_TOL * max|H|, a test that is backward stable
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10) and
+    scale-free; minor j is the product of the first j pivots, and the first
+    pivot of the wrong sign names the first leading minor of the wrong sign.
 
-    One stacked factorization decides the stack.  A matrix that cannot pass
-    it (:func:`_not_factorable`) is not factored.  The elimination runs
-    once, over the whole stack, when some matrix is not factored or the
-    stacked factorization fails; then the matrices whose elimination pivots
-    are all of their sign are factored as one stack and each other matrix
-    alone, and a stack of them that fails is factored one matrix at a time.
-    So each matrix is factored alone or inside a stack whose factorization
-    succeeds, and its result depends on that matrix alone, never on the
-    stack it is in.  A 0 x 0 matrix is not definite."""
+    The order d alone picks the factorization.  Below CHOLESKY_ORDER one
+    unpivoted LDL^T elimination of the whole stack gives the pivots.  From it
+    up, the Cholesky factor L of s H is taken one matrix at a time, its
+    pivots are s L_jj^2, and only a matrix whose factorization fails or
+    leaves a pivot within the tolerance is eliminated.  Both read one matrix
+    alone, so its result never depends on the stack it is in.  A 0 x 0
+    matrix is not definite."""
     h = np.asarray(hessian, dtype=float)
     d = h.shape[-1]
     stack = h.reshape((math.prod(h.shape[:-2]), d, d))
     lead = np.sign(stack[:, :1, 0]) if d else np.zeros((len(stack), 1))
     tol = PIVOT_TOL * np.abs(stack).max(axis=(-2, -1), initial=0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        scaled = lead[..., None] * stack
-        tried = np.flatnonzero(~_not_factorable(scaled))
-        ldl = None if len(tried) == len(stack) else _ldl_pivots(stack)
-        groups = [tried] if ldl is None else _split(tried, lead * ldl)
-        squares = np.full(stack.shape[:-1], np.nan)
-        for rows in groups:
-            try:
-                factor = np.linalg.cholesky(scaled[rows])
-                squares[rows] = np.diagonal(factor, axis1=-2, axis2=-1) ** 2
-            except np.linalg.LinAlgError:
-                if len(rows) == 1:
-                    continue
-                if ldl is None:
-                    ldl = _ldl_pivots(stack)
-                    groups += _split(rows, lead * ldl)
-                else:
-                    groups += list(rows[:, None])
-        definite = (squares > tol[:, None]).all(axis=-1) & (d > 0)
-        pivots = lead * squares
-        if not definite.all():
-            pivots[~definite] = _ldl_pivots(stack[~definite]) if ldl is None else ldl[~definite]
+        pivots = np.full(stack.shape[:-1], np.nan)
+        if d >= CHOLESKY_ORDER:
+            for i, scaled in enumerate(lead[..., None] * stack):
+                try:
+                    pivots[i] = lead[i] * np.diagonal(np.linalg.cholesky(scaled)) ** 2
+                except np.linalg.LinAlgError:
+                    pass
+        eliminate = ~(pivots * lead > tol[:, None]).all(axis=-1)
+        if eliminate.any():
+            pivots[eliminate] = _ldl_pivots(stack[eliminate])
         # the leading pivots of the first one's sign beyond tol
         good = np.cumprod(pivots * lead > tol[:, None], axis=-1).sum(axis=-1)
+    definite = (good == d) & (d > 0)
     sign = np.where(definite, lead[:, 0], 0).astype(int)
-    wrong_minor = np.where(definite | (d == 0), 0, np.minimum(good + 1, d))
+    wrong_minor = np.where(definite | (d == 0), 0, good + 1)
     minors = np.cumprod(pivots, axis=-1)
     if h.ndim == 2:
         return SylvesterResult(int(sign[0]), tuple(minors[0].tolist()), int(wrong_minor[0]))
@@ -306,29 +295,10 @@ def sylvester_verdict(hessian: np.ndarray) -> SylvesterResult:
     )
 
 
-def _split(rows: np.ndarray, pivots: np.ndarray) -> list[np.ndarray]:
-    """Some rows of a stack as one group of those whose signed pivots are
-    all positive and one group for each other row."""
-    positive = (pivots[rows] > 0).all(axis=-1)
-    return [rows[positive]] * bool(positive.any()) + list(rows[~positive, None])
-
-
-def _not_factorable(a: np.ndarray) -> np.ndarray:
-    """Per matrix of a stack, whether its Cholesky factorization is bound to
-    fail: a diagonal entry is not positive (the pivot there is at most that
-    entry), or an entry exceeds sqrt(a_ii a_jj) by more than the
-    factorization's backward error allows.  A computed factor is exact for
-    a + E, |E| <= gamma_{d+1} |L||L^T| (Higham, Accuracy and Stability of
-    Numerical Algorithms, Thm 10.3), so success bounds a_ij^2 by
-    a_ii a_jj (1 + 6 gamma_{d+1}); CHOLESKY_SCREEN is far above that for
-    any d below 10^4."""
-    diagonal = np.diagonal(a, axis1=-2, axis2=-1)
-    bound = (diagonal[..., :, None] * diagonal[..., None, :]) * (1.0 + CHOLESKY_SCREEN)
-    return ~(diagonal > 0).all(axis=-1) | (a * a > bound).any(axis=(-2, -1))
-
-
 def _ldl_pivots(h: np.ndarray) -> np.ndarray:
-    """The pivots of one unpivoted LDL^T elimination of each matrix of a stack."""
+    """The pivots of one unpivoted LDL^T elimination of each matrix of a
+    stack.  Every step is an elementwise operation on one matrix's entries,
+    so a matrix gets the same pivots, bit for bit, in any stack."""
     a = h.copy()
     pivots = np.empty(h.shape[:-1])
     for j in range(h.shape[-1]):

@@ -517,6 +517,12 @@ class TestCli:
     def test_invalid_gamma_exit_2(self, capsys):
         code = main(["analyze", "--scenario", "triangle-with-center", "--gamma", "0"])
         assert code == 2
+        assert capsys.readouterr().err.startswith("invalid scenario: ")
+        for gamma in ("nan", "inf"):
+            code = main(["analyze", "--scenario", "triangle-with-center", "--gamma", gamma])
+            assert code == 2
+            expected = f"invalid input: center circulation gamma must be finite, got {gamma}"
+            assert capsys.readouterr().err.startswith(expected)
 
     @pytest.mark.parametrize(
         "command",
@@ -581,6 +587,14 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("invalid input: t_end = 0.1 is under half a step of dt = 0.3")
+
+    @pytest.mark.parametrize("perturb", ["nan", "inf"])
+    def test_integrate_perturb_not_finite_exit_2(self, perturb, capsys):
+        args = ["integrate", "--scenario", "triangle-with-center", "--gamma", "0.5"]
+        assert main(args + ["--t-end", "1", "--dt", "0.1", "--perturb", perturb]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"invalid input: --perturb must be finite, got {perturb}")
 
     @pytest.mark.parametrize(
         "times", [("1e12", "1e-3"), ("1e300", "1e-10")], ids=["beyond-memory", "beyond-float"]

@@ -338,8 +338,8 @@ def sylvester_cases(rng, d):
     """Positive definite, negative definite, indefinite and singular
     symmetric matrices of order d with eigenvalues of size 0.5..2, scaled by
     1e-6..1e6, and matrices of unit diagonal with every other entry below 1
-    in size, which pass the Cholesky screen and of which some fail the
-    factorization past the first pivot."""
+    in size, which look definite on their 2 x 2 minors and of which some
+    fail a Cholesky factorization only past the first pivot."""
     stack = []
     for kind in ("positive", "negative", "indefinite", "singular", "screened") * 6:
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -363,10 +363,13 @@ def sylvester_cases(rng, d):
     return 0.5 * (h + h.swapaxes(-1, -2))
 
 
-class TestSylvesterPaths:
-    """The stacked Cholesky path against the LDL^T elimination it replaced."""
+ORDER = stability.CHOLESKY_ORDER
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 8, 38])
+
+class TestSylvesterPaths:
+    """The order-chosen factorization against the LDL^T elimination."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 8, ORDER - 1, ORDER, 38])
     def test_agrees_with_the_elimination(self, d):
         h = sylvester_cases(np.random.default_rng(100 + d), d)
         res = sylvester_verdict(h)
@@ -377,7 +380,7 @@ class TestSylvesterPaths:
         kinds = set(np.sign(sign).tolist())
         assert kinds == {-1, 0, 1}
 
-    @pytest.mark.parametrize("d", [2, 4, 6, 38])
+    @pytest.mark.parametrize("d", [2, 4, 6, ORDER - 1, ORDER, 38])
     def test_a_matrix_gets_the_same_bits_alone_and_in_a_stack(self, d):
         h = sylvester_cases(np.random.default_rng(200 + d), d)
         stacked = sylvester_verdict(h)
@@ -392,21 +395,22 @@ class TestSylvesterPaths:
             part = sylvester_verdict(h[rows])
             assert part.minors.tobytes() == stacked.minors[rows].tobytes()
 
-    def test_the_screen_only_rejects_what_cholesky_rejects(self):
-        # an entry just past sqrt(a_ii a_jj): within the screen's margin the
-        # factorization decides, beyond it the factorization fails
-        rng = np.random.default_rng(7)
-        for d in (2, 3, 6, 20):
-            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-            h = (q * rng.uniform(0.5, 2.0, d)) @ q.T
-            for excess in (1e-14, 1e-10, 1e-8, 2e-8, 1e-6, 1e-2, 1.0):
-                a = h.copy()
-                a[0, -1] = a[-1, 0] = np.sqrt(a[0, 0] * a[-1, -1]) * (1.0 + excess)
-                if stability._not_factorable(a[None])[0]:
-                    with pytest.raises(np.linalg.LinAlgError):
-                        np.linalg.cholesky(a)
-            assert stability._not_factorable(np.diag([1.0] * (d - 1) + [-1.0])[None])[0]
-            assert not stability._not_factorable(h[None])[0]
+    @pytest.mark.parametrize("d", [2, ORDER - 1, ORDER, ORDER + 1, 38])
+    def test_the_order_picks_the_factorization(self, d):
+        h = sylvester_cases(np.random.default_rng(300 + d), d)
+        res = sylvester_verdict(h)
+        if d < ORDER:
+            sign, minors, wrong_minor = ldl_verdict(h)
+            np.testing.assert_array_equal(res.sign, sign)
+            np.testing.assert_array_equal(res.wrong_minor, wrong_minor)
+            assert res.minors.tobytes() == minors.tobytes()
+            return
+        definite = np.flatnonzero(res.sign != 0)
+        assert len(definite) >= 12
+        for i in definite:
+            s = res.sign[i]
+            pivots = s * np.diagonal(np.linalg.cholesky(s * h[i])) ** 2
+            assert res.minors[i].tobytes() == np.cumprod(pivots).tobytes()
 
 
 class TestCertificate:
