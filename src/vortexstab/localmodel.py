@@ -6,15 +6,18 @@ The reduced field: the coupling matrices, the stacked reduced Hamiltonian,
 the field residual and the n^2 x n^2 Jacobian.  The leaf: the differential
 of the Casimir C_1, the leaf built from the moment map mu = phi(z) = i z z^*
 (ranks, tangent bases, multipliers; no matrix wider than 2n columns is
-factored), the leaf operator L = B A B^T and the energy part of the
-restricted Hessian, both taken on the leaf's coordinates z through the thin
-QR T^T = U R of Dphi with no n^2-sized stack of directions, the multiplier
-residual, the one place the constraint Jacobian is read, and the restricted
-Hessian.  Nothing is memoised between calls: the certificate builds one
-model of its stack, hands it to each stage, and narrows it to the points
-still undecided with :meth:`LocalModel.take`, which slices what is computed
-and checks nothing again.  Every array has a leading axis of length k; one
-point is a stack of one.
+factored), the leaf operator L = B A B^T and the restricted Hessian, taken
+on the leaf's coordinates z in O(n^3) through the thin QR T^T = U R of the
+rows T of Dphi, and the multiplier residual, the one place the constraint
+Jacobian is read.  R has a positive diagonal (R = chol(T T^T)^T), so the
+tangent bases B = (R^-1 Q_1)^T T are one definite set of rows.  The model's
+own bases take the O(n^3) forms of the energy and the constraint parts of
+the restricted Hessian, any other basis the n^2-sized ones.  Nothing is
+memoised between calls: the certificate builds one model of its stack,
+hands it to each stage, and narrows it to the points still undecided with
+:meth:`LocalModel.take`, which slices what is computed and checks nothing
+again.  Every array has a leading axis of length k; one point is a stack of
+one.
 """
 
 from __future__ import annotations
@@ -63,18 +66,23 @@ class LocalModel:
     all constraint components, ``row_count`` in all; the model keeps the
     Casimir row only.  The constraint rows have full rank on the open set,
     and their common kernel is the tangent space of the rank-one stratum,
-    the image of Dphi at z for mu0 = phi(z) = i z z^*: one thin QR of Dphi
-    (n^2 x (2n - 1)) gives it.  One QR of the Casimir row projected onto it
-    gives the ranks, the tangent bases and, where the rows are independent
-    (the only case the certificate goes on with), the Casimir multiplier;
-    the constraint multipliers follow in closed form.  The tangent bases are
-    B^T = T^T R^-1 Q_1 for the rows T of Dphi, so the leaf operator and the
-    energy Hessian on B follow from one Hessian of h along T
-    (:meth:`leaf_operator`, :meth:`energy_hessian`).  The
-    multiplier residual reads the constraint Jacobian once and drops it; at a
-    point with dependent rows the multipliers are the minimal-norm ones.  The
-    restricted Hessian gathers the entries of M that the constraint factors
-    read from the basis vectors, and contracts them.
+    the image of Dphi at z for mu0 = phi(z) = i z z^*, spanned by the 2n - 1
+    rows T of Dphi along the kept directions.  Their thin QR T^T = U R is
+    taken with R = chol(T T^T)^T, the R with a positive diagonal, from the
+    closed-form (2n - 1)^2 Gram matrix; U is never formed.  One QR of the
+    Casimir row projected onto U gives the ranks, the tangent bases and,
+    where the rows are independent (the only case the certificate goes on
+    with), the Casimir multiplier; the constraint multipliers follow in
+    closed form.  The tangent bases are B = (R^-1 Q_1)^T T, so the leaf
+    operator and the energy Hessian on B follow from one Hessian of h along
+    T (:meth:`leaf_operator`, :meth:`energy_hessian`), and the constraint
+    Hessians pulled back along Dphi are one 2n x 2n weight matrix on the
+    real directions of z (:meth:`restricted_hessian`).  These O(n^3) forms
+    serve the model's own bases, compared by value (:meth:`owns`); another
+    basis goes through the n^2-sized Hessian and the entries of M gathered
+    from its vectors.  The multiplier residual reads the constraint Jacobian once and
+    drops it; at a point with dependent rows the multipliers are the
+    minimal-norm ones.
     """
 
     def __init__(self, mu0: MuMatrix, circs: tuple[Circulations, ...]):
@@ -114,10 +122,10 @@ class LocalModel:
         sub.u0, sub.energy_gradient = self.u0[rows], self.energy_gradient[rows]
         sub._g, sub.residual, sub.scale = self._g[rows], self.residual[rows], self.scale[rows]
         computed = vars(self)
-        for name in ("casimirs", "inside", "infeasible"):
+        for name in ("casimirs", "inside", "infeasible", "_pullback"):
             if name in computed:
                 setattr(sub, name, _read_only(computed[name][rows]))
-        for name in ("moment", "_factors", "_pullback"):
+        for name in ("moment", "_factors"):
             if name in computed:
                 setattr(sub, name, tuple([_read_only(a[rows]) for a in computed[name]]))
         if "multipliers" in computed:
@@ -163,8 +171,8 @@ class LocalModel:
         stratum, whether or not the differentials are independent."""
         n = self.n
         z = self.moment[0]
-        r, q, c, keep = self._factors[4:]
-        p_z, pullback = self._pullback
+        r, q, coords, c, keep = self._factors[4:]
+        p_z = self._pullback
         kinv, g = self.coupling.k_inv, self._g
         # Omega from Z(z0) = i Omega z0; J v for the kept directions v as rows
         z_h, field = z.conj()[:, None], kinv @ g @ z[..., None]
@@ -176,32 +184,38 @@ class LocalModel:
         jv -= (jv[points, :, c].imag / z[points, c, None].real)[..., None] * (1j * z[:, None])
         # M: the coordinates Re(v^* J v') on the kept directions
         m = (v.conj() @ jv.swapaxes(-1, -2)).real
-        return q[..., 1:].swapaxes(-1, -2) @ r @ m @ pullback
+        return q[..., 1:].swapaxes(-1, -2) @ r @ m @ coords
 
     @cached_property
-    def _pullback(self) -> tuple[np.ndarray, np.ndarray]:
-        """P(v) z0 for the kept directions v as rows, P(v) the energy
-        Hessian applied to Dphi(v) as a matrix, from one Hessian of h along
-        the rows T of Dphi; and R^-1 Q_1, the coordinates of the tangent
-        bases on those rows (B^T = T^T R^-1 Q_1)."""
-        tangent, r, q = self._factors[3:6]
-        along = gradient_entries(self.hamiltonian.hessian(self.u0, tangent), self.n)
-        p_z = (along @ self.moment[0][:, None, :, None])[..., 0]
-        return _read_only(p_z), _read_only(np.linalg.solve(r, q[..., 1:]))
+    def _pullback(self) -> np.ndarray:
+        """P(v) z0 for the kept directions v as rows, (k, 2n - 1, n), P(v) the
+        energy Hessian applied to Dphi(v) as a matrix: one Hessian of h
+        along the rows T of Dphi times the z-table of :func:`_z_table`, as
+        one real product with the table's (re, im) pairs.  The leaf operator
+        and the energy part of the restricted Hessian read it on the
+        model's own bases only, B = (R^-1 Q_1)^T T with R's diagonal
+        positive; another basis takes the Hessian along its own rows."""
+        along = self.hamiltonian.hessian(self.u0, self._factors[3])
+        table = _z_table(self.moment[0]).view(float)
+        return _read_only((along @ table).view(complex))
 
     def energy_hessian(self, basis: np.ndarray) -> np.ndarray:
         """``basis @ Hess h @ basis^T`` at each point for a stack of bases
-        (k, d, n^2).  For the model's own bases B = (T^T R^-1 Q_1)^T it is
-        (R^-1 Q_1)^T (T Hess h T^T) (R^-1 Q_1), in O(n^3): row T_i of Dphi
-        paired with Hess h T_j^T is Im(v_i^* P(v_j) z0), from the Hessian
-        along T that the leaf operator reads too.  Other bases go through
-        the factored Hessian along them."""
+        (k, d, n^2).  For the model's own bases B = (R^-1 Q_1)^T T it is
+        (R^-1 Q_1)^T (T Hess h T^T) (R^-1 Q_1), in O(n^3)
+        (:meth:`_energy_rows`).  Other bases go through the factored Hessian
+        along them."""
         if not self.owns(basis):
             return self.hamiltonian.hessian(self.u0, basis) @ basis.swapaxes(-1, -2)
-        p_z, pullback = self._pullback
-        v = _directions(self.n)[self._factors[7]]
-        on_rows = (v.conj() @ p_z.swapaxes(-1, -2)).imag
-        return pullback.swapaxes(-1, -2) @ on_rows @ pullback
+        coords = self._factors[6]
+        return coords.swapaxes(-1, -2) @ self._energy_rows() @ coords
+
+    def _energy_rows(self) -> np.ndarray:
+        """T Hess h T^T for the rows T of Dphi, (k, 2n - 1, 2n - 1): row T_i
+        paired with Hess h T_j^T is Im(v_i^* P(v_j) z0), from the Hessian
+        along T that the leaf operator reads too."""
+        v = _directions(self.n)[self._factors[8]]
+        return (v.conj() @ self._pullback.swapaxes(-1, -2)).imag
 
     @cached_property
     def inside(self) -> np.ndarray:
@@ -245,40 +259,47 @@ class LocalModel:
         for the Casimir row C and the constraint Jacobian J (a0 = +1), NaN
         elsewhere; then the rows T of Dphi, the R of their thin QR
         T^T = U R, the complete Q of the projected Casimir row, of which
-        the leaf operator reads the columns Q_1 but the first, and the c and
-        the kept directions of :func:`_kept`.
+        the leaf operator reads the columns Q_1 but the first, the
+        coordinates R^-1 Q_1 of the tangent bases on the rows T, and the c
+        and the kept directions of :func:`_kept`.
 
         The orthonormal columns U spanning the tangent space of the rank-one
         stratum are the thin QR of Dphi(v) = i (v z^* + z v^*) over the 2n
         real directions v but i e_c, c the largest real part of z (at least
         z_c = max |z_j|): the phase direction i z, the kernel of Dphi, has
-        the component Re z_c along i e_c, so the rest span the image.  U
-        spans the kernel of the constraint rows, so |R_11| of the QR of the
-        Casimir row projected onto U is the row's distance from their span,
-        judged by the rank rule against the row's own length
-        (:func:`constraints.row_rank`).  The tangent bases are U times the
-        complement of the projected row."""
+        the component Re z_c along i e_c, so the rest span the image.  R is
+        the canonical one, with a positive diagonal: R = chol(T T^T)^T from
+        the closed-form Gram matrix (:func:`_dphi_gram`), whose condition
+        number is at most 4(n + 1) for every z.  U = T^T R^-1 is never
+        formed: a row r projects onto it as (r T^T) R^-1.  U spans the kernel of the
+        constraint rows, so |R_11| of the QR of the Casimir row projected
+        onto U is the row's distance from their span, judged by the rank
+        rule against the row's own length (:func:`constraints.row_rank`).
+        The tangent bases are B = (R^-1 Q_1)^T T, formed once."""
         n = self.n
         z = self.moment[0]
-        values = np.concatenate([z.real, z.imag, -z.real, -z.imag, 2 * z.real, 2 * z.imag], -1)
-        values = np.concatenate([values, np.zeros((len(z), 1))], -1)
         c, keep = _kept(z)
-        tangent = values[np.arange(len(z))[:, None, None], _dphi_sources(n)[keep]]
-        u, r_phi = np.linalg.qr(tangent.swapaxes(-1, -2))
+        tangent = _dphi_rows(z, keep)
+        r_phi = np.linalg.cholesky(_dphi_gram(z, keep)).swapaxes(-1, -2)
         casimirs = self.casimirs
-        q, r = np.linalg.qr((casimirs @ u).swapaxes(-1, -2), mode="complete")
+        # the Casimir row and the energy gradient on U, as columns: R^-T T r^T
+        rows = np.concatenate([casimirs, self.energy_gradient[:, None]], axis=-2)
+        on_u = np.linalg.solve(r_phi.swapaxes(-1, -2), tangent @ rows.swapaxes(-1, -2))
+        q, r = np.linalg.qr(on_u[..., :1], mode="complete")
         rank = (n - 1) ** 2 + row_rank(casimirs, r)
-        basis = np.ascontiguousarray((u @ q[..., 1:]).swapaxes(-1, -2))
+        coords = np.linalg.solve(r_phi, q[..., 1:])
+        basis = np.ascontiguousarray(coords.swapaxes(-1, -2) @ tangent)
         w = np.full((len(z), self.row_count), np.nan)
         unique = rank == self.row_count
         if unique.any():
             # the Casimir part along U: (casimirs U)^T a = -(energy_gradient U)^T
-            gradient, casimirs = self.energy_gradient[unique], casimirs[unique]
-            projected = (gradient[:, None] @ u[unique] @ q[unique, :, :1]).swapaxes(-1, -2)
-            a = -np.linalg.solve(r[unique, :1], projected)[..., 0]
-            rest = gradient + (a[:, None] @ casimirs)[:, 0]
+            projected = on_u[unique, :, 1:].swapaxes(-1, -2) @ q[unique, :, :1]
+            a = -projected[..., 0] / r[unique, :1, 0]
+            rest = self.energy_gradient[unique] + (a[:, None] @ casimirs[unique])[:, 0]
             w[unique] = np.concatenate([a, _constraint_multipliers(z[unique], rest)], axis=-1)
-        return tuple([_read_only(a) for a in (rank, basis, w, tangent, r_phi, q, c, keep)])
+        return tuple(
+            [_read_only(a) for a in (rank, basis, w, tangent, r_phi, q, coords, c, keep)]
+        )
 
     @property
     def rank(self) -> np.ndarray:
@@ -321,20 +342,37 @@ class LocalModel:
         )
 
     def restricted_hessian(self, mult: MultiplierSet, basis: np.ndarray) -> np.ndarray:
-        """basis H_f basis^T at each point, with the energy part through the
-        factored energy Hessian and the constraint part as a weighted sum of
-        rank-one products of the constraint factors along the basis: the
-        entries of M = -i mu that :meth:`ConstraintSystem.hessians` names,
-        gathered from each basis vector.  C_1 is linear, so a_1 adds nothing."""
-        h = (mult.a0 * FOUR_PI) * self.energy_hessian(basis)
-        # the entries of M each factor reads along each basis vector: (k, 4, n(n-1)/2, d)
-        m = hermitian_stack(basis, self.n).swapaxes(-1, -2)
-        p1, p2, p3, p4 = np.take(m, constraint_system(self.n).hessians(), axis=-2).swapaxes(0, 1)
+        """basis H_f basis^T at each point: the energy part and the
+        contraction of the factored constraint Hessians
+        (:meth:`ConstraintSystem.hessians`) with the multipliers; C_1 is
+        linear, so a_1 adds nothing.
+
+        The model's own bases B = (R^-1 Q_1)^T T take it in O(n^3), as
+        (R^-1 Q_1)^T (T H_f T^T) (R^-1 Q_1) on the rows T of Dphi: the energy
+        part from :meth:`_energy_rows`, and the constraint part from one
+        2n x 2n weight matrix W on the real directions of z, built from the
+        multipliers (:func:`_weight_matrix`), as Re(W + W^T) on the kept
+        directions.  Another basis gathers the entries of M = -i mu that each
+        factor reads from its vectors and contracts them."""
+        n = self.n
         # c Re R + d Im R = Re((c - i d) R)
         c, d = np.asarray(mult.c, dtype=float), np.asarray(mult.d, dtype=float)
-        w = np.concatenate([np.asarray(mult.b, dtype=float), c - 1j * d], axis=-1)[..., None, :]
-        s = (p1.swapaxes(-1, -2) * w) @ p2 - (p3.swapaxes(-1, -2) * w) @ p4
-        return h + (s + s.swapaxes(-1, -2)).real
+        w = np.concatenate([np.asarray(mult.b, dtype=float), c - 1j * d], axis=-1)
+        entries = constraint_system(n).hessians()
+        if not self.owns(basis):
+            h = (mult.a0 * FOUR_PI) * self.energy_hessian(basis)
+            # the entries of M each factor reads along each basis vector
+            m = hermitian_stack(basis, n).swapaxes(-1, -2)
+            p1, p2, p3, p4 = np.take(m, entries, axis=-2).swapaxes(0, 1)
+            w = w[..., None, :]
+            s = (p1.swapaxes(-1, -2) * w) @ p2 - (p3.swapaxes(-1, -2) * w) @ p4
+            return h + (s + s.swapaxes(-1, -2)).real
+        coords, keep = self._factors[6], self._factors[8]
+        # one point's set (a row for every point), or a stack's
+        weights = _weight_matrix(self.moment[0], entries, np.atleast_2d(w))
+        s = weights[np.arange(len(coords))[:, None, None], keep[:, :, None], keep[:, None, :]]
+        on_rows = (mult.a0 * FOUR_PI) * self._energy_rows() + (s + s.swapaxes(-1, -2)).real
+        return coords.swapaxes(-1, -2) @ on_rows @ coords
 
 
 @lru_cache(maxsize=None)
@@ -346,26 +384,115 @@ def _directions(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _dphi_sources(n: int) -> np.ndarray:
-    """Where each coordinate of Dphi(v) = i (v z^* + z v^*) comes from, for
-    the 2n directions v of :func:`_directions` as rows (2n, n^2): an index
-    into (Re z, Im z, -Re z, -Im z, 2 Re z, 2 Im z, 0).  M = v z^* + z v^*
-    has the diagonal entry 2 Re z_j (v = e_j) or 2 Im z_j (v = i e_j), and
-    in row and column j the entries of z^* and z (v = e_j) or of i z^* and
-    -i z (v = i e_j); every other entry is 0.  So each coordinate is an
-    entry of z or its double, exactly."""
-    sources = np.full((2 * n, n * n), 6 * n)
-    for j in range(n):
-        sources[j, j], sources[n + j, j] = 4 * n + j, 5 * n + j
+def _dphi_sources(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzeros of Dphi(v) = i (v z^* + z v^*), 2n - 1 of them, for the
+    2n directions v of :func:`_directions` as rows: their coordinates
+    (2n, 2n - 1), and where each comes from (2n, 2n - 1), an index into
+    (Re z, Im z, -Re z, -Im z, 2 Re z, 2 Im z).  M = v z^* + z v^* has the
+    diagonal entry 2 Re z_j (v = e_j) or 2 Im z_j (v = i e_j), and in row
+    and column j the entries of z^* and z (v = e_j) or of i z^* and -i z
+    (v = i e_j); every other entry is 0.  So each coordinate is an entry of
+    z or its double, exactly."""
+    columns, sources = [[j % n] for j in range(2 * n)], [[4 * n + j] for j in range(2 * n)]
     for p, (a, b) in enumerate(pair_indices(n)):
         x, y = n + 2 * p, n + 2 * p + 1
         # row a: M_ab = conj(z_b) or i conj(z_b); column b: M_ab = z_a or -i z_a
-        sources[a, x], sources[a, y] = b, 3 * n + b
-        sources[b, x], sources[b, y] = a, n + a
-        sources[n + a, x], sources[n + a, y] = n + b, b
-        sources[n + b, x], sources[n + b, y] = n + a, 2 * n + a
+        for v, read in ((a, (b, 3 * n + b)), (b, (a, n + a)), (n + a, (n + b, b)),
+                        (n + b, (n + a, 2 * n + a))):
+            columns[v] += [x, y]
+            sources[v] += read
+    columns, sources = np.array(columns), np.array(sources)
+    for a in (columns, sources):
+        a.setflags(write=False)
+    return columns, sources
+
+
+def _dphi_rows(z: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The rows T of Dphi for the kept directions, (k, 2n - 1, n^2), each
+    scattered from its 2n - 1 nonzeros (:func:`_dphi_sources`)."""
+    k, n = z.shape
+    columns, sources = _dphi_sources(n)
+    values = np.concatenate([z.real, z.imag], -1)[:, None] * np.array([[1.0], [-1.0], [2.0]])
+    values = values.reshape(k, 6 * n)
+    points = np.arange(k)[:, None, None]
+    rows = np.zeros((k, 2 * n - 1, n * n))
+    rows[points, np.arange(2 * n - 1)[:, None], columns[keep]] = values[points, sources[keep]]
+    return rows
+
+
+def _dphi_gram(z: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """T T^T for the rows T of Dphi along the kept directions, in closed form.
+
+    The coordinates pair two Hermitian matrices as (tr(M N) + sum_j M_jj
+    N_jj) / 2.  For M = v z^* + z v^* and N = w z^* + z w^* that is
+    Re((z^* v)(z^* w)) + |z|^2 Re(v^* w) + 2 sum_j Re(v_j conj z_j) Re(w_j
+    conj z_j).  For the directions e_j and i e_j the last sum has one term,
+    at a shared j, and Re(v_j conj z_j) = Re(z^* v), so with x + i y = z^* v
+    the Gram matrix is (x x^T) (1 + 2 [j = j']) - y y^T + |z|^2 I."""
+    n = z.shape[-1]
+    points = np.arange(len(z))[:, None]
+    x = np.concatenate([z.real, z.imag], -1)[points, keep]
+    y = np.concatenate([-z.imag, z.real], -1)[points, keep]
+    j = keep % n
+    gram = (x[:, :, None] * x[:, None, :]) * (1.0 + 2.0 * (j[:, :, None] == j[:, None, :]))
+    gram -= y[:, :, None] * y[:, None, :]
+    diagonal = np.arange(2 * n - 1)
+    gram[:, diagonal, diagonal] += (np.abs(z) ** 2).sum(axis=-1)[:, None]
+    return gram
+
+
+@lru_cache(maxsize=None)
+def _z_table_sources(n: int) -> np.ndarray:
+    """Where each entry of the z-table of :func:`_z_table` comes from,
+    (n^2, n): an index into (i z, -z, z, 2i z, 0).  The matrix G of a
+    gradient g (:func:`hamiltonian.gradient_entries`) has G_jj = 2i g_j, and
+    for the pair a < b G_ab = -g_y + i g_x and G_ba = g_y + i g_x, so
+    (G z)_a reads i z_b g_x - z_b g_y and (G z)_b reads i z_a g_x + z_a g_y."""
+    sources = np.full((n * n, n), 4 * n)
+    for j in range(n):
+        sources[j, j] = 3 * n + j
+    for p, (a, b) in enumerate(pair_indices(n)):
+        x, y = n + 2 * p, n + 2 * p + 1
+        sources[x, a], sources[x, b], sources[y, a], sources[y, b] = b, a, n + b, 2 * n + a
     sources.setflags(write=False)
     return sources
+
+
+def _z_table(z: np.ndarray) -> np.ndarray:
+    """The (k, n^2, n) table Z with G z = g Z for every gradient g and its
+    matrix G (:func:`hamiltonian.gradient_entries`): row m is G z for the
+    m-th coordinate vector."""
+    values = np.concatenate([1j * z, -z, z, 2j * z, np.zeros((len(z), 1))], -1)
+    return values[np.arange(len(z))[:, None, None], _z_table_sources(z.shape[-1])]
+
+
+def _weight_matrix(z: np.ndarray, entries: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """W (k, 2n, 2n) on the 2n real directions v of z (e_j, then i e_j): the
+    Hessian of Re(sum w R) over the complex constraint components R, pulled
+    back along Dphi, is Re(W + W^T).  ``entries`` are the factored
+    constraint Hessians (:meth:`ConstraintSystem.hessians`) and w, one row
+    or one per point, the weights of the components.
+
+    Entry (a, b) of M(v) = v z^* + z v^* is the linear form of v with the
+    terms conj(z_b) at e_a, i conj(z_b) at i e_a, z_a at e_b and -i z_a at
+    i e_b.  Each component, p1 p2 - p3 p4 over the entries its factors
+    read, adds its weight times l1 l2^T - l3 l4^T to W, 32 terms, which are
+    summed slot by slot in one order for every point."""
+    k, n = z.shape
+    a, b = np.divmod(entries, n)
+    slots = np.stack([a, n + a, b, n + b], axis=1)  # (4, 4, components)
+    z_b, z_a = z.conj()[:, b], z[:, a]
+    forms = np.stack([z_b, 1j * z_b, z_a, -1j * z_a], axis=2)
+    # the terms of p1 p2, then of p3 p4: (k, 2, 4, 4, components)
+    terms = forms[:, 0::2, :, None] * forms[:, 1::2, None, :]
+    terms *= (w[:, None] * np.array([[1.0], [-1.0]]))[:, :, None, None]
+    size = 4 * n * n
+    where = slots[0::2, :, None] * (2 * n) + slots[1::2, None, :]
+    where = (where + size * np.arange(k)[:, None, None, None, None]).ravel()
+    terms = terms.ravel()
+    real = np.bincount(where, weights=terms.real, minlength=k * size)
+    imag = np.bincount(where, weights=terms.imag, minlength=k * size)
+    return (real + 1j * imag).reshape(k, 2 * n, 2 * n)
 
 
 def _kept(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,12 +10,16 @@ polygon-with-center family against the full-space rotating-frame oracle of
 
 import functools
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vortexstab import localmodel
+import energy_momentum
+from vortexstab import constraints, localmodel
 from vortexstab.algebra import (
     Circulations,
     MuMatrix,
@@ -290,23 +294,49 @@ class TestCertificateFunction:
         assert checked > 300 and contradictions == []
 
     def test_restricted_hessian_equals_the_dense_contraction(self):
-        # the entries of M gathered from the basis against the dense forms
-        # projected by one complex product, bit for bit, on stacks of the
-        # polygon grid (N = 4..21); the energy part is the model's own
+        # the own bases take the 2n x 2n weight matrix on the leaf's
+        # z-directions, against the dense forms projected by one complex
+        # product, on stacks of the polygon grid (N = 4..21); the energy part
+        # is the model's own.  The two sum the same terms in another order,
+        # so they agree to round-off, not bit for bit
         checked = 0
         for m in GRID_M:
-            groups = {}
-            for gamma in GRID_GAMMA:
-                mu0, circ = fixed_point("polygon-with-center", gamma, m)
-                groups.setdefault(circ.n, []).append((mu0.entries, circ))
-            for members in groups.values():
-                stack = MuMatrix(np.stack([entries for entries, _ in members]))
-                model = local_model(stack, [circ for _, circ in members])
+            for model in polygon_stacks(m):
                 mult, basis = model.multipliers, model.basis
                 got = model.restricted_hessian(mult, basis)
-                assert got.tobytes() == dense_restricted_hessian(model, mult, basis).tobytes()
-                checked += len(members)
+                dense = dense_restricted_hessian(model, mult, basis)
+                scale = np.abs(dense).max(axis=(-2, -1), keepdims=True)
+                assert np.all(np.abs(got - dense) <= 1e-13 * scale)
+                checked += len(model.circs)
         assert checked == len(GRID_M) * len(GRID_GAMMA)
+
+    def test_a_foreign_basis_gathers_the_entries_bit_for_bit(self):
+        # a basis other than the model's own reads the entries of M the
+        # constraint factors name from its vectors: each entry is one
+        # coordinate, exactly, so the gather equals the dense forms' product
+        for m in (3, 7, 20):
+            for model in polygon_stacks(m):
+                rng = np.random.default_rng(m)
+                shape = model.basis.shape
+                q = np.linalg.qr(rng.standard_normal(shape[:1] + shape[:0:-1]))[0]
+                basis = np.ascontiguousarray(q.swapaxes(-1, -2))
+                assert not model.owns(basis)
+                got = model.restricted_hessian(model.multipliers, basis)
+                expected = dense_restricted_hessian(model, model.multipliers, basis)
+                assert got.tobytes() == expected.tobytes()
+
+
+def polygon_stacks(m):
+    """The models of the polygon grid at m, one stack per n (gamma = -m has
+    zero total circulation)."""
+    groups = {}
+    for gamma in GRID_GAMMA:
+        mu0, circ = fixed_point("polygon-with-center", gamma, m)
+        groups.setdefault(circ.n, []).append((mu0.entries, circ))
+    return [
+        local_model(MuMatrix(np.stack([e for e, _ in members])), [c for _, c in members])
+        for members in groups.values()
+    ]
 
 
 def dense_restricted_hessian(model, mult, basis):
@@ -336,7 +366,9 @@ ABOVE_ZERO_TOTAL = (-3.0 + 1e-10, -3.0 + 1e-9)
 
 class TestCertificateWork:
     def test_certified_large_analyze_factors_nothing_wider_than_2n(self, monkeypatch):
-        calls = {"qr": [], "solve": [], "svd": [], "lstsq": [], "pinv": [], "eigvals": []}
+        calls = {
+            "qr": [], "solve": [], "cholesky": [], "svd": [], "lstsq": [], "pinv": [], "eigvals": []
+        }
         for name, shapes in calls.items():
             fn = getattr(np.linalg, name)
 
@@ -345,20 +377,32 @@ class TestCertificateWork:
                 return fn(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
+        gathers = []
+        for module in (localmodel, constraints):
+            def counted(v, n, fn=module.hermitian_stack):
+                gathers.append(np.shape(v))
+                return fn(v, n)
+
+            monkeypatch.setattr(module, "hermitian_stack", counted)
         scen = build_scenario("polygon-with-center", gamma=20.0, m=20)
         rep = analyze(scen)
         n, d = scen.circ.n, 2 * scen.circ.n - 2
         assert rep.verdict == "certified-stable"
-        # one thin QR of Dphi's 2n - 1 directions, one QR of the projected C_1
-        # row, no QR of the (n - 1)^2 + 1 x n^2 stack
-        assert calls["qr"] == [(1, n * n, 2 * n - 1), (1, 2 * n - 1, 1)]
-        # the C_1 multiplier, the (n - 1) x (n - 1) Gram matrix of A and the
-        # R factor of Dphi, which gives the tangent bases' coordinates R^-1 Q_1
-        assert calls["solve"] == [(1, 1, 1), (1, n - 1, n - 1), (1, 2 * n - 1, 2 * n - 1)]
+        # R of Dphi's 2n - 1 rows from one Cholesky factor of their Gram
+        # matrix, then one per matrix of Sylvester's verdict (d >= 16); one
+        # QR of the projected C_1 row, and no QR with n^2 rows
+        assert calls["cholesky"] == [(1, 2 * n - 1, 2 * n - 1), (d, d)]
+        assert calls["qr"] == [(1, 2 * n - 1, 1)]
+        # R^-T for the C_1 row and the energy gradient on U, R^-1 for the
+        # tangent bases' coordinates R^-1 Q_1, and the (n - 1) x (n - 1) Gram
+        # matrix of the constraint multipliers' A
+        assert calls["solve"] == [(1, 2 * n - 1, 2 * n - 1)] * 2 + [(1, n - 1, n - 1)]
         assert all(shape[-1] < 2 * n for shape in calls["qr"] + calls["solve"])
         assert calls["svd"] == calls["lstsq"] == calls["pinv"] == []
         assert calls["eigvals"] and all(shape[-1] <= d for shape in calls["eigvals"])
         assert len(rep.spectrum) == d
+        # the constraint contraction gathers no entries of M from the basis
+        assert gathers == []
 
     def test_certified_analyze_builds_no_dense_energy_hessian(self, monkeypatch):
         # and evaluates the reduced field once: the residual, the certificate's
@@ -872,3 +916,211 @@ class TestLeafOperator:
             full = linearize(mu0, circ)
             got = linearize(mu0, circ, basis)
         assert relative_gap(got, basis @ full @ basis.T) <= 1e-12
+
+
+def certify_large_scenarios():
+    """The twelve operations of the certify-large benchmark: the polygon with
+    m = 20 at gamma = 20..35, unscaled, with positions x10, and with
+    positions x10 and circulations x1e-2."""
+    scenarios = []
+    for gamma in (20.0, 25.0, 30.0, 35.0):
+        base = build_scenario("polygon-with-center", gamma=gamma, m=20)
+        for pos_scale, circ_scale in ((1.0, 1.0), (10.0, 1.0), (10.0, 1e-2)):
+            scenarios.append(
+                build_scenario(
+                    "custom",
+                    positions=tuple(pos_scale * p for p in base.positions),
+                    circulations=tuple(circ_scale * g for g in base.circ.gammas),
+                )
+            )
+    return scenarios
+
+
+def certify_large_points():
+    return [(scenario_fixed_point(scen), scen.circ) for scen in certify_large_scenarios()]
+
+
+def spread_point():
+    """Five vortices whose |z_j|, relative to the last, run from 1e-3 to 1e3;
+    not a relative equilibrium, which the factors of Dphi do not need."""
+    scen = build_scenario(
+        "custom",
+        positions=(1e3j, -30.0 + 7j, 1.0 + 0.5j, 1e-3, 0.0),
+        circulations=(1.0, 1.5, -0.5, 2.0, 1.0),
+    )
+    return scenario_fixed_point(scen), scen.circ
+
+
+def dphi_rows(model):
+    """The rows T of Dphi along the kept directions, and their Gram matrix."""
+    z = model.moment[0]
+    _, keep = localmodel._kept(z)
+    return localmodel._dphi_rows(z, keep), localmodel._dphi_gram(z, keep)
+
+
+# cond(T) <= 2 sqrt(n + 1) for every z: T T^T is at least |z|^2 / (n + 1) on
+# the kept directions and at most 4 |z|^2.  Measured: at most 3.2 on the
+# paper's families, 6.5 on the polygon grid and the certify-large copies
+# (n = 20), and 2.0 at the spread point (n = 4)
+class TestLeafFactors:
+    """R of the rows T of Dphi from their closed-form Gram matrix, and the
+    constraint contraction through the weight matrix on z."""
+
+    @staticmethod
+    def points():
+        return family_points() + certify_large_points() + [spread_point()]
+
+    def test_the_closed_form_gram_matrix_is_t_t_transpose(self):
+        for mu0, circ in self.points():
+            rows, gram = dphi_rows(local_model(mu0, circ))
+            expected = rows @ rows.swapaxes(-1, -2)
+            assert np.abs(gram - expected).max() <= 1e-15 * np.abs(expected).max(), circ.gammas
+
+    def test_r_matches_a_householder_qr_up_to_signs(self):
+        problems = []
+        for mu0, circ in self.points():
+            model = local_model(mu0, circ)
+            rows, _ = dphi_rows(model)
+            r = model._factors[4]
+            householder = np.linalg.qr(rows.swapaxes(-1, -2), mode="r")
+            assert np.all(np.diagonal(r, axis1=-2, axis2=-1) > 0)
+            gap = np.abs(np.abs(r) - np.abs(householder)).max() / np.abs(r).max()
+            cond = np.linalg.cond(rows[0])
+            if gap > 1e-12 or cond > 2 * np.sqrt(circ.n + 1):
+                problems.append((circ.gammas, gap, cond))
+        assert problems == []
+
+    def test_the_weight_form_equals_the_dense_contraction_on_mixed_stacks(self):
+        checked = set()
+        for model in mixed_stacks():
+            mult, basis = model.multipliers, model.basis
+            got = model.restricted_hessian(mult, basis)
+            dense = dense_restricted_hessian(model, mult, basis)
+            scale = np.abs(dense).max(axis=(-2, -1), keepdims=True)
+            assert np.all(np.abs(got - dense) <= 1e-13 * scale)
+            checked.add((model.n, model.circs[0].regime))
+        assert checked == {(n, regime) for n in range(2, 7) for regime in Regime}
+
+    def test_a_point_gets_the_same_bits_alone_and_in_a_stack(self):
+        for model in mixed_stacks() + [stack_of(certify_large_points())]:
+            stacked = stage_arrays(model)
+            for i in range(len(model.circs)):
+                alone = stage_arrays(local_model(model.mu0.take([i]), model.circs[i : i + 1]))
+                for got, expected in zip(stacked, alone):
+                    assert got[i].tobytes() == expected[0].tobytes()
+
+
+def stack_of(points):
+    return local_model(MuMatrix(np.stack([p[0].entries for p in points])), [p[1] for p in points])
+
+
+def mixed_stacks():
+    """Stacks of n = 2..6 in both regimes: the polygon with center (n = m,
+    and n = m - 1 at zero total) at several gamma, three equal vortices for
+    n = 2 at nonzero total, and each point's copies with positions x10 and
+    circulations x1e-2, and positions x1e-3 and circulations x1e4."""
+    bases = {(2, Regime.NON_ZERO_TOTAL): [build_scenario("equilateral3")]}
+    for m in range(3, 8):
+        if m <= 6:
+            bases[(m, Regime.NON_ZERO_TOTAL)] = [
+                build_scenario("polygon-with-center", gamma=g, m=m) for g in (-1.5, 0.5, 5.0, 20.0)
+            ]
+        bases[(m - 1, Regime.ZERO_TOTAL)] = [build_scenario("polygon-with-center", gamma=-m, m=m)]
+    stacks = []
+    for scenarios in bases.values():
+        points = []
+        for base in scenarios:
+            for pos_scale, circ_scale in ((1.0, 1.0), (10.0, 1e-2), (1e-3, 1e4)):
+                scen = build_scenario(
+                    "custom",
+                    positions=tuple(pos_scale * p for p in base.positions),
+                    circulations=tuple(circ_scale * g for g in base.circ.gammas),
+                )
+                points.append((scenario_fixed_point(scen), scen.circ))
+        stacks.append(stack_of(points))
+    return stacks
+
+
+def stage_arrays(model):
+    """What the certificate reads of a model: the tangent bases, the leaf
+    operator, the multipliers and the restricted Hessian."""
+    mult = model.multipliers
+    w = np.concatenate([mult.a, mult.constraint_coefficients], axis=-1)
+    hessian = model.restricted_hessian(mult, model.basis)
+    return model.basis, model.leaf_operator(), w, hessian
+
+
+# certify-large's twelve operations and the polygon m = 18..20 on -5..40 at
+# step 5, analyzed with the number of BLAS threads given on the command line
+BLAS_THREADS_RUN = """
+import sys
+from vortexstab.report import analyze, report_to_json
+from vortexstab.scenarios import build_scenario
+
+scenarios = []
+for gamma in (20.0, 25.0, 30.0, 35.0):
+    base = build_scenario("polygon-with-center", gamma=gamma, m=20)
+    for pos_scale, circ_scale in ((1.0, 1.0), (10.0, 1.0), (10.0, 1e-2)):
+        scenarios.append(build_scenario(
+            "custom",
+            positions=tuple(pos_scale * p for p in base.positions),
+            circulations=tuple(circ_scale * g for g in base.circ.gammas),
+        ))
+for m in (18, 19, 20):
+    scenarios += [
+        build_scenario("polygon-with-center", gamma=5.0 * k, m=m) for k in range(-1, 9) if k
+    ]
+for scen in scenarios:
+    sys.stdout.write(report_to_json(analyze(scen)))
+"""
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src)
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[name] = threads
+        out = subprocess.run(
+            [sys.executable, "-c", BLAS_THREADS_RUN],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        reports.append(out.stdout)
+    assert reports[0].count('"verdict"') == 12 + 27
+    assert reports[0] == reports[1]
+
+
+def energy_momentum_points():
+    """The paper's families at step 0.25, the polygon with center for
+    m = 3..12 on -5..40 at step 5, and the certify-large copies; gamma = 0
+    and the zero-total points are left out."""
+    scenarios = []
+    for kind, lo, hi in (("triangle-with-center", -5.0, 2.0), ("square-with-center", -1.5, 3.0)):
+        grid = np.arange(lo, hi + 1e-9, 0.25)
+        scenarios += [build_scenario(kind, gamma=float(g)) for g in grid if g]
+    for m in range(3, 13):
+        scenarios += [
+            build_scenario("polygon-with-center", gamma=5.0 * k, m=m) for k in range(-1, 9) if k
+        ]
+    scenarios += certify_large_scenarios()
+    return [s for s in scenarios if s.circ.regime is Regime.NON_ZERO_TOTAL]
+
+
+def test_certified_exactly_where_the_energy_momentum_test_is_definite():
+    # the oracle of tests/energy_momentum.py works in positions and shares no
+    # code with the package; on the zero-total points it does not apply
+    disagree, verdicts, worst_fit = [], set(), 0.0
+    points = energy_momentum_points()
+    for scen in points:
+        rep = analyze(scen)
+        hessian, residual, size = energy_momentum.restricted_energy_momentum(
+            scen.positions, scen.circ.gammas
+        )
+        worst_fit = max(worst_fit, residual / size)
+        verdicts.add(rep.verdict)
+        if (rep.verdict == "certified-stable") != energy_momentum.definite(hessian):
+            disagree.append((scen.circ.gammas, rep.verdict))
+    assert len(points) == 146 and disagree == [] and worst_fit <= 1e-12
+    assert verdicts == {"certified-stable", "inconclusive", "linearly-unstable"}
