@@ -10,9 +10,9 @@ factored), the leaf operator L = B A B^T and the restricted Hessian, taken
 on the leaf's coordinates z in O(n^3) through the thin QR T^T = U R of the
 rows T of Dphi, and the multiplier residual, the one place the constraint
 Jacobian is read.  R has a positive diagonal (R = chol(T T^T)^T), so the
-tangent bases B = (R^-1 Q_1)^T T are one definite set of rows.  The model's
-own bases take the O(n^3) forms of the energy and the constraint parts of
-the restricted Hessian, any other basis the n^2-sized ones.  Nothing is
+tangent bases B = (R^-1 Q_1)^T T are one definite set of rows.  Every basis
+X takes the same O(n^3) forms through its coordinates Y on the rows T,
+X = Y^T T: tangent bases only; InvalidArgument otherwise.  Nothing is
 memoised between calls: the certificate builds one model of its stack,
 hands it to each stage, and narrows it to the points still undecided with
 :meth:`LocalModel.take`, which slices what is computed and checks nothing
@@ -36,7 +36,6 @@ from .algebra import (
     coordinate_basis,
     flatten,
     flatten_stack,
-    hermitian_stack,
     pair_indices,
 )
 from .constraints import (
@@ -47,7 +46,7 @@ from .constraints import (
     row_rank,
 )
 from .dynamics import _lie_poisson_entries
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidArgument
 from .hamiltonian import FOUR_PI, ReducedHamiltonian, _distance_pairs, gradient_entries
 
 
@@ -58,9 +57,9 @@ class LocalModel:
     The field part evaluates the reduced field at each point once (the
     fixed-point residual, and the size of the field's terms it is measured
     against), and builds the n^2 x n^2 Jacobian only when asked for it: at
-    points with dependent differentials, and for a basis that is not the
-    model's own.  It owns the coupling matrices and the reduced Hamiltonians
-    of its circulation sets.
+    points with dependent differentials, and for a basis off the leaf.  It
+    owns the coupling matrices and the reduced Hamiltonians of its
+    circulation sets.
 
     The leaf's rows are the differential of C_1 (``casimirs``), then those of
     all constraint components, ``row_count`` in all; the model keeps the
@@ -74,15 +73,13 @@ class LocalModel:
     where the rows are independent (the only case the certificate goes on
     with), the Casimir multiplier; the constraint multipliers follow in
     closed form.  The tangent bases are B = (R^-1 Q_1)^T T, so the leaf
-    operator and the energy Hessian on B follow from one Hessian of h along
-    T (:meth:`leaf_operator`, :meth:`energy_hessian`), and the constraint
-    Hessians pulled back along Dphi are one 2n x 2n weight matrix on the
-    real directions of z (:meth:`restricted_hessian`).  These O(n^3) forms
-    serve the model's own bases, compared by value (:meth:`owns`); another
-    basis goes through the n^2-sized Hessian and the entries of M gathered
-    from its vectors.  The multiplier residual reads the constraint Jacobian once and
-    drops it; at a point with dependent rows the multipliers are the
-    minimal-norm ones.
+    operator and the energy part of the restricted Hessian follow from one
+    Hessian of h along T, and the constraint Hessians pulled back along
+    Dphi are one 2n x 2n weight matrix on the real directions of z.  Both
+    take a tangent basis X through its coordinates Y on T, X = Y^T T
+    (:meth:`_coordinates`).  The multiplier residual reads the constraint
+    Jacobian once and drops it; at a point with dependent rows the
+    multipliers are the minimal-norm ones.
     """
 
     def __init__(self, mu0: MuMatrix, circs: tuple[Circulations, ...]):
@@ -146,19 +143,25 @@ class LocalModel:
         deriv = -nu @ g @ kinv - m @ p @ kinv + kinv @ p @ m + kinv @ g @ nu
         return np.ascontiguousarray(flatten_stack(deriv).swapaxes(-1, -2))
 
-    def owns(self, basis: np.ndarray) -> bool:
-        """Whether a stack of bases (k, d, n^2) is the model's own tangent
-        bases, compared by value; a basis of another shape computes none."""
-        n = self.n
-        if basis.shape != (len(self.circs), 2 * n - 2, n * n):
-            return False
-        own = self.basis
-        return basis is own or np.array_equal(basis, own)
+    def _coordinates(self, basis: np.ndarray) -> np.ndarray:
+        """Y (k, 2n - 1, d) with X = Y^T T for a stack of tangent bases X
+        (k, d, n^2): the stored R^-1 Q_1 for the model's own bases (by value),
+        else R^-1 Q_1 (B X^T).  A row off the leaf, X B^T B, by more than
+        RANK_THRESHOLD of its length, or not finite, raises InvalidArgument."""
+        own, coords = self.basis, self._factors[6]
+        if basis is own or np.array_equal(basis, own):
+            return coords
+        along = basis @ own.swapaxes(-1, -2)
+        off = np.linalg.norm(basis - along @ own, axis=-1)
+        if not np.all(off <= RANK_THRESHOLD * np.linalg.norm(basis, axis=-1)):
+            raise InvalidArgument("a basis row is off the leaf or not finite")
+        return coords @ along.swapaxes(-1, -2)
 
-    def leaf_operator(self) -> np.ndarray:
-        """L = B A B^T on the model's own tangent bases B, (k, 2n - 2, 2n - 2),
-        from the field on the leaf's coordinates z (mu = phi(z) = i z z^*),
-        with no n^2-sized matrix of directions.
+    def leaf_operator(self, basis: np.ndarray | None = None) -> np.ndarray:
+        """L = X A X^T on a stack of tangent bases X (k, d, n^2), the model's
+        own B by default (d = 2n - 2), from the field on the leaf's
+        coordinates z (mu = phi(z) = i z z^*), with no n^2-sized matrix of
+        directions; tangent bases only, InvalidArgument otherwise.
 
         On the stratum X(phi(z)) = Dphi(z) Z(z) with Z(z) = K^-1 G(phi(z)) z,
         and at a fixed point Z(z0) = i Omega z0 (Dphi(i z0) = 0), so
@@ -167,11 +170,13 @@ class LocalModel:
         of a kept direction v, less its i e_c component along i z0, has
         coordinates M v on the kept directions, so A T^T = T^T M for the rows
         T of Dphi; with T^T = U R and B^T = U Q_1 = T^T R^-1 Q_1,
-        L = (R^T Q_1)^T M (R^-1 Q_1).  It equals B A B^T at fixed points on the
-        stratum, whether or not the differentials are independent."""
+        L = (R^T Q_1)^T M (R^-1 Q_1), and on X = Y^T T, L = (R Y)^T R M Y.  It
+        equals X A X^T at fixed points on the stratum, whether or not the
+        differentials are independent."""
         n = self.n
         z = self.moment[0]
-        r, q, coords, c, keep = self._factors[4:]
+        r, q, own, c, keep = self._factors[4:]
+        coords = own if basis is None else self._coordinates(basis)
         p_z = self._pullback
         kinv, g = self.coupling.k_inv, self._g
         # Omega from Z(z0) = i Omega z0; J v for the kept directions v as rows
@@ -184,7 +189,9 @@ class LocalModel:
         jv -= (jv[points, :, c].imag / z[points, c, None].real)[..., None] * (1j * z[:, None])
         # M: the coordinates Re(v^* J v') on the kept directions
         m = (v.conj() @ jv.swapaxes(-1, -2)).real
-        return q[..., 1:].swapaxes(-1, -2) @ r @ m @ coords
+        # R Y is Q_1 itself on the model's own bases
+        left = q[..., 1:] if coords is own else r @ coords
+        return left.swapaxes(-1, -2) @ r @ m @ coords
 
     @cached_property
     def _pullback(self) -> np.ndarray:
@@ -192,23 +199,11 @@ class LocalModel:
         energy Hessian applied to Dphi(v) as a matrix: one Hessian of h
         along the rows T of Dphi times the z-table of :func:`_z_table`, as
         one real product with the table's (re, im) pairs.  The leaf operator
-        and the energy part of the restricted Hessian read it on the
-        model's own bases only, B = (R^-1 Q_1)^T T with R's diagonal
-        positive; another basis takes the Hessian along its own rows."""
+        and the energy part of the restricted Hessian read it for every
+        tangent basis."""
         along = self.hamiltonian.hessian(self.u0, self._factors[3])
         table = _z_table(self.moment[0]).view(float)
         return _read_only((along @ table).view(complex))
-
-    def energy_hessian(self, basis: np.ndarray) -> np.ndarray:
-        """``basis @ Hess h @ basis^T`` at each point for a stack of bases
-        (k, d, n^2).  For the model's own bases B = (R^-1 Q_1)^T T it is
-        (R^-1 Q_1)^T (T Hess h T^T) (R^-1 Q_1), in O(n^3)
-        (:meth:`_energy_rows`).  Other bases go through the factored Hessian
-        along them."""
-        if not self.owns(basis):
-            return self.hamiltonian.hessian(self.u0, basis) @ basis.swapaxes(-1, -2)
-        coords = self._factors[6]
-        return coords.swapaxes(-1, -2) @ self._energy_rows() @ coords
 
     def _energy_rows(self) -> np.ndarray:
         """T Hess h T^T for the rows T of Dphi, (k, 2n - 1, 2n - 1): row T_i
@@ -342,32 +337,22 @@ class LocalModel:
         )
 
     def restricted_hessian(self, mult: MultiplierSet, basis: np.ndarray) -> np.ndarray:
-        """basis H_f basis^T at each point: the energy part and the
-        contraction of the factored constraint Hessians
-        (:meth:`ConstraintSystem.hessians`) with the multipliers; C_1 is
-        linear, so a_1 adds nothing.
+        """X H_f X^T at each point for a stack of tangent bases X (k, d, n^2):
+        the energy part and the contraction of the factored constraint
+        Hessians (:meth:`ConstraintSystem.hessians`) with the multipliers;
+        C_1 is linear, so a_1 adds nothing.  Tangent bases only;
+        InvalidArgument otherwise.
 
-        The model's own bases B = (R^-1 Q_1)^T T take it in O(n^3), as
-        (R^-1 Q_1)^T (T H_f T^T) (R^-1 Q_1) on the rows T of Dphi: the energy
-        part from :meth:`_energy_rows`, and the constraint part from one
-        2n x 2n weight matrix W on the real directions of z, built from the
-        multipliers (:func:`_weight_matrix`), as Re(W + W^T) on the kept
-        directions.  Another basis gathers the entries of M = -i mu that each
-        factor reads from its vectors and contracts them."""
-        n = self.n
+        It is taken in O(n^3) as Y^T (T H_f T^T) Y on the rows T of Dphi,
+        X = Y^T T (:meth:`_coordinates`): the energy part from
+        :meth:`_energy_rows`, and the constraint part from one 2n x 2n weight
+        matrix W on the real directions of z, built from the multipliers
+        (:func:`_weight_matrix`), as Re(W + W^T) on the kept directions."""
         # c Re R + d Im R = Re((c - i d) R)
         c, d = np.asarray(mult.c, dtype=float), np.asarray(mult.d, dtype=float)
         w = np.concatenate([np.asarray(mult.b, dtype=float), c - 1j * d], axis=-1)
-        entries = constraint_system(n).hessians()
-        if not self.owns(basis):
-            h = (mult.a0 * FOUR_PI) * self.energy_hessian(basis)
-            # the entries of M each factor reads along each basis vector
-            m = hermitian_stack(basis, n).swapaxes(-1, -2)
-            p1, p2, p3, p4 = np.take(m, entries, axis=-2).swapaxes(0, 1)
-            w = w[..., None, :]
-            s = (p1.swapaxes(-1, -2) * w) @ p2 - (p3.swapaxes(-1, -2) * w) @ p4
-            return h + (s + s.swapaxes(-1, -2)).real
-        coords, keep = self._factors[6], self._factors[8]
+        entries = constraint_system(self.n).hessians()
+        coords, keep = self._coordinates(basis), self._factors[8]
         # one point's set (a row for every point), or a stack's
         weights = _weight_matrix(self.moment[0], entries, np.atleast_2d(w))
         s = weights[np.arange(len(coords))[:, None, None], keep[:, :, None], keep[:, None, :]]

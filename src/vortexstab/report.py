@@ -156,18 +156,25 @@ def _sweep_row(gamma: float, res: CertificateResult | VortexStabError) -> SweepR
     return SweepRow(gamma=gamma, verdict=res.verdict.value, max_real_part=max_re, minors=minors)
 
 
+# 100 times the largest gamma grid in use (10001 points): a mistyped step
+# such as 1e-300 would otherwise build points until memory runs out
+MAX_GRID_POINTS = 10**6
+
+
 def gamma_grid(gamma_min: float, gamma_max: float, step: float) -> list[float]:
     """gamma_min + i*step for i = 0, 1, ... up to gamma_max (within 1e-12
     relative), each rounded to 12 decimals; empty when gamma_max < gamma_min.
-    A step that is not positive and finite, or a bound that is not finite,
-    raises InvalidArgument."""
+    A step that is not positive and finite, a bound that is not finite, or
+    a grid of more than MAX_GRID_POINTS points raises InvalidArgument."""
     if not 0.0 < step < np.inf:
         raise InvalidArgument(f"step must be positive and finite, got {step}")
     if not (np.isfinite(gamma_min) and np.isfinite(gamma_max)):
         raise InvalidArgument(f"range bounds must be finite, got {gamma_min}, {gamma_max}")
     stop = gamma_max + 1e-12 * max(1.0, abs(gamma_max))
-    count = int((stop - gamma_min) // step) + 2
-    points = (gamma_min + i * step for i in range(count))
+    steps = (stop - gamma_min) // step  # a float, inf past the float range
+    if steps >= MAX_GRID_POINTS:
+        raise InvalidArgument(f"step {step} gives {steps + 1:.3g} points, over {MAX_GRID_POINTS}")
+    points = (gamma_min + i * step for i in range(int(steps) + 2))
     return [round(g, 12) for g in points if g <= stop]
 
 

@@ -10,9 +10,9 @@ Hessian restricted to the tangent space of the joint Casimir/constraint level
 set via Sylvester's criterion, read from the pivots of one factorization per
 matrix, chosen by its order (:func:`sylvester_verdict`).  Linear stability
 is decided first, on the same tangent space, by the leaf operator B A B^T
-taken on the leaf's coordinates z (:meth:`localmodel.LocalModel.leaf_operator`).  C_1 is the one Casimir: on
-the rank-one stratum C_j = C_1^j, so no other C_j adds a row the constraints
-and C_1 do not already span.  The ``4 pi h`` scaling matches the closed-form
+on the leaf's coordinates z (:meth:`LocalModel.leaf_operator`).  C_1 is the
+one Casimir: on the rank-one stratum C_j = C_1^j, so no other C_j adds a
+row the constraints and C_1 do not already span.  The ``4 pi h`` scaling matches the closed-form
 multiplier and minor fixtures used in the acceptance suite.  That tangent
 space, the symplectic leaf, is built from the moment map mu = i z z^* at the
 fixed point (:class:`localmodel.LocalModel`), so mu0 must be of that form.
@@ -33,6 +33,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,6 +45,7 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     Infeasible,
+    InvalidArgument,
     NoConvergence,
     NotAFixedPoint,
     NotAFixedPointWarning,
@@ -110,10 +112,10 @@ def linearize(
     closed-form Hessian of h, in all n^2 coordinate directions at once; emits
     a warning (and still returns the matrix) when mu0 is not a fixed point.
     With ``basis`` (rows are directions, d of them; one basis per point of a
-    stack) it returns the d x d matrix ``basis @ A @ basis.T``: for the
-    tangent bases of :func:`tangent_basis` at fixed points, the leaf operator
-    of :meth:`LocalModel.leaf_operator`, taken on the leaf's coordinates z
-    with no n^2 x n^2 matrix; for any other basis, from the Jacobian.
+    stack) it returns the d x d matrix ``basis @ A @ basis.T``: at fixed
+    points, for a tangent basis, the leaf operator of
+    :meth:`LocalModel.leaf_operator` with no n^2 x n^2 matrix; else, as A is
+    meaningful in every direction, from the Jacobian (see :func:`_stacked`).
     """
     reduced = local_model(mu0, circ)
     fixed = np.all(reduced.residual < FP_TOL * reduced.scale)
@@ -124,14 +126,10 @@ def linearize(
         )
     if basis is None:
         return _per_point(circ, reduced.linearize())
-    n = reduced.n
-    basis = np.asarray(basis, dtype=float)
-    ndim = 2 if isinstance(circ, Circulations) else 3
-    if basis.ndim != ndim or basis.shape[-1] != n * n:
-        raise DimensionMismatch(f"basis rows must have length {n * n}, got {basis.shape}")
-    basis = _stacked(reduced, basis)
-    if fixed and not reduced.off_stratum.any() and reduced.owns(basis):
-        return _per_point(circ, reduced.leaf_operator())
+    basis = _stacked(reduced, circ, basis)
+    if fixed and not reduced.off_stratum.any():
+        with suppress(InvalidArgument):  # but for a basis off the leaf
+            return _per_point(circ, reduced.leaf_operator(basis))
     return _per_point(circ, basis @ reduced.linearize() @ basis.swapaxes(-1, -2))
 
 
@@ -221,9 +219,10 @@ def restricted_hessian(
     mult: MultiplierSet,
     basis: np.ndarray,
 ) -> np.ndarray:
-    """Project the certificate Hessian onto a tangent basis (rows)."""
+    """Project the certificate Hessian onto a tangent basis (rows; one per
+    point of a stack): tangent bases only; InvalidArgument otherwise."""
     model = local_model(mu0, circ)
-    basis = _stacked(model, np.asarray(basis, dtype=float))
+    basis = _stacked(model, circ, basis)
     restricted = model.restricted_hessian(mult, basis)
     scale = np.maximum(1.0, np.abs(restricted).max(axis=(-2, -1), initial=0.0))
     asym = np.abs(restricted - restricted.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
@@ -232,12 +231,19 @@ def restricted_hessian(
     return _per_point(circ, 0.5 * (restricted + restricted.swapaxes(-1, -2)))
 
 
-def _stacked(model: LocalModel, basis: np.ndarray) -> np.ndarray:
-    """A basis per point of the model's stack: ``basis`` itself when it is
-    one, else broadcast (one basis for all points)."""
-    if basis.shape[:-2] == (len(model.circs),):
-        return basis
-    return np.broadcast_to(basis, (len(model.circs),) + basis.shape[-2:])
+def _stacked(model: LocalModel, circ, basis) -> np.ndarray:
+    """A basis per point of the model's stack, (k, d, n^2), from one (d, n^2)
+    for one point or k for a stack; DimensionMismatch for another shape,
+    InvalidArgument for a basis that is not finite."""
+    basis = np.asarray(basis, dtype=float)
+    k, width = len(model.circs), model.n**2
+    one = isinstance(circ, Circulations)
+    stacked = np.broadcast_to(basis, (k,) + basis.shape) if one else basis
+    if stacked.ndim != 3 or stacked.shape[::2] != (k, width):
+        raise DimensionMismatch(f"basis shape {basis.shape}: rows of {width}, one basis per point")
+    if not np.isfinite(basis).all():
+        raise InvalidArgument("basis entries must be finite")
+    return stacked
 
 
 @dataclass(frozen=True)
@@ -345,8 +351,9 @@ def energy_casimir_certificate(
     decide and returns a list of k results, where a point that fails a check
     holds its exception (NotAFixedPoint, NotInOpenSet, DomainError,
     SingularCoupling, ...) in place of a result, and a point that is not of
-    the form i z z^* holds NotRankOne.  The constraint Jacobian that checks the multipliers holds
-    O(n^4) entries per point, so the caller bounds k (:func:`stack_size`).
+    the form i z z^* holds NotRankOne.  The constraint Jacobian that checks
+    the multipliers holds O(n^4) entries per point, so the caller bounds k
+    (:func:`stack_size`).
     """
     circs = _circulation_sets(circ)
     results: list[CertificateResult | VortexStabError | None] = [None] * len(circs)

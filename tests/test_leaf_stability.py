@@ -13,6 +13,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,12 @@ from vortexstab.constraints import (
     constraint_system,
     row_rank,
 )
-from vortexstab.errors import DimensionMismatch, Infeasible, NotAFixedPointWarning
+from vortexstab.errors import (
+    DimensionMismatch,
+    Infeasible,
+    InvalidArgument,
+    NotAFixedPointWarning,
+)
 from vortexstab.hamiltonian import (
     FOUR_PI,
     ReducedHamiltonian,
@@ -294,36 +300,72 @@ class TestCertificateFunction:
         assert checked > 300 and contradictions == []
 
     def test_restricted_hessian_equals_the_dense_contraction(self):
-        # the own bases take the 2n x 2n weight matrix on the leaf's
-        # z-directions, against the dense forms projected by one complex
-        # product, on stacks of the polygon grid (N = 4..21); the energy part
-        # is the model's own.  The two sum the same terms in another order,
-        # so they agree to round-off, not bit for bit
+        # the 2n x 2n weight matrix on the leaf's z-directions, against the
+        # dense forms projected by one complex product, on stacks of the
+        # polygon grid (N = 4..21), for the own bases B and for rotated
+        # tangent bases Q B.  The two sum the same terms in another order, so
+        # they agree to round-off, not bit for bit
         checked = 0
         for m in GRID_M:
             for model in polygon_stacks(m):
-                mult, basis = model.multipliers, model.basis
-                got = model.restricted_hessian(mult, basis)
-                dense = dense_restricted_hessian(model, mult, basis)
-                scale = np.abs(dense).max(axis=(-2, -1), keepdims=True)
-                assert np.all(np.abs(got - dense) <= 1e-13 * scale)
+                mult, own = model.multipliers, model.basis
+                rng = np.random.default_rng(m)
+                d = own.shape[1]
+                rotation = np.linalg.qr(rng.standard_normal((len(own), d, d)))[0]
+                for basis, tol in ((own, 1e-13), (rotation @ own, 1e-12)):
+                    got = model.restricted_hessian(mult, basis)
+                    dense = dense_restricted_hessian(model, mult, basis)
+                    scale = np.abs(dense).max(axis=(-2, -1), keepdims=True)
+                    assert np.all(np.abs(got - dense) <= tol * scale)
                 checked += len(model.circs)
         assert checked == len(GRID_M) * len(GRID_GAMMA)
 
-    def test_a_foreign_basis_gathers_the_entries_bit_for_bit(self):
-        # a basis other than the model's own reads the entries of M the
-        # constraint factors name from its vectors: each entry is one
-        # coordinate, exactly, so the gather equals the dense forms' product
-        for m in (3, 7, 20):
-            for model in polygon_stacks(m):
-                rng = np.random.default_rng(m)
-                shape = model.basis.shape
-                q = np.linalg.qr(rng.standard_normal(shape[:1] + shape[:0:-1]))[0]
-                basis = np.ascontiguousarray(q.swapaxes(-1, -2))
-                assert not model.owns(basis)
-                got = model.restricted_hessian(model.multipliers, basis)
-                expected = dense_restricted_hessian(model, model.multipliers, basis)
-                assert got.tobytes() == expected.tobytes()
+    def test_only_a_tangent_basis_is_accepted(self):
+        # the restricted Hessian has a meaning on the leaf only: a row off it
+        # by more than RANK_THRESHOLD of its length, or not finite, is
+        # rejected, and so is a basis of the wrong shape; the leaf operator
+        # rejects what the model rejects, and linearize takes the Jacobian
+        mu0, circ = fixed_point("triangle-with-center", 0.5)
+        model = local_model(mu0, circ)
+        mult, own = solve_multiplier_system(model, circ), model.basis[0]
+        rng = np.random.default_rng(3)
+        normal = rng.standard_normal(own.shape[1])
+        normal -= (normal @ own.T) @ own
+        normal /= np.linalg.norm(normal)
+        for size, accepted in ((1e-12, True), (1e-6, False), (1.0, False)):
+            basis = own.copy()
+            basis[1] += size * normal
+            if accepted:
+                expected = dense_restricted_hessian(model, model.multipliers, basis[None])[0]
+                got = restricted_hessian(model, circ, mult, basis)
+                assert relative_gap(got, 0.5 * (expected + expected.T)) <= 1e-12
+                continue
+            with pytest.raises(InvalidArgument, match="off the leaf"):
+                restricted_hessian(model, circ, mult, basis)
+            with pytest.raises(InvalidArgument, match="off the leaf"):
+                model.leaf_operator(basis[None])
+            full = linearize(model, circ)
+            assert relative_gap(linearize(model, circ, basis), basis @ full @ basis.T) <= 1e-12
+        nan = own.copy()
+        nan[1, 0] = np.nan
+        with pytest.raises(InvalidArgument, match="off the leaf"):
+            model.restricted_hessian(model.multipliers, nan[None])
+        with pytest.raises(InvalidArgument, match="off the leaf"):
+            model.leaf_operator(nan[None])
+        stages = (
+            lambda circs, basis: restricted_hessian(model, circs, mult, basis),
+            lambda circs, basis: linearize(model, circs, basis),
+        )
+        for stage in stages:
+            with pytest.raises(InvalidArgument, match="finite"):
+                stage(circ, nan)
+            # one point: rows of length n^2 = 9, one basis
+            for wrong in (np.eye(4), np.ones(9), np.stack([own, own])):
+                with pytest.raises(DimensionMismatch):
+                    stage(circ, wrong)
+            # a stack of one point: one basis for it
+            with pytest.raises(DimensionMismatch):
+                stage(model.circs, np.stack([own, own]))
 
 
 def polygon_stacks(m):
@@ -349,7 +391,7 @@ def dense_restricted_hessian(model, mult, basis):
     i, j = np.array(blocks, dtype=int).reshape(-1, 2).T
     forms = np.stack([ell[i, j], ell[i + 1, j + 1], ell[i, j + 1], ell[i + 1, j]])
     basis_t = basis.swapaxes(-1, -2)
-    h = (mult.a0 * FOUR_PI) * model.energy_hessian(basis)
+    h = (mult.a0 * FOUR_PI) * (model.hamiltonian.hessian(model.u0, basis) @ basis_t)
     p1, p2, p3, p4 = (forms @ basis_t[:, None]).swapaxes(0, 1)
     c, d = np.asarray(mult.c, dtype=float), np.asarray(mult.d, dtype=float)
     w = np.concatenate([np.asarray(mult.b, dtype=float), c - 1j * d], axis=-1)[..., None, :]
@@ -378,12 +420,12 @@ class TestCertificateWork:
 
             monkeypatch.setattr(np.linalg, name, counting)
         gathers = []
-        for module in (localmodel, constraints):
-            def counted(v, n, fn=module.hermitian_stack):
-                gathers.append(np.shape(v))
-                return fn(v, n)
 
-            monkeypatch.setattr(module, "hermitian_stack", counted)
+        def counted(v, n, fn=constraints.hermitian_stack):
+            gathers.append(np.shape(v))
+            return fn(v, n)
+
+        monkeypatch.setattr(constraints, "hermitian_stack", counted)
         scen = build_scenario("polygon-with-center", gamma=20.0, m=20)
         rep = analyze(scen)
         n, d = scen.circ.n, 2 * scen.circ.n - 2
@@ -401,8 +443,11 @@ class TestCertificateWork:
         assert calls["svd"] == calls["lstsq"] == calls["pinv"] == []
         assert calls["eigvals"] and all(shape[-1] <= d for shape in calls["eigvals"])
         assert len(rep.spectrum) == d
-        # the constraint contraction gathers no entries of M from the basis
+        # the constraint contraction gathers no entries of M from the basis,
+        # and no basis has another path that could
         assert gathers == []
+        assert not hasattr(localmodel, "hermitian_stack")
+        assert not any(hasattr(LocalModel, name) for name in ("owns", "energy_hessian"))
 
     def test_certified_analyze_builds_no_dense_energy_hessian(self, monkeypatch):
         # and evaluates the reduced field once: the residual, the certificate's
@@ -862,6 +907,12 @@ def relative_gap(got, expected):
     return np.abs(got - expected).max() / np.abs(expected).max()
 
 
+def energy_only(mult):
+    """The multipliers with every constraint coefficient 0: the restricted
+    Hessian is then 4 pi a0 times the energy Hessian on the basis."""
+    return replace(mult, b=np.zeros_like(mult.b), c=np.zeros_like(mult.c), d=np.zeros_like(mult.d))
+
+
 class TestLeafOperator:
     """The leaf operator L = B A B^T and the energy Hessian B Hess h B^T on
     the model's tangent bases, both taken on the 2n - 1 rows of Dphi,
@@ -874,11 +925,9 @@ class TestLeafOperator:
             basis = model.basis
             basis_t = basis.swapaxes(-1, -2)
             leaf = basis @ model.linearize() @ basis_t
-            energy = model.hamiltonian.hessian(model.u0, basis) @ basis_t
-            gaps = (
-                relative_gap(model.leaf_operator(), leaf),
-                relative_gap(model.energy_hessian(basis), energy),
-            )
+            energy = FOUR_PI * (model.hamiltonian.hessian(model.u0, basis) @ basis_t)
+            only = model.restricted_hessian(energy_only(model.multipliers), basis)
+            gaps = (relative_gap(model.leaf_operator(), leaf), relative_gap(only, energy))
             if max(gaps) > 1e-12:
                 problems.append((circ.gammas, gaps))
             checked += 1
@@ -886,21 +935,29 @@ class TestLeafOperator:
         assert checked == len(LEAF_CASES) + len(GRID_M) * len(GRID_GAMMA) + 3 + len(LARGE_COPIES)
 
     @pytest.mark.parametrize("kind,gamma,m", LEAF_CASES[1:4] + [("polygon-with-center", 20.0, 20)])
-    def test_linearize_takes_it_for_the_own_basis_only(self, kind, gamma, m):
-        # the tangent bases get the leaf operator, equal by value or not the
-        # same object; a random orthonormal basis gets the full Jacobian
+    def test_linearize_takes_it_for_tangent_bases(self, kind, gamma, m):
+        # the own bases get the leaf operator, equal by value or not the same
+        # object, bit for bit; random tangent bases Q B get it on their
+        # coordinates, and a random orthonormal basis off the leaf gets the
+        # full Jacobian
         mu0, circ = fixed_point(kind, gamma, m)
         model = local_model(mu0, circ)
         own = np.array(model.basis[0])
         got = linearize(model, circ, own)
         assert got.tobytes() == model.leaf_operator()[0].tobytes()
-        rng = np.random.default_rng(circ.n)
-        q = np.linalg.qr(rng.standard_normal((circ.n**2, own.shape[0])))[0].T
         full = linearize(mu0, circ)
-        got = linearize(model, circ, q)
-        assert relative_gap(got, q @ full @ q.T) <= 1e-12
-        expected = model.hamiltonian.hessian(model.u0, q[None]) @ q.T[None]
-        assert model.energy_hessian(q[None]).tobytes() == expected.tobytes()
+        rng = np.random.default_rng(circ.n)
+        d = own.shape[0]
+        rotation = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        for q in (rotation @ own, rng.standard_normal((d, d)) @ own):
+            got = linearize(model, circ, q)
+            assert got.tobytes() == model.leaf_operator(q[None])[0].tobytes()
+            assert relative_gap(got, q @ full @ q.T) <= 1e-12
+            energy = FOUR_PI * (model.hamiltonian.hessian(model.u0, q[None]) @ q.T[None])
+            got = model.restricted_hessian(energy_only(model.multipliers), q[None])
+            assert relative_gap(got, energy) <= 1e-12
+        q = np.linalg.qr(rng.standard_normal((circ.n**2, d)))[0].T
+        assert relative_gap(linearize(model, circ, q), q @ full @ q.T) <= 1e-12
 
     def test_a_point_that_is_not_fixed_takes_the_full_jacobian(self):
         # mu = i z z^* of four vortices that do not form a relative

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vortexstab import report
 from vortexstab.algebra import Regime
 from vortexstab.cli import main, make_parser
 from vortexstab.errors import (
@@ -216,6 +217,17 @@ class TestReport:
                 gamma_grid(*args)
         with pytest.raises(InvalidArgument, match="empty range"):
             gamma_sweep("square-with-center", 2.0, 1.0, 0.5)
+
+    def test_sweep_grid_rejects_too_many_points_from_the_count(self, monkeypatch):
+        # 1e300 or an overflowing count of points is rejected before any
+        # point is built, and the bound counts points, not steps
+        for step in (1e-300, 5e-324, 1e-6):
+            with pytest.raises(InvalidArgument, match="over 1000000"):
+                gamma_grid(0.0, 1.0, step)
+        monkeypatch.setattr(report, "MAX_GRID_POINTS", 10)
+        assert len(gamma_grid(0.0, 9.0, 1.0)) == 10
+        with pytest.raises(InvalidArgument, match="over 10$"):
+            gamma_grid(0.0, 10.0, 1.0)
 
     def test_empty_sweep_header_only(self):
         table = gamma_sweep("triangle-with-center", 0.0, 0.0, 1.0)
@@ -553,6 +565,13 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("invalid input: step must be positive and finite")
+
+    def test_sweep_of_too_many_points_exit_2(self, capsys):
+        args = ["sweep", "--scenario", "triangle-with-center", "--from", "0", "--to", "1"]
+        assert main(args + ["--step", "1e-300"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("invalid input: step 1e-300 gives 1e+300 points, over 1000000")
 
     def test_sweep_empty_range_exit_2(self, capsys):
         args = ["sweep", "--scenario", "square-with-center", "--from", "2", "--to", "1"]

@@ -618,8 +618,11 @@ class TestLocalModel:
         k = build_coupling_matrix(circ)
         stack = np.vstack([casimir_gradient(mu0, k, 1), constraint_jacobian(mu0)])
         basis = tangent_basis(mu0, circ)
+        # random tangent bases Q B, with Q orthogonal and with Q a general mix
         rng = np.random.default_rng(n)
-        bases = [basis, rng.standard_normal(basis.shape)]
+        d = len(basis)
+        rotation = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        bases = [basis, rotation @ basis, rng.standard_normal((d, d)) @ basis]
         for a0 in (1.0, -1.0):
             mult = solve_multiplier_system(mu0, circ, a0=a0)
             w = np.concatenate([mult.a, mult.constraint_coefficients])
