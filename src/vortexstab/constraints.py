@@ -139,7 +139,10 @@ class ConstraintSystem:
     so the Jacobian has at most 8 terms per complex component; it is kept,
     from its first use, as the position, coordinate and coefficient (+-1, or
     -2 where two terms of a diagonal block's minor coincide) of each nonzero
-    of the real rows.
+    of the real rows, built from the table that :meth:`hessians` returns.
+    :meth:`jacobian` scatters these terms into the (n-1)^2 x n^2 rows, and
+    :meth:`weighted_gradient` sums them into w dR for one weight per
+    component, with no such array.
     """
 
     def __init__(self, n: int):
@@ -161,18 +164,19 @@ class ConstraintSystem:
     def _jacobian_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The nonzeros of dR: their flat positions t in the real rows, the
         coordinate each reads and its coefficient, dR[t] = coef u[coordinate],
-        built on the first :meth:`jacobian`.
+        built on first use from the factor table of :meth:`hessians`.
 
         Entry e of M is u[re_e] + i sigma_e u[im_e] (sigma_e = +-1, and 0 on
         the diagonal).  Factor f of a complex component adds s_f c_f p_g to
         its row, g the factor it multiplies: Re of it is s_f u[re_g] at re_f
         and -s_f sigma_f sigma_g u[im_g] at im_f, Im of it s_f sigma_g u[im_g]
         at re_f and s_f sigma_f u[re_g] at im_f."""
-        n, d, count = self.n, self.n - 1, self._entries.shape[-1]
+        n, d, e = self.n, self.n - 1, self.hessians()
+        count = e.shape[-1]
         _, _, source, factor = _gathers(n)
         # M = -i mu = u[source_1] - i factor_0 u[source_0] (factor_1 is 1)
         re, im, sigma = source[1::2], source[::2], -factor[::2]
-        e, g = self._entries, self._entries[[1, 0, 3, 2]]
+        g = e[[1, 0, 3, 2]]
         sign = np.repeat([[1.0], [1.0], [-1.0], [-1.0]], count, axis=1)
         # a diagonal block's c3 p4 and c4 p3 are one term twice (c4 = conj(c3)
         # and p3 = conj(p4)), so that no two terms share a position
@@ -218,6 +222,19 @@ class ConstraintSystem:
         out = np.zeros(lead + (self.size * n2,))
         out[..., target] = u[..., source] * coef
         return out.reshape(lead + (self.size, n2))
+
+    def weighted_gradient(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """sum_R w_R grad R(u) = w dR(u), shape (samples, n^2) for a stack u
+        (samples, n^2) and weights w (samples, (n-1)^2): the terms of dR
+        summed into their columns by one bincount, O(n^2) per point, in one
+        order for every point."""
+        target, source, coef = self._jacobian_terms
+        n2 = self.n * self.n
+        row, column = np.divmod(target, n2)
+        k = len(u)
+        terms = np.broadcast_to(w, (k, self.size))[:, row] * coef * u[:, source]
+        where = (column + n2 * np.arange(k)[:, None]).ravel()
+        return np.bincount(where, weights=terms.ravel(), minlength=k * n2).reshape(k, n2)
 
     def hessians(self) -> np.ndarray:
         """The constant Hessians in factored form: the stored, read-only

@@ -8,16 +8,17 @@ of the Casimir C_1, the leaf built from the moment map mu = phi(z) = i z z^*
 (ranks, tangent bases, multipliers; no matrix wider than 2n columns is
 factored), the leaf operator L = B A B^T and the restricted Hessian, taken
 on the leaf's coordinates z in O(n^3) through the thin QR T^T = U R of the
-rows T of Dphi, and the multiplier residual, the one place the constraint
-Jacobian is read.  R has a positive diagonal (R = chol(T T^T)^T), so the
-tangent bases B = (R^-1 Q_1)^T T are one definite set of rows.  Every basis
-X takes the same O(n^3) forms through its coordinates Y on the rows T,
-X = Y^T T: tangent bases only; InvalidArgument otherwise.  Nothing is
-memoised between calls: the certificate builds one model of its stack,
-hands it to each stage, and narrows it to the points still undecided with
-:meth:`LocalModel.take`, which slices what is computed and checks nothing
-again.  Every array has a leading axis of length k; one point is a stack of
-one.
+rows T of Dphi (its constraint part from the weighted constraint gradient,
+with no constraint Hessian), and the multiplier residual, the one place the
+constraint Jacobian is read.  R has a positive diagonal
+(R = chol(T T^T)^T), so the tangent bases B = (R^-1 Q_1)^T T are one
+definite set of rows.  Every basis X takes the same O(n^3) forms through
+its coordinates Y on the rows T, X = Y^T T: tangent bases only;
+InvalidArgument otherwise.  Nothing is memoised between calls: the
+certificate builds one model of its stack, hands it to each stage, and
+narrows it to the points still undecided with :meth:`LocalModel.take`,
+which slices what is computed and checks nothing again.  Every array has a
+leading axis of length k; one point is a stack of one.
 """
 
 from __future__ import annotations
@@ -74,12 +75,13 @@ class LocalModel:
     with), the Casimir multiplier; the constraint multipliers follow in
     closed form.  The tangent bases are B = (R^-1 Q_1)^T T, so the leaf
     operator and the energy part of the restricted Hessian follow from one
-    Hessian of h along T, and the constraint Hessians pulled back along
-    Dphi are one 2n x 2n weight matrix on the real directions of z.  Both
-    take a tangent basis X through its coordinates Y on T, X = Y^T T
-    (:meth:`_coordinates`).  The multiplier residual reads the constraint
-    Jacobian once and drops it; at a point with dependent rows the
-    multipliers are the minimal-norm ones.
+    Hessian of h along T; the constraint part is the weighted constraint
+    gradient paired with the second derivative of phi, and no constraint
+    Hessian is read.  Both take a tangent basis X through its coordinates Y
+    on T, X = Y^T T (:meth:`_coordinates`); where the rows are dependent
+    the joint level set's tangent space is all of span(T).  The multiplier
+    residual reads the constraint Jacobian once and drops it; at a point
+    with dependent rows the multipliers are the minimal-norm ones.
     """
 
     def __init__(self, mu0: MuMatrix, circs: tuple[Circulations, ...]):
@@ -146,16 +148,27 @@ class LocalModel:
     def _coordinates(self, basis: np.ndarray) -> np.ndarray:
         """Y (k, 2n - 1, d) with X = Y^T T for a stack of tangent bases X
         (k, d, n^2): the stored R^-1 Q_1 for the model's own bases (by value),
-        else R^-1 Q_1 (B X^T).  A row off the leaf, X B^T B, by more than
-        RANK_THRESHOLD of its length, or not finite, raises InvalidArgument."""
+        else R^-1 Q_1 (B X^T) where the rows are independent.  Where they
+        are not, the C_1 row lies in the constraint rows' span and the
+        tangent space of the joint level set is all of span(T), so
+        Y = R^-1 R^-T T X^T.  A row off the tangent space, X less Y^T T, by
+        more than RANK_THRESHOLD of its length, or not finite, raises
+        InvalidArgument."""
         own, coords = self.basis, self._factors[6]
         if basis is own or np.array_equal(basis, own):
             return coords
         along = basis @ own.swapaxes(-1, -2)
-        off = np.linalg.norm(basis - along @ own, axis=-1)
+        coords, onto = coords @ along.swapaxes(-1, -2), along @ own
+        dependent = self.rank < self.row_count
+        if dependent.any():
+            tangent, r = self._factors[3][dependent], self._factors[4][dependent]
+            on_t = tangent @ basis[dependent].swapaxes(-1, -2)
+            y = np.linalg.solve(r, np.linalg.solve(r.swapaxes(-1, -2), on_t))
+            coords[dependent], onto[dependent] = y, y.swapaxes(-1, -2) @ tangent
+        off = np.linalg.norm(basis - onto, axis=-1)
         if not np.all(off <= RANK_THRESHOLD * np.linalg.norm(basis, axis=-1)):
             raise InvalidArgument("a basis row is off the leaf or not finite")
-        return coords @ along.swapaxes(-1, -2)
+        return coords
 
     def leaf_operator(self, basis: np.ndarray | None = None) -> np.ndarray:
         """L = X A X^T on a stack of tangent bases X (k, d, n^2), the model's
@@ -204,13 +217,6 @@ class LocalModel:
         along = self.hamiltonian.hessian(self.u0, self._factors[3])
         table = _z_table(self.moment[0]).view(float)
         return _read_only((along @ table).view(complex))
-
-    def _energy_rows(self) -> np.ndarray:
-        """T Hess h T^T for the rows T of Dphi, (k, 2n - 1, 2n - 1): row T_i
-        paired with Hess h T_j^T is Im(v_i^* P(v_j) z0), from the Hessian
-        along T that the leaf operator reads too."""
-        v = _directions(self.n)[self._factors[8]]
-        return (v.conj() @ self._pullback.swapaxes(-1, -2)).imag
 
     @cached_property
     def inside(self) -> np.ndarray:
@@ -337,26 +343,28 @@ class LocalModel:
         )
 
     def restricted_hessian(self, mult: MultiplierSet, basis: np.ndarray) -> np.ndarray:
-        """X H_f X^T at each point for a stack of tangent bases X (k, d, n^2):
-        the energy part and the contraction of the factored constraint
-        Hessians (:meth:`ConstraintSystem.hessians`) with the multipliers;
-        C_1 is linear, so a_1 adds nothing.  Tangent bases only;
-        InvalidArgument otherwise.
+        """X H_f X^T at each point for a stack of tangent bases X (k, d, n^2),
+        H_f = a0 4 pi Hess h + sum_R w_R Hess R over the constraint
+        components R, w = (b, c, d) of ``mult``; C_1 is linear, so a_1 adds
+        nothing.  Tangent bases only; InvalidArgument otherwise.
 
         It is taken in O(n^3) as Y^T (T H_f T^T) Y on the rows T of Dphi,
-        X = Y^T T (:meth:`_coordinates`): the energy part from
-        :meth:`_energy_rows`, and the constraint part from one 2n x 2n weight
-        matrix W on the real directions of z, built from the multipliers
-        (:func:`_weight_matrix`), as Re(W + W^T) on the kept directions."""
-        # c Re R + d Im R = Re((c - i d) R)
-        c, d = np.asarray(mult.c, dtype=float), np.asarray(mult.d, dtype=float)
-        w = np.concatenate([np.asarray(mult.b, dtype=float), c - 1j * d], axis=-1)
-        entries = constraint_system(self.n).hessians()
-        coords, keep = self._coordinates(basis), self._factors[8]
-        # one point's set (a row for every point), or a stack's
-        weights = _weight_matrix(self.moment[0], entries, np.atleast_2d(w))
-        s = weights[np.arange(len(coords))[:, None, None], keep[:, :, None], keep[:, None, :]]
-        on_rows = (mult.a0 * FOUR_PI) * self._energy_rows() + (s + s.swapaxes(-1, -2)).real
+        X = Y^T T (:meth:`_coordinates`).  Row T_i paired with Hess h T_j^T
+        is Im(v_i^* P(v_j) z0), from the Hessian along T that the leaf
+        operator reads too.  Every R vanishes on the image of phi, so
+        differentiating R(phi(z)) = 0 twice gives
+        Dphi(v)^T Hess R Dphi(v') = -DR . D^2 phi(v, v') with
+        D^2 phi(v, v') = i (v v'^* + v' v^*), for any weights: the
+        constraint part is -Im(v_i^* G_w v_j), G_w the matrix form
+        (:func:`hamiltonian.gradient_entries`) of the weighted gradient
+        sum_R w_R grad R (:meth:`ConstraintSystem.weighted_gradient`).  No
+        constraint Hessian is read."""
+        n, coords, keep = self.n, self._coordinates(basis), self._factors[8]
+        weighted = constraint_system(n).weighted_gradient(self.u0, mult.constraint_coefficients)
+        g_w, v = gradient_entries(weighted, n), _directions(n)[keep]
+        # row T_i paired with H_f T_j^T: Im(v_i^* (a0 4 pi P(v_j) z0 - G_w v_j))
+        columns = (mult.a0 * FOUR_PI) * self._pullback.swapaxes(-1, -2) - g_w @ v.swapaxes(-1, -2)
+        on_rows = (v.conj() @ columns).imag
         return coords.swapaxes(-1, -2) @ on_rows @ coords
 
 
@@ -449,35 +457,6 @@ def _z_table(z: np.ndarray) -> np.ndarray:
     m-th coordinate vector."""
     values = np.concatenate([1j * z, -z, z, 2j * z, np.zeros((len(z), 1))], -1)
     return values[np.arange(len(z))[:, None, None], _z_table_sources(z.shape[-1])]
-
-
-def _weight_matrix(z: np.ndarray, entries: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """W (k, 2n, 2n) on the 2n real directions v of z (e_j, then i e_j): the
-    Hessian of Re(sum w R) over the complex constraint components R, pulled
-    back along Dphi, is Re(W + W^T).  ``entries`` are the factored
-    constraint Hessians (:meth:`ConstraintSystem.hessians`) and w, one row
-    or one per point, the weights of the components.
-
-    Entry (a, b) of M(v) = v z^* + z v^* is the linear form of v with the
-    terms conj(z_b) at e_a, i conj(z_b) at i e_a, z_a at e_b and -i z_a at
-    i e_b.  Each component, p1 p2 - p3 p4 over the entries its factors
-    read, adds its weight times l1 l2^T - l3 l4^T to W, 32 terms, which are
-    summed slot by slot in one order for every point."""
-    k, n = z.shape
-    a, b = np.divmod(entries, n)
-    slots = np.stack([a, n + a, b, n + b], axis=1)  # (4, 4, components)
-    z_b, z_a = z.conj()[:, b], z[:, a]
-    forms = np.stack([z_b, 1j * z_b, z_a, -1j * z_a], axis=2)
-    # the terms of p1 p2, then of p3 p4: (k, 2, 4, 4, components)
-    terms = forms[:, 0::2, :, None] * forms[:, 1::2, None, :]
-    terms *= (w[:, None] * np.array([[1.0], [-1.0]]))[:, :, None, None]
-    size = 4 * n * n
-    where = slots[0::2, :, None] * (2 * n) + slots[1::2, None, :]
-    where = (where + size * np.arange(k)[:, None, None, None, None]).ravel()
-    terms = terms.ravel()
-    real = np.bincount(where, weights=terms.real, minlength=k * size)
-    imag = np.bincount(where, weights=terms.imag, minlength=k * size)
-    return (real + 1j * imag).reshape(k, 2 * n, 2 * n)
 
 
 def _kept(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

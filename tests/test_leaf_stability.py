@@ -300,11 +300,11 @@ class TestCertificateFunction:
         assert checked > 300 and contradictions == []
 
     def test_restricted_hessian_equals_the_dense_contraction(self):
-        # the 2n x 2n weight matrix on the leaf's z-directions, against the
-        # dense forms projected by one complex product, on stacks of the
-        # polygon grid (N = 4..21), for the own bases B and for rotated
-        # tangent bases Q B.  The two sum the same terms in another order, so
-        # they agree to round-off, not bit for bit
+        # the constraint part from the weighted constraint gradient on the
+        # leaf's z-directions, against the dense forms projected by one
+        # complex product, on stacks of the polygon grid (N = 4..21), for the
+        # own bases B and for rotated tangent bases Q B.  The two take other
+        # terms in another order, so they agree to round-off, not bit for bit
         checked = 0
         for m in GRID_M:
             for model in polygon_stacks(m):
@@ -366,6 +366,34 @@ class TestCertificateFunction:
             # a stack of one point: one basis for it
             with pytest.raises(DimensionMismatch):
                 stage(model.circs, np.stack([own, own]))
+
+    def test_a_dependent_point_takes_every_row_of_dphi(self):
+        # the C_1 row lies in the constraint rows' span (rank 4 of 5), so the
+        # tangent space of the joint level set is all of span(T), one more
+        # dimension than the rows of B: the unit component of a row of T off
+        # span(B) is tangent, though its product with the C_1 row is 3.2e-11
+        # of that row's length
+        mu0, circ = fixed_point("triangle-with-center", NEAR_ZERO_TOTAL[1])
+        model = local_model(mu0, circ)
+        assert model.rank[0] == 4
+        own, tangent, c1 = model.basis[0], model._factors[3][0], model.casimirs[0, 0]
+        extra = tangent[0] - (tangent[0] @ own.T) @ own
+        extra /= np.linalg.norm(extra)
+        assert 1e-11 < abs(extra @ c1) / np.linalg.norm(c1) < 1e-10
+        basis = np.vstack([own, extra])
+        assert model.restricted_hessian(model.multipliers, basis[None]).shape == (1, 5, 5)
+        full = linearize(model, circ)
+        expected = basis @ full @ basis.T
+        assert relative_gap(model.leaf_operator(basis[None])[0], expected) <= 1e-12
+        assert relative_gap(linearize(model, circ, basis), expected) <= 1e-12
+        # a row off span(T) by 1e-6 of its length is not tangent
+        normal = np.random.default_rng(4).standard_normal(circ.n**2)
+        normal -= np.linalg.lstsq(tangent.T, normal, rcond=None)[0] @ tangent
+        basis[1] += 1e-6 * normal / np.linalg.norm(normal)
+        with pytest.raises(InvalidArgument, match="off the leaf"):
+            model.leaf_operator(basis[None])
+        with pytest.raises(InvalidArgument, match="off the leaf"):
+            model.restricted_hessian(model.multipliers, basis[None])
 
 
 def polygon_stacks(m):
@@ -512,8 +540,17 @@ class TestCertificateWork:
         scen = build_scenario("polygon-with-center", gamma=20.0, m=20)
         rep = analyze(scen)
         assert rep.verdict == "certified-stable"
-        assert calls["hessians"] and all(call == ((), {}) for call in calls["hessians"])
         assert len(calls["jacobian"]) == 1
+        # the Jacobian's terms, which the weighted gradient reads too, come
+        # from the stored factor table on first use, once per system
+        calls["hessians"].clear()
+        n = 5
+        system = ConstraintSystem(n)
+        u = np.ones((2, n * n))
+        for _ in range(2):
+            system.jacobian(u)
+            system.weighted_gradient(u, np.ones((2, system.size)))
+        assert calls["hessians"] == [((), {})]
 
     @pytest.mark.parametrize(
         "kind,gamma,m,verdict",
@@ -1021,7 +1058,7 @@ def dphi_rows(model):
 # (n = 20), and 2.0 at the spread point (n = 4)
 class TestLeafFactors:
     """R of the rows T of Dphi from their closed-form Gram matrix, and the
-    constraint contraction through the weight matrix on z."""
+    constraint part through the weighted constraint gradient on z."""
 
     @staticmethod
     def points():
@@ -1048,15 +1085,43 @@ class TestLeafFactors:
         assert problems == []
 
     def test_the_weight_form_equals_the_dense_contraction_on_mixed_stacks(self):
+        # R vanishes on the image of phi, so its Hessian along Dphi is
+        # -DR . D^2 phi for any weights, not only for the critical multipliers
         checked = set()
+        rng = np.random.default_rng(28)
         for model in mixed_stacks():
-            mult, basis = model.multipliers, model.basis
-            got = model.restricted_hessian(mult, basis)
-            dense = dense_restricted_hessian(model, mult, basis)
-            scale = np.abs(dense).max(axis=(-2, -1), keepdims=True)
-            assert np.all(np.abs(got - dense) <= 1e-13 * scale)
+            unit, basis = model.multipliers, model.basis
+            size = np.abs(unit.constraint_coefficients).max()
+            weights = [unit, unit.negated()]
+            for a0 in (1.0, -1.0):
+                b, c, d = (size * rng.standard_normal(x.shape) for x in (unit.b, unit.c, unit.d))
+                weights.append(replace(unit, a0=a0, b=b, c=c, d=d))
+            for mult in weights:
+                got = model.restricted_hessian(mult, basis)
+                dense = dense_restricted_hessian(model, mult, basis)
+                scale = np.abs(dense).max(axis=(-2, -1), keepdims=True)
+                assert np.all(np.abs(got - dense) <= 1e-13 * scale)
             checked.add((model.n, model.circs[0].regime))
         assert checked == {(n, regime) for n in range(2, 7) for regime in Regime}
+
+    def test_the_weighted_gradient_is_the_weights_times_the_jacobian(self):
+        # on stacks of n = 1..6 (n = 1 has no component), and a point gets
+        # the same bits alone and in a stack
+        rng = np.random.default_rng(6)
+        for n in range(1, 7):
+            system = ConstraintSystem(n)
+            z = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+            u = flatten_stack(1j * z[:, :, None] * z[:, None, :].conj())
+            u[1] += rng.standard_normal(n * n)  # off the stratum too
+            w = rng.standard_normal((4, system.size))
+            got, jacobian = system.weighted_gradient(u, w), system.jacobian(u)
+            expected = (w[:, None] @ jacobian)[:, 0]
+            largest = np.abs(w[:, :, None] * jacobian).max(initial=0.0)
+            assert got.shape == (4, n * n)
+            assert np.all(np.abs(got - expected) <= 1e-14 * largest)
+            for i in range(4):
+                alone = system.weighted_gradient(u[i : i + 1], w[i : i + 1])
+                assert alone[0].tobytes() == got[i].tobytes()
 
     def test_a_point_gets_the_same_bits_alone_and_in_a_stack(self):
         for model in mixed_stacks() + [stack_of(certify_large_points())]:

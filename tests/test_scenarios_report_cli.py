@@ -786,10 +786,12 @@ class TestCli:
         assert len(lines) == 12
 
     def test_entry_point_installed(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run(
             [sys.executable, "-m", "vortexstab.cli", "--help"],
             capture_output=True,
             text=True,
+            env={"PYTHONPATH": src},
         )
         assert proc.returncode == 0
         assert "analyze" in proc.stdout
