@@ -162,7 +162,10 @@ def _gathers(n: int) -> tuple[np.ndarray, ...]:
         slot[x], slot[y], sign[y] = 2 * (i * n + j) + 1, 2 * (i * n + j), -1.0
         source[i, j] = source[j, i] = (y, x)
         factor[i, j], factor[j, i] = (-1.0, 1.0), (1.0, 1.0)
-    return slot, sign, source.ravel(), factor.ravel()
+    out = slot, sign, source.ravel(), factor.ravel()
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def flatten_stack(entries: np.ndarray) -> np.ndarray:
@@ -237,34 +240,27 @@ def build_coupling_matrix(circ: Circulations | Sequence[Circulations]) -> Coupli
     The inverses are closed forms (Sherman-Morrison), with no 1/Gamma in
     them, so they keep full accuracy as Gamma -> 0.
 
-    One set is a stack of one, memoised on the last few sets; a sequence of
-    one set reads the same memo, as read-only views with a leading axis of
-    length 1, and a longer stack is not memoised.  A K with cond(K) eps >= 1
-    (infinity norms), a negligible circulation, is singular to working
-    precision and raises SingularCoupling for the first such set of the
-    stack; sets that differ in N or the regime raise DimensionMismatch.
+    A stack of one set is memoised on the last few sets (:func:`_one_coupling`),
+    and one set is a view of the matrices of that stack; a longer stack is
+    not memoised.  A K with cond(K) eps >= 1 (infinity norms), a negligible
+    circulation, is singular to working precision and raises
+    SingularCoupling for the first such set of the stack; sets that differ
+    in N or the regime raise DimensionMismatch.
     Between the two regimes (|Gamma| below about 1e-8 max|G_i|) the
     differential of C_1 is dependent on the constraint rows to working
     precision: the certificate names the rank in its reason, and a point
     that is not linearly unstable reads inconclusive.
     """
+    circs = (circ,) if isinstance(circ, Circulations) else tuple(circ)
+    stack = _one_coupling(circs[0]) if len(circs) == 1 else _coupling_stack(circs)
     if isinstance(circ, Circulations):
-        return _one_coupling(circ)
-    circs = tuple(circ)
-    if len(circs) == 1:
-        one = _one_coupling(circs[0])
-        return CouplingMatrix(k=one.k[None], k_inv=one.k_inv[None])
-    return _coupling_stack(circs)
+        return CouplingMatrix(k=stack.k[0], k_inv=stack.k_inv[0])
+    return stack
 
 
 @lru_cache(maxsize=CIRCULATION_CACHE_SIZE)
 def _one_coupling(circ: Circulations) -> CouplingMatrix:
-    stack = _coupling_stack((circ,))
-    return CouplingMatrix(k=stack.k[0], k_inv=stack.k_inv[0])
-
-
-# the one-point memo's statistics, as on an lru_cache
-build_coupling_matrix.cache_info = _one_coupling.cache_info
+    return _coupling_stack((circ,))
 
 
 def _coupling_stack(circs: tuple[Circulations, ...]) -> CouplingMatrix:
@@ -295,7 +291,9 @@ def _coupling_stack(circs: tuple[Circulations, ...]) -> CouplingMatrix:
     singular = ~(rounding < 1.0)
     if singular.any():
         i = int(np.argmax(singular))
-        raise SingularCoupling(f"singular to working precision: cond eps {rounding[i]:.3e}", sample=i)
+        raise SingularCoupling(
+            f"singular to working precision: cond eps {rounding[i]:.3e}", sample=i
+        )
     for a in (k, k_inv):
         a.setflags(write=False)
     return CouplingMatrix(k=k, k_inv=k_inv)

@@ -165,11 +165,10 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_scenario_args(p, with_gamma=True):
+    def add_scenario_args(p):
         p.add_argument("--scenario", required=True, choices=KINDS)
-        if with_gamma:
-            p.add_argument("--gamma", type=float, default=None,
-                           help="circulation of the center vortex")
+        p.add_argument("--gamma", type=float, default=None,
+                       help="circulation of the center vortex")
         p.add_argument("--m", type=int, default=None,
                        help="vertex count for polygon-with-center")
         p.add_argument("--config", default=None,

@@ -157,7 +157,7 @@ class ConstraintSystem:
         labels = [f"R{i + 1}" for i in range(d)]
         for i, j in pair_indices(d):
             labels += [f"ReR{i + 1}{j + 1}", f"ImR{i + 1}{j + 1}"]
-        self.labels = labels
+        self.labels = tuple(labels)
         self.size = d**2
 
     @cached_property

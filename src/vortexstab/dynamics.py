@@ -1,18 +1,18 @@
 """Vortex dynamics: full ODE, relative coordinates, moment map, RK4 integration.
 
 The right-hand sides of the reduced and the full system are built once per
-circulation set (:func:`_right_hand_side`, memoised on the last few sets,
-both systems of a set in one entry), with the circulation-only constants
+circulation set (:func:`_right_hand_side`, one ``lru_cache`` entry per set
+and system, on the last few sets), with the circulation-only constants
 folded into constant matrices.  Both act on real state vectors: the
 (re, im) pairs of the entries of mu, or of the positions, so a stage makes
-no coordinate gathers.  The memoised operators hold only those constants;
-``stages`` allocates the buffers of one run (the products, the reciprocals,
-the complex views of the stage inputs) and returns its stage, which writes
-each numpy call of the formula into them with ``out=``.  An RK4 step keeps
-its state and its four stages as the rows of one buffer, and writes each
-stage input and the next state as one product of a constant weight row with
-those rows.  The public :func:`lie_poisson_vector_field` and
-:func:`full_vector_field` run the same stage, with buffers of their own.
+no coordinate gathers.  The memoised operators hold only those constants,
+read-only; ``stages`` allocates the buffers of one run (the products, the
+reciprocals, the complex views of the stage inputs) and returns its stage,
+which writes each numpy call of the formula into them with ``out=``.  An
+RK4 step keeps its state and its four stages as the rows of one buffer, and
+writes each stage input and the next state as one product of a constant
+weight row with those rows.  The public :func:`lie_poisson_vector_field`
+and :func:`full_vector_field` run the same stage, with buffers of their own.
 """
 
 from __future__ import annotations
@@ -134,6 +134,8 @@ class _FullField(_Field):
         for vortex, c in ((i, g[j]), (j, -g[i])):
             coupling[pairs, 1, vortex, 0], coupling[pairs, 0, vortex, 1] = -c, c
         self._coupling = coupling.reshape(2 * len(pairs), 2 * circ.N)
+        for a in (self._incidence, self._coupling):
+            a.setflags(write=False)
 
     def stages(self, inputs: Sequence[np.ndarray]) -> Callable[[int, np.ndarray], None]:
         """``stage(i, out)`` writes the velocities at positions inputs[i]
@@ -193,6 +195,8 @@ class _ReducedField(_Field):
         skew[e, 1, e, 1] -= 1.0
         self._skew = skew.reshape(size, size)
         self._n = n
+        for a in (self._fm, self._rk, self._skew):
+            a.setflags(write=False)
 
     def stages(self, inputs: Sequence[np.ndarray]) -> Callable[[int, np.ndarray], None]:
         """``stage(i, out)`` writes the pairs of X_h = A^H - A,
@@ -224,25 +228,11 @@ class _ReducedField(_Field):
         return stage
 
 
-@lru_cache(maxsize=CIRCULATION_CACHE_SIZE)
-def _operators(circ: Circulations) -> dict[Which, _FullField | _ReducedField]:
-    """The right-hand sides of one circulation set built so far, by system."""
-    return {}
-
-
+@lru_cache(maxsize=2 * CIRCULATION_CACHE_SIZE)
 def _right_hand_side(circ: Circulations, which: Which) -> _FullField | _ReducedField:
-    """The RK4 right-hand side on raw state arrays, built once per
-    circulation set; both systems of a set share one memo entry, and the
-    memo keeps the last few sets."""
-    operators = _operators(circ)
-    if which not in operators:
-        # two threads may both build it; setdefault keeps the first
-        operators.setdefault(which, _FullField(circ) if which is Which.FULL else _ReducedField(circ))
-    return operators[which]
-
-
-_right_hand_side.cache_info = _operators.cache_info
-_right_hand_side.cache_clear = _operators.cache_clear
+    """The RK4 right-hand side of one system on raw state arrays, built once
+    per circulation set; the memo keeps both systems of the last few sets."""
+    return _FullField(circ) if which is Which.FULL else _ReducedField(circ)
 
 
 def full_vector_field(cfg: VortexConfiguration) -> np.ndarray:

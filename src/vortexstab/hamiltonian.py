@@ -118,7 +118,8 @@ class ReducedHamiltonian:
     ``u`` of length ``n**2``; ``value`` also on a stack of them.  ``weights``
     (terms,) holds the w_t, in the order of the forms: the n reference forms,
     the n + 1 forms of the zero-total regime, then the pair forms.  Only the
-    zero-total forms are stored dense, as ``dense`` (n + 1, n**2).  A
+    zero-total forms are stored dense, as ``dense`` (n + 1, n**2).  Both
+    arrays are read-only, as a memoised Hamiltonian is shared.  A
     reference form is the coordinate mu_i, and the form of the pair i < j is
     u[i] + u[j] - 2 u[x_ij] for the index triple (i, j, x_ij) of
     :func:`_distance_pairs`: its vertices are the ones of
@@ -150,10 +151,12 @@ class ReducedHamiltonian:
             # row-major whatever the stack size, so that BLAS sums each
             # Hamiltonian of a stack in the same order
             self.dense = np.ascontiguousarray(_squared_norm_form(a) / (gN**2)[..., None])
+            self.dense.setflags(write=False)
             weights.append(g[..., : n + 1] * gN)
         # pairs among vortices 1..n: |z_i - z_j|^2 = mu_i + mu_j - 2 x_ij
         weights.append(g[..., i] * g[..., j])
         self.weights = np.concatenate(weights, axis=-1)  # (..., terms)
+        self.weights.setflags(write=False)
         self._pairs_from = self.weights.shape[-1] - len(i)
 
     def _gather(self, rows: np.ndarray) -> np.ndarray:

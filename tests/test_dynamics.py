@@ -218,8 +218,8 @@ class TestCachedRightHandSides:
         assert dynamics._right_hand_side(Circulations((1.0, 2.0, 3.0)), which) is first
 
     def test_a_second_round_builds_nothing(self, monkeypatch):
-        # both systems of a circulation set share one memo entry, so nine
-        # sets, each run on both systems, fit in the memo's bound
+        # one memo entry per circulation set and system: nine sets, each run
+        # on both systems, fit in the memo's bound
         built = []
         for name in ("_FullField", "_ReducedField"):
 
@@ -243,7 +243,7 @@ class TestCachedRightHandSides:
             dynamics._right_hand_side.cache_clear()
         (first_built, first), (second_built, second) = rounds
         assert first_built == second_built == 18
-        assert first.misses == second.misses == 9
+        assert first.misses == second.misses == 18
         assert second.hits == first.hits + 18
 
 

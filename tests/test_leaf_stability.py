@@ -1230,19 +1230,41 @@ def energy_momentum_points():
     return [s for s in scenarios if s.circ.regime is Regime.NON_ZERO_TOTAL]
 
 
-def test_certified_exactly_where_the_energy_momentum_test_is_definite():
-    # the oracle of tests/energy_momentum.py works in positions and shares no
-    # code with the package; on the zero-total points it does not apply
-    disagree, verdicts, worst_fit = [], set(), 0.0
-    points = energy_momentum_points()
+def energy_momentum_verdicts(points):
+    """The points' verdicts, the points where "certified" and the oracle's
+    definiteness disagree, and the worst fit residual of the oracle."""
+    verdicts, disagree, worst_fit = set(), [], 0.0
     for scen in points:
-        rep = analyze(scen)
+        verdict = analyze(scen).verdict
         hessian, residual, size = energy_momentum.restricted_energy_momentum(
             scen.positions, scen.circ.gammas
         )
         worst_fit = max(worst_fit, residual / size)
-        verdicts.add(rep.verdict)
-        if (rep.verdict == "certified-stable") != energy_momentum.definite(hessian):
-            disagree.append((scen.circ.gammas, rep.verdict))
+        verdicts.add(verdict)
+        if (verdict == "certified-stable") != energy_momentum.definite(hessian):
+            disagree.append((scen.circ.gammas, verdict))
+    return verdicts, disagree, worst_fit
+
+
+def test_certified_exactly_where_the_energy_momentum_test_is_definite():
+    # the oracle of tests/energy_momentum.py works in positions and shares no
+    # code with the package; on the zero-total points it does not apply
+    points = energy_momentum_points()
+    verdicts, disagree, worst_fit = energy_momentum_verdicts(points)
     assert len(points) == 146 and disagree == [] and worst_fit <= 1e-12
     assert verdicts == {"certified-stable", "inconclusive", "linearly-unstable"}
+
+
+def test_band_edges_are_certified_exactly_where_the_energy_momentum_test_is_definite():
+    # the polygon with center loses stability at gamma = (m - 1)^2 / 4: 1e-3
+    # below it both tests read definite, 1e-3 above both read indefinite.
+    # (At edge - 1e-6 the oracle's smallest eigenvalue falls under
+    # DEFINITE_SHARE of its largest from m = 8 on.)
+    for side, verdict in ((-1e-3, "certified-stable"), (1e-3, "linearly-unstable")):
+        points = [
+            build_scenario("polygon-with-center", gamma=(m - 1) ** 2 / 4 + side, m=m)
+            for m in range(3, 21)
+        ]
+        verdicts, disagree, worst_fit = energy_momentum_verdicts(points)
+        assert disagree == [] and worst_fit <= 1e-12
+        assert verdicts == {verdict}

@@ -266,13 +266,13 @@ class TestSweepStack:
         ]
 
     def test_long_sweep_leaves_circulation_caches_bounded(self):
-        from vortexstab.algebra import CIRCULATION_CACHE_SIZE, build_coupling_matrix
+        from vortexstab.algebra import CIRCULATION_CACHE_SIZE, _one_coupling
         from vortexstab.hamiltonian import reduced_system
         from vortexstab.localmodel import LocalModel
 
         table = gamma_sweep("square-with-center", -1.5, 2.5, 0.002)
         assert len(table.rows) == 2000 and len(table.skipped) == 1
-        assert build_coupling_matrix.cache_info().currsize <= CIRCULATION_CACHE_SIZE
+        assert _one_coupling.cache_info().currsize <= CIRCULATION_CACHE_SIZE
         assert reduced_system.cache_info().currsize <= CIRCULATION_CACHE_SIZE
         # no certificate's model outlives the sweep
         gc.collect()
@@ -418,16 +418,16 @@ class TestSweepBuilds:
     def test_one_point_analyze_reads_the_coupling_memo(self):
         # a one-point certificate asks for the coupling matrices of a stack
         # of one set, which reads the one-set memo: K is not built again
-        from vortexstab.algebra import build_coupling_matrix
+        from vortexstab.algebra import _one_coupling, build_coupling_matrix
         from vortexstab.localmodel import local_model
 
         scen = build_scenario("square-with-center", gamma=0.37)
         mu0 = scenario_fixed_point(scen)
         couplings, counts = [], []
         for _ in range(2):
-            before = build_coupling_matrix.cache_info()
+            before = _one_coupling.cache_info()
             analyze(scen)
-            after = build_coupling_matrix.cache_info()
+            after = _one_coupling.cache_info()
             counts.append((after.hits - before.hits, after.misses - before.misses))
             couplings.append(local_model(mu0, scen.circ).coupling)
         assert counts[1][0] >= 1 and counts[1][1] == 0
