@@ -49,6 +49,8 @@ class Circulations:
             raise ValueError("need at least 3 vortices")
         if 0.0 in gammas:
             raise ValueError("all circulations must be nonzero")
+        if not all(map(math.isfinite, gammas)):
+            raise ValueError(f"all circulations must be finite, got {gammas}")
         object.__setattr__(self, "gammas", gammas)
         total = float(sum(gammas))
         tol = 1e-12 * max(map(abs, gammas))

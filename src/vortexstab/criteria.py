@@ -361,16 +361,21 @@ def _random_configurations(count: int, seed: int):
     return out
 
 
+# the length and the step of the paired runs
+RUN_T_END, RUN_DT = 5.0, 1e-3
+
+
 @cache
-def _paired_runs(t_end: float = 5.0, dt: float = 1e-3) -> tuple[bool, float, float]:
-    """What two checks read of ten paired reduced and full runs from random
-    configurations: whether a run aborted, the worst sup-norm gap between
-    the reduced states and the full ones mapped through J (every 50th
-    sample), and the worst drift of the reduced runs' invariants."""
+def _paired_runs() -> tuple[bool, float, float]:
+    """What two checks read of ten paired reduced and full runs (to RUN_T_END
+    at step RUN_DT) from random configurations: whether a run aborted, the
+    worst sup-norm gap between the reduced states and the full ones mapped
+    through J (every 50th sample), and the worst drift of the reduced runs'
+    invariants."""
     aborted, gap, drift = False, 0.0, 0.0
     for cfg in _random_configurations(10, seed=303):
-        reduced = integrate(cfg, cfg.circ, t_end=t_end, dt=dt, which=Which.REDUCED)
-        full = integrate(cfg, cfg.circ, t_end=t_end, dt=dt, which=Which.FULL)
+        reduced = integrate(cfg, cfg.circ, t_end=RUN_T_END, dt=RUN_DT, which=Which.REDUCED)
+        full = integrate(cfg, cfg.circ, t_end=RUN_T_END, dt=RUN_DT, which=Which.FULL)
         aborted = aborted or reduced.aborted or full.aborted
         for i in range(0, min(len(reduced), len(full)), 50):
             q = full.states[i]

@@ -10,7 +10,9 @@ factored), the leaf operator L = B A B^T and the restricted Hessian, taken
 on the leaf's coordinates z in O(n^3) through the thin QR T^T = U R of the
 rows T of Dphi (its constraint part from the weighted constraint gradient,
 with no constraint Hessian), and the multiplier residual, the one place the
-constraint Jacobian is read.  R has a positive diagonal
+constraint Jacobian is read.  T and the z-table Z (G z = g Z for a
+gradient g and its matrix G) are written entry by entry from their
+formulas, each entry an entry of z, exactly.  R has a positive diagonal
 (R = chol(T T^T)^T), so the tangent bases B = (R^-1 Q_1)^T T are one
 definite set of rows.  Every basis X takes the same O(n^3) forms through
 its coordinates Y on the rows T, X = Y^T T: tangent bases only;
@@ -37,7 +39,6 @@ from .algebra import (
     coordinate_basis,
     flatten,
     flatten_stack,
-    pair_indices,
 )
 from .constraints import (
     RANK_THRESHOLD,
@@ -209,11 +210,12 @@ class LocalModel:
     @cached_property
     def _pullback(self) -> np.ndarray:
         """P(v) z0 for the kept directions v as rows, (k, 2n - 1, n), P(v) the
-        energy Hessian applied to Dphi(v) as a matrix: one Hessian of h
-        along the rows T of Dphi times the z-table of :func:`_z_table`, as
-        one real product with the table's (re, im) pairs.  The leaf operator
-        and the energy part of the restricted Hessian read it for every
-        tangent basis."""
+        energy Hessian applied to Dphi(v) as a matrix: P(v) z0 = g Z for the
+        Hessian of h along Dphi(v) as g and the z-table Z of
+        :func:`_z_table`, so all rows are one Hessian of h along the rows T
+        of Dphi times Z, as one real product with Z's (re, im) pairs.  The
+        leaf operator and the energy part of the restricted Hessian read it
+        for every tangent basis."""
         along = self.hamiltonian.hessian(self.u0, self._factors[3])
         table = _z_table(self.moment[0]).view(float)
         return _read_only((along @ table).view(complex))
@@ -376,41 +378,27 @@ def _directions(n: int) -> np.ndarray:
     return v
 
 
-@lru_cache(maxsize=None)
-def _dphi_sources(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzeros of Dphi(v) = i (v z^* + z v^*), 2n - 1 of them, for the
-    2n directions v of :func:`_directions` as rows: their coordinates
-    (2n, 2n - 1), and where each comes from (2n, 2n - 1), an index into
-    (Re z, Im z, -Re z, -Im z, 2 Re z, 2 Im z).  M = v z^* + z v^* has the
-    diagonal entry 2 Re z_j (v = e_j) or 2 Im z_j (v = i e_j), and in row
-    and column j the entries of z^* and z (v = e_j) or of i z^* and -i z
-    (v = i e_j); every other entry is 0.  So each coordinate is an entry of
-    z or its double, exactly."""
-    columns, sources = [[j % n] for j in range(2 * n)], [[4 * n + j] for j in range(2 * n)]
-    for p, (a, b) in enumerate(pair_indices(n)):
-        x, y = n + 2 * p, n + 2 * p + 1
-        # row a: M_ab = conj(z_b) or i conj(z_b); column b: M_ab = z_a or -i z_a
-        for v, read in ((a, (b, 3 * n + b)), (b, (a, n + a)), (n + a, (n + b, b)),
-                        (n + b, (n + a, 2 * n + a))):
-            columns[v] += [x, y]
-            sources[v] += read
-    columns, sources = np.array(columns), np.array(sources)
-    for a in (columns, sources):
-        a.setflags(write=False)
-    return columns, sources
-
-
 def _dphi_rows(z: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The rows T of Dphi for the kept directions, (k, 2n - 1, n^2), each
-    scattered from its 2n - 1 nonzeros (:func:`_dphi_sources`)."""
+    """The rows T of Dphi for the kept directions, (k, 2n - 1, n^2).
+
+    Dphi(v) = i M with M = v z^* + z v^*, whose coordinates are the diagonal
+    and the upper entries of M.  M_jj is 2 Re z_j for v = e_j and 2 Im z_j
+    for v = i e_j; for a pair a < b, M_ab is conj(z_b) for e_a, z_a for e_b,
+    i conj(z_b) for i e_a and -i z_a for i e_b; every other coordinate is 0.
+    So each is an entry of z, negated or doubled, exactly.  The kept rows
+    are gathered into a new C-contiguous array: the products that read T
+    change in their last bits with its layout."""
     k, n = z.shape
-    columns, sources = _dphi_sources(n)
-    values = np.concatenate([z.real, z.imag], -1)[:, None] * np.array([[1.0], [-1.0], [2.0]])
-    values = values.reshape(k, 6 * n)
-    points = np.arange(k)[:, None, None]
-    rows = np.zeros((k, 2 * n - 1, n * n))
-    rows[points, np.arange(2 * n - 1)[:, None], columns[keep]] = values[points, sources[keep]]
-    return rows
+    a, b, x = _distance_pairs(n)
+    y, j = x + 1, np.arange(n)
+    re, im = z.real, z.imag
+    rows = np.zeros((k, 2 * n, n * n))
+    rows[:, j, j], rows[:, n + j, j] = 2.0 * re, 2.0 * im
+    rows[:, a, x], rows[:, a, y] = re[:, b], -im[:, b]
+    rows[:, b, x], rows[:, b, y] = re[:, a], im[:, a]
+    rows[:, n + a, x], rows[:, n + a, y] = im[:, b], re[:, b]
+    rows[:, n + b, x], rows[:, n + b, y] = im[:, a], -re[:, a]
+    return rows[np.arange(k)[:, None], keep]
 
 
 def _dphi_gram(z: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -434,29 +422,21 @@ def _dphi_gram(z: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return gram
 
 
-@lru_cache(maxsize=None)
-def _z_table_sources(n: int) -> np.ndarray:
-    """Where each entry of the z-table of :func:`_z_table` comes from,
-    (n^2, n): an index into (i z, -z, z, 2i z, 0).  The matrix G of a
-    gradient g (:func:`hamiltonian.gradient_entries`) has G_jj = 2i g_j, and
-    for the pair a < b G_ab = -g_y + i g_x and G_ba = g_y + i g_x, so
-    (G z)_a reads i z_b g_x - z_b g_y and (G z)_b reads i z_a g_x + z_a g_y."""
-    sources = np.full((n * n, n), 4 * n)
-    for j in range(n):
-        sources[j, j] = 3 * n + j
-    for p, (a, b) in enumerate(pair_indices(n)):
-        x, y = n + 2 * p, n + 2 * p + 1
-        sources[x, a], sources[x, b], sources[y, a], sources[y, b] = b, a, n + b, 2 * n + a
-    sources.setflags(write=False)
-    return sources
-
-
 def _z_table(z: np.ndarray) -> np.ndarray:
     """The (k, n^2, n) table Z with G z = g Z for every gradient g and its
-    matrix G (:func:`hamiltonian.gradient_entries`): row m is G z for the
-    m-th coordinate vector."""
-    values = np.concatenate([1j * z, -z, z, 2j * z, np.zeros((len(z), 1))], -1)
-    return values[np.arange(len(z))[:, None, None], _z_table_sources(z.shape[-1])]
+    matrix G (:func:`hamiltonian.gradient_entries`): row m is G_m z for the
+    matrix G_m of the m-th coordinate vector.  G_m is 2i e_j e_j^T for mu_j,
+    and for the pair a < b it has G_ab = i, G_ba = i for x_ab and G_ab = -1,
+    G_ba = 1 for y_ab; so row mu_j is 2i z_j e_j, row x_ab is
+    i (z_b e_a + z_a e_b) and row y_ab is z_a e_b - z_b e_a."""
+    k, n = z.shape
+    a, b, x = _distance_pairs(n)
+    j, iz = np.arange(n), 1j * z
+    table = np.zeros((k, n * n, n), dtype=complex)
+    table[:, j, j] = 2j * z
+    table[:, x, a], table[:, x, b] = iz[:, b], iz[:, a]
+    table[:, x + 1, a], table[:, x + 1, b] = -z[:, b], z[:, a]
+    return table
 
 
 def _kept(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ rejected because every vortex must have nonzero circulation.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -86,9 +87,12 @@ def build_scenario(
             raise UnsupportedScenario("custom needs explicit positions and circulations")
         if len(positions) != len(circulations):
             raise UnsupportedScenario("positions and circulations must have equal length")
+        points = tuple([complex(p) for p in positions])
+        if not all(map(cmath.isfinite, points)):
+            raise InvalidArgument(f"positions must be finite, got {points}")
         return Scenario(
             name=kind,
-            positions=tuple([complex(p) for p in positions]),
+            positions=points,
             circ=_circulations(circulations),
         )
     raise UnsupportedScenario(f"unknown scenario kind {kind!r} (choose from {KINDS})")

@@ -99,6 +99,12 @@ class TestCirculations:
         with pytest.raises(ValueError):
             Circulations((1.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_circulation(self, bad):
+        # an infinite one would read as zero total, a NaN as a singular K
+        with pytest.raises(ValueError, match="finite"):
+            Circulations((1.0, bad, 1.0))
+
     def test_rejects_too_few(self):
         with pytest.raises(ValueError):
             Circulations((1.0, -1.0))

@@ -1070,6 +1070,35 @@ class TestLeafFactors:
             expected = rows @ rows.swapaxes(-1, -2)
             assert np.abs(gram - expected).max() <= 1e-15 * np.abs(expected).max(), circ.gammas
 
+    @staticmethod
+    def table_stacks():
+        """Stacks of z: seeded random ones for n = 1..8, and each family point."""
+        rng = np.random.default_rng(30)
+        stacks = [rng.standard_normal((5, n, 2)) @ np.array([1.0, 1j]) for n in range(1, 9)]
+        return stacks + [local_model(mu0, circ).moment[0] for mu0, circ in family_points()]
+
+    def test_the_rows_of_dphi_equal_its_dense_form(self):
+        # Dphi(v) = i (v z^* + z v^*) for every direction v, the kept ones taken
+        for z in self.table_stacks():
+            n = z.shape[-1]
+            _, keep = localmodel._kept(z)
+            v, z_col = localmodel._directions(n)[:, :, None], z[:, None, :, None]
+            outer = v * z_col.conj().swapaxes(-1, -2) + z_col * v.conj().swapaxes(-1, -2)
+            dense = flatten_stack(1j * outer)[np.arange(len(z))[:, None], keep]
+            rows = localmodel._dphi_rows(z, keep)
+            assert rows.flags.c_contiguous
+            assert rows.shape == dense.shape and np.array_equal(rows, dense)
+
+    def test_the_z_table_holds_g_z_for_every_coordinate_vector(self):
+        # exactly, with no tolerance; a zero may differ in sign, as both
+        # sides are products that add zeros
+        for z in self.table_stacks():
+            n = z.shape[-1]
+            unit = np.eye(n * n)
+            expected = gradient_entries(unit, n) @ z[:, None, :, None]
+            got = unit @ localmodel._z_table(z)
+            assert got.shape == expected.shape[:-1] and np.array_equal(got, expected[..., 0])
+
     def test_r_matches_a_householder_qr_up_to_signs(self):
         problems = []
         for mu0, circ in self.points():

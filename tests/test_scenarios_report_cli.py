@@ -65,6 +65,20 @@ class TestBuildScenario:
         )
         assert scen.circ.n == 2
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_circulations_are_excluded(self, bad):
+        with pytest.raises(ExcludedParameter, match="finite"):
+            build_scenario("custom", positions=(0.5, -0.5, 1j), circulations=(1.0, bad, 1.0))
+        with pytest.raises(ExcludedParameter, match="finite"):
+            build_scenario("equilateral3", circulations=(1.0, bad, 1.0))
+
+    @pytest.mark.parametrize(
+        "bad", [complex(np.inf, 0.0), complex(0.0, -np.inf), complex(np.nan, 1.0)]
+    )
+    def test_non_finite_custom_positions_are_invalid(self, bad):
+        with pytest.raises(InvalidArgument, match="finite"):
+            build_scenario("custom", positions=(0.5, bad, 1j), circulations=(1.0, 1.0, 2.0))
+
     def test_unknown_kind(self):
         with pytest.raises(UnsupportedScenario):
             build_scenario("pentagram")
@@ -155,7 +169,7 @@ class TestReport:
 
     def test_report_fields(self):
         scen = build_scenario("square-with-center", gamma=1.0)
-        rep = analyze(scen, with_drift=True, drift_t_end=1.0)
+        rep = analyze(scen, with_drift=True)
         assert rep.verdict == "certified-stable"
         assert rep.regime == "NON_ZERO_TOTAL"
         assert rep.fixed_point_residual < 1e-9
