@@ -140,9 +140,7 @@ class ConstraintSystem:
     from its first use, as the position, coordinate and coefficient (+-1, or
     -2 where two terms of a diagonal block's minor coincide) of each nonzero
     of the real rows, built from the table that :meth:`hessians` returns.
-    :meth:`jacobian` scatters these terms into the (n-1)^2 x n^2 rows, and
-    :meth:`weighted_gradient` sums them into w dR for one weight per
-    component, with no such array.
+    :meth:`jacobian` scatters these terms into the (n-1)^2 x n^2 rows.
     """
 
     def __init__(self, n: int):
@@ -222,19 +220,6 @@ class ConstraintSystem:
         out = np.zeros(lead + (self.size * n2,))
         out[..., target] = u[..., source] * coef
         return out.reshape(lead + (self.size, n2))
-
-    def weighted_gradient(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """sum_R w_R grad R(u) = w dR(u), shape (samples, n^2) for a stack u
-        (samples, n^2) and weights w (samples, (n-1)^2): the terms of dR
-        summed into their columns by one bincount, O(n^2) per point, in one
-        order for every point."""
-        target, source, coef = self._jacobian_terms
-        n2 = self.n * self.n
-        row, column = np.divmod(target, n2)
-        k = len(u)
-        terms = np.broadcast_to(w, (k, self.size))[:, row] * coef * u[:, source]
-        where = (column + n2 * np.arange(k)[:, None]).ravel()
-        return np.bincount(where, weights=terms.ravel(), minlength=k * n2).reshape(k, n2)
 
     def hessians(self) -> np.ndarray:
         """The constant Hessians in factored form: the stored, read-only

@@ -6,10 +6,10 @@ The reduced field: the coupling matrices, the stacked reduced Hamiltonian,
 the field residual and the n^2 x n^2 Jacobian.  The leaf: the differential
 of the Casimir C_1, the leaf built from the moment map mu = phi(z) = i z z^*
 (ranks, tangent bases, multipliers; no matrix wider than 2n columns is
-factored), the leaf operator L = B A B^T and the restricted Hessian, taken
-on the leaf's coordinates z in O(n^3) through the thin QR T^T = U R of the
-rows T of Dphi (its constraint part from the weighted constraint gradient,
-with no constraint Hessian), and the multiplier residual, the one place the
+factored), the leaf operator L = B A B^T and the restricted Hessian (the
+z-Hessian of the energy-momentum function 4 pi h + 2 pi Omega C_1), both
+taken on the leaf's coordinates z in O(n^3) through the thin QR T^T = U R
+of the rows T of Dphi, and the multiplier residual, the one place the
 constraint Jacobian is read.  T and the z-table Z (G z = g Z for a
 gradient g and its matrix G) are written entry by entry from their
 formulas, each entry an entry of z, exactly.  R has a positive diagonal
@@ -75,10 +75,10 @@ class LocalModel:
     where the rows are independent (the only case the certificate goes on
     with), the Casimir multiplier; the constraint multipliers follow in
     closed form.  The tangent bases are B = (R^-1 Q_1)^T T, so the leaf
-    operator and the energy part of the restricted Hessian follow from one
-    Hessian of h along T; the constraint part is the weighted constraint
-    gradient paired with the second derivative of phi, and no constraint
-    Hessian is read.  Both take a tangent basis X through its coordinates Y
+    operator and the restricted Hessian, the z-Hessian of
+    4 pi h + 2 pi Omega C_1, follow from one set of rows E along T and
+    Omega (:attr:`_energy_rows`), with no multiplier but a0 and no
+    constraint Hessian.  Both take a tangent basis X through its coordinates Y
     on T, X = Y^T T (:meth:`_coordinates`); where the rows are dependent
     the joint level set's tangent space is all of span(T).  The multiplier
     residual reads the constraint Jacobian once and drops it; at a point
@@ -122,10 +122,10 @@ class LocalModel:
         sub.u0, sub.energy_gradient = self.u0[rows], self.energy_gradient[rows]
         sub._g, sub.residual, sub.scale = self._g[rows], self.residual[rows], self.scale[rows]
         computed = vars(self)
-        for name in ("casimirs", "inside", "infeasible", "_pullback"):
+        for name in ("casimirs", "inside", "infeasible"):
             if name in computed:
                 setattr(sub, name, _read_only(computed[name][rows]))
-        for name in ("moment", "_factors"):
+        for name in ("moment", "_factors", "_energy_rows"):
             if name in computed:
                 setattr(sub, name, tuple([_read_only(a[rows]) for a in computed[name]]))
         if "multipliers" in computed:
@@ -179,25 +179,18 @@ class LocalModel:
 
         On the stratum X(phi(z)) = Dphi(z) Z(z) with Z(z) = K^-1 G(phi(z)) z,
         and at a fixed point Z(z0) = i Omega z0 (Dphi(i z0) = 0), so
-        A Dphi(v) = Dphi(J v) with J v = K^-1 (G v + P(v) z0) - i Omega v and
-        P(v) the Hessian of h applied to Dphi(v) as a matrix.  Each image J v
-        of a kept direction v, less its i e_c component along i z0, has
-        coordinates M v on the kept directions, so A T^T = T^T M for the rows
-        T of Dphi; with T^T = U R and B^T = U Q_1 = T^T R^-1 Q_1,
-        L = (R^T Q_1)^T M (R^-1 Q_1), and on X = Y^T T, L = (R Y)^T R M Y.  It
-        equals X A X^T at fixed points on the stratum, whether or not the
-        differentials are independent."""
-        n = self.n
+        A Dphi(v) = Dphi(J v) with J v = E K^-1 - i Omega v for the rows E of
+        :attr:`_energy_rows`.  Each image J v of a kept direction v, less its
+        i e_c component along i z0, has coordinates M v on the kept
+        directions, so A T^T = T^T M for the rows T of Dphi; with T^T = U R
+        and B^T = U Q_1 = T^T R^-1 Q_1, L = (R^T Q_1)^T M (R^-1 Q_1), and on
+        X = Y^T T, L = (R Y)^T R M Y.  It equals X A X^T at fixed points on
+        the stratum, whether or not the differentials are independent."""
         z = self.moment[0]
-        r, q, own, c, keep = self._factors[4:]
+        r, q, own, c = self._factors[4:8]
         coords = own if basis is None else self._coordinates(basis)
-        p_z = self._pullback
-        kinv, g = self.coupling.k_inv, self._g
-        # Omega from Z(z0) = i Omega z0; J v for the kept directions v as rows
-        z_h, field = z.conj()[:, None], kinv @ g @ z[..., None]
-        omega = (z_h @ field).imag / (z_h @ z[..., None]).real
-        v = _directions(n)[keep]
-        jv = (v @ g.swapaxes(-1, -2) + p_z) @ kinv - 1j * omega * v
+        rows, omega, v = self._energy_rows
+        jv = rows @ self.coupling.k_inv - 1j * omega * v
         # less the i e_c component along i z0, whose i e_c component is Re z_c
         points = np.arange(len(z))
         jv -= (jv[points, :, c].imag / z[points, c, None].real)[..., None] * (1j * z[:, None])
@@ -208,17 +201,22 @@ class LocalModel:
         return left.swapaxes(-1, -2) @ r @ m @ coords
 
     @cached_property
-    def _pullback(self) -> np.ndarray:
-        """P(v) z0 for the kept directions v as rows, (k, 2n - 1, n), P(v) the
-        energy Hessian applied to Dphi(v) as a matrix: P(v) z0 = g Z for the
-        Hessian of h along Dphi(v) as g and the z-table Z of
-        :func:`_z_table`, so all rows are one Hessian of h along the rows T
-        of Dphi times Z, as one real product with Z's (re, im) pairs.  The
-        leaf operator and the energy part of the restricted Hessian read it
-        for every tangent basis."""
+    def _energy_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows E = v G^T + P(v) z0 (k, 2n - 1, n) for the kept directions
+        v, Omega (k, 1, 1) from K^-1 G z0 = i Omega z0, and v: what the leaf
+        operator and the restricted Hessian read for every tangent basis.
+        P(v), the Hessian of h applied to Dphi(v) as a matrix, gives
+        P(v) z0 = g Z for the Hessian of h along Dphi(v) as g and the z-table
+        Z (:func:`_z_table`), so all P(v) z0 are one Hessian of h along the
+        rows T times Z, as one real product with Z's (re, im) pairs."""
+        z, g = self.moment[0], self._g
         along = self.hamiltonian.hessian(self.u0, self._factors[3])
-        table = _z_table(self.moment[0]).view(float)
-        return _read_only((along @ table).view(complex))
+        pullback = (along @ _z_table(z).view(float)).view(complex)
+        v = _directions(self.n)[self._factors[8]]
+        rows = v @ g.swapaxes(-1, -2) + pullback
+        z_h, field = z.conj()[:, None], self.coupling.k_inv @ g @ z[..., None]
+        omega = (z_h @ field).imag / (z_h @ z[..., None]).real
+        return _read_only(rows), _read_only(omega), _read_only(v)
 
     @cached_property
     def inside(self) -> np.ndarray:
@@ -346,28 +344,24 @@ class LocalModel:
 
     def restricted_hessian(self, mult: MultiplierSet, basis: np.ndarray) -> np.ndarray:
         """X H_f X^T at each point for a stack of tangent bases X (k, d, n^2),
-        H_f = a0 4 pi Hess h + sum_R w_R Hess R over the constraint
-        components R, w = (b, c, d) of ``mult``; C_1 is linear, so a_1 adds
-        nothing.  Tangent bases only; InvalidArgument otherwise.
+        H_f the Hessian of the certificate function at critical multipliers
+        for ``mult.a0``; a, b, c and d are not read.  Tangent bases only;
+        InvalidArgument otherwise.
 
-        It is taken in O(n^3) as Y^T (T H_f T^T) Y on the rows T of Dphi,
-        X = Y^T T (:meth:`_coordinates`).  Row T_i paired with Hess h T_j^T
-        is Im(v_i^* P(v_j) z0), from the Hessian along T that the leaf
-        operator reads too.  Every R vanishes on the image of phi, so
-        differentiating R(phi(z)) = 0 twice gives
+        Every constraint component R vanishes on the image of phi, so
         Dphi(v)^T Hess R Dphi(v') = -DR . D^2 phi(v, v') with
-        D^2 phi(v, v') = i (v v'^* + v' v^*), for any weights: the
-        constraint part is -Im(v_i^* G_w v_j), G_w the matrix form
-        (:func:`hamiltonian.gradient_entries`) of the weighted gradient
-        sum_R w_R grad R (:meth:`ConstraintSystem.weighted_gradient`).  No
-        constraint Hessian is read."""
-        n, coords, keep = self.n, self._coordinates(basis), self._factors[8]
-        weighted = constraint_system(n).weighted_gradient(self.u0, mult.constraint_coefficients)
-        g_w, v = gradient_entries(weighted, n), _directions(n)[keep]
-        # row T_i paired with H_f T_j^T: Im(v_i^* (a0 4 pi P(v_j) z0 - G_w v_j))
-        columns = (mult.a0 * FOUR_PI) * self._pullback.swapaxes(-1, -2) - g_w @ v.swapaxes(-1, -2)
-        on_rows = (v.conj() @ columns).imag
-        return coords.swapaxes(-1, -2) @ on_rows @ coords
+        D^2 phi(v, v') = i (v v'^* + v' v^*); at critical multipliers
+        sum_R w_R grad R = -(4 pi grad h + a_1 grad C_1) with a_1 = 2 pi Omega,
+        as the matrix form of grad C_1 is -2i K.  So on the rows T of Dphi
+        H_f is the z-Hessian of the energy-momentum function
+        4 pi h + 2 pi Omega C_1, a0 4 pi (Im(v_i^* E_j) - Omega Re(v_i^* K v_j))
+        for the rows E of :attr:`_energy_rows`, and X H_f X^T is
+        Y^T (T H_f T^T) Y on X = Y^T T (:meth:`_coordinates`), also where the
+        differentials are dependent and :attr:`multipliers` are not critical."""
+        coords, (rows, omega, v) = self._coordinates(basis), self._energy_rows
+        k_form = (v.conj() @ self.coupling.k @ v.swapaxes(-1, -2)).real
+        on_rows = (v.conj() @ rows.swapaxes(-1, -2)).imag - omega * k_form
+        return (mult.a0 * FOUR_PI) * (coords.swapaxes(-1, -2) @ on_rows @ coords)
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -79,9 +80,13 @@ def build_scenario(
     if kind == "square-with-center":
         return _polygon_with_center(kind, 4, gamma)
     if kind == "polygon-with-center":
+        try:
+            m = None if m is None else operator.index(m)
+        except TypeError:
+            raise InvalidArgument(f"the vertex count m must be an integer, got {m!r}") from None
         if m is None or m < 2:
             raise UnsupportedScenario("polygon-with-center needs m >= 2")
-        return _polygon_with_center(f"{kind}-{m}", int(m), gamma)
+        return _polygon_with_center(f"{kind}-{m}", m, gamma)
     if kind == "custom":
         if positions is None or circulations is None:
             raise UnsupportedScenario("custom needs explicit positions and circulations")

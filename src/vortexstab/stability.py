@@ -219,8 +219,9 @@ def restricted_hessian(
     mult: MultiplierSet,
     basis: np.ndarray,
 ) -> np.ndarray:
-    """Project the certificate Hessian onto a tangent basis (rows; one per
-    point of a stack): tangent bases only; InvalidArgument otherwise."""
+    """Project the certificate Hessian at critical multipliers for mult.a0
+    onto a tangent basis (rows; one per point of a stack); a, b, c and d are
+    not read.  Tangent bases only; InvalidArgument otherwise."""
     model = local_model(mu0, circ)
     basis = _stacked(model, circ, basis)
     restricted = model.restricted_hessian(mult, basis)

@@ -299,9 +299,34 @@ class TestCertificateFunction:
                     contradictions.append((kind, m, row.gamma))
         assert checked > 300 and contradictions == []
 
+    def test_the_casimir_multiplier_is_two_pi_omega(self):
+        # H is the z-Hessian of 4 pi h + 2 pi Omega C_1, Omega from
+        # K^-1 G z0 = i Omega z0: at every independent point of the polygon
+        # grid and the paper's families a_1 = 2 pi Omega = (m - 1) / 2 + gamma
+        points = [
+            ("polygon-with-center", g, m) for m in GRID_M for g in np.arange(-5.0, 40.1, 2.5)
+        ]
+        points += [("triangle-with-center", g, 3) for g in np.arange(-5.0, 2.1, 0.25)]
+        points += [("square-with-center", g, 4) for g in np.arange(-1.5, 3.1, 0.25)]
+        checked, problems = 0, []
+        for kind, gamma, m in points:
+            if not gamma:
+                continue
+            mu0, circ = fixed_point(kind, float(gamma), m if kind == "polygon-with-center" else None)
+            model = local_model(mu0, circ)
+            if model.rank[0] < model.row_count:
+                continue
+            a = model.multipliers.a[0, 0]
+            two_pi_omega = 2 * np.pi * model._energy_rows[1][0, 0, 0]
+            gaps = abs(two_pi_omega - a), abs(two_pi_omega - ((m - 1) / 2 + gamma))
+            if max(gaps) > 1e-13 * max(1.0, abs(a)):
+                problems.append((kind, m, gamma, gaps))
+            checked += 1
+        assert problems == [] and checked == 370
+
     def test_restricted_hessian_equals_the_dense_contraction(self):
-        # the constraint part from the weighted constraint gradient on the
-        # leaf's z-directions, against the dense forms projected by one
+        # the z-Hessian of 4 pi h + 2 pi Omega C_1 on the leaf's
+        # z-directions, against the dense forms projected by one
         # complex product, on stacks of the polygon grid (N = 4..21), for the
         # own bases B and for rotated tangent bases Q B.  The two take other
         # terms in another order, so they agree to round-off, not bit for bit
@@ -541,15 +566,14 @@ class TestCertificateWork:
         rep = analyze(scen)
         assert rep.verdict == "certified-stable"
         assert len(calls["jacobian"]) == 1
-        # the Jacobian's terms, which the weighted gradient reads too, come
-        # from the stored factor table on first use, once per system
+        # the Jacobian's terms come from the stored factor table on first
+        # use, once per system
         calls["hessians"].clear()
         n = 5
         system = ConstraintSystem(n)
         u = np.ones((2, n * n))
         for _ in range(2):
             system.jacobian(u)
-            system.weighted_gradient(u, np.ones((2, system.size)))
         assert calls["hessians"] == [((), {})]
 
     @pytest.mark.parametrize(
@@ -944,16 +968,21 @@ def relative_gap(got, expected):
     return np.abs(got - expected).max() / np.abs(expected).max()
 
 
-def energy_only(mult):
-    """The multipliers with every constraint coefficient 0: the restricted
-    Hessian is then 4 pi a0 times the energy Hessian on the basis."""
-    return replace(mult, b=np.zeros_like(mult.b), c=np.zeros_like(mult.c), d=np.zeros_like(mult.d))
+def critical_multipliers(model):
+    """The multipliers (a0 = +1) of 4 pi h + 2 pi Omega C_1, Omega from
+    K^-1 G z0 = i Omega z0: critical also where the differentials are
+    dependent, where the model's own set is the minimal-norm one."""
+    n = model.n
+    a = 2 * np.pi * model._energy_rows[1][:, 0]
+    rest = model.energy_gradient + a * model.casimirs[:, 0]
+    w = localmodel._constraint_multipliers(model.moment[0], rest)
+    return replace(model.multipliers, a=a, b=w[:, : n - 1], c=w[:, n - 1 :: 2], d=w[:, n::2])
 
 
 class TestLeafOperator:
-    """The leaf operator L = B A B^T and the energy Hessian B Hess h B^T on
-    the model's tangent bases, both taken on the 2n - 1 rows of Dphi,
-    against the n^2-dimensional formulas."""
+    """The leaf operator L = B A B^T and the restricted Hessian B H_f B^T at
+    the critical multipliers on the model's tangent bases, both taken on the
+    2n - 1 rows of Dphi, against the n^2-dimensional formulas."""
 
     def test_matches_the_n2_formulas(self):
         problems, checked = [], 0
@@ -962,9 +991,9 @@ class TestLeafOperator:
             basis = model.basis
             basis_t = basis.swapaxes(-1, -2)
             leaf = basis @ model.linearize() @ basis_t
-            energy = FOUR_PI * (model.hamiltonian.hessian(model.u0, basis) @ basis_t)
-            only = model.restricted_hessian(energy_only(model.multipliers), basis)
-            gaps = (relative_gap(model.leaf_operator(), leaf), relative_gap(only, energy))
+            hessian = model.restricted_hessian(model.multipliers, basis)
+            dense = dense_restricted_hessian(model, critical_multipliers(model), basis)
+            gaps = (relative_gap(model.leaf_operator(), leaf), relative_gap(hessian, dense))
             if max(gaps) > 1e-12:
                 problems.append((circ.gammas, gaps))
             checked += 1
@@ -990,9 +1019,9 @@ class TestLeafOperator:
             got = linearize(model, circ, q)
             assert got.tobytes() == model.leaf_operator(q[None])[0].tobytes()
             assert relative_gap(got, q @ full @ q.T) <= 1e-12
-            energy = FOUR_PI * (model.hamiltonian.hessian(model.u0, q[None]) @ q.T[None])
-            got = model.restricted_hessian(energy_only(model.multipliers), q[None])
-            assert relative_gap(got, energy) <= 1e-12
+            got = model.restricted_hessian(model.multipliers, q[None])
+            dense = dense_restricted_hessian(model, model.multipliers, q[None])
+            assert relative_gap(got, dense) <= 1e-12
         q = np.linalg.qr(rng.standard_normal((circ.n**2, d)))[0].T
         assert relative_gap(linearize(model, circ, q), q @ full @ q.T) <= 1e-12
 
@@ -1115,42 +1144,18 @@ class TestLeafFactors:
 
     def test_the_weight_form_equals_the_dense_contraction_on_mixed_stacks(self):
         # R vanishes on the image of phi, so its Hessian along Dphi is
-        # -DR . D^2 phi for any weights, not only for the critical multipliers
+        # -DR . D^2 phi, and at the critical multipliers of either sign the
+        # constraint part is that of 4 pi h + 2 pi Omega C_1
         checked = set()
-        rng = np.random.default_rng(28)
         for model in mixed_stacks():
             unit, basis = model.multipliers, model.basis
-            size = np.abs(unit.constraint_coefficients).max()
-            weights = [unit, unit.negated()]
-            for a0 in (1.0, -1.0):
-                b, c, d = (size * rng.standard_normal(x.shape) for x in (unit.b, unit.c, unit.d))
-                weights.append(replace(unit, a0=a0, b=b, c=c, d=d))
-            for mult in weights:
+            for mult in (unit, unit.negated()):
                 got = model.restricted_hessian(mult, basis)
                 dense = dense_restricted_hessian(model, mult, basis)
                 scale = np.abs(dense).max(axis=(-2, -1), keepdims=True)
                 assert np.all(np.abs(got - dense) <= 1e-13 * scale)
             checked.add((model.n, model.circs[0].regime))
         assert checked == {(n, regime) for n in range(2, 7) for regime in Regime}
-
-    def test_the_weighted_gradient_is_the_weights_times_the_jacobian(self):
-        # on stacks of n = 1..6 (n = 1 has no component), and a point gets
-        # the same bits alone and in a stack
-        rng = np.random.default_rng(6)
-        for n in range(1, 7):
-            system = ConstraintSystem(n)
-            z = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
-            u = flatten_stack(1j * z[:, :, None] * z[:, None, :].conj())
-            u[1] += rng.standard_normal(n * n)  # off the stratum too
-            w = rng.standard_normal((4, system.size))
-            got, jacobian = system.weighted_gradient(u, w), system.jacobian(u)
-            expected = (w[:, None] @ jacobian)[:, 0]
-            largest = np.abs(w[:, :, None] * jacobian).max(initial=0.0)
-            assert got.shape == (4, n * n)
-            assert np.all(np.abs(got - expected) <= 1e-14 * largest)
-            for i in range(4):
-                alone = system.weighted_gradient(u[i : i + 1], w[i : i + 1])
-                assert alone[0].tobytes() == got[i].tobytes()
 
     def test_a_point_gets_the_same_bits_alone_and_in_a_stack(self):
         for model in mixed_stacks() + [stack_of(certify_large_points())]:
@@ -1275,6 +1280,14 @@ def energy_momentum_verdicts(points):
     return verdicts, disagree, worst_fit
 
 
+def inertia(matrix):
+    """(n+, n-) of a symmetric matrix, an eigenvalue within 1e-9 of the
+    largest in size counting as zero."""
+    eig = np.linalg.eigvalsh(matrix)
+    tol = 1e-9 * np.abs(eig).max(initial=0.0)
+    return int((eig > tol).sum()), int((eig < -tol).sum())
+
+
 def test_certified_exactly_where_the_energy_momentum_test_is_definite():
     # the oracle of tests/energy_momentum.py works in positions and shares no
     # code with the package; on the zero-total points it does not apply
@@ -1282,6 +1295,14 @@ def test_certified_exactly_where_the_energy_momentum_test_is_definite():
     verdicts, disagree, worst_fit = energy_momentum_verdicts(points)
     assert len(points) == 146 and disagree == [] and worst_fit <= 1e-12
     assert verdicts == {"certified-stable", "inconclusive", "linearly-unstable"}
+    # the restricted Hessian has the oracle's inertia, indefinite or not
+    differ = []
+    for scen in points:
+        _, hessian = leaf_hessian(scenario_fixed_point(scen), scen.circ)
+        oracle, _, _ = energy_momentum.restricted_energy_momentum(scen.positions, scen.circ.gammas)
+        if inertia(hessian) != inertia(0.5 * (oracle + oracle.T)):
+            differ.append((scen.circ.gammas, inertia(hessian), inertia(oracle)))
+    assert differ == []
 
 
 def test_band_edges_are_certified_exactly_where_the_energy_momentum_test_is_definite():

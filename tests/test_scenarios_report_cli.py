@@ -47,6 +47,19 @@ class TestBuildScenario:
         scen = build_scenario("polygon-with-center", gamma=1.0, m=5)
         assert len(scen.positions) == 6
         np.testing.assert_allclose(np.abs(np.asarray(scen.positions[:-1])), 1.0)
+        assert build_scenario("polygon-with-center", gamma=1.0, m=np.int64(5)) == scen
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, np.nan, np.inf, "4"])
+    def test_a_vertex_count_that_is_not_an_integer_is_invalid(self, bad):
+        with pytest.raises(InvalidArgument, match="integer"):
+            build_scenario("polygon-with-center", gamma=1.0, m=bad)
+        with pytest.raises(InvalidArgument, match="integer"):
+            gamma_sweep("polygon-with-center", 0.5, 1.0, 0.5, m=bad)
+
+    @pytest.mark.parametrize("small", [None, 1, 0, -3])
+    def test_a_vertex_count_under_two_is_unsupported(self, small):
+        with pytest.raises(UnsupportedScenario, match="m >= 2"):
+            build_scenario("polygon-with-center", gamma=1.0, m=small)
 
     def test_gamma_zero_excluded(self):
         with pytest.raises(ExcludedParameter):

@@ -1,5 +1,6 @@
-"""Lint of the package source with ``ast`` alone: no unused import, and no
-line longer than 100 characters."""
+"""Lint of the package source with ``ast`` alone: no unused import, no
+private definition that the package never names, and no line longer than
+100 characters."""
 
 import ast
 from pathlib import Path
@@ -29,6 +30,27 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [(name, line) for name, line in imported_names(tree) if name not in used]
     assert unused == [], f"{path.name} imports names it does not use: {unused}"
+
+
+def test_every_private_definition_is_referenced():
+    # a reference is a name, an attribute, an imported name or a string
+    # constant: LocalModel.take names the cached properties it slices by string
+    defined, referenced = [], set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append((path.name, node.name, node.lineno))
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                referenced.add(node.value)
+    unused = [d for d in defined if d[1] not in referenced]
+    assert unused == [], f"private definitions that nothing in the package names: {unused}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
