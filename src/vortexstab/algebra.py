@@ -69,6 +69,10 @@ class Circulations:
         """Dimension of the shape matrix mu."""
         return self.N - 1 if self.regime is Regime.NON_ZERO_TOTAL else self.N - 2
 
+    def __hash__(self) -> int:
+        # total and regime follow from gammas; the memos key on this hash
+        return hash(self.gammas)
+
     def as_array(self) -> np.ndarray:
         return np.asarray(self.gammas, dtype=float)
 
@@ -108,15 +112,22 @@ class MuMatrix:
     def n(self) -> int:
         return self.entries.shape[-1]
 
+    @classmethod
+    def _skew_by_construction(cls, entries: np.ndarray) -> MuMatrix:
+        """A read-only MuMatrix of complex entries that are skew-Hermitian by
+        construction, not checked again."""
+        entries.setflags(write=False)
+        mu = object.__new__(cls)
+        object.__setattr__(mu, "entries", entries)
+        return mu
+
     def take(self, rows: np.ndarray) -> MuMatrix:
         """The matrices at some rows of a stack (its leading axes read as
         one, one matrix as a stack of one), sliced from the checked entries
         and not checked again."""
-        entries = self.entries.reshape((-1,) + self.entries.shape[-2:])[rows]
-        entries.setflags(write=False)
-        sub = object.__new__(MuMatrix)
-        object.__setattr__(sub, "entries", entries)
-        return sub
+        return MuMatrix._skew_by_construction(
+            self.entries.reshape((-1,) + self.entries.shape[-2:])[rows]
+        )
 
     @property
     def hermitian_part(self) -> np.ndarray:

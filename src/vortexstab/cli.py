@@ -6,7 +6,8 @@ a gamma grid, CSV), ``integrate`` (reduced trajectory, CSV), and ``check``
 completed (whatever the verdict), 2 means the scenario or another input was
 invalid (a step or time that is not positive and finite, a ``--gamma`` or
 ``--perturb`` that is not finite, an empty sweep range, a malformed custom
-config), and 3 means an internal numerical failure.
+config, a ``--m``, ``--gamma`` or ``--config`` that the scenario kind does
+not take), and 3 means an internal numerical failure.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ def _build(args) -> object:
         if not getattr(args, "config", None):
             raise UnsupportedScenario("custom scenarios need --config")
         kwargs.update(_load_custom_config(args.config))
+    elif getattr(args, "config", None) is not None:
+        raise InvalidArgument(f"--config is for the custom scenario, not {args.scenario}")
     return build_scenario(
         args.scenario,
         gamma=getattr(args, "gamma", None),

@@ -8,11 +8,16 @@ folded into constant matrices.  Both act on real state vectors: the
 no coordinate gathers.  The memoised operators hold only those constants,
 read-only; ``stages`` allocates the buffers of one run (the products, the
 reciprocals, the complex views of the stage inputs) and returns its stage,
-which writes each numpy call of the formula into them with ``out=``.  An
-RK4 step keeps its state and its four stages as the rows of one buffer, and
-writes each stage input and the next state as one product of a constant
-weight row with those rows.  The public :func:`lie_poisson_vector_field`
-and :func:`full_vector_field` run the same stage, with buffers of their own.
+which writes each numpy call of the formula into them with ``out=``.  The
+domain test (collision, or the reduced Hamiltonian's log-argument floor)
+keeps one row per stage input and runs once, in the stage of the last
+input, over every row in input order and before that stage's reciprocal:
+once per RK4 step, and before the one division of a one-shot call.  The
+reduced stage takes (1/s) Rk as one real product.  An RK4 step keeps its
+state and its four stages as the rows of one buffer, and writes each stage
+input and the next state as one product of a constant weight row with those
+rows.  The public :func:`lie_poisson_vector_field` and
+:func:`full_vector_field` run the same stage, with buffers of their own.
 """
 
 from __future__ import annotations
@@ -139,23 +144,32 @@ class _FullField(_Field):
 
     def stages(self, inputs: Sequence[np.ndarray]) -> Callable[[int, np.ndarray], None]:
         """``stage(i, out)`` writes the velocities at positions inputs[i]
-        (pairs, all of one shape) into ``out``, raising Collision when two
-        vortices are within COLLISION_TOL (read at each call).  The pairs of
-        conj(d), |d| and 1/conj(d) are buffers of this run."""
+        (pairs, all of one shape) into ``out``.  The pairs of conj(d) keep
+        one row per input; the stage of the last input takes |d| of every
+        row and, before its reciprocal, raises Collision for the first row
+        in input order with two vortices within COLLISION_TOL (read at that
+        call), so an RK4 step checks once and a one-shot call checks before
+        it divides.  The rows of conj(d) and of |d|, and 1/conj(d), are
+        buffers of this run."""
         incidence, coupling = self._incidence, self._coupling
-        conj_pairs = np.empty(inputs[0].shape[:-1] + (incidence.shape[1],))
+        conj_pairs = np.empty((len(inputs),) + inputs[0].shape[:-1] + (incidence.shape[1],))
         conj_d = conj_pairs.view(complex)
         size = np.empty(conj_d.shape)
-        inverse = np.empty(conj_d.shape, dtype=complex)
-        inverse_pairs = inverse.view(float)
+        inverse_pairs = np.empty(conj_pairs.shape[1:])
+        inverse = inverse_pairs.view(complex)
+        last = len(inputs) - 1
 
         def stage(i: int, out: np.ndarray) -> None:
-            inputs[i].dot(incidence, out=conj_pairs)
-            np.abs(conj_d, out=size)
-            nearest = size.item(size.argmin())  # min(), without its Python wrapper
-            if nearest <= COLLISION_TOL:
-                raise Collision(f"minimum vortex separation {nearest:.3e}")
-            np.reciprocal(conj_d, out=inverse)
+            inputs[i].dot(incidence, out=conj_pairs[i])
+            if i == last:
+                np.abs(conj_d, out=size)
+                # min(), without its Python wrapper; a NaN row is not a collision
+                if not size.item(size.argmin()) > COLLISION_TOL:
+                    for row in size:
+                        nearest = row.item(row.argmin())
+                        if nearest <= COLLISION_TOL:
+                            raise Collision(f"minimum vortex separation {nearest:.3e}")
+            np.reciprocal(conj_d[i], out=inverse)
             inverse_pairs.dot(coupling, out=out)
 
         return stage
@@ -201,28 +215,41 @@ class _ReducedField(_Field):
     def stages(self, inputs: Sequence[np.ndarray]) -> Callable[[int, np.ndarray], None]:
         """``stage(i, out)`` writes the pairs of X_h = A^H - A,
         A = mu (dh/dmu) K^-1, at the (contiguous) pairs inputs[i] (all of
-        one shape) into ``out``, raising DomainError outside the reduced
-        Hamiltonian's domain.  X_h is skew-Hermitian to the last bit: each of
-        its pairs is a sum of two terms, or twice one.  s (then 1/s in
-        place), G = (1/s) Rk with its (n, n) view, A with its pairs and the
-        complex (n, n) view of each input are buffers of this run."""
-        fm, rk, skew, n = self._fm, self._rk, self._skew, self._n
+        one shape) into ``out``.  s keeps one row per input; the stage of the
+        last input, before its reciprocal, raises DomainError for the first
+        row in input order with a log argument at or below LOG_FLOOR (read
+        at that call), so an RK4 step checks once and a one-shot call checks
+        before it divides.  (1/s) Rk is one real product with the (re, im)
+        pairs of Rk.  X_h is skew-Hermitian to the last bit: each of its
+        pairs is a sum of two terms, or twice one.  The rows of s, 1/s,
+        G = (1/s) Rk with its pairs and (n, n) view, A with its pairs, and
+        the complex (n, n) view of each input are buffers of this run."""
+        fm, rk, skew, n = self._fm, self._rk.view(float), self._skew, self._n
         lead = inputs[0].shape[:-1]
-        s = np.empty(lead + fm.shape[1:])
+        s = np.empty((len(inputs),) + lead + fm.shape[1:])
+        inverse = np.empty(s.shape[1:])
         g = np.empty(lead + (n * n,), dtype=complex)
-        g_matrices = g.reshape(lead + (n, n))
+        g_pairs, g_matrices = g.view(float), g.reshape(lead + (n, n))
         a = np.empty(lead + (n, n), dtype=complex)
         a_pairs = a.view(float).reshape(inputs[0].shape)
-        # mu G, as the 2-D dot of each input's (n, n) view, or a matmul of a stack
+        # per input: its row of s, and mu G as the 2-D dot of its (n, n)
+        # view, or a matmul of a stack
         matrices = (x.view(complex).reshape(lead + (n, n)) for x in inputs)
-        products = [m.dot if not lead else partial(np.matmul, m) for m in matrices]
+        per_input = [
+            (s[k], m.dot if not lead else partial(np.matmul, m)) for k, m in enumerate(matrices)
+        ]
+        last = len(inputs) - 1
 
         def stage(i: int, out: np.ndarray) -> None:
-            inputs[i].dot(fm, out=s)
-            if s.item(s.argmin()) <= LOG_FLOOR:  # min(), without its Python wrapper
-                check_arguments(s)
-            np.reciprocal(s, out=s).dot(rk, out=g)
-            products[i](g_matrices, out=a)
+            row, product = per_input[i]
+            inputs[i].dot(fm, out=row)
+            # min(), without its Python wrapper; a NaN row is not checked
+            if i == last and not s.item(s.argmin()) > LOG_FLOOR:
+                for checked in s:
+                    if checked.item(checked.argmin()) <= LOG_FLOOR:
+                        check_arguments(checked)
+            np.reciprocal(row, out=inverse).dot(rk, out=g_pairs)
+            product(g_matrices, out=a)
             a_pairs.dot(skew, out=out)
 
         return stage
@@ -241,12 +268,14 @@ def full_vector_field(cfg: VortexConfiguration) -> np.ndarray:
 
 
 def lie_poisson_vector_field(mu: MuMatrix, circ: Circulations) -> MuMatrix:
-    """X_h(mu) = -mu (dh/dmu) K^-1 + K^-1 (dh/dmu) mu."""
+    """X_h(mu) = -mu (dh/dmu) K^-1 + K^-1 (dh/dmu) mu, skew-Hermitian to the
+    last bit, so not checked again."""
     if mu.n != circ.n:
         raise DimensionMismatch(f"mu is {mu.n}x{mu.n}, circulations give n={circ.n}")
     m = mu.entries
     x = m.view(float).reshape(m.shape[:-2] + (2 * mu.n * mu.n,))
-    return MuMatrix(_right_hand_side(circ, Which.REDUCED)(x).view(complex).reshape(m.shape))
+    field = _right_hand_side(circ, Which.REDUCED)(x).view(complex).reshape(m.shape)
+    return MuMatrix._skew_by_construction(field)
 
 
 @dataclass
@@ -306,22 +335,30 @@ def integrate(
     The stage inputs and every array a stage writes are allocated once per
     run (``stages`` of the memoised operator, which holds only constants), so
     a stage allocates nothing and two threads may integrate one circulation
-    set at once.  The loop only steps, storing each state.  Afterwards the reduced samples
-    are flattened once, so ``states`` holds flattened coordinates, and the
-    full ones are viewed as complex positions.  The Hamiltonian, the
-    Casimirs C_1..C_n and the sup-norm of the rank-one residual are
-    evaluated over the whole stack of samples, with the checks each sample
-    needs: collision, the reduced Hamiltonian's log-argument floor, a
-    skew-Hermitian mu.  A collision or domain error in a step, or in the
-    check of a sample, truncates the trajectory before the first sample that
-    fails and sets the abort flag; ``abort_reason`` names the error with its
-    step and time.  The run takes round(t_end / dt) steps, so the last
-    sample is at round(t_end / dt) * dt: t_end = 1.0, dt = 0.3 ends at
-    t = 3 dt = 0.9.  An initial state that fails its check raises, and so
-    do a t_end or dt that is not positive and finite, a t_end under half a
-    step (no step to take), and a step count t_end / dt whose samples cannot
-    be allocated (InvalidArgument).
+    set at once.  A step is checked once, in its fourth stage, before that
+    stage's reciprocal: the collision or log-argument test runs over the
+    rows of all four stage inputs in order and raises for the first that
+    fails, with the error a stage-by-stage check would raise; the stages
+    that read a failed stage's output run with numpy's floating-point
+    warnings off.  The loop only steps, storing each state.  Afterwards the
+    reduced samples are flattened once, so ``states`` holds flattened
+    coordinates, and the full ones are viewed as complex positions.  The
+    Hamiltonian, the Casimirs C_1..C_n and the sup-norm of the rank-one
+    residual are evaluated over the whole stack of samples, with the checks
+    each sample needs: collision, the reduced Hamiltonian's log-argument
+    floor, a skew-Hermitian mu.  A collision or domain error in a step, or
+    in the check of a sample, truncates the trajectory before the first
+    sample that fails and sets the abort flag; ``abort_reason`` names the
+    error with its step and time.  The run takes round(t_end / dt) steps, so
+    the last sample is at round(t_end / dt) * dt: t_end = 1.0, dt = 0.3 ends
+    at t = 3 dt = 0.9.  An initial state that fails its check raises, and so
+    do (InvalidArgument) a ``which`` that is not a :class:`Which` member, a
+    t_end or dt that is not positive and finite, a t_end under half a step
+    (no step to take), and a step count t_end / dt whose samples cannot be
+    allocated.
     """
+    if not isinstance(which, Which):
+        raise InvalidArgument(f"which must be Which.REDUCED or Which.FULL, got {which!r}")
     if not (0.0 < t_end < np.inf and 0.0 < dt < np.inf):
         raise InvalidArgument(f"t_end and dt must be positive and finite, got {t_end}, {dt}")
     n = circ.n
@@ -369,20 +406,23 @@ def integrate(
     half, whole = np.array([dt / 2.0, 1.0]), np.array([dt, 1.0])
     combine = np.array([dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0, 1.0])
     failure = None  # (index of the first sample not kept, exception)
-    for s in range(steps):
-        try:
-            stage(0, k1)
-            half.dot(first, out=y2)
-            stage(1, k2)
-            half.dot(second, out=y3)
-            stage(2, k3)
-            whole.dot(third, out=y4)
-            stage(3, k4)
-        except (Collision, DomainError) as exc:
-            failure = (s + 1, exc)
-            samples = samples[: s + 1]
-            break
-        x[:] = combine.dot(rows, out=samples[s + 1])
+    # the step is checked in its last stage: stages that read a failed
+    # stage's output run silently until that check raises
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for s in range(steps):
+            try:
+                stage(0, k1)
+                half.dot(first, out=y2)
+                stage(1, k2)
+                half.dot(second, out=y3)
+                stage(2, k3)
+                whole.dot(third, out=y4)
+                stage(3, k4)
+            except (Collision, DomainError) as exc:
+                failure = (s + 1, exc)
+                samples = samples[: s + 1]
+                break
+            x[...] = combine.dot(rows, out=samples[s + 1])
     samples = samples.view(complex).reshape((len(samples),) + state.shape)
 
     # a check raises for the first sample of the stack that fails it; the

@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedScenario,
     VortexStabError,
 )
-from .scenarios import Scenario, build_scenario, scenario_fixed_point
+from .scenarios import WITHOUT_CENTER, Scenario, build_scenario, scenario_fixed_point
 from .stability import CertificateResult, energy_casimir_certificate, stack_size
 
 
@@ -224,14 +224,14 @@ def gamma_sweep(
     grid = gamma_grid(gamma_min, gamma_max, step)
     if not grid:
         raise InvalidArgument(f"empty range: from {gamma_min} is above to {gamma_max}")
+    if kind in WITHOUT_CENTER:
+        raise UnsupportedScenario(f"{kind} has no center circulation to sweep")
     for gamma in grid:
         try:
             scen = build_scenario(kind, gamma=gamma, m=m)
         except ExcludedParameter as exc:
             skipped.append({"gamma": gamma, "note": str(exc)})
             continue
-        if scen.free_parameter is None:
-            raise UnsupportedScenario(f"{kind} has no center circulation to sweep")
         rows.append(None)
         n = scen.circ.n
         members = groups.setdefault((n, scen.circ.regime), [])

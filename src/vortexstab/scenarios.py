@@ -30,6 +30,8 @@ KINDS = (
     "polygon-with-center",
     "custom",
 )
+# the kinds with no center vortex, so no gamma to set or sweep
+WITHOUT_CENTER = ("equilateral3", "custom")
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,13 @@ def _circulations(gammas: tuple[float, ...]) -> Circulations:
         raise ExcludedParameter(str(exc)) from exc
 
 
+def _reject_options(kind: str, **options) -> None:
+    """Raise InvalidArgument for a given option that ``kind`` does not take."""
+    for name, value in options.items():
+        if value is not None:
+            raise InvalidArgument(f"{kind} does not take {name} (got {value!r})")
+
+
 def build_scenario(
     kind: str,
     gamma: float | None = None,
@@ -65,7 +74,12 @@ def build_scenario(
     circulations: tuple[float, ...] | None = None,
     positions: tuple[complex, ...] | None = None,
 ) -> Scenario:
-    """Construct one of the named configurations or a custom one."""
+    """Construct one of the named configurations or a custom one.  Only
+    polygon-with-center takes ``m``, and the kinds without a center take no
+    ``gamma``: a kind given an option it does not take raises
+    InvalidArgument."""
+    if kind in WITHOUT_CENTER:
+        _reject_options(kind, gamma=gamma, m=m)
     if kind == "equilateral3":
         circs = circulations if circulations is not None else (1.0, 1.0, 1.0)
         if len(circs) != 3:
@@ -76,8 +90,10 @@ def build_scenario(
             circ=_circulations(circs),
         )
     if kind == "triangle-with-center":
+        _reject_options(kind, m=m)
         return _polygon_with_center(kind, 3, gamma)
     if kind == "square-with-center":
+        _reject_options(kind, m=m)
         return _polygon_with_center(kind, 4, gamma)
     if kind == "polygon-with-center":
         try:

@@ -193,24 +193,27 @@ class TestCachedRightHandSides:
         kick = 1e-3 * (rng.standard_normal(21) + 1j * rng.standard_normal(21))
         assert_fields_match(VortexConfiguration(tuple(np.asarray(scen.positions) + kick), scen.circ))
 
+    @pytest.mark.filterwarnings("error")
     def test_errors_keep_their_types_and_text(self):
+        # on the domain's edge too (s = 0, d = 0): one input is the last
+        # input, so its stage checks before it divides and no warning escapes
         circ = Circulations((1.0, 1.0, 1.0))
-        # |z_1 - z_2|^2 = mu_1 + mu_2 - 2 x_12 = -2
-        u = np.array([1.0, 1.0, 2.0, 0.0])
-        with pytest.raises(DomainError) as expected:
-            reduced_system(circ).gradient(u)
-        mu = unflatten(u, 2)
-        for field in (
-            lambda: dynamics._right_hand_side(circ, Which.REDUCED)(mu.entries.view(float).ravel()),
-            lambda: lie_poisson_vector_field(mu, circ),
-        ):
-            with pytest.raises(DomainError) as got:
-                field()
-            assert str(got.value) == str(expected.value)
-        q = np.array([0j, 1e-12, 1.0])
-        with pytest.raises(Collision) as got:
-            dynamics._right_hand_side(circ, Which.FULL)(q.view(float))
-        assert str(got.value) == f"minimum vortex separation {min_separation(q):.3e}"
+        # |z_1 - z_2|^2 = mu_1 + mu_2 - 2 x_12 = -2, then 0
+        for u in (np.array([1.0, 1.0, 2.0, 0.0]), np.array([1.0, 1.0, 1.0, 0.0])):
+            with pytest.raises(DomainError) as expected:
+                reduced_system(circ).gradient(u)
+            mu = unflatten(u, 2)
+            for field in (
+                lambda: dynamics._right_hand_side(circ, Which.REDUCED)(mu.entries.view(float).ravel()),
+                lambda: lie_poisson_vector_field(mu, circ),
+            ):
+                with pytest.raises(DomainError) as got:
+                    field()
+                assert str(got.value) == str(expected.value)
+        for q in (np.array([0j, 1e-12, 1.0]), np.array([0j, 0j, 1.0])):
+            with pytest.raises(Collision) as got:
+                dynamics._right_hand_side(circ, Which.FULL)(q.view(float))
+            assert str(got.value) == f"minimum vortex separation {min_separation(q):.3e}"
 
     @pytest.mark.parametrize("which", list(Which))
     def test_built_once_per_circulation_set(self, which):
@@ -307,44 +310,106 @@ class TestIntegration:
     @staticmethod
     def assert_truncated(traj, samples, reason):
         assert traj.aborted
-        assert traj.abort_reason.startswith(reason)
+        assert traj.abort_reason == reason
         columns = (traj.times, traj.states, traj.hamiltonian, traj.casimirs, traj.residual_max)
         assert [len(c) for c in columns] == [samples] * len(columns)
 
+    # the abort tests run with warnings as errors: the stages that read a
+    # failed stage's output before the step's check raises stay silent
+    @pytest.mark.filterwarnings("error")
     def test_collision_aborts_with_truncation(self, monkeypatch):
         # a collision tolerance of 0.5 in the sample checks (hamiltonian), in
         # the RK4 right-hand side (dynamics) or in both ends the run before
-        # the first sample within 0.5
+        # the first sample within 0.5.  The right-hand side's test fails in
+        # the second stage of step 63, on its input at separation 0.49997
         cfg = self.DRIFTING
         untouched = integrate(cfg, cfg.circ, t_end=1.0, dt=0.01, which=Which.FULL)
         separation = min_separation(untouched.states)
         assert separation[:63].min() > 0.5 >= separation[63]
-        for checks in ((hamiltonian,), (dynamics,), (hamiltonian, dynamics)):
+        for checks, detail in (
+            ((hamiltonian,), "4.994e-01"),
+            ((dynamics,), "5.000e-01"),
+            ((hamiltonian, dynamics), "5.000e-01"),
+        ):
             with monkeypatch.context() as patch:
                 for module in checks:
                     patch.setattr(module, "COLLISION_TOL", 0.5)
                 traj = integrate(cfg, cfg.circ, t_end=1.0, dt=0.01, which=Which.FULL)
             self.assert_truncated(
-                traj, 63, "Collision at step 63 (t = 0.63): minimum vortex separation"
+                traj, 63, f"Collision at step 63 (t = 0.63): minimum vortex separation {detail}"
             )
             np.testing.assert_array_equal(traj.states, untouched.states[:63])
 
-    def test_domain_error_aborts_with_truncation(self):
-        # a close pair under a coarse step: an RK4 stage leaves the reduced
-        # Hamiltonian's domain in step 17
-        cfg = VortexConfiguration(
-            (-0.843 + 0.111j, -0.829 + 0.125j, -0.537 - 0.35j, -0.923 + 0.287j, -0.77 - 0.296j),
-            Circulations((-0.68, 0.77, 1.4, 0.44, 0.4)),
-        )
-        traj = integrate(cfg, cfg.circ, t_end=2.0, dt=0.01)
-        self.assert_truncated(traj, 17, "DomainError at step 17 (t = 0.17): squared distance")
+    # a close pair under a coarse step leaves the reduced Hamiltonian's domain
+    CLOSE_PAIR = VortexConfiguration(
+        (-0.843 + 0.111j, -0.829 + 0.125j, -0.537 - 0.35j, -0.923 + 0.287j, -0.77 - 0.296j),
+        Circulations((-0.68, 0.77, 1.4, 0.44, 0.4)),
+    )
 
+    @pytest.mark.filterwarnings("error")
+    def test_domain_error_aborts_with_truncation(self):
+        # in the fourth stage of step 17
+        cfg = self.CLOSE_PAIR
+        traj = integrate(cfg, cfg.circ, t_end=2.0, dt=0.01)
+        self.assert_truncated(
+            traj,
+            17,
+            "DomainError at step 17 (t = 0.17): squared distance -1.320e-04 in reduced Hamiltonian",
+        )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "dt,stage,step,detail", [(0.02, 2, 9, "-5.416e-04"), (0.027, 3, 7, "-2.734e-03")]
+    )
+    def test_a_step_that_fails_in_an_earlier_stage(self, dt, stage, step, detail):
+        # the step is checked once, in its fourth stage, and raises the error
+        # of its first failing stage: rebuilt from the last sample kept with
+        # the one-shot field, the stages before it pass and it raises that
+        # error
+        cfg = self.CLOSE_PAIR
+        traj = integrate(cfg, cfg.circ, t_end=2.0, dt=dt)
+        error = f"squared distance {detail} in reduced Hamiltonian"
+        self.assert_truncated(traj, step, f"DomainError at step {step} (t = {step * dt:.6g}): {error}")
+        n = cfg.circ.n
+
+        def field(x):
+            mu = MuMatrix(x.view(complex).reshape(n, n))
+            return lie_poisson_vector_field(mu, cfg.circ).entries.view(float).ravel()
+
+        # the stage inputs of the failing step, as integrate forms them
+        rows = np.empty((5, 2 * n * n))
+        rows[4] = unflatten(traj.states[-1], n).entries.view(float).ravel()
+        half, whole = np.array([dt / 2.0, 1.0]), np.array([dt, 1.0])
+        stage_inputs = (
+            lambda: rows[4],
+            lambda: half.dot(rows[0::4]),
+            lambda: half.dot(rows[1::3]),
+            lambda: whole.dot(rows[2::2]),
+        )
+        for k in range(stage - 1):
+            rows[k] = field(stage_inputs[k]())
+        with pytest.raises(DomainError) as got:
+            field(stage_inputs[stage - 1]())
+        assert str(got.value) == error
+
+    @pytest.mark.filterwarnings("error")
     def test_failing_initial_state_raises(self):
+        # on the domain's edge (s = 0, d = 0) too: the first stage divides
+        # by zero before the step's check, and no warning escapes
         circ = Circulations((1.0, 1.0, 1.0))
-        with pytest.raises(DomainError):
-            integrate(np.array([1.0, 1.0, 2.0, 0.0]), circ, t_end=0.1, dt=0.01)
-        with pytest.raises(Collision):
-            integrate(np.array([0j, 1e-12, 1.0]), circ, t_end=0.1, dt=0.01, which=Which.FULL)
+        for u in ([1.0, 1.0, 2.0, 0.0], [1.0, 1.0, 1.0, 0.0]):
+            with pytest.raises(DomainError):
+                integrate(np.array(u), circ, t_end=0.1, dt=0.01)
+        for q in ([0j, 1e-12, 1.0], [0j, 0j, 1.0]):
+            with pytest.raises(Collision):
+                integrate(np.array(q), circ, t_end=0.1, dt=0.01, which=Which.FULL)
+
+    @pytest.mark.parametrize("which", ["reduced", "full", None])
+    def test_rejects_a_which_that_is_not_a_member(self, which):
+        cfg = separated_configuration(np.random.default_rng(68), 4)
+        with pytest.raises(InvalidArgument) as got:
+            integrate(cfg, cfg.circ, t_end=0.01, dt=0.001, which=which)
+        assert str(got.value) == f"which must be Which.REDUCED or Which.FULL, got {which!r}"
 
     @pytest.mark.parametrize("which", list(Which))
     def test_rejects_configuration_of_other_size(self, which):

@@ -1207,9 +1207,12 @@ def stage_arrays(model):
 
 
 # certify-large's twelve operations and the polygon m = 18..20 on -5..40 at
-# step 5, analyzed with the number of BLAS threads given on the command line
+# step 5, analyzed with the number of BLAS threads given on the command line;
+# then a reduced and a full RK4 run of 200 steps at N = 5, their final states
+# written as hex
 BLAS_THREADS_RUN = """
 import sys
+from vortexstab.dynamics import Which, integrate
 from vortexstab.report import analyze, report_to_json
 from vortexstab.scenarios import build_scenario
 
@@ -1228,6 +1231,15 @@ for m in (18, 19, 20):
     ]
 for scen in scenarios:
     sys.stdout.write(report_to_json(analyze(scen)))
+cfg = build_scenario(
+    "custom",
+    positions=(-0.9 + 0.1j, 0.4 + 0.8j, 1.1 - 0.3j, -0.2 - 1.0j, 0.3 + 0.2j),
+    circulations=(1.0, -0.7, 0.9, 1.3, -0.5),
+).configuration
+for which in Which:
+    traj = integrate(cfg, cfg.circ, t_end=0.2, dt=1e-3, which=which)
+    assert not traj.aborted and len(traj) == 201
+    sys.stdout.write(f"\\n{which.value} {traj.states[-1].tobytes().hex()}")
 """
 
 
@@ -1245,6 +1257,7 @@ def test_reports_do_not_depend_on_the_blas_thread_count():
         assert out.returncode == 0, out.stderr
         reports.append(out.stdout)
     assert reports[0].count('"verdict"') == 12 + 27
+    assert reports[0].count("\nfull ") == reports[0].count("\nreduced ") == 1
     assert reports[0] == reports[1]
 
 

@@ -29,6 +29,8 @@ from vortexstab.report import (
 from vortexstab.scenarios import KINDS, build_scenario, scenario_fixed_point
 from vortexstab.stability import is_fixed_point, linearize, spectrum
 
+CUSTOM = {"positions": (0.5, -0.5, 1j), "circulations": (1.0, 1.0, 2.0)}
+
 
 class TestBuildScenario:
     def test_equilateral3(self):
@@ -95,6 +97,25 @@ class TestBuildScenario:
     def test_unknown_kind(self):
         with pytest.raises(UnsupportedScenario):
             build_scenario("pentagram")
+
+    @pytest.mark.parametrize(
+        "kind,kwargs,option",
+        [
+            ("equilateral3", {}, "m"),
+            ("triangle-with-center", {"gamma": 1.0}, "m"),
+            ("square-with-center", {"gamma": 1.0}, "m"),
+            ("custom", CUSTOM, "m"),
+            ("equilateral3", {}, "gamma"),
+            ("custom", CUSTOM, "gamma"),
+        ],
+    )
+    def test_an_option_the_kind_does_not_take_is_invalid(self, kind, kwargs, option):
+        # only polygon-with-center has a vertex count, and the kinds without
+        # a center have no gamma
+        build_scenario(kind, **kwargs)
+        with pytest.raises(InvalidArgument) as got:
+            build_scenario(kind, **kwargs, **{option: 9})
+        assert str(got.value) == f"{kind} does not take {option} (got 9)"
 
     def test_center_scenarios_are_fixed_points(self):
         for kind, kwargs in [
@@ -584,6 +605,32 @@ class TestCli:
         args = ["sweep", "--scenario", "equilateral3", "--from", "1", "--to", "2", "--step", "0.5"]
         assert main(args) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "args,detail",
+        [
+            (["--scenario", "square-with-center", "--m", "9", "--gamma", "1"],
+             "square-with-center does not take m (got 9)"),
+            (["--scenario", "equilateral3", "--gamma", "5"], "equilateral3 does not take gamma (got 5.0)"),
+            (["--scenario", "triangle-with-center", "--gamma", "1", "--config", "cfg.json"],
+             "--config is for the custom scenario, not triangle-with-center"),
+        ],
+        ids=["m", "gamma", "config"],
+    )
+    def test_an_option_the_kind_does_not_take_exit_2(self, args, detail, capsys):
+        # rejected before the config is read: cfg.json need not exist
+        for command in (["analyze"], ["integrate", "--t-end", "0.1", "--dt", "0.01"]):
+            assert main(command + args) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"invalid input: {detail}\n"
+
+    def test_sweep_of_a_kind_given_a_vertex_count_exit_2(self, capsys):
+        args = ["sweep", "--scenario", "square-with-center", "--from", "1", "--to", "2"]
+        assert main(args + ["--step", "0.5", "--m", "4"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "invalid input: square-with-center does not take m (got 4)\n"
 
     @pytest.mark.parametrize("step", ["0", "-0.5"])
     def test_sweep_step_not_positive_exit_2(self, step, capsys):
