@@ -297,10 +297,11 @@ def _coupling_stack(circs: tuple[Circulations, ...]) -> CouplingMatrix:
     # K^-1 = -diag(1/G_i) - 1 1^T / denominator; an overflow there is
     # judged by cond(K) eps (infinity norms), singular when not below 1
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        k_inv = np.broadcast_to(-1.0 / denominator[:, :, None], k.shape).copy()
+        k_inv = np.empty(k.shape)
+        k_inv[...] = -1.0 / denominator[:, :, None]
         k_inv[:, diagonal, diagonal] -= 1.0 / gn
-        norms = np.abs(np.array([k, k_inv])).sum(axis=-1).max(axis=-1)
-        rounding = np.finfo(float).eps * norms[0] * norms[1]
+        norms = np.add.reduce(np.abs(np.array([k, k_inv])), axis=-1).max(axis=-1)
+        rounding = math.ulp(1.0) * norms[0] * norms[1]  # eps
     singular = ~(rounding < 1.0)
     if singular.any():
         i = int(np.argmax(singular))

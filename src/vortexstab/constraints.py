@@ -47,9 +47,10 @@ def row_rank(rows: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
     row j's distance from the span of the rows before it."""
     if r is None:
         r = np.linalg.qr(rows.swapaxes(-1, -2), mode="r")
-    distance = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    length = np.linalg.norm(rows[..., : distance.shape[-1], :], axis=-1)
-    return np.sum(independent(distance, length), axis=-1)
+    distance = np.abs(r.diagonal(axis1=-2, axis2=-1))
+    head = rows[..., : distance.shape[-1], :]
+    length = np.sqrt(np.add.reduce((head.conj() * head).real, axis=-1))  # the 2-norm
+    return independent(distance, length).sum(axis=-1)
 
 
 def casimir(mu: MuMatrix, k: CouplingMatrix, j: int) -> float:
@@ -86,11 +87,12 @@ def casimir_values(mu: MuMatrix, k: CouplingMatrix, js: Iterable[int]) -> np.nda
 
 def casimir_gradient(mu: MuMatrix, k: CouplingMatrix, j: int) -> np.ndarray:
     """Gradient of C_j with respect to the flattened coordinates; one row per
-    matrix of a stack (mu and k with the same leading axes)."""
-    b = 1j * k.k @ mu.entries
+    matrix of a stack (mu and k with the same leading axes).  dC_1 = -2i K
+    is the same at every mu."""
     # dC_j . E_m = tr(x E_m) with x = j b^{j-1} iK i, since mu = i M; over
-    # the coordinate basis that is flatten(i (x + x^H)) with the diagonal halved
-    x = -j * np.linalg.matrix_power(b, j - 1) @ k.k
+    # the coordinate basis that is flatten(i (x + x^H)) with the diagonal
+    # halved, and x = -K for j = 1
+    x = -k.k if j == 1 else -j * np.linalg.matrix_power(1j * k.k @ mu.entries, j - 1) @ k.k
     grad = flatten_stack(1j * (x + x.conj().swapaxes(-1, -2)))
     grad[..., : mu.n] *= 0.5
     return grad

@@ -1,26 +1,17 @@
 """The linear algebra of the stability certificate at a stack of points.
 
 A :class:`LocalModel` holds, at a stack of k points that share n and the
-regime, what the stages of a certificate read.
-The reduced field: the coupling matrices, the stacked reduced Hamiltonian,
-the field residual and the n^2 x n^2 Jacobian.  The leaf: the differential
-of the Casimir C_1, the leaf built from the moment map mu = phi(z) = i z z^*
-(ranks, tangent bases, multipliers; no matrix wider than 2n columns is
-factored), the leaf operator L = B A B^T and the restricted Hessian (the
-z-Hessian of the energy-momentum function 4 pi h + 2 pi Omega C_1), both
-taken on the leaf's coordinates z in O(n^3) through the thin QR T^T = U R
-of the rows T of Dphi, and the multiplier residual, the one place the
-constraint Jacobian is read.  T and the z-table Z (G z = g Z for a
-gradient g and its matrix G) are written entry by entry from their
-formulas, each entry an entry of z, exactly.  R has a positive diagonal
-(R = chol(T T^T)^T), so the tangent bases B = (R^-1 Q_1)^T T are one
-definite set of rows.  Every basis X takes the same O(n^3) forms through
-its coordinates Y on the rows T, X = Y^T T: tangent bases only;
-InvalidArgument otherwise.  Nothing is memoised between calls: the
-certificate builds one model of its stack, hands it to each stage, and
-narrows it to the points still undecided with :meth:`LocalModel.take`,
-which slices what is computed and checks nothing again.  Every array has a
-leading axis of length k; one point is a stack of one.
+regime, what the stages of a certificate read: the reduced field (coupling
+matrices, reduced Hamiltonians, field residual, n^2 x n^2 Jacobian) and the
+leaf built from the moment map mu = phi(z) = i z z^* (ranks, tangent bases,
+multipliers, the leaf operator and the restricted Hessian, in O(n^3) on z
+through the thin QR T^T = U R of the rows T of Dphi; the multiplier residual
+is the one reader of the constraint Jacobian).  T and the z-table Z are
+written entry by entry from their formulas, exactly.  Nothing is memoised
+between calls: the certificate builds one model of its stack, hands it to
+each stage, and narrows it with :meth:`LocalModel.take`, which slices what
+is computed and checks nothing again.  Every array has a leading axis of
+length k; one point is a stack of one.
 """
 
 from __future__ import annotations
@@ -85,6 +76,11 @@ class LocalModel:
     with dependent rows the multipliers are the minimal-norm ones.
     """
 
+    # set by the certificate: screened when every point passed its
+    # fixed-point, open-set and stratum checks, independent when its rank
+    # check too; no stage repeats a check that a set flag names
+    screened = independent = False
+
     def __init__(self, mu0: MuMatrix, circs: tuple[Circulations, ...]):
         first = circs[0]
         n = first.n
@@ -108,13 +104,16 @@ class LocalModel:
         self.scale = terms.max(axis=(-2, -1), initial=0.0)
 
     def take(self, rows: np.ndarray) -> LocalModel:
-        """The model at some rows (sorted and distinct) of the stack, with what
-        is computed so far sliced, not computed again or checked again; the
-        model itself for all of its rows."""
+        """The model at some rows (sorted and distinct) of the stack, the model
+        itself for all of its rows, with the checks' flags and what the
+        stages after a narrowing read sliced, not computed or checked again.
+        The moment map, the open-set test and :attr:`_frame` are not: a
+        narrowed model computes them again if asked, to the same bits."""
         if len(rows) == len(self.circs):
             return self
         sub = object.__new__(LocalModel)
         sub.mu0, sub.n = self.mu0.take(rows), self.n
+        sub.screened, sub.independent = self.screened, self.independent
         # tuple() of a generator allocates ten slots and shrinks them, and the
         # shrunk tuples pile up on CPython's free list of their size
         sub.circs = tuple([self.circs[i] for i in rows])
@@ -122,10 +121,10 @@ class LocalModel:
         sub.u0, sub.energy_gradient = self.u0[rows], self.energy_gradient[rows]
         sub._g, sub.residual, sub.scale = self._g[rows], self.residual[rows], self.scale[rows]
         computed = vars(self)
-        for name in ("casimirs", "inside", "infeasible"):
+        for name in ("casimirs", "infeasible"):
             if name in computed:
                 setattr(sub, name, _read_only(computed[name][rows]))
-        for name in ("moment", "_factors", "_energy_rows"):
+        for name in ("_factors", "_energy_rows"):
             if name in computed:
                 setattr(sub, name, tuple([_read_only(a[rows]) for a in computed[name]]))
         if "multipliers" in computed:
@@ -155,14 +154,14 @@ class LocalModel:
         Y = R^-1 R^-T T X^T.  A row off the tangent space, X less Y^T T, by
         more than RANK_THRESHOLD of its length, or not finite, raises
         InvalidArgument."""
-        own, coords = self.basis, self._factors[6]
+        own, coords = self.basis, self._factors[4]
         if basis is own or np.array_equal(basis, own):
             return coords
         along = basis @ own.swapaxes(-1, -2)
         coords, onto = coords @ along.swapaxes(-1, -2), along @ own
         dependent = self.rank < self.row_count
         if dependent.any():
-            tangent, r = self._factors[3][dependent], self._factors[4][dependent]
+            tangent, r = self._frame[0][dependent], self._frame[1][dependent]
             on_t = tangent @ basis[dependent].swapaxes(-1, -2)
             y = np.linalg.solve(r, np.linalg.solve(r.swapaxes(-1, -2), on_t))
             coords[dependent], onto[dependent] = y, y.swapaxes(-1, -2) @ tangent
@@ -186,8 +185,7 @@ class LocalModel:
         and B^T = U Q_1 = T^T R^-1 Q_1, L = (R^T Q_1)^T M (R^-1 Q_1), and on
         X = Y^T T, L = (R Y)^T R M Y.  It equals X A X^T at fixed points on
         the stratum, whether or not the differentials are independent."""
-        z = self.moment[0]
-        r, q, own, c = self._factors[4:8]
+        z, (_, r, c, _), (q, own) = self.moment[0], self._frame, self._factors[3:]
         coords = own if basis is None else self._coordinates(basis)
         rows, omega, v = self._energy_rows
         jv = rows @ self.coupling.k_inv - 1j * omega * v
@@ -210,9 +208,9 @@ class LocalModel:
         Z (:func:`_z_table`), so all P(v) z0 are one Hessian of h along the
         rows T times Z, as one real product with Z's (re, im) pairs."""
         z, g = self.moment[0], self._g
-        along = self.hamiltonian.hessian(self.u0, self._factors[3])
+        along = self.hamiltonian.hessian(self.u0, self._frame[0])
         pullback = (along @ _z_table(z).view(float)).view(complex)
-        v = _directions(self.n)[self._factors[8]]
+        v = _directions(self.n)[self._frame[3]]
         rows = v @ g.swapaxes(-1, -2) + pullback
         z_h, field = z.conj()[:, None], self.coupling.k_inv @ g @ z[..., None]
         omega = (z_h @ field).imag / (z_h @ z[..., None]).real
@@ -254,40 +252,36 @@ class LocalModel:
         return ~(self.moment[1] <= RANK_THRESHOLD)
 
     @cached_property
-    def _factors(self) -> tuple[np.ndarray, ...]:
-        """The numerical ranks, the tangent bases, and where the rows are
-        independent the unique solution of [C; J]^T w = -energy_gradient
-        for the Casimir row C and the constraint Jacobian J (a0 = +1), NaN
-        elsewhere; then the rows T of Dphi, the R of their thin QR
-        T^T = U R, the complete Q of the projected Casimir row, of which
-        the leaf operator reads the columns Q_1 but the first, the
-        coordinates R^-1 Q_1 of the tangent bases on the rows T, and the c
-        and the kept directions of :func:`_kept`.
-
-        The orthonormal columns U spanning the tangent space of the rank-one
-        stratum are the thin QR of Dphi(v) = i (v z^* + z v^*) over the 2n
-        real directions v but i e_c, c the largest real part of z (at least
-        z_c = max |z_j|): the phase direction i z, the kernel of Dphi, has
-        the component Re z_c along i e_c, so the rest span the image.  R is
-        the canonical one, with a positive diagonal: R = chol(T T^T)^T from
-        the closed-form Gram matrix (:func:`_dphi_gram`), whose condition
-        number is at most 4(n + 1) for every z.  U = T^T R^-1 is never
-        formed: a row r projects onto it as (r T^T) R^-1.  U spans the kernel of the
-        constraint rows, so |R_11| of the QR of the Casimir row projected
-        onto U is the row's distance from their span, judged by the rank
-        rule against the row's own length (:func:`constraints.row_rank`).
-        The tangent bases are B = (R^-1 Q_1)^T T, formed once."""
-        n = self.n
+    def _frame(self) -> tuple[np.ndarray, ...]:
+        """The rows T of Dphi along the kept directions, the R of their thin
+        QR T^T = U R, c and the kept directions (:func:`_kept`): every real
+        direction but i e_c, as the kernel i z of Dphi has the component
+        Re z_c >= max |z_j| along it.  R = chol(T T^T)^T from the closed-form
+        Gram matrix (:func:`_dphi_gram`), of condition number at most
+        4(n + 1), has a positive diagonal.  U = T^T R^-1 is never formed: a
+        row r projects onto it as (r T^T) R^-1."""
         z = self.moment[0]
         c, keep = _kept(z)
-        tangent = _dphi_rows(z, keep)
         r_phi = np.linalg.cholesky(_dphi_gram(z, keep)).swapaxes(-1, -2)
-        casimirs = self.casimirs
+        return tuple([_read_only(a) for a in (_dphi_rows(z, keep), r_phi, c, keep)])
+
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, ...]:
+        """The numerical ranks; the tangent bases B = (R^-1 Q_1)^T T, formed
+        once; where the rows are independent the unique solution of
+        [C; J]^T w = -energy_gradient for the Casimir row C and the
+        constraint Jacobian J (a0 = +1), NaN elsewhere; the complete Q of the
+        QR of C projected onto U (:attr:`_frame`), whose columns Q_1 but the
+        first the leaf operator reads; and the coordinates R^-1 Q_1 of B on
+        T.  U spans the kernel of the constraint rows, so |R_11| of that QR
+        is C's distance from their span, judged by the rank rule against its
+        own length (:func:`constraints.row_rank`)."""
+        z, (tangent, r_phi, _, _), casimirs = self.moment[0], self._frame, self.casimirs
         # the Casimir row and the energy gradient on U, as columns: R^-T T r^T
         rows = np.concatenate([casimirs, self.energy_gradient[:, None]], axis=-2)
         on_u = np.linalg.solve(r_phi.swapaxes(-1, -2), tangent @ rows.swapaxes(-1, -2))
         q, r = np.linalg.qr(on_u[..., :1], mode="complete")
-        rank = (n - 1) ** 2 + row_rank(casimirs, r)
+        rank = (self.n - 1) ** 2 + row_rank(casimirs, r)
         coords = np.linalg.solve(r_phi, q[..., 1:])
         basis = np.ascontiguousarray(coords.swapaxes(-1, -2) @ tangent)
         w = np.full((len(z), self.row_count), np.nan)
@@ -298,9 +292,7 @@ class LocalModel:
             a = -projected[..., 0] / r[unique, :1, 0]
             rest = self.energy_gradient[unique] + (a[:, None] @ casimirs[unique])[:, 0]
             w[unique] = np.concatenate([a, _constraint_multipliers(z[unique], rest)], axis=-1)
-        return tuple(
-            [_read_only(a) for a in (rank, basis, w, tangent, r_phi, q, coords, c, keep)]
-        )
+        return tuple([_read_only(a) for a in (rank, basis, w, q, coords)])
 
     @property
     def rank(self) -> np.ndarray:
@@ -331,16 +323,9 @@ class LocalModel:
             w[dependent] = -(pinv @ self.energy_gradient[dependent, :, None])[..., 0]
         df = self.energy_gradient + (w[:, None, :1] @ self.casimirs)[:, 0]
         df += (w[:, None, 1:] @ jacobian)[:, 0]
-        rest = w[:, 1:]
-        return MultiplierSet(
-            a0=1.0,
-            a=w[:, :1],
-            b=rest[:, : n - 1],
-            c=rest[:, n - 1 :: 2],
-            d=rest[:, n::2],
-            residual=np.abs(df).max(axis=-1, initial=0.0),
-            solution_space_dim=self.row_count - self.rank,
-        )
+        rest, residual = w[:, 1:], np.abs(df).max(axis=-1, initial=0.0)
+        b, c, d = rest[:, : n - 1], rest[:, n - 1 :: 2], rest[:, n::2]
+        return MultiplierSet(1.0, w[:, :1], b, c, d, residual, self.row_count - self.rank)
 
     def restricted_hessian(self, mult: MultiplierSet, basis: np.ndarray) -> np.ndarray:
         """X H_f X^T at each point for a stack of tangent bases X (k, d, n^2),
@@ -524,12 +509,6 @@ class MultiplierSet:
 
     def point(self, i: int) -> MultiplierSet:
         """The coefficients of point i of a stack."""
-        return MultiplierSet(
-            a0=self.a0,
-            a=tuple(self.a[i]),
-            b=tuple(self.b[i]),
-            c=tuple(self.c[i]),
-            d=tuple(self.d[i]),
-            residual=float(self.residual[i]),
-            solution_space_dim=int(self.solution_space_dim[i]),
-        )
+        a, b, c, d = (tuple(w[i].tolist()) for w in (self.a, self.b, self.c, self.d))
+        residual, dim = self.residual[i].item(), self.solution_space_dim[i].item()
+        return MultiplierSet(self.a0, a, b, c, d, residual, dim)

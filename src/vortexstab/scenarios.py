@@ -74,13 +74,17 @@ def build_scenario(
     circulations: tuple[float, ...] | None = None,
     positions: tuple[complex, ...] | None = None,
 ) -> Scenario:
-    """Construct one of the named configurations or a custom one.  Only
-    polygon-with-center takes ``m``, and the kinds without a center take no
-    ``gamma``: a kind given an option it does not take raises
-    InvalidArgument."""
+    """Construct one of the named configurations or a custom one.  A kind
+    given an option it does not take raises InvalidArgument: only
+    polygon-with-center takes ``m``, only the kinds with a center ``gamma``,
+    only custom ``positions``, and only custom and equilateral3
+    ``circulations``."""
     if kind in WITHOUT_CENTER:
         _reject_options(kind, gamma=gamma, m=m)
+    elif kind in KINDS:
+        _reject_options(kind, circulations=circulations, positions=positions)
     if kind == "equilateral3":
+        _reject_options(kind, positions=positions)
         circs = circulations if circulations is not None else (1.0, 1.0, 1.0)
         if len(circs) != 3:
             raise UnsupportedScenario("equilateral3 takes exactly 3 circulations")

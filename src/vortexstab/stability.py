@@ -23,9 +23,11 @@ with ``circ`` a sequence of k circulation sets that share N and the regime
 length k, and a check that raises does so when it fails at any point.  In
 place of the point or stack, a stage takes the :class:`LocalModel` of one,
 and reads what an earlier stage computed on it; ``circ`` then only says
-whether one point or a stack is asked for.  The model evaluates the
-open-set test and the multipliers' feasibility test once, and the stages
-read that evaluation.
+whether one point or a stack is asked for.  A model marked ``screened``
+(all its points pass the fixed-point, open-set and stratum checks) or
+``independent`` by the certificate is not checked again for what the mark
+says, nor are the own tangent bases of an independent one: the rank test
+passed on finite R and Q, so B = (R^-1 Q_1)^T T is finite.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ def linearize(
     meaningful in every direction, from the Jacobian (see :func:`_stacked`).
     """
     reduced = local_model(mu0, circ)
-    fixed = np.all(reduced.residual < FP_TOL * reduced.scale)
+    fixed = reduced.screened or (reduced.residual < FP_TOL * reduced.scale).all()
     if not fixed:
         worst = float(reduced.residual.max(initial=0.0))
         warnings.warn(
@@ -127,7 +129,7 @@ def linearize(
     if basis is None:
         return _per_point(circ, reduced.linearize())
     basis = _stacked(reduced, circ, basis)
-    if fixed and not reduced.off_stratum.any():
+    if fixed and (reduced.screened or not reduced.off_stratum.any()):
         with suppress(InvalidArgument):  # but for a basis off the leaf
             return _per_point(circ, reduced.leaf_operator(basis))
     return _per_point(circ, basis @ reduced.linearize() @ basis.swapaxes(-1, -2))
@@ -143,8 +145,8 @@ def spectrum(a: np.ndarray) -> np.ndarray:
         ev = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    order = np.lexsort((ev.imag, ev.real), axis=-1)
-    return np.take_along_axis(ev, order, axis=-1)
+    # numpy orders complex values by real part, then imaginary part, NaN last
+    return np.sort(ev, axis=-1, kind="stable")
 
 
 @dataclass(frozen=True)
@@ -165,10 +167,11 @@ def independence_check(
     Raises NotInOpenSet where mu0 has a vanishing entry, and NotRankOne where
     M = -i mu0 is not z z^* to RANK_THRESHOLD of its largest entry.
     """
-    if not np.all(mu0.inside if isinstance(mu0, LocalModel) else in_open_set(mu0)):
+    screened = isinstance(mu0, LocalModel) and mu0.screened
+    if not (screened or np.all(mu0.inside if isinstance(mu0, LocalModel) else in_open_set(mu0))):
         raise NotInOpenSet("mu0 has a vanishing entry")
     model = local_model(mu0, circ)
-    off = np.flatnonzero(model.off_stratum)
+    off = () if screened else model.off_stratum.nonzero()[0]
     if len(off):
         raise _not_rank_one(model, int(off[0]))
     expected = model.row_count
@@ -205,7 +208,7 @@ def tangent_basis(
     """Orthonormal basis (rows) of the tangent space of the joint level set."""
     model = local_model(mu0, circ)
     rows = model.row_count
-    if np.any(model.rank != rows):
+    if not model.independent and (model.rank != rows).any():
         nullity = model.n**2 - int(model.rank.min())
         raise RankDeficiency(
             f"nullity {nullity}, expected {model.n**2 - rows} (gradients not independent)"
@@ -227,7 +230,7 @@ def restricted_hessian(
     restricted = model.restricted_hessian(mult, basis)
     scale = np.maximum(1.0, np.abs(restricted).max(axis=(-2, -1), initial=0.0))
     asym = np.abs(restricted - restricted.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-    if np.any(asym > 1e-10 * scale):
+    if (asym > 1e-10 * scale).any():
         raise ValueError(f"restricted Hessian asymmetric by {asym.max():.3e}")
     return _per_point(circ, 0.5 * (restricted + restricted.swapaxes(-1, -2)))
 
@@ -235,10 +238,13 @@ def restricted_hessian(
 def _stacked(model: LocalModel, circ, basis) -> np.ndarray:
     """A basis per point of the model's stack, (k, d, n^2), from one (d, n^2)
     for one point or k for a stack; DimensionMismatch for another shape,
-    InvalidArgument for a basis that is not finite."""
+    InvalidArgument for a basis that is not finite; the own bases of a model
+    marked independent as they are."""
+    one = isinstance(circ, Circulations)
+    if model.independent and not one and basis is model.basis:
+        return basis
     basis = np.asarray(basis, dtype=float)
     k, width = len(model.circs), model.n**2
-    one = isinstance(circ, Circulations)
     stacked = np.broadcast_to(basis, (k,) + basis.shape) if one else basis
     if stacked.ndim != 3 or stacked.shape[::2] != (k, width):
         raise DimensionMismatch(f"basis shape {basis.shape}: rows of {width}, one basis per point")
@@ -278,22 +284,22 @@ def sylvester_verdict(hessian: np.ndarray) -> SylvesterResult:
     lead = np.sign(stack[:, :1, 0]) if d else np.zeros((len(stack), 1))
     tol = PIVOT_TOL * np.abs(stack).max(axis=(-2, -1), initial=0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pivots = np.full(stack.shape[:-1], np.nan)
+        pivots = _ldl_pivots(stack) if d < CHOLESKY_ORDER else np.full(stack.shape[:-1], np.nan)
         if d >= CHOLESKY_ORDER:
             for i, scaled in enumerate(lead[..., None] * stack):
                 try:
                     pivots[i] = lead[i] * np.diagonal(np.linalg.cholesky(scaled)) ** 2
                 except np.linalg.LinAlgError:
                     pass
-        eliminate = ~(pivots * lead > tol[:, None]).all(axis=-1)
-        if eliminate.any():
-            pivots[eliminate] = _ldl_pivots(stack[eliminate])
+            eliminate = ~(pivots * lead > tol[:, None]).all(axis=-1)
+            if eliminate.any():
+                pivots[eliminate] = _ldl_pivots(stack[eliminate])
         # the leading pivots of the first one's sign beyond tol
-        good = np.cumprod(pivots * lead > tol[:, None], axis=-1).sum(axis=-1)
+        good = (pivots * lead > tol[:, None]).cumprod(axis=-1).sum(axis=-1)
     definite = (good == d) & (d > 0)
     sign = np.where(definite, lead[:, 0], 0).astype(int)
     wrong_minor = np.where(definite | (d == 0), 0, good + 1)
-    minors = np.cumprod(pivots, axis=-1)
+    minors = pivots.cumprod(axis=-1)
     if h.ndim == 2:
         return SylvesterResult(int(sign[0]), tuple(minors[0].tolist()), int(wrong_minor[0]))
     shape = h.shape[:-2]
@@ -304,15 +310,14 @@ def sylvester_verdict(hessian: np.ndarray) -> SylvesterResult:
 
 def _ldl_pivots(h: np.ndarray) -> np.ndarray:
     """The pivots of one unpivoted LDL^T elimination of each matrix of a
-    stack.  Every step is an elementwise operation on one matrix's entries,
-    so a matrix gets the same pivots, bit for bit, in any stack."""
+    stack, the diagonal it leaves.  Every step is an elementwise operation on
+    one matrix's entries, so a matrix gets the same pivots, bit for bit, in
+    any stack."""
     a = h.copy()
-    pivots = np.empty(h.shape[:-1])
-    for j in range(h.shape[-1]):
-        pivots[..., j] = p = a[..., j, j]
-        col = a[..., j + 1 :, j] / p[..., None]
+    for j in range(h.shape[-1] - 1):
+        col = a[..., j + 1 :, j] / a[..., j, j, None]
         a[..., j + 1 :, j + 1 :] -= col[..., :, None] * a[..., None, j, j + 1 :]
-    return pivots
+    return a.diagonal(axis1=-2, axis2=-1).copy()
 
 
 class Verdict(enum.Enum):
@@ -358,8 +363,8 @@ def energy_casimir_certificate(
     """
     circs = _circulation_sets(circ)
     results: list[CertificateResult | VortexStabError | None] = [None] * len(circs)
-    rows = np.arange(len(circs))
-    while len(rows):
+    rows = list(range(len(circs)))
+    while rows:
         try:
             part = mu0.take(rows)
             for i, res in zip(rows, _certify(part, tuple([circs[i] for i in rows]))):
@@ -369,8 +374,7 @@ def energy_casimir_certificate(
             # a point outside the Hamiltonian's domain, or with a coupling
             # matrix singular to working precision, fails the model of its
             # whole stack: it is set aside, and the rest stay one stack
-            results[rows[exc.sample]] = exc
-            rows = np.delete(rows, exc.sample)
+            results[rows.pop(exc.sample)] = exc
     if isinstance(circ, Circulations):
         if isinstance(results[0], VortexStabError):
             raise results[0]
@@ -388,48 +392,48 @@ def stack_size(n: int) -> int:
 def _certify(
     mu0: MuMatrix, circs: tuple[Circulations, ...]
 ) -> list[CertificateResult | VortexStabError]:
-    """The certificate at each point of a stack: one model of the stack is
-    handed to every stage, narrowed with :meth:`LocalModel.take` to the rows
-    the stage still has to decide."""
+    """The certificate at each point of a stack, from one model handed to
+    every stage and narrowed (:meth:`LocalModel.take`) to the points that
+    pass the checks, then to those with independent and with dependent
+    differentials.  Each result is built from per-stack lists."""
     results: list[CertificateResult | VortexStabError | None] = [None] * len(circs)
     model = local_model(mu0, circs)
     check = is_fixed_point(model, circs)
-    inside = model.inside
-    for i in np.flatnonzero(~check.ok):
-        results[i] = NotAFixedPoint(f"residual {check.residual[i]:.3e}")
-    for i in np.flatnonzero(check.ok & ~inside):
-        results[i] = NotInOpenSet("mu0 has a vanishing entry")
-    off = check.ok & inside & model.off_stratum
-    for i in np.flatnonzero(off):
-        results[i] = _not_rank_one(model, int(i))
-    at = np.flatnonzero(check.ok & inside & ~off)  # the stack rows of the model's points
+    inside, residual = model.inside, check.residual.tolist()
+    screened = check.ok & inside & ~model.off_stratum
+    for i in (~screened).nonzero()[0].tolist():
+        if not check.ok[i]:
+            results[i] = NotAFixedPoint(f"residual {residual[i]:.3e}")
+        elif not inside[i]:
+            results[i] = NotInOpenSet("mu0 has a vanishing entry")
+        else:
+            results[i] = _not_rank_one(model, i)
+    at = screened.nonzero()[0]  # the stack rows of the model's points
     if not len(at):
         return results
     model = model.take(at)
+    model.screened = True
     indep = independence_check(model, model.circs)
     for independent in (True, False):
-        rows = np.flatnonzero(indep.independent == independent)
+        rows = (indep.independent == independent).nonzero()[0]
         if not len(rows):
             continue
         part = model.take(rows)
+        part.independent = independent
         basis = tangent_basis(part, part.circs) if independent else None
         lin = linearize(part, part.circs, basis)
         ev = spectrum(lin)
         # a zero-dimensional leaf (n = 1) has an empty spectrum
         max_re = ev.real.max(axis=-1, initial=0.0)
-        unstable = max_re > SPEC_TOL * np.linalg.norm(lin, axis=(-2, -1))
-        undecided = np.flatnonzero(~unstable) if independent else np.array([], dtype=int)
-        outcome = _energy_casimir(part, undecided)
-        for r, i in enumerate(at[rows]):
-            common = {"spectrum": ev[r], "residual": float(check.residual[i])}
-            dependent = (
-                ""
-                if independent
-                else f"differentials not independent (rank {indep.rank[rows[r]]} < "
-                f"{indep.expected}); full n^2 spectrum"
-            )
+        unstable = max_re > SPEC_TOL * np.sqrt(np.add.reduce(lin * lin, axis=(-2, -1)))
+        outcome = _energy_casimir(part, (~unstable).nonzero()[0]) if independent else {}
+        max_re, unstable, ranks = max_re.tolist(), unstable.tolist(), indep.rank[rows].tolist()
+        for r, i in enumerate(at[rows].tolist()):
+            common = {"spectrum": ev[r], "residual": residual[i]}
+            dependent = "" if independent else _dependent(ranks[r], indep.expected)
             if unstable[r]:
-                reason = "; ".join(filter(None, (f"max Re lambda = {max_re[r]:.6e}", dependent)))
+                growth = f"max Re lambda = {max_re[r]:.6e}"
+                reason = f"{growth}; {dependent}" if dependent else growth
                 results[i] = CertificateResult(Verdict.LINEARLY_UNSTABLE, reason=reason, **common)
             elif dependent:
                 results[i] = CertificateResult(Verdict.INCONCLUSIVE, reason=dependent, **common)
@@ -439,37 +443,41 @@ def _certify(
 
 
 def _energy_casimir(model: LocalModel, rows: np.ndarray) -> dict[int, dict]:
-    """One definiteness test of the restricted Hessian for a0 = +1: per row,
-    the fields of its certified-stable or inconclusive result."""
+    """One definiteness test of the restricted Hessian for a0 = +1 on the
+    model narrowed to ``rows``: per row, the fields of its certified-stable
+    or inconclusive result, with the signs applied to the whole stack."""
     if not len(rows):
         return {}
     part = model.take(rows)
-    residual, infeasible = part.multipliers.residual, _infeasible_points(part)
-    outcome = {
-        int(r): dict(verdict=Verdict.INCONCLUSIVE, reason=_infeasible(worst))
-        for r, worst in zip(rows[infeasible], residual[infeasible])
-    }
-    if infeasible.all():
-        return outcome
-    part, rows = part.take(np.flatnonzero(~infeasible)), rows[~infeasible]
+    infeasible, outcome = _infeasible_points(part), {}
+    if infeasible.any():
+        worst = part.multipliers.residual[infeasible].tolist()
+        for r, residual in zip(rows[infeasible].tolist(), worst):
+            outcome[r] = dict(verdict=Verdict.INCONCLUSIVE, reason=_infeasible(residual))
+        if infeasible.all():
+            return outcome
+        part, rows = part.take((~infeasible).nonzero()[0]), rows[~infeasible]
     mult = solve_multiplier_system(part, part.circs, a0=1.0)
     rh = restricted_hessian(part, part.circs, mult, part.basis)
     syl = sylvester_verdict(rh)
-    negated = mult.negated()
-    d = rh.shape[-1]
-    order = np.arange(1, d + 1)
-    for j, r in enumerate(rows.tolist()):
-        s = int(syl.sign[j])
+    d, sign = rh.shape[-1], syl.sign[:, None]
+    # a0 = s scales the multipliers (negates them for s = -1) and the
+    # Hessian by s, minor j by s^j
+    minors, hessians = (sign ** np.arange(1, d + 1) * syl.minors).tolist(), sign[..., None] * rh
+    a, b, c, dd = [np.where(sign < 0, -w, w).tolist() for w in (mult.a, mult.b, mult.c, mult.d)]
+    residual, dim = mult.residual.tolist(), mult.solution_space_dim.tolist()
+    wrong = syl.wrong_minor.tolist()
+    for j, (r, s) in enumerate(zip(rows.tolist(), sign[:, 0].tolist())):
         if not s:
-            reason = _not_definite(syl.wrong_minor[j], d)
-            outcome[r] = dict(verdict=Verdict.INCONCLUSIVE, reason=reason)
+            outcome[r] = dict(verdict=Verdict.INCONCLUSIVE, reason=_not_definite(wrong[j], d))
             continue
-        # a0 = s scales the multipliers and the Hessian by s, minor i by s^i
         outcome[r] = dict(
             verdict=Verdict.CERTIFIED_STABLE,
-            multipliers=(mult if s > 0 else negated).point(j),
-            restricted_hessian=s * rh[j],
-            minors=tuple((s**order * syl.minors[j]).tolist()),
+            multipliers=MultiplierSet(
+                float(s), tuple(a[j]), tuple(b[j]), tuple(c[j]), tuple(dd[j]), residual[j], dim[j]
+            ),
+            restricted_hessian=hessians[j],
+            minors=tuple(minors[j]),
         )
     return outcome
 
@@ -488,6 +496,10 @@ def _infeasible_points(model: LocalModel) -> np.ndarray:
         scale = np.abs(model.energy_gradient).max(axis=-1, initial=0.0)
         model.infeasible = model.multipliers.residual > MULTIPLIER_TOL * scale
     return model.infeasible
+
+
+def _dependent(rank: int, expected: int) -> str:
+    return f"differentials not independent (rank {rank} < {expected}); full n^2 spectrum"
 
 
 def _infeasible(residual: float) -> str:

@@ -45,6 +45,7 @@ from vortexstab.errors import (
     Infeasible,
     InvalidArgument,
     NotAFixedPointWarning,
+    VortexStabError,
 )
 from vortexstab.hamiltonian import (
     FOUR_PI,
@@ -57,6 +58,7 @@ from vortexstab.localmodel import LocalModel, local_model
 from vortexstab.report import analyze, gamma_sweep
 from vortexstab.scenarios import build_scenario, scenario_fixed_point
 from vortexstab.stability import (
+    energy_casimir_certificate,
     independence_check,
     linearize,
     restricted_hessian,
@@ -66,15 +68,15 @@ from vortexstab.stability import (
 )
 
 
-def load_oracles():
-    path = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
-    spec = importlib.util.spec_from_file_location("bench_oracles", path)
+def load_bench_module(name):
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-oracles = load_oracles()
+oracles = load_bench_module("oracles")
 
 # n = 2..6, both circulation regimes (a center of -m makes the total zero)
 LEAF_CASES = [
@@ -401,7 +403,7 @@ class TestCertificateFunction:
         mu0, circ = fixed_point("triangle-with-center", NEAR_ZERO_TOTAL[1])
         model = local_model(mu0, circ)
         assert model.rank[0] == 4
-        own, tangent, c1 = model.basis[0], model._factors[3][0], model.casimirs[0, 0]
+        own, tangent, c1 = model.basis[0], model._frame[0][0], model.casimirs[0, 0]
         extra = tangent[0] - (tangent[0] @ own.T) @ own
         extra /= np.linalg.norm(extra)
         assert 1e-11 < abs(extra @ c1) / np.linalg.norm(c1) < 1e-10
@@ -459,7 +461,75 @@ NEAR_ZERO_TOTAL = (-3.0 - 1e-9, -3.0 - 1e-10)
 ABOVE_ZERO_TOTAL = (-3.0 + 1e-10, -3.0 + 1e-9)
 
 
+# the traced names of the certificate's layers that one sweep-paper operation
+# (13 triangle points, one stack) and one certify-large analyze each call
+# once; they call the other traced names of these layers not at all
+CERTIFICATE_LAYERS = ("stability", "constraints", "hamiltonian")
+TRACED_ONCE_PER_STACK = (
+    "constraints.ConstraintSystem.jacobian",
+    "hamiltonian.ReducedHamiltonian.gradient",
+    "hamiltonian.ReducedHamiltonian.hessian",
+    "stability.energy_casimir_certificate",
+    "stability.independence_check",
+    "stability.linearize",
+    "stability.restricted_hessian",
+    "stability.solve_multiplier_system",
+    "stability.spectrum",
+    "stability.sylvester_verdict",
+    "stability.tangent_basis",
+)
+
+
+def count_traced_calls(monkeypatch, run):
+    """Calls of each name of the benchmark's TRACED list in the certificate's
+    layers during ``run``, after one run that is not counted, each name
+    replaced the way the benchmark's tracer replaces it."""
+    calls = {}
+
+    def counting(fn, name):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    modules = [m for k, m in sys.modules.items() if k.startswith("vortexstab.")]
+    for target in load_bench_module("tracing").TRACED:
+        if target[0] not in CERTIFICATE_LAYERS:
+            continue
+        name, owner = ".".join(target), sys.modules[f"vortexstab.{target[0]}"]
+        calls[name] = 0
+        if len(target) == 3:
+            cls = getattr(owner, target[1])
+            monkeypatch.setattr(cls, target[2], counting(getattr(cls, target[2]), name))
+            continue
+        fn = getattr(owner, target[1])
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting(fn, name))
+    run()
+    calls.update(dict.fromkeys(calls, 0))
+    run()
+    return calls
+
+
 class TestCertificateWork:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: gamma_sweep("triangle-with-center", -5.0, 1.48, 0.54),
+            lambda: analyze(build_scenario("polygon-with-center", gamma=20.0, m=20)),
+        ],
+        ids=["sweep-paper", "certify-large"],
+    )
+    def test_each_traced_layer_runs_once_per_stack(self, run, monkeypatch):
+        # the traced per-layer metrics (candidates, Jacobian and gradient
+        # calls per verdict) divide by these counts
+        calls = count_traced_calls(monkeypatch, run)
+        expected = {name: int(name in TRACED_ONCE_PER_STACK) for name in calls}
+        assert len(calls) == 15 and calls == expected
+
     def test_certified_large_analyze_factors_nothing_wider_than_2n(self, monkeypatch):
         calls = {
             "qr": [], "solve": [], "cholesky": [], "svd": [], "lstsq": [], "pinv": [], "eigvals": []
@@ -1133,7 +1203,7 @@ class TestLeafFactors:
         for mu0, circ in self.points():
             model = local_model(mu0, circ)
             rows, _ = dphi_rows(model)
-            r = model._factors[4]
+            r = model._frame[1]
             householder = np.linalg.qr(rows.swapaxes(-1, -2), mode="r")
             assert np.all(np.diagonal(r, axis1=-2, axis2=-1) > 0)
             gap = np.abs(np.abs(r) - np.abs(householder)).max() / np.abs(r).max()
@@ -1331,3 +1401,86 @@ def test_band_edges_are_certified_exactly_where_the_energy_momentum_test_is_defi
         verdicts, disagree, worst_fit = energy_momentum_verdicts(points)
         assert disagree == [] and worst_fit <= 1e-12
         assert verdicts == {verdict}
+
+
+def result_bytes(res):
+    """A certificate result as exact values: each float by its hex form with
+    its type, each array by its dtype, shape and bytes; an error by its type
+    and text."""
+    if isinstance(res, VortexStabError):
+        return type(res), str(res)
+
+    def exact(values):
+        return None if values is None else [(type(x), float(x).hex()) for x in values]
+
+    def array(a):
+        return None if a is None else (a.dtype, a.shape, a.tobytes())
+
+    mult = res.multipliers
+    if mult is not None:
+        mult = (
+            [exact(w) for w in ((mult.a0,), mult.a, mult.b, mult.c, mult.d, (mult.residual,))],
+            type(mult.solution_space_dim),
+            mult.solution_space_dim,
+        )
+    # eigvals gives a stack complex values when one of its points has a
+    # complex eigenvalue, and a point alone real ones when all of its are
+    return (
+        res.verdict,
+        res.reason,
+        exact([res.residual]),
+        array(res.spectrum.astype(complex)),
+        mult,
+        exact(res.minors),
+        array(res.restricted_hessian),
+        array(res.tangent_basis),
+    )
+
+
+def family_stacks():
+    """The sweep-paper grids (step 0.02) as certificate stacks of one N and
+    regime, and a triangle stack that mixes dependent points (gamma =
+    -3 +- 1e-9) with independent ones."""
+    grids = [
+        (kind, [round(lo + 0.02 * i, 12) for i in range(int(round((hi - lo) / 0.02)) + 1)])
+        for kind, lo, hi in PAPER_FAMILIES
+    ]
+    grids.append(("triangle-with-center", [-3.1, -3.0 - 1e-9, -3.0, -3.0 + 1e-9, -2.9]))
+    stacks = []
+    for kind, gammas in grids:
+        groups = {}
+        for g in gammas:
+            if g != 0.0:
+                scen = build_scenario(kind, gamma=g)
+                groups.setdefault(scen.circ.regime, []).append(scen)
+        for scens in groups.values():
+            stacks.append((scenario_fixed_point(scens), [s.circ for s in scens]))
+    return stacks
+
+
+class TestWholeResults:
+    def test_a_point_gets_the_same_result_alone_and_in_a_stack(self):
+        # the certificate assembles each result from per-stack arrays: every
+        # field, the multipliers' element types included, is the one-point
+        # certificate's, bit for bit
+        stacks = [(model.mu0, model.circs) for model in mixed_stacks()] + family_stacks()
+        reasons = set()
+        for mu0, circs in stacks:
+            stacked = energy_casimir_certificate(mu0, circs)
+            for i, res in enumerate(stacked):
+                try:
+                    alone = energy_casimir_certificate(MuMatrix(mu0.entries[i]), circs[i])
+                except VortexStabError as exc:
+                    alone = exc
+                assert result_bytes(res) == result_bytes(alone), (circs[i].gammas, i)
+                if not isinstance(res, VortexStabError):
+                    cause = res.reason.split(" (")[0].split(":")[0].split(" =")[0]
+                    reasons.add((res.verdict.value, cause))
+        # every path of the assembly: linearly unstable, inconclusive by a
+        # minor and by dependent differentials, and certified
+        assert reasons == {
+            ("certified-stable", ""),
+            ("linearly-unstable", "max Re lambda"),
+            ("inconclusive", "restricted Hessian not definite"),
+            ("inconclusive", "differentials not independent"),
+        }

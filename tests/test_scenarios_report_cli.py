@@ -107,15 +107,41 @@ class TestBuildScenario:
             ("custom", CUSTOM, "m"),
             ("equilateral3", {}, "gamma"),
             ("custom", CUSTOM, "gamma"),
+            ("triangle-with-center", {"gamma": 1.0}, "circulations"),
+            ("triangle-with-center", {"gamma": 1.0}, "positions"),
+            ("square-with-center", {"gamma": 1.0}, "circulations"),
+            ("square-with-center", {"gamma": 1.0}, "positions"),
+            ("polygon-with-center", {"gamma": 1.0, "m": 5}, "circulations"),
+            ("polygon-with-center", {"gamma": 1.0, "m": 5}, "positions"),
+            ("equilateral3", {}, "positions"),
         ],
     )
     def test_an_option_the_kind_does_not_take_is_invalid(self, kind, kwargs, option):
-        # only polygon-with-center has a vertex count, and the kinds without
-        # a center have no gamma
+        # only polygon-with-center has a vertex count, the kinds without a
+        # center have no gamma, and only custom takes positions; the
+        # centered kinds fix their circulations
         build_scenario(kind, **kwargs)
         with pytest.raises(InvalidArgument) as got:
             build_scenario(kind, **kwargs, **{option: 9})
         assert str(got.value) == f"{kind} does not take {option} (got 9)"
+
+    def test_a_centered_kind_does_not_drop_given_circulations_or_positions(self):
+        # these once built the unit square with unit circulations and the
+        # unit triangle, silently
+        with pytest.raises(InvalidArgument, match="does not take circulations"):
+            build_scenario(
+                "square-with-center",
+                gamma=1.0,
+                circulations=(5.0, 5.0, 5.0),
+                positions=(0j, 1, 2j),
+            )
+        with pytest.raises(InvalidArgument, match="does not take positions"):
+            build_scenario("square-with-center", gamma=1.0, positions=(0j, 1, 2j))
+        with pytest.raises(InvalidArgument, match="equilateral3 does not take positions"):
+            build_scenario("equilateral3", circulations=(1.0, 2.0, 3.0), positions=(0j, 1, 2j))
+        # equilateral3 keeps taking its circulations
+        scen = build_scenario("equilateral3", circulations=(1.0, 2.0, 3.0))
+        assert scen.circ.gammas == (1.0, 2.0, 3.0)
 
     def test_center_scenarios_are_fixed_points(self):
         for kind, kwargs in [

@@ -148,6 +148,51 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             spectrum(np.zeros((2, 3)))
 
+    @staticmethod
+    def lexsorted(ev):
+        """The reference order: by real part, then by imaginary part."""
+        return np.take_along_axis(ev, np.lexsort((ev.imag, ev.real), axis=-1), axis=-1)
+
+    def test_order_is_the_lexsort_of_real_then_imaginary_parts(self):
+        rng = np.random.default_rng(34)
+        # random real matrices have conjugate pairs; the blocks give ties:
+        # repeated real eigenvalues, repeated pairs, and pairs +-2i whose
+        # real parts are +0.0 and -0.0
+        turn = np.array([[0.0, -2.0], [2.0, 0.0]])
+        blocks = np.zeros((4, 4, 4))
+        blocks[0, :2, :2] = blocks[0, 2:, 2:] = turn
+        blocks[1, :2, :2], blocks[1, 2:, 2:] = turn, [[-0.0, 2.0], [-2.0, -0.0]]
+        blocks[2] = np.diag([1.0, -1.0, 1.0, -1.0])
+        stacks = [rng.standard_normal((25, d, d)) for d in range(1, 7)]
+        stacks += [blocks, np.zeros((3, 0, 0)), np.zeros((0, 0))]
+        # an eigenvalue that overflows to infinity
+        stacks.append(np.full((2, 2), 1e308))
+        signed_zero = False
+        for a in stacks:
+            got, expected = spectrum(a), self.lexsorted(np.linalg.eigvals(a))
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+            signed_zero |= bool((np.signbit(got.real) & (got.real == 0)).any())
+        assert signed_zero
+
+    def test_nan_and_infinite_eigenvalues_take_the_lexsort_order(self, monkeypatch):
+        # eigvals refuses a matrix that is not finite, so these are made up,
+        # in the forms a real matrix's eigenvalues take: real values and
+        # conjugate pairs.  (A finite real part with a NaN imaginary part
+        # would sort after every value with a finite one.)
+        nan, inf = np.nan, np.inf
+        made_up = [
+            np.array([[nan, 1.0, -inf, 0.0, -0.0, inf, 1.0]]),
+            np.array(
+                [[complex(nan, 2), 1 + 0j, complex(nan, -2), nan + 0j, complex(nan, nan), -1j, 1j]]
+            ),
+            np.array([[complex(inf, 1), complex(inf, -1), complex(-0.0, 0), 0j, complex(-inf, 0)]]),
+        ]
+        for ev in made_up:
+            monkeypatch.setattr(np.linalg, "eigvals", lambda a, ev=ev: ev.copy())
+            got = spectrum(np.zeros((1,) + (ev.shape[-1],) * 2))
+            assert got.tobytes() == self.lexsorted(ev).tobytes()
+
 
 class TestIndependence:
     def test_single_casimir_independent(self):
