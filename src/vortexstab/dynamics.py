@@ -6,18 +6,18 @@ and system, on the last few sets), with the circulation-only constants
 folded into constant matrices.  Both act on real state vectors: the
 (re, im) pairs of the entries of mu, or of the positions, so a stage makes
 no coordinate gathers.  The memoised operators hold only those constants,
-read-only; ``stages`` allocates the buffers of one run (the products, the
-reciprocals, the complex views of the stage inputs) and returns its stage,
-which writes each numpy call of the formula into them with ``out=``.  The
-domain test (collision, or the reduced Hamiltonian's log-argument floor)
-keeps one row per stage input and runs once, in the stage of the last
-input, over every row in input order and before that stage's reciprocal:
-once per RK4 step, and before the one division of a one-shot call.  The
-reduced stage takes (1/s) Rk as one real product.  An RK4 step keeps its
-state and its four stages as the rows of one buffer, and writes each stage
-input and the next state as one product of a constant weight row with those
-rows.  The public :func:`lie_poisson_vector_field` and
-:func:`full_vector_field` run the same stage, with buffers of their own.
+read-only; ``stages(inputs, outputs)`` allocates the buffers of one run (the
+products, the reciprocals, the complex views of the stage inputs) and binds
+one stage to each input, which writes each numpy call of the formula into
+those buffers with ``out=`` (see :class:`_Field`).  The domain test
+(collision, or the reduced Hamiltonian's log-argument floor) keeps one row
+per stage input and runs once, in the last input's stage, over every row in
+input order and before that stage's reciprocal.  The reduced stage takes
+(1/s) Rk as one real product.  An RK4 step keeps its state and its four
+stages as the rows of one buffer, and writes each stage input and the next
+state as one product of a constant weight row with those rows.  The public
+:func:`lie_poisson_vector_field` and :func:`full_vector_field` run the same
+stage as a one-input run, with buffers of their own.
 """
 
 from __future__ import annotations
@@ -107,14 +107,20 @@ class Which(enum.Enum):
 
 
 class _Field:
-    """A memoised right-hand side: constant folds only.  ``stages(inputs)``
-    allocates the buffers of one run and returns its stage function; a call
-    evaluates one state with buffers of its own."""
+    """A memoised right-hand side: constant folds only.  ``stages(inputs,
+    outputs)`` allocates the buffers of one run and returns one stage per
+    input: called without arguments, stage k writes the field at inputs[k]
+    (pairs, all of one shape) into outputs[k].  A stage's arrays and
+    callables are its default arguments, bound when the run starts, and it
+    does not branch; the last input's stage gathers through ``checked``,
+    which tests the rows of all inputs in order, raising for the first that
+    fails, before that stage's reciprocal.  So an RK4 step checks once, and
+    a call (one state, as a one-input run) checks before it divides."""
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """The field at the (contiguous) pairs x, one vector or a stack."""
         out = np.empty(x.shape)
-        self.stages((x,))(0, out)
+        self.stages((x,), (out,))[0]()
         return out
 
 
@@ -142,15 +148,14 @@ class _FullField(_Field):
         for a in (self._incidence, self._coupling):
             a.setflags(write=False)
 
-    def stages(self, inputs: Sequence[np.ndarray]) -> Callable[[int, np.ndarray], None]:
-        """``stage(i, out)`` writes the velocities at positions inputs[i]
-        (pairs, all of one shape) into ``out``.  The pairs of conj(d) keep
-        one row per input; the stage of the last input takes |d| of every
-        row and, before its reciprocal, raises Collision for the first row
-        in input order with two vortices within COLLISION_TOL (read at that
-        call), so an RK4 step checks once and a one-shot call checks before
-        it divides.  The rows of conj(d) and of |d|, and 1/conj(d), are
-        buffers of this run."""
+    def stages(
+        self, inputs: Sequence[np.ndarray], outputs: Sequence[np.ndarray]
+    ) -> list[Callable[[], None]]:
+        """Stages of the velocities at the positions.  The pairs of conj(d)
+        keep one row per input; ``checked`` takes |d| of every row and
+        raises Collision for the first row with two vortices within
+        COLLISION_TOL (read at that call).  The rows of conj(d) and of |d|,
+        and 1/conj(d), are buffers of this run."""
         incidence, coupling = self._incidence, self._coupling
         conj_pairs = np.empty((len(inputs),) + inputs[0].shape[:-1] + (incidence.shape[1],))
         conj_d = conj_pairs.view(complex)
@@ -158,21 +163,32 @@ class _FullField(_Field):
         inverse_pairs = np.empty(conj_pairs.shape[1:])
         inverse = inverse_pairs.view(complex)
         last = len(inputs) - 1
+        dot = inputs[last].dot
 
-        def stage(i: int, out: np.ndarray) -> None:
-            inputs[i].dot(incidence, out=conj_pairs[i])
-            if i == last:
-                np.abs(conj_d, out=size)
-                # min(), without its Python wrapper; a NaN row is not a collision
-                if not size.item(size.argmin()) > COLLISION_TOL:
-                    for row in size:
-                        nearest = row.item(row.argmin())
-                        if nearest <= COLLISION_TOL:
-                            raise Collision(f"minimum vortex separation {nearest:.3e}")
-            np.reciprocal(conj_d[i], out=inverse)
-            inverse_pairs.dot(coupling, out=out)
+        def checked(matrix, out):
+            """The last input's gather, then the collision test of every row."""
+            dot(matrix, out=out)
+            np.abs(conj_d, out=size)
+            # min(), without its Python wrapper; a NaN row is not a collision
+            if not size.item(size.argmin()) > COLLISION_TOL:
+                for row in size:
+                    nearest = row.item(row.argmin())
+                    if nearest <= COLLISION_TOL:
+                        raise Collision(f"minimum vortex separation {nearest:.3e}")
 
-        return stage
+        stages = []
+        for k in range(len(inputs)):
+            def stage(
+                gather=inputs[k].dot if k < last else checked, pairs=conj_pairs[k],
+                d=conj_d[k], out=outputs[k], incidence=incidence, coupling=coupling,
+                reciprocal=np.reciprocal, inverse=inverse, scatter=inverse_pairs.dot,
+            ):
+                gather(incidence, out=pairs)
+                reciprocal(d, out=inverse)
+                scatter(coupling, out=out)
+
+            stages.append(stage)
+        return stages
 
 
 class _ReducedField(_Field):
@@ -212,18 +228,17 @@ class _ReducedField(_Field):
         for a in (self._fm, self._rk, self._skew):
             a.setflags(write=False)
 
-    def stages(self, inputs: Sequence[np.ndarray]) -> Callable[[int, np.ndarray], None]:
-        """``stage(i, out)`` writes the pairs of X_h = A^H - A,
-        A = mu (dh/dmu) K^-1, at the (contiguous) pairs inputs[i] (all of
-        one shape) into ``out``.  s keeps one row per input; the stage of the
-        last input, before its reciprocal, raises DomainError for the first
-        row in input order with a log argument at or below LOG_FLOOR (read
-        at that call), so an RK4 step checks once and a one-shot call checks
-        before it divides.  (1/s) Rk is one real product with the (re, im)
-        pairs of Rk.  X_h is skew-Hermitian to the last bit: each of its
-        pairs is a sum of two terms, or twice one.  The rows of s, 1/s,
-        G = (1/s) Rk with its pairs and (n, n) view, A with its pairs, and
-        the complex (n, n) view of each input are buffers of this run."""
+    def stages(
+        self, inputs: Sequence[np.ndarray], outputs: Sequence[np.ndarray]
+    ) -> list[Callable[[], None]]:
+        """Stages of the pairs of X_h = A^H - A, A = mu (dh/dmu) K^-1.  s
+        keeps one row per input; ``checked`` raises DomainError for the
+        first row with a log argument at or below LOG_FLOOR (read at that
+        call).  (1/s) Rk is one real product with the (re, im) pairs of Rk.
+        X_h is skew-Hermitian to the last bit: each of its pairs is a sum of
+        two terms, or twice one.  The rows of s, 1/s, G = (1/s) Rk with its
+        pairs and (n, n) view, A with its pairs, and the complex (n, n) view
+        of each input are buffers of this run."""
         fm, rk, skew, n = self._fm, self._rk.view(float), self._skew, self._n
         lead = inputs[0].shape[:-1]
         s = np.empty((len(inputs),) + lead + fm.shape[1:])
@@ -232,27 +247,37 @@ class _ReducedField(_Field):
         g_pairs, g_matrices = g.view(float), g.reshape(lead + (n, n))
         a = np.empty(lead + (n, n), dtype=complex)
         a_pairs = a.view(float).reshape(inputs[0].shape)
-        # per input: its row of s, and mu G as the 2-D dot of its (n, n)
-        # view, or a matmul of a stack
-        matrices = (x.view(complex).reshape(lead + (n, n)) for x in inputs)
-        per_input = [
-            (s[k], m.dot if not lead else partial(np.matmul, m)) for k, m in enumerate(matrices)
-        ]
         last = len(inputs) - 1
+        dot = inputs[last].dot
 
-        def stage(i: int, out: np.ndarray) -> None:
-            row, product = per_input[i]
-            inputs[i].dot(fm, out=row)
+        def checked(matrix, out):
+            """The last input's gather, then the log-argument test of every row."""
+            dot(matrix, out=out)
             # min(), without its Python wrapper; a NaN row is not checked
-            if i == last and not s.item(s.argmin()) > LOG_FLOOR:
-                for checked in s:
-                    if checked.item(checked.argmin()) <= LOG_FLOOR:
-                        check_arguments(checked)
-            np.reciprocal(row, out=inverse).dot(rk, out=g_pairs)
-            product(g_matrices, out=a)
-            a_pairs.dot(skew, out=out)
+            if not s.item(s.argmin()) > LOG_FLOOR:
+                for row in s:
+                    if row.item(row.argmin()) <= LOG_FLOOR:
+                        check_arguments(row)
 
-        return stage
+        stages = []
+        for k in range(len(inputs)):
+            # mu G as the 2-D dot of the input's (n, n) view, or a matmul of a stack
+            m = inputs[k].view(complex).reshape(lead + (n, n))
+
+            def stage(
+                gather=inputs[k].dot if k < last else checked, row=s[k], out=outputs[k],
+                product=m.dot if not lead else partial(np.matmul, m), fm=fm, rk=rk, skew=skew,
+                reciprocal=np.reciprocal, inverse=inverse, scale=inverse.dot, g_pairs=g_pairs,
+                g_matrices=g_matrices, a=a, mirror=a_pairs.dot,
+            ):
+                gather(fm, out=row)
+                reciprocal(row, out=inverse)
+                scale(rk, out=g_pairs)
+                product(g_matrices, out=a)
+                mirror(skew, out=out)
+
+            stages.append(stage)
+        return stages
 
 
 @lru_cache(maxsize=2 * CIRCULATION_CACHE_SIZE)
@@ -298,11 +323,13 @@ class Trajectory:
 
 def _shapes_and_energy(samples: np.ndarray, circ: Circulations, which: Which):
     """The stack of shape matrices mu, their flattened coordinates and the
-    Hamiltonian of a stack of states (entries of mu, or positions), through
-    the validated public types: a sample that collides, leaves the reduced
-    Hamiltonian's domain or gives a non-skew mu raises."""
+    Hamiltonian of a stack of states (entries of mu, or positions): a sample
+    that collides or leaves the reduced Hamiltonian's domain raises.  The
+    reduced samples are skew-Hermitian to the last bit (RK4 adds skew rows
+    with real weights), so they are not checked again; mu of the positions
+    is, through :func:`moment_map`."""
     if which is Which.REDUCED:
-        mu = MuMatrix(samples)
+        mu = MuMatrix._skew_by_construction(samples)
         coords = flatten(mu)
         return mu, coords, reduced_system(circ).value(coords)
     cfg = VortexConfiguration(samples, circ)
@@ -333,26 +360,29 @@ def integrate(
         (dt/6) k1 + (dt/3) k2 + (dt/3) k3 + (dt/6) k4 + x.
 
     The stage inputs and every array a stage writes are allocated once per
-    run (``stages`` of the memoised operator, which holds only constants), so
-    a stage allocates nothing and two threads may integrate one circulation
-    set at once.  A step is checked once, in its fourth stage, before that
-    stage's reciprocal: the collision or log-argument test runs over the
-    rows of all four stage inputs in order and raises for the first that
-    fails, with the error a stage-by-stage check would raise; the stages
-    that read a failed stage's output run with numpy's floating-point
-    warnings off.  The loop only steps, storing each state.  Afterwards the
-    reduced samples are flattened once, so ``states`` holds flattened
-    coordinates, and the full ones are viewed as complex positions.  The
-    Hamiltonian, the Casimirs C_1..C_n and the sup-norm of the rank-one
-    residual are evaluated over the whole stack of samples, with the checks
-    each sample needs: collision, the reduced Hamiltonian's log-argument
-    floor, a skew-Hermitian mu.  A collision or domain error in a step, or
-    in the check of a sample, truncates the trajectory before the first
-    sample that fails and sets the abort flag; ``abort_reason`` names the
-    error with its step and time.  The run takes round(t_end / dt) steps, so
-    the last sample is at round(t_end / dt) * dt: t_end = 1.0, dt = 0.3 ends
-    at t = 3 dt = 0.9.  An initial state that fails its check raises, and so
-    do (InvalidArgument) a ``which`` that is not a :class:`Which` member, a
+    run, and each stage is bound to its input and output there (``stages``
+    of the memoised operator, which holds only constants), as the weight
+    rows are to their ``dot``: a step looks up no method, allocates nothing,
+    and two threads may integrate one circulation set at once.  A step is
+    checked once, in its fourth stage, before that stage's reciprocal: the
+    collision or log-argument test runs over the rows of all four stage
+    inputs in order and raises for the first that fails, with the error a
+    stage-by-stage check would raise; the stages that read a failed stage's
+    output run with numpy's floating-point warnings off.  The loop only
+    steps, storing each state.  Afterwards the reduced samples are flattened
+    once, so ``states`` holds flattened coordinates, and the full ones are
+    viewed as complex positions.  The Hamiltonian, the Casimirs C_1..C_n and
+    the sup-norm of the rank-one residual are evaluated over the whole stack
+    of samples, with the checks each sample needs: collision, the reduced
+    Hamiltonian's log-argument floor, and a skew-Hermitian mu of the
+    positions (the reduced samples are skew-Hermitian to the last bit).  A
+    collision or domain error in a step, or in the check of a sample,
+    truncates the trajectory before the first sample that fails and sets the
+    abort flag; ``abort_reason`` names the error with its step and time.
+    The run takes round(t_end / dt) steps, so the last sample is at
+    round(t_end / dt) * dt: t_end = 1.0, dt = 0.3 ends at t = 3 dt = 0.9.
+    An initial state that fails its check raises, and so do
+    (InvalidArgument) a ``which`` that is not a :class:`Which` member, a
     t_end or dt that is not positive and finite, a t_end under half a step
     (no step to take), and a step count t_end / dt whose samples cannot be
     allocated.
@@ -396,33 +426,34 @@ def integrate(
     # at the state's, as in the classical combination.  The rows each product
     # reads are views taken once (numpy copies a strided pair before its
     # gemv, the one array a stage input makes); the stage inputs y2..y4 and
-    # the stage's buffers are allocated once per run
+    # the stages' buffers are allocated once per run
     rows = np.empty((5, samples.shape[1]))
     k1, k2, k3, k4, x = rows
     x[:] = samples[0]
     y2, y3, y4 = np.empty((3, samples.shape[1]))
-    stage = _right_hand_side(circ, which).stages((x, y2, y3, y4))
+    s1, s2, s3, s4 = _right_hand_side(circ, which).stages((x, y2, y3, y4), (k1, k2, k3, k4))
     first, second, third = rows[0::4], rows[1::3], rows[2::2]
-    half, whole = np.array([dt / 2.0, 1.0]), np.array([dt, 1.0])
-    combine = np.array([dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0, 1.0])
+    to_half = np.array([dt / 2.0, 1.0]).dot
+    to_whole = np.array([dt, 1.0]).dot
+    combine = np.array([dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0, 1.0]).dot
     failure = None  # (index of the first sample not kept, exception)
     # the step is checked in its last stage: stages that read a failed
     # stage's output run silently until that check raises
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for s in range(steps):
             try:
-                stage(0, k1)
-                half.dot(first, out=y2)
-                stage(1, k2)
-                half.dot(second, out=y3)
-                stage(2, k3)
-                whole.dot(third, out=y4)
-                stage(3, k4)
+                s1()
+                to_half(first, out=y2)
+                s2()
+                to_half(second, out=y3)
+                s3()
+                to_whole(third, out=y4)
+                s4()
             except (Collision, DomainError) as exc:
                 failure = (s + 1, exc)
                 samples = samples[: s + 1]
                 break
-            x[...] = combine.dot(rows, out=samples[s + 1])
+            x[...] = combine(rows, out=samples[s + 1])
     samples = samples.view(complex).reshape((len(samples),) + state.shape)
 
     # a check raises for the first sample of the stack that fails it; the

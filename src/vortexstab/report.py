@@ -165,8 +165,10 @@ MAX_GRID_POINTS = 10**6
 def gamma_grid(gamma_min: float, gamma_max: float, step: float) -> list[float]:
     """gamma_min + i*step for i = 0, 1, ... up to gamma_max (within 1e-12
     relative), each rounded to 12 decimals; empty when gamma_max < gamma_min.
-    A step that is not positive and finite, a bound that is not finite, or
-    a grid of more than MAX_GRID_POINTS points raises InvalidArgument."""
+    A step that is not positive and finite, a bound that is not finite, a
+    grid of more than MAX_GRID_POINTS points, or a step so fine that two
+    points are equal (below the 12 decimals, or the float spacing at large
+    |gamma|) raises InvalidArgument."""
     if not 0.0 < step < np.inf:
         raise InvalidArgument(f"step must be positive and finite, got {step}")
     if not (np.isfinite(gamma_min) and np.isfinite(gamma_max)):
@@ -176,7 +178,12 @@ def gamma_grid(gamma_min: float, gamma_max: float, step: float) -> list[float]:
     if steps >= MAX_GRID_POINTS:
         raise InvalidArgument(f"step {step} gives {steps + 1:.3g} points, over {MAX_GRID_POINTS}")
     points = (gamma_min + i * step for i in range(int(steps) + 2))
-    return [round(g, 12) for g in points if g <= stop]
+    grid = [round(g, 12) for g in points if g <= stop]
+    # the points do not decrease, so equal points are neighbours
+    repeated = next((a for a, b in zip(grid, grid[1:]) if a == b), None)
+    if repeated is not None:
+        raise InvalidArgument(f"step {step} gives two points equal to {repeated}: too fine a step")
+    return grid
 
 
 def gamma_sweep(

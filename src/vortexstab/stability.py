@@ -137,7 +137,10 @@ def linearize(
 
 def spectrum(a: np.ndarray) -> np.ndarray:
     """All eigenvalues of a dense real matrix, sorted by (Re, Im); one sorted
-    row per matrix of a stack."""
+    row per matrix of a stack.  Always complex128: eigvals returns a stack's
+    eigenvalues as complex when any matrix of it has a complex one, and a
+    matrix's as real when all of its are, so a point would otherwise get
+    another type in a stack than alone."""
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError("spectrum expects a square matrix")
@@ -146,7 +149,7 @@ def spectrum(a: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     # numpy orders complex values by real part, then imaginary part, NaN last
-    return np.sort(ev, axis=-1, kind="stable")
+    return np.sort(ev.astype(complex, copy=False), axis=-1, kind="stable")
 
 
 @dataclass(frozen=True)

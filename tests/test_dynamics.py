@@ -482,9 +482,9 @@ STEP_TRANSIENT_BYTES = 1024
 
 
 class TestStepping:
-    """integrate builds its right-hand side once, calls its stage four times
+    """integrate builds its right-hand side once, calls its stages four times
     a step and steps in buffers allocated once per run; both the operator and
-    its stage are spied on where dynamics binds them, as a tracer does."""
+    its stages are spied on where dynamics binds them, as a tracer does."""
 
     @staticmethod
     def spied_run(monkeypatch, which, steps):
@@ -506,19 +506,20 @@ class TestStepping:
                 built.append(circ)
                 super().__init__(circ)
 
-            def stages(self, inputs):
-                stage = super().stages(inputs)
+            def stages(self, inputs, outputs):
+                def spy(i, stage):
+                    def spied():
+                        call = next(calls)
+                        current, peak = tracemalloc.get_traced_memory()
+                        held[call] = current
+                        if i == 0:
+                            excess[call // 4] = peak - current
+                            tracemalloc.reset_peak()
+                        return stage()
 
-                def spied(i, out):
-                    call = next(calls)
-                    current, peak = tracemalloc.get_traced_memory()
-                    held[call] = current
-                    if i == 0:
-                        excess[call // 4] = peak - current
-                        tracemalloc.reset_peak()
-                    return stage(i, out)
+                    return spied
 
-                return spied
+                return [spy(i, stage) for i, stage in enumerate(super().stages(inputs, outputs))]
 
         monkeypatch.setattr(dynamics, name, Spied)
         dynamics._right_hand_side.cache_clear()
@@ -551,6 +552,45 @@ class TestStepping:
         steps = 50
         *_, excess = self.spied_run(monkeypatch, which, steps)
         assert excess[1:steps].max() < STEP_TRANSIENT_BYTES, excess[1:steps]
+
+
+# profiler events ("call" and "c_call") per RK4 step at N = 4, as the
+# stepping loop makes them: each stage's call and its ndarray methods (the
+# gather and the scatter dot, and the reduced stage's scale, mu G and mirror
+# dots; a ufunc makes no event), the last stage's checked gather (its call,
+# argmin and item), and the three stage-input products and the combination.
+# A lookup, index or branch adds no event; a helper or method call in every
+# stage adds four
+STEP_EVENTS = {Which.FULL: 19, Which.REDUCED: 27}
+
+
+class TestWorkPerStep:
+    @pytest.mark.parametrize("which", list(Which))
+    def test_profiler_events_per_step(self, which):
+        # a 20-step run minus a 10-step run: the set-up and the invariants
+        # over the samples make as many events in both
+        import sys
+
+        cfg = separated_configuration(np.random.default_rng(75), 4)
+
+        def events(steps):
+            counted = {"call": 0, "c_call": 0}
+
+            def profile(frame, event, arg):
+                if event in counted:
+                    counted[event] += 1
+
+            integrate(cfg, cfg.circ, t_end=steps * 1e-3, dt=1e-3, which=which)
+            sys.setprofile(profile)
+            try:
+                traj = integrate(cfg, cfg.circ, t_end=steps * 1e-3, dt=1e-3, which=which)
+            finally:
+                sys.setprofile(None)
+            assert not traj.aborted and len(traj) == steps + 1
+            return counted["call"] + counted["c_call"]
+
+        per_step = (events(20) - events(10)) / 10
+        assert per_step <= STEP_EVENTS[which], per_step
 
 
 class TestThreads:
@@ -629,6 +669,28 @@ class TestStackedFormulas:
             rtol=1e-13,
         )
         np.testing.assert_array_equal(full_hamiltonian(cfgs), [full_hamiltonian(c) for c in singles])
+
+    @pytest.mark.parametrize("n_vortices,zero_total", STACK_CASES)
+    def test_reduced_samples_are_skew_hermitian_to_the_last_bit(
+        self, monkeypatch, n_vortices, zero_total
+    ):
+        # integrate takes its reduced samples as skew-Hermitian without
+        # checking them: RK4 adds skew rows with real weights.  A coarse
+        # step, so that every stage's rounding shows
+        seen = []
+        build = MuMatrix._skew_by_construction.__func__
+
+        def spy(cls, entries):
+            seen.append(entries.copy())
+            return build(cls, entries)
+
+        monkeypatch.setattr(MuMatrix, "_skew_by_construction", classmethod(spy))
+        rng = np.random.default_rng(20 + 2 * n_vortices + zero_total)
+        cfg = separated_configuration(rng, n_vortices, zero_total)
+        traj = integrate(cfg, cfg.circ, t_end=0.5, dt=0.01)
+        (samples,) = seen
+        assert not traj.aborted and samples.shape == (51, cfg.circ.n, cfg.circ.n)
+        np.testing.assert_array_equal(samples.conj().swapaxes(-1, -2), -samples)
 
     def test_stack_checks_name_the_first_failing_sample(self):
         cfgs = stacked_configurations(4, False)

@@ -1423,13 +1423,11 @@ def result_bytes(res):
             type(mult.solution_space_dim),
             mult.solution_space_dim,
         )
-    # eigvals gives a stack complex values when one of its points has a
-    # complex eigenvalue, and a point alone real ones when all of its are
     return (
         res.verdict,
         res.reason,
         exact([res.residual]),
-        array(res.spectrum.astype(complex)),
+        array(res.spectrum),
         mult,
         exact(res.minors),
         array(res.restricted_hessian),

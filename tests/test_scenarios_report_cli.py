@@ -303,6 +303,28 @@ class TestReport:
         with pytest.raises(InvalidArgument, match="over 10$"):
             gamma_grid(0.0, 10.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "lo,hi,step,repeated",
+        [
+            (-1e-16, 3e-16, 1e-16, "-0.0"),
+            (0.0, 1e-11, 4e-13, "0.0"),
+            (1e5, 1e5 + 1e-10, 1e-12, "100000.0"),
+        ],
+        ids=["below-12-decimals", "rounded-together", "below-float-spacing"],
+    )
+    def test_sweep_grid_rejects_a_step_that_repeats_a_point(self, lo, hi, step, repeated):
+        # -1e-16 and 0.0 round to -0.0 and 0.0, which are equal; 0.0 and
+        # 4e-13 both round to 0.0; at |gamma| = 1e5 the float spacing is
+        # 1.5e-11, so 1e5 + 1e-12 is 1e5
+        detail = f"step {step} gives two points equal to {repeated}: too fine a step"
+        with pytest.raises(InvalidArgument) as got:
+            gamma_grid(lo, hi, step)
+        assert str(got.value) == detail
+        with pytest.raises(InvalidArgument) as got:
+            gamma_sweep("triangle-with-center", lo, hi, step)
+        assert str(got.value) == detail
+        assert gamma_grid(0.0, 1e-10, 1e-11) == [round(i * 1e-11, 12) for i in range(11)]
+
     def test_empty_sweep_header_only(self):
         table = gamma_sweep("triangle-with-center", 0.0, 0.0, 1.0)
         assert list(table.rows) == []
@@ -672,6 +694,13 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("invalid input: step 1e-300 gives 1e+300 points, over 1000000")
+
+    def test_sweep_of_repeated_points_exit_2(self, capsys):
+        args = ["sweep", "--scenario", "triangle-with-center", "--from=-1e-16", "--to", "3e-16"]
+        assert main(args + ["--step", "1e-16"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "invalid input: step 1e-16 gives two points equal to -0.0: too fine a step\n"
 
     def test_sweep_empty_range_exit_2(self, capsys):
         args = ["sweep", "--scenario", "square-with-center", "--from", "2", "--to", "1"]
