@@ -164,7 +164,8 @@ MAX_GRID_POINTS = 10**6
 
 def gamma_grid(gamma_min: float, gamma_max: float, step: float) -> list[float]:
     """gamma_min + i*step for i = 0, 1, ... up to gamma_max (within 1e-12
-    relative), each rounded to 12 decimals; empty when gamma_max < gamma_min.
+    relative, and within a quarter step, so no point lies a step beyond
+    it), each rounded to 12 decimals; empty when gamma_max < gamma_min.
     A step that is not positive and finite, a bound that is not finite, a
     grid of more than MAX_GRID_POINTS points, or a step so fine that two
     points are equal (below the 12 decimals, or the float spacing at large
@@ -173,7 +174,7 @@ def gamma_grid(gamma_min: float, gamma_max: float, step: float) -> list[float]:
         raise InvalidArgument(f"step must be positive and finite, got {step}")
     if not (np.isfinite(gamma_min) and np.isfinite(gamma_max)):
         raise InvalidArgument(f"range bounds must be finite, got {gamma_min}, {gamma_max}")
-    stop = gamma_max + 1e-12 * max(1.0, abs(gamma_max))
+    stop = gamma_max + min(1e-12 * max(1.0, abs(gamma_max)), 0.25 * step)
     steps = (stop - gamma_min) // step  # a float, inf past the float range
     if steps >= MAX_GRID_POINTS:
         raise InvalidArgument(f"step {step} gives {steps + 1:.3g} points, over {MAX_GRID_POINTS}")

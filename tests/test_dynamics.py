@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -71,7 +72,8 @@ class TestVectorFields:
         assert v[0] == pytest.approx(expected, rel=1e-6)
 
     def test_full_field_is_the_rk4_right_hand_side(self):
-        # one full-system RK4 step rebuilt from full_vector_field, bit for bit
+        # one full-system RK4 step rebuilt from the operator's constants, bit
+        # for bit, within 1e-14 of the classical step of full_vector_field
         rng = np.random.default_rng(66)
         cfg = separated_configuration(rng, 5)
         dt = 0.01
@@ -81,14 +83,15 @@ class TestVectorFields:
             return full_vector_field(q).view(float)
 
         x = cfg.as_array().view(float)
-        step, classical = rk4_steps(field, x, dt)
+        step = fused_full_step(dynamics._right_hand_side(cfg.circ, Which.FULL), x, dt)
         traj = integrate(cfg, cfg.circ, t_end=dt, dt=dt, which=Which.FULL)
         np.testing.assert_array_equal(traj.states[1], step.view(complex))
-        assert np.abs(step - classical).max() <= 1e-14 * np.abs(x).max()
+        assert np.abs(step - classical_step(field, x, dt)).max() <= 1e-14 * np.abs(x).max()
 
     def test_reduced_field_is_the_rk4_right_hand_side(self):
-        # one reduced RK4 step rebuilt from lie_poisson_vector_field, bit for
-        # bit; the step is long enough that a stage off by one ulp shows
+        # one reduced RK4 step rebuilt from the operator's constants, bit for
+        # bit, within 1e-14 of the classical step of lie_poisson_vector_field;
+        # the step is long enough that a stage off by one ulp shows
         rng = np.random.default_rng(71)
         cfg = separated_configuration(rng, 5)
         dt = 0.2
@@ -100,12 +103,12 @@ class TestVectorFields:
 
         m = unflatten(flatten(moment_map(relative_coordinates(cfg))), n).entries
         x = m.view(float).ravel()
-        step, classical = rk4_steps(field, x, dt)
+        step = fused_reduced_step(dynamics._right_hand_side(cfg.circ, Which.REDUCED), x, dt)
         traj = integrate(cfg, cfg.circ, t_end=dt, dt=dt, which=Which.REDUCED)
         np.testing.assert_array_equal(
             traj.states[1], flatten(MuMatrix(step.view(complex).reshape(n, n)))
         )
-        assert np.abs(step - classical).max() <= 1e-14 * np.abs(x).max()
+        assert np.abs(step - classical_step(field, x, dt)).max() <= 1e-14 * np.abs(x).max()
 
     def test_reduced_field_invariant_along_rays(self):
         # grad h scales as 1/s along a ray while mu scales as s, so the
@@ -127,23 +130,56 @@ class TestVectorFields:
             assert np.abs(flatten(lie_poisson_vector_field(mu, circ))).max() < 1e-12
 
 
-def rk4_steps(field, x, dt):
-    """One RK4 step from the real state x, twice: with integrate's weight
-    rows and products (the stages and the state as the rows of one buffer),
-    and with the classical combination x + (dt/6)(k1 + 2 k2 + 2 k3 + k4)."""
-    rows = np.empty((5, x.size))
-    rows[4] = x
-    half, whole = np.array([dt / 2.0, 1.0]), np.array([dt, 1.0])
-    rows[0] = field(rows[4])
-    rows[1] = field(half.dot(rows[0::4]))
-    rows[2] = field(half.dot(rows[1::3]))
-    rows[3] = field(whole.dot(rows[2::2]))
-    step = np.array([dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0, 1.0]).dot(rows)
+def classical_step(field, x, dt):
+    """x + (dt/6)(k1 + 2 k2 + 2 k3 + k4), the classical RK4 step of field."""
     k1 = field(x)
     k2 = field(x + 0.5 * dt * k1)
     k3 = field(x + 0.5 * dt * k2)
     k4 = field(x + dt * k3)
-    return step, x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+# the scales of the four cores of a step, and the weights of their outputs
+# at the step's end
+SCALES = (1.0, 1.0, 2.0, 1.0)
+
+
+def end_weights(dt):
+    return np.array([dt / 6.0, dt / 3.0, dt / 6.0, dt / 6.0])
+
+
+def fused_full_step(op, x, dt):
+    """One full-system RK4 step from the pairs x as integrate takes it, from
+    the operator's constants: core k writes a_k = c_k / conj(d_k) for the
+    pairs of conj(d) of its input y_k I, with c = 1, 1, 2, 1; y_{k+1} =
+    [a_k | 1] [(dt/2) C ; x], and x' = x + (sum_k w_k a_k) C."""
+    scaled = np.ones((4, op.incidence.shape[1] + 1))
+    matrix, y = np.vstack([dt / 2.0 * op.coupling, x]), x
+    for k, c in enumerate(SCALES):
+        scaled[k, :-1] = np.divide(complex(c), y.dot(op.incidence).view(complex)).view(float)
+        if k < 3:
+            y = scaled[k].dot(matrix)
+    return end_weights(dt).dot(scaled)[:-1].dot(op.coupling) + x
+
+
+def fused_reduced_step(op, x, dt):
+    """One reduced RK4 step from the pairs x of mu as integrate takes it,
+    from the operator's constants: core k writes a_k = mu_k ((c_k / s_k) Rk)
+    for the input y_k = mu_k with its log arguments s_k, c = 1, 1, 2, 1;
+    [y_{k+1} | s_{k+1}] = [a_k | 1] [(dt/2) [S, S Fm] ; x, x Fm], and x' =
+    x + (sum_k w_k a_k) S."""
+    n, size = op.n, x.size
+    scaled = np.ones((4, size + 1))
+    fold = np.hstack([op.skew, op.skew_forms])
+    matrix = np.vstack([dt / 2.0 * fold, np.hstack([x, x.dot(op.forms)])])
+    y, s = x, matrix[-1, size:]
+    for k, c in enumerate(SCALES):
+        g = np.divide(c, s).dot(op.rk).view(complex).reshape(n, n)
+        scaled[k, :-1] = y.view(complex).reshape(n, n).dot(g).view(float).ravel()
+        if k < 3:
+            u = scaled[k].dot(matrix)
+            y, s = u[:size], u[size:]
+    return end_weights(dt).dot(scaled)[:-1].dot(op.skew) + x
 
 
 def pairwise_velocities(q, g):
@@ -376,20 +412,15 @@ class TestIntegration:
             mu = MuMatrix(x.view(complex).reshape(n, n))
             return lie_poisson_vector_field(mu, cfg.circ).entries.view(float).ravel()
 
-        # the stage inputs of the failing step, as integrate forms them
-        rows = np.empty((5, 2 * n * n))
-        rows[4] = unflatten(traj.states[-1], n).entries.view(float).ravel()
-        half, whole = np.array([dt / 2.0, 1.0]), np.array([dt, 1.0])
-        stage_inputs = (
-            lambda: rows[4],
-            lambda: half.dot(rows[0::4]),
-            lambda: half.dot(rows[1::3]),
-            lambda: whole.dot(rows[2::2]),
-        )
-        for k in range(stage - 1):
-            rows[k] = field(stage_inputs[k]())
+        # the stage inputs of the failing step, as the classical combination
+        # forms them (integrate's products round them apart in the last
+        # bits, far below the printed digits)
+        x = unflatten(traj.states[-1], n).entries.view(float).ravel()
+        y = x
+        for c in (dt / 2.0, dt / 2.0, dt)[: stage - 1]:
+            y = x + c * field(y)
         with pytest.raises(DomainError) as got:
-            field(stage_inputs[stage - 1]())
+            field(y)
         assert str(got.value) == error
 
     @pytest.mark.filterwarnings("error")
@@ -471,14 +502,73 @@ class TestIntegration:
                 integrate(u0, circ, t_end=t_end, dt=0.3)
 
 
-# Traced bytes one RK4 step allocates and frees again, at most: the stage's
-# buffers and inputs are allocated once per run, so what is left is numpy's
-# copy of the strided operand rows of each stage-input product (2 x 2n^2
-# floats at most), a few scalars and the view of the sample row written.
-# Measured at N = 4: 224 (full) and 384 (reduced) bytes; a stage that makes a
-# new stage input and new s, 1/s, (1/s) Rk, A and views each time makes a
-# step allocate 3416 and 3208.
-STEP_TRANSIENT_BYTES = 1024
+class TestFusedSteps:
+    @staticmethod
+    def classical_run(field, x, dt, steps):
+        """The samples of ``steps`` classical RK4 steps of field from x."""
+        run = [x]
+        for _ in range(steps):
+            run.append(classical_step(field, run[-1], dt))
+        return np.array(run)
+
+    @pytest.mark.parametrize("n_vortices", range(3, 7))
+    @pytest.mark.parametrize("zero_total", [False, True])
+    @pytest.mark.parametrize("which", list(Which))
+    def test_whole_runs_match_a_classical_rk4(self, which, n_vortices, zero_total):
+        # 500 steps of integrate against 500 classical steps of the one-shot
+        # field: integrate rounds its sums in another order, and the gap
+        # stays within 1e-13 of max|state| over every sample.  The bound
+        # tells a fault from rounding only on a run that rounding does not
+        # move, so a configuration is taken only if moving every start
+        # coordinate by one ulp moves its classical run by at most 1e-15 of
+        # max|state|; the reduced zero-total run of the first seed at N = 4
+        # moves by 1.4e-13 (integrate's gap there is 0.99 of the bound), and
+        # the next seed is taken there.  With one BLAS thread on x86-64 the
+        # gaps taken are at most 3e-16 of max|state|, 300 times under the
+        # bound; a gap near the bound is a fault, not rounding
+        dt, steps = 1e-3, 500
+        for seed in itertools.count(30 + 2 * n_vortices + zero_total, 100):
+            cfg = separated_configuration(np.random.default_rng(seed), n_vortices, zero_total)
+            n = cfg.circ.n
+            if which is Which.FULL:
+                x = cfg.as_array().view(float)
+
+                def field(x):
+                    q = VortexConfiguration(tuple(x.view(complex)), cfg.circ)
+                    return full_vector_field(q).view(float)
+            else:
+                mu = moment_map(relative_coordinates(cfg))
+                x = unflatten(flatten(mu), n).entries.view(float).ravel()
+
+                def field(x):
+                    mu = MuMatrix(x.view(complex).reshape(n, n))
+                    return lie_poisson_vector_field(mu, cfg.circ).entries.view(float).ravel()
+
+            classical = self.classical_run(field, x, dt, steps)
+            moved = self.classical_run(field, np.nextafter(x, np.inf), dt, steps)
+            if np.abs(moved - classical).max() <= 1e-15 * np.abs(classical).max():
+                break
+        if which is Which.REDUCED:
+            classical = np.array([flatten(MuMatrix(y.view(complex).reshape(n, n))) for y in classical])
+        else:
+            classical = classical.view(complex)
+        traj = integrate(cfg, cfg.circ, t_end=steps * dt, dt=dt, which=which)
+        assert not traj.aborted and len(traj) == steps + 1
+        gap = np.abs(traj.states - classical).max()
+        assert gap <= 1e-13 * np.abs(traj.states).max(), gap / np.abs(traj.states).max()
+
+
+# Traced bytes one RK4 step allocates and frees again, at most: the stage
+# inputs, the core outputs and the cores' scratch are allocated once per run
+# and each product reads one contiguous row or block, so what is left is the
+# domain test's scalars (argmin's result and its item) and the view numpy
+# takes of the sample row written.  Measured at N = 4: 200 bytes for both
+# systems; the budget adds 48 bytes.  A product that reads strided rows
+# makes numpy copy them first (224 bytes for a pair of rows of the full
+# state at N = 4, 384 of the reduced one), and a stage that makes a new
+# stage input and new s, 1/s, (1/s) Rk, A and views each time makes a step
+# allocate 3416 and 3208.
+STEP_TRANSIENT_BYTES = 248
 
 
 class TestStepping:
@@ -506,7 +596,7 @@ class TestStepping:
                 built.append(circ)
                 super().__init__(circ)
 
-            def stages(self, inputs, outputs):
+            def stages(self, *args):
                 def spy(i, stage):
                     def spied():
                         call = next(calls)
@@ -519,7 +609,7 @@ class TestStepping:
 
                     return spied
 
-                return [spy(i, stage) for i, stage in enumerate(super().stages(inputs, outputs))]
+                return [spy(i, stage) for i, stage in enumerate(super().stages(*args))]
 
         monkeypatch.setattr(dynamics, name, Spied)
         dynamics._right_hand_side.cache_clear()
@@ -555,13 +645,15 @@ class TestStepping:
 
 
 # profiler events ("call" and "c_call") per RK4 step at N = 4, as the
-# stepping loop makes them: each stage's call and its ndarray methods (the
-# gather and the scatter dot, and the reduced stage's scale, mu G and mirror
-# dots; a ufunc makes no event), the last stage's checked gather (its call,
-# argmin and item), and the three stage-input products and the combination.
-# A lookup, index or branch adds no event; a helper or method call in every
-# stage adds four
-STEP_EVENTS = {Which.FULL: 19, Which.REDUCED: 27}
+# stepping loop makes them: the products (full: the four gathers of the
+# pairs of conj(d) and the three stage inputs; reduced: the gather of the
+# first log arguments and the three stage inputs), the reduced cores' calls
+# with their two dots each (a full core is a division with its arguments
+# bound, and a ufunc makes no event), the domain test's call with its argmin
+# and item, and the end's weighted sum and scatter.  A lookup, index, slice
+# assignment or branch adds no event; a helper or method call in every core
+# adds four
+STEP_EVENTS = {Which.FULL: 12, Which.REDUCED: 21}
 
 
 class TestWorkPerStep:
@@ -675,8 +767,13 @@ class TestStackedFormulas:
         self, monkeypatch, n_vortices, zero_total
     ):
         # integrate takes its reduced samples as skew-Hermitian without
-        # checking them: RK4 adds skew rows with real weights.  A coarse
-        # step, so that every stage's rounding shows
+        # checking them.  A step's end scatters the weighted sum b of the
+        # stages' pairs of A with S: the real parts of entries (i, j) and
+        # (j, i) of b S are the same two terms of b negated, its imaginary
+        # parts the same two terms, and the real diagonal is a zero column.
+        # Adding the state entry by entry keeps that, since negation
+        # commutes with every rounding.  A coarse step, so that every
+        # stage's rounding shows
         seen = []
         build = MuMatrix._skew_by_construction.__func__
 

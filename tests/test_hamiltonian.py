@@ -309,9 +309,9 @@ class TestSparseFormsOracle:
         kinv = build_coupling_matrix(circ).k_inv
         rk = (unflatten_stack(r, n) @ kinv).reshape(len(r), n * n)
         field = dynamics._ReducedField(circ)
-        np.testing.assert_array_equal(field._fm, pick @ forms.T)
-        np.testing.assert_array_equal(field._rk, rk)
+        np.testing.assert_array_equal(field.forms, pick @ forms.T)
+        np.testing.assert_array_equal(field.rk, rk.view(float))
         # row-major as the products were: BLAS sums x Fm over a transposed
         # layout in another order
-        assert field._fm.flags.c_contiguous and field._rk.flags.c_contiguous
+        assert field.forms.flags.c_contiguous and field.rk.flags.c_contiguous
 

@@ -325,6 +325,27 @@ class TestReport:
         assert str(got.value) == detail
         assert gamma_grid(0.0, 1e-10, 1e-11) == [round(i * 1e-11, 12) for i in range(11)]
 
+    def test_sweep_grid_ends_at_gamma_max_for_a_step_at_its_tolerance(self):
+        # the end tolerance 1e-12 * max(1, |gamma_max|) is absolute below
+        # |gamma_max| = 1; capped at a quarter step, it admits no point a
+        # step beyond gamma_max when the step is at or below it
+        assert gamma_grid(0.0, 1e-11, 1e-12) == [round(i * 1e-12, 12) for i in range(11)]
+        assert gamma_grid(0.0, 1e-11, 1.5e-12)[-1] == round(6 * 1.5e-12, 12)
+        assert gamma_grid(0.0, 2.5e-12, 1e-12) == [0.0, 1e-12, 2e-12]
+        # the rounding the tolerance is for: 0.1 + 2 * 0.1 is 0.30000000000000004
+        assert gamma_grid(0.1, 0.3, 0.1) == [0.1, 0.2, 0.3]
+
+    def test_sweep_grid_keeps_the_benchmark_grids(self, monkeypatch):
+        # every sweep-paper operation of the benchmark sweeps its points
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        ops = workloads.SweepPaper(0).ops
+        assert len(ops) == sum(stride for *_, stride in workloads.SWEEP_FAMILIES)
+        for op in ops:
+            lo, hi, step, points = op.args
+            assert gamma_grid(lo, hi, step) == list(points), op.key
+
     def test_empty_sweep_header_only(self):
         table = gamma_sweep("triangle-with-center", 0.0, 0.0, 1.0)
         assert list(table.rows) == []
