@@ -62,18 +62,16 @@ class LocalModel:
     rows T of Dphi along the kept directions.  Their thin QR T^T = U R is
     taken with R = chol(T T^T)^T, the R with a positive diagonal, from the
     closed-form (2n - 1)^2 Gram matrix; U is never formed.  One QR of the
-    Casimir row projected onto U gives the ranks, the tangent bases and,
-    where the rows are independent (the only case the certificate goes on
-    with), the Casimir multiplier; the constraint multipliers follow in
-    closed form.  The tangent bases are B = (R^-1 Q_1)^T T, so the leaf
-    operator and the restricted Hessian, the z-Hessian of
-    4 pi h + 2 pi Omega C_1, follow from one set of rows E along T and
-    Omega (:attr:`_energy_rows`), with no multiplier but a0 and no
-    constraint Hessian.  Both take a tangent basis X through its coordinates Y
-    on T, X = Y^T T (:meth:`_coordinates`); where the rows are dependent
-    the joint level set's tangent space is all of span(T).  The multiplier
-    residual reads the constraint Jacobian once and drops it; at a point
-    with dependent rows the multipliers are the minimal-norm ones.
+    Casimir row projected onto U gives the ranks and the tangent bases
+    B = (R^-1 Q_1)^T T.  The leaf operator and the restricted Hessian, the
+    z-Hessian of 4 pi h + 2 pi Omega C_1, follow from one set of rows E
+    along T and Omega (:attr:`_energy_rows`), with no multiplier but a0 and
+    no constraint Hessian.  Both take a tangent basis X through its
+    coordinates Y on T, X = Y^T T (:meth:`_coordinates`); where the rows are
+    dependent the joint level set's tangent space is all of span(T).  The
+    multipliers are a_1 = 2 pi Omega and the constraint coefficients in
+    closed form, at every point; their residual reads the constraint
+    Jacobian once and drops it.
     """
 
     # set by the certificate: screened when every point passed its
@@ -154,7 +152,7 @@ class LocalModel:
         Y = R^-1 R^-T T X^T.  A row off the tangent space, X less Y^T T, by
         more than RANK_THRESHOLD of its length, or not finite, raises
         InvalidArgument."""
-        own, coords = self.basis, self._factors[4]
+        own, coords = self.basis, self._factors[3]
         if basis is own or np.array_equal(basis, own):
             return coords
         along = basis @ own.swapaxes(-1, -2)
@@ -185,7 +183,7 @@ class LocalModel:
         and B^T = U Q_1 = T^T R^-1 Q_1, L = (R^T Q_1)^T M (R^-1 Q_1), and on
         X = Y^T T, L = (R Y)^T R M Y.  It equals X A X^T at fixed points on
         the stratum, whether or not the differentials are independent."""
-        z, (_, r, c, _), (q, own) = self.moment[0], self._frame, self._factors[3:]
+        z, (_, r, c, _), (q, own) = self.moment[0], self._frame, self._factors[2:]
         coords = own if basis is None else self._coordinates(basis)
         rows, omega, v = self._energy_rows
         jv = rows @ self.coupling.k_inv - 1j * omega * v
@@ -268,31 +266,22 @@ class LocalModel:
     @cached_property
     def _factors(self) -> tuple[np.ndarray, ...]:
         """The numerical ranks; the tangent bases B = (R^-1 Q_1)^T T, formed
-        once; where the rows are independent the unique solution of
-        [C; J]^T w = -energy_gradient for the Casimir row C and the
-        constraint Jacobian J (a0 = +1), NaN elsewhere; the complete Q of the
-        QR of C projected onto U (:attr:`_frame`), whose columns Q_1 but the
-        first the leaf operator reads; and the coordinates R^-1 Q_1 of B on
-        T.  U spans the kernel of the constraint rows, so |R_11| of that QR
-        is C's distance from their span, judged by the rank rule against its
-        own length (:func:`constraints.row_rank`)."""
-        z, (tangent, r_phi, _, _), casimirs = self.moment[0], self._frame, self.casimirs
-        # the Casimir row and the energy gradient on U, as columns: R^-T T r^T
-        rows = np.concatenate([casimirs, self.energy_gradient[:, None]], axis=-2)
+        once; the complete Q of the QR of the Casimir row C projected onto U
+        (:attr:`_frame`), whose columns Q_1 but the first the leaf operator
+        reads; and the coordinates R^-1 Q_1 of B on T.  U spans the kernel of
+        the constraint rows, so |R_11| of that QR is C's distance from their
+        span, judged by the rank rule against its own length
+        (:func:`constraints.row_rank`)."""
+        tangent, r_phi = self._frame[:2]
+        # the energy gradient rides along as a second column that nothing
+        # reads: a one-column solve changes Q, and so B, in its last bits
+        rows = np.concatenate([self.casimirs, self.energy_gradient[:, None]], axis=-2)
         on_u = np.linalg.solve(r_phi.swapaxes(-1, -2), tangent @ rows.swapaxes(-1, -2))
         q, r = np.linalg.qr(on_u[..., :1], mode="complete")
-        rank = (self.n - 1) ** 2 + row_rank(casimirs, r)
+        rank = (self.n - 1) ** 2 + row_rank(self.casimirs, r)
         coords = np.linalg.solve(r_phi, q[..., 1:])
         basis = np.ascontiguousarray(coords.swapaxes(-1, -2) @ tangent)
-        w = np.full((len(z), self.row_count), np.nan)
-        unique = rank == self.row_count
-        if unique.any():
-            # the Casimir part along U: (casimirs U)^T a = -(energy_gradient U)^T
-            projected = on_u[unique, :, 1:].swapaxes(-1, -2) @ q[unique, :, :1]
-            a = -projected[..., 0] / r[unique, :1, 0]
-            rest = self.energy_gradient[unique] + (a[:, None] @ casimirs[unique])[:, 0]
-            w[unique] = np.concatenate([a, _constraint_multipliers(z[unique], rest)], axis=-1)
-        return tuple([_read_only(a) for a in (rank, basis, w, q, coords)])
+        return tuple([_read_only(a) for a in (rank, basis, q, coords)])
 
     @property
     def rank(self) -> np.ndarray:
@@ -307,25 +296,22 @@ class LocalModel:
         """The coefficients w (a0 = +1) with ||Df(mu0)||_inf, evaluated once
         per stack (the a0 = -1 set is :meth:`MultiplierSet.negated`).
 
-        w is unique where the rows are independent, and minimal-norm where
-        they are not, from one stacked pseudo-inverse of [C; J] at those
-        points only.  The constraint Jacobian J is read here, once, to check
-        the closed-form multipliers independently:
-        Df = 4 pi grad h + a_1 dC_1 + J^T (b, c, d); it is not kept."""
+        One closed form at every point: a_1 = 2 pi Omega with Omega from
+        K^-1 G z0 = i Omega z0 (:attr:`_energy_rows`), and the constraint
+        coefficients that cancel 4 pi grad h + a_1 grad C_1
+        (:func:`_constraint_multipliers`).  Where the rows are independent
+        this is the unique solution; where they are not, it is one member of
+        the family of dimension ``solution_space_dim``.  The constraint
+        Jacobian J is read here, once, to check the closed form apart from
+        it: Df = 4 pi grad h + a_1 dC_1 + J^T (b, c, d); it is not kept."""
         n = self.n
-        rank, _, w = self._factors[:3]
-        jacobian = constraint_system(n).jacobian(self.u0)
-        dependent = rank < self.row_count
-        if dependent.any():
-            stack = np.concatenate([self.casimirs[dependent], jacobian[dependent]], axis=-2)
-            pinv = np.linalg.pinv(stack.swapaxes(-1, -2), rtol=RANK_THRESHOLD)
-            w = w.copy()
-            w[dependent] = -(pinv @ self.energy_gradient[dependent, :, None])[..., 0]
-        df = self.energy_gradient + (w[:, None, :1] @ self.casimirs)[:, 0]
-        df += (w[:, None, 1:] @ jacobian)[:, 0]
-        rest, residual = w[:, 1:], np.abs(df).max(axis=-1, initial=0.0)
+        a = 2 * np.pi * self._energy_rows[1][:, 0]
+        df = self.energy_gradient + a * self.casimirs[:, 0]
+        rest = _constraint_multipliers(self.moment[0], df)
+        df += (rest[:, None] @ constraint_system(n).jacobian(self.u0))[:, 0]
+        residual = np.abs(df).max(axis=-1, initial=0.0)
         b, c, d = rest[:, : n - 1], rest[:, n - 1 :: 2], rest[:, n::2]
-        return MultiplierSet(1.0, w[:, :1], b, c, d, residual, self.row_count - self.rank)
+        return MultiplierSet(1.0, a, b, c, d, residual, self.row_count - self.rank)
 
     def restricted_hessian(self, mult: MultiplierSet, basis: np.ndarray) -> np.ndarray:
         """X H_f X^T at each point for a stack of tangent bases X (k, d, n^2),
@@ -342,7 +328,7 @@ class LocalModel:
         4 pi h + 2 pi Omega C_1, a0 4 pi (Im(v_i^* E_j) - Omega Re(v_i^* K v_j))
         for the rows E of :attr:`_energy_rows`, and X H_f X^T is
         Y^T (T H_f T^T) Y on X = Y^T T (:meth:`_coordinates`), also where the
-        differentials are dependent and :attr:`multipliers` are not critical."""
+        differentials are dependent."""
         coords, (rows, omega, v) = self._coordinates(basis), self._energy_rows
         k_form = (v.conj() @ self.coupling.k @ v.swapaxes(-1, -2)).real
         on_rows = (v.conj() @ rows.swapaxes(-1, -2)).imag - omega * k_form

@@ -189,11 +189,12 @@ def solve_multiplier_system(
 ) -> MultiplierSet:
     """Solve Df(mu0) = 0 for the Casimir/constraint coefficients at fixed a0.
 
-    The unique solution when the differentials are independent, the
-    minimal-norm one when they are not; raises Infeasible when no coefficient
-    choice makes mu0 a critical point of f (the residual exceeds
-    MULTIPLIER_TOL times max |4 pi grad h| at some point).  The residual it
-    reports is absolute.
+    The closed-form set of :attr:`LocalModel.multipliers` at every point:
+    the unique solution when the differentials are independent, one member
+    of a family of dimension ``solution_space_dim`` when they are not.
+    Raises Infeasible when no coefficient choice makes mu0 a critical point
+    of f (the residual exceeds MULTIPLIER_TOL times max |4 pi grad h| at some
+    point).  The residual it reports is absolute.
     """
     if a0 not in (1.0, -1.0):
         raise ValueError(f"a0 must be +1 or -1, got {a0}")

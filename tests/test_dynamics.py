@@ -660,7 +660,11 @@ class TestWorkPerStep:
     @pytest.mark.parametrize("which", list(Which))
     def test_profiler_events_per_step(self, which):
         # a 20-step run minus a 10-step run: the set-up and the invariants
-        # over the samples make as many events in both
+        # over the samples make as many events in both.  The collector is
+        # kept out of the profiled runs: a collection inside one runs the
+        # callbacks in gc.callbacks (hypothesis installs one), which add
+        # events that no step makes
+        import gc
         import sys
 
         cfg = separated_configuration(np.random.default_rng(75), 4)
@@ -673,11 +677,14 @@ class TestWorkPerStep:
                     counted[event] += 1
 
             integrate(cfg, cfg.circ, t_end=steps * 1e-3, dt=1e-3, which=which)
+            gc.collect()
+            gc.disable()
             sys.setprofile(profile)
             try:
                 traj = integrate(cfg, cfg.circ, t_end=steps * 1e-3, dt=1e-3, which=which)
             finally:
                 sys.setprofile(None)
+                gc.enable()
             assert not traj.aborted and len(traj) == steps + 1
             return counted["call"] + counted["c_call"]
 

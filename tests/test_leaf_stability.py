@@ -890,8 +890,38 @@ class TestStackFactors:
         res = independence_check(mu0, circ)
         assert not res.independent and res.rank == res.expected - 1 == 4
 
+    def test_multipliers_match_a_least_squares_solve(self):
+        # the closed form against lstsq of [C; J]^T w = -4 pi grad h on rows
+        # of unit length (see TestLeafFromMomentMap).  The points of a stack
+        # share mu0 and so J: one lstsq of J^T takes every right-hand side
+        # and every C row, and the least-squares C_1 coefficient is the one
+        # that cancels what J^T leaves of the right-hand side
+        checked, problems = 0, []
+        for mu0, circs in reference_stacks():
+            k = len(circs)
+            assert np.all(mu0.entries == mu0.entries[0])
+            jacobian = constraint_jacobian(MuMatrix(mu0.entries[0]))
+            length = np.linalg.norm(jacobian, axis=-1)[:, None]
+            rhs = -FOUR_PI * ReducedHamiltonian(circs).gradient(flatten(mu0))
+            rows = casimir_gradient(mu0, build_coupling_matrix(circs), 1)
+            columns = np.concatenate([rhs, rows]).T
+            y = np.linalg.lstsq((jacobian / length).T, columns, rcond=None)[0]
+            left = columns - (jacobian / length).T @ y
+            a = (left[:, :k] * left[:, k:]).sum(axis=0) / (left[:, k:] ** 2).sum(axis=0)
+            expected = np.concatenate([a[:, None], ((y[:, :k] - a * y[:, k:]) / length).T], -1)
+            model = local_model(mu0, circs)
+            mult = model.multipliers
+            w = np.concatenate([mult.a, mult.constraint_coefficients], axis=-1)
+            gap = np.abs(w - expected).max(axis=-1) / np.abs(expected).max(axis=-1)
+            residual = mult.residual / np.abs(rhs).max(axis=-1)
+            for i in (model.rank == model.row_count).nonzero()[0]:
+                checked += 1
+                if gap[i] > 1e-12 or residual[i] > 1e-12 or mult.solution_space_dim[i]:
+                    problems.append((circs[i].gammas[-1], gap[i], residual[i]))
+        assert problems == [] and checked == 382
+
     @pytest.mark.parametrize("gammas", [NEAR_ZERO_TOTAL, ABOVE_ZERO_TOTAL], ids=["below", "above"])
-    def test_dependent_multipliers_take_one_pseudo_inverse_on_demand(self, gammas, monkeypatch):
+    def test_dependent_multipliers_take_the_closed_form(self, gammas, monkeypatch):
         calls = []
         for name in ("pinv", "svd", "lstsq"):
             def counted(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
@@ -904,20 +934,48 @@ class TestStackFactors:
         lo, hi = gammas
         table = gamma_sweep("triangle-with-center", lo, hi, hi - lo)
         assert [row.gamma for row in table.rows] == [lo, hi]
-        assert {row.verdict for row in table.rows} == {"inconclusive"} and calls == []
+        assert {row.verdict for row in table.rows} == {"inconclusive"}
         points = [fixed_point("triangle-with-center", g) for g in gammas]
         mu0 = MuMatrix(np.stack([p[0].entries for p in points]))
         model = local_model(mu0, [p[1] for p in points])
-        assert np.all(model.rank == 4) and calls == []
+        assert np.all(model.rank == 4)
         mult = model.multipliers
-        assert calls == [("pinv", (2, 9, 5))]
-        w = np.concatenate([mult.a, mult.constraint_coefficients], axis=-1)
-        for i, (mu, circ) in enumerate(points):
-            k = build_coupling_matrix(circ)
-            stack = np.vstack([casimir_gradient(mu, k, 1), constraint_jacobian(mu)])
-            rhs = -4 * np.pi * reduced_system(circ).gradient(flatten(mu))
-            expected, *_ = np.linalg.lstsq(stack.T, rhs, rcond=1e-8)
-            assert np.abs(w[i] - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert calls == []
+        # a_1 = 2 pi Omega = 1 + gamma, as at the independent points.  The
+        # minimal-norm set of [C; J] leaves 0.686 of max |4 pi grad h| here,
+        # so the residual bound tells the two sets apart
+        assert np.array_equal(mult.a, 2 * np.pi * model._energy_rows[1][:, 0])
+        assert np.abs(mult.a[:, 0] - (1.0 + np.array(gammas))).max() <= 1e-13
+        scale = np.abs(model.energy_gradient).max(axis=-1)
+        assert np.all(mult.residual <= 1e-5 * scale)
+        assert mult.solution_space_dim.tolist() == [1, 1]
+        with pytest.raises(Infeasible):
+            solve_multiplier_system(model, model.circs)
+
+
+def reference_stacks():
+    """The polygon grid (m = 3..20, gamma = -5..40 at step 2.5), the paper's
+    families at step 0.25 and the twelve certify-large copies (m = 20), as
+    (mu0, circulation sets) stacks of the scenarios that share their
+    positions and regime, and so mu0."""
+    scens = [
+        build_scenario("polygon-with-center", gamma=float(g), m=m)
+        for m in GRID_M
+        for g in np.arange(-5.0, 40.1, 2.5)
+        if g
+    ]
+    for kind, lo, hi in PAPER_FAMILIES:
+        scens += [build_scenario(kind, gamma=float(g)) for g in np.arange(lo, hi + 0.1, 0.25) if g]
+    for gamma in (20.0, 25.0, 30.0, 35.0):
+        base = build_scenario("polygon-with-center", gamma=gamma, m=20)
+        for pos_scale, circ_scale in ((1.0, 1.0), (10.0, 1.0), (10.0, 1e-2)):
+            positions = tuple(pos_scale * p for p in base.positions)
+            gammas = tuple(circ_scale * g for g in base.circ.gammas)
+            scens.append(build_scenario("custom", positions=positions, circulations=gammas))
+    stacks = {}
+    for scen in scens:
+        stacks.setdefault((scen.positions, scen.circ.regime), []).append(scen)
+    return [(scenario_fixed_point(g), tuple(s.circ for s in g)) for g in stacks.values()]
 
 
 def count_casimir_gradients(monkeypatch):
@@ -1040,8 +1098,8 @@ def relative_gap(got, expected):
 
 def critical_multipliers(model):
     """The multipliers (a0 = +1) of 4 pi h + 2 pi Omega C_1, Omega from
-    K^-1 G z0 = i Omega z0: critical also where the differentials are
-    dependent, where the model's own set is the minimal-norm one."""
+    K^-1 G z0 = i Omega z0, restated from the formula: critical also where
+    the differentials are dependent, as the model's own set is."""
     n = model.n
     a = 2 * np.pi * model._energy_rows[1][:, 0]
     rest = model.energy_gradient + a * model.casimirs[:, 0]

@@ -58,3 +58,48 @@ def test_no_line_is_longer_than_the_limit(path):
     lines = path.read_text().splitlines()
     long = [(i, len(line)) for i, line in enumerate(lines, 1) if len(line) > MAX_LINE]
     assert long == [], f"{path.name} has lines over {MAX_LINE} characters: {long}"
+
+
+# decompositions the certificate does without: its ranks come from one QR of
+# a 1 x (2n - 1) block and its multipliers in closed form
+FORBIDDEN_LINALG = {"pinv", "svd", "lstsq", "det", "inv", "matrix_rank"}
+
+
+def dotted_name(node):
+    """a.b.c for a chain of attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id] + parts[::-1])
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_pseudo_inverse_svd_or_lstsq(path):
+    # every name a module binds to numpy or a part of it is resolved, so an
+    # alias or a from-import does not hide a call
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                modules[alias.asname or alias.name.split(".")[0]] = (
+                    alias.name if alias.asname else alias.name.split(".")[0]
+                )
+        elif isinstance(node, ast.ImportFrom) and node.module and node.module.startswith("numpy"):
+            for alias in node.names:
+                modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            name = dotted_name(node)
+            if name is None:
+                continue
+            head, _, rest = name.partition(".")
+            full = ".".join(filter(None, [modules.get(head, head), rest]))
+            module, _, attr = full.rpartition(".")
+            if module == "numpy.linalg" and attr in FORBIDDEN_LINALG:
+                found.append((name, node.lineno))
+    assert found == [], f"{path.name} names numpy.linalg routines it must not: {found}"
