@@ -8,11 +8,12 @@ folded into constant matrices.  Both act on real state vectors: the
 f(y) = core(y L) K, a constant gather L, a nonlinear core written once and a
 constant scatter K (see :class:`_Field`).  The public
 :func:`lie_poisson_vector_field` and :func:`full_vector_field` gather, run
-the domain test and one core, and scatter.  The operator's ``run`` takes the
-RK4 steps of :func:`integrate`: each stage input is one product of the
-previous core's output with (dt/2) K and the state, and the reduced run
-folds the gather of the log arguments into that product.  A step is checked
-once, before its last core.
+the domain test and one core, and scatter.  The reduced core is real: it
+computes D = G^T mu, with (dh/dmu) K^-1 = i G, and K maps D to X_h = i (D +
+D^H).  The operator's ``run`` takes the RK4 steps of :func:`integrate`: each
+stage input is one product of the previous core's output with (dt/2) K and
+the state, and the reduced run folds the gather of the log arguments into
+that product.  The stage inputs are checked once per block of steps.
 """
 
 from __future__ import annotations
@@ -101,33 +102,39 @@ class Which(enum.Enum):
     REDUCED = "reduced"
 
 
-def _check_separations(conj_d: np.ndarray, count: int, size: np.ndarray | None = None) -> None:
-    """The collision test of ``count`` rows of conj_d, one after the other
-    (any shape), with |d| written into ``size`` if given: Collision for the
-    first row with two vortices within COLLISION_TOL (read at this call)."""
+def _check_separations(conj_d: np.ndarray, size: np.ndarray | None = None) -> None:
+    """The collision test of the rows of conj_d (its first axis; a row may be
+    a stack), one after the other, with |d| written into ``size`` if given:
+    Collision for the first row with two vortices within COLLISION_TOL (read
+    at this call), with the row's index as its ``sample``.  A row with a NaN
+    passes."""
     size = np.abs(conj_d, out=size)
-    # min(), without its Python wrapper; a NaN row is not a collision
+    # min(), without its Python wrapper; then the least |d| of each row, NaN
+    # for a row with a NaN
     if not size.item(size.argmin()) > COLLISION_TOL:
-        for row in size.reshape(count, -1):
-            nearest = row.item(row.argmin())
-            if nearest <= COLLISION_TOL:
-                raise Collision(f"minimum vortex separation {nearest:.3e}")
+        nearest = size.reshape(len(size), -1).min(axis=1)
+        first = (nearest <= COLLISION_TOL).argmax()
+        if nearest[first] <= COLLISION_TOL:
+            raise Collision(f"minimum vortex separation {nearest[first]:.3e}", sample=int(first))
 
 
 def _check_log_arguments(s: np.ndarray) -> None:
-    """The log-argument test of the rows of s (the first axis; a row may be
-    a stack), one after the other: DomainError for the first row with a log
-    argument at or below LOG_FLOOR (read at this call)."""
-    # min(), without its Python wrapper; a NaN row is not checked
+    """The log-argument test of the rows of s (its first axis), one after
+    the other: DomainError for the first row with a log argument at or below
+    LOG_FLOOR (read at this call), with the row's index as its ``sample``.
+    A row with a NaN passes."""
+    # min(), without its Python wrapper; then the least argument of each row,
+    # NaN for a row with a NaN, as a stack of one-argument rows
     if not s.item(s.argmin()) > LOG_FLOOR:
-        for row in s:
-            if row.item(row.argmin()) <= LOG_FLOOR:
-                check_arguments(row)
+        check_arguments(s.min(axis=1)[:, None])
 
 
 # The scales of the four cores of an RK4 step: the third core's output feeds
 # a stage input a whole step dt from the state, the first two half a step
 _CORE_SCALES = (1.0, 1.0, 2.0, 1.0)
+
+# The steps of a block of a run, whose stage inputs are checked at once
+_BLOCK_STEPS = 32
 
 
 class _Field:
@@ -159,7 +166,15 @@ class _Field:
     is one of the field's, or (dt/2) times one with the row x below it, so a
     step does the arithmetic of a stage-by-stage step at every N.  The
     buffers of a run are allocated, and every call is bound to its arrays,
-    once per run."""
+    once per run.
+
+    The domain test runs once per block of up to _BLOCK_STEPS steps.  Each
+    step copies the four rows the test reads (the pairs of conj(d), or the
+    log arguments) into its row of a block buffer, and after the block one
+    test runs over the block's rows in order.  The first row that fails
+    names its step, with the error a stage-by-stage check would raise; that
+    step and the steps after it in the block, which ran on its output with
+    numpy's floating-point warnings off (:func:`integrate`), are not kept."""
 
 
 class _FullField(_Field):
@@ -189,33 +204,32 @@ class _FullField(_Field):
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """The velocities at the (contiguous) pairs x, one vector or a stack."""
-        pairs = x.dot(self.incidence)
-        _check_separations(pairs.view(complex), 1)
-        inverse = np.empty(pairs.shape)
-        self.stages((pairs,), (inverse,), (1.0,))[0]()
-        return inverse.dot(self.coupling)
+        conj_d = x.dot(self.incidence).view(complex)
+        _check_separations(conj_d[None])
+        inverse = np.empty(conj_d.shape, dtype=complex)
+        self.stages((conj_d,), (inverse,), (1.0,))[0]()
+        return inverse.view(float).dot(self.coupling)
 
     @staticmethod
     def stages(
         inputs: Sequence[np.ndarray], outputs: Sequence[np.ndarray], scales: Sequence[float]
     ) -> list[Callable[[], None]]:
-        """Cores from the pairs of conj(d) to those of c / conj(d): one
-        complex division with its arguments bound (numpy divides in one
-        order for every c, so 2 / conj(d) is exactly twice 1 / conj(d))."""
+        """Cores from conj(d) to c / conj(d), complex arrays: one division
+        with its arguments bound (numpy divides in one order for every c, so
+        2 / conj(d) is exactly twice 1 / conj(d))."""
         return [
-            partial(np.divide, np.array(c, dtype=complex), d.view(complex), out.view(complex))
+            partial(np.divide, np.array(c, dtype=complex), d, out)
             for d, out, c in zip(inputs, outputs, scales)
         ]
 
     def run(self, samples: np.ndarray, dt: float):
         """RK4 steps of dt from samples[0], the next state written into each
         next row of samples; None, or the index of the first row not written
-        and the Collision or DomainError of its step.  A stage gathers the
-        pairs of its input, y_k I, into row k of one buffer of pairs, and
-        the step is checked once, before the fourth core, over the four rows
-        in order: the error of the first that fails, as a stage-by-stage
-        check would raise it.  The gather is a product of its own: folded
-        into the stage input's, it would read C I, (2 pairs, 2 pairs)
+        and the Collision of its step.  A stage gathers the pairs of its
+        input, y_k I, into row k of one buffer of pairs, and a step copies
+        the four rows into its row of a block buffer; the block is checked
+        once (see :class:`_Field`).  The gather is a product of its own:
+        folded into the stage input's, it would read C I, (2 pairs, 2 pairs)
         against the (2N, 2 pairs) of I."""
         incidence, coupling = self.incidence, self.coupling
         width, pair_width = incidence.shape
@@ -227,18 +241,26 @@ class _FullField(_Field):
         p1, p2, p3, p4 = pairs
         scaled = np.empty((4, pair_width + 1))
         scaled[:, pair_width] = 1.0
-        core1, core2, core3, core4 = self.stages(pairs, scaled[:, :pair_width], _CORE_SCALES)
-        into2, into3, into4 = (row.dot for row in scaled[:3])
+        core1, core2, core3, core4 = self.stages(
+            pairs.view(complex), scaled[:, :pair_width].view(complex), _CORE_SCALES
+        )
+        into2, into3, into4 = scaled[0].dot, scaled[1].dot, scaled[2].dot
         gather1, gather2, gather3, gather4 = x.dot, y2.dot, y3.dot, y4.dot
-        conj_d = pairs.view(complex)
-        check = partial(_check_separations, conj_d, 4, np.empty(conj_d.shape))
+        count = len(samples)
+        per_block = min(count - 1, _BLOCK_STEPS)
+        block = np.empty((per_block,) + pairs.shape)
+        # the block's stage rows of conj(d), checked whole: past a short last
+        # block they hold the rows of the block before, which passed
+        conj_d = block.view(complex).reshape(4 * per_block, -1)
+        check = partial(_check_separations, conj_d, np.empty(conj_d.shape))
         # the end's weights of a1, a2, a3 = 2 f3 and a4
         combine = np.array([dt / 6.0, dt / 3.0, dt / 6.0, dt / 6.0]).dot
         total, increment, add = np.empty(pair_width + 1), np.empty(width), np.add
         scatter = total[:pair_width].dot
         x[:] = samples[0]
-        for s in range(1, len(samples)):
-            try:
+        for start in range(1, count, per_block):
+            stop = min(start + per_block, count)
+            for s in range(start, stop):
                 gather1(incidence, out=p1)
                 core1()
                 into2(matrix, out=y2)
@@ -249,30 +271,36 @@ class _FullField(_Field):
                 core3()
                 into4(matrix, out=y4)
                 gather4(incidence, out=p4)
-                check()
                 core4()
-            except (Collision, DomainError) as exc:
-                return s, exc
-            combine(scaled, out=total)
-            scatter(coupling, out=increment)
-            add(increment, x, out=x)
-            samples[s] = x
+                block[s - start] = pairs
+                combine(scaled, out=total)
+                scatter(coupling, out=increment)
+                add(increment, x, out=x)
+                samples[s] = x
+            try:
+                check()
+            except Collision as exc:
+                return start + exc.sample // 4, exc
         return None
 
 
 class _ReducedField(_Field):
     """X_h of one circulation set on x, the (re, im) pairs of the entries of
     mu in row-major order (2n^2 values, one vector or a stack of them),
-    through constant matrices: the log arguments are s = x ``forms``, with
-    the forms F of :func:`reduced_system` gathered at the pairs; (dh/dmu)
-    K^-1 = (1/s) ``rk``, where rk folds the weights, the -1/(4pi) and the
-    doubled diagonal of :func:`gradient_entries` and K^-1 into the forms
-    scattered back to the coordinates; and the pairs of A^H - A are a'
-    ``skew`` for the pairs a' of A = mu (dh/dmu) K^-1, with skew a matrix of
-    0 and +-1.  Each entry of the forms and of the scattered forms is one
+    through constant matrices.  h reads mu only through its diagonal and
+    the real parts x_ij, so dh/dmu is i times a real symmetric matrix, and
+    (dh/dmu) K^-1 = i G with G real.  For an exactly skew-Hermitian mu, X_h =
+    A^H - A with A = i mu G is i (D + D^H) with D = G^T mu.  The log
+    arguments are s = x ``forms``, with the forms F of
+    :func:`reduced_system` gathered at the pairs; G^T = (1/s) ``rk``, where
+    the real (P, n^2) rk folds the weights, the -1/(4pi) and the doubled
+    diagonal of :func:`gradient_entries` and K^-1 into the forms scattered
+    back to the coordinates, transposed; and the pairs of X_h are d'
+    ``skew`` for the pairs d' of D, with skew a matrix of 0, +-1 and 2 (the
+    diagonal).  Each entry of the forms and of the scattered forms is one
     exact product, so the folds do not depend on the order of any sum.
     ``skew_forms`` (skew times forms, of the shape of forms) maps the pairs
-    of A of one stage to the log arguments of the next."""
+    of D of one stage to the log arguments of the next."""
 
     def __init__(self, circ: Circulations):
         sys = reduced_system(circ)
@@ -285,15 +313,19 @@ class _ReducedField(_Field):
         r = sys._scatter(np.diag(-sys.weights / FOUR_PI))
         r[:, :n] *= 2.0
         kinv = build_coupling_matrix(circ).k_inv
-        self.rk = (unflatten_stack(r, n) @ kinv).reshape(len(r), n * n).view(float)
-        # entry e = (i, j) of A^H - A is conj(a_t) - a_e with t = (j, i)
+        # term t of (dh/dmu) K^-1, i G_t times 1/s_t: its real parts are 0,
+        # and row t of rk is G_t^T
+        ig = unflatten_stack(r, n) @ kinv
+        self.rk = np.ascontiguousarray(ig.imag.swapaxes(-1, -2).reshape(len(r), n * n))
+        # entry e = (i, j) of i (D + D^H) is (im d_t - im d_e) + i (re d_e +
+        # re d_t) with t = (j, i)
         e = np.arange(n * n)
         t = e.reshape(n, n).T.ravel()
         skew = np.zeros((n * n, 2, n * n, 2))
-        skew[t, 0, e, 0] += 1.0
-        skew[e, 0, e, 0] -= 1.0
-        skew[t, 1, e, 1] -= 1.0
-        skew[e, 1, e, 1] -= 1.0
+        skew[t, 1, e, 0] += 1.0
+        skew[e, 1, e, 0] -= 1.0
+        skew[e, 0, e, 1] += 1.0
+        skew[t, 0, e, 1] += 1.0
         self.skew = skew.reshape(size, size)
         self.skew_forms = self.skew @ self.forms
         self.n = n
@@ -303,10 +335,10 @@ class _ReducedField(_Field):
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """The pairs of X_h at the (contiguous) pairs x, one vector or a stack."""
         s = x.dot(self.forms)
-        _check_log_arguments(s[None])
-        a = np.empty(x.shape)
-        self.stages(((x, s),), (a,), (1.0,))[0]()
-        return a.dot(self.skew)
+        _check_log_arguments(s.reshape(-1, s.shape[-1]))
+        d = np.empty(x.shape)
+        self.stages(((x, s),), (d,), (1.0,))[0]()
+        return d.dot(self.skew)
 
     def stages(
         self,
@@ -315,28 +347,25 @@ class _ReducedField(_Field):
         scales: Sequence[float],
     ) -> list[Callable[[], None]]:
         """Cores from the pairs of mu with their log arguments s to the pairs
-        of c A = mu ((c/s) rk): c/s, then (c/s) rk as one real product with
-        the (re, im) pairs of rk, then the complex (n, n) product with mu (a
-        2-D ``dot``, or a matmul of a stack).  The buffers of c/s and of the
-        product with rk, with its pairs and (n, n) view, are shared by the
-        cores."""
+        of c D = ((c/s) rk) mu: c/s, then c G^T = (c/s) rk as one real
+        product, then c G^T times the (n, 2n) pairs of mu as one real
+        product (a 2-D ``dot``, or a matmul of a stack).  The buffers of c/s
+        and of c G^T are shared by the cores."""
         n, rk = self.n, self.rk
         lead = inputs[0][0].shape[:-1]
         inverse = np.empty(inputs[0][1].shape)
-        g = np.empty(lead + (n * n,), dtype=complex)
-        g_pairs, g_matrices = g.view(float), g.reshape(lead + (n, n))
+        g = np.empty(lead + (n, n))
         stages = []
         for (y, s), out, c in zip(inputs, outputs, scales):
-            m = y.view(complex).reshape(lead + (n, n))
 
             def stage(
                 divide=np.divide, c=np.array(c), s=s, inverse=inverse, scale=inverse.dot, rk=rk,
-                g_pairs=g_pairs, product=m.dot if not lead else partial(np.matmul, m),
-                g_matrices=g_matrices, a=out.view(complex).reshape(lead + (n, n)),
+                g=g.reshape(lead + (n * n,)), product=g.dot if not lead else partial(np.matmul, g),
+                m=y.reshape(lead + (n, 2 * n)), d=out.reshape(lead + (n, 2 * n)),
             ):
                 divide(c, s, inverse)
-                scale(rk, out=g_pairs)
-                product(g_matrices, out=a)
+                scale(rk, out=g)
+                product(m, out=d)
 
             stages.append(stage)
         return stages
@@ -344,13 +373,12 @@ class _ReducedField(_Field):
     def run(self, samples: np.ndarray, dt: float):
         """RK4 steps of dt from samples[0], the next state written into each
         next row of samples; None, or the index of the first row not written
-        and the Collision or DomainError of its step.  The gather is folded
-        into the products: [y_{k+1} | s_{k+1}] is [a_k | 1] times
-        [(dt/2) skew, (dt/2) skew forms ; x, s_1], of the shape of
-        [skew | forms], and a step starts with s_1 = x forms.  The step is
-        checked once, before the fourth core, over the four rows of s in
-        order (copied into one block): the error of the first that fails, as
-        a stage-by-stage check would raise it."""
+        and the DomainError of its step.  The gather is folded into the
+        products: [y_{k+1} | s_{k+1}] is [d_k | 1] times [(dt/2) skew, (dt/2)
+        skew forms ; x, s_1], of the shape of [skew | forms], and a step
+        starts with s_1 = x forms.  A step copies its four rows of s into its
+        row of a block buffer; the block is checked once (see
+        :class:`_Field`)."""
         forms, skew = self.forms, self.skew
         size, width = skew.shape[0], skew.shape[0] + forms.shape[1]
         # (dt/2) [skew, skew forms] and the row [x | s1] over the rows
@@ -361,21 +389,28 @@ class _ReducedField(_Field):
         matrix, inputs = rows[: size + 1], rows[size:]
         head, y2, y3, y4 = inputs
         x, s1 = head[:size], head[size:]
-        logs, stage_logs = np.empty((4, width - size)), inputs[:, size:]
+        stage_logs = inputs[:, size:]
         scaled = np.empty((4, size + 1))
         scaled[:, size] = 1.0
         core1, core2, core3, core4 = self.stages(
             list(zip(inputs[:, :size], stage_logs)), scaled[:, :size], _CORE_SCALES
         )
-        into2, into3, into4 = (row.dot for row in scaled[:3])
-        gather, check = x.dot, partial(_check_log_arguments, logs)
+        into2, into3, into4 = scaled[0].dot, scaled[1].dot, scaled[2].dot
+        gather = x.dot
+        count = len(samples)
+        per_block = min(count - 1, _BLOCK_STEPS)
+        logs = np.empty((per_block,) + stage_logs.shape)
+        # the block's stage rows of s, checked whole: past a short last block
+        # they hold the rows of the block before, which passed
+        check = partial(_check_log_arguments, logs.reshape(4 * per_block, -1))
         # the end's weights of a1, a2, a3 = 2 f3 and a4
         combine = np.array([dt / 6.0, dt / 3.0, dt / 6.0, dt / 6.0]).dot
         total, increment, add = np.empty(size + 1), np.empty(size), np.add
         scatter = total[:size].dot
         x[:] = samples[0]
-        for s in range(1, len(samples)):
-            try:
+        for start in range(1, count, per_block):
+            stop = min(start + per_block, count)
+            for s in range(start, stop):
                 gather(forms, out=s1)
                 core1()
                 into2(matrix, out=y2)
@@ -383,15 +418,16 @@ class _ReducedField(_Field):
                 into3(matrix, out=y3)
                 core3()
                 into4(matrix, out=y4)
-                logs[...] = stage_logs
-                check()
                 core4()
-            except (Collision, DomainError) as exc:
-                return s, exc
-            combine(scaled, out=total)
-            scatter(skew, out=increment)
-            add(increment, x, out=x)
-            samples[s] = x
+                logs[s - start] = stage_logs
+                combine(scaled, out=total)
+                scatter(skew, out=increment)
+                add(increment, x, out=x)
+                samples[s] = x
+            try:
+                check()
+            except DomainError as exc:
+                return start + exc.sample // 4, exc
         return None
 
 
@@ -409,7 +445,10 @@ def full_vector_field(cfg: VortexConfiguration) -> np.ndarray:
 
 def lie_poisson_vector_field(mu: MuMatrix, circ: Circulations) -> MuMatrix:
     """X_h(mu) = -mu (dh/dmu) K^-1 + K^-1 (dh/dmu) mu, skew-Hermitian to the
-    last bit, so not checked again."""
+    last bit, so not checked again.  It is computed as i (D + D^H) with D =
+    G^T mu (see :class:`_ReducedField`), which is that field for an exactly
+    skew-Hermitian mu; for a mu that is skew only to rounding, as
+    :func:`moment_map` gives, the two differ by rounding."""
     if mu.n != circ.n:
         raise DimensionMismatch(f"mu is {mu.n}x{mu.n}, circulations give n={circ.n}")
     m = mu.entries
@@ -480,14 +519,16 @@ def integrate(
     the matrices and every array a core writes are allocated once per run,
     and each core and product is bound to its arrays there: a step looks up
     no method, allocates no array, and two threads may integrate one
-    circulation set at once.  A step is checked once, before its fourth
-    core: the collision or log-argument test runs over the rows of all four
-    stage inputs in order and raises for the first that fails, with the
-    error a stage-by-stage check would raise; the cores and products that
-    read a failed stage's output run with numpy's floating-point warnings
-    off.  The loop only steps, storing each state.  Afterwards the reduced
-    samples are flattened once, so ``states`` holds flattened coordinates,
-    and the full ones are viewed as complex positions.  The Hamiltonian, the
+    circulation set at once.  The stage inputs are checked once per block
+    of steps: after a block, the collision or log-argument test runs over
+    the rows of all its stage inputs in order and finds the first that
+    fails, with the error a stage-by-stage check would raise.  The cores
+    and products that read a failed stage's output, and the steps after it
+    in its block, run with numpy's floating-point warnings off, and their
+    samples are not kept.  The loop only steps, storing each state.
+    Afterwards the reduced samples are flattened once, so ``states`` holds
+    flattened coordinates, and the full ones are viewed as complex
+    positions.  The Hamiltonian, the
     Casimirs C_1..C_n and the sup-norm of the rank-one residual are
     evaluated over the whole stack of samples, with the checks each sample
     needs: collision, the reduced Hamiltonian's log-argument floor, and a
@@ -538,8 +579,8 @@ def integrate(
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limits
         raise InvalidArgument(f"{steps} steps of dt = {dt} do not fit in memory ({exc})") from exc
     samples[0] = state.view(float).ravel()
-    # the step is checked before its last core: cores and products that read
-    # a failed stage's output run silently until that check raises
+    # a block of steps is checked after its last step: cores and products
+    # that read a failed stage's output run silently until that check
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         failure = _right_hand_side(circ, which).run(samples, dt)
     if failure is not None:  # (index of the first sample not kept, exception)

@@ -298,7 +298,9 @@ class TestSparseFormsOracle:
 
     @pytest.mark.parametrize("n,zero_total", ORACLE_CASES)
     def test_rk4_folds(self, n, zero_total):
-        # the folds of the RK4 operator from the dense forms, bit for bit
+        # the folds of the RK4 operator from the dense forms, bit for bit.
+        # Each form scattered back to mu, times K^-1, is i times a real
+        # matrix G_t: its real parts are exactly 0, and rk keeps G_t^T
         rng = np.random.default_rng(300 + 2 * n + zero_total)
         circ = oracle_circulations(rng, n, zero_total, 1)[0]
         forms, weights = dense_log_terms(circ.as_array(), circ.regime)
@@ -307,10 +309,11 @@ class TestSparseFormsOracle:
         r = forms * (-weights / FOUR_PI)[:, None]
         r[:, :n] *= 2.0
         kinv = build_coupling_matrix(circ).k_inv
-        rk = (unflatten_stack(r, n) @ kinv).reshape(len(r), n * n)
+        ig = unflatten_stack(r, n) @ kinv
+        np.testing.assert_array_equal(ig.real, np.zeros(ig.shape))
         field = dynamics._ReducedField(circ)
         np.testing.assert_array_equal(field.forms, pick @ forms.T)
-        np.testing.assert_array_equal(field.rk, rk.view(float))
+        np.testing.assert_array_equal(field.rk, ig.imag.swapaxes(-1, -2).reshape(len(r), n * n))
         # row-major as the products were: BLAS sums x Fm over a transposed
         # layout in another order
         assert field.forms.flags.c_contiguous and field.rk.flags.c_contiguous

@@ -1097,13 +1097,26 @@ def relative_gap(got, expected):
 
 
 def critical_multipliers(model):
-    """The multipliers (a0 = +1) of 4 pi h + 2 pi Omega C_1, Omega from
-    K^-1 G z0 = i Omega z0, restated from the formula: critical also where
-    the differentials are dependent, as the model's own set is."""
+    """Multipliers (a0 = +1) that make 4 pi h + a_1 C_1 + the constraints
+    critical at the model's one point.  Where [C_1; J] has full rank they
+    are the least-squares solution of [C_1; J]^T w = -4 pi grad h, on J rows
+    of unit length (as in test_multipliers_match_a_least_squares_solve),
+    found apart from the model's closed form.  Where the rows are dependent
+    the least-squares set is the minimal-norm one, which leaves about 0.7 of
+    max |4 pi grad h| and is not critical, so the closed form is restated
+    there: a_1 = 2 pi Omega, Omega from K^-1 G z0 = i Omega z0, and the
+    constraint weights of the rest."""
     n = model.n
-    a = 2 * np.pi * model._energy_rows[1][:, 0]
-    rest = model.energy_gradient + a * model.casimirs[:, 0]
-    w = localmodel._constraint_multipliers(model.moment[0], rest)
+    if model.rank[0] < model.row_count:
+        a = 2 * np.pi * model._energy_rows[1][:, 0]
+        rest = model.energy_gradient + a * model.casimirs[:, 0]
+        w = localmodel._constraint_multipliers(model.moment[0], rest)
+    else:
+        jacobian = constraint_jacobian(MuMatrix(model.mu0.entries.reshape(n, n)))
+        length = np.linalg.norm(jacobian, axis=-1)
+        rows = np.concatenate([model.casimirs[0, :1], jacobian / length[:, None]])
+        y = np.linalg.lstsq(rows.T, -model.energy_gradient[0], rcond=None)[0]
+        a, w = y[None, :1], (y[1:] / length)[None]
     return replace(model.multipliers, a=a, b=w[:, : n - 1], c=w[:, n - 1 :: 2], d=w[:, n::2])
 
 
