@@ -126,7 +126,7 @@ class MuMatrix:
         one, one matrix as a stack of one), sliced from the checked entries
         and not checked again."""
         return MuMatrix._skew_by_construction(
-            self.entries.reshape((-1,) + self.entries.shape[-2:])[rows]
+            self.entries.reshape((-1,) + self.entries.shape[-2:]).take(rows, 0)
         )
 
     @property
@@ -300,8 +300,9 @@ def _coupling_stack(circs: tuple[Circulations, ...]) -> CouplingMatrix:
         k_inv = np.empty(k.shape)
         k_inv[...] = -1.0 / denominator[:, :, None]
         k_inv[:, diagonal, diagonal] -= 1.0 / gn
-        norms = np.add.reduce(np.abs(np.array([k, k_inv])), axis=-1).max(axis=-1)
-        rounding = math.ulp(1.0) * norms[0] * norms[1]  # eps
+        norm = np.add.reduce(np.abs(k), axis=-1).max(axis=-1)
+        norm_inv = np.add.reduce(np.abs(k_inv), axis=-1).max(axis=-1)
+        rounding = math.ulp(1.0) * norm * norm_inv  # eps
     singular = ~(rounding < 1.0)
     if singular.any():
         i = int(np.argmax(singular))

@@ -186,31 +186,37 @@ class ReducedHamiltonian:
             out += values[..., n:start] @ self.dense
         return out
 
-    def _arguments(self, u: np.ndarray) -> np.ndarray:
+    def arguments(self, u: np.ndarray) -> np.ndarray:
+        """The log arguments s = F u (..., terms) at u, checked: DomainError
+        for the first sample with one at or below LOG_FLOOR.  ``gradient``,
+        ``gradient_bound`` and ``hessian`` take them as ``s`` from a caller
+        that has them, and gather and check them from u otherwise."""
         s = self._gather(u[..., None, :])[..., 0, :]
         check_arguments(s)
         return s
 
     def value(self, u: np.ndarray) -> float | np.ndarray:
-        return _weighted_log_sum(self.weights, self._arguments(u))
+        return _weighted_log_sum(self.weights, self.arguments(u))
 
-    def gradient(self, u: np.ndarray) -> np.ndarray:
-        s = self._arguments(u)
+    def gradient(self, u: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
+        s = self.arguments(u) if s is None else s
         return -self._scatter((self.weights / s)[..., None, :])[..., 0, :] / FOUR_PI
 
-    def gradient_bound(self, u: np.ndarray) -> np.ndarray:
+    def gradient_bound(self, u: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
         """The gradient with every weight w_t replaced by |w_t|: the size of
         its terms, which circulations of both signs let cancel in the gradient."""
-        s = self._arguments(u)
+        s = self.arguments(u) if s is None else s
         return self._scatter((np.abs(self.weights) / s)[..., None, :])[..., 0, :] / FOUR_PI
 
-    def hessian(self, u: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
+    def hessian(
+        self, u: np.ndarray, basis: np.ndarray | None = None, s: np.ndarray | None = None
+    ) -> np.ndarray:
         """Hess h = F^T diag(w / s^2) F / 4pi, F the forms and s = F u; with
         ``basis`` (rows are directions, one stack of them per Hamiltonian of
         a stack) ``basis @ Hess h``.  Either is the forms gathered at the
         rows (the basis, or the identity), scaled by w / s^2, and scattered
         back: three columns of a row per pair form, with no dense form."""
-        s = self._arguments(u)
+        s = self.arguments(u) if s is None else s
         if basis is None:
             size = self.n * self.n
             basis = np.broadcast_to(np.eye(size), s.shape[:-1] + (size, size))

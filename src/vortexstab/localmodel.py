@@ -6,12 +6,15 @@ matrices, reduced Hamiltonians, field residual, n^2 x n^2 Jacobian) and the
 leaf built from the moment map mu = phi(z) = i z z^* (ranks, tangent bases,
 multipliers, the leaf operator and the restricted Hessian, in O(n^3) on z
 through the thin QR T^T = U R of the rows T of Dphi; the multiplier residual
-is the one reader of the constraint Jacobian).  T and the z-table Z are
-written entry by entry from their formulas, exactly.  Nothing is memoised
-between calls: the certificate builds one model of its stack, hands it to
-each stage, and narrows it with :meth:`LocalModel.take`, which slices what
-is computed and checks nothing again.  Every array has a leading axis of
-length k; one point is a stack of one.
+is the one reader of the constraint Jacobian).  T, the z-table Z and the
+multipliers' conj(A) hold entries of z, negated, doubled or turned by i,
+exactly: each is filled from one vector of those values through a plan of
+its slots (:func:`_slot_plans`).  Values are not memoised between calls;
+index plans are, once per n.  The certificate builds one model of its
+stack, hands it to each stage, and narrows it with :meth:`LocalModel.take`,
+which slices what is computed (the log arguments of h at u0 among it,
+gathered and checked once per model) and checks nothing again.  Every
+array has a leading axis of length k; one point is a stack of one.
 """
 
 from __future__ import annotations
@@ -90,23 +93,27 @@ class LocalModel:
         self.u0 = flatten(mu0)
         # raises DimensionMismatch for sets that differ in N or the regime
         self.coupling = build_coupling_matrix(circs)
-        gradient = self.hamiltonian.gradient(self.u0)
+        # the log arguments of h at u0, gathered and checked once
+        self.arguments = self.hamiltonian.arguments(self.u0)
+        gradient = self.hamiltonian.gradient(self.u0, s=self.arguments)
         self.energy_gradient = FOUR_PI * gradient
         self._g = gradient_entries(gradient, n)
         field = _lie_poisson_entries(mu0.entries, self._g, self.coupling.k_inv)
         self.residual = np.abs(flatten_stack(field)).max(axis=-1, initial=0.0)
         # the size of the field's terms: |mu| |G+| |K^-1|, G+ built from the
         # weights' sizes, so that no cancellation of terms hides the scale
-        bound = np.abs(gradient_entries(self.hamiltonian.gradient_bound(self.u0), n))
+        bound = self.hamiltonian.gradient_bound(self.u0, s=self.arguments)
+        bound = np.abs(gradient_entries(bound, n))
         terms = np.abs(mu0.entries) @ bound @ np.abs(self.coupling.k_inv)
         self.scale = terms.max(axis=(-2, -1), initial=0.0)
 
     def take(self, rows: np.ndarray) -> LocalModel:
         """The model at some rows (sorted and distinct) of the stack, the model
         itself for all of its rows, with the checks' flags and what the
-        stages after a narrowing read sliced, not computed or checked again.
-        The moment map, the open-set test and :attr:`_frame` are not: a
-        narrowed model computes them again if asked, to the same bits."""
+        stages after a narrowing read sliced, not computed or checked again:
+        the log arguments, the moment map and the factors among them.  The
+        open-set test and :attr:`_frame` are not: a narrowed model computes
+        them again if asked, to the same bits."""
         if len(rows) == len(self.circs):
             return self
         sub = object.__new__(LocalModel)
@@ -114,17 +121,19 @@ class LocalModel:
         sub.screened, sub.independent = self.screened, self.independent
         # tuple() of a generator allocates ten slots and shrinks them, and the
         # shrunk tuples pile up on CPython's free list of their size
-        sub.circs = tuple([self.circs[i] for i in rows])
-        sub.coupling = CouplingMatrix(k=self.coupling.k[rows], k_inv=self.coupling.k_inv[rows])
-        sub.u0, sub.energy_gradient = self.u0[rows], self.energy_gradient[rows]
-        sub._g, sub.residual, sub.scale = self._g[rows], self.residual[rows], self.scale[rows]
+        sub.circs = tuple([self.circs[i] for i in rows.tolist()])
+        k, k_inv = self.coupling.k.take(rows, 0), self.coupling.k_inv.take(rows, 0)
+        sub.coupling = CouplingMatrix(k=k, k_inv=k_inv)
+        sub.u0, sub.arguments = self.u0.take(rows, 0), self.arguments.take(rows, 0)
+        sub.energy_gradient, sub._g = self.energy_gradient.take(rows, 0), self._g.take(rows, 0)
+        sub.residual, sub.scale = self.residual.take(rows, 0), self.scale.take(rows, 0)
         computed = vars(self)
         for name in ("casimirs", "infeasible"):
             if name in computed:
-                setattr(sub, name, _read_only(computed[name][rows]))
-        for name in ("_factors", "_energy_rows"):
+                setattr(sub, name, _read_only(computed[name].take(rows, 0)))
+        for name in ("moment", "_factors", "_energy_rows"):
             if name in computed:
-                setattr(sub, name, tuple([_read_only(a[rows]) for a in computed[name]]))
+                setattr(sub, name, tuple([_read_only(a.take(rows, 0)) for a in computed[name]]))
         if "multipliers" in computed:
             sub.multipliers = self.multipliers.take(rows)
         return sub
@@ -138,7 +147,7 @@ class LocalModel:
         n = self.n
         m, g, kinv = (a[:, None] for a in (self.mu0.entries, self._g, self.coupling.k_inv))
         # direction c moves mu by nu_c and G by p_c, the Hessian applied to it
-        hess_t = self.hamiltonian.hessian(self.u0).swapaxes(-1, -2)
+        hess_t = self.hamiltonian.hessian(self.u0, s=self.arguments).swapaxes(-1, -2)
         nu, p = 1j * coordinate_basis(n), gradient_entries(hess_t, n)
         deriv = -nu @ g @ kinv - m @ p @ kinv + kinv @ p @ m + kinv @ g @ nu
         return np.ascontiguousarray(flatten_stack(deriv).swapaxes(-1, -2))
@@ -206,7 +215,7 @@ class LocalModel:
         Z (:func:`_z_table`), so all P(v) z0 are one Hessian of h along the
         rows T times Z, as one real product with Z's (re, im) pairs."""
         z, g = self.moment[0], self._g
-        along = self.hamiltonian.hessian(self.u0, self._frame[0])
+        along = self.hamiltonian.hessian(self.u0, self._frame[0], s=self.arguments)
         pullback = (along @ _z_table(z).view(float)).view(complex)
         v = _directions(self.n)[self._frame[3]]
         rows = v @ g.swapaxes(-1, -2) + pullback
@@ -304,11 +313,14 @@ class LocalModel:
         the family of dimension ``solution_space_dim``.  The constraint
         Jacobian J is read here, once, to check the closed form apart from
         it: Df = 4 pi grad h + a_1 dC_1 + J^T (b, c, d); it is not kept."""
-        n = self.n
-        a = 2 * np.pi * self._energy_rows[1][:, 0]
-        df = self.energy_gradient + a * self.casimirs[:, 0]
-        rest = _constraint_multipliers(self.moment[0], df)
-        df += (rest[:, None] @ constraint_system(n).jacobian(self.u0))[:, 0]
+        n, a = self.n, 2 * np.pi * self._energy_rows[1][:, 0]
+        rest = _constraint_multipliers(
+            self.moment[0], self.energy_gradient + a * self.casimirs[:, 0]
+        )
+        # the sum is formed again after the product, so that none of it is
+        # held beside the n^4-sized Jacobian
+        along = (rest[:, None] @ constraint_system(n).jacobian(self.u0))[:, 0]
+        df = self.energy_gradient + a * self.casimirs[:, 0] + along
         residual = np.abs(df).max(axis=-1, initial=0.0)
         b, c, d = rest[:, : n - 1], rest[:, n - 1 :: 2], rest[:, n::2]
         return MultiplierSet(1.0, a, b, c, d, residual, self.row_count - self.rank)
@@ -350,19 +362,14 @@ def _dphi_rows(z: np.ndarray, keep: np.ndarray) -> np.ndarray:
     and the upper entries of M.  M_jj is 2 Re z_j for v = e_j and 2 Im z_j
     for v = i e_j; for a pair a < b, M_ab is conj(z_b) for e_a, z_a for e_b,
     i conj(z_b) for i e_a and -i z_a for i e_b; every other coordinate is 0.
-    So each is an entry of z, negated or doubled, exactly.  The kept rows
-    are gathered into a new C-contiguous array: the products that read T
-    change in their last bits with its layout."""
+    So each is an entry of z, negated or doubled, exactly: all 2n rows are
+    filled from one vector of these values (:func:`_slot_plans`).  The kept
+    rows are gathered into a new C-contiguous array: the products that read
+    T change in their last bits with its layout."""
     k, n = z.shape
-    a, b, x = _distance_pairs(n)
-    y, j = x + 1, np.arange(n)
     re, im = z.real, z.imag
-    rows = np.zeros((k, 2 * n, n * n))
-    rows[:, j, j], rows[:, n + j, j] = 2.0 * re, 2.0 * im
-    rows[:, a, x], rows[:, a, y] = re[:, b], -im[:, b]
-    rows[:, b, x], rows[:, b, y] = re[:, a], im[:, a]
-    rows[:, n + a, x], rows[:, n + a, y] = im[:, b], re[:, b]
-    rows[:, n + b, x], rows[:, n + b, y] = im[:, a], -re[:, a]
+    values = np.concatenate([2.0 * re, 2.0 * im, re, -re, im, -im], axis=-1)
+    rows = _filled(values, _slot_plans(n)[0], (2 * n, n * n))
     return rows[np.arange(k)[:, None], keep]
 
 
@@ -393,15 +400,60 @@ def _z_table(z: np.ndarray) -> np.ndarray:
     matrix G_m of the m-th coordinate vector.  G_m is 2i e_j e_j^T for mu_j,
     and for the pair a < b it has G_ab = i, G_ba = i for x_ab and G_ab = -1,
     G_ba = 1 for y_ab; so row mu_j is 2i z_j e_j, row x_ab is
-    i (z_b e_a + z_a e_b) and row y_ab is z_a e_b - z_b e_a."""
-    k, n = z.shape
+    i (z_b e_a + z_a e_b) and row y_ab is z_a e_b - z_b e_a, filled from the
+    values 2i z, i z, -z and z (:func:`_slot_plans`)."""
+    n = z.shape[-1]
+    values = np.concatenate([2j * z, 1j * z, -z, z], axis=-1)
+    return _filled(values, _slot_plans(n)[1], (n * n, n))
+
+
+def _minor_columns(z: np.ndarray) -> np.ndarray:
+    """conj(A) (k, n, n - 1) for :func:`_constraint_multipliers`: column i
+    of A is z_{i+1} e_i - z_i e_{i+1}, filled from the values
+    conj(z_2..z_n), then -conj(z_1..z_{n-1}) (:func:`_slot_plans`)."""
+    n, conj = z.shape[-1], z.conj()
+    values = np.concatenate([conj[:, 1:], -conj[:, :-1]], axis=-1)
+    return _filled(values, _slot_plans(n)[2], (n, n - 1))
+
+
+def _filled(values: np.ndarray, plan: tuple[np.ndarray, ...], shape: tuple) -> np.ndarray:
+    """One table of ``shape`` per row of ``values`` (k, m), zero but where
+    the plan (slots in the flattened table, and the entry of the row that
+    each takes) puts a value."""
+    k, (slots, taken) = len(values), plan
+    out = np.zeros((k,) + shape, dtype=values.dtype)
+    out.reshape(k, -1)[:, slots] = values.take(taken, axis=-1)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _slot_plans(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Where the nonzero entries of three tables sit, and which entry of the
+    table's vector of values each takes (:func:`_filled`): the 2n rows of
+    Dphi (:func:`_dphi_rows`, values 2 Re z, 2 Im z, Re z, -Re z, Im z,
+    -Im z), the z-table (:func:`_z_table`, values 2i z, i z, -z, z) and
+    conj(A) (:func:`_minor_columns`, values conj(z_2..z_n), then
+    -conj(z_1..z_n-1)); from the pairs of :func:`hamiltonian._distance_pairs`
+    alone, and read-only."""
     a, b, x = _distance_pairs(n)
-    j, iz = np.arange(n), 1j * z
-    table = np.zeros((k, n * n, n), dtype=complex)
-    table[:, j, j] = 2j * z
-    table[:, x, a], table[:, x, b] = iz[:, b], iz[:, a]
-    table[:, x + 1, a], table[:, x + 1, b] = -z[:, b], z[:, a]
-    return table
+    y, j, step = x + 1, np.arange(n), np.arange(n - 1)
+    shapes = ((2 * n, n * n), (n * n, n), (n, n - 1))
+    rows, table, conj_a = (np.full(shape, -1) for shape in shapes)
+    re2, im2, re, neg_re, im, neg_im = (q * n for q in range(6))
+    rows[j, j], rows[n + j, j] = re2 + j, im2 + j
+    rows[a, x], rows[a, y] = re + b, neg_im + b
+    rows[b, x], rows[b, y] = re + a, im + a
+    rows[n + a, x], rows[n + a, y] = im + b, re + b
+    rows[n + b, x], rows[n + b, y] = im + a, neg_re + a
+    table[j, j] = j
+    table[x, a], table[x, b] = n + b, n + a
+    table[y, a], table[y, b] = 2 * n + b, 3 * n + a
+    conj_a[step, step], conj_a[step + 1, step] = step, n - 1 + step
+    plans = []
+    for taken in (rows, table, conj_a):
+        slots = np.flatnonzero(taken >= 0)
+        plans.append((_read_only(slots), _read_only(taken.ravel()[slots])))
+    return tuple(plans)
 
 
 def _kept(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -426,17 +478,15 @@ def _constraint_multipliers(z: np.ndarray, rest: np.ndarray) -> np.ndarray:
     c_ij + i d_ij = omega_ij.  As G~ = -(i/2) G with G the matrix form of
     ``rest`` (:func:`hamiltonian.gradient_entries`), conj(W) = (i/2) Y with
     Y = conj(P) G P^T, taken here."""
-    n = z.shape[-1]
+    k, n = z.shape
     i, j, _ = _distance_pairs(n - 1)
-    step = np.arange(n - 1)
-    a = np.zeros(z.shape + (n - 1,), dtype=complex)  # conj(A)
-    a[:, step, step], a[:, step + 1, step] = z[:, 1:].conj(), -z[:, :-1].conj()
+    a = _minor_columns(z)  # conj(A)
     a_h = a.conj().swapaxes(-1, -2)
     p = np.linalg.solve(a_h @ a, a_h)  # conj(P)
     y = p @ gradient_entries(rest, n) @ p.conj().swapaxes(-1, -2)
-    out = np.empty((len(z), (n - 1) ** 2))
-    out[:, : n - 1] = -0.5 * np.diagonal(y, axis1=-2, axis2=-1).imag
-    out[:, n - 1 :: 2], out[:, n::2] = -y[:, i, j].imag, y[:, i, j].real
+    out, upper = np.empty((k, (n - 1) ** 2)), y[:, i, j]
+    out[:, : n - 1] = -0.5 * y.diagonal(axis1=-2, axis2=-1).imag
+    out[:, n - 1 :: 2], out[:, n::2] = -upper.imag, upper.real
     return out
 
 

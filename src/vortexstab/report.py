@@ -151,10 +151,10 @@ def _sweep_row(gamma: float, res: CertificateResult | VortexStabError) -> SweepR
             minors=None,
             note=f"{type(res).__name__}: {res}",
         )
-    # an empty leaf spectrum (n = 1) has no growing direction
-    max_re = float(res.spectrum.real.max()) if len(res.spectrum) else 0.0
     minors = None if res.minors is None else list(res.minors)
-    return SweepRow(gamma=gamma, verdict=res.verdict.value, max_real_part=max_re, minors=minors)
+    return SweepRow(
+        gamma=gamma, verdict=res.verdict.value, max_real_part=res.max_real_part, minors=minors
+    )
 
 
 # 100 times the largest gamma grid in use (10001 points): a mistyped step

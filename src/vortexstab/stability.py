@@ -149,7 +149,9 @@ def spectrum(a: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     # numpy orders complex values by real part, then imaginary part, NaN last
-    return np.sort(ev.astype(complex, copy=False), axis=-1, kind="stable")
+    ev = ev.astype(complex)
+    ev.sort(axis=-1, kind="stable")
+    return ev
 
 
 @dataclass(frozen=True)
@@ -332,6 +334,9 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class CertificateResult:
+    """``max_real_part`` is the largest real part of ``spectrum``, 0 for an
+    empty one."""
+
     verdict: Verdict
     spectrum: np.ndarray
     multipliers: MultiplierSet | None = None
@@ -340,6 +345,7 @@ class CertificateResult:
     minors: tuple[float, ...] | None = None
     reason: str = ""
     residual: float = 0.0
+    max_real_part: float = 0.0
 
 
 def energy_casimir_certificate(
@@ -427,29 +433,38 @@ def _certify(
         basis = tangent_basis(part, part.circs) if independent else None
         lin = linearize(part, part.circs, basis)
         ev = spectrum(lin)
-        # a zero-dimensional leaf (n = 1) has an empty spectrum
-        max_re = ev.real.max(axis=-1, initial=0.0)
+        # a zero-dimensional leaf (n = 1) has an empty spectrum, and no growth
+        max_re = ev.real.max(axis=-1) if ev.shape[-1] else np.zeros(len(ev))
         unstable = max_re > SPEC_TOL * np.sqrt(np.add.reduce(lin * lin, axis=(-2, -1)))
         outcome = _energy_casimir(part, (~unstable).nonzero()[0]) if independent else {}
         max_re, unstable, ranks = max_re.tolist(), unstable.tolist(), indep.rank[rows].tolist()
+        spectra, bases = list(ev), (list(basis) if independent else None)
         for r, i in enumerate(at[rows].tolist()):
-            common = {"spectrum": ev[r], "residual": residual[i]}
             dependent = "" if independent else _dependent(ranks[r], indep.expected)
+            common = {"residual": residual[i], "max_real_part": max_re[r]}
             if unstable[r]:
                 growth = f"max Re lambda = {max_re[r]:.6e}"
                 reason = f"{growth}; {dependent}" if dependent else growth
-                results[i] = CertificateResult(Verdict.LINEARLY_UNSTABLE, reason=reason, **common)
+                results[i] = CertificateResult(
+                    Verdict.LINEARLY_UNSTABLE, spectra[r], reason=reason, **common
+                )
             elif dependent:
-                results[i] = CertificateResult(Verdict.INCONCLUSIVE, reason=dependent, **common)
+                results[i] = CertificateResult(
+                    Verdict.INCONCLUSIVE, spectra[r], reason=dependent, **common
+                )
             else:
-                results[i] = CertificateResult(tangent_basis=basis[r], **outcome[r], **common)
+                verdict, mult, hessian, minors, reason = outcome[r]
+                results[i] = CertificateResult(
+                    verdict, spectra[r], mult, bases[r], hessian, minors, reason, **common
+                )
     return results
 
 
-def _energy_casimir(model: LocalModel, rows: np.ndarray) -> dict[int, dict]:
+def _energy_casimir(model: LocalModel, rows: np.ndarray) -> dict[int, tuple]:
     """One definiteness test of the restricted Hessian for a0 = +1 on the
-    model narrowed to ``rows``: per row, the fields of its certified-stable
-    or inconclusive result, with the signs applied to the whole stack."""
+    model narrowed to ``rows``: per row, the verdict, multipliers,
+    restricted Hessian, minors and reason of its certified-stable or
+    inconclusive result, with the signs applied to the whole stack."""
     if not len(rows):
         return {}
     part = model.take(rows)
@@ -457,7 +472,7 @@ def _energy_casimir(model: LocalModel, rows: np.ndarray) -> dict[int, dict]:
     if infeasible.any():
         worst = part.multipliers.residual[infeasible].tolist()
         for r, residual in zip(rows[infeasible].tolist(), worst):
-            outcome[r] = dict(verdict=Verdict.INCONCLUSIVE, reason=_infeasible(residual))
+            outcome[r] = (Verdict.INCONCLUSIVE, None, None, None, _infeasible(residual))
         if infeasible.all():
             return outcome
         part, rows = part.take((~infeasible).nonzero()[0]), rows[~infeasible]
@@ -467,22 +482,24 @@ def _energy_casimir(model: LocalModel, rows: np.ndarray) -> dict[int, dict]:
     d, sign = rh.shape[-1], syl.sign[:, None]
     # a0 = s scales the multipliers (negates them for s = -1) and the
     # Hessian by s, minor j by s^j
-    minors, hessians = (sign ** np.arange(1, d + 1) * syl.minors).tolist(), sign[..., None] * rh
-    a, b, c, dd = [np.where(sign < 0, -w, w).tolist() for w in (mult.a, mult.b, mult.c, mult.d)]
+    minors = (sign ** np.arange(1, d + 1) * syl.minors).tolist()
+    hessians = list(sign[..., None] * rh)
+    # a point's a, b, c and d as one row
+    w = np.concatenate([mult.a, mult.b, mult.c, mult.d], axis=-1)
+    w = np.where(sign < 0, -w, w).tolist()
+    start_c, start_d = model.n, model.n + mult.c.shape[-1]
     residual, dim = mult.residual.tolist(), mult.solution_space_dim.tolist()
     wrong = syl.wrong_minor.tolist()
     for j, (r, s) in enumerate(zip(rows.tolist(), sign[:, 0].tolist())):
         if not s:
-            outcome[r] = dict(verdict=Verdict.INCONCLUSIVE, reason=_not_definite(wrong[j], d))
+            outcome[r] = (Verdict.INCONCLUSIVE, None, None, None, _not_definite(wrong[j], d))
             continue
-        outcome[r] = dict(
-            verdict=Verdict.CERTIFIED_STABLE,
-            multipliers=MultiplierSet(
-                float(s), tuple(a[j]), tuple(b[j]), tuple(c[j]), tuple(dd[j]), residual[j], dim[j]
-            ),
-            restricted_hessian=hessians[j],
-            minors=tuple(minors[j]),
+        row = w[j]
+        signed = MultiplierSet(
+            float(s), tuple(row[:1]), tuple(row[1:start_c]), tuple(row[start_c:start_d]),
+            tuple(row[start_d:]), residual[j], dim[j],
         )
+        outcome[r] = (Verdict.CERTIFIED_STABLE, signed, hessians[j], tuple(minors[j]), "")
     return outcome
 
 

@@ -58,6 +58,7 @@ MEMO_KEYS = {
     "constraints._upper_triangle": [(3,)],
     "dynamics._right_hand_side": [(NONZERO_TOTAL, which) for which in Which],
     "localmodel._directions": [(3,)],
+    "localmodel._slot_plans": [(1,), (3,)],
     "scenarios._polygon_vertices": [(3,)],
     "criteria._paired_runs": [()],
 }

@@ -253,7 +253,7 @@ class TestSparseFormsOracle:
         self.assert_matches(sys, forms, weights, oracle_point(rng, n))
         # value on a stack of points of one Hamiltonian
         u = oracle_point(rng, n, (4,))
-        s = sys._arguments(u)
+        s = sys.arguments(u)
         assert_close(s, u @ forms.T, np.abs(u) @ np.abs(forms.T))
         assert_close(sys.value(u), -(np.log(s) @ weights) / FOUR_PI)
 
@@ -275,11 +275,29 @@ class TestSparseFormsOracle:
             for got, expected in zip(stacked, alone):
                 assert got[r].tobytes() == expected[0].tobytes()
 
+    @pytest.mark.parametrize("n,zero_total", ORACLE_CASES)
+    def test_log_arguments_given_once(self, n, zero_total):
+        # gathered and checked by the caller, they give the bits of an
+        # evaluation that gathers them itself
+        rng = np.random.default_rng(300 + 2 * n + zero_total)
+        sys = ReducedHamiltonian(oracle_circulations(rng, n, zero_total, 3))
+        u = oracle_point(rng, n, (3,))
+        basis = rng.standard_normal((3, 4, n * n))
+        s = sys.arguments(u)
+        pairs = [
+            (sys.gradient(u, s), sys.gradient(u)),
+            (sys.gradient_bound(u, s), sys.gradient_bound(u)),
+            (sys.hessian(u, basis, s), sys.hessian(u, basis)),
+            (sys.hessian(u, s=s), sys.hessian(u)),
+        ]
+        for given, gathered in pairs:
+            assert given.tobytes() == gathered.tobytes()
+
     @staticmethod
     def assert_matches(sys, forms, weights, u):
         """Every evaluation of sys at u (one point per Hamiltonian) against
         the dense forms and weights."""
-        s = sys._arguments(u)
+        s = sys.arguments(u)
         assert_close(s, (forms @ u[..., None])[..., 0], (np.abs(forms) @ np.abs(u[..., None]))[..., 0])
         # the rest from these arguments: a small s = u_i + u_j - 2 x_ij
         # cancels, and its rounding in either sum order is not the forms'

@@ -514,7 +514,68 @@ def count_traced_calls(monkeypatch, run):
     return calls
 
 
+# Python-level calls of one warm certificate, as "call" and "c_call"
+# profiler events (numpy's own Python wrappers among them): the 13-point
+# triangle stack gamma = -5 + 0.54 i of the sweep-paper range, and the N = 21
+# point of certify-large.  A stack makes them once whatever its size, so a
+# stage run twice, a quantity taken again on a narrowed model or a per-point
+# loop that grows shows here
+CERTIFICATE_EVENTS = {"triangle-stack": 755, "polygon-21": 665}
+
+
+def certificate_case(case):
+    if case == "triangle-stack":
+        scens = [build_scenario("triangle-with-center", gamma=-5 + 0.54 * i) for i in range(13)]
+        return scenario_fixed_point(scens), [s.circ for s in scens]
+    scen = build_scenario("polygon-with-center", gamma=20.0, m=20)
+    return scenario_fixed_point(scen), scen.circ
+
+
+def profiler_events(run):
+    """Profiler events of a warm ``run``.  The collector is kept out of the
+    profiled run: a collection inside it runs the callbacks in gc.callbacks
+    (hypothesis installs one), which add events that the run does not make."""
+    import gc
+
+    counted = {"call": 0, "c_call": 0}
+
+    def profile(frame, event, arg):
+        if event in counted:
+            counted[event] += 1
+
+    run()
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return counted["call"] + counted["c_call"]
+
+
 class TestCertificateWork:
+    @pytest.mark.parametrize("case", sorted(CERTIFICATE_EVENTS))
+    def test_python_calls_per_certificate(self, case):
+        mu0, circ = certificate_case(case)
+        events = profiler_events(lambda: energy_casimir_certificate(mu0, circ))
+        assert events <= CERTIFICATE_EVENTS[case], events
+
+    def test_a_narrowed_model_slices_its_arguments_and_moment_map(self):
+        # gathered and checked once per model, to the bits of a model built
+        # at the narrowed rows
+        mu0, circs = certificate_case("triangle-stack")
+        model = local_model(mu0, circs)
+        model.moment  # taken before the narrowing, as the certificate does
+        rows = np.array([1, 4, 5, 12])
+        part = model.take(rows)
+        assert {"arguments", "moment"} <= set(vars(part))
+        fresh = local_model(mu0.take(rows), [circs[i] for i in rows])
+        pairs = [(part.arguments, fresh.arguments)] + list(zip(part.moment, fresh.moment))
+        for got, expected in pairs:
+            assert got.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize(
         "run",
         [
@@ -581,9 +642,9 @@ class TestCertificateWork:
         for name in calls:
             method = getattr(ReducedHamiltonian, name)
 
-            def counted(self, u, *args, method=method, name=name):
+            def counted(self, u, *args, method=method, name=name, **kwargs):
                 calls[name].append(np.shape(args[0]) if args and args[0] is not None else None)
-                return method(self, u, *args)
+                return method(self, u, *args, **kwargs)
 
             monkeypatch.setattr(ReducedHamiltonian, name, counted)
         scen = build_scenario("polygon-with-center", gamma=20.0, m=20)
@@ -711,9 +772,9 @@ class TestCertificateWork:
     def test_sweep_evaluates_the_field_once_per_group(self, monkeypatch):
         calls = []
         gradient = ReducedHamiltonian.gradient
-        def counted(self, u):
+        def counted(self, u, *args, **kwargs):
             calls.append(u.shape)
-            return gradient(self, u)
+            return gradient(self, u, *args, **kwargs)
 
         monkeypatch.setattr(ReducedHamiltonian, "gradient", counted)
         table = gamma_sweep("triangle-with-center", -4.0, 2.0, 0.5)
@@ -1222,6 +1283,43 @@ def dphi_rows(model):
     return localmodel._dphi_rows(z, keep), localmodel._dphi_gram(z, keep)
 
 
+def written_out_dphi_rows(z, keep):
+    """The rows T of Dphi along the kept directions, entry by entry from
+    their formulas: the reference of the plan-built ones."""
+    k, n = z.shape
+    a, b, x = localmodel._distance_pairs(n)
+    y, j = x + 1, np.arange(n)
+    re, im = z.real, z.imag
+    rows = np.zeros((k, 2 * n, n * n))
+    rows[:, j, j], rows[:, n + j, j] = 2.0 * re, 2.0 * im
+    rows[:, a, x], rows[:, a, y] = re[:, b], -im[:, b]
+    rows[:, b, x], rows[:, b, y] = re[:, a], im[:, a]
+    rows[:, n + a, x], rows[:, n + a, y] = im[:, b], re[:, b]
+    rows[:, n + b, x], rows[:, n + b, y] = im[:, a], -re[:, a]
+    return rows[np.arange(k)[:, None], keep]
+
+
+def written_out_z_table(z):
+    """The z-table, entry by entry from its formulas."""
+    k, n = z.shape
+    a, b, x = localmodel._distance_pairs(n)
+    j, iz = np.arange(n), 1j * z
+    table = np.zeros((k, n * n, n), dtype=complex)
+    table[:, j, j] = 2j * z
+    table[:, x, a], table[:, x, b] = iz[:, b], iz[:, a]
+    table[:, x + 1, a], table[:, x + 1, b] = -z[:, b], z[:, a]
+    return table
+
+
+def written_out_minor_columns(z):
+    """conj(A) of the constraint multipliers, entry by entry."""
+    n = z.shape[-1]
+    step = np.arange(n - 1)
+    a = np.zeros(z.shape + (n - 1,), dtype=complex)
+    a[:, step, step], a[:, step + 1, step] = z[:, 1:].conj(), -z[:, :-1].conj()
+    return a
+
+
 # cond(T) <= 2 sqrt(n + 1) for every z: T T^T is at least |z|^2 / (n + 1) on
 # the kept directions and at most 4 |z|^2.  Measured: at most 3.2 on the
 # paper's families, 6.5 on the polygon grid and the certify-large copies
@@ -1268,6 +1366,48 @@ class TestLeafFactors:
             expected = gradient_entries(unit, n) @ z[:, None, :, None]
             got = unit @ localmodel._z_table(z)
             assert got.shape == expected.shape[:-1] and np.array_equal(got, expected[..., 0])
+
+    @staticmethod
+    def random_stacks():
+        """Seeded random z for n = 2..21 in stacks of 1 and 13, and a stack
+        with zero parts of both signs."""
+        rng = np.random.default_rng(38)
+        stacks = [
+            rng.standard_normal((k, n, 2)) @ np.array([1.0, 1j]) for n in range(2, 22) for k in (1, 13)
+        ]
+        signed_zeros = np.array([[1.0 + 0.0j, complex(-0.0, 2.0), complex(0.5, -0.0), -3.0 - 1.0j]])
+        return stacks + [signed_zeros]
+
+    def test_plan_built_tables_equal_the_written_out_ones(self):
+        # byte for byte: each entry of the written-out formulas is a value
+        # of z negated, doubled or turned by i, and the plan takes the same
+        for z in self.random_stacks():
+            _, keep = localmodel._kept(z)
+            rows = localmodel._dphi_rows(z, keep)
+            assert rows.flags.c_contiguous
+            tables = [
+                (rows, written_out_dphi_rows(z, keep)),
+                (localmodel._z_table(z), written_out_z_table(z)),
+                (localmodel._minor_columns(z), written_out_minor_columns(z)),
+            ]
+            for got, expected in tables:
+                assert got.shape == expected.shape and got.dtype == expected.dtype
+                assert got.tobytes() == expected.tobytes(), z.shape
+
+    def test_plans_come_from_the_pairs_alone(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a slot plan read the constraint Hessians")
+
+        monkeypatch.setattr(ConstraintSystem, "hessians", refuse)
+        localmodel._slot_plans.cache_clear()
+        for n in range(1, 22):
+            shapes = ((2 * n, n * n), (n * n, n), (n, n - 1))
+            for (slots, taken), shape in zip(localmodel._slot_plans(n), shapes):
+                # each slot of the table once, in order, each value read
+                # from the table's vector of values
+                assert np.all(np.diff(slots) > 0) and slots.size == taken.size
+                assert slots.size == 0 or 0 <= slots[0] <= slots[-1] < np.prod(shape)
+                assert not (slots.flags.writeable or taken.flags.writeable)
 
     def test_r_matches_a_householder_qr_up_to_signs(self):
         problems = []

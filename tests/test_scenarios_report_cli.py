@@ -442,22 +442,22 @@ class TestSweepStack:
         assert sizes == {"solve_multiplier_system": [2], "restricted_hessian": [2]}
 
     def test_failing_points_leave_the_rest_one_stack(self, monkeypatch):
-        # a point that is not a fixed point is masked out: the field is
-        # evaluated once; a point outside the Hamiltonian's domain fails that
-        # evaluation, and the field is evaluated once more without it
+        # a point that is not a fixed point is masked out: the field's log
+        # arguments are gathered once; a point outside the Hamiltonian's
+        # domain fails their check, and they are gathered once more without it
         from vortexstab.algebra import MuMatrix
         from vortexstab.errors import DomainError
         from vortexstab.hamiltonian import ReducedHamiltonian
         from vortexstab.stability import energy_casimir_certificate
 
         shapes = []
-        gradient = ReducedHamiltonian.gradient
+        arguments = ReducedHamiltonian.arguments
 
         def counted(self, u):
             shapes.append(u.shape)
-            return gradient(self, u)
+            return arguments(self, u)
 
-        monkeypatch.setattr(ReducedHamiltonian, "gradient", counted)
+        monkeypatch.setattr(ReducedHamiltonian, "arguments", counted)
         scens = [build_scenario("square-with-center", gamma=g) for g in (0.5, 1.0, 3.0)]
         mus = [scenario_fixed_point(s).entries for s in scens]
         z = np.array([1.0, 1.0, 0.3 + 0.7j, -0.5])  # vortices 1 and 2 coincide

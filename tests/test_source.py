@@ -76,11 +76,10 @@ def dotted_name(node):
     return ".".join([node.id] + parts[::-1])
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_no_pseudo_inverse_svd_or_lstsq(path):
-    # every name a module binds to numpy or a part of it is resolved, so an
-    # alias or a from-import does not hide a call
-    tree = ast.parse(path.read_text(), filename=str(path))
+def resolved_names(tree):
+    """Each name, attribute chain or import of the module as the dotted name
+    it stands for, with its line: every name the module binds to a module
+    is resolved, so an alias or a from-import does not hide a use."""
     modules = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -88,18 +87,62 @@ def test_no_pseudo_inverse_svd_or_lstsq(path):
                 modules[alias.asname or alias.name.split(".")[0]] = (
                     alias.name if alias.asname else alias.name.split(".")[0]
                 )
-        elif isinstance(node, ast.ImportFrom) and node.module and node.module.startswith("numpy"):
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
             for alias in node.names:
                 modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-    found = []
+                yield f"{node.module}.{alias.name}", node.lineno
     for node in ast.walk(tree):
         if isinstance(node, (ast.Name, ast.Attribute)):
             name = dotted_name(node)
-            if name is None:
-                continue
-            head, _, rest = name.partition(".")
-            full = ".".join(filter(None, [modules.get(head, head), rest]))
-            module, _, attr = full.rpartition(".")
-            if module == "numpy.linalg" and attr in FORBIDDEN_LINALG:
-                found.append((name, node.lineno))
+            if name is not None:
+                head, _, rest = name.partition(".")
+                yield ".".join(filter(None, [modules.get(head, head), rest])), node.lineno
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_pseudo_inverse_svd_or_lstsq(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for full, line in resolved_names(tree):
+        module, _, attr = full.rpartition(".")
+        if module == "numpy.linalg" and attr in FORBIDDEN_LINALG:
+            found.append((full, line))
     assert found == [], f"{path.name} names numpy.linalg routines it must not: {found}"
+
+
+def private_numpy_uses(source):
+    """The uses of a private part of numpy (a module or name with a leading
+    underscore, such as numpy.linalg._umath_linalg or numpy._core) that a
+    module's source makes, by import or attribute, with their lines."""
+    found = set()
+    for full, line in resolved_names(ast.parse(source)):
+        parts = full.split(".")
+        if parts[0] == "numpy" and any(
+            p.startswith("_") and not p.endswith("__") for p in parts[1:]
+        ):
+            found.add((full, line))
+    return sorted(found, key=lambda use: use[1])
+
+
+def test_the_numpy_lint_sees_each_way_in():
+    source = """
+import numpy as np
+import numpy._core
+from numpy.linalg import _umath_linalg
+from numpy import linalg as la
+from numpy._core import multiarray
+np.linalg._umath_linalg.inv
+la._linalg.solve
+np.__version__, np.linalg.solve
+"""
+    assert sorted({line for _, line in private_numpy_uses(source)}) == [3, 4, 6, 7, 8]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_numpy_module_is_used(path):
+    # the runtime takes numpy >= 1.24 and nothing else: numpy's private
+    # modules and their names move between its releases, so the package
+    # goes through the public functions, wrappers and all
+    uses = private_numpy_uses(path.read_text())
+    assert uses == [], f"{path.name} uses private parts of numpy: {uses}"
